@@ -1,0 +1,16 @@
+"""Put the benchmark's modules and ``src/`` on the path for its tests.
+
+Run explicitly — ``python -m pytest benchmarks/e2e/tests`` — these are
+not part of tier-1's ``testpaths``.
+"""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+ROOT = os.path.dirname(os.path.dirname(BENCH))
+
+for path in (os.path.join(ROOT, "src"), BENCH):
+    if path not in sys.path:
+        sys.path.insert(0, path)
