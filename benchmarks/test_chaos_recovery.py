@@ -8,147 +8,49 @@ recovery time itself, and the durability audit over the final disk
 state.  Run with ``pytest -m chaos benchmarks/test_chaos_recovery.py``.
 """
 
-import hashlib
 from types import SimpleNamespace
 
 import pytest
 from _tables import emit, kops, us
 
-from repro.core.client import ClientConfig, DdsClient
-from repro.core.messages import IoRequest, OpCode
-from repro.faults import (
-    DurabilityChecker,
-    FaultInjector,
-    FaultPlan,
-    ReplicationInvariantChecker,
-    ShardKill,
-)
-from repro.hardware.nic import NetworkLink
-from repro.sim import Environment
-from repro.storage.disk import RamDisk, SpdkBdev
-from repro.storage.filesystem import DdsFileSystem
-from repro.topology.sharding import ShardedOffloadServer
+from repro.bench.harness import ack_buckets, run_shard_kill
+from repro.faults import ShardKill
 
 pytestmark = pytest.mark.chaos
 
-IO_SIZE = 1024
-FILES = 16
-FILE_BYTES = 1 << 20
-SLOTS = FILE_BYTES // IO_SIZE
 TOTAL_REQUESTS = 4800
 BUCKET = 1e-3  # throughput histogram resolution
 
 KILL_AT = 2e-3
 DOWN_FOR = 3e-3
+KILL = ShardKill(at=KILL_AT, down_for=DOWN_FOR, shard=2)
 
 
-class AckTimeline:
-    """Client observer: durability audit plus an ack timestamp stream."""
-
-    def __init__(self, env, checker):
-        self.env = env
-        self.checker = checker
-        self.acks = []  # (sim time, file id)
-
-    def on_issue(self, request):
-        self.checker.on_issue(request)
-
-    def on_ack(self, request, response):
-        self.checker.on_ack(request, response)
-        if response.ok:
-            self.acks.append((self.env.now, request.file_id))
-
-    def on_give_up(self, request):
-        self.checker.on_give_up(request)
-
-
-def make_workload(file_ids):
-    """Every 4th request writes a request-id-unique (file, offset)."""
-
-    def factory(request_id, rng):
-        if request_id % 4 == 0:
-            ordinal = request_id // 4
-            file_id = file_ids[ordinal % FILES]
-            offset = ((ordinal // FILES) % SLOTS) * IO_SIZE
-            payload = request_id.to_bytes(8, "little") * (IO_SIZE // 8)
-            return IoRequest(
-                OpCode.WRITE, request_id, file_id, offset, IO_SIZE, payload
-            )
-        file_id = file_ids[rng.randrange(FILES)]
-        offset = rng.randrange(SLOTS) * IO_SIZE
-        return IoRequest(OpCode.READ, request_id, file_id, offset, IO_SIZE)
-
-    return factory
-
-
-def state_digest(server, file_ids):
-    digest = hashlib.blake2b(digest_size=16)
-    for file_id in file_ids:
-        owner = server.shard_map.owner(file_id)
-        digest.update(server.filesystems[owner].read_sync(file_id, 0, FILE_BYTES))
-    return digest.hexdigest()
-
-
-def run_chaos_bench(seed=13):
-    env = Environment()
-    disk = RamDisk(FILES * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("chaos")
-    file_ids = []
-    for index in range(FILES):
-        file_id = fs.create_file("chaos", f"file-{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    server = ShardedOffloadServer(env, NetworkLink(env), fs, shard_count=4)
-    dedup = server.enable_resilience()
-    plan = FaultPlan(
-        seed=seed,
-        events=(ShardKill(at=KILL_AT, down_for=DOWN_FOR, shard=2),),
-    )
-    injector = FaultInjector(env, server, plan).arm()
-    checker = DurabilityChecker()
-    timeline = AckTimeline(env, checker)
-    config = ClientConfig(
-        offered_iops=400e3,
-        total_requests=TOTAL_REQUESTS,
-        io_size=IO_SIZE,
-        batch=4,
-        connections=16,
-        max_outstanding=512,
-        file_size=FILE_BYTES,
-        seed=seed,
-    )
-    client = DdsClient(
-        env,
-        server,
-        file_ids[0],
-        config,
-        request_factory=make_workload(file_ids),
-        observer=timeline,
-    )
-    result = client.run()
-    env.run(until=env.timeout(1e-3))  # drain recovery stragglers
-    dead_files = frozenset(
-        file_id for file_id in file_ids if server.shard_map.owner(file_id) == 2
+def run_chaos_bench(seed=13, replicated=False):
+    """The kit's shard-kill scenario plus the recovery figures."""
+    run = run_shard_kill(
+        KILL, seed=seed, total_requests=TOTAL_REQUESTS, replicated=replicated
     )
     recover_record = next(
         record
-        for record in injector.fault_log
+        for record in run.injector.fault_log
         if record.kind == "shard-recover"
     )
     recovery_us = float(
         recover_record.detail.split("recovery_time=")[1].rstrip("us")
     )
     return SimpleNamespace(
-        server=server,
-        result=result,
-        injector=injector,
-        acks=timeline.acks,
-        dead_files=dead_files,
+        server=run.server,
+        replicator=run.server.replicator,
+        checker=run.checker,
+        result=run.result,
+        injector=run.injector,
+        acks=run.acks,
+        dead_files=run.files_on(KILL.shard),
         recover_time=recover_record.time,
         recovery_us=recovery_us,
-        report=checker.check(server, dedup=dedup),
-        digest=state_digest(server, file_ids),
+        report=run.report,
+        digest=run.state_digest(),
     )
 
 
@@ -274,91 +176,17 @@ def run_replicated_bench(seed=13):
     """Same kill, but with synchronous primary→backup replication on.
 
     The backup of shard 2's replica group serves its keyspace from the
-    crash instant onward, so — unlike :func:`run_chaos_bench` — the
-    dead keyspace keeps acknowledging through the whole outage.  The
-    Derecho-style runtime checker audits every protocol step while the
-    chaos runs.
+    crash instant onward, so — unlike the plain :func:`run_chaos_bench`
+    — the dead keyspace keeps acknowledging through the whole outage.
+    The Derecho-style runtime checker audits every protocol step while
+    the chaos runs.
     """
-    env = Environment()
-    disk = RamDisk(FILES * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("chaos")
-    file_ids = []
-    for index in range(FILES):
-        file_id = fs.create_file("chaos", f"file-{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    server = ShardedOffloadServer(env, NetworkLink(env), fs, shard_count=4)
-    dedup = server.enable_resilience()
-    checker = ReplicationInvariantChecker(env)
-    replicator = server.enable_replication(checker)
-    plan = FaultPlan(
-        seed=seed,
-        events=(ShardKill(at=KILL_AT, down_for=DOWN_FOR, shard=2),),
-    )
-    injector = FaultInjector(env, server, plan).arm()
-    timeline = AckTimeline(env, checker)
-    config = ClientConfig(
-        offered_iops=400e3,
-        total_requests=TOTAL_REQUESTS,
-        io_size=IO_SIZE,
-        batch=4,
-        connections=16,
-        max_outstanding=512,
-        file_size=FILE_BYTES,
-        seed=seed,
-    )
-    client = DdsClient(
-        env,
-        server,
-        file_ids[0],
-        config,
-        request_factory=make_workload(file_ids),
-        observer=timeline,
-    )
-    result = client.run()
-    # Bounded drain: anti-entropy catch-up is device-timed (it replays
-    # every entry the dead member missed), and the resilience layer's
-    # reclaim loop keeps the event queue non-empty forever — loop until
-    # the injector logs the recovery instead of draining bare.
-    for _ in range(120):
-        if any(r.kind == "shard-recover" for r in injector.fault_log):
-            break
-        env.run(until=env.timeout(1e-3))
-    env.run(until=env.timeout(1e-3))
-    dead_files = frozenset(
-        file_id for file_id in file_ids if server.shard_map.owner(file_id) == 2
-    )
-    recover_record = next(
-        record
-        for record in injector.fault_log
-        if record.kind == "shard-recover"
-    )
-    recovery_us = float(
-        recover_record.detail.split("recovery_time=")[1].rstrip("us")
-    )
-    return SimpleNamespace(
-        server=server,
-        replicator=replicator,
-        checker=checker,
-        result=result,
-        injector=injector,
-        acks=timeline.acks,
-        dead_files=dead_files,
-        recover_time=recover_record.time,
-        recovery_us=recovery_us,
-        report=checker.check(server, dedup=dedup),
-        digest=state_digest(server, file_ids),
-    )
+    return run_chaos_bench(seed, replicated=True)
 
 
-def outage_buckets(run, window=5e-4):
-    """Dead-keyspace acks per ``window`` slice of the kill window."""
-    buckets = [0] * int(DOWN_FOR / window)
-    for stamp, file_id in run.acks:
-        if file_id in run.dead_files and KILL_AT <= stamp < KILL_AT + DOWN_FOR:
-            buckets[int((stamp - KILL_AT) / window)] += 1
-    return buckets
+def outage_buckets(run):
+    """Dead-keyspace acks per half-ms slice of the kill window."""
+    return ack_buckets(run.acks, run.dead_files, KILL_AT, KILL_AT + DOWN_FOR)
 
 
 @pytest.fixture(scope="module")

@@ -14,10 +14,8 @@ proposal on the reproduced system.
 
 from _tables import emit, kops, us
 
-from repro.extensions import (
-    run_compressed_read_experiment,
-    run_pushdown_experiment,
-)
+from repro.extensions import run_compressed_read_experiment
+from repro.pushdown.scan import run_pushdown_experiment
 
 
 def run_compression():

@@ -11,57 +11,16 @@ reads are one packet each way).
 
 import pytest
 
-from repro.core.client import ClientConfig, WorkloadClient
+from repro.bench.harness import IO_SIZE, build_cluster, run_scaleout
 from repro.core.messages import IoRequest, OpCode
-from repro.hardware.nic import NetworkLink
-from repro.sim import Environment
-from repro.storage.disk import RamDisk, SpdkBdev
-from repro.storage.filesystem import DdsFileSystem
-from repro.topology.sharding import ShardedOffloadServer
+from repro.net.packet import FiveTuple
 
-IO_SIZE = 1024
-FILES = 32
-FILE_BYTES = 4 << 20
-#: Offered load far beyond any shard count's capacity, so every point
-#: measures capacity rather than arrival rate.
-OFFERED_IOPS = 4e6
 TOTAL_REQUESTS = 12_000
 
 
 def run_sharded(shard_count, total_requests=TOTAL_REQUESTS):
-    env = Environment()
-    disk = RamDisk(FILES * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("bench")
-    file_ids = []
-    for index in range(FILES):
-        file_id = fs.create_file("bench", f"shard-file-{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    link = NetworkLink(env)
-    server = ShardedOffloadServer(env, link, fs, shard_count=shard_count)
-    config = ClientConfig(
-        offered_iops=OFFERED_IOPS,
-        total_requests=total_requests,
-        io_size=IO_SIZE,
-        batch=4,
-        connections=16,
-        max_outstanding=192,
-        file_size=FILE_BYTES,
-        seed=7,
-    )
-    slots = FILE_BYTES // IO_SIZE
-
-    def random_read(request_id, rng):
-        file_id = file_ids[rng.randrange(len(file_ids))]
-        offset = rng.randrange(slots) * IO_SIZE
-        return IoRequest(OpCode.READ, request_id, file_id, offset, IO_SIZE)
-
-    client = WorkloadClient(
-        env, server, file_ids[0], config, request_factory=random_read
-    )
-    result = client.run()
-    return server, result
+    run = run_scaleout(shard_count, total_requests)
+    return run.server, run.result
 
 
 @pytest.fixture(scope="module")
@@ -119,21 +78,10 @@ class TestScaleoutBehaviour:
 
 
 def run_sharded_writes():
-    env = Environment()
-    disk = RamDisk(FILES * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("bench")
-    file_ids = []
-    for index in range(FILES):
-        file_id = fs.create_file("bench", f"shard-file-{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    link = NetworkLink(env)
-    server = ShardedOffloadServer(env, link, fs, shard_count=4)
-    from repro.net.packet import FiveTuple
-
+    cluster = build_cluster(shards=4, files=32, file_bytes=4 << 20)
+    env, server = cluster.env, cluster.server
     ok = {}
-    for index, file_id in enumerate(file_ids):
+    for index, file_id in enumerate(cluster.file_ids):
         flow = FiveTuple("10.0.0.2", 40_000 + index, "10.0.0.1", 5000)
         write = IoRequest(
             OpCode.WRITE, index, file_id, 0, IO_SIZE, bytes(IO_SIZE)

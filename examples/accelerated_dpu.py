@@ -4,8 +4,8 @@
 The paper's conclusion (§11) proposes exploiting the DPU's hardware
 engines, and its related-work section (§10) points at DPU caching
 (Xenic) and multi-tenant isolation (Gimbal) as natural extensions.
-All four are implemented in ``repro.extensions``; this script runs each
-one's headline experiment:
+They are implemented in ``repro.extensions`` (the regex pushdown in
+``repro.pushdown``); this script runs each one's headline experiment:
 
 1. compressed page serving — the deflate engine decompresses offloaded
    reads at line rate;
@@ -21,8 +21,8 @@ from repro.extensions import (
     run_compressed_read_experiment,
     run_dpu_cache_experiment,
     run_multitenant_experiment,
-    run_pushdown_experiment,
 )
+from repro.pushdown.scan import run_pushdown_experiment
 
 
 def compression_demo() -> None:

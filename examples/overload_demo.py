@@ -27,76 +27,17 @@ collapse — and the recovery — are visible bucket by bucket.
 Run:  python examples/overload_demo.py
 """
 
-from repro.core.retry import RetryBudget, RetryPolicy
-from repro.hardware.nic import NetworkLink
-from repro.sim import Environment
-from repro.storage.disk import RamDisk, SpdkBdev
-from repro.storage.filesystem import DdsFileSystem
-from repro.topology.qos import QosConfig
-from repro.topology.sharding import ShardedOffloadServer
-from repro.workload import FlashCrowd, OpenLoopTrafficEngine, TenantSpec
+from repro.bench.harness import OVERLOAD_CAPACITY, run_overload
+from repro.workload import FlashCrowd
 
-IO_SIZE = 64 << 10
-FILES = 8
-FILE_BYTES = 1 << 20
-CAPACITY = 52_000.0  # single-shard 64KiB-read saturation
-BASE_RATE = 0.8 * CAPACITY
+BASE_RATE = 0.8 * OVERLOAD_CAPACITY
 HORIZON = 30e-3
 CROWD = FlashCrowd(start=8e-3, duration=6e-3, multiplier=5.0)
 BUCKET = 2e-3
 
 
-def build(env):
-    disk = RamDisk(FILES * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("demo")
-    file_ids = []
-    for index in range(FILES):
-        file_id = fs.create_file("demo", f"file-{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    server = ShardedOffloadServer(
-        env, NetworkLink(env), fs, shard_count=1
-    )
-    return server, file_ids
-
-
-def tenant_specs():
-    specs = [
-        TenantSpec(
-            f"int-{i}", i, rate=BASE_RATE * 0.2 / 3, weight=4.0,
-            slo_p99=5e-3,
-        )
-        for i in range(3)
-    ]
-    specs.append(
-        TenantSpec("batch-0", 3, rate=BASE_RATE * 0.8, weight=1.0)
-    )
-    return specs
-
-
 def run(defended):
-    env = Environment()
-    server, file_ids = build(env)
-    engine = OpenLoopTrafficEngine(
-        env, server, tenant_specs(), file_ids,
-        horizon=HORIZON, io_size=IO_SIZE, file_bytes=FILE_BYTES,
-        seed=31, events=(CROWD,),
-        retry_policy=RetryPolicy(max_attempts=8, timeout=2e-3),
-        retry_budget=(
-            RetryBudget(capacity=32.0, refill_ratio=0.1)
-            if defended else None
-        ),
-    )
-    if defended:
-        server.enable_resilience()
-        server.enable_qos(QosConfig(
-            global_rate=0.9 * CAPACITY, global_burst=32.0,
-            sojourn_target=2e-3,
-            weights={f"int-{i}": 4.0 for i in range(3)},
-            tenant_of=engine.tenant_for_flow,
-        ))
-    return engine.run()
+    return run_overload(BASE_RATE, defended, HORIZON, events=(CROWD,)).result
 
 
 def main():

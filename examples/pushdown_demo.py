@@ -86,7 +86,7 @@ def act_two_placement_sweep() -> None:
     print()
 
 
-def build_sharded_table(env):
+def sharded_table_server(env):
     fs = DdsFileSystem(
         env, SpdkBdev(env, RamDisk(PAGES * PAGE_BYTES + (32 << 20)))
     )
@@ -151,7 +151,7 @@ def main() -> None:
     act_one_compile_and_prove()
     act_two_placement_sweep()
     env = Environment()
-    server, file_id = build_sharded_table(env)
+    server, file_id = sharded_table_server(env)
     act_three_sharded_offload(env, server, file_id)
     act_four_rejection_falls_back(env, server, file_id)
 

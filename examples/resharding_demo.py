@@ -13,69 +13,16 @@ and what the elasticity cost in client throughput while it happened.
 Run:  python examples/resharding_demo.py
 """
 
-from repro.core.client import ClientConfig, DdsClient
-from repro.core.messages import IoRequest, OpCode
-from repro.hardware.nic import NetworkLink
-from repro.sim import Environment
-from repro.storage.disk import RamDisk, SpdkBdev
-from repro.storage.filesystem import DdsFileSystem
+from repro.bench.harness import (
+    AckTimeline,
+    build_cluster,
+    drain_until,
+    drive_striped,
+)
 from repro.topology.resharding import ShardAutoscaler
-from repro.topology.sharding import ShardedOffloadServer
 
-IO_SIZE = 1024
-FILES = 16
-FILE_BYTES = 64 << 10
-SLOTS = FILE_BYTES // IO_SIZE
 BURST_IOPS = 150_000  # moderate crowd: the copy plane keeps headroom
 BURST_REQUESTS = 9_000  # ~60 ms — long enough for two adds to converge
-
-
-def build(env):
-    disk = RamDisk(FILES * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("demo")
-    file_ids = []
-    for index in range(FILES):
-        file_id = fs.create_file("demo", f"file-{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    server = ShardedOffloadServer(
-        env, NetworkLink(env), fs, shard_count=2
-    )
-    return server, file_ids
-
-
-def make_workload(file_ids):
-    def factory(request_id, rng):
-        if request_id % 4 == 0:
-            ordinal = request_id // 4
-            file_id = file_ids[ordinal % FILES]
-            offset = ((ordinal // FILES) % SLOTS) * IO_SIZE
-            payload = request_id.to_bytes(8, "little") * (IO_SIZE // 8)
-            return IoRequest(
-                OpCode.WRITE, request_id, file_id, offset, IO_SIZE, payload
-            )
-        file_id = file_ids[rng.randrange(FILES)]
-        offset = rng.randrange(SLOTS) * IO_SIZE
-        return IoRequest(OpCode.READ, request_id, file_id, offset, IO_SIZE)
-
-    return factory
-
-
-class AckLog:
-    def __init__(self, env):
-        self.env = env
-        self.acks = []
-
-    def on_issue(self, request):
-        pass
-
-    def on_ack(self, request, response):
-        if response.ok:
-            self.acks.append(self.env.now)
-
-    def on_give_up(self, request):
-        pass
 
 
 def iops_between(acks, start, end):
@@ -86,8 +33,8 @@ def iops_between(acks, start, end):
 
 
 def main() -> None:
-    env = Environment()
-    server, file_ids = build(env)
+    cluster = build_cluster(shards=2, files=16, file_bytes=64 << 10)
+    env, server = cluster.env, cluster.server
     server.enable_resilience()
     resharder = server.enable_resharding()
     scaler = ShardAutoscaler(
@@ -101,33 +48,22 @@ def main() -> None:
         cooldown=2,
     )
     scaler.start()
-    log = AckLog(env)
-    config = ClientConfig(
-        offered_iops=BURST_IOPS,
-        total_requests=BURST_REQUESTS,
-        io_size=IO_SIZE,
-        batch=4,
-        connections=16,
-        max_outstanding=512,
-        file_size=FILE_BYTES,
-        seed=29,
-    )
-    client = DdsClient(
-        env, server, file_ids[0], config,
-        request_factory=make_workload(file_ids), observer=log,
-    )
+    timeline = AckTimeline(env)
     print(
         f"Flash crowd: {BURST_IOPS // 1000}K IOPS offered at a "
         f"2-shard deployment (autoscaler 2..4 shards)\n"
     )
-    result = client.run()
+    result = drive_striped(
+        cluster, offered_iops=BURST_IOPS, total_requests=BURST_REQUESTS,
+        seed=29, write_every=4, observer=timeline,
+    )
     # Post-crowd idle ticks: per-shard rates fall below the low water
     # and the scaler drains its own additions back out.
-    for _ in range(300):
-        if [s.index for s in server.live_shards] == [0, 1]:
-            break
-        env.run(until=env.timeout(1e-3))
+    drain_until(
+        env, lambda: [s.index for s in server.live_shards] == [0, 1], 300
+    )
     scaler.stop()
+    acks = [stamp for stamp, _file_id in timeline.acks]
 
     print("scaling decisions")
     print(f"{'time':>9s}  {'live':>4s}  action")
@@ -156,7 +92,7 @@ def main() -> None:
     print("\ncost curve (client throughput per phase)")
     # Phases cover the crowd's lifetime only — the post-crowd drains
     # run against an idle cluster and have no client cost to measure.
-    last_ack = max(log.acks)
+    last_ack = max(acks)
     phases = []
     cursor, gap_label = 0.0, "steady"
     for record in resharder.history:
@@ -173,7 +109,7 @@ def main() -> None:
     for start, end, label in phases:
         print(
             f"{label:10s} {start * 1e3:7.2f}-{end * 1e3:7.2f}ms "
-            f"{iops_between(log.acks, start, end) / 1e3:8.1f}K"
+            f"{iops_between(acks, start, end) / 1e3:8.1f}K"
         )
 
     print(

@@ -13,29 +13,75 @@ the wired server from the spec.  :data:`SOLUTIONS` here is the ten
 headline names charted in Figure 16, in chart order; the registry also
 carries the ablations (``dds-files-copy``, ``dds-offload-copy``) and
 the multi-DPU sharded deployments (``dds-offload-shard2`` / ``-shard4``).
+
+The second half is the *scenario kit* every test, benchmark and example
+shares (DESIGN.md §11): :func:`build_cluster` also brings up the
+N-files-on-a-sharded-server deployment, :func:`striped_rw_factory` /
+:func:`drive_striped` are its one workload, :class:`AckTimeline`,
+:func:`drain_until` and :func:`ack_buckets` its one way to observe and
+settle a run, and the cluster scenarios (:func:`run_scaleout`,
+:func:`run_shard_kill`, :func:`run_elastic`, :func:`run_overload`) are
+plain functions returning a :class:`ScenarioRun`.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
-from ..core.client import ClientConfig, ClientResult, WorkloadClient
+from ..core.client import ClientConfig, ClientResult, DdsClient, WorkloadClient
+from ..core.messages import IoRequest, OpCode
+from ..core.retry import RetryBudget, RetryPolicy
 from ..core.server import StorageServerBase
+from ..faults import (
+    DurabilityChecker,
+    FaultInjector,
+    FaultPlan,
+    ReplicationInvariantChecker,
+    ShardKill,
+)
 from ..hardware.nic import NetworkLink
 from ..sim import Environment
 from ..storage.disk import RamDisk, SpdkBdev
 from ..storage.filesystem import DdsFileSystem
+from ..topology.qos import QosConfig
 from ..topology.registry import build_server, headline_solutions, resolve
+from ..topology.sharding import ShardedOffloadServer
 from ..topology.spec import DeploymentSpec
+from ..workload import OpenLoopTrafficEngine, TenantSpec
 
 __all__ = [
     "SOLUTIONS",
     "ExperimentResult",
+    "Cluster",
     "build_cluster",
     "run_io_experiment",
     "sweep",
     "find_peak",
+    "IO_SIZE",
+    "OVERLOAD_CAPACITY",
+    "AckTimeline",
+    "ScenarioRun",
+    "ack_buckets",
+    "drain_until",
+    "drive_striped",
+    "striped_rw_factory",
+    "run_scaleout",
+    "run_shard_kill",
+    "run_elastic",
+    "run_overload",
 ]
 
 #: The ten Figure 16 solutions, chart order (from the registry).
@@ -77,32 +123,74 @@ class Cluster:
     env: Environment
     server: StorageServerBase
     filesystem: DdsFileSystem
+    #: The first (for single-file clusters: the only) file.
     file_id: int
+    file_ids: List[int]
+    file_bytes: int
+
+    def files_on(self, shard: int) -> FrozenSet[int]:
+        """The files ``shard`` owns under the current shard map."""
+        return frozenset(
+            file_id
+            for file_id in self.file_ids
+            if self.server.shard_map.owner(file_id) == shard
+        )
+
+    def state_digest(self) -> str:
+        """Digest of every file's bytes on its owning shard's disk."""
+        digest = hashlib.blake2b(digest_size=16)
+        for file_id in self.file_ids:
+            owner = self.server.shard_map.owner(file_id)
+            digest.update(
+                self.server.filesystems[owner].read_sync(
+                    file_id, 0, self.file_bytes
+                )
+            )
+        return digest.hexdigest()
 
 
 def build_cluster(
-    kind: Solution,
+    kind: Optional[Solution] = None,
     db_bytes: int = 192 << 20,
     disk_bytes: Optional[int] = None,
+    *,
+    files: int = 1,
+    file_bytes: Optional[int] = None,
+    shards: Optional[int] = None,
 ) -> Cluster:
-    """Assemble disk, filesystem, link, and server for one solution.
+    """Assemble disk, filesystem, link, and server for one deployment.
 
     ``kind`` is a registered solution name or a
     :class:`~repro.topology.spec.DeploymentSpec` directly.  The benchmark
     database is ``db_bytes`` of preallocated file (the paper uses a
     128 GB database; we scale it down — random cold reads behave
     identically since nothing is cached anywhere).
+
+    ``shards=N`` instead builds the elastic
+    :class:`~repro.topology.sharding.ShardedOffloadServer` on N DPUs —
+    also at ``N == 1``, where the registry would pick the single-DPU
+    server that has none of the resilience / replication / resharding /
+    QoS seams — over ``files`` preallocated files of ``file_bytes`` each.
     """
-    spec = resolve(kind)
+    if (kind is None) == (shards is None):
+        raise ValueError("pass exactly one of a solution or shards=")
+    spec = None if kind is None else resolve(kind)
+    file_bytes = file_bytes or db_bytes
     env = Environment()
-    disk = RamDisk(disk_bytes if disk_bytes else db_bytes + (64 << 20))
+    disk = RamDisk(disk_bytes or files * file_bytes + (64 << 20))
     fs = DdsFileSystem(env, SpdkBdev(env, disk))
     fs.create_directory("bench")
-    file_id = fs.create_file("bench", "database")
-    fs.preallocate(file_id, db_bytes)
+    file_ids = []
+    for index in range(files):
+        file_id = fs.create_file("bench", f"file-{index}")
+        fs.preallocate(file_id, file_bytes)
+        file_ids.append(file_id)
     link = NetworkLink(env)
-    server = build_server(spec, env, link, fs)
-    return Cluster(env=env, server=server, filesystem=fs, file_id=file_id)
+    if spec is not None:
+        server = build_server(spec, env, link, fs)
+    else:
+        server = ShardedOffloadServer(env, link, fs, shard_count=shards)
+    return Cluster(env, server, fs, file_ids[0], file_ids, file_bytes)
 
 
 def run_io_experiment(
@@ -194,3 +282,318 @@ def find_peak(
         best = result
         offered *= factor
     return best
+
+
+# ----------------------------------------------------------------------
+# the scenario kit: one workload, one observer, one drain, four scenarios
+# ----------------------------------------------------------------------
+#: Request size of the striped workload.
+IO_SIZE = 1024
+
+#: Measured saturation of one shard serving 64 KiB reads (the SSD/link
+#: path), the unit :func:`run_overload` rates are quoted in.
+OVERLOAD_CAPACITY = 52_000.0
+
+
+def striped_rw_factory(
+    file_ids: Sequence[int], file_bytes: int, io_size: int, write_every: int
+) -> Callable:
+    """Uniform random reads; every ``write_every``-th request writes.
+
+    Write locations are derived from the request id, striped across the
+    files, so each (file, offset) pair is written once per pass over the
+    namespace — which makes a durability audit's "latest acked write
+    wins" rule exact.  ``write_every=0`` is a pure read workload.
+    """
+    files = len(file_ids)
+    slots = file_bytes // io_size
+
+    def factory(request_id, rng):
+        if write_every and request_id % write_every == 0:
+            ordinal = request_id // write_every
+            file_id = file_ids[ordinal % files]
+            offset = ((ordinal // files) % slots) * io_size
+            payload = request_id.to_bytes(8, "little") * (io_size // 8)
+            return IoRequest(
+                OpCode.WRITE, request_id, file_id, offset, io_size, payload
+            )
+        file_id = file_ids[rng.randrange(files)]
+        offset = rng.randrange(slots) * io_size
+        return IoRequest(OpCode.READ, request_id, file_id, offset, io_size)
+
+    return factory
+
+
+def drive_striped(
+    cluster: Cluster,
+    *,
+    offered_iops: float,
+    total_requests: int,
+    seed: int,
+    write_every: int,
+    connections: int = 16,
+    max_outstanding: int = 512,
+    retrying: bool = True,
+    observer=None,
+) -> ClientResult:
+    """Run the striped workload over every file of ``cluster``.
+
+    ``retrying`` picks the chaos-tier :class:`DdsClient` (timeouts,
+    backoff, response dedup) over the loss-free :class:`WorkloadClient`.
+    """
+    config = ClientConfig(
+        offered_iops=offered_iops,
+        total_requests=total_requests,
+        io_size=IO_SIZE,
+        batch=4,
+        connections=connections,
+        max_outstanding=max_outstanding,
+        file_size=cluster.file_bytes,
+        seed=seed,
+    )
+    client = (DdsClient if retrying else WorkloadClient)(
+        cluster.env,
+        cluster.server,
+        cluster.file_id,
+        config,
+        request_factory=striped_rw_factory(
+            cluster.file_ids, cluster.file_bytes, IO_SIZE, write_every
+        ),
+        observer=observer,
+    )
+    return client.run()
+
+
+class AckTimeline:
+    """Client observer: forwards to ``checker`` and timestamps acks."""
+
+    def __init__(self, env: Environment, checker=None) -> None:
+        self.env = env
+        self.checker = checker
+        #: (sim time, file id) of every successful response.
+        self.acks: List[Tuple[float, int]] = []
+
+    def on_issue(self, request) -> None:
+        if self.checker is not None:
+            self.checker.on_issue(request)
+
+    def on_ack(self, request, response) -> None:
+        if self.checker is not None:
+            self.checker.on_ack(request, response)
+        if response.ok:
+            self.acks.append((self.env.now, request.file_id))
+
+    def on_give_up(self, request) -> None:
+        if self.checker is not None:
+            self.checker.on_give_up(request)
+
+
+def drain_until(
+    env: Environment, predicate: Callable[[], bool], max_rounds: int
+) -> None:
+    """Advance 1 ms at a time until ``predicate()`` holds (bounded).
+
+    Backends poll and the resilience layer's reclaim loop re-arms
+    forever, so a bare ``env.run()`` never returns on these clusters.
+    """
+    for _ in range(max_rounds):
+        if predicate():
+            break
+        env.run(until=env.timeout(1e-3))
+
+
+def ack_buckets(
+    acks: Sequence[Tuple[float, int]],
+    files: Collection[int],
+    start: float,
+    end: float,
+) -> List[int]:
+    """Acks to ``files`` per half-millisecond slice of ``[start, end)``.
+
+    A zero bucket is a dark window: that keyspace went silent."""
+    window = 5e-4
+    buckets = [0] * max(1, int((end - start) / window))
+    for stamp, file_id in acks:
+        if file_id in files and start <= stamp < end:
+            index = min(len(buckets) - 1, int((stamp - start) / window))
+            buckets[index] += 1
+    return buckets
+
+
+@dataclass
+class ScenarioRun(Cluster):
+    """The cluster after a scenario ran, plus what the run measured."""
+
+    result: Any = None
+    acks: List[Tuple[float, int]] = field(repr=False, default_factory=list)
+    checker: Any = None
+    #: ``checker.check(...)`` taken after the post-run drain.
+    report: Any = None
+    injector: Optional[FaultInjector] = None
+    #: Elastic runs: shard index per completed step (added / drained).
+    marks: Dict[str, int] = field(default_factory=dict)
+    #: Elastic runs: file id -> owner before any membership change.
+    owners_before: Dict[int, int] = field(default_factory=dict)
+
+
+def _arm_audit(cluster: Cluster, replicated: bool):
+    """Dedup + breakers, and the checker matching the deployment."""
+    dedup = cluster.server.enable_resilience()
+    if replicated:
+        checker = ReplicationInvariantChecker(cluster.env)
+        cluster.server.enable_replication(checker)
+    else:
+        checker = DurabilityChecker()
+    return dedup, checker
+
+
+def run_scaleout(shards: int, total_requests: int) -> ScenarioRun:
+    """Saturating directed reads over 32 x 4 MiB files on N shards."""
+    cluster = build_cluster(shards=shards, files=32, file_bytes=4 << 20)
+    # Offered load far beyond any shard count's capacity, so every
+    # point measures capacity rather than arrival rate.
+    result = drive_striped(
+        cluster, offered_iops=4e6, total_requests=total_requests, seed=7,
+        write_every=0, max_outstanding=192, retrying=False,
+    )
+    return ScenarioRun(**vars(cluster), result=result)
+
+
+def run_shard_kill(
+    kill: ShardKill,
+    *,
+    seed: int,
+    total_requests: int,
+    write_every: int = 4,
+    replicated: bool = False,
+) -> ScenarioRun:
+    """Kill one of four shards mid-workload; recover it; audit.
+
+    400K offered IOPS over 16 x 1 MiB files.  Unreplicated, the dead
+    keyspace goes dark until raw-disk recovery and the
+    :class:`DurabilityChecker` audits the final disks; ``replicated``
+    turns on primary→backup mirroring with the runtime
+    :class:`ReplicationInvariantChecker` attached, and the backup keeps
+    the keyspace acking through the outage.
+    """
+    cluster = build_cluster(shards=4, files=16, file_bytes=1 << 20)
+    env, server = cluster.env, cluster.server
+    dedup, checker = _arm_audit(cluster, replicated)
+    plan = FaultPlan(seed=seed, events=(kill,))
+    injector = FaultInjector(env, server, plan).arm()
+    timeline = AckTimeline(env, checker)
+    result = drive_striped(
+        cluster, offered_iops=400e3, total_requests=total_requests,
+        seed=seed, write_every=write_every, observer=timeline,
+    )
+    # Anti-entropy catch-up is device-timed and outlasts the workload.
+    drain_until(
+        env,
+        lambda: any(r.kind == "shard-recover" for r in injector.fault_log),
+        120,
+    )
+    env.run(until=env.timeout(1e-3))  # replayed responses, recovery tail
+    return ScenarioRun(
+        **vars(cluster), result=result, acks=timeline.acks, checker=checker,
+        report=checker.check(server, dedup=dedup), injector=injector,
+    )
+
+
+def run_elastic(
+    *,
+    seed: int,
+    total_requests: int,
+    replicated: bool = True,
+    drain: bool = True,
+    kill: Optional[ShardKill] = None,
+) -> ScenarioRun:
+    """Grow a loaded 2-shard deployment to 3, then drain the addition.
+
+    150K offered IOPS over 16 x 64 KiB files: a saturating load starves
+    the copy plane until the workload ends and nothing overlaps.
+    ``drain=False`` stops after the add; ``kill`` lands a shard kill
+    inside the migration (chaos tier).
+    """
+    cluster = build_cluster(shards=2, files=16, file_bytes=64 << 10)
+    env, server = cluster.env, cluster.server
+    dedup, checker = _arm_audit(cluster, replicated)
+    resharder = server.enable_resharding()
+    injector = None
+    if kill is not None:
+        plan = FaultPlan(seed=seed, events=(kill,))
+        injector = FaultInjector(env, server, plan).arm()
+    owners_before = {f: server.shard_map.owner(f) for f in cluster.file_ids}
+    marks: Dict[str, int] = {}
+
+    def control():
+        yield env.timeout(1e-3)
+        index = yield from server.add_shard()
+        marks["added"] = index
+        if drain:
+            yield env.timeout(3e-4)
+            yield from server.drain_shard(index)
+            marks["drained"] = index
+
+    env.process(control())
+    timeline = AckTimeline(env, checker)
+    result = drive_striped(
+        cluster, offered_iops=150e3, total_requests=total_requests,
+        seed=seed, write_every=4, observer=timeline,
+    )
+    # The drain-side resize backfills the re-paired backup device-timed,
+    # and a killed shard's anti-entropy replays every missed log entry:
+    # the audit must read the settled, caught-up filesystems.
+    drain_until(
+        env,
+        lambda: ("drained" if drain else "added") in marks
+        and not resharder.active
+        and all(shard.alive for shard in server.shards),
+        400,
+    )
+    env.run(until=env.timeout(1e-3))
+    return ScenarioRun(
+        **vars(cluster), result=result, acks=timeline.acks, checker=checker,
+        report=checker.check(server, dedup=dedup), injector=injector,
+        marks=marks, owners_before=owners_before,
+    )
+
+
+def run_overload(
+    total_rate: float, defended: bool, horizon: float, events=()
+) -> ScenarioRun:
+    """Open-loop tenants against one shard of 64 KiB reads (DESIGN §15).
+
+    Two tenant classes — three interactive accounts (20% of the load,
+    4x DRR weight, latency-sensitive) and one batch whale — retry up to
+    8 times on a 2 ms timeout.  ``defended`` adds dedup, a shared retry
+    budget and the tenant QoS gate admitting 90% of capacity; without
+    it this is the stock, metastable configuration.  The gate is
+    ``run.server.qos`` (None when undefended).
+    """
+    cluster = build_cluster(shards=1, files=8, file_bytes=1 << 20)
+    specs = [
+        TenantSpec(
+            f"int-{i}", i, rate=total_rate * 0.2 / 3, weight=4.0,
+            slo_p99=5e-3,
+        )
+        for i in range(3)
+    ]
+    specs.append(TenantSpec("batch-0", 3, rate=total_rate * 0.8, weight=1.0))
+    engine = OpenLoopTrafficEngine(
+        cluster.env, cluster.server, specs, cluster.file_ids,
+        horizon=horizon, io_size=64 << 10, file_bytes=cluster.file_bytes,
+        seed=31, events=events,
+        retry_policy=RetryPolicy(max_attempts=8, timeout=2e-3),
+        retry_budget=(
+            RetryBudget(capacity=32.0, refill_ratio=0.1) if defended else None
+        ),
+    )
+    if defended:
+        cluster.server.enable_resilience()
+        cluster.server.enable_qos(QosConfig(
+            global_rate=0.9 * OVERLOAD_CAPACITY, global_burst=32.0,
+            sojourn_target=2e-3,
+            weights={f"int-{i}": 4.0 for i in range(3)},
+            tenant_of=engine.tenant_for_flow,
+        ))
+    return ScenarioRun(**vars(cluster), result=engine.run())

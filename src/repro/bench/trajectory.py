@@ -1,12 +1,18 @@
 """The machine-readable performance trajectory (``BENCH_<name>.json``).
 
-Every PR leaves a perf record: this module runs pinned workloads —
-the Figure 16 peak-throughput sweep, the 4-shard scale-out run, the
-chaos shard-kill recovery, and the replicated-failover run (replication
-tax + availability curve) — and emits one JSON file per workload with
-the engine's events/sec, wall time, and peak simulated IOPS.  CI runs
-the same workloads at ``--mode smoke`` scale and fails when events/sec
-regresses against the committed baselines (see ``--check``).
+Every PR leaves a perf record: this module runs seven pinned workloads
+— the Figure 16 peak-throughput sweep (``fig16``), the 4-shard
+scale-out run (``scaleout``), the chaos shard-kill recovery (``chaos``),
+the replicated-failover run (``replication``: replication tax +
+availability curve), the live add→drain reshard (``resharding``), the
+verified-pushdown placement sweep (``pushdown``) and the open-loop
+overload study (``overload``) — and emits one JSON file per workload
+with the engine's events/sec, wall time, and peak simulated IOPS.  The
+cluster workloads call the scenario kit in :mod:`repro.bench.harness`
+(the same functions the tests, benchmarks and examples run) and only
+shape the ``detail`` dict here.  CI runs the same workloads at
+``--mode smoke`` scale and fails when events/sec regresses against the
+committed baselines (see ``--check``).
 
 Metric definitions
 ------------------
@@ -42,6 +48,21 @@ import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
+
+from ..core.client import percentile
+from ..faults import FaultInjector, FaultPlan, ShardKill
+from ..workload import FlashCrowd
+from .harness import (
+    OVERLOAD_CAPACITY,
+    ack_buckets,
+    build_cluster,
+    drive_striped,
+    find_peak,
+    run_elastic,
+    run_overload,
+    run_scaleout,
+    run_shard_kill,
+)
 
 __all__ = [
     "WORKLOADS",
@@ -89,8 +110,6 @@ def calibrate(iterations: int = 300_000) -> float:
 def _run_fig16(mode: str) -> dict:
     """The Figure 16 ten-solution peak-throughput sweep (reduced: three
     representative solutions spanning the chart's range)."""
-    from .harness import find_peak
-
     if mode == "full":
         kinds = [
             "baseline",
@@ -133,132 +152,45 @@ def _run_fig16(mode: str) -> dict:
 
 def _run_scaleout(mode: str) -> dict:
     """Directed reads against a consistent-hash 4-shard deployment."""
-    from ..core.client import ClientConfig, WorkloadClient
-    from ..core.messages import IoRequest, OpCode
-    from ..hardware.nic import NetworkLink
-    from ..sim import Environment
-    from ..storage.disk import RamDisk, SpdkBdev
-    from ..storage.filesystem import DdsFileSystem
-    from ..topology.sharding import ShardedOffloadServer
-
-    io_size = 1024
-    files = 32
-    file_bytes = 4 << 20
     total_requests = 12_000 if mode == "full" else 3000
-
     wall_start = time.perf_counter()
-    env = Environment()
-    disk = RamDisk(files * file_bytes + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("bench")
-    file_ids = []
-    for index in range(files):
-        file_id = fs.create_file("bench", f"shard-file-{index}")
-        fs.preallocate(file_id, file_bytes)
-        file_ids.append(file_id)
-    link = NetworkLink(env)
-    server = ShardedOffloadServer(env, link, fs, shard_count=4)
-    config = ClientConfig(
-        offered_iops=4e6,
-        total_requests=total_requests,
-        io_size=io_size,
-        batch=4,
-        connections=16,
-        max_outstanding=192,
-        file_size=file_bytes,
-        seed=7,
-    )
-    slots = file_bytes // io_size
-
-    def random_read(request_id, rng):
-        file_id = file_ids[rng.randrange(len(file_ids))]
-        offset = rng.randrange(slots) * io_size
-        return IoRequest(OpCode.READ, request_id, file_id, offset, io_size)
-
-    client = WorkloadClient(
-        env, server, file_ids[0], config, request_factory=random_read
-    )
-    result = client.run()
+    run = run_scaleout(4, total_requests)
     wall = time.perf_counter() - wall_start
     return {
         "wall_seconds": wall,
-        "events": env.scheduled_count,
-        "peak_iops": result.achieved_iops,
+        "events": run.env.scheduled_count,
+        "peak_iops": run.result.achieved_iops,
         "detail": {
             "shards": 4,
             "total_requests": total_requests,
-            "p99_us": result.p99 * 1e6,
+            "p99_us": run.result.p99 * 1e6,
         },
     }
 
 
 def _run_chaos(mode: str) -> dict:
-    """Shard-kill recovery: a 4-shard run with one shard dark mid-run."""
-    from ..core.client import ClientConfig, DdsClient
-    from ..core.messages import IoRequest, OpCode
-    from ..faults import FaultInjector, FaultPlan, ShardKill
-    from ..hardware.nic import NetworkLink
-    from ..sim import Environment
-    from ..storage.disk import RamDisk, SpdkBdev
-    from ..storage.filesystem import DdsFileSystem
-    from ..topology.sharding import ShardedOffloadServer
+    """Shard-kill recovery: a 4-shard run with one shard dark mid-run.
 
-    io_size = 1024
-    files = 16
-    file_bytes = 1 << 20
-    slots = file_bytes // io_size
+    The :func:`~repro.bench.harness.run_shard_kill` deployment and
+    fault, but at a saturating 1.2M offered IOPS and with no observer,
+    drain or audit — the record times the workload alone.
+    """
     total_requests = 4800 if mode == "full" else 1200
-
     wall_start = time.perf_counter()
-    env = Environment()
-    disk = RamDisk(files * file_bytes + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("chaos")
-    file_ids = []
-    for index in range(files):
-        file_id = fs.create_file("chaos", f"file-{index}")
-        fs.preallocate(file_id, file_bytes)
-        file_ids.append(file_id)
-    link = NetworkLink(env)
-    server = ShardedOffloadServer(env, link, fs, shard_count=4)
-    server.enable_resilience()
+    cluster = build_cluster(shards=4, files=16, file_bytes=1 << 20)
+    cluster.server.enable_resilience()
     plan = FaultPlan(
-        seed=13,
-        events=(ShardKill(at=2e-3, down_for=3e-3, shard=1),),
+        seed=13, events=(ShardKill(at=2e-3, down_for=3e-3, shard=1),)
     )
-    FaultInjector(env, server, plan).arm()
-
-    def factory(request_id, rng):
-        if request_id % 4 == 0:
-            ordinal = request_id // 4
-            file_id = file_ids[ordinal % files]
-            offset = ((ordinal // files) % slots) * io_size
-            payload = request_id.to_bytes(8, "little") * (io_size // 8)
-            return IoRequest(
-                OpCode.WRITE, request_id, file_id, offset, io_size, payload
-            )
-        file_id = file_ids[rng.randrange(files)]
-        offset = rng.randrange(slots) * io_size
-        return IoRequest(OpCode.READ, request_id, file_id, offset, io_size)
-
-    config = ClientConfig(
-        offered_iops=1.2e6,
-        total_requests=total_requests,
-        io_size=io_size,
-        batch=4,
-        connections=8,
-        max_outstanding=160,
-        file_size=file_bytes,
-        seed=13,
+    FaultInjector(cluster.env, cluster.server, plan).arm()
+    result = drive_striped(
+        cluster, offered_iops=1.2e6, total_requests=total_requests, seed=13,
+        write_every=4, connections=8, max_outstanding=160,
     )
-    client = DdsClient(
-        env, server, file_ids[0], config, request_factory=factory
-    )
-    result = client.run()
     wall = time.perf_counter() - wall_start
     return {
         "wall_seconds": wall,
-        "events": env.scheduled_count,
+        "events": cluster.env.scheduled_count,
         "peak_iops": result.achieved_iops,
         "detail": {
             "total_requests": total_requests,
@@ -281,152 +213,36 @@ def _run_replication(mode: str) -> dict:
       the outage (``zero_dark_window`` says none of them was silent)
       and the runtime invariant checker's verdict.
     """
-    from ..core.client import ClientConfig, DdsClient, WorkloadClient
-    from ..core.messages import IoRequest, OpCode
-    from ..faults import (
-        FaultInjector,
-        FaultPlan,
-        ReplicationInvariantChecker,
-        ShardKill,
-    )
-    from ..hardware.nic import NetworkLink
-    from ..sim import Environment
-    from ..storage.disk import RamDisk, SpdkBdev
-    from ..storage.filesystem import DdsFileSystem
-    from ..topology.sharding import ShardedOffloadServer
-
-    io_size = 1024
-    files = 16
-    file_bytes = 1 << 20
-    slots = file_bytes // io_size
     tax_requests = 6000 if mode == "full" else 1500
-    kill_at, down_for = 2e-3, 3e-3
-    # 400k offered IOPS for 2400 requests keeps load on the wire for
-    # 6 ms — past the end of the 2–5 ms outage in both modes, so the
-    # availability curve is fully populated.
-    failover_requests = 2400
-
-    def build(env):
-        disk = RamDisk(files * file_bytes + (64 << 20))
-        fs = DdsFileSystem(env, SpdkBdev(env, disk))
-        fs.create_directory("bench")
-        file_ids = []
-        for index in range(files):
-            file_id = fs.create_file("bench", f"repl-file-{index}")
-            fs.preallocate(file_id, file_bytes)
-            file_ids.append(file_id)
-        server = ShardedOffloadServer(
-            env, NetworkLink(env), fs, shard_count=4
-        )
-        return server, file_ids
-
-    def factory_for(file_ids):
-        def factory(request_id, rng):
-            if request_id % 2 == 0:  # write-heavy: the tax is per write
-                ordinal = request_id // 2
-                file_id = file_ids[ordinal % files]
-                offset = ((ordinal // files) % slots) * io_size
-                payload = request_id.to_bytes(8, "little") * (io_size // 8)
-                return IoRequest(
-                    OpCode.WRITE, request_id, file_id, offset, io_size,
-                    payload,
-                )
-            file_id = file_ids[rng.randrange(files)]
-            offset = rng.randrange(slots) * io_size
-            return IoRequest(
-                OpCode.READ, request_id, file_id, offset, io_size
-            )
-
-        return factory
-
+    kill = ShardKill(at=2e-3, down_for=3e-3, shard=2)
     wall_start = time.perf_counter()
     events = 0
 
-    # -- replication tax: plain vs replicated, no faults ---------------
     tax_iops = {}
     for variant in ("plain", "replicated"):
-        env = Environment()
-        server, file_ids = build(env)
+        cluster = build_cluster(shards=4, files=16, file_bytes=1 << 20)
         if variant == "replicated":
-            server.enable_replication()
-        config = ClientConfig(
-            offered_iops=1.2e6,
-            total_requests=tax_requests,
-            io_size=io_size,
-            batch=4,
-            connections=8,
-            max_outstanding=160,
-            file_size=file_bytes,
-            seed=7,
-        )
-        client = WorkloadClient(
-            env, server, file_ids[0], config,
-            request_factory=factory_for(file_ids),
-        )
-        tax_iops[variant] = client.run().achieved_iops
-        events += env.scheduled_count
+            cluster.server.enable_replication()
+        tax_iops[variant] = drive_striped(
+            cluster, offered_iops=1.2e6, total_requests=tax_requests, seed=7,
+            write_every=2,  # write-heavy: the tax is per write
+            connections=8, max_outstanding=160, retrying=False,
+        ).achieved_iops
+        events += cluster.env.scheduled_count
 
-    # -- failover availability under a shard kill ----------------------
-    env = Environment()
-    server, file_ids = build(env)
-    dedup = server.enable_resilience()
-    checker = ReplicationInvariantChecker(env)
-    replicator = server.enable_replication(checker)
-    plan = FaultPlan(
-        seed=13,
-        events=(ShardKill(at=kill_at, down_for=down_for, shard=2),),
+    # 400k offered IOPS for 2400 requests keeps load on the wire for
+    # 6 ms — past the end of the 2–5 ms outage in both modes, so the
+    # availability curve is fully populated.
+    run = run_shard_kill(
+        kill, seed=13, total_requests=2400, write_every=2, replicated=True
     )
-    injector = FaultInjector(env, server, plan).arm()
-    acks = []
-
-    class _Timeline:
-        def on_issue(self, request):
-            checker.on_issue(request)
-
-        def on_ack(self, request, response):
-            checker.on_ack(request, response)
-            if response.ok:
-                acks.append((env.now, request.file_id))
-
-        def on_give_up(self, request):
-            checker.on_give_up(request)
-
-    config = ClientConfig(
-        offered_iops=400e3,
-        total_requests=failover_requests,
-        io_size=io_size,
-        batch=4,
-        connections=16,
-        max_outstanding=512,
-        file_size=file_bytes,
-        seed=13,
-    )
-    client = DdsClient(
-        env, server, file_ids[0], config,
-        request_factory=factory_for(file_ids), observer=_Timeline(),
-    )
-    result = client.run()
-    # Bounded drain until the injector logs the recovery: anti-entropy
-    # catch-up outlasts the workload, and the resilience layer keeps
-    # the event queue populated forever (never drain with a bare run).
-    for _ in range(120):
-        if any(r.kind == "shard-recover" for r in injector.fault_log):
-            break
-        env.run(until=env.timeout(1e-3))
-    env.run(until=env.timeout(1e-3))
-    events += env.scheduled_count
+    events += run.env.scheduled_count
     wall = time.perf_counter() - wall_start
 
-    dead_files = frozenset(
-        file_id for file_id in file_ids
-        if server.shard_map.owner(file_id) == 2
+    dead_acks = ack_buckets(
+        run.acks, run.files_on(kill.shard), kill.at, kill.at + kill.down_for
     )
-    window = 5e-4
-    dead_acks = [0] * int(down_for / window)
-    for stamp, file_id in acks:
-        if file_id in dead_files and kill_at <= stamp < kill_at + down_for:
-            dead_acks[int((stamp - kill_at) / window)] += 1
-    report = checker.check(server, dedup=dedup)
+    replicator = run.server.replicator
     plain, replicated = tax_iops["plain"], tax_iops["replicated"]
     return {
         "wall_seconds": wall,
@@ -442,9 +258,9 @@ def _run_replication(mode: str) -> dict:
             "failover": {
                 "dead_acks_per_half_ms": dead_acks,
                 "zero_dark_window": all(c > 0 for c in dead_acks),
-                "violations": len(checker.violations),
-                "report_ok": report.ok,
-                "failed_requests": result.failed_requests,
+                "violations": len(run.checker.violations),
+                "report_ok": run.report.ok,
+                "failed_requests": run.result.failed_requests,
                 "handoffs": replicator.handoffs,
                 "solo_acks": replicator.solo_acks,
                 "mirrored_writes": replicator.mirrored_writes,
@@ -470,156 +286,37 @@ def _run_resharding(mode: str) -> dict:
       same workload; ``reshard_tax_pct`` is the end-to-end throughput
       price of performing both topology changes under load.
     """
-    from ..core.client import ClientConfig, DdsClient
-    from ..core.messages import IoRequest, OpCode
-    from ..faults import ReplicationInvariantChecker
-    from ..hardware.nic import NetworkLink
-    from ..sim import Environment
-    from ..storage.disk import RamDisk, SpdkBdev
-    from ..storage.filesystem import DdsFileSystem
-    from ..topology.sharding import ShardedOffloadServer
-
-    io_size = 1024
-    files = 16
-    file_bytes = 64 << 10
-    slots = file_bytes // io_size
-    # Moderate offered load on 2 shards: saturation starves the copy
-    # plane and the migrations would run after traffic, measuring
-    # nothing (see tests/test_resharding.py).
-    offered = 150e3
     total_requests = 6000 if mode == "full" else 3000
-    add_at, drain_gap = 1e-3, 3e-4
-    window = 5e-4
-
-    def build(env):
-        disk = RamDisk(files * file_bytes + (64 << 20))
-        fs = DdsFileSystem(env, SpdkBdev(env, disk))
-        fs.create_directory("bench")
-        file_ids = []
-        for index in range(files):
-            file_id = fs.create_file("bench", f"reshard-file-{index}")
-            fs.preallocate(file_id, file_bytes)
-            file_ids.append(file_id)
-        server = ShardedOffloadServer(
-            env, NetworkLink(env), fs, shard_count=2
-        )
-        return server, file_ids
-
-    def factory_for(file_ids):
-        def factory(request_id, rng):
-            if request_id % 4 == 0:
-                ordinal = request_id // 4
-                file_id = file_ids[ordinal % files]
-                offset = ((ordinal // files) % slots) * io_size
-                payload = request_id.to_bytes(8, "little") * (io_size // 8)
-                return IoRequest(
-                    OpCode.WRITE, request_id, file_id, offset, io_size,
-                    payload,
-                )
-            file_id = file_ids[rng.randrange(files)]
-            offset = rng.randrange(slots) * io_size
-            return IoRequest(
-                OpCode.READ, request_id, file_id, offset, io_size
-            )
-
-        return factory
-
-    def config():
-        return ClientConfig(
-            offered_iops=offered,
-            total_requests=total_requests,
-            io_size=io_size,
-            batch=4,
-            connections=16,
-            max_outstanding=512,
-            file_size=file_bytes,
-            seed=17,
-        )
-
     wall_start = time.perf_counter()
-    events = 0
 
     # -- control: identical workload, fixed 2-shard topology -----------
-    env = Environment()
-    server, file_ids = build(env)
-    server.enable_resilience()
-    server.enable_replication()
-    control_client = DdsClient(
-        env, server, file_ids[0], config(),
-        request_factory=factory_for(file_ids),
-    )
-    control_iops = control_client.run().achieved_iops
-    events += env.scheduled_count
+    control = build_cluster(shards=2, files=16, file_bytes=64 << 10)
+    control.server.enable_resilience()
+    control.server.enable_replication()
+    control_iops = drive_striped(
+        control, offered_iops=150e3, total_requests=total_requests, seed=17,
+        write_every=4,
+    ).achieved_iops
 
     # -- live reshard: add a shard mid-workload, then drain it ---------
-    env = Environment()
-    server, file_ids = build(env)
-    dedup = server.enable_resilience()
-    checker = ReplicationInvariantChecker(env)
-    server.enable_replication(checker)
-    resharder = server.enable_resharding()
-    acks = []
-
-    class _Timeline:
-        def on_issue(self, request):
-            checker.on_issue(request)
-
-        def on_ack(self, request, response):
-            checker.on_ack(request, response)
-            if response.ok:
-                acks.append((env.now, request.file_id))
-
-        def on_give_up(self, request):
-            checker.on_give_up(request)
-
-    marks = {}
-
-    def control_process():
-        yield env.timeout(add_at)
-        index = yield from server.add_shard()
-        marks["added"] = index
-        yield env.timeout(drain_gap)
-        yield from server.drain_shard(index)
-        marks["drained"] = index
-
-    env.process(control_process())
-    client = DdsClient(
-        env, server, file_ids[0], config(),
-        request_factory=factory_for(file_ids), observer=_Timeline(),
-    )
-    result = client.run()
-    # Bounded drain: the drain-side resize backfills the re-paired
-    # backup device-timed, and the resilience layer keeps the event
-    # queue populated forever (never drain with a bare run).
-    for _ in range(400):
-        if "drained" in marks:
-            break
-        env.run(until=env.timeout(1e-3))
-    env.run(until=env.timeout(1e-3))
-    events += env.scheduled_count
+    run = run_elastic(seed=17, total_requests=total_requests)
+    events = control.env.scheduled_count + run.env.scheduled_count
     wall = time.perf_counter() - wall_start
 
-    reshard_iops = result.achieved_iops
+    resharder = run.server.resharder
+    acks = run.acks
+    reshard_iops = run.result.achieved_iops
     last_ack = max(stamp for stamp, _ in acks)
 
     migrations = []
     dark_free = True
     for record in resharder.history:
         span = record["end"] - record["start"]
-        # Bucket moved-file acks across the migration window; only
-        # buckets where traffic was still offered can demand an ack.
-        measurable_end = min(record["end"], last_ack)
-        buckets = [0] * max(1, int((measurable_end - record["start"]) / window))
-        for stamp, file_id in acks:
-            if (
-                file_id in record["files"]
-                and record["start"] <= stamp < measurable_end
-            ):
-                index = min(
-                    len(buckets) - 1,
-                    int((stamp - record["start"]) / window),
-                )
-                buckets[index] += 1
+        # Only buckets where traffic was still offered can demand an ack.
+        buckets = ack_buckets(
+            acks, record["files"], record["start"],
+            min(record["end"], last_ack),
+        )
         dark_free = dark_free and all(count > 0 for count in buckets)
         migrations.append({
             "kind": record["kind"],
@@ -654,7 +351,6 @@ def _run_resharding(mode: str) -> dict:
             "achieved_iops": round(count / span, 1),
         })
 
-    report = checker.check(server, dedup=dedup)
     return {
         "wall_seconds": wall,
         "events": events,
@@ -672,10 +368,10 @@ def _run_resharding(mode: str) -> dict:
             "bytes_copied": resharder.bytes_copied,
             "dirty_recopies": resharder.dirty_recopies,
             "cutovers": resharder.cutovers,
-            "leftover_pins": server.shard_map.pinned_files,
-            "violations": len(checker.violations),
-            "report_ok": report.ok,
-            "failed_requests": result.failed_requests,
+            "leftover_pins": run.server.shard_map.pinned_files,
+            "violations": len(run.checker.violations),
+            "report_ok": run.report.ok,
+            "failed_requests": run.result.failed_requests,
             "total_requests": total_requests,
         },
     }
@@ -782,19 +478,7 @@ def _run_overload(mode: str) -> dict:
       stays collapsed long after the crowd ends (the metastable
       signature); ON must recover to >= 95%.
     """
-    from ..core.retry import RetryBudget, RetryPolicy
-    from ..hardware.nic import NetworkLink
-    from ..sim import Environment
-    from ..storage.disk import RamDisk, SpdkBdev
-    from ..storage.filesystem import DdsFileSystem
-    from ..topology.qos import QosConfig
-    from ..topology.sharding import ShardedOffloadServer
-    from ..workload import FlashCrowd, OpenLoopTrafficEngine, TenantSpec
-
-    io_size = 64 << 10
-    files = 8
-    file_bytes = 1 << 20
-    capacity = 52_000.0  # measured single-shard 64KiB-read saturation
+    capacity = OVERLOAD_CAPACITY
     if mode == "full":
         multipliers = (0.5, 1.0, 1.5, 2.0, 3.0)
         horizon = 15e-3
@@ -805,75 +489,16 @@ def _run_overload(mode: str) -> dict:
         flash_horizon = 22e-3
     crowd_start, crowd_len = 8e-3, 6e-3
 
-    def build(env):
-        disk = RamDisk(files * file_bytes + (64 << 20))
-        fs = DdsFileSystem(env, SpdkBdev(env, disk))
-        fs.create_directory("bench")
-        file_ids = []
-        for index in range(files):
-            file_id = fs.create_file("bench", f"ovl-file-{index}")
-            fs.preallocate(file_id, file_bytes)
-            file_ids.append(file_id)
-        server = ShardedOffloadServer(
-            env, NetworkLink(env), fs, shard_count=1
-        )
-        return server, file_ids
-
-    def tenant_specs(total_rate):
-        # Two tenant classes: three interactive accounts (20% of the
-        # load, 4x DRR weight, latency-sensitive) and one batch whale.
-        specs = [
-            TenantSpec(
-                f"int-{i}", i, rate=total_rate * 0.2 / 3, weight=4.0,
-                slo_p99=5e-3,
-            )
-            for i in range(3)
-        ]
-        specs.append(
-            TenantSpec("batch-0", 3, rate=total_rate * 0.8, weight=1.0)
-        )
-        return specs
-
-    def drive(total_rate, defenses, run_horizon, events=()):
-        env = Environment()
-        server, file_ids = build(env)
-        engine = OpenLoopTrafficEngine(
-            env, server, tenant_specs(total_rate), file_ids,
-            horizon=run_horizon, io_size=io_size, file_bytes=file_bytes,
-            seed=31, events=events,
-            retry_policy=RetryPolicy(max_attempts=8, timeout=2e-3),
-            retry_budget=(
-                RetryBudget(capacity=32.0, refill_ratio=0.1)
-                if defenses else None
-            ),
-        )
-        gate = None
-        if defenses:
-            server.enable_resilience()
-            gate = server.enable_qos(QosConfig(
-                global_rate=0.9 * capacity, global_burst=32.0,
-                sojourn_target=2e-3,
-                weights={f"int-{i}": 4.0 for i in range(3)},
-                tenant_of=engine.tenant_for_flow,
-            ))
-        result = engine.run()
-        return env, gate, result
-
     def class_p99_ms(result):
         merged = {}
         for name, outcome in result.tenants.items():
             merged.setdefault(name.split("-")[0], []).extend(
                 outcome.latencies
             )
-        out = {}
-        for klass, latencies in sorted(merged.items()):
-            latencies.sort()
-            index = min(
-                len(latencies) - 1,
-                max(0, int(round(0.99 * len(latencies))) - 1),
-            )
-            out[klass] = round(latencies[index] * 1e3, 3) if latencies else 0.0
-        return out
+        return {
+            klass: round(percentile(sorted(latencies), 99) * 1e3, 3)
+            for klass, latencies in sorted(merged.items())
+        }
 
     wall_start = time.perf_counter()
     events = 0
@@ -881,8 +506,9 @@ def _run_overload(mode: str) -> dict:
     class_p99 = {}
     for defenses, key in ((False, "off"), (True, "on")):
         for mult in multipliers:
-            env, gate, result = drive(mult * capacity, defenses, horizon)
-            events += env.scheduled_count
+            run = run_overload(mult * capacity, defenses, horizon)
+            events += run.env.scheduled_count
+            result, gate = run.result, run.server.qos
             shed = gate.totals.shed if gate is not None else 0
             curve[key].append({
                 "multiplier": mult,
@@ -905,10 +531,11 @@ def _run_overload(mode: str) -> dict:
     base_rate = 0.8 * capacity
     flash = {}
     for defenses, key in ((False, "off"), (True, "on")):
-        env, _gate, result = drive(
+        run = run_overload(
             base_rate, defenses, flash_horizon, events=(crowd,)
         )
-        events += env.scheduled_count
+        events += run.env.scheduled_count
+        result = run.result
         pre = window(result.ack_times, 2e-3, crowd_start)
         during = window(
             result.ack_times, crowd_start, crowd_start + crowd_len
@@ -944,7 +571,7 @@ def _run_overload(mode: str) -> dict:
         "peak_iops": on_peak,
         "detail": {
             "capacity_iops": capacity,
-            "io_size": io_size,
+            "io_size": 64 << 10,
             "shards": 1,
             "horizon_ms": round(horizon * 1e3, 1),
             "curve": curve,

@@ -12,7 +12,7 @@ is accounted against a client-side pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Set
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Set
 
 from ..hardware.cpu import CpuPool
 from ..hardware.specs import HOST_CPU
@@ -22,7 +22,25 @@ from .messages import IoRequest, IoResponse, OpCode
 from .retry import RetryBudget, RetryPolicy
 from .server import StorageServerBase
 
-__all__ = ["ClientConfig", "ClientResult", "WorkloadClient", "DdsClient"]
+__all__ = [
+    "ClientConfig",
+    "ClientResult",
+    "WorkloadClient",
+    "DdsClient",
+    "percentile",
+]
+
+
+def percentile(ordered: Sequence[float], p: float) -> float:
+    """Nearest-rank percentile (p in [0, 100]) of an already-sorted
+    sample; 0.0 when empty.  The one latency-percentile rule every
+    result type and checker shares."""
+    if not ordered:
+        return 0.0
+    index = min(
+        len(ordered) - 1, max(0, int(round(p / 100 * len(ordered))) - 1)
+    )
+    return ordered[index]
 
 
 @dataclass
@@ -60,13 +78,7 @@ class ClientResult:
 
     def percentile(self, p: float) -> float:
         """Latency percentile, p in [0, 100]."""
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        index = min(
-            len(ordered) - 1, max(0, int(round(p / 100 * len(ordered))) - 1)
-        )
-        return ordered[index]
+        return percentile(sorted(self.latencies), p)
 
     @property
     def p50(self) -> float:

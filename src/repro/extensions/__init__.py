@@ -1,21 +1,16 @@
-"""Future-work extensions the paper sketches in §11, implemented.
+"""Future-work extensions the paper sketches in §10/§11, implemented.
 
-Hardware-accelerator models (compression, regex) with real data
-transforms, compressed page serving on the DPU, and string-operator
-pushdown using the regex engine.
+Compressed page serving on the DPU's deflate engine, a Xenic-style
+DPU-memory read cache, and Gimbal-style DRR tenant isolation.  The
+accelerator models these build on are hardware
+(:mod:`repro.hardware.accelerators`); string-operator pushdown grew
+into the verified DSL (:mod:`repro.pushdown`).
 """
 
-from .accelerators import (
-    ARM_SOFTWARE_COMPRESSION,
-    ARM_SOFTWARE_REGEX,
-    BF2_COMPRESSION,
-    BF2_REGEX,
-    AcceleratorSpec,
-    HardwareAccelerator,
-    compile_pattern,
-    compress_page,
-    decompress_page,
-    regex_scan,
+from .compressed_storage import (
+    CompressedPageStore,
+    CompressedReadResult,
+    run_compressed_read_experiment,
 )
 from .dpu_cache import (
     CachedReadResult,
@@ -28,50 +23,16 @@ from .multitenancy import (
     TenantStats,
     run_multitenant_experiment,
 )
-from .compressed_storage import (
-    CompressedPageStore,
-    CompressedReadResult,
-    run_compressed_read_experiment,
-)
-# The pushdown names are resolved lazily (PEP 562): repro.pushdown.scan
-# imports .accelerators from this package, so importing .pushdown (now a
-# shim over repro.pushdown.scan) eagerly here would complete the cycle.
-_PUSHDOWN_NAMES = frozenset(
-    {"MODES", "PushdownScanner", "ScanResult", "run_pushdown_experiment"}
-)
-
-
-def __getattr__(name: str) -> object:
-    if name in _PUSHDOWN_NAMES:
-        from . import pushdown
-
-        return getattr(pushdown, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
-    "ARM_SOFTWARE_COMPRESSION",
     "CachedReadResult",
+    "CompressedPageStore",
+    "CompressedReadResult",
     "DpuReadCache",
     "DrrScheduler",
     "FairnessResult",
     "TenantStats",
+    "run_compressed_read_experiment",
     "run_dpu_cache_experiment",
     "run_multitenant_experiment",
-    "ARM_SOFTWARE_REGEX",
-    "AcceleratorSpec",
-    "BF2_COMPRESSION",
-    "BF2_REGEX",
-    "CompressedPageStore",
-    "CompressedReadResult",
-    "HardwareAccelerator",
-    "MODES",
-    "PushdownScanner",
-    "ScanResult",
-    "compile_pattern",
-    "compress_page",
-    "decompress_page",
-    "regex_scan",
-    "run_compressed_read_experiment",
-    "run_pushdown_experiment",
 ]

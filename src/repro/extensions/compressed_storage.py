@@ -20,18 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, List
 
-from ..hardware.cpu import CpuCore
-from ..hardware.specs import DPU_CPU
-from ..sim import Environment, SeededRng
-from ..storage.disk import RamDisk, SpdkBdev
-from ..storage.filesystem import DdsFileSystem
-from .accelerators import (
+from ..hardware.accelerators import (
     ARM_SOFTWARE_COMPRESSION,
     BF2_COMPRESSION,
     HardwareAccelerator,
     compress_page,
     decompress_page,
 )
+from ..hardware.cpu import CpuCore
+from ..hardware.specs import DPU_CPU
+from ..sim import Environment, SeededRng
+from ..storage.disk import RamDisk, SpdkBdev
+from ..storage.filesystem import DdsFileSystem
 
 __all__ = ["CompressedPageStore", "CompressedReadResult",
            "run_compressed_read_experiment"]

@@ -35,21 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
+from ..core.client import percentile
 from ..core.messages import IoRequest, IoResponse
 from ..sim import Environment
 from .durability import InvariantViolation
 
 __all__ = ["OverloadReport", "OverloadInvariantChecker"]
-
-
-def _percentile(ordered: List[float], p: float) -> float:
-    """p-th percentile of an already-sorted latency list."""
-    if not ordered:
-        return 0.0
-    index = min(
-        len(ordered) - 1, max(0, int(round(p / 100 * len(ordered))) - 1)
-    )
-    return ordered[index]
 
 
 @dataclass
@@ -264,7 +255,7 @@ class OverloadInvariantChecker:
         for tenant in sorted(self._slos):
             slo = self._slos[tenant]
             latencies = sorted(self._latencies.get(tenant, []))
-            p99 = _percentile(latencies, 99)
+            p99 = percentile(latencies, 99)
             report.tenant_p99[tenant] = p99
             if self._exempt.get(tenant, False):
                 continue

@@ -24,9 +24,9 @@ import zlib
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Pattern, Tuple
 
-from ..hardware.cpu import CpuCore
-from ..hardware.specs import GIB, MICROSECOND
 from ..sim import Environment, Resource
+from .cpu import CpuCore
+from .specs import GIB, MICROSECOND
 
 __all__ = [
     "AcceleratorSpec",

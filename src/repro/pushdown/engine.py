@@ -16,7 +16,7 @@ exactly as everywhere else in the simulator (DPU cores run at 0.35x —
 :data:`~repro.hardware.specs.DPU_CPU`).
 
 When the pipeline's filter lowers to a single regex
-(``token.pattern``), an attached RXP :class:`~repro.extensions.
+(``token.pattern``), an attached RXP :class:`~repro.hardware.
 accelerators.HardwareAccelerator` absorbs the filter stage at page
 granularity; only the surviving records pay software cycles for the
 remaining stages.  That is the §11 string-operator story: the regex
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, List, Optional, Tuple
 
-from ..extensions.accelerators import HardwareAccelerator, compile_pattern
+from ..hardware.accelerators import HardwareAccelerator, compile_pattern
 from ..hardware.cpu import CpuCore
 from .interp import ExecStats, interpret_pipeline
 from .isa import ACC_REGS, Op, Pipeline

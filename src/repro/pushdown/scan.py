@@ -3,12 +3,11 @@
 Two scanners share the same DDS filesystem/table plumbing:
 
 * :class:`PushdownScanner` — the original §11 string-operator scan
-  (``ship-all`` / ``dpu-software`` / ``dpu-regex``), moved here from
-  :mod:`repro.extensions.pushdown` (which remains as a compatibility
-  shim).  Its behaviour and costs are pinned byte-identical by
-  ``tests/test_pushdown_golden.py``; what changed is that its operator
-  is now *admitted*: the scanner builds the equivalent one-stage
-  pipeline and requires a verifier proof token before scanning.
+  (``ship-all`` / ``dpu-software`` / ``dpu-regex``).  Its behaviour
+  and costs are pinned byte-identical to the pre-DSL implementation by
+  ``tests/test_pushdown_golden.py``; its operator is *admitted*: the
+  scanner builds the equivalent one-stage pipeline and requires a
+  verifier proof token before scanning.
 
 * :class:`PipelineScanner` — the general verified path: any admitted
   filter → project → aggregate :class:`~repro.pushdown.isa.Pipeline`
@@ -28,19 +27,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Tuple
 
-from ..hardware.cpu import CpuCore
-from ..hardware.nic import NetworkLink
-from ..hardware.specs import DPU_CPU, HOST_CPU
-from ..sim import Environment, SeededRng
-from ..storage.disk import RamDisk, SpdkBdev
-from ..storage.filesystem import DdsFileSystem
-from ..extensions.accelerators import (
+from ..hardware.accelerators import (
     ARM_SOFTWARE_REGEX,
     BF2_REGEX,
     HardwareAccelerator,
     compile_pattern,
     regex_scan,
 )
+from ..hardware.cpu import CpuCore
+from ..hardware.nic import NetworkLink
+from ..hardware.specs import DPU_CPU, HOST_CPU
+from ..sim import Environment, SeededRng
+from ..storage.disk import RamDisk, SpdkBdev
+from ..storage.filesystem import DdsFileSystem
 from .engine import PushdownEngine
 from .isa import (
     ACC_REGS,

@@ -625,18 +625,9 @@ class ShardedOffloadServer(PipelineServer):
             self._stages.append(shard.backend)
         shard.backend.start()
         if self.dedup is not None:
-            shard.director.dedup = self.dedup
-            threshold, recovery, saturation = self._breaker_config or (
-                4,
-                500e-6,
-                None,
-            )
-            shard.director.breaker = CircuitBreaker(
-                self.env,
-                failure_threshold=threshold,
-                recovery_time=recovery,
-                saturation_threshold=saturation,
-            )
+            self._arm_resilience(shard)
+        if self.pushdown_stages:
+            self._install_pushdown(shard)
         if self.replicator is not None:
             shard.director.route = self.replicator.leader_of
         self._steering.on_shard_added(shard)
@@ -699,22 +690,24 @@ class ShardedOffloadServer(PipelineServer):
 
         Each shard gets its own Arm core + RXP accelerator over its own
         filesystem, appended to the stage list so the cores-consumed
-        roll-up sees them.  Idempotent per shard (a shard added after
-        enabling gets its stage on the next call).
+        roll-up sees them.  Idempotent per shard; a shard added after
+        enabling gets its stage from :meth:`add_shard`.
         """
         for shard in self.live_shards:
-            if shard.index in self.pushdown_stages:
-                continue
-            stage = PushdownExecution(
-                self.env,
-                self.filesystems[shard.index],
-                self.link,
-                shard=shard.index,
-            )
-            with self._topology_lock:
-                self.pushdown_stages[shard.index] = stage
-                self._stages.append(stage)
+            if shard.index not in self.pushdown_stages:
+                self._install_pushdown(shard)
         return self.pushdown_stages
+
+    def _install_pushdown(self, shard: OffloadShard) -> None:
+        stage = PushdownExecution(
+            self.env,
+            self.filesystems[shard.index],
+            self.link,
+            shard=shard.index,
+        )
+        with self._topology_lock:
+            self.pushdown_stages[shard.index] = stage
+            self._stages.append(stage)
 
     def pushdown_scan(
         self,
@@ -875,14 +868,20 @@ class ShardedOffloadServer(PipelineServer):
             breaker_saturation,
         )
         for shard in self.shards:
-            shard.director.dedup = dedup
-            shard.director.breaker = CircuitBreaker(
-                self.env,
-                failure_threshold=breaker_threshold,
-                recovery_time=breaker_recovery,
-                saturation_threshold=breaker_saturation,
-            )
+            self._arm_resilience(shard)
         return dedup
+
+    def _arm_resilience(self, shard: OffloadShard) -> None:
+        """Point one director at the shared dedup table and give it a
+        breaker with the deployment's :meth:`enable_resilience` knobs."""
+        threshold, recovery, saturation = self._breaker_config
+        shard.director.dedup = self.dedup
+        shard.director.breaker = CircuitBreaker(
+            self.env,
+            failure_threshold=threshold,
+            recovery_time=recovery,
+            saturation_threshold=saturation,
+        )
 
     def kill_shard(self, index: int) -> int:
         """Crash one shard's DPU mid-flight.

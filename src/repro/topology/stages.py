@@ -36,6 +36,7 @@ from ..core.file_service import DpuFileService
 from ..core.messages import IoRequest, IoResponse, OpCode
 from ..core.offload_engine import OffloadEngine
 from ..core.traffic_director import TrafficDirector
+from ..hardware.accelerators import BF2_REGEX, HardwareAccelerator
 from ..hardware.cpu import CpuCore, CpuPool
 from ..hardware.nic import NetworkLink
 from ..hardware.pcie import DmaEngine
@@ -406,9 +407,8 @@ class PushdownExecution(Stage):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(name or f"pushdown-{shard}")
-        # Local imports keep topology importable without the pushdown
+        # Local import keeps topology importable without the pushdown
         # package having been wired into a deployment.
-        from ..extensions.accelerators import BF2_REGEX, HardwareAccelerator
         from ..pushdown.engine import PushdownEngine
 
         self.env = env

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, List, Optional, Sequence
 
+from ..core.client import percentile
 from ..core.messages import IoRequest, IoResponse, OpCode
 from ..hardware.cpu import CpuPool
 from ..hardware.specs import HOST_CPU
@@ -50,13 +51,7 @@ class TenantOutcome:
     latencies: List[float] = field(default_factory=list, repr=False)
 
     def percentile(self, p: float) -> float:
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        index = min(
-            len(ordered) - 1, max(0, int(round(p / 100 * len(ordered))) - 1)
-        )
-        return ordered[index]
+        return percentile(sorted(self.latencies), p)
 
     @property
     def p99(self) -> float:
@@ -113,13 +108,8 @@ class TrafficResult:
         merged: List[float] = []
         for outcome in self.tenants.values():
             merged.extend(outcome.latencies)
-        if not merged:
-            return 0.0
         merged.sort()
-        index = min(
-            len(merged) - 1, max(0, int(round(p / 100 * len(merged))) - 1)
-        )
-        return merged[index]
+        return percentile(merged, p)
 
     @property
     def p99(self) -> float:

@@ -11,7 +11,13 @@ from repro.bench import (
     run_rmw_scaling,
     sweep,
 )
-from repro.sim import Environment
+from repro.bench.harness import (
+    ack_buckets,
+    drain_until,
+    striped_rw_factory,
+)
+from repro.core.messages import OpCode
+from repro.sim import Environment, SeededRng
 
 
 class TestHarness:
@@ -79,6 +85,65 @@ class TestHarness:
             db_bytes=16 << 20, seed=6,
         )
         assert a.latencies != b.latencies
+
+
+class TestScenarioKit:
+    def test_sharded_cluster_preallocates_every_file(self):
+        cluster = build_cluster(shards=2, files=4, file_bytes=1 << 20)
+        assert len(cluster.file_ids) == 4
+        assert cluster.file_id == cluster.file_ids[0]
+        assert len(cluster.server.shards) == 2
+        for file_id in cluster.file_ids:
+            assert cluster.filesystem.file_size(file_id) == 1 << 20
+        owned = [cluster.files_on(shard) for shard in (0, 1)]
+        assert owned[0] | owned[1] == set(cluster.file_ids)
+        assert not owned[0] & owned[1]
+
+    def test_solution_and_shards_are_exclusive(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            build_cluster("dds-offload", shards=2)
+        with pytest.raises(ValueError, match="exactly one"):
+            build_cluster()
+
+    def test_striped_writes_never_repeat_a_location(self):
+        files, file_bytes, io_size = [11, 12, 13], 8192, 1024
+        factory = striped_rw_factory(files, file_bytes, io_size, 4)
+        rng = SeededRng(1)
+        requests = [factory(rid, rng) for rid in range(1, 97)]
+        writes = [r for r in requests if r.op is OpCode.WRITE]
+        assert [r.request_id for r in writes] == list(range(4, 97, 4))
+        # 3 files x 8 slots: 24 writes are one full pass, no repeats.
+        assert len({(r.file_id, r.offset) for r in writes}) == 24
+        assert all(
+            r.payload == r.request_id.to_bytes(8, "little") * 128
+            for r in writes
+        )
+        for request in requests:
+            assert request.file_id in files
+            assert request.offset % io_size == 0
+            assert request.offset + io_size <= file_bytes
+
+    def test_write_every_zero_is_read_only(self):
+        factory = striped_rw_factory([1, 2], 8192, 1024, 0)
+        rng = SeededRng(2)
+        assert all(
+            factory(rid, rng).op is OpCode.READ for rid in range(1, 50)
+        )
+
+    def test_ack_buckets_window_and_filter(self):
+        acks = [(0.9e-3, 1), (1.0e-3, 1), (1.4e-3, 2), (1.6e-3, 1),
+                (2.4e-3, 1), (2.5e-3, 1), (1.2e-3, 9)]
+        # File 9 is not watched; 0.9 ms and 2.5 ms fall outside.
+        assert ack_buckets(acks, {1, 2}, 1e-3, 2.5e-3) == [2, 1, 1]
+        # A span shorter than one window still gets one bucket.
+        assert ack_buckets(acks, {1}, 1e-3, 1.2e-3) == [1]
+
+    def test_drain_until_is_bounded_and_stops_early(self):
+        env = Environment()
+        drain_until(env, lambda: env.now >= 3e-3, 10)
+        assert env.now == pytest.approx(3e-3)
+        drain_until(env, lambda: False, 2)
+        assert env.now == pytest.approx(5e-3)
 
 
 class TestEchoBench:

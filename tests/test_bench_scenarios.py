@@ -1,0 +1,30 @@
+"""The scenario kit's determinism pin.
+
+The ``chaos`` and ``resharding`` trajectory workloads run the shared
+cluster scenarios of :mod:`repro.bench.harness` end to end (bring-up,
+striped workload, fault or membership change, drain, audit).  Their
+smoke-mode event counts and peak IOPS are pinned to the literals the
+pre-kit hand-rolled builders produced, so a kit change that reorders a
+single scheduled event — or a second run that diverges from the first —
+fails here rather than in a regenerated ``BENCH_*.json``.
+"""
+
+import pytest
+
+from repro.bench.trajectory import run_workload
+
+#: name -> (events, peak_iops), smoke mode.
+PINNED = {
+    "chaos": (56540, 839449.8),
+    "resharding": (618442, 149527.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_smoke_record_is_pinned_and_repeatable(name):
+    first = run_workload(name, mode="smoke")
+    assert (first["events"], first["peak_iops"]) == PINNED[name]
+    again = run_workload(name, mode="smoke")
+    assert again["events"] == first["events"]
+    assert again["peak_iops"] == first["peak_iops"]
+    assert again["detail"] == first["detail"]

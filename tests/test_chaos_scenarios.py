@@ -11,128 +11,36 @@ Two acceptance scenarios for the chaos layer:
   the fault/recovery processes are visible in the simulation trace.
 """
 
-import hashlib
 from types import SimpleNamespace
 
 import pytest
 
+from repro.bench.harness import run_shard_kill
 from repro.core.client import ClientConfig, DdsClient
 from repro.core.messages import IoRequest, OpCode
 from repro.core.server import DdsOffloadServer
-from repro.faults import (
-    DurabilityChecker,
-    EngineCrash,
-    FaultInjector,
-    FaultPlan,
-    ShardKill,
-)
+from repro.faults import EngineCrash, FaultInjector, FaultPlan, ShardKill
 from repro.hardware.nic import NetworkLink
 from repro.net.packet import FiveTuple
 from repro.sim import Environment
 from repro.sim.trace import EventLog
 from repro.storage.disk import RamDisk, SpdkBdev
 from repro.storage.filesystem import DdsFileSystem
-from repro.topology.sharding import ShardedOffloadServer
 
 pytestmark = pytest.mark.chaos
 
 IO_SIZE = 1024
-FILES = 16
-FILE_BYTES = 1 << 20
-SLOTS = FILE_BYTES // IO_SIZE
 TOTAL_REQUESTS = 3200
-
-
-def make_workload(file_ids):
-    """Mixed workload: every 4th request writes a rid-unique location.
-
-    Write offsets are derived from the request id, so each (file,
-    offset) pair is written at most once — which makes the durability
-    audit's "latest acked write wins" rule exact.  Reads stay random.
-    """
-
-    def factory(request_id, rng):
-        if request_id % 4 == 0:
-            ordinal = request_id // 4
-            file_id = file_ids[ordinal % FILES]
-            offset = ((ordinal // FILES) % SLOTS) * IO_SIZE
-            payload = request_id.to_bytes(8, "little") * (IO_SIZE // 8)
-            return IoRequest(
-                OpCode.WRITE, request_id, file_id, offset, IO_SIZE, payload
-            )
-        file_id = file_ids[rng.randrange(FILES)]
-        offset = rng.randrange(SLOTS) * IO_SIZE
-        return IoRequest(OpCode.READ, request_id, file_id, offset, IO_SIZE)
-
-    return factory
-
-
-def state_digest(server, file_ids):
-    """Digest of every file's bytes on its owning shard's filesystem."""
-    digest = hashlib.blake2b(digest_size=16)
-    for file_id in file_ids:
-        owner = server.shard_map.owner(file_id)
-        content = server.filesystems[owner].read_sync(
-            file_id, 0, FILE_BYTES
-        )
-        digest.update(content)
-    return digest.hexdigest()
-
-
-def run_shard_kill(seed=7):
-    """Kill shard 1 of 4 mid-workload; recover it 4 ms later."""
-    env = Environment()
-    disk = RamDisk(FILES * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("chaos")
-    file_ids = []
-    for index in range(FILES):
-        file_id = fs.create_file("chaos", f"file-{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    link = NetworkLink(env)
-    server = ShardedOffloadServer(env, link, fs, shard_count=4)
-    dedup = server.enable_resilience()
-    plan = FaultPlan(
-        seed=seed,
-        events=(ShardKill(at=1.5e-3, down_for=4e-3, shard=1),),
-    )
-    injector = FaultInjector(env, server, plan).arm()
-    checker = DurabilityChecker()
-    config = ClientConfig(
-        offered_iops=400e3,
-        total_requests=TOTAL_REQUESTS,
-        io_size=IO_SIZE,
-        batch=4,
-        connections=16,
-        max_outstanding=512,
-        file_size=FILE_BYTES,
-        seed=seed,
-    )
-    client = DdsClient(
-        env,
-        server,
-        file_ids[0],
-        config,
-        request_factory=make_workload(file_ids),
-        observer=checker,
-    )
-    result = client.run()
-    # Drain stragglers (replayed responses, the recovery tail).  A bare
-    # ``env.run()`` would never return: the backends poll forever.
-    env.run(until=env.timeout(1e-3))
-    return SimpleNamespace(
-        server=server,
-        injector=injector,
-        result=result,
-        report=checker.check(server, dedup=dedup),
-        digest=state_digest(server, file_ids),
-    )
 
 
 @pytest.fixture(scope="module")
 def shard_kill_runs():
-    return run_shard_kill(seed=7), run_shard_kill(seed=7)
+    """Kill shard 1 of 4 mid-workload, recover it 4 ms later — twice."""
+    kill = ShardKill(at=1.5e-3, down_for=4e-3, shard=1)
+    return tuple(
+        run_shard_kill(kill, seed=7, total_requests=TOTAL_REQUESTS)
+        for _ in range(2)
+    )
 
 
 class TestShardKillRecovery:
@@ -179,7 +87,7 @@ class TestShardKillRecovery:
             first.injector.fault_log_lines()
             == second.injector.fault_log_lines()
         )
-        assert first.digest == second.digest
+        assert first.state_digest() == second.state_digest()
         assert first.result.retries == second.result.retries
         assert sorted(first.result.latencies) == sorted(
             second.result.latencies

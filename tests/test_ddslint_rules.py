@@ -173,7 +173,8 @@ def test_clean_fixture_is_clean_under_every_class():
         ("sim/rng.py", set()),  # implements the blessed idiom
         ("core/server.py", set()),
         ("analysis/driver.py", set()),
-        ("extensions/pushdown.py", {"offload"}),
+        ("extensions/compressed_storage.py", {"offload"}),
+        ("hardware/accelerators.py", {"sim", "sim_hot"}),
         ("pushdown/scan.py", {"offload"}),
         ("pushdown/frontend.py", {"offload"}),
         ("pushdown/interp.py", set()),  # implements the raw entry

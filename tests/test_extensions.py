@@ -5,20 +5,21 @@ import re
 import pytest
 
 from repro.extensions import (
+    CompressedPageStore,
+    run_compressed_read_experiment,
+)
+from repro.hardware import (
     ARM_SOFTWARE_COMPRESSION,
     BF2_COMPRESSION,
     BF2_REGEX,
-    CompressedPageStore,
+    CpuCore,
     HardwareAccelerator,
-    PushdownScanner,
     compile_pattern,
     compress_page,
     decompress_page,
     regex_scan,
-    run_compressed_read_experiment,
-    run_pushdown_experiment,
 )
-from repro.hardware import CpuCore
+from repro.pushdown.scan import PushdownScanner, run_pushdown_experiment
 from repro.sim import Environment
 
 

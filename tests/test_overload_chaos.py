@@ -12,6 +12,7 @@ sheds would mean the checker never saw overload.
 
 import pytest
 
+from repro.bench.harness import build_cluster
 from repro.core.retry import RetryBudget, RetryPolicy
 from repro.faults import (
     FaultPlan,
@@ -19,19 +20,13 @@ from repro.faults import (
     OverloadInvariantChecker,
     ShardKill,
 )
-from repro.hardware.nic import NetworkLink
 from repro.sim import Environment
-from repro.storage.disk import RamDisk, SpdkBdev
-from repro.storage.filesystem import DdsFileSystem
 from repro.topology.qos import QosConfig
-from repro.topology.sharding import ShardedOffloadServer
 from repro.workload import OpenLoopTrafficEngine, TenantSpec
 
 pytestmark = pytest.mark.chaos
 
 IO_SIZE = 1024
-FILES = 8
-FILE_BYTES = 1 << 20
 
 SLO_P99 = 12e-3
 FLOOD_CAP = 30_000.0  # admission cap for the abusive tenant
@@ -40,18 +35,8 @@ HORIZON = 30e-3
 
 
 def build_stack(seed=29):
-    env = Environment()
-    disk = RamDisk(FILES * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("overload")
-    file_ids = []
-    for index in range(FILES):
-        file_id = fs.create_file("overload", f"f{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    server = ShardedOffloadServer(
-        env, NetworkLink(env), fs, shard_count=4
-    )
+    cluster = build_cluster(shards=4, files=8, file_bytes=1 << 20)
+    env, server, file_ids = cluster.env, cluster.server, cluster.file_ids
     dedup = server.enable_resilience(breaker_saturation=16)
 
     specs = [

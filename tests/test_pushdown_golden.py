@@ -1,23 +1,25 @@
 """Golden pins for the legacy three-mode pushdown scan.
 
-The DSL refactor moved :class:`PushdownScanner` from
-``repro.extensions.pushdown`` into :mod:`repro.pushdown.scan` and put
-its operator through verifier admission.  These tests pin that move
-both ways:
+The DSL refactor moved :class:`PushdownScanner` out of the extensions
+package into :mod:`repro.pushdown.scan` and put its operator through
+verifier admission.  These tests pin that move both ways:
 
 * the *costs and results* of all three placements are byte-identical
   to the pre-refactor implementation (exact floats, captured from the
   seed revision), and
-* the *structure* is the refactored one — the shim re-exports the
-  moved class, and the scanner now carries a verifier proof token
-  (these assertions fail on the pre-refactor tree).
+* the *structure* is the refactored one — the class lives in
+  ``repro.pushdown.scan`` alone (no compatibility shim), and the
+  scanner carries a verifier proof token (these assertions fail on the
+  pre-refactor tree).
 """
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
-from repro.extensions.pushdown import run_pushdown_experiment
+from repro.pushdown.scan import PushdownScanner, run_pushdown_experiment
 from repro.pushdown.verifier import VerifiedPipeline
 from repro.sim import Environment
 
@@ -68,20 +70,16 @@ def test_same_seed_is_deterministic():
     assert first == second
 
 
-def test_shim_reexports_moved_implementation():
+def test_scanner_has_one_home_and_no_shim():
     # Fails before the refactor: the class used to be defined in the
-    # extensions module itself.
-    from repro.extensions.pushdown import PushdownScanner
-    from repro.pushdown import scan
-
-    assert PushdownScanner is scan.PushdownScanner
+    # extensions package, which later kept a forwarding shim.
     assert PushdownScanner.__module__ == "repro.pushdown.scan"
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.extensions.pushdown")
 
 
 def test_scanner_carries_admission_token():
     # Fails before the refactor: legacy scanners had no verifier step.
-    from repro.extensions.pushdown import PushdownScanner
-
     scanner = PushdownScanner(Environment(), pages=1, mode="ship-all")
     assert isinstance(scanner.token, VerifiedPipeline)
     assert scanner.admission.ok

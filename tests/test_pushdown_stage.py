@@ -199,3 +199,26 @@ def test_pushdown_stage_appears_in_stage_rollup():
     stage = server.pushdown_stages[outcome.shard]
     assert stage.dpu_cores(env.now) >= 0.0
     assert stage.scans == 1
+
+
+def test_shard_added_after_enable_gets_a_pushdown_stage():
+    """Regression: ``add_shard`` left the new shard without a stage, so
+    a scan of a file that migrated there died with a bare ``KeyError``
+    at ``pushdown_stages[owner]``."""
+    env = Environment()
+    fs, file_ids, expected = _build_table(env, files=8)
+    server = ShardedOffloadServer(env, NetworkLink(env), fs, shard_count=2)
+    server.enable_pushdown()
+    added = env.process(server.add_shard())
+    env.run(until=added)
+    new_shard = added.value
+    moved = [f for f in file_ids if server.shard_map.owner(f) == new_shard]
+    assert moved, "no file migrated to the new shard; add files"
+    assert new_shard in server.pushdown_stages
+    verdict, outcome = _scan(
+        env, server, moved[0], canonical_pipeline("filter-project-agg")
+    )
+    hits, total, _best = expected[moved[0]]
+    assert verdict.ok and outcome.offloaded
+    assert outcome.shard == new_shard
+    assert (outcome.rows, outcome.acc[0]) == (hits, total)

@@ -7,18 +7,14 @@ via ``enable_qos`` and check the QoS-off datapath stays untouched.
 
 import pytest
 
+from repro.bench.harness import build_cluster
 from repro.core.messages import IoRequest, IoResponse, OpCode
-from repro.hardware.nic import NetworkLink
 from repro.net.packet import FiveTuple
-from repro.sim import Environment, SeededRng
-from repro.storage.disk import RamDisk, SpdkBdev
-from repro.storage.filesystem import DdsFileSystem
+from repro.sim import Environment
 from repro.topology.qos import QosConfig, TenantQosGate, TokenBucket
-from repro.topology.sharding import ShardedOffloadServer
 from repro.workload import OpenLoopTrafficEngine, TenantSpec
 
 IO_SIZE = 1024
-FILE_BYTES = 1 << 20
 
 FLOW_A = FiveTuple("10.0.0.2", 40001, "10.0.0.1", 5000)
 FLOW_B = FiveTuple("10.0.0.3", 40002, "10.0.0.1", 5000)
@@ -227,24 +223,9 @@ class TestGateUnit:
 # ----------------------------------------------------------------------
 # enable_qos on the real sharded datapath
 # ----------------------------------------------------------------------
-def build_server(env, shard_count=2, files=8):
-    disk = RamDisk(files * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("qos")
-    file_ids = []
-    for index in range(files):
-        file_id = fs.create_file("qos", f"f{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    server = ShardedOffloadServer(
-        env, NetworkLink(env), fs, shard_count=shard_count
-    )
-    return server, file_ids
-
-
 def drive(enable, tenant_rate=None, seed=17):
-    env = Environment()
-    server, file_ids = build_server(env)
+    cluster = build_cluster(shards=2, files=8, file_bytes=1 << 20)
+    env, server, file_ids = cluster.env, cluster.server, cluster.file_ids
     specs = [
         TenantSpec("steady", 0, rate=30_000.0, slo_p99=2e-3),
         TenantSpec("greedy", 1, rate=120_000.0, flooder=True),

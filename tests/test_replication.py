@@ -12,139 +12,30 @@ ingress drop counter, and the checker's negative paths.
 
 import pytest
 
-from repro.core.client import ClientConfig, DdsClient
+from repro.bench.harness import ack_buckets, build_cluster, run_shard_kill
 from repro.core.messages import IoRequest, IoResponse, OpCode
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    ReplicationInvariantChecker,
-    ShardKill,
-)
-from repro.hardware.nic import NetworkLink
+from repro.faults import ReplicationInvariantChecker, ShardKill
 from repro.net import FiveTuple
 from repro.sim import Environment
-from repro.storage.disk import RamDisk, SpdkBdev
-from repro.storage.filesystem import DdsFileSystem
 from repro.topology.replication import CommitRecord, ReplicaGroup
-from repro.topology.sharding import ShardedOffloadServer
 
 pytestmark = pytest.mark.chaos
 
 IO_SIZE = 1024
-FILES = 16
 FILE_BYTES = 1 << 20
-SLOTS = FILE_BYTES // IO_SIZE
 TOTAL_REQUESTS = 2400  # 400k offered IOPS → load covers the whole outage
-KILL_AT = 2e-3
-DOWN_FOR = 3e-3
-WINDOW = 5e-4  # availability histogram resolution inside the outage
+KILL = ShardKill(at=2e-3, down_for=3e-3, shard=2)
 FLOW = FiveTuple("10.0.0.2", 40_000, "10.0.0.1", 5000)
 
 
-class AckTimeline:
-    def __init__(self, env, checker):
-        self.env = env
-        self.checker = checker
-        self.acks = []  # (sim time, file id)
-
-    def on_issue(self, request):
-        self.checker.on_issue(request)
-
-    def on_ack(self, request, response):
-        self.checker.on_ack(request, response)
-        if response.ok:
-            self.acks.append((self.env.now, request.file_id))
-
-    def on_give_up(self, request):
-        self.checker.on_give_up(request)
-
-
-def make_workload(file_ids):
-    """Every 4th request writes a request-id-unique (file, offset)."""
-
-    def factory(request_id, rng):
-        if request_id % 4 == 0:
-            ordinal = request_id // 4
-            file_id = file_ids[ordinal % FILES]
-            offset = ((ordinal // FILES) % SLOTS) * IO_SIZE
-            payload = request_id.to_bytes(8, "little") * (IO_SIZE // 8)
-            return IoRequest(
-                OpCode.WRITE, request_id, file_id, offset, IO_SIZE, payload
-            )
-        file_id = file_ids[rng.randrange(FILES)]
-        offset = rng.randrange(SLOTS) * IO_SIZE
-        return IoRequest(OpCode.READ, request_id, file_id, offset, IO_SIZE)
-
-    return factory
-
-
-def build_sharded(env, shard_count=4, files=FILES):
-    disk = RamDisk(files * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("chaos")
-    file_ids = []
-    for index in range(files):
-        file_id = fs.create_file("chaos", f"file-{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    server = ShardedOffloadServer(
-        env, NetworkLink(env), fs, shard_count=shard_count
-    )
-    return server, file_ids
-
-
 def run_replicated_failover(seed=13):
-    env = Environment()
-    server, file_ids = build_sharded(env)
-    dedup = server.enable_resilience()
-    checker = ReplicationInvariantChecker(env)
-    replicator = server.enable_replication(checker)
-    plan = FaultPlan(
-        seed=seed,
-        events=(ShardKill(at=KILL_AT, down_for=DOWN_FOR, shard=2),),
+    return run_shard_kill(
+        KILL, seed=seed, total_requests=TOTAL_REQUESTS, replicated=True
     )
-    injector = FaultInjector(env, server, plan).arm()
-    timeline = AckTimeline(env, checker)
-    config = ClientConfig(
-        offered_iops=400e3,
-        total_requests=TOTAL_REQUESTS,
-        io_size=IO_SIZE,
-        batch=4,
-        connections=16,
-        max_outstanding=512,
-        file_size=FILE_BYTES,
-        seed=seed,
-    )
-    client = DdsClient(
-        env,
-        server,
-        file_ids[0],
-        config,
-        request_factory=make_workload(file_ids),
-        observer=timeline,
-    )
-    result = client.run()
-    # Bounded drain: anti-entropy catch-up is device-timed and outlasts
-    # the workload, and the resilience layer's reclaim loop keeps the
-    # event queue non-empty forever — never drain with a bare run().
-    for _ in range(80):
-        if any(r.kind == "shard-recover" for r in injector.fault_log):
-            break
-        env.run(until=env.timeout(1e-3))
-    env.run(until=env.timeout(1e-3))
-    dead_files = frozenset(
-        file_id for file_id in file_ids if server.shard_map.owner(file_id) == 2
-    )
-    return {
-        "server": server,
-        "replicator": replicator,
-        "checker": checker,
-        "injector": injector,
-        "result": result,
-        "acks": timeline.acks,
-        "dead_files": dead_files,
-        "report": checker.check(server, dedup=dedup),
-    }
+
+
+def small_cluster():
+    return build_cluster(shards=2, files=4, file_bytes=FILE_BYTES)
 
 
 @pytest.fixture(scope="module")
@@ -154,25 +45,23 @@ def failover():
 
 class TestReplicatedFailover:
     def test_every_request_settles(self, failover):
-        assert failover["result"].failed_requests == 0
-        assert len(failover["result"].latencies) == TOTAL_REQUESTS
+        assert failover.result.failed_requests == 0
+        assert len(failover.result.latencies) == TOTAL_REQUESTS
 
     def test_zero_dark_window(self, failover):
         """The backup serves the dead keyspace through the whole outage."""
-        assert failover["dead_files"], "shard 2 owns no files; reseed"
-        buckets = [0] * int(DOWN_FOR / WINDOW)
-        for stamp, file_id in failover["acks"]:
-            if (
-                file_id in failover["dead_files"]
-                and KILL_AT <= stamp < KILL_AT + DOWN_FOR
-            ):
-                buckets[int((stamp - KILL_AT) / WINDOW)] += 1
+        dead_files = failover.files_on(KILL.shard)
+        assert dead_files, "shard 2 owns no files; reseed"
+        buckets = ack_buckets(
+            failover.acks, dead_files, KILL.at, KILL.at + KILL.down_for
+        )
+        assert len(buckets) == 6  # half-ms resolution inside the outage
         assert all(count > 0 for count in buckets), buckets
 
     def test_runtime_invariants_hold(self, failover):
-        checker = failover["checker"]
+        checker = failover.checker
         assert checker.violations == []
-        failover["report"].assert_ok()
+        failover.report.assert_ok()
         # The clean verdict must come from a checker that actually saw
         # the protocol run, quorum hops and failover included.
         assert checker.appends_seen > 0
@@ -181,7 +70,7 @@ class TestReplicatedFailover:
         assert checker.rejoins_seen == 2  # shard 2 backs groups 1 and 2
 
     def test_failover_counters(self, failover):
-        replicator = failover["replicator"]
+        replicator = failover.server.replicator
         assert replicator.mirrored_writes > 0
         assert replicator.solo_acks > 0  # survivor acks during the outage
         assert replicator.handoffs == 2
@@ -189,7 +78,7 @@ class TestReplicatedFailover:
         assert replicator.mirror_failures == 0
 
     def test_rejoined_member_is_caught_up(self, failover):
-        replicator = failover["replicator"]
+        replicator = failover.server.replicator
         for group in replicator.groups.values():
             for member in group.members:
                 assert group.applied_watermark(member) == len(group.log)
@@ -197,13 +86,13 @@ class TestReplicatedFailover:
     def test_same_seed_reproduces_the_failover(self, failover):
         again = run_replicated_failover(seed=13)
         assert (
-            failover["injector"].fault_log_lines()
-            == again["injector"].fault_log_lines()
+            failover.injector.fault_log_lines()
+            == again.injector.fault_log_lines()
         )
-        assert failover["acks"] == again["acks"]
+        assert failover.acks == again.acks
         assert (
-            failover["replicator"].catchup_replays
-            == again["replicator"].catchup_replays
+            failover.server.replicator.catchup_replays
+            == again.server.replicator.catchup_replays
         )
 
 
@@ -239,8 +128,8 @@ class TestBreakerResetOnRecovery:
         back behind an open (or half-open) breaker and bounced its
         first requests to the host for the *previous* crash's failures.
         """
-        env = Environment()
-        server, _file_ids = build_sharded(env, shard_count=2, files=4)
+        cluster = small_cluster()
+        env, server = cluster.env, cluster.server
         server.enable_resilience()
         breaker = server.shards[0].director.breaker
         for _ in range(4):
@@ -256,8 +145,8 @@ class TestBreakerResetOnRecovery:
 
     def test_plain_crash_keeps_half_open_probing(self):
         """An EngineCrash without recovery must NOT earn a clean slate."""
-        env = Environment()
-        server, _file_ids = build_sharded(env, shard_count=2, files=4)
+        cluster = small_cluster()
+        env, server = cluster.env, cluster.server
         server.enable_resilience()
         breaker = server.shards[0].director.breaker
         for _ in range(4):
@@ -270,11 +159,11 @@ class TestBreakerResetOnRecovery:
 
 class TestAllShardsDeadIngress:
     def test_dropped_messages_are_counted(self):
-        env = Environment()
-        server, file_ids = build_sharded(env, shard_count=2, files=4)
+        cluster = small_cluster()
+        env, server = cluster.env, cluster.server
         server.kill_shard(0)
         server.kill_shard(1)
-        request = IoRequest(OpCode.READ, 1, file_ids[0], 0, IO_SIZE)
+        request = IoRequest(OpCode.READ, 1, cluster.file_id, 0, IO_SIZE)
         server.submit(FLOW, [request], lambda _response: None)
         env.run(until=env.timeout(1e-3))
         assert server.steering.dropped >= 1
@@ -316,12 +205,11 @@ class TestCheckerNegativePaths:
         assert [v.rule for v in checker.violations] == ["RI5"]
 
     def test_ack_without_commit_flags_ri3(self):
-        env = Environment()
-        server, file_ids = build_sharded(env, shard_count=2, files=4)
-        checker = ReplicationInvariantChecker(env)
-        server.enable_replication(checker)
+        cluster = small_cluster()
+        checker = ReplicationInvariantChecker(cluster.env)
+        cluster.server.enable_replication(checker)
         request = IoRequest(
-            OpCode.WRITE, 5, file_ids[0], 0, 4, b"abcd"
+            OpCode.WRITE, 5, cluster.file_id, 0, 4, b"abcd"
         )
         checker.on_issue(request)
         checker.on_ack(request, IoResponse(5, True))

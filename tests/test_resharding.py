@@ -12,175 +12,54 @@ steering counters, and the load-driven autoscaler.
 
 import pytest
 
-from repro.core.client import ClientConfig, DdsClient
-from repro.core.messages import IoRequest, OpCode
-from repro.faults import DurabilityChecker, ReplicationInvariantChecker
-from repro.hardware.nic import NetworkLink
-from repro.sim import Environment
-from repro.storage.disk import RamDisk, SpdkBdev
-from repro.storage.filesystem import DdsFileSystem
+from repro.bench.harness import (
+    build_cluster,
+    drain_until,
+    drive_striped,
+    run_elastic,
+)
 from repro.topology.resharding import ShardAutoscaler
-from repro.topology.sharding import ShardedOffloadServer
 
-IO_SIZE = 1024
 FILES = 16
 FILE_BYTES = 64 << 10
-SLOTS = FILE_BYTES // IO_SIZE
-# 150k offered on a 2-shard deployment leaves the copy plane headroom:
-# a saturating load starves the migration until the workload ends and
-# nothing overlaps.  ~40 ms of traffic spans add AND drain.
+SLOTS = FILE_BYTES // 1024
+# ~40 ms of traffic at the scenario's 150k offered IOPS spans add AND
+# drain.
 TOTAL_REQUESTS = 6000
-OFFERED_IOPS = 150e3
-ADD_AT = 1e-3
-DRAIN_GAP = 3e-4
 
 
-class AckTimeline:
-    def __init__(self, env, checker):
-        self.env = env
-        self.checker = checker
-        self.acks = []  # (sim time, file id)
-
-    def on_issue(self, request):
-        self.checker.on_issue(request)
-
-    def on_ack(self, request, response):
-        self.checker.on_ack(request, response)
-        if response.ok:
-            self.acks.append((self.env.now, request.file_id))
-
-    def on_give_up(self, request):
-        self.checker.on_give_up(request)
-
-
-def make_workload(file_ids):
-    """Every 4th request writes a request-id-unique (file, offset)."""
-
-    def factory(request_id, rng):
-        if request_id % 4 == 0:
-            ordinal = request_id // 4
-            file_id = file_ids[ordinal % FILES]
-            offset = ((ordinal // FILES) % SLOTS) * IO_SIZE
-            payload = request_id.to_bytes(8, "little") * (IO_SIZE // 8)
-            return IoRequest(
-                OpCode.WRITE, request_id, file_id, offset, IO_SIZE, payload
-            )
-        file_id = file_ids[rng.randrange(FILES)]
-        offset = rng.randrange(SLOTS) * IO_SIZE
-        return IoRequest(OpCode.READ, request_id, file_id, offset, IO_SIZE)
-
-    return factory
-
-
-def build_sharded(env, shard_count=2, files=FILES):
-    disk = RamDisk(files * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("elastic")
-    file_ids = []
-    for index in range(files):
-        file_id = fs.create_file("elastic", f"file-{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    server = ShardedOffloadServer(
-        env, NetworkLink(env), fs, shard_count=shard_count
-    )
-    return server, file_ids
-
-
-def run_elastic(seed=7, replicated=True):
-    """Add a third shard mid-workload, then drain it back out."""
-    env = Environment()
-    server, file_ids = build_sharded(env, shard_count=2)
-    dedup = server.enable_resilience()
-    if replicated:
-        checker = ReplicationInvariantChecker(env)
-        server.enable_replication(checker)
-    else:
-        checker = DurabilityChecker()
-    resharder = server.enable_resharding()
-    timeline = AckTimeline(env, checker)
-    config = ClientConfig(
-        offered_iops=OFFERED_IOPS,
-        total_requests=TOTAL_REQUESTS,
-        io_size=IO_SIZE,
-        batch=4,
-        connections=16,
-        max_outstanding=512,
-        file_size=FILE_BYTES,
-        seed=seed,
-    )
-    client = DdsClient(
-        env,
-        server,
-        file_ids[0],
-        config,
-        request_factory=make_workload(file_ids),
-        observer=timeline,
-    )
-    owners_before = {f: server.shard_map.owner(f) for f in file_ids}
-    marks = {}
-
-    def control():
-        yield env.timeout(ADD_AT)
-        index = yield from server.add_shard()
-        marks["added"] = index
-        yield env.timeout(DRAIN_GAP)
-        yield from server.drain_shard(index)
-        marks["drained"] = index
-
-    env.process(control())
-    result = client.run()
-    # Bounded drain: the drain-side resize backfills the re-paired
-    # backup device-timed (decommission re-replication), and the
-    # resilience layer's reclaim loop keeps the event queue non-empty
-    # forever — never drain with a bare run().
-    for _ in range(400):
-        if "drained" in marks:
-            break
-        env.run(until=env.timeout(1e-3))
-    env.run(until=env.timeout(1e-3))
-    return {
-        "server": server,
-        "replicator": server.replicator,
-        "resharder": resharder,
-        "checker": checker,
-        "result": result,
-        "acks": timeline.acks,
-        "marks": marks,
-        "owners_before": owners_before,
-        "file_ids": file_ids,
-        "report": checker.check(server, dedup=dedup),
-    }
+def cluster_of(shards):
+    return build_cluster(shards=shards, files=FILES, file_bytes=FILE_BYTES)
 
 
 @pytest.fixture(scope="module")
 def elastic():
-    return run_elastic(seed=7, replicated=True)
+    return run_elastic(seed=7, total_requests=TOTAL_REQUESTS)
 
 
 class TestLiveReshardReplicated:
     def test_both_operations_completed(self, elastic):
-        assert elastic["marks"] == {"added": 2, "drained": 2}
-        kinds = [h["kind"] for h in elastic["resharder"].history]
+        assert elastic.marks == {"added": 2, "drained": 2}
+        kinds = [h["kind"] for h in elastic.server.resharder.history]
         assert kinds == ["add:2", "drain:2"]
 
     def test_every_request_settles(self, elastic):
-        assert elastic["result"].failed_requests == 0
-        assert len(elastic["result"].latencies) == TOTAL_REQUESTS
+        assert elastic.result.failed_requests == 0
+        assert len(elastic.result.latencies) == TOTAL_REQUESTS
 
     def test_zero_acked_write_loss(self, elastic):
-        elastic["report"].assert_ok()
+        elastic.report.assert_ok()
         # Later writes overwrite earlier slots: the audit verifies the
         # latest acked write per (file, offset).
         expected = min(TOTAL_REQUESTS // 4, FILES * SLOTS)
-        assert elastic["report"].verified_writes == expected
+        assert elastic.report.verified_writes == expected
 
     def test_migrations_ran_under_traffic(self, elastic):
         """Moved files keep acking inside each migration window."""
-        for record in elastic["resharder"].history:
+        for record in elastic.server.resharder.history:
             moved_acks = [
                 stamp
-                for stamp, file_id in elastic["acks"]
+                for stamp, file_id in elastic.acks
                 if record["start"] <= stamp < record["end"]
                 and file_id in record["files"]
             ]
@@ -188,10 +67,10 @@ class TestLiveReshardReplicated:
 
     def test_dirty_segments_were_recopied(self, elastic):
         """Writes landing on in-flight files force re-copies."""
-        assert elastic["resharder"].dirty_recopies > 0
+        assert elastic.server.resharder.dirty_recopies > 0
 
     def test_runtime_invariants_hold(self, elastic):
-        checker = elastic["checker"]
+        checker = elastic.checker
         assert checker.violations == []
         assert checker.appends_seen > 0
         assert checker.commits_seen == checker.appends_seen
@@ -202,7 +81,7 @@ class TestLiveReshardReplicated:
     def test_pairing_rederives_exactly(self, elastic):
         """After 2→3→2 the groups match a fresh 2-shard deployment:
         (k, (k+1) % N) with every member fully caught up."""
-        replicator = elastic["replicator"]
+        replicator = elastic.server.replicator
         assert replicator.resizes == 2
         assert sorted(replicator.groups) == [0, 1]
         assert replicator.groups[0].members == (0, 1)
@@ -212,23 +91,23 @@ class TestLiveReshardReplicated:
                 assert group.applied_watermark(member) == len(group.log)
 
     def test_cutovers_are_complete(self, elastic):
-        resharder = elastic["resharder"]
+        resharder = elastic.server.resharder
         moved = sum(len(h["files"]) for h in resharder.history)
         assert resharder.files_moved == moved
         assert resharder.cutovers == moved
         assert resharder.bytes_copied >= moved * FILE_BYTES
-        assert elastic["server"].shard_map.pinned_files == 0
+        assert elastic.server.shard_map.pinned_files == 0
         assert not resharder.active
 
     def test_drain_restores_the_original_owners(self, elastic):
-        server = elastic["server"]
+        server = elastic.server
         owners = {
-            f: server.shard_map.owner(f) for f in elastic["file_ids"]
+            f: server.shard_map.owner(f) for f in elastic.file_ids
         }
-        assert owners == elastic["owners_before"]
+        assert owners == elastic.owners_before
 
     def test_steering_tracks_the_dynamic_membership(self, elastic):
-        steering = elastic["server"]._steering
+        steering = elastic.server._steering
         # Counters grew with the add and survive the drain; the
         # retired shard keeps its historical totals at index 2.
         assert len(steering.shard_loads) == 3
@@ -236,15 +115,15 @@ class TestLiveReshardReplicated:
         assert [s.index for s in steering.ingress_shards] == [0, 1]
 
     def test_same_seed_reproduces_the_reshard(self, elastic):
-        again = run_elastic(seed=7, replicated=True)
-        assert elastic["acks"] == again["acks"]
+        again = run_elastic(seed=7, total_requests=TOTAL_REQUESTS)
+        assert elastic.acks == again.acks
         first = [
             (h["kind"], h["start"], h["end"], h["files"], h["bytes"])
-            for h in elastic["resharder"].history
+            for h in elastic.server.resharder.history
         ]
         second = [
             (h["kind"], h["start"], h["end"], h["files"], h["bytes"])
-            for h in again["resharder"].history
+            for h in again.server.resharder.history
         ]
         assert first == second
 
@@ -255,57 +134,54 @@ class TestLiveReshardPlain:
 
     @pytest.fixture(scope="class")
     def plain(self):
-        return run_elastic(seed=11, replicated=False)
+        return run_elastic(
+            seed=11, total_requests=TOTAL_REQUESTS, replicated=False
+        )
 
     def test_every_request_settles(self, plain):
-        assert plain["result"].failed_requests == 0
-        assert len(plain["result"].latencies) == TOTAL_REQUESTS
+        assert plain.result.failed_requests == 0
+        assert len(plain.result.latencies) == TOTAL_REQUESTS
 
     def test_zero_acked_write_loss(self, plain):
-        plain["report"].assert_ok()
+        plain.report.assert_ok()
 
     def test_both_operations_completed(self, plain):
-        assert plain["marks"] == {"added": 2, "drained": 2}
-        assert plain["server"].shard_map.pinned_files == 0
+        assert plain.marks == {"added": 2, "drained": 2}
+        assert plain.server.shard_map.pinned_files == 0
         owners = {
-            f: plain["server"].shard_map.owner(f)
-            for f in plain["file_ids"]
+            f: plain.server.shard_map.owner(f)
+            for f in plain.file_ids
         }
-        assert owners == plain["owners_before"]
+        assert owners == plain.owners_before
 
 
 class TestDrainGuards:
     def test_drain_refuses_below_the_floor(self):
-        env = Environment()
-        server, _ = build_sharded(env, shard_count=1)
+        server = cluster_of(1).server
         with pytest.raises(RuntimeError, match="cannot drain below"):
             next(server.drain_shard(0))
 
     def test_replicated_floor_is_three(self):
-        env = Environment()
-        server, _ = build_sharded(env, shard_count=2)
+        server = cluster_of(2).server
         server.enable_resilience()
         server.enable_replication()
         with pytest.raises(RuntimeError, match="cannot drain below"):
             next(server.drain_shard(1))
 
     def test_drain_refuses_a_dead_shard(self):
-        env = Environment()
-        server, _ = build_sharded(env, shard_count=3)
+        server = cluster_of(3).server
         server.shards[1].alive = False
         with pytest.raises(RuntimeError, match="dead shard 1"):
             next(server.drain_shard(1))
 
     def test_drain_refuses_while_a_peer_is_dark(self):
-        env = Environment()
-        server, _ = build_sharded(env, shard_count=3)
+        server = cluster_of(3).server
         server.shards[0].alive = False
         with pytest.raises(RuntimeError, match="with a dead shard"):
             next(server.drain_shard(2))
 
     def test_one_migration_at_a_time(self):
-        env = Environment()
-        server, _ = build_sharded(env, shard_count=3)
+        server = cluster_of(3).server
         resharder = server.enable_resharding()
         resharder.active = True
         with pytest.raises(RuntimeError, match="already in flight"):
@@ -314,8 +190,8 @@ class TestDrainGuards:
 
 class TestAutoscaler:
     def test_flash_crowd_scales_out_then_back_in(self):
-        env = Environment()
-        server, file_ids = build_sharded(env, shard_count=2)
+        cluster = cluster_of(2)
+        env, server = cluster.env, cluster.server
         server.enable_resilience()
         scaler = ShardAutoscaler(
             env,
@@ -328,30 +204,13 @@ class TestAutoscaler:
             cooldown=2,
         )
         scaler.start()
-        config = ClientConfig(
-            offered_iops=400e3,
-            total_requests=6000,
-            io_size=IO_SIZE,
-            batch=4,
-            connections=16,
-            max_outstanding=512,
-            file_size=FILE_BYTES,
-            seed=3,
+        result = drive_striped(
+            cluster, offered_iops=400e3, total_requests=6000, seed=3,
+            write_every=4,
         )
-        client = DdsClient(
-            env,
-            server,
-            file_ids[0],
-            config,
-            request_factory=make_workload(file_ids),
-        )
-        result = client.run()
         # Post-burst idle ticks: rates fall below the low water and the
         # scaler drains its own addition back out.
-        for _ in range(200):
-            if scaler.scale_ins > 0:
-                break
-            env.run(until=env.timeout(1e-3))
+        drain_until(env, lambda: scaler.scale_ins > 0, 200)
         scaler.stop()
         assert result.failed_requests == 0
         assert scaler.scale_outs >= 1
@@ -362,10 +221,9 @@ class TestAutoscaler:
         assert [s.index for s in server.live_shards] == [0, 1]
 
     def test_start_twice_raises(self):
-        env = Environment()
-        server, _ = build_sharded(env, shard_count=2)
+        server = cluster_of(2).server
         scaler = ShardAutoscaler(
-            env, server, high_water_iops=100e3, low_water_iops=10e3
+            server.env, server, high_water_iops=100e3, low_water_iops=10e3
         )
         scaler.start()
         with pytest.raises(RuntimeError, match="already started"):
@@ -373,9 +231,8 @@ class TestAutoscaler:
         scaler.stop()
 
     def test_waters_must_be_ordered(self):
-        env = Environment()
-        server, _ = build_sharded(env, shard_count=2)
+        server = cluster_of(2).server
         with pytest.raises(ValueError, match="low_water_iops"):
             ShardAutoscaler(
-                env, server, high_water_iops=10e3, low_water_iops=10e3
+                server.env, server, high_water_iops=10e3, low_water_iops=10e3
             )

@@ -19,88 +19,17 @@ Both must finish with zero acked-write loss, a clean
 
 import pytest
 
-from repro.core.client import ClientConfig, DdsClient
-from repro.core.messages import IoRequest, OpCode
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    ReplicationInvariantChecker,
-    ShardKill,
-)
-from repro.hardware.nic import NetworkLink
-from repro.sim import Environment
-from repro.storage.disk import RamDisk, SpdkBdev
-from repro.storage.filesystem import DdsFileSystem
-from repro.topology.sharding import (
-    ConsistentHashShardMap,
-    ShardedOffloadServer,
-)
+from repro.bench.harness import build_cluster, run_elastic
+from repro.faults import ShardKill
+from repro.topology.sharding import ConsistentHashShardMap
 
 pytestmark = pytest.mark.chaos
 
-IO_SIZE = 1024
-FILES = 16
-FILE_BYTES = 64 << 10
-SLOTS = FILE_BYTES // IO_SIZE
-# Moderate offered load: saturation starves the copy plane and the
-# migration would not overlap the outage (see tests/test_resharding.py).
+# ~40 ms of traffic at the scenario's moderate 150k offered IOPS (see
+# tests/test_resharding.py): the migration overlaps the outage.
 TOTAL_REQUESTS = 6000
-OFFERED_IOPS = 150e3
-ADD_AT = 1e-3
 KILL_AT = 5e-3  # inside the measured add-migration window
 DOWN_FOR = 3e-3
-
-
-class AckTimeline:
-    def __init__(self, env, checker):
-        self.env = env
-        self.checker = checker
-        self.acks = []  # (sim time, file id)
-
-    def on_issue(self, request):
-        self.checker.on_issue(request)
-
-    def on_ack(self, request, response):
-        self.checker.on_ack(request, response)
-        if response.ok:
-            self.acks.append((self.env.now, request.file_id))
-
-    def on_give_up(self, request):
-        self.checker.on_give_up(request)
-
-
-def make_workload(file_ids):
-    """Every 4th request writes a request-id-unique (file, offset)."""
-
-    def factory(request_id, rng):
-        if request_id % 4 == 0:
-            ordinal = request_id // 4
-            file_id = file_ids[ordinal % FILES]
-            offset = ((ordinal // FILES) % SLOTS) * IO_SIZE
-            payload = request_id.to_bytes(8, "little") * (IO_SIZE // 8)
-            return IoRequest(
-                OpCode.WRITE, request_id, file_id, offset, IO_SIZE, payload
-            )
-        file_id = file_ids[rng.randrange(FILES)]
-        offset = rng.randrange(SLOTS) * IO_SIZE
-        return IoRequest(OpCode.READ, request_id, file_id, offset, IO_SIZE)
-
-    return factory
-
-
-def build_sharded(env, shard_count=2, files=FILES):
-    disk = RamDisk(files * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("chaos")
-    file_ids = []
-    for index in range(files):
-        file_id = fs.create_file("chaos", f"file-{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    server = ShardedOffloadServer(
-        env, NetworkLink(env), fs, shard_count=shard_count
-    )
-    return server, file_ids
 
 
 def move_sources(file_ids):
@@ -116,76 +45,18 @@ def move_sources(file_ids):
 
 
 def run_kill_during_migration(kill, seed=5):
-    env = Environment()
-    server, file_ids = build_sharded(env, shard_count=2)
-    dedup = server.enable_resilience()
-    checker = ReplicationInvariantChecker(env)
-    server.enable_replication(checker)
-    resharder = server.enable_resharding()
-    plan = FaultPlan(
+    return run_elastic(
         seed=seed,
-        events=(ShardKill(at=KILL_AT, down_for=DOWN_FOR, shard=kill),),
-    )
-    injector = FaultInjector(env, server, plan).arm()
-    timeline = AckTimeline(env, checker)
-    config = ClientConfig(
-        offered_iops=OFFERED_IOPS,
         total_requests=TOTAL_REQUESTS,
-        io_size=IO_SIZE,
-        batch=4,
-        connections=16,
-        max_outstanding=512,
-        file_size=FILE_BYTES,
-        seed=seed,
+        drain=False,
+        kill=ShardKill(at=KILL_AT, down_for=DOWN_FOR, shard=kill),
     )
-    client = DdsClient(
-        env,
-        server,
-        file_ids[0],
-        config,
-        request_factory=make_workload(file_ids),
-        observer=timeline,
-    )
-    owners_before = {f: server.shard_map.owner(f) for f in file_ids}
-    marks = {}
-
-    def control():
-        yield env.timeout(ADD_AT)
-        marks["added"] = yield from server.add_shard()
-
-    env.process(control())
-    result = client.run()
-    # Settle until the migration is done AND the killed shard is back:
-    # post-outage anti-entropy replays every missed log entry
-    # device-timed (~160 ms sim for a source that slept through heavy
-    # traffic), and the audit must read the caught-up filesystem.
-    for _ in range(400):
-        if (
-            "added" in marks
-            and not resharder.active
-            and all(shard.alive for shard in server.shards)
-        ):
-            break
-        env.run(until=env.timeout(1e-3))
-    env.run(until=env.timeout(1e-3))
-    return {
-        "server": server,
-        "resharder": resharder,
-        "checker": checker,
-        "injector": injector,
-        "result": result,
-        "acks": timeline.acks,
-        "marks": marks,
-        "owners_before": owners_before,
-        "file_ids": file_ids,
-        "report": checker.check(server, dedup=dedup),
-    }
 
 
 @pytest.fixture(scope="module")
 def source_kill():
-    env = Environment()
-    _, file_ids = build_sharded(env, shard_count=2)
+    # A throwaway build of the scenario's namespace names its file ids.
+    file_ids = build_cluster(shards=2, files=16, file_bytes=64 << 10).file_ids
     return run_kill_during_migration(kill=move_sources(file_ids)[0])
 
 
@@ -196,99 +67,99 @@ def dest_kill():
 
 class TestSourceKillDuringMigration:
     def test_kill_landed_inside_the_migration_window(self, source_kill):
-        (record,) = source_kill["resharder"].history
+        (record,) = source_kill.server.resharder.history
         assert record["kind"] == "add:2"
         assert record["start"] < KILL_AT
         assert record["end"] > KILL_AT + DOWN_FOR
 
     def test_every_request_settles(self, source_kill):
-        assert source_kill["result"].failed_requests == 0
-        assert len(source_kill["result"].latencies) == TOTAL_REQUESTS
+        assert source_kill.result.failed_requests == 0
+        assert len(source_kill.result.latencies) == TOTAL_REQUESTS
 
     def test_dead_keyspace_keeps_acking_through_the_outage(
         self, source_kill
     ):
         """The surviving backup serves the killed source's files —
         including the pinned in-flight ones — with no dark window."""
-        kill = move_sources(source_kill["file_ids"])[0]
+        kill = move_sources(source_kill.file_ids)[0]
         dead_files = {
             f
-            for f, owner in source_kill["owners_before"].items()
+            for f, owner in source_kill.owners_before.items()
             if owner == kill
         }
         assert dead_files, "killed shard owns no files; reseed"
         in_outage = [
             file_id
-            for stamp, file_id in source_kill["acks"]
+            for stamp, file_id in source_kill.acks
             if KILL_AT <= stamp < KILL_AT + DOWN_FOR
             and file_id in dead_files
         ]
         assert in_outage
 
     def test_zero_acked_write_loss(self, source_kill):
-        source_kill["report"].assert_ok()
-        assert source_kill["checker"].violations == []
+        source_kill.report.assert_ok()
+        assert source_kill.checker.violations == []
 
     def test_migration_completed_despite_the_kill(self, source_kill):
-        resharder = source_kill["resharder"]
+        resharder = source_kill.server.resharder
         (record,) = resharder.history
         assert resharder.files_moved == len(record["files"])
         assert resharder.cutovers == resharder.files_moved
-        assert source_kill["server"].shard_map.pinned_files == 0
+        assert source_kill.server.shard_map.pinned_files == 0
         assert not resharder.active
         for f in record["files"]:
-            assert source_kill["server"].shard_map.owner(f) == 2
+            assert source_kill.server.shard_map.owner(f) == 2
 
     def test_fault_log_records_kill_and_recovery(self, source_kill):
-        lines = source_kill["injector"].fault_log_lines()
+        lines = source_kill.injector.fault_log_lines()
         assert any("shard-kill" in line for line in lines)
         assert any("shard-recover" in line for line in lines)
 
     def test_same_seed_reproduces_the_run(self, source_kill):
-        kill = move_sources(source_kill["file_ids"])[0]
+        kill = move_sources(source_kill.file_ids)[0]
         again = run_kill_during_migration(kill=kill)
-        assert source_kill["acks"] == again["acks"]
+        assert source_kill.acks == again.acks
         assert (
-            source_kill["injector"].fault_log_lines()
-            == again["injector"].fault_log_lines()
+            source_kill.injector.fault_log_lines()
+            == again.injector.fault_log_lines()
         )
 
 
 class TestDestinationKillDuringMigration:
     def test_kill_landed_inside_the_migration_window(self, dest_kill):
-        (record,) = dest_kill["resharder"].history
+        (record,) = dest_kill.server.resharder.history
         assert record["kind"] == "add:2"
         assert record["start"] < KILL_AT
         assert record["end"] > KILL_AT + DOWN_FOR
 
     def test_every_request_settles(self, dest_kill):
-        assert dest_kill["result"].failed_requests == 0
-        assert len(dest_kill["result"].latencies) == TOTAL_REQUESTS
+        assert dest_kill.result.failed_requests == 0
+        assert len(dest_kill.result.latencies) == TOTAL_REQUESTS
 
     def test_sources_keep_serving_pinned_files_through_the_outage(
         self, dest_kill
     ):
         """With the destination dark, every in-flight file stays pinned
         to its source and keeps acknowledging."""
-        (record,) = dest_kill["resharder"].history
+        (record,) = dest_kill.server.resharder.history
         in_outage = [
             file_id
-            for stamp, file_id in dest_kill["acks"]
+            for stamp, file_id in dest_kill.acks
             if KILL_AT <= stamp < KILL_AT + DOWN_FOR
             and file_id in record["files"]
         ]
         assert in_outage
 
     def test_zero_acked_write_loss(self, dest_kill):
-        dest_kill["report"].assert_ok()
-        assert dest_kill["checker"].violations == []
+        dest_kill.report.assert_ok()
+        assert dest_kill.checker.violations == []
 
     def test_migration_completed_despite_the_kill(self, dest_kill):
-        resharder = dest_kill["resharder"]
+        resharder = dest_kill.server.resharder
         (record,) = resharder.history
         assert resharder.files_moved == len(record["files"])
         assert resharder.cutovers == resharder.files_moved
-        assert dest_kill["server"].shard_map.pinned_files == 0
+        assert dest_kill.server.shard_map.pinned_files == 0
         assert not resharder.active
         for f in record["files"]:
-            assert dest_kill["server"].shard_map.owner(f) == 2
+            assert dest_kill.server.shard_map.owner(f) == 2

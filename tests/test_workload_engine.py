@@ -8,12 +8,9 @@ density, heavy-tailed shares), not memorize draws.
 
 import pytest
 
+from repro.bench.harness import build_cluster
 from repro.core.retry import RetryBudget, RetryPolicy
-from repro.hardware.nic import NetworkLink
-from repro.sim import Environment, SeededRng
-from repro.storage.disk import RamDisk, SpdkBdev
-from repro.storage.filesystem import DdsFileSystem
-from repro.topology.sharding import ShardedOffloadServer
+from repro.sim import SeededRng
 from repro.workload import (
     BModelArrivals,
     DiurnalCurve,
@@ -26,9 +23,6 @@ from repro.workload import (
     heavy_tailed_population,
     population_users,
 )
-
-IO_SIZE = 1024
-FILE_BYTES = 1 << 20
 
 
 def collect(process, rate, horizon, seed=5, **curve_kw):
@@ -193,24 +187,13 @@ class TestPopulation:
 # ----------------------------------------------------------------------
 # the engine against a real sharded server
 # ----------------------------------------------------------------------
-def build_server(env, shard_count=2, files=8):
-    disk = RamDisk(files * FILE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
-    fs.create_directory("load")
-    file_ids = []
-    for index in range(files):
-        file_id = fs.create_file("load", f"f{index}")
-        fs.preallocate(file_id, FILE_BYTES)
-        file_ids.append(file_id)
-    server = ShardedOffloadServer(
-        env, NetworkLink(env), fs, shard_count=shard_count
-    )
-    return server, file_ids
+def build_server():
+    cluster = build_cluster(shards=2, files=8, file_bytes=1 << 20)
+    return cluster.env, cluster.server, cluster.file_ids
 
 
 def run_engine(seed=9, **engine_kw):
-    env = Environment()
-    server, file_ids = build_server(env)
+    env, server, file_ids = build_server()
     tenants = heavy_tailed_population(
         count=40, total_rate=60_000.0, rng=SeededRng(seed)
     )
@@ -263,8 +246,7 @@ class TestEngine:
         assert spiked.offered > calm.offered * 1.5
 
     def test_tenant_classifiers_round_trip(self):
-        env = Environment()
-        server, file_ids = build_server(env)
+        env, server, file_ids = build_server()
         specs = heavy_tailed_population(
             count=8, total_rate=10_000.0, rng=SeededRng(2)
         )
@@ -277,8 +259,7 @@ class TestEngine:
             assert engine.tenant_for_request(request) == state.spec.name
 
     def test_engine_validation(self):
-        env = Environment()
-        server, file_ids = build_server(env)
+        env, server, file_ids = build_server()
         specs = [TenantSpec("t", 0, rate=100.0)]
         with pytest.raises(ValueError):
             OpenLoopTrafficEngine(env, server, specs, file_ids, horizon=0)
