@@ -393,8 +393,8 @@ def drain_until(
 ) -> None:
     """Advance 1 ms at a time until ``predicate()`` holds (bounded).
 
-    Backends poll and the resilience layer's reclaim loop re-arms
-    forever, so a bare ``env.run()`` never returns on these clusters.
+    A bare ``env.run()`` would not stop at the predicate: it runs
+    every fault and recovery still scheduled.
     """
     for _ in range(max_rounds):
         if predicate():

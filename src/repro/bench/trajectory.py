@@ -24,6 +24,10 @@ Metric definitions
     time for the *same* event count.
 ``events_per_sec``
     ``events / wall_seconds`` — the engine-throughput headline.
+    Comparable only between commits with the same event vocabulary: a
+    model change that stops scheduling cheap events (idle-poll elision,
+    DESIGN.md §11) lowers ``events`` and wall time and can lower this
+    ratio too, and has to re-baseline the committed records.
 ``calibration_eps``
     Operations/sec of a fixed pure-Python loop that never touches the
     engine.  Dividing ``events_per_sec`` by ``calibration_eps`` gives a

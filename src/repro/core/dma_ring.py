@@ -18,7 +18,7 @@ Two things live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Callable, Generator, List, Optional
 
 from ..hardware.cpu import CpuCore
 from ..hardware.pcie import DmaEngine
@@ -64,6 +64,12 @@ class DmaRingChannel:
         self.pointer_layout = pointer_layout
         self.request_ring = ProgressRing(ring_capacity, max_progress)
         self.responses: Store = Store(env)
+        #: Called after every successful insert.  Not a modelled PCIe
+        #: write (the paper's DPU polls precisely because the host has
+        #: no cheap doorbell): it is how the simulator tells a consumer
+        #: that parked instead of polling an empty ring that the ring
+        #: is no longer empty (DESIGN.md §11, idle-poll elision).
+        self.doorbell: Optional[Callable[[], None]] = None
         self.fetched_batches = 0
         self.fetched_requests = 0
         self.delivered_responses = 0
@@ -73,7 +79,10 @@ class DmaRingChannel:
     # ------------------------------------------------------------------
     def try_insert(self, encoded_request: bytes) -> bool:
         """Host-thread insert: purely local memory (Figure 7 right)."""
-        return self.request_ring.try_enqueue(encoded_request)
+        inserted = self.request_ring.try_enqueue(encoded_request)
+        if inserted and self.doorbell is not None:
+            self.doorbell()
+        return inserted
 
     def poll_response(self):
         """Event yielding the next delivered response."""
@@ -102,6 +111,15 @@ class DmaRingChannel:
             # only safe to interpret after T is known — two round trips.
             yield from self.dma.dma_read(POINTER_AREA_BYTES // 2)
             yield from self.dma.dma_read(POINTER_AREA_BYTES // 2)
+        return (yield from self.fetch_polled())
+
+    def fetch_polled(self) -> Generator:
+        """The rest of :meth:`fetch_batch`, after its pointer-area read.
+
+        Entered directly by a consumer that accounted for the pointer
+        read itself (the file service's DMA thread resuming from a
+        parked idle poll at the instant that read would have finished).
+        """
         batch = self.request_ring.try_consume()
         if not batch:
             return []

@@ -20,15 +20,20 @@ copies instead — the ablation Figure 18 plots.
 
 from __future__ import annotations
 
-from typing import Generator, List
+from itertools import islice
+from typing import Generator, List, Optional
 
 from ..hardware.cpu import CpuCore
 from ..hardware.specs import MICROSECOND
-from ..sim import Environment, Store
+from ..sim import Environment, Event, Store
 from ..storage.filesystem import DdsFileSystem, FileSystemError
-from ..structures.response import PreallocatedResponse, ResponseStatus
+from ..structures.response import (
+    PreallocatedResponse,
+    ResponseBuffer,
+    ResponseStatus,
+)
 from .api import ReadOp, WriteOp
-from .dma_ring import DmaRingChannel
+from .dma_ring import POINTER_AREA_BYTES, DmaRingChannel
 from .messages import IoRequest, IoResponse, OpCode
 
 __all__ = ["DpuFileService"]
@@ -72,6 +77,23 @@ class DpuFileService:
         self._running = False
         self._callbacks = None
         self._cache_table = None
+        #: Consecutive polling cycles that fetched and delivered nothing.
+        self._idle_cycles = 0
+        #: Pointer-area polls a parked DMA thread was credited with
+        #: instead of executing (see :meth:`_park`).
+        self.polls_elided = 0
+        #: Set while the DMA thread is parked and nobody has woken it.
+        self._wake: Optional[Event] = None
+        #: The poller a parked DMA thread stands in for: the instant of
+        #: the last checkpoint it passed and the one it is heading for
+        #: (-1: the end of its sleep; k: the end of channel k's pointer
+        #: read).  ``None`` while the thread polls for real.
+        self._idle_time: Optional[float] = None
+        self._idle_next = -1
+        #: Tie-breaking rank of the thread's wake-ups, reserved where the
+        #: polling thread would have scheduled its next sleep; kept until
+        #: the thread next makes progress (see :meth:`_park`).
+        self._lane: Optional[int] = None
 
     def set_offload_hooks(self, callbacks, cache_table) -> None:
         """Install the user's Cache/Invalidate hooks (§6.1, Table 2).
@@ -111,12 +133,15 @@ class DpuFileService:
     # ------------------------------------------------------------------
     def register_channel(self, channel: DmaRingChannel) -> None:
         """Attach one notification group's rings to this service."""
-        from ..structures.response import ResponseBuffer
-
+        # A parked DMA thread polled the old channel set up to now and
+        # polls the new one from here on.
+        self.settle_idle_polls()
         self.channels.append(channel)
         self._response_buffers[id(channel)] = ResponseBuffer(
             self.RESPONSE_BUFFER_BYTES, self.DELIVERY_BATCH_BYTES
         )
+        channel.doorbell = self._ring_doorbell
+        self._ring_doorbell()
 
     def start(self) -> None:
         """Spawn the DMA thread and the SPDK worker."""
@@ -130,11 +155,17 @@ class DpuFileService:
     # DMA thread: fetch requests, deliver responses
     # ------------------------------------------------------------------
     def _dma_thread(self) -> Generator:
-        idle_cycles = 0
+        # After a park, the channel whose pointer read the replay
+        # already accounted for: the cycle resumes behind that read.
+        polled = -1
         while True:
             progress = False
-            for channel in self.channels:
-                batch = yield from channel.fetch_batch()
+            for channel in islice(self.channels, max(polled, 0), None):
+                if polled >= 0:
+                    polled = -1
+                    batch = yield from channel.fetch_polled()
+                else:
+                    batch = yield from channel.fetch_batch()
                 if batch:
                     progress = True
                     yield from self.dma_core.execute(
@@ -145,14 +176,147 @@ class DpuFileService:
                         self._io_queue.try_put((channel, request))
             for channel in self.channels:
                 delivered = yield from self._deliver(
-                    channel, force=idle_cycles >= 2
+                    channel, force=self._idle_cycles >= 2
                 )
                 progress = progress or delivered
             if progress:
-                idle_cycles = 0
+                self._idle_cycles = 0
+                self._lane = None
             else:
-                idle_cycles += 1
-                yield self.env.timeout(self.POLL_INTERVAL)
+                self._idle_cycles += 1
+                if self._can_park():
+                    polled = yield from self._park()
+                else:
+                    yield self.env.timeout(self.POLL_INTERVAL)
+
+    # ------------------------------------------------------------------
+    # idle-poll elision (DESIGN.md §11)
+    # ------------------------------------------------------------------
+    # An idle polling cycle is a POLL_INTERVAL sleep and one 64-byte
+    # pointer read per channel, none of which can change anything while
+    # every ring is empty and no response is waiting: nine scheduled
+    # occurrences per cycle on a four-ring backend, every ~6 us of idle
+    # simulated time.  Instead of executing them the thread parks, and
+    # whoever ends the idle state (an insert, a completed response, a
+    # new channel) wakes it.  It then *replays* the float additions the
+    # skipped timeouts would have made and resumes at the checkpoint
+    # (end of a sleep, or end of channel k's pointer read) the polling
+    # thread would have reached first at or after the wake-up instant,
+    # at that exact instant and position in the cycle.
+    #
+    # Precondition: the thread is the only issuer on its channels' DMA
+    # engines (``fetch_batch`` and ``deliver_responses`` are called from
+    # nowhere else), so the elided pointer reads never held a DMA
+    # channel anyone else waited for.  ``_park`` checks it.
+
+    def _can_park(self) -> bool:
+        """True when polling can find nothing until a doorbell rings."""
+        for channel in self.channels:
+            # The replay models the one-read poll; tail-first polls with
+            # two, exists for one ablation, and is simply polled.
+            if (
+                channel.pointer_layout != "progress-first"
+                or channel.request_ring.pending_bytes
+            ):
+                return False
+        for buffer in self._response_buffers.values():
+            if not buffer.quiescent():
+                return False
+        return True
+
+    def _park(self) -> Generator:
+        """Stand in for the idle poller; returns where the cycle resumes.
+
+        Returns -1 to start a polling cycle from the top (the wake-up
+        checkpoint was the end of a sleep) or the index of the channel
+        whose pointer read ended at the wake-up checkpoint.
+        """
+        for channel in self.channels:
+            if channel.dma.in_flight:
+                raise RuntimeError(
+                    "DMA thread parked while another issuer uses its DMA "
+                    "engine: idle-poll elision assumes a private engine"
+                )
+        self._idle_time = self.env.now
+        self._idle_next = -1
+        if self._lane is None:
+            self._lane = self.env.reserve_seq()
+        self._wake = self.env.event()
+        yield self._wake
+        # Ties: a checkpoint at exactly the wake-up instant has not
+        # happened yet, so it sees what the waker did.  Threads of
+        # different backends that idle in lockstep (all do from bring-up)
+        # reach the same checkpoint at the same instant; the polling
+        # threads would get there in the order they went to sleep in,
+        # cycle after cycle, which is the order of their lanes.
+        yield self.env.timeout_at(
+            self._replay_idle_polls(self.env.now), seq=self._lane
+        )
+        polled = self._idle_next
+        if polled >= 0:
+            self._credit_polls(self.channels[polled], 1)
+        self._idle_time = None
+        return polled
+
+    def _ring_doorbell(self) -> None:
+        """Wake a parked DMA thread (a no-op while it polls)."""
+        wake = self._wake
+        if wake is not None:
+            self._wake = None
+            wake.succeed()
+
+    def settle_idle_polls(self) -> None:
+        """Bring a parked DMA thread's accounting up to the present.
+
+        Elided polls are credited to ``DmaStats`` when the thread wakes;
+        call this before reading the counters of a deployment that may
+        be idle.
+        """
+        if self._idle_time is not None:
+            self._replay_idle_polls(self.env.now)
+
+    def _replay_idle_polls(self, now: float) -> float:
+        """Pass every idle-poll checkpoint before ``now``.
+
+        Repeats the additions the engine would have made for the
+        skipped timeouts (``now + delay``, one at a time: sums of floats
+        do not regroup), credits the pointer reads that completed, and
+        returns the instant of the next checkpoint.
+        """
+        channels = self.channels
+        count = len(channels)
+        sleep = self.POLL_INTERVAL
+        reads = [
+            channel.dma.transfer_time(POINTER_AREA_BYTES)
+            for channel in channels
+        ]
+        polls = [0] * count
+        cycles = 0
+        passed = self._idle_time
+        heading = self._idle_next
+        while True:
+            after = passed + (sleep if heading < 0 else reads[heading])
+            if after >= now:
+                break
+            passed = after
+            if heading >= 0:
+                polls[heading] += 1
+            heading += 1
+            if heading == count:
+                heading = -1
+                cycles += 1
+        self._idle_time = passed
+        self._idle_next = heading
+        self._idle_cycles += cycles
+        for channel, polled in zip(channels, polls):
+            self._credit_polls(channel, polled)
+        return after
+
+    def _credit_polls(self, channel: DmaRingChannel, polls: int) -> None:
+        stats = channel.dma.stats
+        stats.reads += polls
+        stats.bytes_read += polls * POINTER_AREA_BYTES
+        self.polls_elided += polls
 
     def _deliver(self, channel: DmaRingChannel, force: bool) -> Generator:
         buffer = self._response_buffers[id(channel)]
@@ -188,8 +352,8 @@ class DpuFileService:
             data_bytes = request.size if request.op is OpCode.READ else 0
             response = buffer.allocate(request.request_id, data_bytes)
             while response is None:
+                # Only the DMA thread's mark_delivered frees capacity.
                 yield self.env.timeout(self.POLL_INTERVAL)
-                buffer.harvest()
                 response = buffer.allocate(request.request_id, data_bytes)
             self.env.process(self._execute(request, response))
 
@@ -217,6 +381,7 @@ class DpuFileService:
         except FileSystemError:
             response.complete(ResponseStatus.IO_ERROR)
             self.request_errors += 1
+        self._ring_doorbell()
 
     # ------------------------------------------------------------------
     # direct path for the offload engine (§6.2)

@@ -56,6 +56,11 @@ class DmaEngine:
         self.stats.writes += 1
         self.stats.bytes_written += nbytes
 
+    @property
+    def in_flight(self) -> int:
+        """Operations holding or waiting for a channel right now."""
+        return self._channels.in_use + self._channels.queue_length
+
     def transfer_time(self, nbytes: int) -> float:
         """Unloaded service time of one DMA op of ``nbytes``."""
         return self.spec.op_latency + nbytes / self.spec.bandwidth

@@ -461,8 +461,8 @@ class Environment:
 
         The numerator of the perf trajectory's events/sec metric
         (``repro.bench.trajectory``); comparable across engine versions
-        because every schedule operation consumes exactly one sequence
-        number.
+        because every schedule operation (and every
+        :meth:`reserve_seq`) consumes exactly one sequence number.
         """
         return self._eid
 
@@ -476,6 +476,48 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that triggers ``delay`` simulated seconds from now."""
         return Timeout(self, delay, value)
+
+    def reserve_seq(self) -> int:
+        """Take the next sequence number without scheduling anything.
+
+        Passed to :meth:`timeout_at` later, it orders that event among
+        others at the same instant as if it had been scheduled now.
+        """
+        eid = self._eid
+        self._eid = eid + 1
+        return eid
+
+    def timeout_at(
+        self, when: float, value: Any = None, seq: Optional[int] = None
+    ) -> Timeout:
+        """An event that triggers at the absolute simulated time ``when``.
+
+        For a process that skipped a run of timeouts and must land on
+        the instant the last of them would have reached: accumulating
+        the delays gives that float exactly, whereas
+        ``timeout(when - now)`` schedules ``now + (when - now)``, which
+        can differ from ``when`` in the last bit.  ``seq`` (from
+        :meth:`reserve_seq`) gives the event the tie-breaking rank of
+        the moment the number was reserved instead of a fresh one; no
+        two pending events may share an instant and a ``seq``.
+        """
+        if not when >= self._now:  # also rejects NaN
+            raise ValueError(
+                f"timeout_at({when}) is in the past (now={self._now})"
+            )
+        if seq is None:
+            if when == self._now:
+                return Timeout(self, 0.0, value)
+            seq = self._eid
+            self._eid = seq + 1
+        # Timeout's constructor takes a delay; build the event around
+        # it.  A reserved ``seq`` is older than the ready deque's, so it
+        # goes through the heap even when due now.
+        event = Timeout.__new__(Timeout)
+        Event.__init__(event, self)
+        event._scheduled = True
+        heapq.heappush(self._heap, (when, seq, event, value, None))
+        return event
 
     def process(self, generator: Generator) -> Process:
         """Start a new process running ``generator``."""

@@ -10,7 +10,7 @@ device the DPU file service drives (§4.3, §7: SPDK's ``spdk_bdev_read``/
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator, List, Optional, Tuple
 
 from ..hardware.ssd import NvmeDevice
 from ..sim import Environment, SeededRng
@@ -23,14 +23,22 @@ class RamDisk:
     """The byte content of a simulated SSD.
 
     Backed by :func:`~repro.structures.memory.zero_buffer`, so a
-    multi-GB disk costs nothing until blocks are actually written.
+    multi-GB disk costs nothing until blocks are actually written, and
+    the disk remembers which extents ever were, so that copying an
+    image (:meth:`~repro.storage.filesystem.DdsFileSystem.clone_into`)
+    touches only those.
     """
+
+    #: Granularity of the ever-written map.
+    EXTENT_BYTES = 64 << 10
 
     def __init__(self, size: int) -> None:
         if size <= 0:
             raise ValueError("disk size must be positive")
         self.size = size
         self._data = zero_buffer(size)
+        #: One byte per extent: 1 once any byte of it has been written.
+        self._written = bytearray(-(-size // self.EXTENT_BYTES))
 
     def read(self, offset: int, size: int) -> bytes:
         """Read ``size`` bytes at ``offset``."""
@@ -39,8 +47,40 @@ class RamDisk:
 
     def write(self, offset: int, data: bytes) -> None:
         """Write ``data`` at ``offset``."""
-        self._check(offset, len(data))
-        self._data[offset : offset + len(data)] = data
+        size = len(data)
+        self._check(offset, size)
+        if not size:
+            return
+        self._data[offset : offset + size] = data
+        first = offset // self.EXTENT_BYTES
+        last = (offset + size - 1) // self.EXTENT_BYTES
+        if first == last:
+            self._written[first] = 1
+        else:
+            self._written[first : last + 1] = b"\x01" * (last + 1 - first)
+
+    def written_runs(self, offset: int, size: int) -> List[Tuple[int, int]]:
+        """The parts of ``[offset, offset + size)`` that may be non-zero.
+
+        ``(offset, length)`` runs, in order, covering every ever-written
+        extent the range overlaps (clipped to the range); everything
+        outside them still reads as zeros.
+        """
+        self._check(offset, size)
+        extent = self.EXTENT_BYTES
+        written = self._written
+        end = offset + size
+        stop = -(-end // extent)
+        runs: List[Tuple[int, int]] = []
+        index = written.find(1, offset // extent, stop)
+        while index >= 0:
+            after = written.find(0, index, stop)
+            if after < 0:
+                after = stop
+            start = max(offset, index * extent)
+            runs.append((start, min(end, after * extent) - start))
+            index = written.find(1, after, stop)
+        return runs
 
     def _check(self, offset: int, size: int) -> None:
         if offset < 0 or size < 0 or offset + size > self.size:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional, Tuple
 
 from ..hardware.ssd import DeviceError
 from ..sim import Environment
@@ -247,13 +247,15 @@ class DdsFileSystem:
             for run in meta.extents.translate(offset, size)
         )
 
-    def clone_into(self, other: "DdsFileSystem", chunk: int = 4 << 20) -> None:
+    def clone_into(self, other: "DdsFileSystem") -> None:
         """Replicate this namespace and its contents into ``other``.
 
         ``other`` must be empty.  File ids are preserved exactly (shard
         filesystems must agree with the primary on ids, since the shard
         map hashes them), and content is copied with zero simulated time
-        — this is deployment bring-up, not measured I/O.
+        — this is deployment bring-up, not measured I/O.  Only extents
+        that were ever written are copied: a preallocated database is
+        all zeros on both sides already.
         """
         if other._files or other._directories:
             raise FileSystemError("clone target must be an empty filesystem")
@@ -265,12 +267,32 @@ class DdsFileSystem:
             created = other.create_file(meta.directory, meta.name)
             assert created == file_id
             other.preallocate(file_id, meta.size)
-            for offset in range(0, meta.size, chunk):
-                span = min(chunk, meta.size - offset)
+            # What an earlier life of the target's disk left in these
+            # segments must read as zeros wherever the source does.
+            for offset, length in other._written_ranges(file_id):
+                other.write_sync(file_id, offset, bytes(length))
+            for offset, length in self._written_ranges(file_id):
                 other.write_sync(
-                    file_id, offset, self.read_sync(file_id, offset, span)
+                    file_id, offset, self.read_sync(file_id, offset, length)
                 )
         other._next_file_id = self._next_file_id
+
+    def _written_ranges(self, file_id: int) -> List[Tuple[int, int]]:
+        """``(file offset, length)`` ranges whose disk extents were ever
+        written, each within one segment."""
+        meta = self._files[file_id]
+        disk = self.bdev.disk
+        ranges: List[Tuple[int, int]] = []
+        for base in range(0, meta.size, self.segment_size):
+            span = min(self.segment_size, meta.size - base)
+            (run,) = meta.extents.translate(base, span)
+            ranges.extend(
+                (base + start - run.disk_offset, length)
+                for start, length in disk.written_runs(
+                    run.disk_offset, run.length
+                )
+            )
+        return ranges
 
     def read(self, file_id: int, offset: int, size: int) -> Generator:
         """Read ``size`` bytes at ``offset``; returns the data."""

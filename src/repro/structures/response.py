@@ -164,6 +164,19 @@ class ResponseBuffer:
         """TailB - TailC: bytes ready to DMA to the host."""
         return self.tail_buffered - self.tail_completed
 
+    def quiescent(self) -> bool:
+        """True when a harvest-and-deliver pass would find nothing.
+
+        No completed span waits at the head of the pending queue (TailB
+        is current) and everything buffered has been delivered (TailB ==
+        TailC).  Only a completion can end this state, which is what
+        lets the harvester stop polling until one happens.
+        """
+        return self.tail_buffered == self.tail_completed and not (
+            self._pending
+            and self._pending[0].status is not ResponseStatus.PENDING
+        )
+
     def should_deliver(self) -> bool:
         """True when the buffered batch has reached the delivery size."""
         return self.deliverable_bytes >= self.delivery_batch

@@ -177,6 +177,100 @@ def test_popleft_take_delivery_survives_same_schedules_pass_after():
 
 
 # ----------------------------------------------------------------------
+# one harvester: the file service's two cores against one buffer
+# ----------------------------------------------------------------------
+# ``_DDSLINT_EXEMPT`` justifies ``tail_buffered`` and ``_pending`` by
+# the DMA thread being *the* harvester.  ``harvest`` is check-then-pop:
+# with a second harvester, the head both saw completed is popped by one
+# of them and the other pops its successor, completed or not.  The SPDK
+# worker's back-pressure loop used to be that second harvester.
+def _drive(generator):
+    """Run a simulation generator with every wait granted at once."""
+    try:
+        generator.send(None)
+        while True:
+            generator.send(None)
+    except StopIteration:
+        pass
+
+
+def _file_service_scenario(stray_harvester):
+    from repro.core import DmaRingChannel, DpuFileService, IoRequest, OpCode
+    from repro.hardware import CpuCore, DmaEngine
+    from repro.sim import Environment
+
+    def build():
+        env = Environment()
+        service = DpuFileService(env, None, CpuCore(env), CpuCore(env))
+        # Room for two 40-byte responses: the third waits for a delivery.
+        service.RESPONSE_BUFFER_BYTES = 96
+        service.DELIVERY_BATCH_BYTES = 1
+        channel = DmaRingChannel(env, DmaEngine(env))
+        service.register_channel(channel)
+        buffer = service._response_buffers[id(channel)]
+        in_flight = [buffer.allocate(request_id, 24) for request_id in (1, 2)]
+        delivered = []
+        mark_delivered = buffer.mark_delivered
+        buffer.mark_delivered = lambda batch: (
+            delivered.extend(batch), mark_delivered(batch)
+        )
+
+        def completer():  # the I/O completions, in submission order
+            for response in in_flight:
+                response.complete(ResponseStatus.SUCCESS, b"d" * 24)
+
+        def dma_thread():  # the delivery half of its polling cycle
+            for _cycle in range(4):
+                _drive(service._deliver(channel, force=True))
+
+        def spdk_worker():  # one request through the real intake loop
+            worker = service._spdk_worker()
+            worker.send(None)  # parked on the I/O queue
+            request = IoRequest(OpCode.READ, 3, 1, 0, 24)
+            before = buffer.tail_allocated
+            worker.send((channel, request))
+            for _retry in range(6):  # the back-pressure loop, bounded
+                if buffer.tail_allocated != before:
+                    break
+                worker.send(None)
+            worker.close()
+
+        def stray():
+            for _poll in range(4):
+                buffer.harvest()
+
+        def check(_record=None):
+            buffer.check_invariants()
+            for response in list(buffer._buffered) + delivered:
+                assert response.status is not ResponseStatus.PENDING, (
+                    f"response {response.request_id} passed TailB "
+                    "before its I/O completed"
+                )
+
+        tasks = [
+            ("complete", completer),
+            ("dma", dma_thread),
+            ("stray" if stray_harvester else "spdk",
+             stray if stray_harvester else spdk_worker),
+        ]
+        return (tasks, check, check)
+
+    return Scenario("file-service-harvesters", build)
+
+
+def test_a_second_harvester_races_the_first():
+    # Seen as a PENDING response behind TailB or a pop from an emptied
+    # queue, depending on the schedule.
+    with pytest.raises(ExplorationFailure):
+        explore_random(_file_service_scenario(True), schedules=400)
+
+
+def test_file_service_cores_leave_harvesting_to_the_dma_thread():
+    stats = explore_random(_file_service_scenario(False), schedules=400)
+    assert stats.schedules == 400
+
+
+# ----------------------------------------------------------------------
 # hypothesis property tests (satellite)
 # ----------------------------------------------------------------------
 @given(

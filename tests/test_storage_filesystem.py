@@ -285,3 +285,69 @@ class TestOsFileSystem:
             return env.now
 
         assert timed(use_os=True) > timed(use_os=False)
+
+
+class TestSparseClone:
+    """``clone_into`` copies written extents only (and zeroes a dirty
+    target's), so a mirror of a preallocated database costs nothing."""
+
+    EXTENT = RamDisk.EXTENT_BYTES
+
+    def test_written_runs_cover_exactly_the_written_extents(self):
+        disk = RamDisk(1 << 20)
+        assert disk.written_runs(0, disk.size) == []
+        disk.write(self.EXTENT + 10, b"a")
+        disk.write(4 * self.EXTENT - 1, b"bc")  # straddles extents 3 and 4
+        disk.write(6 * self.EXTENT, b"")  # nothing written
+        assert disk.written_runs(0, disk.size) == [
+            (self.EXTENT, self.EXTENT),
+            (3 * self.EXTENT, 2 * self.EXTENT),
+        ]
+        # Clipped to the range asked about.
+        assert disk.written_runs(self.EXTENT + 5, 10) == [(self.EXTENT + 5, 10)]
+        assert disk.written_runs(4 * self.EXTENT + 7, self.EXTENT) == [
+            (4 * self.EXTENT + 7, self.EXTENT - 7)
+        ]
+        assert disk.written_runs(5 * self.EXTENT, 3 * self.EXTENT) == []
+
+    def _namespace(self):
+        env, disk, fs = make_fs(disk_size=32 << 20)
+        fs.create_directory("db")
+        files = [fs.create_file("db", f"f{i}") for i in range(3)]
+        for fid in files:
+            fs.preallocate(fid, 6 * SEGMENT + 1234)
+        fs.write_sync(files[0], 0, b"head" * 100)
+        fs.write_sync(files[0], 6 * SEGMENT + 1000, b"tail" * 58)
+        fs.write_sync(files[1], 2 * SEGMENT - 3, b"straddle")
+        # files[2] is never written.
+        return env, fs, files
+
+    def test_clone_is_byte_equal_and_leaves_the_rest_untouched(self):
+        env, fs, files = self._namespace()
+        mirror_disk = RamDisk(32 << 20)
+        mirror = DdsFileSystem(
+            env, SpdkBdev(env, mirror_disk), segment_size=SEGMENT
+        )
+        fs.clone_into(mirror)
+        for fid in files:
+            size = fs.file_size(fid)
+            assert mirror.file_size(fid) == size
+            assert mirror.read_sync(fid, 0, size) == fs.read_sync(fid, 0, size)
+        written = sum(
+            length for _start, length in mirror_disk.written_runs(
+                0, mirror_disk.size
+            )
+        )
+        # Four small writes, one of them across a segment boundary.
+        assert 0 < written <= 5 * self.EXTENT
+        assert mirror._written_ranges(files[2]) == []
+
+    def test_clone_zeroes_what_the_target_disk_held_before(self):
+        env, fs, files = self._namespace()
+        dirty = RamDisk(32 << 20)
+        dirty.write(0, b"\xff" * dirty.size)
+        mirror = DdsFileSystem(env, SpdkBdev(env, dirty), segment_size=SEGMENT)
+        fs.clone_into(mirror)
+        for fid in files:
+            size = fs.file_size(fid)
+            assert mirror.read_sync(fid, 0, size) == fs.read_sync(fid, 0, size)
