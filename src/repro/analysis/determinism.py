@@ -1,4 +1,4 @@
-"""DES-determinism checks (DDS301/DDS302/DDS303) for sim-driven code.
+"""DES-determinism checks (DDS301–DDS305) for sim-driven code.
 
 Every experiment in this repo is supposed to be a pure function of its
 configuration and seed (DESIGN.md §4, ``sim/rng.py``): re-running a
@@ -25,6 +25,12 @@ that contract when they leak into sim-driven modules:
   ``(time, seq)`` total order that DESIGN.md §11's fast path — and
   every byte-identical golden — depends on.  Wall-clock reads in the
   same hot paths are already DDS301 findings.
+* **DDS305 — spawn-and-join**: ``yield env.process(gen(...))`` starts
+  a process only to wait for it on the spot: a ``Process`` object and
+  two sequence numbers (its bootstrap and its completion) where
+  ``yield from gen(...)`` costs none and lands on the same instant.
+  A hop kept on purpose, because it decides a same-instant tie the
+  figures depend on, carries a justified suppression.
 """
 
 from __future__ import annotations
@@ -101,12 +107,30 @@ def _call_origin(
     return ".".join(reversed(parts))
 
 
+def _spawns_and_joins(node: ast.Yield) -> bool:
+    """``yield <...>env.process(<call>)``: a process joined on the spot."""
+    call = node.value
+    if not (
+        isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "process"
+        and len(call.args) == 1
+        and isinstance(call.args[0], ast.Call)
+    ):
+        return False
+    owner = call.func.value
+    name = owner.attr if isinstance(owner, ast.Attribute) else (
+        owner.id if isinstance(owner, ast.Name) else None
+    )
+    return name == "env"
+
+
 def check_determinism(
     tree: ast.Module,
     path: str,
     classes: FrozenSet[str],
 ) -> List[Finding]:
-    """Run DDS301/302/303 over one sim-driven module."""
+    """Run DDS301–DDS305 over one sim-driven module."""
     findings: List[Finding] = []
     if "sim" not in classes:
         return findings
@@ -149,6 +173,14 @@ def check_determinism(
                     f"access to engine-private scheduler state "
                     f".{node.attr}: use the engine's public "
                     "scheduling API",
+                )
+            elif isinstance(node, ast.Yield) and _spawns_and_joins(node):
+                report(
+                    "DDS305",
+                    node.lineno,
+                    "spawn-and-join: yield env.process(gen(...)) costs a "
+                    "Process and two sequence numbers; call the layer "
+                    "below with `yield from gen(...)`",
                 )
         if isinstance(node, ast.Call):
             origin = _call_origin(node, imports)

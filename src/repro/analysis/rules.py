@@ -15,7 +15,9 @@ conventions DESIGN.md documents:
 * **sim** — modules driven by the discrete-event simulator, where any
   wall-clock read, process-global randomness, or hash-salt dependence
   would make schedules and benchmark figures unreproducible
-  (DDS301/DDS302/DDS303).
+  (DDS301/DDS302/DDS303); outside the engine they also schedule only
+  through its API (DDS304) and do not spawn a process just to join it
+  (DDS305).
 
 Classification is by path relative to the ``repro`` package root, so the
 registry below is the single place a new module opts into a class.
@@ -64,6 +66,10 @@ RULES: Dict[str, str] = {
     "DDS304": (
         "direct heapq use or scheduler-queue access in sim-driven code "
         "outside the engine's sanctioned scheduling API"
+    ),
+    "DDS305": (
+        "process spawned only to be joined on the spot "
+        "(yield env.process(gen())) in sim-driven code — use yield from"
     ),
     "DDS501": (
         "raw pushdown interpreter call with no lexically preceding "

@@ -41,16 +41,11 @@ class OsFileDevice:
 
     def read(self, offset: int, size: int) -> Generator:
         """Read log bytes through the OS filesystem."""
-        data = yield self.osfs.env.process(
-            self.osfs.read(self.file_id, offset, size)
-        )
-        return data
+        return (yield from self.osfs.read(self.file_id, offset, size))
 
     def write(self, offset: int, data: bytes) -> Generator:
         """Flush log bytes through the OS filesystem."""
-        yield self.osfs.env.process(
-            self.osfs.write(self.file_id, offset, data)
-        )
+        yield from self.osfs.write(self.file_id, offset, data)
 
 
 class DdsFileDevice:

@@ -121,8 +121,8 @@ class _CompletionRouter:
         from ..core.file_library import PollMode
 
         while True:
-            completion = yield self.env.process(
-                self.library.poll_wait(self.group, PollMode.SLEEPING)
+            completion = yield from self.library.poll_wait(
+                self.group, PollMode.SLEEPING
             )
             request_id, ok, data = completion
             waiter = self._waiters.pop(request_id, None)
@@ -177,9 +177,9 @@ def build_kv_cluster(
         def handler(request: IoRequest) -> Generator:
             if request.op is OpCode.WRITE:
                 value = int.from_bytes(request.payload[:8], "little")
-                yield env.process(kv_holder[0].upsert(request.tag, value))
+                yield from kv_holder[0].upsert(request.tag, value)
                 return IoResponse(request.request_id, True)
-            value = yield env.process(kv_holder[0].read(request.tag))
+            value = yield from kv_holder[0].read(request.tag)
             if value is None:
                 return IoResponse(request.request_id, False)
             return IoResponse(
@@ -206,10 +206,10 @@ def build_kv_cluster(
                 # the integration drops it (it is re-cached by
                 # cache-on-write when the tail flushes, §9.2).
                 value = int.from_bytes(request.payload[:8], "little")
-                yield env.process(kv_holder[0].upsert(request.tag, value))
+                yield from kv_holder[0].upsert(request.tag, value)
                 server_holder[0].cache_table.delete(request.tag)
                 return IoResponse(request.request_id, True)
-            value = yield env.process(kv_holder[0].read(request.tag))
+            value = yield from kv_holder[0].read(request.tag)
             if value is None:
                 return IoResponse(request.request_id, False)
             return IoResponse(

@@ -174,12 +174,10 @@ class _PageServerApp:
 
     def _replay_from_log(self, log_server, max_batch: int) -> Generator:
         while True:
-            batch = yield self.env.process(log_server.pull_batch(max_batch))
+            batch = yield from log_server.pull_batch(max_batch)
             for record in batch:
                 self.current_lsn = max(self.current_lsn, record.lsn)
-                yield self.env.process(
-                    self._replay_one(record.page_id, record.lsn)
-                )
+                yield from self._replay_one(record.page_id, record.lsn)
 
     def _replay_loop(self, rate: float) -> Generator:
         while True:
@@ -187,17 +185,15 @@ class _PageServerApp:
             page_id = self.rng.randrange(self.pages)
             self.current_lsn += 1
             lsn = self.current_lsn
-            yield self.env.process(self._replay_one(page_id, lsn))
+            yield from self._replay_one(page_id, lsn)
 
     def _replay_one(self, page_id: int, lsn: int) -> Generator:
         offset = page_id * PAGE_BYTES
         # Read the page (invalidate-on-read fires in the file service),
         # apply the record, write it back (cache-on-write re-caches it).
-        yield self.env.process(self.read_page(offset, PAGE_BYTES))
+        yield from self.read_page(offset, PAGE_BYTES)
         yield from self.host_pool.execute(self.REPLAY_APPLY_COST)
-        yield self.env.process(
-            self.write_page(offset, make_page(page_id, lsn))
-        )
+        yield from self.write_page(offset, make_page(page_id, lsn))
         self.page_lsns[page_id] = lsn
         self.records_replayed += 1
         still_waiting = []
@@ -222,9 +218,7 @@ class _PageServerApp:
             gate = self.env.event()
             self._lsn_waiters.append((page_id, wanted_lsn, gate))
             yield gate
-        data = yield self.env.process(
-            self.read_page(page_id * PAGE_BYTES, PAGE_BYTES)
-        )
+        data = yield from self.read_page(page_id * PAGE_BYTES, PAGE_BYTES)
         self.pages_served += 1
         return IoResponse(request.request_id, True, data)
 
@@ -269,8 +263,7 @@ def build_pageserver_cluster(
         app_holder: List[_PageServerApp] = []
 
         def handler(request: IoRequest) -> Generator:
-            response = yield env.process(app_holder[0].get_page(request))
-            return response
+            return (yield from app_holder[0].get_page(request))
 
         server = BaselineServer(
             env, link, fs, app_handler=handler, app_net_spec=HOST_APP_NET
@@ -290,8 +283,7 @@ def build_pageserver_cluster(
         app_holder = []
 
         def handler(request: IoRequest) -> Generator:
-            response = yield env.process(app_holder[0].get_page(request))
-            return response
+            return (yield from app_holder[0].get_page(request))
 
         callbacks = pageserver_callbacks(rbpex)
         server = DdsOffloadServer(

@@ -82,17 +82,13 @@ class SmbExchange(Stage):
             yield from self.transport.process(request.wire_size)
             yield from self.protocol.process(request.wire_size)
             if request.op is OpCode.READ:
-                data = yield self.env.process(
-                    self.osfs.read(
-                        request.file_id, request.offset, request.size
-                    )
+                data = yield from self.osfs.read(
+                    request.file_id, request.offset, request.size
                 )
                 response = IoResponse(request.request_id, True, data)
             else:
-                yield self.env.process(
-                    self.osfs.write(
-                        request.file_id, request.offset, request.payload
-                    )
+                yield from self.osfs.write(
+                    request.file_id, request.offset, request.payload
                 )
                 response = IoResponse(request.request_id, True)
             yield from self.protocol.process(response.wire_size)

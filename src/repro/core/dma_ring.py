@@ -256,11 +256,8 @@ class RingTransferModel:
                 # the insert (so waiting on the lock / CAS retries count).
                 start = self.env.now
                 while True:
-                    grant = self._insert_path.request()
-                    yield grant
-                    yield self.env.timeout(hold)
+                    yield self._insert_path.hold(hold)
                     inserted = self.ring.try_enqueue(message)
-                    self._insert_path.release()
                     if inserted:
                         self._consume_times[message] = start
                         break

@@ -364,17 +364,13 @@ class DpuFileService:
         self._apply_cache_hooks(request)
         try:
             if request.op is OpCode.READ:
-                data = yield self.env.process(
-                    self.filesystem.read(
-                        request.file_id, request.offset, request.size
-                    )
+                data = yield from self.filesystem.read(
+                    request.file_id, request.offset, request.size
                 )
                 response.complete(ResponseStatus.SUCCESS, data)
             else:
-                yield self.env.process(
-                    self.filesystem.write(
-                        request.file_id, request.offset, request.payload
-                    )
+                yield from self.filesystem.write(
+                    request.file_id, request.offset, request.payload
                 )
                 response.complete(ResponseStatus.SUCCESS)
             self.requests_executed += 1
@@ -400,10 +396,8 @@ class DpuFileService:
                 self.COPY_ALLOC_COST + self.COPY_COST_PER_BYTE * read_op.size
             )
         try:
-            data = yield self.env.process(
-                self.filesystem.read(
-                    read_op.file_id, read_op.offset, read_op.size
-                )
+            data = yield from self.filesystem.read(
+                read_op.file_id, read_op.offset, read_op.size
             )
         except FileSystemError:
             self.request_errors += 1

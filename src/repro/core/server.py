@@ -259,9 +259,7 @@ class PipelineServer(StorageServerBase):
         for stage in self._inbound:
             yield from stage.inbound(flow, message_bytes)
         if self._steering is not None:
-            yield self.env.process(
-                self._steering.steer(flow, requests, arrived)
-            )
+            yield from self._steering.steer(flow, requests, arrived)
             self.requests_served += len(requests)
             return
         replayed: List[IoResponse] = []

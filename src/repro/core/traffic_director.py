@@ -152,10 +152,8 @@ class TrafficDirector:
             # directly through the NIC.
             self.unmatched_messages += 1
             yield self.env.timeout(self.link.spec.host_forward)
-            yield self.env.process(
-                self.host_handler(
-                    list(requests), self._host_direct_sender(respond)
-                )
+            yield from self.host_handler(
+                list(requests), self._host_direct_sender(respond)
             )
             return
         core = self.core_for(flow)
@@ -207,6 +205,14 @@ class TrafficDirector:
         """DPU→DPU hop to the shard that owns these files."""
         yield self.env.timeout(self.link.spec.dpu_forward)
         peer = self.peers[shard_id]
+        # Spawned, not ``yield from``, on purpose: the hop decides a tie
+        # that does happen.  A relay often lands on the peer's core at
+        # the exact instant that core finishes a hold of its own (the
+        # two chains add the same constants in a different order), and
+        # the hop lets the core's own next hold book first, as it always
+        # has.  Inlined, three seeds in ten of the replicated e2e
+        # workload retry differently (DESIGN.md §11).
+        # ddslint: disable=DDS305 -- the hop decides a same-instant tie
         yield self.env.process(peer.receive_relayed(flow, requests, respond))
 
     def receive_relayed(

@@ -133,8 +133,8 @@ class CompressedPageStore:
         if entry is None:
             raise KeyError(f"no such page: {page_id}")
         yield from self.spdk_core.execute(0.35e-6)
-        stored = yield self.env.process(
-            self.fs.read(self.file_id, entry.offset, entry.stored_bytes)
+        stored = yield from self.fs.read(
+            self.file_id, entry.offset, entry.stored_bytes
         )
         if entry.compressed:
             if self.engine is None:
@@ -182,7 +182,7 @@ def run_compressed_read_experiment(
         for _ in range(count):
             page_id = rng.randrange(pages)
             start = env.now
-            page = yield env.process(store.read_page(page_id))
+            page = yield from store.read_page(page_id)
             latencies.append(env.now - start)
             assert store.verify(page_id, page)
 

@@ -167,9 +167,7 @@ def run_dpu_cache_experiment(
             if data is not None:
                 return data
         yield from spdk_core.execute(0.35e-6)
-        data = yield env.process(
-            fs.read(file_id, read_op.offset, read_op.size)
-        )
+        data = yield from fs.read(file_id, read_op.offset, read_op.size)
         if cache is not None:
             cache.fill(read_op, data)
         return data
@@ -178,7 +176,7 @@ def run_dpu_cache_experiment(
         for _ in range(count):
             page_id = zipf.draw()
             start = env.now
-            data = yield env.process(serve_read(page_id))
+            data = yield from serve_read(page_id)
             latencies.append(env.now - start)
             assert data[:8] == page_id.to_bytes(8, "little")
 

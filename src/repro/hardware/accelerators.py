@@ -121,12 +121,7 @@ class HardwareAccelerator:
                 self.job_time(nbytes) * self.software_core.speed
             )
         else:
-            grant = self._channels.request()
-            yield grant
-            try:
-                yield self.env.timeout(self.job_time(nbytes))
-            finally:
-                self._channels.release()
+            yield self._channels.hold(self.job_time(nbytes))
         self.jobs += 1
         self.bytes_processed += nbytes
 

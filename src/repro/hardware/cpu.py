@@ -38,24 +38,15 @@ class CpuCore:
     def execute(self, core_time: float) -> Generator:
         """Run ``core_time`` host-core-seconds of work on this core.
 
-        A process generator: acquires the core, holds it for the scaled
-        duration, releases it, and accrues the busy time.
+        A process generator: holds the core for the scaled duration,
+        behind whatever was queued on it first, and accrues the busy
+        time when the work finishes.
         """
         if core_time < 0:
             raise ValueError("core_time must be non-negative")
-        grant = self._resource.request()
-        yield grant
-        try:
-            duration = core_time / self.speed
-            yield self.env.timeout(duration)
-            self.busy_time += duration
-        finally:
-            self._resource.release()
-
-    @property
-    def queue_length(self) -> int:
-        """Work items waiting for this core."""
-        return self._resource.queue_length
+        duration = core_time / self.speed
+        yield self._resource.hold(duration)
+        self.busy_time += duration
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` this core spent busy."""
@@ -95,14 +86,9 @@ class CpuPool:
         """Run ``core_time`` host-core-seconds of work on any free core."""
         if core_time < 0:
             raise ValueError("core_time must be non-negative")
-        grant = self._resource.request()
-        yield grant
-        try:
-            duration = core_time / self.speed
-            yield self.env.timeout(duration)
-            self.busy_time += duration
-        finally:
-            self._resource.release()
+        duration = core_time / self.speed
+        yield self._resource.hold(duration)
+        self.busy_time += duration
 
     def charge(self, core_time: float) -> None:
         """Account ``core_time`` of work without simulating occupancy.
@@ -114,11 +100,6 @@ class CpuPool:
         if core_time < 0:
             raise ValueError("core_time must be non-negative")
         self.busy_time += core_time / self.speed
-
-    @property
-    def in_use(self) -> int:
-        """Cores currently executing work."""
-        return self._resource.in_use
 
     def cores_consumed(self, elapsed: float) -> float:
         """Average number of cores busy over ``elapsed`` seconds."""

@@ -61,20 +61,17 @@ class NetworkLink:
     def transmit(self, direction: str, payload_bytes: int) -> Generator:
         """Process generator: serialize and propagate one message.
 
-        Completes when the last byte arrives at the far end.  Holding the
-        per-direction TX resource for the serialization time models link
-        contention between concurrent senders.
+        Completes when the last byte arrives at the far end.  Booking
+        the per-direction TX resource for the serialization time models
+        link contention between concurrent senders; nothing happens
+        between the last byte leaving and arriving, so one event covers
+        both.
         """
         if direction not in self._tx:
             raise ValueError(f"unknown direction: {direction!r}")
         wire = self.wire_bytes(payload_bytes)
-        grant = self._tx[direction].request()
-        yield grant
-        try:
-            yield self.env.timeout(wire / self.spec.bandwidth)
-        finally:
-            self._tx[direction].release()
-        yield self.env.timeout(self.spec.propagation)
+        sent = self._tx[direction].book(wire / self.spec.bandwidth)
+        yield self.env.timeout_at(sent + self.spec.propagation)
         stats = self.stats[direction]
         stats.packets += self.packets_for(payload_bytes)
         stats.bytes += wire

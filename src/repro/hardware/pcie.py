@@ -58,8 +58,9 @@ class DmaEngine:
 
     @property
     def in_flight(self) -> int:
-        """Operations holding or waiting for a channel right now."""
-        return self._channels.in_use + self._channels.queue_length
+        """Channels with a transfer booked that has not finished (a
+        channel with more transfers queued behind one counts once)."""
+        return self._channels.in_use
 
     def transfer_time(self, nbytes: int) -> float:
         """Unloaded service time of one DMA op of ``nbytes``."""
@@ -68,9 +69,4 @@ class DmaEngine:
     def _transfer(self, nbytes: int) -> Generator:
         if nbytes < 0:
             raise ValueError("DMA size must be non-negative")
-        grant = self._channels.request()
-        yield grant
-        try:
-            yield self.env.timeout(self.transfer_time(nbytes))
-        finally:
-            self._channels.release()
+        yield self._channels.hold(self.transfer_time(nbytes))

@@ -153,12 +153,7 @@ class NvmeDevice:
             start = self.env.now
             yield self.env.timeout(base + jitter + self._spike_delay())
             self._maybe_fail()  # after seek/service: the op burned time
-            bus_grant = self._bus.request()
-            yield bus_grant
-            try:
-                yield self.env.timeout(size / bandwidth)
-            finally:
-                self._bus.release()
+            yield self._bus.hold(size / bandwidth)
             self.stats.busy_time += self.env.now - start
             if is_write:
                 self.stats.writes += 1

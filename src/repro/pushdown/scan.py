@@ -160,8 +160,8 @@ class PushdownScanner:
     def scan_page(self, page_id: int) -> Generator:
         """Scan one page; returns the matching records at the client."""
         yield from self.spdk_core.execute(0.35e-6)
-        page = yield self.env.process(
-            self.fs.read(self.file_id, page_id * PAGE_BYTES, PAGE_BYTES)
+        page = yield from self.fs.read(
+            self.file_id, page_id * PAGE_BYTES, PAGE_BYTES
         )
         if self.mode == "ship-all":
             # Ship the whole page; the compute node filters.
@@ -183,7 +183,7 @@ class PushdownScanner:
 
         def worker(page_ids):
             for page_id in page_ids:
-                matches = yield self.env.process(self.scan_page(page_id))
+                matches = yield from self.scan_page(page_id)
                 results.extend(matches)
 
         chunks = [
@@ -376,8 +376,8 @@ class PipelineScanner:
     def scan_page(self, page_id: int) -> Generator:
         """Scan one page through the verified engine."""
         yield from self.spdk_core.execute(0.35e-6)
-        page = yield self.env.process(
-            self.fs.read(self.file_id, page_id * PAGE_BYTES, PAGE_BYTES)
+        page = yield from self.fs.read(
+            self.file_id, page_id * PAGE_BYTES, PAGE_BYTES
         )
         if self.placement == "ship-all":
             yield from self.link.transmit("server_to_client", PAGE_BYTES)
@@ -397,7 +397,7 @@ class PipelineScanner:
 
         def worker(page_ids):
             for page_id in page_ids:
-                matches = yield self.env.process(self.scan_page(page_id))
+                matches = yield from self.scan_page(page_id)
                 results.extend(matches)
 
         chunks = [

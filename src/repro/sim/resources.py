@@ -2,8 +2,11 @@
 
 Three primitives cover every contention point in the models:
 
-* :class:`Resource` — a counted semaphore with FIFO queuing.  Used for CPU
-  cores, SSD submission slots, DMA channels, and link arbitration.
+* :class:`Resource` — a counted FIFO server.  CPU cores, DMA channels,
+  link arbitration and the SSD bus *book* their hold times
+  (:meth:`Resource.hold`, one event per hold); SSD submission slots and
+  SMB credits, held for a time not known up front, use
+  ``request()``/``release()``.
 * :class:`Store` — an unbounded (or bounded) FIFO of items with blocking
   ``get``.  Used for packet queues, request queues, and mailboxes between
   simulated threads.
@@ -16,7 +19,7 @@ processes compose them with ``yield``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque, List, Optional
 
 from .engine import Environment, Event, SimulationError
 
@@ -24,10 +27,18 @@ __all__ = ["Resource", "Store", "Container"]
 
 
 class Resource:
-    """A counted resource with FIFO admission.
+    """A counted resource with FIFO admission, used in one of two ways.
 
-    ``request()`` returns an event that triggers when a unit is granted;
-    ``release()`` returns the unit.  The classic pattern::
+    *Booked*: when the holder knows up front how long it needs a unit,
+    :meth:`hold` books the time and returns the one event that marks
+    the end of the hold::
+
+        yield resource.hold(duration)
+
+    *Requested*: when the hold time depends on what happens while
+    holding (an SSD slot held across a wait for the bus, an SMB credit
+    held across a whole request), ``request()`` returns an event that
+    triggers when a unit is granted and ``release()`` returns it::
 
         grant = resource.request()
         yield grant
@@ -35,6 +46,10 @@ class Resource:
             ... hold the resource ...
         finally:
             resource.release()
+
+    A resource is one or the other for its whole life: a booking knows
+    nothing of units handed out by ``request()`` and the reverse, so
+    mixing the two raises :class:`SimulationError`.
     """
 
     def __init__(self, env: Environment, capacity: int = 1) -> None:
@@ -44,10 +59,15 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiting: Deque[Event] = deque()
+        #: Booked mode: the instant each unit's last booking ends.
+        self._free_at: Optional[List[float]] = None
 
     @property
     def in_use(self) -> int:
-        """Number of granted, not-yet-released units."""
+        """Units granted and not yet released, or booked past now."""
+        if self._free_at is not None:
+            now = self.env.now
+            return sum(1 for end in self._free_at if end > now)
         return self._in_use
 
     @property
@@ -55,8 +75,38 @@ class Resource:
         """Number of requests waiting for a unit."""
         return len(self._waiting)
 
+    def book(self, duration: float) -> float:
+        """Book the earliest-free unit for ``duration``; returns the end.
+
+        The hold starts when every earlier booking that could delay it
+        has finished (FIFO), or now.  The returned instant is the float
+        a holder that waited for a grant and then slept ``duration``
+        would wake at: the previous holder's end, or now, plus
+        ``duration`` in one addition.
+        """
+        if duration < 0:
+            raise ValueError(f"negative hold duration: {duration}")
+        free_at = self._free_at
+        if free_at is None:
+            if self._in_use:
+                raise SimulationError("hold() on a resource with requests")
+            free_at = self._free_at = [self.env.now] * self.capacity
+        start = min(free_at)
+        unit = free_at.index(start)
+        now = self.env.now
+        end = (start if start > now else now) + duration
+        free_at[unit] = end
+        return end
+
+    def hold(self, duration: float) -> Event:
+        """Hold a unit for ``duration``, queueing FIFO; the event
+        triggers at the end of the hold."""
+        return self.env.timeout_at(self.book(duration))
+
     def request(self) -> Event:
         """Return an event that triggers when a unit is granted."""
+        if self._free_at is not None:
+            raise SimulationError("request() on a resource with bookings")
         event = self.env.event()
         if self._in_use < self.capacity:
             self._in_use += 1

@@ -43,6 +43,11 @@ class RamDisk:
     def read(self, offset: int, size: int) -> bytes:
         """Read ``size`` bytes at ``offset``."""
         self._check(offset, size)
+        extent = self.EXTENT_BYTES
+        stop = -(-(offset + size) // extent)
+        if self._written.find(1, offset // extent, stop) < 0:
+            # Never written: zeros, without faulting the buffer's pages.
+            return bytes(size)
         return bytes(self._data[offset : offset + size])
 
     def write(self, offset: int, data: bytes) -> None:

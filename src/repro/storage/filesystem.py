@@ -185,17 +185,23 @@ class DdsFileSystem:
                 meta.extents.append_segment(self.allocator.allocate())
             except StorageFullError as exc:
                 raise FileSystemError("device is full") from exc
-        completions = []
-        cursor = 0
-        for run in meta.extents.translate(offset, len(data)):
-            chunk = data[cursor : cursor + run.length]
-            completions.append(self.bdev.submit_write(run.disk_offset, chunk))
-            cursor += run.length
-        if completions:
-            try:
+        runs = meta.extents.translate(offset, len(data))
+        try:
+            if len(runs) == 1:
+                # One run, the common case: nothing to fork or join.
+                yield from self.bdev.write(runs[0].disk_offset, data)
+            elif runs:
+                completions = []
+                cursor = 0
+                for run in runs:
+                    chunk = data[cursor : cursor + run.length]
+                    completions.append(
+                        self.bdev.submit_write(run.disk_offset, chunk)
+                    )
+                    cursor += run.length
                 yield self.env.all_of(completions)
-            except DeviceError as exc:
-                raise FileSystemError(f"device write failed: {exc}") from exc
+        except DeviceError as exc:
+            raise FileSystemError(f"device write failed: {exc}") from exc
         meta.size = max(meta.size, end)
 
     def preallocate(self, file_id: int, size: int) -> None:
@@ -303,14 +309,17 @@ class DdsFileSystem:
             raise FileSystemError(
                 f"read [{offset}, {offset + size}) beyond EOF at {meta.size}"
             )
-        completions = [
-            self.bdev.submit_read(run.disk_offset, run.length)
-            for run in meta.extents.translate(offset, size)
-        ]
-        if not completions:
+        runs = meta.extents.translate(offset, size)
+        if not runs:
             return b""
         try:
-            results = yield self.env.all_of(completions)
+            if len(runs) == 1:
+                return (
+                    yield from self.bdev.read(runs[0].disk_offset, size)
+                )
+            results = yield self.env.all_of(
+                [self.bdev.submit_read(r.disk_offset, r.length) for r in runs]
+            )
         except DeviceError as exc:
             raise FileSystemError(f"device read failed: {exc}") from exc
         return b"".join(results)

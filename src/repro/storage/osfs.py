@@ -70,11 +70,10 @@ class OsFileSystem:
         """Kernel read: syscall + FS CPU, kernel latency, device I/O."""
         yield from self.layer.process(size)
         yield from self.serializer.execute(self.READ_SERIAL)
-        data = yield self.env.process(self.inner.read(file_id, offset, size))
-        return data
+        return (yield from self.inner.read(file_id, offset, size))
 
     def write(self, file_id: int, offset: int, data: bytes) -> Generator:
         """Kernel write: syscall + FS CPU, kernel latency, device I/O."""
         yield from self.layer.process(len(data))
         yield from self.serializer.execute(self.WRITE_SERIAL)
-        yield self.env.process(self.inner.write(file_id, offset, data))
+        yield from self.inner.write(file_id, offset, data)

@@ -776,8 +776,8 @@ class ShardedOffloadServer(PipelineServer):
         wire_bytes = 0
         stats = ExecStats()
         for page_id in range(pages):
-            page = yield self.env.process(
-                filesystem.read(file_id, page_id * page_bytes, page_bytes)
+            page = yield from filesystem.read(
+                file_id, page_id * page_bytes, page_bytes
             )
             # Ship-all: the whole page crosses the wire and the host
             # transport before any operator runs.

@@ -221,19 +221,15 @@ class OsFileExecution(Stage):
         yield from self.app_other.process(request.wire_size)
         try:
             if self.app_handler is not None:
-                response = yield self.env.process(self.app_handler(request))
+                response = yield from self.app_handler(request)
             elif request.op is OpCode.READ:
-                data = yield self.env.process(
-                    self.osfs.read(
-                        request.file_id, request.offset, request.size
-                    )
+                data = yield from self.osfs.read(
+                    request.file_id, request.offset, request.size
                 )
                 response = IoResponse(request.request_id, True, data)
             else:
-                yield self.env.process(
-                    self.osfs.write(
-                        request.file_id, request.offset, request.payload
-                    )
+                yield from self.osfs.write(
+                    request.file_id, request.offset, request.payload
                 )
                 response = IoResponse(request.request_id, True)
         except FileSystemError:
@@ -284,8 +280,8 @@ class DdsHostSide:
 
     def _completion_pump(self, group) -> Generator:
         while True:
-            completion = yield self.env.process(
-                self.library.poll_wait(group, PollMode.SLEEPING)
+            completion = yield from self.library.poll_wait(
+                group, PollMode.SLEEPING
             )
             request_id, ok, data = completion
             waiter = self._waiters.pop(request_id, None)
@@ -452,10 +448,8 @@ class PushdownExecution(Stage):
         selected: List[Tuple[int, bytes]] = []
         for page_id in range(pages):
             yield from self.spdk_core.execute(0.35e-6)
-            page = yield self.env.process(
-                self.filesystem.read(
-                    file_id, page_id * page_bytes, page_bytes
-                )
+            page = yield from self.filesystem.read(
+                file_id, page_id * page_bytes, page_bytes
             )
             outcome = yield from engine.execute_page(token, page)
             for slot, record in outcome.selected:

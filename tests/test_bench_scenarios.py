@@ -7,8 +7,9 @@ smoke-mode peak IOPS are pinned to the literals the pre-kit hand-rolled
 builders produced, so a kit change that reorders a single scheduled
 event — or a second run that diverges from the first — fails here
 rather than in a regenerated ``BENCH_*.json``.  The event counts are
-those of the same runs with the DMA threads' empty polls elided
-(DESIGN.md §11), which moved nothing else.
+those of the same runs with the DMA threads' empty polls elided, FIFO
+holds booked with one event each and single-run I/O inlined
+(DESIGN.md §11), none of which moved anything else.
 """
 
 import pytest
@@ -17,8 +18,8 @@ from repro.bench.trajectory import run_workload
 
 #: name -> (events, peak_iops), smoke mode.
 PINNED = {
-    "chaos": (55493, 839449.8),
-    "resharding": (333038, 149527.7),
+    "chaos": (32424, 839449.8),
+    "resharding": (191381, 149527.7),
 }
 
 

@@ -204,6 +204,23 @@ def test_engine_itself_is_exempt_from_dds304():
     assert all(f.rule != "DDS304" for f in findings)
 
 
+def test_spawn_and_join_exact_rules_and_lines():
+    """DDS305: a process started only to be waited for on the spot."""
+    findings = _lint("spawn_join.py", SIM_HOT)
+    assert _inventory(findings) == [
+        ("DDS305", 10),  # data = yield self.env.process(gen(...))
+        ("DDS305", 14),  # yield env.process(gen(...)) over three lines
+    ]
+    kept = [f for f in findings if f.suppressed]
+    assert [(f.rule, f.line) for f in kept] == [("DDS305", 20)]
+    assert kept[0].justification == "the hop decides a same-instant tie"
+
+
+def test_spawn_and_join_only_applies_to_hot_sim_modules():
+    assert _lint("spawn_join.py", SIM) == []
+    assert _lint("spawn_join.py", SHARED) == []
+
+
 def test_pushdown_admission_exact_rules_and_lines():
     """DDS501/DDS502: raw execution and forged proof tokens."""
     findings = _lint("pushdown_bad.py", OFFLOAD)
@@ -240,6 +257,7 @@ def test_rule_registry_covers_every_reported_rule():
         ("shared_bad.py", SHARED | INSTRUMENTED),
         ("sim_bad.py", SIM),
         ("scheduler_bypass.py", SIM_HOT),
+        ("spawn_join.py", SIM_HOT),
         ("pushdown_bad.py", OFFLOAD),
     ]:
         rules.update(f.rule for f in _lint(fixture, classes))

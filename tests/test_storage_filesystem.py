@@ -310,6 +310,31 @@ class TestSparseClone:
         ]
         assert disk.written_runs(5 * self.EXTENT, 3 * self.EXTENT) == []
 
+    def test_reading_never_written_extents_touches_no_page(self):
+        """A read before any write is zeros off the ever-written map,
+        not a slice of the (shared, anonymous) mmap: slicing faults the
+        pages in, which made a read-only run on a preallocated file as
+        resident as a written one."""
+        disk = RamDisk(8 << 20)
+
+        class Untouchable:
+            def __getitem__(self, _key):
+                raise AssertionError("read sliced the backing buffer")
+
+        backing, disk._data = disk._data, Untouchable()
+        assert disk.read(0, 4096) == bytes(4096)
+        assert disk.read(3 * self.EXTENT - 7, 2 * self.EXTENT) == bytes(
+            2 * self.EXTENT
+        )
+        assert disk.read(5, 0) == b""
+        assert disk.written_runs(0, disk.size) == []
+        disk._data = backing
+        # A range that straddles a written extent is the real bytes.
+        disk.write(2 * self.EXTENT - 2, b"abcd")
+        assert disk.read(2 * self.EXTENT - 4, 8) == b"\0\0abcd\0\0"
+        assert disk.read(self.EXTENT - 1, self.EXTENT + 1)[-3:] == b"\0ab"
+        assert disk.read(0, self.EXTENT) == bytes(self.EXTENT)
+
     def _namespace(self):
         env, disk, fs = make_fs(disk_size=32 << 20)
         fs.create_directory("db")
