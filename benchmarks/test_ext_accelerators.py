@@ -14,7 +14,7 @@ proposal on the reproduced system.
 
 from _tables import emit, kops, us
 
-from repro.extensions import run_compressed_read_experiment
+from repro.apps.compressed_storage import run_compressed_read_experiment
 from repro.pushdown.scan import run_pushdown_experiment
 
 

@@ -139,7 +139,7 @@ class LintConfig:
     #: Modules that host or dispatch offload programs: raw interpreter
     #: calls need a preceding verify (DDS501) and proof tokens must come
     #: from the verifier (DDS502, DESIGN.md §14).
-    offload_prefixes: Tuple[str, ...] = ("extensions/", "pushdown/")
+    offload_prefixes: Tuple[str, ...] = ("pushdown/",)
     #: The pushdown machinery itself — the interpreter (calls itself),
     #: the verifier (mints the tokens), and the engine (the sanctioned
     #: redeemer) — is where the admission discipline is *implemented*,

@@ -1,4 +1,9 @@
-"""Production-system integrations (§9): page server and FASTER KV."""
+"""Production-system integrations (§9): page server and FASTER KV.
+
+Plus two §10/§11 page-serving experiments that extend them, imported
+by module: :mod:`~repro.apps.dpu_cache`, :mod:`~repro.apps.
+compressed_storage`.
+"""
 
 from .compute import ComputeServer, LogRecord, LogServer
 from .faster import RECORD, DdsFileDevice, FasterKv, OsFileDevice

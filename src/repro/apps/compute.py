@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, List, Optional
 
 from ..core.messages import IoRequest, IoResponse, OpCode
 from ..hardware.nic import NetworkLink

@@ -43,7 +43,6 @@ from ..structures.cuckoo import CuckooCacheTable
 from ..structures.memory import BufferPool
 from ..topology.stages import (
     DdsBackend,
-    DdsHostSide,
     DirectorSteering,
     OsFileExecution,
     Stage,
@@ -66,10 +65,6 @@ __all__ = [
     "DdsLibraryServer",
     "DdsOffloadServer",
 ]
-
-#: Backwards-compatible name for the host-side logic, which moved to
-#: :mod:`repro.topology.stages` when the servers became compositions.
-_DdsHostSide = DdsHostSide
 
 
 class StorageServerBase:
@@ -152,14 +147,11 @@ class StorageServerBase:
     # resilience (chaos deployments opt in; figures never pay for it)
     # ------------------------------------------------------------------
     def enable_resilience(
-        self,
-        dedup_capacity: int = 1 << 16,
-        breaker_threshold: int = 4,
-        breaker_recovery: float = 500e-6,
+        self, dedup_capacity: int = 1 << 16
     ) -> RequestDedup:
-        """Install request-id dedup (and, where the deployment has an
-        offload engine, a host-fallback circuit breaker).  Returns the
-        dedup table so scenarios can audit it after the run."""
+        """Install request-id dedup (deployments with an offload engine
+        add a host-fallback circuit breaker).  Returns the dedup table
+        so scenarios can audit it after the run."""
         self.dedup = RequestDedup(self.env, capacity=dedup_capacity)
         return self.dedup
 

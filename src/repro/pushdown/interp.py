@@ -32,7 +32,6 @@ from .isa import (
     STACK_LIMIT,
     WIDTHS,
     Geometry,
-    Instruction,
     Op,
     Pipeline,
     Program,

@@ -1,10 +1,10 @@
 """Datapath QoS: per-tenant admission, bounded queues, and DRR dispatch.
 
-This is `extensions/multitenancy.py`'s deficit-round-robin scheduler
-graduated into the real sharded datapath (DESIGN §15).  The gate sits
-between wire ingress and shard steering as an opt-in topology stage
-(:meth:`~repro.topology.sharding.ShardedOffloadServer.enable_qos`), and
-applies four overload defenses in order:
+The repo's one deficit-round-robin scheduler, on the real sharded
+datapath (DESIGN §15).  The gate interposes between wire ingress and
+shard steering as an opt-in topology stage (:meth:`~repro.topology.
+sharding.ShardedOffloadServer.enable_qos` makes it the pipeline's
+steering entry), and applies four overload defenses in order:
 
 1. **Admission control** — a token bucket per tenant plus one global
    bucket.  A request that finds no token is shed *immediately* with an
@@ -195,7 +195,7 @@ class TenantQosGate(Stage):
     """The admission → queue → shed → DRR-dispatch pipeline stage.
 
     ``service`` is the downstream steering entry point
-    (:meth:`~repro.topology.sharding.ShardedSteering.steer_direct`);
+    (:meth:`~repro.topology.sharding.ShardedSteering.steer`);
     ``dedup_source`` returns the deployment's live dedup table (or
     None) so sheds of already-completed retries replay instead of
     throttling; ``observer`` (an
@@ -292,8 +292,18 @@ class TenantQosGate(Stage):
         return self._inflight
 
     # ------------------------------------------------------------------
-    # intake (called synchronously from the steering stage)
+    # intake (synchronous: the pipeline's steering entry never blocks,
+    # so ingress sees backpressure as responses, not queueing)
     # ------------------------------------------------------------------
+    def steer(
+        self,
+        flow: FiveTuple,
+        requests: Sequence[IoRequest],
+        respond: Callable,
+    ) -> Generator:
+        self.intake(flow, requests, respond)
+        yield from ()
+
     def intake(
         self,
         flow: FiveTuple,

@@ -46,11 +46,18 @@ from ..core.traffic_director import TrafficDirector
 from ..sim import Environment
 from ..storage.filesystem import FileSystemError
 from ..structures.atomics import AtomicCounter
+from .stages import ShardLifecycle
 
 if TYPE_CHECKING:
-    from .sharding import ShardedOffloadServer
+    from .sharding import OffloadShard, ShardedOffloadServer
 
-__all__ = ["WriteRecord", "CommitRecord", "ReplicaGroup", "ShardReplicator"]
+__all__ = [
+    "WriteRecord",
+    "CommitRecord",
+    "ReplicaGroup",
+    "ShardReplicator",
+    "relay_write",
+]
 
 
 def _digest(payload: bytes) -> str:
@@ -328,11 +335,44 @@ class ReplicaGroup:
             self.last_adoption = (member, mark, len(self.log))
 
 
-class ShardReplicator:
+def relay_write(
+    server: "ShardedOffloadServer", sender: int, peer: int, request: IoRequest
+) -> Generator:
+    """Ship one applied write ``sender`` → ``peer`` over the relay fabric.
+
+    Charged like the §5.3 bump-in-the-wire forward the relay path
+    already pays: Arm-core forward cost on the sender, the DPU→DPU hop,
+    receive cost on the peer, then a device-timed write into the peer's
+    filesystem (fetched at write time: a recovery replaces the object).
+    Returns False when the peer was dark at the far end of the hop or
+    died mid-write — the caller must not count the apply.  A device
+    refusal propagates as :class:`FileSystemError`.
+    """
+    link = server.link
+    packets = link.packets_for(request.wire_size)
+    yield from server.shards[sender].cores[0].execute(
+        TrafficDirector.FORWARD_COST_PER_PACKET * packets
+    )
+    yield server.env.timeout(link.spec.dpu_forward)
+    if not server.shards[peer].alive:
+        return False
+    yield from server.shards[peer].cores[0].execute(
+        TrafficDirector.RX_COST_PER_PACKET * packets
+    )
+    yield from server.filesystems[peer].write(
+        request.file_id, request.offset, request.payload or b""
+    )
+    return server.shards[peer].alive
+
+
+class ShardReplicator(ShardLifecycle):
     """Drives the replication protocol over a sharded deployment.
 
-    Constructed by :meth:`ShardedOffloadServer.enable_replication`; the
-    optional ``observer`` (a
+    Constructed by :meth:`ShardedOffloadServer.enable_replication`,
+    which registers it as a shard-lifecycle member (the ``shard_*``
+    hooks below hold the protocol's order at each membership change)
+    and puts :meth:`replicate` at the head of the write-commit chain.
+    The optional ``observer`` (a
     :class:`~repro.faults.durability.ReplicationInvariantChecker`)
     receives a synchronous callback at every protocol step:
     ``on_append``, ``on_apply``, ``on_commit``, ``on_handoff``,
@@ -342,6 +382,8 @@ class ShardReplicator:
     #: Poll interval while a resize waits for its completion-triggered
     #: backup swap (and the stall-detection horizon for re-backfills).
     ADOPT_TICK = 250e-6
+    #: A replica group needs two distinct members.
+    min_shards = 2
 
     def __init__(
         self,
@@ -357,6 +399,8 @@ class ShardReplicator:
         self.env = env
         self.server = server
         self.observer = observer
+        if observer is not None:
+            observer.attach(self)
         # Keyspace k's group is (primary=k, backup=next live member in
         # cyclic order) — identical to (k+1) % N while membership is
         # contiguous, and well-defined after drains leave holes.
@@ -471,16 +515,27 @@ class ShardReplicator:
         if self.observer is not None:
             self.observer.on_apply(group, record, executor, catchup=False)
         peer = group.backup if executor == group.primary else group.primary
-        if self._alive(peer):
-            yield from self._mirror_to(executor, peer, group, record, request)
+        if (
+            self._alive(peer)
+            and (yield from self._mirror(executor, peer, request))
+            # The pairing may have resized while the mirror was in
+            # flight: the old backup took the bytes but left the group
+            # — its copy is history, not quorum.
+            and peer in group.members
+        ):
+            group.mark_applied(peer, record.lsn)
+            self._mirrored.fetch_add(1)
+            if self.observer is not None:
+                self.observer.on_apply(group, record, peer, catchup=False)
         for joiner in group.joiners:
             # Resize in progress: keep the prospective backup current so
             # the backfill's prefix stays fixed.  Outside the quorum —
-            # marked synced, not applied.
-            if self._alive(joiner):
-                yield from self._mirror_to_joiner(
-                    executor, joiner, group, record, request
-                )
+            # marked synced, not applied — so the runtime checker's
+            # RI2/RI3 membership rules never see a joiner.
+            if self._alive(joiner) and (
+                yield from self._mirror(executor, joiner, request)
+            ):
+                group.mark_synced(joiner, (record.lsn,))
         applied = tuple(
             m for m in group.members if group.has_applied(m, record.lsn)
         )
@@ -502,112 +557,44 @@ class ShardReplicator:
             self.observer.on_commit(group, record, commit)
         return True
 
-    def _mirror_to(
-        self,
-        executor: int,
-        peer: int,
-        group: ReplicaGroup,
-        record: WriteRecord,
-        request: IoRequest,
+    def _mirror(
+        self, executor: int, peer: int, request: IoRequest
     ) -> Generator:
-        """One synchronous backup apply over the director relay fabric.
+        """One synchronous :func:`relay_write` to a member or joiner.
 
-        Charged like the §5.3 bump-in-the-wire forward the relay path
-        already pays: Arm-core forward cost on the executor, the DPU→DPU
-        fabric hop, receive cost on the peer, then a device-timed write
-        into the peer's filesystem.
+        False when the bytes did not land on a live peer: it died in
+        flight (catch-up, or the backfill loop, re-replays the entry
+        idempotently after recovery), or its device refused the write —
+        which then stays below quorum, and the runtime checker flags
+        its ack.
         """
-        server = self.server
-        link = server.link
-        packets = link.packets_for(request.wire_size)
-        yield from server.shards[executor].cores[0].execute(
-            TrafficDirector.FORWARD_COST_PER_PACKET * packets
-        )
-        yield self.env.timeout(link.spec.dpu_forward)
-        if not self._alive(peer):
-            return  # the peer died in flight: catch-up will replay
-        yield from server.shards[peer].cores[0].execute(
-            TrafficDirector.RX_COST_PER_PACKET * packets
-        )
         try:
-            yield from server.filesystems[peer].write(
-                record.file_id, record.offset, record.payload
-            )
-        except FileSystemError:
-            # The peer's device refused the mirror: the write stays
-            # below quorum and the runtime checker flags its ack.
-            self._mirror_failures.fetch_add(1)
-            return
-        if not self._alive(peer):
-            # Died mid-write: do not count the apply — anti-entropy
-            # re-replays it idempotently during recovery.
-            return
-        if peer not in group.members:
-            # The pairing resized while this mirror was in flight: the
-            # old backup took the bytes but left the group — its copy
-            # is history, not quorum.
-            return
-        group.mark_applied(peer, record.lsn)
-        self._mirrored.fetch_add(1)
-        if self.observer is not None:
-            self.observer.on_apply(group, record, peer, catchup=False)
-
-    def _mirror_to_joiner(
-        self,
-        executor: int,
-        joiner: int,
-        group: ReplicaGroup,
-        record: WriteRecord,
-        request: IoRequest,
-    ) -> Generator:
-        """Mirror one write to a prospective backup mid-resize.
-
-        Same relay-fabric cost model as :meth:`_mirror_to`, but the
-        apply lands in the *synced* ledger — a joiner is outside the
-        quorum until :meth:`ReplicaGroup.adopt_backup` admits it, so
-        the runtime checker's RI2/RI3 membership rules never see it.
-        """
-        server = self.server
-        link = server.link
-        packets = link.packets_for(request.wire_size)
-        yield from server.shards[executor].cores[0].execute(
-            TrafficDirector.FORWARD_COST_PER_PACKET * packets
-        )
-        yield self.env.timeout(link.spec.dpu_forward)
-        if not self._alive(joiner):
-            return  # the backfill loop re-replays it after recovery
-        yield from server.shards[joiner].cores[0].execute(
-            TrafficDirector.RX_COST_PER_PACKET * packets
-        )
-        try:
-            yield from server.filesystems[joiner].write(
-                record.file_id, record.offset, record.payload
+            return (
+                yield from relay_write(self.server, executor, peer, request)
             )
         except FileSystemError:
             self._mirror_failures.fetch_add(1)
-            return
-        if not self._alive(joiner):
-            return
-        group.mark_synced(joiner, (record.lsn,))
+            return False
 
     # ------------------------------------------------------------------
     # failover
     # ------------------------------------------------------------------
-    def on_kill(self, index: int) -> None:
-        """Deterministic leader handoff after ``kill_shard(index)``.
+    def shard_killed(self, shard: "OffloadShard") -> None:
+        """Deterministic leader handoff after ``kill_shard``.
 
         Runs synchronously inside ``kill_shard`` (no simulation yield
         between the alive flip and the re-election), so the backup
         serves the dead shard's keyspace from the very next event.
         """
-        self._reelect(index)
+        self._reelect(shard.index)
 
-    def on_rejoin(self, index: int) -> None:
-        """Hand leadership back after catch-up completed."""
-        self._reelect(index)
+    def shard_recovered(self, shard: "OffloadShard") -> None:
+        """Hand leadership back: no yield since catch-up's final check,
+        so the rejoin is atomic with the alive flip."""
+        self._reelect(shard.index)
         if self.observer is not None:
-            for group in self._groups_of(index):
-                self.observer.on_rejoin(group, index)
+            for group in self._groups_of(shard.index):
+                self.observer.on_rejoin(group, shard.index)
 
     def _reelect(self, index: int) -> None:
         for group in self._groups_of(index):
@@ -629,18 +616,20 @@ class ShardReplicator:
     # ------------------------------------------------------------------
     # anti-entropy catch-up
     # ------------------------------------------------------------------
-    def catch_up(self, index: int) -> Generator:
+    def shard_recovering(self, shard: "OffloadShard") -> Generator:
         """Replay the survivor's log into a recovered member.
 
         Runs inside ``recover_shard`` after the filesystem is rebuilt
-        from raw disk and *before* the shard is marked alive: every log
-        entry the member missed is re-written (device-timed, in lsn
-        order).  Writes keep landing on the acting leader while this
-        runs; the loop re-checks the log length after every replay and
-        returns with **no trailing yield**, so the caller's alive flip +
-        rejoin happen atomically after the final check — there is no
-        window for a write to slip past both catch-up and mirroring.
+        from raw disk and *before* the shard is marked alive (and before
+        leadership moves back): every log entry the member missed is
+        re-written (device-timed, in lsn order).  Writes keep landing on
+        the acting leader while this runs; the loop re-checks the log
+        length after every replay and returns with **no trailing
+        yield**, so the caller's alive flip + rejoin happen atomically
+        after the final check — there is no window for a write to slip
+        past both catch-up and mirroring.
         """
+        index = shard.index
         for group in self._groups_of(index):
             while True:
                 lsn = group.next_unapplied(index)
@@ -660,6 +649,23 @@ class ShardReplicator:
     # ------------------------------------------------------------------
     # elastic resize
     # ------------------------------------------------------------------
+    def shard_added(self, shard: "OffloadShard") -> Generator:
+        """Pair a freshly wired shard before any file flips to it.
+
+        The clone is a byte-copy of shard 0's disk taken with no
+        intervening yield: credit it with shard 0's applied prefixes so
+        the resize backfill only replays the tail.  Then re-derive the
+        (k, next-live-k) pairing: the new keyspace's group must exist
+        (and the re-paired backup be synced) by cutover time.
+        """
+        self.seed_from_clone(shard.index, source=0)
+        yield from self.resize()
+
+    def shard_retired(self, shard: "OffloadShard") -> Generator:
+        """After the last flip nothing routes to the drained keyspace:
+        the pairing re-derives without it (device-timed backup sync)."""
+        yield from self.resize()
+
     def seed_from_clone(self, member: int, source: int) -> None:
         """Credit a freshly cloned shard with ``source``'s applied
         prefixes.
@@ -680,20 +686,19 @@ class ShardReplicator:
     def resize(self) -> Generator:
         """Re-derive the backup pairing for the current live membership.
 
-        Called by :meth:`ShardedOffloadServer.add_shard` (after the new
-        shard is wired, *before* any keyspace flips to it) and by
-        :meth:`~ShardedOffloadServer.drain_shard` (after the drained
-        shard's migration, before it is retired).  The pairing is the
-        same rule ``__init__`` uses — backup = next live member in
-        cyclic order — so a contiguous membership reproduces the
-        original ``(k + 1) % N`` groups exactly.
+        Runs from :meth:`shard_added` (after the new shard is wired,
+        *before* any keyspace flips to it) and :meth:`shard_retired`
+        (after the drained shard's migration and tombstone).  The
+        pairing is the same rule ``__init__`` uses — backup = next live
+        member in cyclic order — so a contiguous membership reproduces
+        the original ``(k + 1) % N`` groups exactly.
 
         Each changed group is resized in two steps: the prospective
         backup is *synced* (the log prefix it is missing is replayed
         into its filesystem, device-timed, while writes keep landing on
         the primary), then *adopted* with no simulation yield after the
         final sync check — the same no-dark-window discipline as
-        :meth:`catch_up`.  RI1–RI5 hold throughout because the old
+        :meth:`shard_recovering`.  RI1–RI5 hold throughout because the old
         backup stays in the group (still mirroring, still quorum) until
         the instant the new one is fully caught up.
         """

@@ -43,6 +43,7 @@ from ..core.messages import IoRequest
 from ..core.traffic_director import TrafficDirector
 from ..sim import Environment, Interrupt
 from ..structures.atomics import AtomicCounter
+from .replication import relay_write
 
 if TYPE_CHECKING:
     from .sharding import ShardedOffloadServer
@@ -294,8 +295,8 @@ class ReshardingCoordinator:
         return True
 
     # ------------------------------------------------------------------
-    # datapath hook (called by the server after each applied write,
-    # before its ack is released)
+    # write-commit chain link (run by the server after each applied
+    # write, before its ack is released; after the quorum link)
     # ------------------------------------------------------------------
     def on_write_applied(
         self, executor: int, request: IoRequest
@@ -308,7 +309,10 @@ class ReshardingCoordinator:
         flipped away from ``executor``, the payload is forwarded to the
         current owner before the ack (device-timed); replicated
         deployments never reach that branch — their stragglers fail
-        below quorum and retry onto the new owner.
+        below quorum and retry onto the new owner.  Either way the ack
+        implies the owning shard holds the bytes: the return value is
+        False (fail the ack, the client retries onto the owner) only
+        when a forward could not land because the owner went dark.
         """
         file_id = request.file_id
         with self._lock:
@@ -322,14 +326,17 @@ class ReshardingCoordinator:
                     )
                     for chunk_index in range(first, last + 1):
                         dirty.add(chunk_index)
-                return
+                return True
             moved = file_id in self._moved
         if not moved:
-            return
+            return True
         owner = self._routed_owner(file_id)
         if executor == owner:
-            return
-        yield from self._forward_straggler(executor, owner, request)
+            return True
+        landed = yield from relay_write(self.server, executor, owner, request)
+        if landed:
+            self._straggler_forwards.fetch_add(1)
+        return landed
 
     def _routed_owner(self, file_id: int) -> int:
         owner = self.server.shard_map.owner(file_id)
@@ -337,23 +344,6 @@ class ReshardingCoordinator:
         if replicator is not None and owner in replicator.groups:
             return replicator.leader_of(owner)
         return owner
-
-    def _forward_straggler(
-        self, executor: int, owner: int, request: IoRequest
-    ) -> Generator:
-        server, link = self.server, self.server.link
-        packets = link.packets_for(request.wire_size)
-        yield from server.shards[executor].cores[0].execute(
-            TrafficDirector.FORWARD_COST_PER_PACKET * packets
-        )
-        yield self.env.timeout(link.spec.dpu_forward)
-        yield from server.shards[owner].cores[0].execute(
-            TrafficDirector.RX_COST_PER_PACKET * packets
-        )
-        yield from server.filesystems[owner].write(
-            request.file_id, request.offset, request.payload or b""
-        )
-        self._straggler_forwards.fetch_add(1)
 
 
 class ShardAutoscaler:

@@ -50,11 +50,11 @@ from ..storage.filesystem import DdsFileSystem
 from ..structures.atomics import AtomicCounter
 from ..structures.cuckoo import CuckooCacheTable
 from ..structures.memory import BufferPool
-from .replication import ShardReplicator
 from .stages import (
     DdsBackend,
     PushdownExecution,
     PushdownScanOutcome,
+    ShardLifecycle,
     Stage,
     StageKind,
     WireIngress,
@@ -107,15 +107,12 @@ class ConsistentHashShardMap:
             raise ValueError("vnodes must be >= 1")
         self.shard_count = shard_count
         self.vnodes = vnodes
-        #: Bumped on every membership change; pins carry the epoch they
-        #: were created under so "old epoch drains, new epoch owns" is
-        #: observable per file.
+        #: Bumped on every membership change.
         self.epoch = 0
         self._members = list(range(shard_count))
-        #: file_id -> (previous-epoch owner, epoch at pin time).  Empty
-        #: whenever no migration is in flight — the fixed-N fast path
-        #: costs one falsy check.
-        self._pins: Dict[int, Tuple[int, int]] = {}
+        #: file_id -> previous-epoch owner.  Empty whenever no migration
+        #: is in flight — the fixed-N fast path costs one falsy check.
+        self._pins: Dict[int, int] = {}
         self._lock = threading.Lock()
         ring = []
         for shard in range(shard_count):
@@ -145,7 +142,7 @@ class ConsistentHashShardMap:
         if self._pins:
             pinned = self._pins.get(file_id)
             if pinned is not None:
-                return pinned[0]
+                return pinned
         if self.shard_count == 1:
             return self._members[0]
         index = bisect_right(self._points, _splitmix64(file_id))
@@ -157,19 +154,6 @@ class ConsistentHashShardMap:
             return self._members[0]
         index = bisect_right(self._points, _splitmix64(file_id))
         return self._shards[index % len(self._shards)]
-
-    def owner_epoch(self, file_id: int) -> Tuple[int, int]:
-        """(owner, epoch of that routing decision) for ``file_id``.
-
-        A pinned file reports the epoch it was pinned under (it is still
-        draining on the old map); an unpinned file reports the map's
-        current epoch.
-        """
-        if self._pins:
-            pinned = self._pins.get(file_id)
-            if pinned is not None:
-                return pinned
-        return self.ring_owner(file_id), self.epoch
 
     # ------------------------------------------------------------------
     # membership changes (each bumps the epoch; the ring swap is atomic)
@@ -218,7 +202,7 @@ class ConsistentHashShardMap:
         """Keep ``file_id`` routed to ``shard`` (its pre-change owner)
         until :meth:`unpin` — the deterministic cutover rule."""
         with self._lock:
-            self._pins[file_id] = (shard, self.epoch - 1)
+            self._pins[file_id] = shard
 
     def unpin(self, file_id: int) -> None:
         """Flip ``file_id`` to its current-epoch ring owner."""
@@ -281,7 +265,7 @@ class OffloadShard:
         self.retired = False
 
 
-class ShardedSteering(Stage):
+class ShardedSteering(Stage, ShardLifecycle):
     """Steering across N shard directors.
 
     Ingress RSS picks the director a client flow lands on; that director
@@ -308,11 +292,8 @@ class ShardedSteering(Stage):
         self._failovers = AtomicCounter(0)
         self._dropped = AtomicCounter(0)
         self._lock = threading.Lock()
-        #: Installed by :meth:`ShardedOffloadServer.enable_qos`; None
-        #: keeps steering byte-identical to the ungated datapath.
-        self.qos = None
 
-    def on_shard_added(self, shard: OffloadShard) -> None:
+    def shard_added(self, shard: OffloadShard) -> Generator:
         """Open ingress to a freshly wired shard (counters included)."""
         with self._lock:
             while len(self._steered) <= shard.index:
@@ -320,11 +301,13 @@ class ShardedSteering(Stage):
                 self._requests.append(AtomicCounter(0))
             # Copy-on-write: steer() snapshots the list lock-free.
             self._ingress = self._ingress + [shard]
+        yield from ()
 
-    def on_shard_retired(self, shard: OffloadShard) -> None:
+    def shard_retired(self, shard: OffloadShard) -> Generator:
         """Close ingress to a drained shard; its totals are retained."""
         with self._lock:
             self._ingress = [s for s in self._ingress if s is not shard]
+        yield from ()
 
     @property
     def ingress_shards(self) -> List[OffloadShard]:
@@ -372,21 +355,6 @@ class ShardedSteering(Stage):
         return total
 
     def steer(
-        self,
-        flow: FiveTuple,
-        requests: Sequence[IoRequest],
-        respond: Callable,
-    ) -> Generator:
-        if self.qos is not None:
-            # QoS front end: admission + bounded tenant queues; the DRR
-            # dispatcher re-enters via steer_direct.  Intake never
-            # blocks, so ingress sees backpressure as responses, not
-            # queueing.
-            self.qos.intake(flow, requests, respond)
-            return
-        yield from self.steer_direct(flow, requests, respond)
-
-    def steer_direct(
         self,
         flow: FiveTuple,
         requests: Sequence[IoRequest],
@@ -445,7 +413,7 @@ class ShardedOffloadServer(PipelineServer):
         self.shard_map = ConsistentHashShardMap(shard_count, vnodes=vnodes)
         #: Installed by :meth:`enable_replication`; None keeps every
         #: datapath byte-identical to the unreplicated deployment.
-        self.replicator: Optional[ShardReplicator] = None
+        self.replicator = None
         #: Installed on the first :meth:`add_shard`/:meth:`drain_shard`
         #: (or explicitly); None keeps the fixed-N datapath untouched.
         self.resharder = None
@@ -464,9 +432,6 @@ class ShardedOffloadServer(PipelineServer):
         self._context_slots = context_slots
         self._copy_mode = copy_mode
         self._rdma_transport = rdma_transport
-        self._breaker_config: Optional[
-            Tuple[int, float, Optional[int]]
-        ] = None
         #: Shard 0 serves the caller's filesystem; other shards get a
         #: mirrored namespace on their own SSD.
         self.filesystems = [filesystem] + [
@@ -486,12 +451,28 @@ class ShardedOffloadServer(PipelineServer):
         directors = [shard.director for shard in self.shards]
         for shard in self.shards:
             shard.director.peers = directors
-        steering = ShardedSteering(env, self.shards)
+        #: The shard-steering stage (ingress counters live here).  It is
+        #: the pipeline's steering entry until :meth:`enable_qos` puts
+        #: the gate in front of it.
+        self.steering = ShardedSteering(env, self.shards)
+        # The three lists an opt-in registers with; the lifecycle
+        # methods and the write path only walk them (DESIGN §8).  Each
+        # is swapped copy-on-write under ``_topology_lock``.
+        #: Per-shard wiring: applied to every live shard on registration
+        #: and to every shard :meth:`add_shard` builds afterwards.
+        self._shard_wiring: List[Callable[[OffloadShard], None]] = []
+        #: Shard-lifecycle members, walked in order at every membership
+        #: change (steering first, then the replicator).
+        self._lifecycle: List[ShardLifecycle] = [self.steering]
+        #: Write-commit chain: ``commit(shard_index, request)`` generators
+        #: run in order between a write's local apply and its ack; the
+        #: first to return False fails the ack.
+        self._commit_chain: List[Callable[[int, IoRequest], Generator]] = []
         self._set_pipeline(
             [WireIngress(env, link, forward_latency=False)]
             + [shard.backend for shard in self.shards]
-            + [steering],
-            steering=steering,
+            + [self.steering],
+            steering=self.steering,
         )
         self.directors = directors
         for shard in self.shards:
@@ -551,15 +532,20 @@ class ShardedOffloadServer(PipelineServer):
             index, backend, cache_table, cores, engine, director
         )
 
-    @property
-    def steering(self) -> ShardedSteering:
-        """The deployment's steering stage (ingress counters live here)."""
-        return self._steering
+    def _wire_every_shard(
+        self, wire: Callable[[OffloadShard], None]
+    ) -> None:
+        """Apply ``wire`` to every live shard now and to every shard
+        :meth:`add_shard` builds later."""
+        with self._topology_lock:
+            self._shard_wiring = self._shard_wiring + [wire]
+        for shard in self.live_shards:
+            wire(shard)
 
     # ------------------------------------------------------------------
     # replication: replica groups, leader routing, quorum acks
     # ------------------------------------------------------------------
-    def enable_replication(self, checker=None) -> ShardReplicator:
+    def enable_replication(self, checker=None):
         """Turn on replicated shard groups (ROADMAP item 1).
 
         Every write is synchronously mirrored to its keyspace's backup
@@ -568,16 +554,26 @@ class ShardedOffloadServer(PipelineServer):
         a killed shard's keyspace keeps serving from the backup with
         zero dark window.  ``checker`` (a
         :class:`~repro.faults.durability.ReplicationInvariantChecker`)
-        receives every protocol step as it happens.
+        receives every protocol step as it happens.  Returns the
+        installed :class:`~repro.topology.replication.ShardReplicator`.
         """
+        from .replication import ShardReplicator
+
         if self.replicator is not None:
             raise RuntimeError("replication is already enabled")
-        self.replicator = ShardReplicator(self.env, self, observer=checker)
-        if checker is not None:
-            checker.attach(self.replicator)
-        for shard in self.shards:
-            shard.director.route = self.replicator.leader_of
-        return self.replicator
+        replicator = ShardReplicator(self.env, self, observer=checker)
+        self.replicator = replicator
+
+        def route_to_leader(shard: OffloadShard) -> None:
+            shard.director.route = replicator.leader_of
+
+        self._wire_every_shard(route_to_leader)
+        with self._topology_lock:
+            self._lifecycle = self._lifecycle + [replicator]
+            # Quorum first, whatever the enable order: a write the group
+            # refused must never reach migration bookkeeping.
+            self._commit_chain = [replicator.replicate] + self._commit_chain
+        return replicator
 
     # ------------------------------------------------------------------
     # elastic resharding: live shard add/drain (ROADMAP item 2)
@@ -595,18 +591,22 @@ class ShardedOffloadServer(PipelineServer):
             from .resharding import ReshardingCoordinator
 
             self.resharder = ReshardingCoordinator(self.env, self)
+            with self._topology_lock:
+                self._commit_chain = self._commit_chain + [
+                    self.resharder.on_write_applied
+                ]
         return self.resharder
 
     def add_shard(self) -> Generator:
         """Grow the deployment by one shard, live, under traffic.
 
         Builds the new DPU's machinery (cloned namespace on its own
-        SSD, backend, engine, director), wires it into the relay fabric
-        and the ingress set, resizes the replication pairing when
-        replication is on, then admits it to the ring and migrates the
-        moved keyspaces' segments — sources keep serving reads and
-        writes until each file's atomic cutover.  Returns the new shard
-        index.
+        SSD, backend, engine, director), wires it into the relay fabric,
+        applies every registered per-shard wiring, walks the lifecycle
+        members (ingress opens, the replication pairing resizes), then
+        admits it to the ring and migrates the moved keyspaces' segments
+        — sources keep serving reads and writes until each file's atomic
+        cutover.  Returns the new shard index.
         """
         resharder = self.enable_resharding()
         index = len(self.shards)
@@ -624,22 +624,11 @@ class ShardedOffloadServer(PipelineServer):
             self.directors.append(shard.director)
             self._stages.append(shard.backend)
         shard.backend.start()
-        if self.dedup is not None:
-            self._arm_resilience(shard)
-        if self.pushdown_stages:
-            self._install_pushdown(shard)
-        if self.replicator is not None:
-            shard.director.route = self.replicator.leader_of
-        self._steering.on_shard_added(shard)
-        if self.replicator is not None:
-            # The clone is a byte-copy of shard 0's disk taken with no
-            # intervening yield: credit it with shard 0's applied
-            # prefixes so the resize backfill only replays the tail.
-            self.replicator.seed_from_clone(index, source=0)
-            # Re-derive the (k, next-live-k) pairing *before* any file
-            # flips: the new keyspace's group must exist (and the
-            # re-paired backup be synced) by cutover time.
-            yield from self.replicator.resize()
+        # Wiring before lifecycle: members see a fully armed shard.
+        for wire in self._shard_wiring:
+            wire(shard)
+        for member in self._lifecycle:
+            yield from member.shard_added(shard)
         moves = resharder.plan_add(index)
         yield from resharder.migrate(moves, kind=f"add:{index}")
         return index
@@ -656,7 +645,7 @@ class ShardedOffloadServer(PipelineServer):
         if not shard.alive:
             raise RuntimeError(f"cannot drain dead shard {index}")
         live = self.live_shards
-        floor = 3 if self.replicator is not None else 2
+        floor = 1 + max(member.min_shards for member in self._lifecycle)
         if len(live) < floor:
             raise RuntimeError(
                 f"cannot drain below {floor - 1} live shard(s)"
@@ -670,17 +659,15 @@ class ShardedOffloadServer(PipelineServer):
         resharder = self.enable_resharding()
         moves = resharder.plan_remove(index)
         yield from resharder.migrate(moves, kind=f"drain:{index}")
-        # Tombstone *before* the resize: the pairing re-derives from the
-        # non-retired membership, so retiring afterwards would leave the
-        # drained shard as a live backup.  It stays alive (and keeps
-        # mirroring for groups it still backs) until each adoption
-        # completes — only client ingress closes here.
-        self._steering.on_shard_retired(shard)
+        # Tombstone *before* the members hear of it: the replication
+        # pairing re-derives from the non-retired membership, so
+        # retiring afterwards would leave the drained shard as a live
+        # backup.  It stays alive (and keeps mirroring for groups it
+        # still backs) until each adoption completes — only client
+        # ingress closes here.
         shard.retired = True
-        if self.replicator is not None:
-            # After the last flip nothing routes to this keyspace: the
-            # pairing re-derives without it (device-timed backup sync).
-            yield from self.replicator.resize()
+        for member in self._lifecycle:
+            yield from member.shard_retired(shard)
 
     # ------------------------------------------------------------------
     # verified pushdown: per-shard offload-program execution (DESIGN §14)
@@ -690,20 +677,16 @@ class ShardedOffloadServer(PipelineServer):
 
         Each shard gets its own Arm core + RXP accelerator over its own
         filesystem, appended to the stage list so the cores-consumed
-        roll-up sees them.  Idempotent per shard; a shard added after
-        enabling gets its stage from :meth:`add_shard`.
+        roll-up sees them.  Idempotent; a shard added after enabling
+        gets its stage the same way.
         """
-        for shard in self.live_shards:
-            if shard.index not in self.pushdown_stages:
-                self._install_pushdown(shard)
+        if not self.pushdown_stages:
+            self._wire_every_shard(self._install_pushdown)
         return self.pushdown_stages
 
     def _install_pushdown(self, shard: OffloadShard) -> None:
         stage = PushdownExecution(
-            self.env,
-            self.filesystems[shard.index],
-            self.link,
-            shard=shard.index,
+            self.env, shard.backend, self.link, shard=shard.index
         )
         with self._topology_lock:
             self.pushdown_stages[shard.index] = stage
@@ -834,13 +817,15 @@ class ShardedOffloadServer(PipelineServer):
         gate = TenantQosGate(
             self.env,
             config or QosConfig(),
-            self._steering.steer_direct,
+            self.steering.steer,
             dedup_source=lambda: self.dedup,
             observer=checker,
         )
         self.qos = gate
-        self._steering.qos = gate
         with self._topology_lock:
+            # The gate interposes: it becomes the pipeline's steering
+            # entry and dispatches into the shard steering it holds.
+            self._steering = gate
             self._stages.append(gate)
         return gate
 
@@ -862,26 +847,18 @@ class ShardedOffloadServer(PipelineServer):
         sheds intake work to the host path instead of being probed on
         every request."""
         dedup = super().enable_resilience(dedup_capacity)
-        self._breaker_config = (
-            breaker_threshold,
-            breaker_recovery,
-            breaker_saturation,
-        )
-        for shard in self.shards:
-            self._arm_resilience(shard)
-        return dedup
 
-    def _arm_resilience(self, shard: OffloadShard) -> None:
-        """Point one director at the shared dedup table and give it a
-        breaker with the deployment's :meth:`enable_resilience` knobs."""
-        threshold, recovery, saturation = self._breaker_config
-        shard.director.dedup = self.dedup
-        shard.director.breaker = CircuitBreaker(
-            self.env,
-            failure_threshold=threshold,
-            recovery_time=recovery,
-            saturation_threshold=saturation,
-        )
+        def arm(shard: OffloadShard) -> None:
+            shard.director.dedup = dedup
+            shard.director.breaker = CircuitBreaker(
+                self.env,
+                failure_threshold=breaker_threshold,
+                recovery_time=breaker_recovery,
+                saturation_threshold=breaker_saturation,
+            )
+
+        self._wire_every_shard(arm)
+        return dedup
 
     def kill_shard(self, index: int) -> int:
         """Crash one shard's DPU mid-flight.
@@ -897,10 +874,9 @@ class ShardedOffloadServer(PipelineServer):
         shard.alive = False
         shard.director.alive = False
         dropped = shard.engine.crash()
-        if self.replicator is not None:
-            # Same simulation instant as the crash (no yield between):
-            # the backup leads the dead keyspace from the next event on.
-            self.replicator.on_kill(index)
+        # Same simulation instant as the crash (no yield between).
+        for member in self._lifecycle:
+            member.shard_killed(shard)
         return dropped
 
     def recover_shard(self, index: int) -> Generator:
@@ -933,16 +909,14 @@ class ShardedOffloadServer(PipelineServer):
             # died; a freshly recovered engine must not start half-open
             # for the previous crash's failures.
             shard.director.breaker.reset()
-        if self.replicator is not None:
-            # Anti-entropy: replay the log entries this member missed
-            # before it rejoins (and before leadership moves back).
-            yield from self.replicator.catch_up(index)
+        for member in self._lifecycle:
+            yield from member.shard_recovering(shard)
+        # No yield since the last member's final check: the alive flip
+        # and what the members do on rejoin are one instant.
         shard.director.alive = True
         shard.alive = True
-        if self.replicator is not None:
-            # No yield since catch-up's final check: the rejoin and the
-            # leadership handback are atomic with the alive flip.
-            self.replicator.on_rejoin(index)
+        for member in self._lifecycle:
+            member.shard_recovered(shard)
         return fs
 
     def _host_handler_for(self, index: int, backend: DdsBackend) -> Callable:
@@ -958,40 +932,23 @@ class ShardedOffloadServer(PipelineServer):
     def _serve_one(
         self, shard_index: int, handler: Callable, request: IoRequest
     ) -> Generator:
-        """Serve one host-path request, then replicate applied writes.
+        """Serve one host-path request, then commit applied writes.
 
-        The quorum hop (append + synchronous backup mirror) runs before
-        the response is released, so a client never sees an ack the
-        replica group has not committed.  When the group could *not*
-        commit (the executor died right after its local apply), the
-        response is converted to a failure: a success here would be
-        cached by the shared dedup table and replayed to the client's
-        retry by the new leader, acking a write the group never logged.
+        Every link of the write-commit chain runs before the response
+        is released, so a client never sees an ack the deployment has
+        not committed: first the quorum hop (append + synchronous
+        backup mirror), then migration bookkeeping (dirty-mark, or
+        forward a post-flip straggler to the new owner).  When a link
+        could *not* commit (say the executor died right after its local
+        apply), the response is converted to a failure: a success here
+        would be cached by the shared dedup table and replayed to the
+        client's retry, acking a write the deployment never committed.
         """
         response: IoResponse = yield from handler(request)
-        if (
-            self.replicator is not None
-            and response.ok
-            and request.op is OpCode.WRITE
-        ):
-            committed = yield from self.replicator.replicate(
-                shard_index, request
-            )
-            if not committed:
-                response = IoResponse(request.request_id, ok=False)
-        if (
-            self.resharder is not None
-            and response.ok
-            and request.op is OpCode.WRITE
-        ):
-            # Migration bookkeeping before the ack: a write that landed
-            # on a migrating file marks its chunk dirty (re-copied
-            # before the flip); a post-flip straggler that applied on
-            # the old owner is forwarded to the new owner — either way
-            # the ack implies the owning shard holds the bytes.
-            yield from self.resharder.on_write_applied(
-                shard_index, request
-            )
+        if response.ok and request.op is OpCode.WRITE:
+            for commit in self._commit_chain:
+                if not (yield from commit(shard_index, request)):
+                    return IoResponse(request.request_id, ok=False)
         return response
 
     def _host_serve(

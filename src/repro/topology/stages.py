@@ -60,6 +60,7 @@ __all__ = [
     "DirectorSteering",
     "PushdownExecution",
     "PushdownScanOutcome",
+    "ShardLifecycle",
 ]
 
 
@@ -125,6 +126,40 @@ class Stage:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.kind.value}:{self.name}>"
+
+
+class ShardLifecycle:
+    """What a member of a sharded deployment does as shards come and go.
+
+    :class:`~repro.topology.sharding.ShardedOffloadServer` walks its
+    members in registration order, passing the :class:`~repro.topology.
+    sharding.OffloadShard`; every hook defaults to a no-op.  Generator
+    hooks may take device time (``yield from``-ed in place, never
+    spawned); plain ones run in the instant of the transition.
+    """
+
+    #: Fewest live shards the member can run on (the drain floor).
+    min_shards = 1
+
+    def shard_added(self, shard) -> Generator:
+        """A freshly built and wired shard joins, before any file moves."""
+        yield from ()
+
+    def shard_retired(self, shard) -> Generator:
+        """A drained shard was tombstoned (``shard.retired`` is set)."""
+        yield from ()
+
+    def shard_killed(self, shard) -> None:
+        """The shard just crashed (same instant as the alive flip)."""
+
+    def shard_recovering(self, shard) -> Generator:
+        """The shard's filesystem is rebuilt; it is not yet alive.  The
+        last hook to take time must end with no trailing yield — the
+        alive flip follows its final check atomically."""
+        yield from ()
+
+    def shard_recovered(self, shard) -> None:
+        """The shard is alive again (same instant as the flip)."""
 
 
 class WireIngress(Stage):
@@ -383,7 +418,9 @@ class PushdownExecution(Stage):
 
     Owns one Arm core and an RXP accelerator per shard and redeems
     :class:`~repro.pushdown.verifier.VerifiedPipeline` proof tokens
-    against the shard's filesystem: pages are read locally, records run
+    against its shard's filesystem — resolved through ``backend`` at
+    each read, so the stage follows the swap a recovery makes: pages
+    are read locally, records run
     through the :class:`~repro.pushdown.engine.PushdownEngine` (RXP
     absorbing a regex-lowerable filter), and only the operator's output
     crosses the wire.  Admission itself happens at the server
@@ -397,7 +434,7 @@ class PushdownExecution(Stage):
     def __init__(
         self,
         env: Environment,
-        filesystem: DdsFileSystem,
+        backend: DdsBackend,
         link: NetworkLink,
         shard: int = 0,
         name: Optional[str] = None,
@@ -408,7 +445,7 @@ class PushdownExecution(Stage):
         from ..pushdown.engine import PushdownEngine
 
         self.env = env
-        self.filesystem = filesystem
+        self.backend = backend
         self.link = link
         self.shard = shard
         self.core = CpuCore(
@@ -420,6 +457,10 @@ class PushdownExecution(Stage):
         self.accelerator = HardwareAccelerator(env, BF2_REGEX)
         self._engine_cls = PushdownEngine
         self.scans = 0
+
+    @property
+    def filesystem(self) -> DdsFileSystem:
+        return self.backend.filesystem
 
     def dpu_cores(self, elapsed: float) -> float:
         return self.core.utilization(elapsed) + self.spdk_core.utilization(

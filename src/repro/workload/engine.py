@@ -24,7 +24,7 @@ a run is replayable bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Sequence
+from typing import Dict, Generator, List, Optional, Sequence
 
 from ..core.client import percentile
 from ..core.messages import IoRequest, IoResponse, OpCode

@@ -11,3 +11,10 @@ def settle(env: Environment) -> None:
     state without advancing the clock.
     """
     env.run(until=env.now)
+
+
+def run(env: Environment, generator):
+    """Run ``generator`` as a process to completion; return its value."""
+    proc = env.process(generator)
+    env.run(until=proc)
+    return proc.value

@@ -10,6 +10,8 @@ from repro.hardware import HOST_CPU, CpuPool
 from repro.sim import Environment
 from repro.storage import DdsFileSystem, OsFileSystem, RamDisk, SpdkBdev
 
+from .conftest import run
+
 
 def make_kv(memory_budget=1 << 20, with_device=True):
     env = Environment()
@@ -33,12 +35,6 @@ def make_kv(memory_budget=1 << 20, with_device=True):
         )
         return env, kv
     return env, FasterKv(env, cpu, memory_budget)
-
-
-def run(env, generator):
-    proc = env.process(generator)
-    env.run(until=proc)
-    return proc.value
 
 
 class TestInMemoryOps:

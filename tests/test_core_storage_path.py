@@ -11,6 +11,8 @@ from repro.hardware import DPU_CPU, HOST_CPU, CpuCore, CpuPool, DmaEngine
 from repro.sim import Environment
 from repro.storage import DdsFileSystem, RamDisk, SpdkBdev
 
+from .conftest import run
+
 
 def make_stack(copy_mode=False):
     env = Environment()
@@ -23,12 +25,6 @@ def make_stack(copy_mode=False):
     library = DdsFileLibrary(env, host, service, dma)
     service.start()
     return env, fs, service, library, host
-
-
-def run(env, generator):
-    proc = env.process(generator)
-    env.run(until=proc)
-    return proc.value
 
 
 class TestLibraryNamespace:

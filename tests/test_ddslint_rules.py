@@ -173,7 +173,7 @@ def test_clean_fixture_is_clean_under_every_class():
         ("sim/rng.py", set()),  # implements the blessed idiom
         ("core/server.py", set()),
         ("analysis/driver.py", set()),
-        ("extensions/compressed_storage.py", {"offload"}),
+        ("apps/compressed_storage.py", set()),  # dispatches no programs
         ("hardware/accelerators.py", {"sim", "sim_hot"}),
         ("pushdown/scan.py", {"offload"}),
         ("pushdown/frontend.py", {"offload"}),

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from repro.extensions import (
+from repro.apps.compressed_storage import (
     CompressedPageStore,
     run_compressed_read_experiment,
 )

@@ -1,22 +1,14 @@
-"""Tests for the DPU read cache and multi-tenant DRR extensions."""
+"""Tests for the DPU read cache and multi-tenant DRR isolation."""
 
 import pytest
 
+from repro.apps.dpu_cache import DpuReadCache, run_dpu_cache_experiment
 from repro.core.api import ReadOp
-from repro.extensions import (
-    DpuReadCache,
-    DrrScheduler,
-    run_dpu_cache_experiment,
-    run_multitenant_experiment,
-)
 from repro.hardware import CpuCore
 from repro.sim import Environment
 
-
-def run(env, generator):
-    proc = env.process(generator)
-    env.run(until=proc)
-    return proc.value
+from .conftest import run
+from .test_drr_edge_cases import Tenants
 
 
 class TestDpuReadCache:
@@ -86,114 +78,52 @@ class TestDpuReadCache:
 
 
 class TestDrrScheduler:
+    """Dispatch order of the QoS gate's DRR (one message in service)."""
+
     def test_fifo_is_arrival_ordered(self):
+        """Within one tenant dispatch is arrival-ordered, however the
+        rounds interleave it with a neighbour."""
         env = Environment()
-        drr = DrrScheduler(env, ["a", "b"], fifo=True)
-        order = []
-
-        def service(tenant, _cost):
-            order.append(tenant)
-            yield env.timeout(1e-6)
-
-        drr.run(service)
-        for tenant in ("a", "a", "b", "a"):
-            drr.submit(tenant, 100)
+        drr = Tenants(env, quantum=100)
+        for cost in (100, 101, 102, 103):
+            drr.submit("a", cost)
+            drr.submit("b", 100)
         env.run(until=1e-3)
-        assert order == ["a", "a", "b", "a"]
+        assert [cost for tenant, cost in drr.served if tenant == "a"] == [
+            100, 101, 102, 103
+        ]
 
     def test_drr_interleaves_under_backlog(self):
         env = Environment()
-        drr = DrrScheduler(env, ["a", "b"], quantum_bytes=100)
-        order = []
-
-        def service(tenant, _cost):
-            order.append(tenant)
-            yield env.timeout(1e-6)
-
-        drr.run(service)
+        drr = Tenants(env, quantum=100)
         for _ in range(10):
             drr.submit("a", 100)
         for _ in range(10):
             drr.submit("b", 100)
         env.run(until=1e-3)
+        order = [tenant for tenant, _cost in drr.served]
         # Equal quanta and equal costs: strict alternation per round.
         assert order[:6] == ["a", "b", "a", "b", "a", "b"]
 
     def test_weights_shift_the_share(self):
         env = Environment()
-        drr = DrrScheduler(
-            env, ["a", "b"], quantum_bytes=100, weights={"a": 3.0}
-        )
-        order = []
-
-        def service(tenant, _cost):
-            order.append(tenant)
-            yield env.timeout(1e-6)
-
-        drr.run(service)
+        drr = Tenants(env, quantum=100, weights={"a": 3.0})
         for _ in range(30):
             drr.submit("a", 100)
             drr.submit("b", 100)
         env.run(until=1e-3)
-        first_12 = order[:12]
+        first_12 = [tenant for tenant, _cost in drr.served[:12]]
         assert first_12.count("a") == 3 * first_12.count("b")
 
     def test_byte_costs_bound_each_round(self):
         env = Environment()
-        drr = DrrScheduler(env, ["big", "small"], quantum_bytes=1000)
-        order = []
-
-        def service(tenant, cost):
-            order.append((tenant, cost))
-            yield env.timeout(1e-6)
-
-        drr.run(service)
+        drr = Tenants(env, quantum=1000)
         for _ in range(4):
             drr.submit("big", 1000)
         for _ in range(8):
             drr.submit("small", 500)
         env.run(until=1e-3)
         # Per round: one big (1000B) vs two small (2x500B) — byte-fair.
-        assert order[:3] == [
+        assert drr.served[:3] == [
             ("big", 1000), ("small", 500), ("small", 500)
         ]
-
-    def test_unknown_tenant_and_bad_cost_rejected(self):
-        env = Environment()
-        drr = DrrScheduler(env, ["a"])
-        with pytest.raises(ValueError):
-            drr.submit("zz", 100)
-        with pytest.raises(ValueError):
-            drr.submit("a", 0)
-        with pytest.raises(ValueError):
-            DrrScheduler(env, [])
-        with pytest.raises(ValueError):
-            DrrScheduler(env, ["a"], quantum_bytes=0)
-
-    def test_grant_event_fires_at_dispatch(self):
-        env = Environment()
-        drr = DrrScheduler(env, ["a"])
-
-        def service(_tenant, _cost):
-            yield env.timeout(5e-6)
-
-        drr.run(service)
-        grant = drr.submit("a", 100)
-        env.run(until=1e-3)
-        assert grant.triggered
-
-    def test_fairness_experiment_shapes(self):
-        fifo = run_multitenant_experiment("fifo", duration=0.02,
-                                          heavy_burst=800)
-        drr = run_multitenant_experiment("drr", duration=0.02,
-                                         heavy_burst=800)
-        # FIFO: the light tenant's worst request waits out the burst.
-        assert fifo.light_max_latency > 4e-3
-        # DRR: bounded by one round, orders of magnitude better.
-        assert drr.light_max_latency < fifo.light_max_latency / 20
-        # Isolation costs the heavy tenant essentially nothing.
-        assert drr.heavy_throughput > 0.9 * fifo.heavy_throughput
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError):
-            run_multitenant_experiment("priority")

@@ -12,13 +12,9 @@ from repro.net import FiveTuple
 from repro.sim import Environment
 from repro.storage import DdsFileSystem, RamDisk, SpdkBdev
 
+from .conftest import run
+
 SEGMENT = 1 << 16
-
-
-def run(env, generator):
-    proc = env.process(generator)
-    env.run(until=proc)
-    return proc.value
 
 
 class TestRecoveryProperty:

@@ -46,34 +46,43 @@ def _build_table(env, pages=PAGES, selectivity=0.2, seed=99, files=1):
     file_ids = []
     expected = {}
     for index in range(files):
-        file_id = fs.create_file("table", f"records-{index}")
-        hits = 0
-        total = 0
-        best = 0
-        for page_id in range(pages):
-            records = []
-            for slot in range(RECORDS_PER_PAGE):
-                hit = rng.random() < selectivity
-                record = _make_pipeline_record(
-                    page_id * RECORDS_PER_PAGE + slot, rng, hit
-                )
-                if hit:
-                    hits += 1
-                    total += int.from_bytes(
-                        record[VALUE_OFFSET:VALUE_OFFSET + 4], "little"
-                    )
-                    best = max(
-                        best,
-                        int.from_bytes(
-                            record[WEIGHT_OFFSET:WEIGHT_OFFSET + 4],
-                            "little",
-                        ),
-                    )
-                records.append(record)
-            fs.write_sync(file_id, page_id * PAGE_BYTES, b"".join(records))
+        file_id, answer = _add_table(
+            fs, f"records-{index}", rng, pages, selectivity
+        )
         file_ids.append(file_id)
-        expected[file_id] = (hits, total, best)
+        expected[file_id] = answer
     return fs, file_ids, expected
+
+
+def _add_table(fs, name, rng, pages=PAGES, selectivity=0.2):
+    """Write one pipeline table into ``fs``; returns its file id and
+    the ``(hits, total, best)`` a filter-project-agg scan must find."""
+    file_id = fs.create_file("table", name)
+    hits = 0
+    total = 0
+    best = 0
+    for page_id in range(pages):
+        records = []
+        for slot in range(RECORDS_PER_PAGE):
+            hit = rng.random() < selectivity
+            record = _make_pipeline_record(
+                page_id * RECORDS_PER_PAGE + slot, rng, hit
+            )
+            if hit:
+                hits += 1
+                total += int.from_bytes(
+                    record[VALUE_OFFSET:VALUE_OFFSET + 4], "little"
+                )
+                best = max(
+                    best,
+                    int.from_bytes(
+                        record[WEIGHT_OFFSET:WEIGHT_OFFSET + 4],
+                        "little",
+                    ),
+                )
+            records.append(record)
+        fs.write_sync(file_id, page_id * PAGE_BYTES, b"".join(records))
+    return file_id, (hits, total, best)
 
 
 def _scan(env, server, file_id, pipeline, pages=PAGES):
@@ -201,24 +210,28 @@ def test_pushdown_stage_appears_in_stage_rollup():
     assert stage.scans == 1
 
 
-def test_shard_added_after_enable_gets_a_pushdown_stage():
-    """Regression: ``add_shard`` left the new shard without a stage, so
-    a scan of a file that migrated there died with a bare ``KeyError``
-    at ``pushdown_stages[owner]``."""
+def test_pushdown_stage_follows_the_recovered_filesystem():
+    """Regression: the stage kept the pre-crash ``DdsFileSystem`` after
+    ``recover_shard`` swapped it, so a table created on the recovered
+    shard scanned to ``FileSystemError: no such file id``."""
     env = Environment()
-    fs, file_ids, expected = _build_table(env, files=8)
+    fs, _file_ids, _expected = _build_table(env, pages=1)
     server = ShardedOffloadServer(env, NetworkLink(env), fs, shard_count=2)
     server.enable_pushdown()
-    added = env.process(server.add_shard())
-    env.run(until=added)
-    new_shard = added.value
-    moved = [f for f in file_ids if server.shard_map.owner(f) == new_shard]
-    assert moved, "no file migrated to the new shard; add files"
-    assert new_shard in server.pushdown_stages
+    server.kill_shard(1)
+    env.run(until=env.process(server.recover_shard(1)))
+    recovered = server.filesystems[1]
+    assert recovered is not fs
+    assert server.pushdown_stages[1].filesystem is recovered
+    rng = SeededRng(7)
+    for attempt in range(16):  # until the map hands shard 1 a new id
+        file_id, expected = _add_table(recovered, f"late-{attempt}", rng)
+        if server.shard_map.owner(file_id) == 1:
+            break
+    else:
+        pytest.fail("shard 1 owned none of 16 new file ids")
     verdict, outcome = _scan(
-        env, server, moved[0], canonical_pipeline("filter-project-agg")
+        env, server, file_id, canonical_pipeline("filter-project-agg")
     )
-    hits, total, _best = expected[moved[0]]
-    assert verdict.ok and outcome.offloaded
-    assert outcome.shard == new_shard
-    assert (outcome.rows, outcome.acc[0]) == (hits, total)
+    assert verdict.ok and outcome.offloaded and outcome.shard == 1
+    assert (outcome.rows, outcome.acc[0], outcome.acc[2]) == expected

@@ -253,7 +253,8 @@ class TestEnableQos:
     def test_qos_off_datapath_untouched(self):
         server, _gate, result = drive(enable=False)
         assert server.qos is None
-        assert server.steering.qos is None
+        # Nothing interposes: ingress enters the shard steering itself.
+        assert server._steering is server.steering
         assert result.throttled_responses == 0
         assert result.acked == result.offered
 
@@ -274,8 +275,8 @@ class TestEnableQos:
     def test_gate_is_installed_as_a_stage(self):
         server, gate, _result = drive(enable=True)
         assert server.qos is gate
-        assert server.steering.qos is gate
         assert gate in server.stages
+        assert server._steering is gate
         with pytest.raises(RuntimeError):
             server.enable_qos()
 

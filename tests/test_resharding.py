@@ -7,7 +7,8 @@ until its atomic cutover (dirty segments re-copied, zero acked-write
 loss), the replication pairing re-derives for each membership without
 violating RI1–RI5, and the whole sequence is byte-deterministic under a
 fixed seed.  Plus guard-rail coverage for drain floors, the dynamic
-steering counters, and the load-driven autoscaler.
+steering counters, the load-driven autoscaler, and the three lists the
+opt-ins register with (wiring, lifecycle, write-commit chain).
 """
 
 import pytest
@@ -18,7 +19,10 @@ from repro.bench.harness import (
     drive_striped,
     run_elastic,
 )
-from repro.topology.resharding import ShardAutoscaler
+from repro.core.messages import IoRequest, IoResponse, OpCode
+from repro.topology.resharding import FileMove, ShardAutoscaler
+
+from .conftest import run
 
 FILES = 16
 FILE_BYTES = 64 << 10
@@ -186,6 +190,98 @@ class TestDrainGuards:
         resharder.active = True
         with pytest.raises(RuntimeError, match="already in flight"):
             next(resharder.migrate([], kind="test"))
+
+
+def write(request_id, file_id):
+    payload = bytes([request_id]) * 1024
+    return IoRequest(OpCode.WRITE, request_id, file_id, 0, 1024, payload)
+
+
+class TestOptInsRegister:
+    """An opt-in registers once; no lifecycle method asks after it."""
+
+    @pytest.mark.parametrize("enable_first", [True, False])
+    def test_every_live_shard_is_wired_whatever_the_order(self, enable_first):
+        cluster = cluster_of(2)
+        server = cluster.server
+
+        def enable():
+            server.enable_resilience(
+                breaker_threshold=7,
+                breaker_recovery=123e-6,
+                breaker_saturation=9,
+            )
+            server.enable_pushdown()
+            server.enable_replication()
+
+        if enable_first:
+            enable()
+        assert run(cluster.env, server.add_shard()) == 2
+        if not enable_first:
+            enable()
+        for shard in server.live_shards:
+            director, breaker = shard.director, shard.director.breaker
+            assert director.dedup is server.dedup
+            assert (
+                breaker.failure_threshold,
+                breaker.recovery_time,
+                breaker.saturation_threshold,
+            ) == (7, 123e-6, 9)
+            # PR 12's regression: add_shard after enable_pushdown left
+            # the new shard without a stage (KeyError on its scans).
+            stage = server.pushdown_stages[shard.index]
+            assert stage.filesystem is server.filesystems[shard.index]
+            assert director.route == server.replicator.leader_of
+
+    def test_quorum_precedes_migration_bookkeeping_whatever_the_order(self):
+        """``enable_resharding()`` *then* ``enable_replication()``: a
+        straggler the quorum refuses never reaches the dirty marks."""
+        cluster = cluster_of(2)
+        env, server, file_id = cluster.env, cluster.server, cluster.file_ids[0]
+        resharder = server.enable_resharding()
+        server.enable_replication()
+        leader = server.shard_map.owner(file_id)
+        resharder._migrating[file_id] = FileMove(file_id, leader, 1 - leader)
+        resharder._dirty[file_id] = set()
+
+        def applied(request):
+            yield from ()
+            return IoResponse(request.request_id, ok=True)
+
+        def serve(shard_index, request_id):
+            request = write(request_id, file_id)
+            return run(env, server._serve_one(shard_index, applied, request))
+
+        assert not serve(1 - leader, 1).ok
+        assert resharder._dirty[file_id] == set()
+        assert serve(leader, 2).ok
+        assert resharder._dirty[file_id] == {0}
+
+    def test_replication_enables_once(self):
+        server = cluster_of(2).server
+        server.enable_replication()
+        with pytest.raises(RuntimeError, match="already enabled"):
+            server.enable_replication()
+
+    def test_straggler_to_a_dark_owner_fails_the_ack(self):
+        """A post-flip straggler is forwarded before its ack; when the
+        new owner is dark the forward cannot land, so the ack fails
+        (the retry finds the owner) instead of vouching for bytes the
+        owning shard does not hold."""
+        cluster = cluster_of(2)
+        env, server, file_id = cluster.env, cluster.server, cluster.file_ids[0]
+        resharder = server.enable_resharding()
+        owner = server.shard_map.owner(file_id)
+        resharder._moved[file_id] = owner  # as after its cutover
+        request = write(1, file_id)
+        assert run(env, resharder.on_write_applied(1 - owner, request))
+        assert resharder.straggler_forwards == 1
+        landed = server.filesystems[owner].read_sync(file_id, 0, 1024)
+        assert landed == request.payload
+        server.kill_shard(owner)
+        request = write(2, file_id)
+        assert not run(env, resharder.on_write_applied(1 - owner, request))
+        assert resharder.straggler_forwards == 1
 
 
 class TestAutoscaler:

@@ -14,6 +14,8 @@ from repro.storage import (
     SpdkBdev,
 )
 
+from .conftest import run
+
 SEGMENT = 1 << 16  # small segments so tests cross boundaries cheaply
 
 
@@ -22,12 +24,6 @@ def make_fs(disk_size=16 << 20, disk=None):
     disk = disk if disk is not None else RamDisk(disk_size)
     bdev = SpdkBdev(env, disk)
     return env, disk, DdsFileSystem(env, bdev, segment_size=SEGMENT)
-
-
-def run(env, generator):
-    proc = env.process(generator)
-    env.run(until=proc)
-    return proc.value
 
 
 class TestNamespace:
