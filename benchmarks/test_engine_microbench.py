@@ -1,30 +1,24 @@
-"""Engine micro-benchmarks: the four hot paths DESIGN.md §11 names.
+"""Engine micro-workloads: the four hot paths DESIGN.md §11 names.
 
 Each workload drives one engine mechanism in isolation — heap-ordered
 timeout churn, process spawn/teardown, ``AllOf``/``AnyOf`` fan-in, and
 same-tick event storms (the ready-deque path) — asserts the simulation
-behaved correctly, and contributes an entry to ``BENCH_engine_micro.json``
-at the repo root (events, wall seconds, events/sec, plus the
-machine-speed calibration anchor that makes the numbers comparable
-across hosts).
+behaved correctly and scheduled exactly the events it always has, and
+contributes its count to ``BENCH_engine_micro.json`` at the repo root.
+Nothing is timed here, so regenerating the record is a no-op: engine
+throughput is ``sim.probe_timeout_events_per_s`` in ``benchmarks/e2e``.
 
 Run directly: ``pytest benchmarks/test_engine_microbench.py``.
 """
 
-import time
-
 import pytest
 
-from repro.bench.trajectory import REPO_ROOT, calibrate, write_bench
+from repro.bench.trajectory import write_bench
 from repro.sim import Environment
 
-#: name -> (events, wall_seconds); filled by the workload tests, written
-#: once by the session-scoped emitter fixture below.
+#: name -> events; filled by the workload tests, written once by the
+#: module-scoped emitter fixture below.
 _RESULTS = {}
-
-
-def _record(name, env, wall):
-    _RESULTS[name] = (env.scheduled_count, wall)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -33,31 +27,14 @@ def emit_bench_json():
     yield
     if not _RESULTS:
         return
-    entries = {}
-    total_events = 0
-    total_wall = 0.0
-    for name, (events, wall) in sorted(_RESULTS.items()):
-        entries[name] = {
-            "events": events,
-            "wall_seconds": round(wall, 4),
-            "events_per_sec": round(events / wall, 1) if wall else 0.0,
-        }
-        total_events += events
-        total_wall += wall
-    record = {
-        "schema": 1,
-        "name": "engine_micro",
-        "mode": "full",
-        "wall_seconds": round(total_wall, 4),
-        "events": total_events,
-        "events_per_sec": (
-            round(total_events / total_wall, 1) if total_wall else 0.0
-        ),
-        "peak_iops": 0.0,  # no I/O model in the micro workloads
-        "calibration_eps": round(calibrate(), 1),
-        "detail": entries,
+    entry = {
+        "events": sum(_RESULTS.values()),
+        "detail": {
+            name: {"events": events} for name, events in _RESULTS.items()
+        },
     }
-    write_bench(record, REPO_ROOT)
+    # One scale only; filed as the record's "full" entry.
+    write_bench("engine_micro", "full", entry)
 
 
 def test_timeout_churn():
@@ -71,12 +48,11 @@ def test_timeout_churn():
             yield env.timeout(delay)
         done.append(index)
 
-    start = time.perf_counter()
     for index in range(25):
         env.process(churner(index))
     env.run()
-    wall = time.perf_counter() - start
-    _record("timeout_churn", env, wall)
+    _RESULTS["timeout_churn"] = env.scheduled_count
+    assert env.scheduled_count == 50050
     assert len(done) == 25
     assert env.now == pytest.approx(2000 * 7e-6)
 
@@ -96,11 +72,10 @@ def test_process_spawn_teardown():
             children = [env.process(leaf()) for _ in range(50)]
             yield env.all_of(children)
 
-    start = time.perf_counter()
     env.process(spawner())
     env.run()
-    wall = time.perf_counter() - start
-    _record("spawn_teardown", env, wall)
+    _RESULTS["spawn_teardown"] = env.scheduled_count
+    assert env.scheduled_count == 30202
     assert finished[0] == 200 * 50
 
 
@@ -123,11 +98,10 @@ def test_fan_in_allof_anyof():
             assert first[1] == "fast"
             rounds[0] += 1
 
-    start = time.perf_counter()
     env.process(fan())
     env.run()
-    wall = time.perf_counter() - start
-    _record("fan_in", env, wall)
+    _RESULTS["fan_in"] = env.scheduled_count
+    assert env.scheduled_count == 24002
     assert rounds[0] == 2000
 
 
@@ -149,9 +123,8 @@ def test_same_tick_storm():
                 gate.succeed()
             yield env.all_of(procs)
 
-    start = time.perf_counter()
     env.process(storm())
     env.run()
-    wall = time.perf_counter() - start
-    _record("same_tick_storm", env, wall)
+    _RESULTS["same_tick_storm"] = env.scheduled_count
+    assert env.scheduled_count == 120402
     assert woken[0] == 400 * 100

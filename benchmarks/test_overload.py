@@ -1,7 +1,7 @@
 """Overload benchmark: goodput-vs-offered curves and flash-crowd recovery.
 
 Runs the DESIGN §15 overload study — the same deployment and tenant
-population as the committed ``BENCH_overload.json`` baseline — and
+population as the committed ``BENCH_overload.json`` record — and
 emits the two tables the graceful-degradation claim rests on:
 
 * ``overload`` — goodput, p99, retry amplification, and shed rate at
@@ -19,12 +19,12 @@ Run with ``pytest benchmarks/test_overload.py``.
 import pytest
 from _tables import emit, kops
 
-from repro.bench.trajectory import _run_overload
+from repro.bench.trajectory import run_workload
 
 
 @pytest.fixture(scope="module")
 def detail():
-    return _run_overload("full")["detail"]
+    return run_workload("overload", "full")["detail"]
 
 
 @pytest.fixture(scope="module")

@@ -105,9 +105,8 @@ class ExperimentResult:
     dpu_cores: float
     client_cores: float
     latencies: List[float] = field(repr=False, default_factory=list)
-    #: Engine occurrences scheduled during this experiment (the
-    #: numerator of the perf trajectory's events/sec; see
-    #: :mod:`repro.bench.trajectory`).
+    #: Engine occurrences scheduled during this experiment (summed
+    #: into the ``events`` that :mod:`repro.bench.trajectory` pins).
     events: int = 0
 
     @property

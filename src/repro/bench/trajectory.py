@@ -1,54 +1,48 @@
-"""The machine-readable performance trajectory (``BENCH_<name>.json``).
+"""The exact result trajectory (``BENCH_<name>.json``).
 
-Every PR leaves a perf record: this module runs seven pinned workloads
-— the Figure 16 peak-throughput sweep (``fig16``), the 4-shard
-scale-out run (``scaleout``), the chaos shard-kill recovery (``chaos``),
-the replicated-failover run (``replication``: replication tax +
-availability curve), the live add→drain reshard (``resharding``), the
-verified-pushdown placement sweep (``pushdown``) and the open-loop
-overload study (``overload``) — and emits one JSON file per workload
-with the engine's events/sec, wall time, and peak simulated IOPS.  The
-cluster workloads call the scenario kit in :mod:`repro.bench.harness`
-(the same functions the tests, benchmarks and examples run) and only
-shape the ``detail`` dict here.  CI runs the same workloads at
-``--mode smoke`` scale and fails when events/sec regresses against the
-committed baselines (see ``--check``).
+This module runs seven pinned workloads — the Figure 16 peak-throughput
+sweep (``fig16``), the 4-shard scale-out run (``scaleout``), the chaos
+shard-kill recovery (``chaos``), the replicated-failover run
+(``replication``: replication tax + availability curve), the live
+add→drain reshard (``resharding``), the verified-pushdown placement
+sweep (``pushdown``) and the open-loop overload study (``overload``) —
+and keeps, per workload and mode, only what the simulation determines:
+the same commit gives the same record on any machine, under any
+``PYTHONHASHSEED``.  The cluster workloads call the scenario kit in
+:mod:`repro.bench.harness` (the same functions the tests, benchmarks
+and examples run) and only shape the ``detail`` dict here.
 
-Metric definitions
-------------------
+The gate is exact: regenerating a committed record is a no-op
+(``git diff --exit-code -- 'BENCH_*.json'``, which CI runs for both
+modes, and ``tests/test_bench_scenarios.py`` for smoke), so a change
+that moves a field commits the new record and says why.  Nothing timed
+is recorded here; host time belongs to ``benchmarks/e2e``.
+
+Record fields (``BENCH_<name>.json`` holds one entry per mode)
+-------------------------------------------------------------
 ``events``
     :attr:`~repro.sim.engine.Environment.scheduled_count` summed over
     every simulation the workload runs.  Each schedule operation
-    consumes exactly one sequence number, so the count is comparable
-    across engine versions — a faster engine shows up as a shorter wall
-    time for the *same* event count.
-``events_per_sec``
-    ``events / wall_seconds`` — the engine-throughput headline.
-    Comparable only between commits with the same event vocabulary: a
-    model change that stops scheduling cheap events (idle-poll elision,
-    DESIGN.md §11) lowers ``events`` and wall time and can lower this
-    ratio too, and has to re-baseline the committed records.
-``calibration_eps``
-    Operations/sec of a fixed pure-Python loop that never touches the
-    engine.  Dividing ``events_per_sec`` by ``calibration_eps`` gives a
-    machine-speed-normalized figure, which is what ``--check`` compares
-    so a slower CI runner does not read as an engine regression (and an
-    engine regression cannot hide behind a faster one).
+    consumes exactly one sequence number, so the count moves only when
+    the models schedule something different (idle-poll elision,
+    DESIGN.md §11, lowered it everywhere).
+``peak_iops``
+    The workload's figure-level result, rounded to 0.1.
+``detail``
+    The workload's own result table (see each ``_run_*`` docstring).
 
 Usage
 -----
 ::
 
-    python -m repro.bench.trajectory                  # full, repo-root JSONs
-    python -m repro.bench.trajectory --mode smoke --out bench_out
-    python -m repro.bench.trajectory --check . --out bench_out
+    python -m repro.bench.trajectory                # full entries, in place
+    python -m repro.bench.trajectory --mode smoke --only chaos,overload
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
@@ -68,15 +62,7 @@ from .harness import (
     run_shard_kill,
 )
 
-__all__ = [
-    "WORKLOADS",
-    "calibrate",
-    "run_workload",
-    "write_bench",
-    "load_bench",
-    "check_regressions",
-    "main",
-]
+__all__ = ["WORKLOADS", "run_workload", "write_bench", "load_bench", "main"]
 
 #: Repository root (…/src/repro/bench/trajectory.py -> three parents up).
 REPO_ROOT = Path(__file__).resolve().parents[3]
@@ -84,28 +70,6 @@ REPO_ROOT = Path(__file__).resolve().parents[3]
 #: Smoke runs must stay within a CI-friendly budget; full runs match the
 #: committed benchmark figures' scale.
 _SCALES = ("smoke", "full")
-
-
-def calibrate(iterations: int = 300_000) -> float:
-    """Machine-speed anchor: ops/sec of a fixed engine-free Python loop.
-
-    Deliberately does *not* exercise the DES engine — if it did, an
-    engine regression would slow the anchor too and normalize itself
-    away.  The loop mixes dict, list, and arithmetic work in proportions
-    roughly matching model code.
-    """
-    table: Dict[int, int] = {}
-    acc = 0
-    items: List[int] = []
-    start = time.perf_counter()
-    for i in range(iterations):
-        table[i & 1023] = i
-        acc += table.get((i * 7) & 1023, 0)
-        items.append(i)
-        if len(items) > 64:
-            items.clear()
-    elapsed = time.perf_counter() - start
-    return iterations / elapsed if elapsed > 0 else float("inf")
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +99,6 @@ def _run_fig16(mode: str) -> dict:
         nonlocal events
         events += result.events
 
-    wall_start = time.perf_counter()
     for kind in kinds:
         peak = find_peak(
             kind,
@@ -145,9 +108,7 @@ def _run_fig16(mode: str) -> dict:
             on_result=tally,
         )
         peaks[kind] = peak.achieved_iops
-    wall = time.perf_counter() - wall_start
     return {
-        "wall_seconds": wall,
         "events": events,
         "peak_iops": max(peaks.values()),
         "detail": {"peaks": peaks, "total_requests": total_requests},
@@ -157,11 +118,8 @@ def _run_fig16(mode: str) -> dict:
 def _run_scaleout(mode: str) -> dict:
     """Directed reads against a consistent-hash 4-shard deployment."""
     total_requests = 12_000 if mode == "full" else 3000
-    wall_start = time.perf_counter()
     run = run_scaleout(4, total_requests)
-    wall = time.perf_counter() - wall_start
     return {
-        "wall_seconds": wall,
         "events": run.env.scheduled_count,
         "peak_iops": run.result.achieved_iops,
         "detail": {
@@ -177,10 +135,9 @@ def _run_chaos(mode: str) -> dict:
 
     The :func:`~repro.bench.harness.run_shard_kill` deployment and
     fault, but at a saturating 1.2M offered IOPS and with no observer,
-    drain or audit — the record times the workload alone.
+    drain or audit — the record is of the workload alone.
     """
     total_requests = 4800 if mode == "full" else 1200
-    wall_start = time.perf_counter()
     cluster = build_cluster(shards=4, files=16, file_bytes=1 << 20)
     cluster.server.enable_resilience()
     plan = FaultPlan(
@@ -191,9 +148,7 @@ def _run_chaos(mode: str) -> dict:
         cluster, offered_iops=1.2e6, total_requests=total_requests, seed=13,
         write_every=4, connections=8, max_outstanding=160,
     )
-    wall = time.perf_counter() - wall_start
     return {
-        "wall_seconds": wall,
         "events": cluster.env.scheduled_count,
         "peak_iops": result.achieved_iops,
         "detail": {
@@ -219,7 +174,6 @@ def _run_replication(mode: str) -> dict:
     """
     tax_requests = 6000 if mode == "full" else 1500
     kill = ShardKill(at=2e-3, down_for=3e-3, shard=2)
-    wall_start = time.perf_counter()
     events = 0
 
     tax_iops = {}
@@ -241,7 +195,6 @@ def _run_replication(mode: str) -> dict:
         kill, seed=13, total_requests=2400, write_every=2, replicated=True
     )
     events += run.env.scheduled_count
-    wall = time.perf_counter() - wall_start
 
     dead_acks = ack_buckets(
         run.acks, run.files_on(kill.shard), kill.at, kill.at + kill.down_for
@@ -249,7 +202,6 @@ def _run_replication(mode: str) -> dict:
     replicator = run.server.replicator
     plain, replicated = tax_iops["plain"], tax_iops["replicated"]
     return {
-        "wall_seconds": wall,
         "events": events,
         "peak_iops": replicated,
         "detail": {
@@ -291,7 +243,6 @@ def _run_resharding(mode: str) -> dict:
       price of performing both topology changes under load.
     """
     total_requests = 6000 if mode == "full" else 3000
-    wall_start = time.perf_counter()
 
     # -- control: identical workload, fixed 2-shard topology -----------
     control = build_cluster(shards=2, files=16, file_bytes=64 << 10)
@@ -305,7 +256,6 @@ def _run_resharding(mode: str) -> dict:
     # -- live reshard: add a shard mid-workload, then drain it ---------
     run = run_elastic(seed=17, total_requests=total_requests)
     events = control.env.scheduled_count + run.env.scheduled_count
-    wall = time.perf_counter() - wall_start
 
     resharder = run.server.resharder
     acks = run.acks
@@ -356,7 +306,6 @@ def _run_resharding(mode: str) -> dict:
         })
 
     return {
-        "wall_seconds": wall,
         "events": events,
         "peak_iops": reshard_iops,
         "detail": {
@@ -407,7 +356,6 @@ def _run_pushdown(mode: str) -> dict:
     pages = 64 if mode == "full" else 12
     selectivity = 0.05
 
-    wall_start = time.perf_counter()
     events = 0
     cells: Dict[str, dict] = {}
     best_records_per_sec = 0.0
@@ -444,12 +392,10 @@ def _run_pushdown(mode: str) -> dict:
                     scanner.client_core.busy_time * 1e3, 4
                 ),
             }
-    wall = time.perf_counter() - wall_start
 
     ship = cells["filter-project-agg/ship-all"]["wire_bytes"]
     accel = cells["filter-project-agg/dpu-accel"]["wire_bytes"]
     return {
-        "wall_seconds": wall,
         "events": events,
         "peak_iops": best_records_per_sec,
         "detail": {
@@ -504,7 +450,6 @@ def _run_overload(mode: str) -> dict:
             for klass, latencies in sorted(merged.items())
         }
 
-    wall_start = time.perf_counter()
     events = 0
     curve = {"off": [], "on": []}
     class_p99 = {}
@@ -558,7 +503,6 @@ def _run_overload(mode: str) -> dict:
             "p99_ms": round(result.p99 * 1e3, 3),
             "retries": result.retries,
         }
-    wall = time.perf_counter() - wall_start
 
     on_peak = max(point["goodput_iops"] for point in curve["on"])
     on_at_2x = next(
@@ -570,7 +514,6 @@ def _run_overload(mode: str) -> dict:
         for point in curve["off"] if point["multiplier"] >= 2.0
     )
     return {
-        "wall_seconds": wall,
         "events": events,
         "peak_iops": on_peak,
         "detail": {
@@ -608,132 +551,79 @@ WORKLOADS: Dict[str, Callable[[str], dict]] = {
 # record plumbing
 # ----------------------------------------------------------------------
 def run_workload(name: str, mode: str = "full") -> dict:
-    """Run one pinned workload and return its trajectory record."""
+    """Run one pinned workload; return its entry for ``mode``."""
     if name not in WORKLOADS:
         raise KeyError(f"unknown workload {name!r}")
     if mode not in _SCALES:
         raise ValueError(f"mode must be one of {_SCALES}")
-    raw = WORKLOADS[name](mode)
-    wall = raw["wall_seconds"]
-    events = raw["events"]
-    record = {
-        "schema": 1,
-        "name": name,
-        "mode": mode,
-        "wall_seconds": round(wall, 4),
-        "events": events,
-        "events_per_sec": round(events / wall, 1) if wall > 0 else 0.0,
-        "peak_iops": round(raw["peak_iops"], 1),
-        "calibration_eps": round(calibrate(), 1),
-        "python": "%d.%d" % sys.version_info[:2],
-        "detail": raw.get("detail", {}),
-    }
-    return record
+    entry = WORKLOADS[name](mode)
+    entry["peak_iops"] = round(entry["peak_iops"], 1)
+    return entry
 
 
-def write_bench(record: dict, out_dir: Path) -> Path:
-    """Write one record to ``<out_dir>/BENCH_<name>.json``."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"BENCH_{record['name']}.json"
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_bench(name: str, directory: Path) -> Optional[dict]:
+def load_bench(name: str, directory: Path = REPO_ROOT) -> Optional[dict]:
+    """The record in ``<directory>/BENCH_<name>.json``, if there is one."""
     path = directory / f"BENCH_{name}.json"
     if not path.exists():
         return None
     return json.loads(path.read_text())
 
 
-def normalized_eps(record: dict) -> float:
-    """Events/sec divided by the machine-speed anchor (dimensionless)."""
-    calibration = record.get("calibration_eps") or 0.0
-    if calibration <= 0:
-        return 0.0
-    return record["events_per_sec"] / calibration
+def write_bench(
+    name: str, mode: str, entry: dict, directory: Path = REPO_ROOT
+) -> Path:
+    """Set ``mode``'s entry of ``<directory>/BENCH_<name>.json``.
 
-
-def check_regressions(
-    fresh: Dict[str, dict],
-    baseline_dir: Path,
-    threshold: float = 0.20,
-) -> List[str]:
-    """Compare fresh records against committed baselines.
-
-    Returns human-readable failure strings for every workload whose
-    machine-normalized events/sec dropped more than ``threshold``
-    relative to its committed baseline.  Missing baselines are skipped
-    (the first PR to add a workload has nothing to compare against).
+    The other mode's entry is carried over as it stands (JSON floats
+    round-trip exactly), so regenerating one mode never touches the
+    other's bytes.
     """
-    failures = []
-    for name, record in fresh.items():
-        baseline = load_bench(name, baseline_dir)
-        if baseline is None:
-            continue
-        base_norm = normalized_eps(baseline)
-        new_norm = normalized_eps(record)
-        if base_norm <= 0:
-            continue
-        ratio = new_norm / base_norm
-        if ratio < 1.0 - threshold:
-            failures.append(
-                f"{name}: normalized events/sec fell to {ratio:.2%} of "
-                f"baseline ({record['events_per_sec']:.0f} ev/s vs "
-                f"{baseline['events_per_sec']:.0f} ev/s at "
-                f"{record['calibration_eps']:.0f} vs "
-                f"{baseline['calibration_eps']:.0f} calibration ops/s)"
-            )
-    return failures
+    old = load_bench(name, directory) or {}
+    record = {key: old[key] for key in _SCALES if key in old}
+    record.update({"schema": 2, "name": name, mode: entry})
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"BENCH_{name}.json"
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def _selection(text: str) -> List[str]:
+    """``--only``: a non-empty comma-separated subset of the workloads."""
+    names = [part.strip() for part in text.split(",") if part.strip()]
+    if not names or any(name not in WORKLOADS for name in names):
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: expected one or more of {', '.join(WORKLOADS)} "
+            "(comma-separated)"
+        )
+    return names
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.trajectory",
-        description="Run the pinned perf-trajectory workloads.",
+        description="Regenerate the pinned workloads' BENCH_<name>.json "
+        "entries in place; `git diff` is the regression check.",
     )
     parser.add_argument(
         "--mode", choices=_SCALES, default="full",
-        help="workload scale (smoke keeps CI fast)",
+        help="which entry to regenerate (smoke keeps CI fast)",
     )
     parser.add_argument(
-        "--only", default=None,
+        "--only", type=_selection, default=list(WORKLOADS),
         help="comma-separated subset of workloads "
         f"(default: all of {', '.join(WORKLOADS)})",
     )
-    parser.add_argument(
-        "--out", type=Path, default=REPO_ROOT,
-        help="directory for BENCH_<name>.json (default: repo root)",
-    )
-    parser.add_argument(
-        "--check", type=Path, default=None, metavar="BASELINE_DIR",
-        help="compare against committed baselines in this directory and "
-        "exit non-zero on >20%% normalized events/sec regression",
-    )
     args = parser.parse_args(argv)
 
-    names = list(WORKLOADS) if args.only is None else [
-        n.strip() for n in args.only.split(",") if n.strip()
-    ]
-    fresh = {}
-    for name in names:
-        record = run_workload(name, mode=args.mode)
-        path = write_bench(record, args.out)
+    for name in args.only:
+        start = time.perf_counter()
+        entry = run_workload(name, mode=args.mode)
+        wall = time.perf_counter() - start  # printed, never recorded
+        path = write_bench(name, args.mode, entry)
         print(
-            f"{name}: {record['events']} events in "
-            f"{record['wall_seconds']:.2f}s = "
-            f"{record['events_per_sec']:.0f} ev/s "
-            f"(peak {record['peak_iops']:.0f} IOPS) -> {path}"
+            f"{name} [{args.mode}]: {entry['events']} events, "
+            f"peak {entry['peak_iops']:.0f} IOPS ({wall:.2f}s) -> {path}"
         )
-        fresh[name] = record
-
-    if args.check is not None:
-        failures = check_regressions(fresh, args.check)
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("regression check passed")
     return 0
 
 

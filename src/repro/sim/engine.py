@@ -445,8 +445,8 @@ class Environment:
         #: holds the callable.  Entries are always at time ``_now``.
         self._ready: Deque[tuple] = deque()
         #: Next (time, seq) tiebreaker; also the count of everything
-        #: ever scheduled (events + continuations) — the "events" in the
-        #: perf trajectory's events/sec.
+        #: ever scheduled (events + continuations) — the ``events`` the
+        #: trajectory records pin exactly.
         self._eid = 0
         self.trace = trace
 
@@ -459,10 +459,10 @@ class Environment:
     def scheduled_count(self) -> int:
         """Total occurrences scheduled so far (events + continuations).
 
-        The numerator of the perf trajectory's events/sec metric
-        (``repro.bench.trajectory``); comparable across engine versions
-        because every schedule operation (and every
-        :meth:`reserve_seq`) consumes exactly one sequence number.
+        The ``events`` field of the trajectory records
+        (``repro.bench.trajectory``), which pin it exactly; comparable
+        across engine versions because every schedule operation (and
+        every :meth:`reserve_seq`) consumes exactly one sequence number.
         """
         return self._eid
 
