@@ -340,14 +340,6 @@ def run_kv_experiment(
     )
     result: ClientResult = client.run()
     server = cluster.server
-    offloaded = 0.0
-    director = getattr(server, "director", None)
-    if director is not None and (
-        director.requests_offloaded + director.requests_to_host
-    ):
-        offloaded = director.requests_offloaded / (
-            director.requests_offloaded + director.requests_to_host
-        )
     return KvExperimentResult(
         kind=kind,
         offered_ops=offered_ops,
@@ -356,5 +348,5 @@ def run_kv_experiment(
         p99=result.p99,
         host_cores=server.host_cores(result.elapsed),
         dpu_cores=server.dpu_cores(result.elapsed),
-        offloaded_fraction=offloaded,
+        offloaded_fraction=server.offloaded_fraction(),
     )

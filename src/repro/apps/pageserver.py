@@ -406,14 +406,6 @@ def run_pageserver_experiment(
             "dbms-other": server.app_other.cores_consumed(elapsed)
             + app.dispatch_core.utilization(elapsed),
         }
-    offloaded = 0.0
-    director = getattr(server, "director", None)
-    if director is not None and (
-        director.requests_offloaded + director.requests_to_host
-    ):
-        offloaded = director.requests_offloaded / (
-            director.requests_offloaded + director.requests_to_host
-        )
     host_cores = server.host_cores(elapsed)
     if kind == "baseline":
         host_cores += app.dispatch_core.utilization(elapsed)
@@ -425,6 +417,6 @@ def run_pageserver_experiment(
         p99=result.p99,
         host_cores=host_cores,
         dpu_cores=server.dpu_cores(elapsed),
-        offloaded_fraction=offloaded,
+        offloaded_fraction=server.offloaded_fraction(),
         breakdown=breakdown,
     )

@@ -218,10 +218,6 @@ def run_io_experiment(
     client = WorkloadClient(cluster.env, cluster.server, cluster.file_id, config)
     result: ClientResult = client.run()
     server = cluster.server
-    client_cores = result.client_cores
-    extra = getattr(server, "client_extra_cores", None)
-    if extra is not None:
-        client_cores += extra()
     return ExperimentResult(
         kind=resolve(kind).name,
         offered_iops=offered_iops,
@@ -232,7 +228,7 @@ def run_io_experiment(
         mean_latency=result.mean_latency,
         host_cores=server.host_cores(result.elapsed),
         dpu_cores=server.dpu_cores(result.elapsed),
-        client_cores=client_cores,
+        client_cores=result.client_cores + server.client_extra_cores(),
         latencies=result.latencies,
         events=cluster.env.scheduled_count,
     )

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence, Set
 from ..hardware.cpu import CpuPool
 from ..hardware.specs import HOST_CPU
 from ..net.packet import FiveTuple
-from ..sim import Environment, SeededRng
+from ..sim import Environment, Event, SeededRng
 from .messages import IoRequest, IoResponse, OpCode
 from .retry import RetryBudget, RetryPolicy
 from .server import StorageServerBase
@@ -185,86 +185,38 @@ class WorkloadClient:
     # run loop
     # ------------------------------------------------------------------
     def run(self) -> ClientResult:
-        """Drive the workload to completion and return measurements."""
-        if self.retry_policy is not None:
-            return self._run_with_retries()
-        config = self.config
-        finished = self.env.event()
-        outstanding = [0]
-        waiters: List = []
+        """Drive the workload to completion and return measurements.
 
-        def on_response(response: IoResponse) -> None:
-            issued = self._issue_times.pop(response.request_id, None)
-            if issued is not None:
-                self._latencies.append(self.env.now - issued)
-            self._completed += 1
-            if self._completed >= config.total_requests:
-                if not finished.triggered:
-                    finished.succeed()
-
-        def on_message_done(_event) -> None:
-            outstanding[0] -= 1
-            if waiters:
-                waiters.pop(0).succeed()
-
-        def generator() -> object:
-            spec = self.server.client_spec
-            issued = 0
-            message_index = 0
-            mean_gap = config.batch / config.offered_iops
-            while issued < config.total_requests:
-                yield self.env.timeout(self.rng.exponential(mean_gap))
-                if outstanding[0] >= config.max_outstanding:
-                    gate = self.env.event()
-                    waiters.append(gate)
-                    yield gate
-                count = min(config.batch, config.total_requests - issued)
-                requests = [self._make_request() for _ in range(count)]
-                issued += count
-                now = self.env.now
-                for request in requests:
-                    self._issue_times[request.request_id] = now
-                message_bytes = sum(r.wire_size for r in requests)
-                # Client-side transport CPU (counted in Figure 16).
-                self.client_pool.charge(
-                    spec.per_message_core_time
-                    + message_bytes * spec.per_byte_core_time
-                )
-                flow = self._flows[message_index % len(self._flows)]
-                message_index += 1
-                outstanding[0] += 1
-                done = self.server.submit(flow, requests, on_response)
-                done.add_callback(on_message_done)
-
-        start = self.env.now
-        self.env.process(generator())
-        self.env.run(until=finished)
-        elapsed = self.env.now - start
-        achieved = self._completed / elapsed if elapsed > 0 else 0.0
-        return ClientResult(
-            achieved_iops=achieved,
-            elapsed=elapsed,
-            latencies=self._latencies,
-            client_cores=self.client_pool.cores_consumed(elapsed),
-        )
-
-    # ------------------------------------------------------------------
-    # retry path (chaos deployments; the default path above stays
-    # byte-identical for the pinned benchmark figures)
-    # ------------------------------------------------------------------
-    def _run_with_retries(self) -> ClientResult:
+        One arrival process whatever the policy: Poisson gaps, the
+        outstanding-message window, one message per arrival.  Without a
+        retry policy a message is submitted once and trusted to be
+        answered (the loss-free path every pinned figure uses); with
+        one it is handed to :meth:`_send_with_retries`.
+        """
         config = self.config
         self._finished = self.env.event()
         outstanding = [0]
         waiters: List = []
 
-        def release() -> None:
+        def release(_done=None) -> None:
             outstanding[0] -= 1
             if waiters:
                 waiters.pop(0).succeed()
 
+        def send_once(flow: FiveTuple, requests: List[IoRequest]) -> None:
+            done = self._submit(flow, requests, self._on_response)
+            done.add_callback(release)
+
+        def send_retrying(flow: FiveTuple, requests: List[IoRequest]) -> None:
+            for request in requests:
+                self._requests_by_id[request.request_id] = request
+                if self.observer is not None:
+                    self.observer.on_issue(request)
+            self.env.process(self._send_with_retries(flow, requests, release))
+
+        send = send_once if self.retry_policy is None else send_retrying
+
         def generator() -> Generator:
-            spec = self.server.client_spec
             issued = 0
             message_index = 0
             mean_gap = config.batch / config.offered_iops
@@ -277,16 +229,10 @@ class WorkloadClient:
                 count = min(config.batch, config.total_requests - issued)
                 requests = [self._make_request() for _ in range(count)]
                 issued += count
-                for request in requests:
-                    self._requests_by_id[request.request_id] = request
-                    if self.observer is not None:
-                        self.observer.on_issue(request)
                 flow = self._flows[message_index % len(self._flows)]
                 message_index += 1
                 outstanding[0] += 1
-                self.env.process(
-                    self._send_with_retries(spec, flow, requests, release)
-                )
+                send(flow, requests)
 
         start = self.env.now
         self.env.process(generator())
@@ -306,6 +252,36 @@ class WorkloadClient:
             budget_denied=self.budget_denied,
         )
 
+    def _submit(
+        self,
+        flow: FiveTuple,
+        requests: List[IoRequest],
+        on_response: Callable[[IoResponse], None],
+    ) -> Event:
+        """Stamp the attempt, pay the client's transport CPU (counted in
+        Figure 16) and put one message on the wire."""
+        now = self.env.now
+        for request in requests:
+            self._issue_times[request.request_id] = now
+        spec = self.server.client_spec
+        message_bytes = sum(r.wire_size for r in requests)
+        self.client_pool.charge(
+            spec.per_message_core_time
+            + message_bytes * spec.per_byte_core_time
+        )
+        return self.server.submit(flow, requests, on_response)
+
+    def _on_response(self, response: IoResponse) -> None:
+        issued = self._issue_times.pop(response.request_id, None)
+        if issued is not None:
+            self._latencies.append(self.env.now - issued)
+        self._completed += 1
+        self._check_finished()
+
+    # ------------------------------------------------------------------
+    # retry path (chaos deployments; the path above stays byte-identical
+    # for the pinned benchmark figures)
+    # ------------------------------------------------------------------
     def _on_retry_response(self, response: IoResponse) -> None:
         rid = response.request_id
         if rid in self._answered or rid in self._failed:
@@ -348,7 +324,6 @@ class WorkloadClient:
 
     def _send_with_retries(
         self,
-        spec,
         flow: FiveTuple,
         requests: List[IoRequest],
         release: Callable[[], None],
@@ -379,17 +354,9 @@ class WorkloadClient:
                     self._check_finished()
                     release()
                     return
-            now = self.env.now
-            for request in pending:
-                self._issue_times[request.request_id] = now
             if attempt:
                 self.retries += len(pending)
-            message_bytes = sum(r.wire_size for r in pending)
-            self.client_pool.charge(
-                spec.per_message_core_time
-                + message_bytes * spec.per_byte_core_time
-            )
-            done = self.server.submit(flow, pending, self._on_retry_response)
+            done = self._submit(flow, pending, self._on_retry_response)
             timeout = self.env.timeout(policy.timeout)
             yield self.env.any_of([done, timeout])
             pending = [

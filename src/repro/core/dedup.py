@@ -14,6 +14,9 @@ idempotent:
   replay; failed responses are *abandoned* instead, so a retry may
   legitimately re-execute after a transient device error.
 
+Servers call the two compositions of those rules: ``intake(requests,
+replay)`` on the way in and ``record(response)`` on the way out.
+
 Entries in flight longer than their TTL are presumed lost and reclaimed
 so a retry can re-execute.  Reads can genuinely be lost that way — an
 engine crash drops its context ring without responding — so their TTL
@@ -29,7 +32,7 @@ after every chaos run.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..sim import Environment
 from .messages import IoRequest, IoResponse, OpCode
@@ -46,7 +49,6 @@ class RequestDedup:
         capacity: int = 1 << 16,
         read_ttl: float = 2e-3,
         write_ttl: float = 20e-3,
-        track_history: bool = True,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -56,7 +58,6 @@ class RequestDedup:
         self.capacity = capacity
         self.read_ttl = read_ttl
         self.write_ttl = write_ttl
-        self.track_history = track_history
         self._completed: "OrderedDict[int, IoResponse]" = OrderedDict()
         #: request_id -> (registration time, is_write)
         self._in_flight: Dict[int, Tuple[float, bool]] = {}
@@ -92,13 +93,43 @@ class RequestDedup:
         self._in_flight[rid] = (self.env.now, is_write)
         return True
 
+    def intake(
+        self,
+        requests: Sequence[IoRequest],
+        replay: Callable[[IoResponse], None],
+    ) -> List[IoRequest]:
+        """Split retransmits from fresh work (the one intake rule).
+
+        A completed request's recorded response goes to ``replay``
+        (paying transmit but not re-execution); a duplicate of a request
+        still in flight is absorbed — the original's response reaches
+        the client through the shared callback.  Returns the requests
+        to actually execute.
+        """
+        fresh: List[IoRequest] = []
+        for request in requests:
+            response = self.cached(request.request_id)
+            if response is not None:
+                replay(response)
+            elif self.begin(request):
+                fresh.append(request)
+        return fresh
+
     # ------------------------------------------------------------------
     # completion
     # ------------------------------------------------------------------
+    def record(self, response: IoResponse) -> None:
+        """Record one executed request's outcome: a success is kept for
+        replay, a failure was not applied and may re-execute cleanly."""
+        if response.ok:
+            self.complete(response.request_id, response)
+        else:
+            self.abandon(response.request_id)
+
     def complete(self, request_id: int, response: IoResponse) -> None:
         """Record a successful response for replay to later retries."""
         entry = self._in_flight.pop(request_id, None)
-        if self.track_history and entry is not None and entry[1]:
+        if entry is not None and entry[1]:
             if request_id in self._applied_writes:
                 self.double_applies += 1
             else:

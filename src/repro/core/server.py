@@ -25,11 +25,10 @@ from __future__ import annotations
 
 from typing import Callable, Generator, List, Optional, Sequence
 
-from ..hardware.cpu import CpuCore, CpuPool
+from ..hardware.cpu import CpuPool
 from ..hardware.nic import NetworkLink
 from ..hardware.specs import (
     BENCH_APP_NET,
-    DPU_CPU,
     HOST_CPU,
     HOST_OS_TCP,
     RDMA_VERBS,
@@ -39,11 +38,10 @@ from ..net.packet import AppSignature, FiveTuple
 from ..net.stack import StackLayer
 from ..sim import Environment, Event
 from ..storage.filesystem import DdsFileSystem
-from ..structures.cuckoo import CuckooCacheTable
-from ..structures.memory import BufferPool
 from ..topology.stages import (
     DdsBackend,
     DirectorSteering,
+    OffloadShard,
     OsFileExecution,
     Stage,
     StageKind,
@@ -53,16 +51,15 @@ from ..topology.stages import (
 )
 from .api import OffloadCallbacks, passthrough_callbacks
 from .dedup import RequestDedup
-from .messages import IoRequest, IoResponse
-from .offload_engine import OffloadEngine
+from .messages import IoRequest, IoResponse, OpCode
 from .retry import CircuitBreaker
-from .traffic_director import TrafficDirector
 
 __all__ = [
     "StorageServerBase",
     "PipelineServer",
     "BaselineServer",
     "DdsLibraryServer",
+    "OffloadServerBase",
     "DdsOffloadServer",
 ]
 
@@ -146,13 +143,15 @@ class StorageServerBase:
     # ------------------------------------------------------------------
     # resilience (chaos deployments opt in; figures never pay for it)
     # ------------------------------------------------------------------
-    def enable_resilience(
-        self, dedup_capacity: int = 1 << 16
-    ) -> RequestDedup:
+    def enable_resilience(self) -> RequestDedup:
         """Install request-id dedup (deployments with an offload engine
         add a host-fallback circuit breaker).  Returns the dedup table
-        so scenarios can audit it after the run."""
-        self.dedup = RequestDedup(self.env, capacity=dedup_capacity)
+        so scenarios can audit it after the run.  Enables once: a second
+        table would leave in-flight requests recording into the first
+        while their retries consult the second, and re-execute."""
+        if self.dedup is not None:
+            raise RuntimeError("resilience is already enabled")
+        self.dedup = RequestDedup(self.env)
         return self.dedup
 
     # ------------------------------------------------------------------
@@ -164,6 +163,11 @@ class StorageServerBase:
 
     def dpu_cores(self, elapsed: float) -> float:
         """Average DPU cores consumed (0 for host-only servers)."""
+        return 0.0
+
+    def offloaded_fraction(self) -> float:
+        """Share of the requests its traffic directors dispatched that
+        the DPU served without the host (0 for servers without one)."""
         return 0.0
 
 
@@ -256,14 +260,7 @@ class PipelineServer(StorageServerBase):
             return
         replayed: List[IoResponse] = []
         if self.dedup is not None:
-            fresh: List[IoRequest] = []
-            for request in requests:
-                cached = self.dedup.cached(request.request_id)
-                if cached is not None:
-                    replayed.append(cached)
-                elif self.dedup.begin(request):
-                    fresh.append(request)
-            requests = fresh
+            requests = self.dedup.intake(requests, replayed.append)
             if not requests and not replayed:
                 return
         served = [
@@ -274,10 +271,7 @@ class PipelineServer(StorageServerBase):
         )
         if self.dedup is not None:
             for response in responses:
-                if response.ok:
-                    self.dedup.complete(response.request_id, response)
-                else:
-                    self.dedup.abandon(response.request_id)
+                self.dedup.record(response)
             responses = replayed + responses
         response_bytes = sum(r.wire_size for r in responses)
         for stage in self._outbound:
@@ -362,6 +356,7 @@ class DdsLibraryServer(PipelineServer):
             execution=backend,
         )
         self.backend = backend
+        self.filesystems = [filesystem]
         self.dma = backend.dma
         self.dma_core = backend.dma_core
         self.spdk_core = backend.spdk_core
@@ -373,7 +368,155 @@ class DdsLibraryServer(PipelineServer):
         backend.start()
 
 
-class DdsOffloadServer(PipelineServer):
+class OffloadServerBase(PipelineServer):
+    """What every offload deployment shares, whatever its DPU count.
+
+    A deployment is a list of :class:`~repro.topology.stages.
+    OffloadShard` units — ``shards``, one per DPU, shard ``i`` over
+    ``filesystems[i]`` — in front of one host.  The host half lives
+    here once: the application callbacks, the split connection's
+    transport layers, the host fallback every unit's director bounces
+    to (with its write-commit chain) and the resilience arming.
+    """
+
+    def __init__(
+        self,
+        env: Environment,
+        link: NetworkLink,
+        callbacks: Optional[OffloadCallbacks],
+        signature: Optional[AppSignature],
+        host_app: Optional[Callable],
+        rdma_transport: bool,
+        **unit_options,
+    ) -> None:
+        """``unit_options`` are :class:`OffloadShard`'s own sizing knobs
+        (``cache_items``, ``director_cores``, ``context_slots``,
+        ``copy_mode``), the same for every unit of the deployment."""
+        super().__init__(env, link)
+        self.callbacks = callbacks or passthrough_callbacks()
+        self._signature = signature or AppSignature(server_port=5000)
+        # Application override for requests bounced to the host (KV gets,
+        # GetPage@LSN); default is plain file semantics via the library.
+        self.host_app = host_app
+        self.client_spec = RDMA_VERBS if rdma_transport else HOST_OS_TCP
+        self.transport = StackLayer(env, self.client_spec, self.host_pool)
+        self.app_net = StackLayer(env, BENCH_APP_NET, self.host_pool)
+        # What every unit is built with, kept so a shard added later is
+        # assembled exactly like a construction-time one.
+        self._unit_options = dict(unit_options, rdma=rdma_transport)
+        self.shards: List[OffloadShard] = []
+        #: Write-commit chain: ``commit(shard_index, request)`` generators
+        #: run in order between a write's local apply and its ack; the
+        #: first to return False fails the ack.  Empty on a single DPU.
+        self._commit_chain: List[Callable[[int, IoRequest], Generator]] = []
+
+    def _build_unit(
+        self,
+        filesystem: DdsFileSystem,
+        owner_of: Optional[Callable[[int], int]] = None,
+    ) -> OffloadShard:
+        """The next DPU's machinery over ``filesystem`` (not yet listed
+        in ``shards``, not yet started)."""
+        return OffloadShard(
+            self.env,
+            self.host_pool,
+            self.link,
+            filesystem,
+            self.callbacks,
+            self._signature,
+            self._host_serve,
+            index=len(self.shards),
+            owner_of=owner_of,
+            **self._unit_options,
+        )
+
+    def _wire_every_shard(
+        self, wire: Callable[[OffloadShard], None]
+    ) -> None:
+        """Apply ``wire`` to every DPU of the deployment."""
+        for shard in self.shards:
+            wire(shard)
+
+    def enable_resilience(
+        self,
+        breaker_threshold: int = 4,
+        breaker_recovery: float = 500e-6,
+        breaker_saturation: Optional[int] = None,
+    ) -> RequestDedup:
+        """One dedup table shared by all directors (a retry may land on
+        a different ingress director after failover), plus one circuit
+        breaker per director/engine pair.  ``breaker_saturation`` (off
+        by default) additionally opens a breaker after that many
+        consecutive capacity bounces, so a saturated-but-alive engine
+        sheds intake work to the host path instead of being probed on
+        every request."""
+        dedup = super().enable_resilience()
+
+        def arm(shard: OffloadShard) -> None:
+            shard.director.dedup = dedup
+            shard.director.breaker = CircuitBreaker(
+                self.env,
+                failure_threshold=breaker_threshold,
+                recovery_time=breaker_recovery,
+                saturation_threshold=breaker_saturation,
+            )
+
+        self._wire_every_shard(arm)
+        return dedup
+
+    def offloaded_fraction(self) -> float:
+        directors = [shard.director for shard in self.shards]
+        offloaded = sum(d.requests_offloaded for d in directors)
+        total = offloaded + sum(d.requests_to_host for d in directors)
+        return offloaded / total if total else 0.0
+
+    def _serve_one(
+        self, shard_index: int, handler: Callable, request: IoRequest
+    ) -> Generator:
+        """Serve one host-path request, then commit applied writes.
+
+        Every link of the write-commit chain runs before the response
+        is released, so a client never sees an ack the deployment has
+        not committed: first the quorum hop (append + synchronous
+        backup mirror), then migration bookkeeping (dirty-mark, or
+        forward a post-flip straggler to the new owner).  When a link
+        could *not* commit (say the executor died right after its local
+        apply), the response is converted to a failure: a success here
+        would be cached by the shared dedup table and replayed to the
+        client's retry, acking a write the deployment never committed.
+        """
+        response: IoResponse = yield from handler(request)
+        if response.ok and request.op is OpCode.WRITE:
+            for commit in self._commit_chain:
+                if not (yield from commit(shard_index, request)):
+                    return IoResponse(request.request_id, ok=False)
+        return response
+
+    def _host_serve(
+        self,
+        shard: OffloadShard,
+        requests: Sequence[IoRequest],
+        respond: Callable,
+    ) -> Generator:
+        """Host fallback over ``shard``'s split connection (writes,
+        bounces)."""
+        message_bytes = sum(r.wire_size for r in requests)
+        yield from self.transport.process(message_bytes)
+        yield from self.app_net.process(message_bytes)
+        handler = self.host_app or shard.backend.host_side.serve
+        served = [
+            self.env.process(self._serve_one(shard.index, handler, r))
+            for r in requests
+        ]
+        responses: List[IoResponse] = yield self.env.all_of(served)
+        response_bytes = sum(r.wire_size for r in responses)
+        yield from self.app_net.process(response_bytes)
+        yield from self.transport.process(response_bytes)
+        for response in responses:
+            respond(response)
+
+
+class DdsOffloadServer(OffloadServerBase):
     """Full DDS: traffic director + offload engine on the DPU (§5-§6)."""
 
     def __init__(
@@ -390,52 +533,23 @@ class DdsOffloadServer(PipelineServer):
         rdma_transport: bool = False,
         host_app: Optional[Callable] = None,
     ) -> None:
-        super().__init__(env, link)
-        callbacks = callbacks or passthrough_callbacks()
-        signature = signature or AppSignature(server_port=5000)
-        self.callbacks = callbacks
-        backend = DdsBackend(env, self.host_pool, filesystem, copy_mode)
-        self.director_core_list = [
-            CpuCore(env, speed=DPU_CPU.speed, name=f"dpu-director-{i}")
-            for i in range(director_cores)
-        ]
-        self.cache_table = CuckooCacheTable(cache_items)
-        backend.file_service.set_offload_hooks(callbacks, self.cache_table)
-        # Application override for requests bounced to the host (KV gets,
-        # GetPage@LSN); default is plain file semantics via the library.
-        self.host_app = host_app
-        transport = RDMA_VERBS if rdma_transport else HOST_OS_TCP
-        self.client_spec = RDMA_VERBS if rdma_transport else HOST_OS_TCP
-        self.transport = StackLayer(env, transport, self.host_pool)
-        self.app_net = StackLayer(env, BENCH_APP_NET, self.host_pool)
-        self.engine = OffloadEngine(
+        super().__init__(
             env,
-            self.director_core_list[0],
-            backend.file_service,
+            link,
             callbacks,
-            self.cache_table,
-            BufferPool(256 << 20),
+            signature,
+            host_app,
+            rdma_transport,
+            cache_items=cache_items,
+            director_cores=director_cores,
             context_slots=context_slots,
             copy_mode=copy_mode,
         )
-        self.director = TrafficDirector(
-            env,
-            link,
-            self.director_core_list,
-            signature,
-            callbacks,
-            self.cache_table,
-            self.engine,
-            self._host_handler,
-            rdma=rdma_transport,
-        )
-        steering = DirectorSteering(
-            env,
-            self.director_core_list,
-            self.director,
-            self.engine,
-            self.cache_table,
-        )
+        unit = self._build_unit(filesystem)
+        self.shards.append(unit)
+        self.filesystems = [filesystem]
+        backend = unit.backend
+        steering = DirectorSteering(unit)
         self._set_pipeline(
             # NIC hardware evaluates the signature at line rate, so the
             # ingest stage skips the NIC->host PCIe forward; unmatched
@@ -447,6 +561,12 @@ class DdsOffloadServer(PipelineServer):
             ],
             steering=steering,
         )
+        # Long-standing wiring aliases (apps, tests and the e2e
+        # benchmark reach into them): the one unit's parts by name.
+        self.director = unit.director
+        self.engine = unit.engine
+        self.cache_table = unit.cache_table
+        self.director_core_list = unit.cores
         self.backend = backend
         self.dma = backend.dma
         self.dma_core = backend.dma_core
@@ -455,35 +575,3 @@ class DdsOffloadServer(PipelineServer):
         self.library = backend.library
         self.host_side = backend.host_side
         backend.start()
-
-    def enable_resilience(
-        self,
-        dedup_capacity: int = 1 << 16,
-        breaker_threshold: int = 4,
-        breaker_recovery: float = 500e-6,
-    ) -> RequestDedup:
-        """Dedup on the director plus a host-fallback circuit breaker."""
-        dedup = super().enable_resilience(dedup_capacity)
-        self.director.dedup = dedup
-        self.director.breaker = CircuitBreaker(
-            self.env,
-            failure_threshold=breaker_threshold,
-            recovery_time=breaker_recovery,
-        )
-        return dedup
-
-    def _host_handler(
-        self, requests: Sequence[IoRequest], respond: Callable
-    ) -> Generator:
-        """Host fallback over the split connection (writes, bounces)."""
-        message_bytes = sum(r.wire_size for r in requests)
-        yield from self.transport.process(message_bytes)
-        yield from self.app_net.process(message_bytes)
-        handler = self.host_app or self.host_side.serve
-        served = [self.env.process(handler(r)) for r in requests]
-        responses: List[IoResponse] = yield self.env.all_of(served)
-        response_bytes = sum(r.wire_size for r in responses)
-        yield from self.app_net.process(response_bytes)
-        yield from self.transport.process(response_bytes)
-        for response in responses:
-            respond(response)

@@ -36,7 +36,6 @@ from .messages import IoRequest, IoResponse
 from .offload_engine import OffloadEngine
 
 if TYPE_CHECKING:
-    from ..topology.sharding import ConsistentHashShardMap
     from .dedup import RequestDedup
     from .retry import CircuitBreaker
 
@@ -77,7 +76,7 @@ class TrafficDirector:
         engine: Optional[OffloadEngine],
         host_handler: HostHandler,
         rdma: bool = False,
-        shard_map: Optional["ConsistentHashShardMap"] = None,
+        owner_of: Optional[Callable[[int], int]] = None,
         shard_id: int = 0,
     ) -> None:
         if not cores:
@@ -92,13 +91,12 @@ class TrafficDirector:
         self.host_handler = host_handler
         self.rdma = rdma
         self._cost_scale = self.RDMA_COST_SCALE if rdma else 1.0
-        #: Consistent-hash file→shard map (multi-DPU deployments only).
-        self.shard_map = shard_map
+        #: file id → the shard that serves it now.  None on a single
+        #: DPU; the shard map's ``owner`` on a sharded deployment; the
+        #: replicator's ``leader_for`` on a replicated one (the acting
+        #: leader, so a dead primary's keyspace is served by its backup).
+        self.owner_of = owner_of
         self.shard_id = shard_id
-        #: Optional keyspace→acting-shard override (replicated
-        #: deployments route to the group leader instead of the static
-        #: owner, so a dead primary's keyspace is served by its backup).
-        self.route: Optional[Callable[[int], int]] = None
         #: Sibling directors indexed by shard id; the sharded deployment
         #: assigns this once every shard is constructed.
         self.peers: List["TrafficDirector"] = []
@@ -119,7 +117,6 @@ class TrafficDirector:
         self.relayed_messages = 0
         self.dropped_messages = 0
         self.dropped_responses = 0
-        self.replayed_responses = 0
 
     # ------------------------------------------------------------------
     # receive path
@@ -160,7 +157,7 @@ class TrafficDirector:
         self.messages_seen += 1
         message_bytes = sum(r.wire_size for r in requests)
         packets = self.link.packets_for(message_bytes)
-        if self.shard_map is None:
+        if self.owner_of is None:
             yield from core.execute(
                 self._cost_scale * self.RX_COST_PER_PACKET * packets
                 + self.OFFPRED_COST * len(requests)
@@ -175,11 +172,9 @@ class TrafficDirector:
             + self.SHARD_LOOKUP_COST * len(requests)
         )
         batches: Dict[int, List[IoRequest]] = {}
+        owner_of = self.owner_of
         for request in requests:
-            owner = self.shard_map.owner(request.file_id)
-            if self.route is not None:
-                owner = self.route(owner)
-            batches.setdefault(owner, []).append(request)
+            batches.setdefault(owner_of(request.file_id), []).append(request)
         local = batches.pop(self.shard_id, None)
         for shard_id in sorted(batches):
             batch = batches[shard_id]
@@ -249,7 +244,9 @@ class TrafficDirector:
         """OffPred split: offload engine first, host fallback second."""
         wrapped = self._response_sender(flow, respond)
         if self.dedup is not None:
-            requests = self._dedup_intake(requests, wrapped)
+            # Retransmits of completed requests replay through the
+            # transmit path; what comes back is the work to execute.
+            requests = self.dedup.intake(requests, wrapped)
             if not requests:
                 return
             wrapped = self._recording_sender(wrapped)
@@ -292,40 +289,12 @@ class TrafficDirector:
             yield self.env.timeout(self.link.spec.dpu_forward)
             self.env.process(self.host_handler(host_requests, wrapped))
 
-    # ------------------------------------------------------------------
-    # idempotent retries (request-id dedup)
-    # ------------------------------------------------------------------
-    def _dedup_intake(
-        self, requests: Sequence[IoRequest], sender: Callable
-    ) -> List[IoRequest]:
-        """Split retransmits from fresh work.
-
-        Completed requests get their recorded response replayed (paying
-        transmit but not re-execution); requests still in flight are
-        absorbed — the original's response reaches the client through
-        the shared callback.  Returns the requests to actually execute.
-        """
-        assert self.dedup is not None
-        fresh: List[IoRequest] = []
-        for request in requests:
-            replay = self.dedup.cached(request.request_id)
-            if replay is not None:
-                self.replayed_responses += 1
-                sender(replay)
-            elif self.dedup.begin(request):
-                fresh.append(request)
-        return fresh
-
     def _recording_sender(self, sender: Callable) -> Callable:
         """Record outcomes in the dedup table before transmitting."""
         dedup = self.dedup
 
         def send(response: IoResponse) -> None:
-            if response.ok:
-                dedup.complete(response.request_id, response)
-            else:
-                # Not applied: let a retry re-execute cleanly.
-                dedup.abandon(response.request_id)
+            dedup.record(response)
             sender(response)
 
         return send

@@ -161,9 +161,8 @@ class DurabilityChecker:
     ) -> DurabilityReport:
         """Audit final disk state against the acknowledgement history.
 
-        ``server`` needs per-file filesystem resolution: a sharded server
-        exposes ``shard_map`` + ``filesystems``; single-backend servers
-        expose ``file_service.filesystem`` (or ``backend.filesystem``).
+        ``server`` lists its per-DPU ``filesystems``; a sharded one also
+        exposes the ``shard_map`` that names each file's owner.
         """
         report = DurabilityReport(acked_reads=self.acked_reads)
         if dedup is not None:
@@ -202,19 +201,8 @@ class DurabilityChecker:
     @staticmethod
     def _filesystem_for(server, file_id: int):
         shard_map = getattr(server, "shard_map", None)
-        filesystems = getattr(server, "filesystems", None)
-        if shard_map is not None and filesystems is not None:
-            return filesystems[shard_map.owner(file_id)]
-        file_service = getattr(server, "file_service", None)
-        if file_service is not None:
-            return file_service.filesystem
-        backend = getattr(server, "backend", None)
-        if backend is not None:
-            return backend.filesystem
-        raise TypeError(
-            "cannot resolve a filesystem for durability checking on "
-            f"{type(server).__name__}"
-        )
+        owner = 0 if shard_map is None else shard_map.owner(file_id)
+        return server.filesystems[owner]
 
 
 class ReplicationInvariantChecker(DurabilityChecker):

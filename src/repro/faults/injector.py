@@ -9,14 +9,16 @@ dictates.  Every application and revert is also appended to
 whose formatted lines are byte-identical across same-seed runs (the
 golden artifact chaos tests compare).
 
-Fault targets are resolved against the server's public wiring:
+Fault targets are resolved against the server's public wiring — every
+DDS deployment lists its per-DPU ``filesystems``, every offload
+deployment its ``shards``:
 
 * NIC windows install a :class:`~repro.faults.netem.NetworkChaos` on the
   server's ``submit`` boundary;
-* SSD events reach the owning shard's :class:`~repro.hardware.ssd.
-  NvmeDevice` through its filesystem's bdev;
-* engine crashes call :meth:`~repro.core.offload_engine.OffloadEngine.
-  crash` / ``restart``;
+* SSD events reach shard ``i``'s :class:`~repro.hardware.ssd.
+  NvmeDevice` through ``filesystems[i]``'s bdev;
+* engine crashes call ``shards[i].engine``'s :meth:`~repro.core.
+  offload_engine.OffloadEngine.crash` / ``restart``;
 * shard kills call the sharded server's ``kill_shard`` /
   ``recover_shard`` (the latter replays §4.3 metadata recovery from the
   raw disk).
@@ -24,12 +26,10 @@ Fault targets are resolved against the server's public wiring:
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Sequence
+from typing import Generator, List, Optional
 
-from ..core.offload_engine import OffloadEngine
 from ..hardware.ssd import NvmeDevice
 from ..sim import Environment
-from ..storage.filesystem import DdsFileSystem
 from .netem import NetworkChaos
 from .plan import (
     EngineCrash,
@@ -53,14 +53,10 @@ class FaultInjector:
         env: Environment,
         server,
         plan: FaultPlan,
-        filesystems: Optional[Sequence[DdsFileSystem]] = None,
     ) -> None:
         self.env = env
         self.server = server
         self.plan = plan
-        self._filesystems = (
-            list(filesystems) if filesystems is not None else None
-        )
         self.fault_log: List[FaultRecord] = []
         self.chaos: Optional[NetworkChaos] = None
         self._armed = False
@@ -93,36 +89,8 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # target resolution
     # ------------------------------------------------------------------
-    def _filesystem(self, shard: int) -> DdsFileSystem:
-        if self._filesystems is not None:
-            return self._filesystems[shard]
-        filesystems = getattr(self.server, "filesystems", None)
-        if filesystems is not None:
-            return filesystems[shard]
-        file_service = getattr(self.server, "file_service", None)
-        if file_service is not None:
-            return file_service.filesystem
-        backend = getattr(self.server, "backend", None)
-        if backend is not None:
-            return backend.filesystem
-        raise TypeError(
-            f"cannot resolve shard {shard}'s filesystem on "
-            f"{type(self.server).__name__}; pass filesystems= explicitly"
-        )
-
     def _device(self, shard: int) -> NvmeDevice:
-        return self._filesystem(shard).bdev.device
-
-    def _engine(self, shard: int) -> OffloadEngine:
-        shards = getattr(self.server, "shards", None)
-        if shards is not None:
-            return shards[shard].engine
-        engine = getattr(self.server, "engine", None)
-        if engine is None:
-            raise TypeError(
-                f"{type(self.server).__name__} has no offload engine"
-            )
-        return engine
+        return self.server.filesystems[shard].bdev.device
 
     # ------------------------------------------------------------------
     # event execution
@@ -169,7 +137,7 @@ class FaultInjector:
         )
 
     def _run_engine_crash(self, event: EngineCrash) -> None:
-        engine = self._engine(event.shard)
+        engine = self.server.shards[event.shard].engine
         dropped = engine.crash()
         self._log(
             "engine-crash",
@@ -184,12 +152,7 @@ class FaultInjector:
         self._spawn(restart(), f"recover:engine:shard{event.shard}")
 
     def _run_shard_kill(self, event: ShardKill) -> None:
-        kill = getattr(self.server, "kill_shard", None)
-        if kill is None:
-            raise TypeError(
-                f"{type(self.server).__name__} cannot kill shards"
-            )
-        kill(event.shard)
+        self.server.kill_shard(event.shard)
         self._log("shard-kill", event.describe())
 
         def recover() -> Generator:

@@ -49,7 +49,8 @@ from ..structures.atomics import AtomicCounter
 from .stages import ShardLifecycle
 
 if TYPE_CHECKING:
-    from .sharding import OffloadShard, ShardedOffloadServer
+    from .sharding import ShardedOffloadServer
+    from .stages import OffloadShard
 
 __all__ = [
     "WriteRecord",
@@ -461,9 +462,13 @@ class ShardReplicator(ShardLifecycle):
     # routing
     # ------------------------------------------------------------------
     def leader_of(self, keyspace: int) -> int:
-        """The shard currently serving ``keyspace`` (the director's
-        ``route`` hook)."""
+        """The shard currently serving ``keyspace``."""
         return self.groups[keyspace].leader
+
+    def leader_for(self, file_id: int) -> int:
+        """The shard currently serving ``file_id``: its keyspace's acting
+        leader (every director's ``owner_of`` hook while replicated)."""
+        return self.groups[self.server.shard_map.owner(file_id)].leader
 
     def _alive(self, member: int) -> bool:
         return self.server.shards[member].alive

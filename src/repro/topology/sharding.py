@@ -27,31 +27,17 @@ import threading
 from bisect import bisect_right
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
-from ..core.api import OffloadCallbacks, passthrough_callbacks
-from ..core.dedup import RequestDedup
-from ..core.messages import IoRequest, IoResponse, OpCode
-from ..core.offload_engine import OffloadEngine
-from ..core.retry import CircuitBreaker
-from ..core.server import PipelineServer
-from ..core.traffic_director import TrafficDirector
-from ..hardware.cpu import CpuCore
+from ..core.api import OffloadCallbacks
+from ..core.messages import IoRequest
+from ..core.server import OffloadServerBase
 from ..hardware.nic import NetworkLink
-from ..hardware.specs import (
-    BENCH_APP_NET,
-    DPU_CPU,
-    HOST_OS_TCP,
-    RDMA_VERBS,
-)
 from ..net.packet import AppSignature, FiveTuple
-from ..net.stack import StackLayer
 from ..sim import Environment
 from ..storage.disk import RamDisk, SpdkBdev
 from ..storage.filesystem import DdsFileSystem
 from ..structures.atomics import AtomicCounter
-from ..structures.cuckoo import CuckooCacheTable
-from ..structures.memory import BufferPool
 from .stages import (
-    DdsBackend,
+    OffloadShard,
     PushdownExecution,
     PushdownScanOutcome,
     ShardLifecycle,
@@ -143,10 +129,7 @@ class ConsistentHashShardMap:
             pinned = self._pins.get(file_id)
             if pinned is not None:
                 return pinned
-        if self.shard_count == 1:
-            return self._members[0]
-        index = bisect_right(self._points, _splitmix64(file_id))
-        return self._shards[index % len(self._shards)]
+        return self.ring_owner(file_id)
 
     def ring_owner(self, file_id: int) -> int:
         """The current epoch's ring placement, ignoring pins."""
@@ -236,33 +219,6 @@ def mirror_filesystem(
     )
     source.clone_into(mirror)
     return mirror
-
-
-class OffloadShard:
-    """One DPU's worth of offload machinery: backend + director + engine."""
-
-    def __init__(
-        self,
-        index: int,
-        backend: DdsBackend,
-        cache_table: CuckooCacheTable,
-        cores: List[CpuCore],
-        engine: OffloadEngine,
-        director: TrafficDirector,
-    ) -> None:
-        self.index = index
-        self.backend = backend
-        self.cache_table = cache_table
-        self.cores = cores
-        self.engine = engine
-        self.director = director
-        #: False between kill_shard and recover_shard: ingress and
-        #: relays route around a dead shard.
-        self.alive = True
-        #: True once drain_shard finished: the shard left the ring and
-        #: the ingress set for good (indices are never reused, so the
-        #: object stays in ``server.shards`` as a tombstone).
-        self.retired = False
 
 
 class ShardedSteering(Stage, ShardLifecycle):
@@ -383,7 +339,7 @@ class ShardedSteering(Stage, ShardLifecycle):
         yield from shard.director.receive_message(flow, requests, respond)
 
 
-class ShardedOffloadServer(PipelineServer):
+class ShardedOffloadServer(OffloadServerBase):
     """Full DDS offloading sharded across N DPUs (one shard map, N
     directors, N offload engines, N per-shard host fallbacks)."""
 
@@ -401,16 +357,22 @@ class ShardedOffloadServer(PipelineServer):
         copy_mode: bool = False,
         rdma_transport: bool = False,
         host_app: Optional[Callable] = None,
-        vnodes: int = 64,
     ) -> None:
         if shard_count < 1:
             raise ValueError("shard_count must be >= 1")
-        super().__init__(env, link)
-        callbacks = callbacks or passthrough_callbacks()
-        signature = signature or AppSignature(server_port=5000)
-        self.callbacks = callbacks
-        self.host_app = host_app
-        self.shard_map = ConsistentHashShardMap(shard_count, vnodes=vnodes)
+        super().__init__(
+            env,
+            link,
+            callbacks,
+            signature,
+            host_app,
+            rdma_transport,
+            cache_items=cache_items,
+            director_cores=director_cores,
+            context_slots=context_slots,
+            copy_mode=copy_mode,
+        )
+        self.shard_map = ConsistentHashShardMap(shard_count)
         #: Installed by :meth:`enable_replication`; None keeps every
         #: datapath byte-identical to the unreplicated deployment.
         self.replicator = None
@@ -424,28 +386,15 @@ class ShardedOffloadServer(PipelineServer):
         #: Installed by :meth:`enable_qos`; None keeps ingress steering
         #: byte-identical to the ungated deployment.
         self.qos = None
-        # Shard construction parameters, kept so add_shard builds new
-        # shards exactly like construction-time ones.
-        self._signature = signature
-        self._cache_items = cache_items
-        self._director_cores = director_cores
-        self._context_slots = context_slots
-        self._copy_mode = copy_mode
-        self._rdma_transport = rdma_transport
         #: Shard 0 serves the caller's filesystem; other shards get a
         #: mirrored namespace on their own SSD.
         self.filesystems = [filesystem] + [
             mirror_filesystem(env, filesystem)
             for _ in range(shard_count - 1)
         ]
-        transport_spec = RDMA_VERBS if rdma_transport else HOST_OS_TCP
-        self.client_spec = transport_spec
-        self.transport = StackLayer(env, transport_spec, self.host_pool)
-        self.app_net = StackLayer(env, BENCH_APP_NET, self.host_pool)
-        self.shards: List[OffloadShard] = []
         self._topology_lock = threading.Lock()
-        for index in range(shard_count):
-            shard = self._build_shard(index, self.filesystems[index])
+        for fs in self.filesystems:
+            shard = self._build_unit(fs, self.shard_map.owner)
             with self._topology_lock:
                 self.shards.append(shard)
         directors = [shard.director for shard in self.shards]
@@ -457,17 +406,14 @@ class ShardedOffloadServer(PipelineServer):
         self.steering = ShardedSteering(env, self.shards)
         # The three lists an opt-in registers with; the lifecycle
         # methods and the write path only walk them (DESIGN §8).  Each
-        # is swapped copy-on-write under ``_topology_lock``.
+        # is swapped copy-on-write under ``_topology_lock``; the third
+        # is the base class's write-commit chain.
         #: Per-shard wiring: applied to every live shard on registration
         #: and to every shard :meth:`add_shard` builds afterwards.
         self._shard_wiring: List[Callable[[OffloadShard], None]] = []
         #: Shard-lifecycle members, walked in order at every membership
         #: change (steering first, then the replicator).
         self._lifecycle: List[ShardLifecycle] = [self.steering]
-        #: Write-commit chain: ``commit(shard_index, request)`` generators
-        #: run in order between a write's local apply and its ack; the
-        #: first to return False fails the ack.
-        self._commit_chain: List[Callable[[int, IoRequest], Generator]] = []
         self._set_pipeline(
             [WireIngress(env, link, forward_latency=False)]
             + [shard.backend for shard in self.shards]
@@ -482,55 +428,6 @@ class ShardedOffloadServer(PipelineServer):
         # crashed mid-run can be rebuilt from raw disk via ``recover``.
         for fs in self.filesystems:
             fs.flush_metadata_sync()
-
-    def _build_shard(
-        self, index: int, filesystem: DdsFileSystem
-    ) -> OffloadShard:
-        """One DPU's machinery, identical for construction and add_shard."""
-        env = self.env
-        backend = DdsBackend(
-            env,
-            self.host_pool,
-            filesystem,
-            self._copy_mode,
-            name=f"dds-backend-{index}",
-        )
-        cache_table = CuckooCacheTable(self._cache_items)
-        backend.file_service.set_offload_hooks(self.callbacks, cache_table)
-        cores = [
-            CpuCore(
-                env,
-                speed=DPU_CPU.speed,
-                name=f"dpu{index}-director-{core}",
-            )
-            for core in range(self._director_cores)
-        ]
-        engine = OffloadEngine(
-            env,
-            cores[0],
-            backend.file_service,
-            self.callbacks,
-            cache_table,
-            BufferPool(256 << 20),
-            context_slots=self._context_slots,
-            copy_mode=self._copy_mode,
-        )
-        director = TrafficDirector(
-            env,
-            self.link,
-            cores,
-            self._signature,
-            self.callbacks,
-            cache_table,
-            engine,
-            self._host_handler_for(index, backend),
-            rdma=self._rdma_transport,
-            shard_map=self.shard_map,
-            shard_id=index,
-        )
-        return OffloadShard(
-            index, backend, cache_table, cores, engine, director
-        )
 
     def _wire_every_shard(
         self, wire: Callable[[OffloadShard], None]
@@ -565,7 +462,7 @@ class ShardedOffloadServer(PipelineServer):
         self.replicator = replicator
 
         def route_to_leader(shard: OffloadShard) -> None:
-            shard.director.route = replicator.leader_of
+            shard.director.owner_of = replicator.leader_for
 
         self._wire_every_shard(route_to_leader)
         with self._topology_lock:
@@ -617,7 +514,7 @@ class ShardedOffloadServer(PipelineServer):
         with self._topology_lock:
             # Copy-on-write (relay/steering paths read the list live).
             self.filesystems = list(self.filesystems) + [fs]
-        shard = self._build_shard(index, fs)
+        shard = self._build_unit(fs, self.shard_map.owner)
         shard.director.peers = self.directors
         with self._topology_lock:
             self.shards.append(shard)
@@ -830,36 +727,8 @@ class ShardedOffloadServer(PipelineServer):
         return gate
 
     # ------------------------------------------------------------------
-    # resilience: dedup/breakers, crash, and crash-consistent recovery
+    # crash and crash-consistent recovery
     # ------------------------------------------------------------------
-    def enable_resilience(
-        self,
-        dedup_capacity: int = 1 << 16,
-        breaker_threshold: int = 4,
-        breaker_recovery: float = 500e-6,
-        breaker_saturation: Optional[int] = None,
-    ) -> RequestDedup:
-        """One dedup table shared by all directors (a retry may land on
-        a different ingress director after failover), plus one circuit
-        breaker per director/engine pair.  ``breaker_saturation`` (off
-        by default) additionally opens a breaker after that many
-        consecutive capacity bounces, so a saturated-but-alive engine
-        sheds intake work to the host path instead of being probed on
-        every request."""
-        dedup = super().enable_resilience(dedup_capacity)
-
-        def arm(shard: OffloadShard) -> None:
-            shard.director.dedup = dedup
-            shard.director.breaker = CircuitBreaker(
-                self.env,
-                failure_threshold=breaker_threshold,
-                recovery_time=breaker_recovery,
-                saturation_threshold=breaker_saturation,
-            )
-
-        self._wire_every_shard(arm)
-        return dedup
-
     def kill_shard(self, index: int) -> int:
         """Crash one shard's DPU mid-flight.
 
@@ -918,58 +787,3 @@ class ShardedOffloadServer(PipelineServer):
         for member in self._lifecycle:
             member.shard_recovered(shard)
         return fs
-
-    def _host_handler_for(self, index: int, backend: DdsBackend) -> Callable:
-        host_side = backend.host_side
-
-        def handler(
-            requests: Sequence[IoRequest], respond: Callable
-        ) -> Generator:
-            return self._host_serve(index, host_side, requests, respond)
-
-        return handler
-
-    def _serve_one(
-        self, shard_index: int, handler: Callable, request: IoRequest
-    ) -> Generator:
-        """Serve one host-path request, then commit applied writes.
-
-        Every link of the write-commit chain runs before the response
-        is released, so a client never sees an ack the deployment has
-        not committed: first the quorum hop (append + synchronous
-        backup mirror), then migration bookkeeping (dirty-mark, or
-        forward a post-flip straggler to the new owner).  When a link
-        could *not* commit (say the executor died right after its local
-        apply), the response is converted to a failure: a success here
-        would be cached by the shared dedup table and replayed to the
-        client's retry, acking a write the deployment never committed.
-        """
-        response: IoResponse = yield from handler(request)
-        if response.ok and request.op is OpCode.WRITE:
-            for commit in self._commit_chain:
-                if not (yield from commit(shard_index, request)):
-                    return IoResponse(request.request_id, ok=False)
-        return response
-
-    def _host_serve(
-        self,
-        shard_index: int,
-        host_side,
-        requests: Sequence[IoRequest],
-        respond: Callable,
-    ) -> Generator:
-        """Host fallback over the owning shard's split connection."""
-        message_bytes = sum(r.wire_size for r in requests)
-        yield from self.transport.process(message_bytes)
-        yield from self.app_net.process(message_bytes)
-        handler = self.host_app or host_side.serve
-        served = [
-            self.env.process(self._serve_one(shard_index, handler, r))
-            for r in requests
-        ]
-        responses: List[IoResponse] = yield self.env.all_of(served)
-        response_bytes = sum(r.wire_size for r in responses)
-        yield from self.app_net.process(response_bytes)
-        yield from self.transport.process(response_bytes)
-        for response in responses:
-            respond(response)

@@ -16,8 +16,11 @@ every server flavour.  This module breaks the wiring into typed, reusable
 * :class:`DdsBackend` — ``execution`` backend: the DPU half of DDS (DMA
   engine, DMA/SPDK cores, file service, host file library, host-side
   completion pump).
-* :class:`DirectorSteering` — ``steering``: the traffic director + offload
-  engine of one DPU, consuming whole client messages.
+* :class:`OffloadShard` — one whole DPU of an offload deployment (a
+  backend plus cache table, director cores, offload engine and traffic
+  director), the one place those are constructed.
+* :class:`DirectorSteering` — ``steering``: one :class:`OffloadShard`'s
+  director, consuming whole client messages.
 
 Every stage also reports its own resource consumption
 (:meth:`Stage.host_cores` / :meth:`Stage.dpu_cores` /
@@ -29,8 +32,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
+from ..core.api import OffloadCallbacks
 from ..core.file_library import DdsFileLibrary, PollMode
 from ..core.file_service import DpuFileService
 from ..core.messages import IoRequest, IoResponse, OpCode
@@ -41,7 +46,7 @@ from ..hardware.cpu import CpuCore, CpuPool
 from ..hardware.nic import NetworkLink
 from ..hardware.pcie import DmaEngine
 from ..hardware.specs import DPU_CPU, HOST_APP_OTHER, MICROSECOND, StackSpec
-from ..net.packet import FiveTuple
+from ..net.packet import AppSignature, FiveTuple
 from ..net.stack import StackLayer
 from ..sim import Environment, Event
 from ..storage.filesystem import DdsFileSystem, FileSystemError
@@ -57,6 +62,7 @@ __all__ = [
     "OsFileExecution",
     "DdsHostSide",
     "DdsBackend",
+    "OffloadShard",
     "DirectorSteering",
     "PushdownExecution",
     "PushdownScanOutcome",
@@ -132,8 +138,8 @@ class ShardLifecycle:
     """What a member of a sharded deployment does as shards come and go.
 
     :class:`~repro.topology.sharding.ShardedOffloadServer` walks its
-    members in registration order, passing the :class:`~repro.topology.
-    sharding.OffloadShard`; every hook defaults to a no-op.  Generator
+    members in registration order, passing the :class:`OffloadShard`;
+    every hook defaults to a no-op.  Generator
     hooks may take device time (``yield from``-ed in place, never
     spawned); plain ones run in the instant of the transition.
     """
@@ -238,11 +244,10 @@ class OsFileExecution(Stage):
         host_pool: CpuPool,
         app_handler: Optional[Callable] = None,
         catch_errors: bool = False,
-        app_other_spec: StackSpec = HOST_APP_OTHER,
     ) -> None:
         super().__init__("os-file-execution")
         self.env = env
-        self.app_other = StackLayer(env, app_other_spec, host_pool)
+        self.app_other = StackLayer(env, HOST_APP_OTHER, host_pool)
         self.osfs = OsFileSystem(env, filesystem, host_pool)
         self.app_handler = app_handler
         self.catch_errors = catch_errors
@@ -292,13 +297,12 @@ class DdsHostSide:
         env: Environment,
         host_pool: CpuPool,
         library: DdsFileLibrary,
-        app_other_spec: StackSpec = HOST_APP_OTHER,
     ) -> None:
         self.env = env
         self.host_pool = host_pool
         self.library = library
         self.dispatch_core = CpuCore(env, speed=1.0, name="app-dispatch")
-        self.app_other = StackLayer(env, app_other_spec, host_pool)
+        self.app_other = StackLayer(env, HOST_APP_OTHER, host_pool)
         self.groups = [library.create_poll() for _ in range(self.GROUPS)]
         self._waiters: Dict[int, Event] = {}
         self._registered_files: set = set()
@@ -364,7 +368,6 @@ class DdsBackend(Stage):
         filesystem: DdsFileSystem,
         copy_mode: bool = False,
         name: str = "dds-backend",
-        app_other_spec: StackSpec = HOST_APP_OTHER,
     ) -> None:
         super().__init__(name)
         self.env = env
@@ -378,9 +381,7 @@ class DdsBackend(Stage):
         self.library = DdsFileLibrary(
             env, host_pool, self.file_service, self.dma
         )
-        self.host_side = DdsHostSide(
-            env, host_pool, self.library, app_other_spec
-        )
+        self.host_side = DdsHostSide(env, host_pool, self.library)
 
     def start(self) -> None:
         """Spawn the file service's DMA thread and SPDK worker."""
@@ -522,6 +523,86 @@ class PushdownExecution(Stage):
         )
 
 
+class OffloadShard:
+    """One DPU of an offload deployment, assembled once (§5-§7).
+
+    The paper's DPU is one fixed bundle — the :class:`DdsBackend`
+    substrate, the cache table, the director's Arm cores, the offload
+    engine and the traffic director in front of them — and scale-out is
+    N of that bundle.  The single-DPU server is one ``OffloadShard``
+    and the sharded server a list of them; nothing else constructs an
+    engine or a director.
+
+    ``host_serve(shard, requests, respond)`` is the owning server's host
+    fallback, ``owner_of`` the director's file→shard hook (``None`` on
+    a single DPU).  Bring-up order is part of the contract — every
+    process spawned here consumes a scheduler sequence number — and
+    :meth:`DdsBackend.start` stays with the owning server, which calls
+    it once its pipeline is set.
+    """
+
+    def __init__(
+        self,
+        env: Environment,
+        host_pool: CpuPool,
+        link: NetworkLink,
+        filesystem: DdsFileSystem,
+        callbacks: OffloadCallbacks,
+        signature: AppSignature,
+        host_serve: Callable[..., Generator],
+        index: int,
+        cache_items: int,
+        director_cores: int,
+        context_slots: int,
+        copy_mode: bool,
+        rdma: bool,
+        owner_of: Optional[Callable[[int], int]] = None,
+    ) -> None:
+        self.index = index
+        self.backend = DdsBackend(
+            env, host_pool, filesystem, copy_mode, name=f"dds-backend-{index}"
+        )
+        self.cache_table = CuckooCacheTable(cache_items)
+        self.backend.file_service.set_offload_hooks(
+            callbacks, self.cache_table
+        )
+        self.cores = [
+            CpuCore(
+                env, speed=DPU_CPU.speed, name=f"dpu{index}-director-{core}"
+            )
+            for core in range(director_cores)
+        ]
+        self.engine = OffloadEngine(
+            env,
+            self.cores[0],
+            self.backend.file_service,
+            callbacks,
+            self.cache_table,
+            context_slots=context_slots,
+            copy_mode=copy_mode,
+        )
+        self.director = TrafficDirector(
+            env,
+            link,
+            self.cores,
+            signature,
+            callbacks,
+            self.cache_table,
+            self.engine,
+            partial(host_serve, self),
+            rdma=rdma,
+            owner_of=owner_of,
+            shard_id=index,
+        )
+        #: False between kill_shard and recover_shard: ingress and
+        #: relays route around a dead shard.
+        self.alive = True
+        #: True once drain_shard finished: the shard left the ring and
+        #: the ingress set for good (indices are never reused, so the
+        #: object stays in ``server.shards`` as a tombstone).
+        self.retired = False
+
+
 class DirectorSteering(Stage):
     """One DPU's traffic director + offload engine, owning whole messages.
 
@@ -533,25 +614,13 @@ class DirectorSteering(Stage):
 
     kind = StageKind.STEERING
 
-    def __init__(
-        self,
-        env: Environment,
-        cores: List[CpuCore],
-        director: TrafficDirector,
-        engine: OffloadEngine,
-        cache_table: CuckooCacheTable,
-        name: str = "director",
-    ) -> None:
-        super().__init__(name)
-        self.env = env
-        self.cores = cores
-        self.director = director
-        self.engine = engine
-        self.cache_table = cache_table
+    def __init__(self, unit: OffloadShard) -> None:
+        super().__init__("director")
+        self.unit = unit
 
     def dpu_cores(self, elapsed: float) -> float:
         total = 0.0
-        for core in self.cores:
+        for core in self.unit.cores:
             total += core.utilization(elapsed)
         return total
 
@@ -561,4 +630,4 @@ class DirectorSteering(Stage):
         requests: Sequence[IoRequest],
         respond: Callable,
     ) -> Generator:
-        yield from self.director.receive_message(flow, requests, respond)
+        yield from self.unit.director.receive_message(flow, requests, respond)

@@ -346,9 +346,7 @@ class TestDurabilityChecker:
         fs.create_directory("d")
         fid = fs.create_file("d", "f")
         fs.preallocate(fid, 1 << 16)
-        server = types.SimpleNamespace(
-            file_service=types.SimpleNamespace(filesystem=fs)
-        )
+        server = types.SimpleNamespace(filesystems=[fs])
         return fs, server, fid
 
     def test_acked_write_on_disk_passes(self):

@@ -32,9 +32,7 @@ def _fs_server():
     fs.create_directory("d")
     fid = fs.create_file("d", "f")
     fs.preallocate(fid, 1 << 16)
-    server = types.SimpleNamespace(
-        file_service=types.SimpleNamespace(filesystem=fs)
-    )
+    server = types.SimpleNamespace(filesystems=[fs])
     return fs, server, fid
 
 

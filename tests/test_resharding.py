@@ -231,7 +231,7 @@ class TestOptInsRegister:
             # the new shard without a stage (KeyError on its scans).
             stage = server.pushdown_stages[shard.index]
             assert stage.filesystem is server.filesystems[shard.index]
-            assert director.route == server.replicator.leader_of
+            assert director.owner_of == server.replicator.leader_for
 
     def test_quorum_precedes_migration_bookkeeping_whatever_the_order(self):
         """``enable_resharding()`` *then* ``enable_replication()``: a
