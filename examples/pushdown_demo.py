@@ -34,9 +34,8 @@ from repro.pushdown.scan import (
     PAGE_BYTES,
     PIPELINES,
     PLACEMENTS,
-    RECORDS_PER_PAGE,
     VALUE_OFFSET,
-    _make_pipeline_record,
+    build_pipeline_table,
     canonical_pipeline,
     run_pipeline_experiment,
 )
@@ -92,15 +91,9 @@ def sharded_table_server(env):
     )
     fs.create_directory("table")
     file_id = fs.create_file("table", "records")
-    rng = SeededRng(55)
-    for page_id in range(PAGES):
-        records = [
-            _make_pipeline_record(
-                page_id * RECORDS_PER_PAGE + slot, rng, rng.random() < 0.1
-            )
-            for slot in range(RECORDS_PER_PAGE)
-        ]
-        fs.write_sync(file_id, page_id * PAGE_BYTES, b"".join(records))
+    table = build_pipeline_table(SeededRng(55), PAGES, 0.1)
+    for page_id, page in enumerate(table.pages):
+        fs.write_sync(file_id, page_id * PAGE_BYTES, page)
     server = ShardedOffloadServer(env, NetworkLink(env), fs, shard_count=4)
     server.enable_pushdown()
     return server, file_id

@@ -7,11 +7,11 @@ VerifiedPipeline`/``VerifiedProgram`` proof token minted by
 visible in *offload*-class modules:
 
 * **DDS501** — calling the raw interpreter (``interpret`` /
-  ``interpret_pipeline``) with no verify-family call lexically earlier
-  in the same scope.  Lexical precedence is the same dominance
-  approximation DDS201 uses for ``yield_point()``: verify first, then
-  execute; helpers whose callers verify must carry an inline
-  suppression explaining the contract.
+  ``interpret_pipeline`` / ``interpret_page``) with no verify-family
+  call lexically earlier in the same scope.  Lexical precedence is the
+  same dominance approximation DDS201 uses for ``yield_point()``:
+  verify first, then execute; helpers whose callers verify must carry
+  an inline suppression explaining the contract.
 * **DDS502** — constructing a proof token by hand
   (``VerifiedProgram(...)`` / ``VerifiedPipeline(...)``), which forges
   the admission the verifier never granted.
@@ -31,7 +31,9 @@ from .rules import Finding
 __all__ = ["check_pushdown_admission"]
 
 #: Raw execution entries DDS501 guards.
-_RAW_EXEC = frozenset({"interpret", "interpret_pipeline"})
+_RAW_EXEC = frozenset(
+    {"interpret", "interpret_pipeline", "interpret_page"}
+)
 
 #: Verify-family calls that satisfy DDS501's precedence requirement.
 _VERIFIERS = frozenset({"verify", "verify_program"})

@@ -30,6 +30,7 @@ from .interp import (
     Trap,
     WindowTrap,
     interpret,
+    interpret_page,
     interpret_pipeline,
 )
 from .isa import (
@@ -91,6 +92,7 @@ __all__ = [
     "StageResult",
     "interpret",
     "interpret_pipeline",
+    "interpret_page",
     # verifier
     "PDV_RULES",
     "Verdict",

@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, List, Optional, Tuple
 
-from ..hardware.accelerators import HardwareAccelerator, compile_pattern
+from ..hardware.accelerators import HardwareAccelerator, regex_scan
 from ..hardware.cpu import CpuCore
-from .interp import ExecStats, interpret_pipeline
-from .isa import ACC_REGS, Op, Pipeline
+from .interp import ExecStats, interpret_page
+from .isa import ACC_REGS, Op
 from .verifier import VerifiedPipeline
 
 __all__ = [
@@ -131,12 +131,7 @@ class PushdownEngine:
                 f"page of {len(page)}B is not whole "
                 f"{geometry.record_bytes}B records"
             )
-        records = [
-            page[start:start + geometry.record_bytes]
-            for start in range(0, len(page), geometry.record_bytes)
-        ]
         outcome = PageOutcome()
-        stats = ExecStats()
         fuel = token.verdict.fuel
 
         if self.accelerator is not None and token.pattern is not None:
@@ -144,35 +139,21 @@ class PushdownEngine:
             # software cycles for the remaining stages only.
             yield from self.accelerator.process(len(page))
             outcome.accel_bytes = len(page)
-            pattern = compile_pattern(token.pattern)
-            rest = Pipeline(
-                tuple(
-                    program for program in token.pipeline.stages
-                    if program.kind != "filter"
-                )
+            matcher, residual = token.lowered
+            outcome.selected = regex_scan(
+                page, matcher, geometry.record_bytes
             )
-            for slot, record in enumerate(records):
-                if not pattern.search(record):
-                    continue
-                outcome.selected.append((slot, record))
-                if rest.stages:
-                    result = interpret_pipeline(
-                        rest, record, geometry, fuel, acc=self.acc
-                    )
-                    stats.merge(result.stats)
-                    if result.emitted:
-                        outcome.emitted.append(result.emitted)
+            survivors = b"".join(
+                record for _slot, record in outcome.selected
+            )
+            _all, emitted, stats = interpret_page(
+                residual, survivors, geometry, fuel, self.acc
+            )
         else:
-            for slot, record in enumerate(records):
-                result = interpret_pipeline(
-                    token.pipeline, record, geometry, fuel, acc=self.acc
-                )
-                stats.merge(result.stats)
-                if not result.selected:
-                    continue
-                outcome.selected.append((slot, record))
-                if result.emitted:
-                    outcome.emitted.append(result.emitted)
+            outcome.selected, emitted, stats = interpret_page(
+                token.pipeline, page, geometry, fuel, self.acc
+            )
+        outcome.emitted = [chunk for chunk in emitted if chunk]
 
         outcome.cycles = cycles_of(stats)
         if outcome.cycles:

@@ -28,7 +28,6 @@ import inspect
 import textwrap
 from typing import Callable, List
 
-from ..analysis.shared_state import external_state_roots
 from .isa import WIDTHS, Instruction, Op, Program
 from .verifier import Verdict
 
@@ -260,6 +259,10 @@ def compile_predicate(fn: Callable[..., object]) -> Program:
             fndef.lineno,
         )
     returned = body[0].value
+
+    # Imported here: repro.analysis is the whole linter, and every
+    # process that scans a table imports this package.
+    from ..analysis.shared_state import external_state_roots
 
     touched = external_state_roots(returned, frozenset({record_param}))
     if touched:

@@ -1,4 +1,4 @@
-"""Fueled reference interpreter for the pushdown bytecode.
+"""Fueled interpreter for the pushdown bytecode.
 
 This is the *raw* execution entry: it runs any :class:`~repro.pushdown.
 isa.Program`, verified or not, and therefore defends every resource at
@@ -10,8 +10,15 @@ no matter what bytecode it is fed (the hypothesis suite in
 
 Admitted programs reach the DPU through :func:`repro.pushdown.verifier.
 verify` instead, which proves these traps unreachable up front; direct
-calls to :func:`interpret`/:func:`interpret_pipeline` outside the
-pushdown machinery are what ddslint's DDS501 exists to flag.
+calls to :func:`interpret`/:func:`interpret_pipeline`/
+:func:`interpret_page` outside the pushdown machinery are what
+ddslint's DDS501 exists to flag.
+
+A program is *decoded* once per call (:func:`_decode`) and a page's
+records all run through the one loop in :func:`_run`; decoding checks
+nothing, so a malformed instruction still traps only when it executes,
+and a proof token buys no unchecked path (DESIGN.md §14; the chain of
+``Op`` tests this replaced is ``tests/reference_interp.py``).
 
 Arithmetic is saturating at the signed-64-bit bounds (not wrapping), so
 the verifier's interval analysis is sound without modular reasoning.
@@ -19,9 +26,11 @@ the verifier's interval analysis is sound without modular reasoning.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 from typing import Dict, List, Optional, Pattern, Tuple
 
 from .isa import (
@@ -48,6 +57,7 @@ __all__ = [
     "StageResult",
     "interpret",
     "interpret_pipeline",
+    "interpret_page",
 ]
 
 
@@ -85,16 +95,6 @@ class ExecStats:
     steps: int = 0
     match_bytes: int = 0
 
-    def count(self, op: Op) -> None:
-        self.steps += 1
-        self.counts[op] = self.counts.get(op, 0) + 1
-
-    def merge(self, other: "ExecStats") -> None:
-        self.steps += other.steps
-        self.match_bytes += other.match_bytes
-        for op, count in other.counts.items():
-            self.counts[op] = self.counts.get(op, 0) + count
-
 
 @dataclass
 class StageResult:
@@ -108,6 +108,199 @@ class StageResult:
 @lru_cache(maxsize=256)
 def _compiled(patterns: Tuple[bytes, ...]) -> Tuple[Pattern[bytes], ...]:
     return tuple(re.compile(pattern) for pattern in patterns)
+
+
+#: Dense opcode numbers, in the order of :func:`_run`'s arms: what the
+#: canonical pipelines execute first, and one contiguous range per arm
+#: that serves several opcodes.
+_OPS = (
+    Op.MATCH, Op.RET, Op.LOAD, Op.EMITF, Op.LOADD,
+    Op.AADD, Op.AMAX, Op.AMIN, Op.ACNT, Op.PUSH,
+    Op.GT, Op.LT, Op.EQ, Op.ADD, Op.SUB, Op.MUL, Op.AND, Op.OR,
+    Op.NOT, Op.DUP, Op.POP, Op.SWAP, Op.LOADS, Op.STORE,
+    Op.JMP, Op.JZ, Op.LOOP, Op.END, Op.EMITV, Op.PUSHCTR,
+)
+(
+    _MATCH, _RET, _LOAD, _EMITF, _LOADD,
+    _AADD, _AMAX, _AMIN, _ACNT, _PUSH,
+    _GT, _LT, _EQ, _ADD, _SUB, _MUL, _AND, _OR,
+    _NOT, _DUP, _POP, _SWAP, _LOADS, _STORE,
+    _JMP, _JZ, _LOOP, _END, _EMITV, _PUSHCTR,
+) = range(len(_OPS))
+_NUMBER = {op: number for number, op in enumerate(_OPS)}
+assert len(_NUMBER) == len(Op), "every opcode needs an arm in _run"
+
+#: ``_GT`` .. ``_MUL`` as ``f(left, right)``.
+_BINARY = (
+    operator.gt, operator.lt, operator.eq,
+    operator.add, operator.sub, operator.mul,
+)
+
+#: One decoded stage: ``(op, a, b)`` triples, compiled patterns,
+#: is-a-filter, scratch bytes.
+_Stage = Tuple[Tuple[Tuple[int, int, int], ...], tuple, bool, int]
+
+
+def _decode(program: Program) -> _Stage:
+    """Hoist what no record changes; instructions are copied unchecked."""
+    try:
+        patterns = _compiled(program.patterns)
+    except re.error as exc:
+        raise OperandTrap(f"invalid pattern: {exc}") from None
+    if not 0 <= program.scratch <= SCRATCH_LIMIT:
+        raise ScratchTrap(f"scratch size {program.scratch} out of range")
+    code = tuple([(_NUMBER[i.op], i.a, i.b) for i in program.code])
+    return code, patterns, program.kind == "filter", program.scratch
+
+
+def _check_window(record: bytes, record_bytes: int) -> None:
+    if len(record) != record_bytes:
+        raise WindowTrap(
+            f"record is {len(record)}B, geometry says {record_bytes}B"
+        )
+
+
+def _run(
+    stage: _Stage,
+    record: bytes,
+    fuel: int,
+    acc: List[int],
+    stack_limit: int,
+    tally: List[int],
+) -> Tuple[bool, bytes]:
+    """One decoded stage over one whole record: ``(selected, emitted)``.
+
+    Each step is checked for fuel and counted into ``tally`` (by opcode
+    number) before it runs.  An arm checks its operands, then pops, then
+    — if it pushes — leaves the result in ``value`` for the overflow
+    check and clamp at the bottom of the loop; the others ``continue``.
+    Underflow is the stack list's own bounds check, translated.
+    """
+    code, patterns, is_filter, scratch_bytes = stage
+    size = len(code)
+    record_bytes = len(record)
+    scratch = bytearray(scratch_bytes)
+    stack: List[int] = []
+    loops: List[List[int]] = []  # [body_pc, remaining, trip]
+    emitted = bytearray()
+    steps = pc = 0
+    try:
+        while True:
+            if pc >= size:
+                raise OperandTrap("fell off the end of the program")
+            if steps >= fuel:
+                raise FuelTrap(f"fuel exhausted after {steps} steps")
+            op, a, b = code[pc]
+            steps += 1
+            tally[op] += 1
+            pc += 1
+            if op == _MATCH:
+                if not 0 <= a < len(patterns):
+                    raise OperandTrap(f"pattern index {a} out of range")
+                value = 1 if patterns[a].search(record) else 0
+            elif op == _RET:
+                selected = stack.pop() != 0 if is_filter else True
+                return selected, bytes(emitted)
+            elif op <= _LOADD:  # LOAD, EMITF, LOADD: b bytes of the window
+                if op == _LOADD:
+                    a = stack.pop()
+                if b not in WIDTHS:
+                    raise OperandTrap(f"bad window width {b}")
+                if a < 0 or a + b > record_bytes:
+                    raise WindowTrap(f"[{a}:{a + b}] outside the window")
+                if op == _EMITF:
+                    emitted += record[a:a + b]
+                    continue
+                value = int.from_bytes(record[a:a + b], "little")
+            elif op <= _ACNT:  # AADD, AMAX, AMIN, ACNT: a = register
+                if not 0 <= a < ACC_REGS:
+                    raise OperandTrap(f"accumulator {a} out of range")
+                value = 1 if op == _ACNT else stack.pop()
+                if op == _AMAX:
+                    acc[a] = max(acc[a], value)
+                elif op == _AMIN:
+                    acc[a] = min(acc[a], value)
+                else:
+                    acc[a] = _clamp(acc[a] + value)
+                continue
+            elif op == _PUSH:
+                value = a
+            elif op <= _OR:  # the binary operators: right is on top
+                right = stack.pop()
+                left = stack.pop()
+                if op <= _MUL:
+                    value = int(_BINARY[op - _GT](left, right))
+                elif op == _AND:
+                    value = 1 if left and right else 0
+                else:
+                    value = 1 if left or right else 0
+            elif op == _NOT:
+                value = 0 if stack.pop() else 1
+            elif op == _DUP:
+                value = stack[-1]
+            elif op == _POP:
+                stack.pop()
+                continue
+            elif op == _SWAP:
+                stack[-1], stack[-2] = stack[-2], stack[-1]
+                continue
+            elif op <= _STORE:  # LOADS, STORE: b bytes of scratch at a
+                if b not in WIDTHS:
+                    raise OperandTrap(f"bad scratch width {b}")
+                if a < 0 or a + b > scratch_bytes:
+                    raise ScratchTrap(f"[{a}:{a + b}] outside scratch")
+                if op == _STORE:
+                    low = stack.pop() & ((1 << (8 * b)) - 1)
+                    scratch[a:a + b] = low.to_bytes(b, "little")
+                    continue
+                value = int.from_bytes(scratch[a:a + b], "little")
+            elif op <= _JZ:  # JMP, JZ: a = target
+                if not 0 <= a < size:
+                    raise OperandTrap(f"jump target {a} out of range")
+                if op == _JMP or stack.pop() == 0:
+                    pc = a
+                continue
+            elif op == _LOOP:
+                if a < 1:
+                    raise OperandTrap(f"loop trip {a} must be >= 1")
+                loops.append([pc, a, a])
+                continue
+            elif op == _END:
+                if not loops:
+                    raise OperandTrap("END without a matching LOOP")
+                frame = loops[-1]
+                frame[1] -= 1
+                if frame[1] > 0:
+                    pc = frame[0]
+                else:
+                    loops.pop()
+                continue
+            elif op == _EMITV:
+                if b not in WIDTHS:
+                    raise OperandTrap(f"bad emit width {b}")
+                low = stack.pop() & ((1 << (8 * b)) - 1)
+                emitted += low.to_bytes(b, "little")
+                continue
+            else:  # PUSHCTR
+                if not loops:
+                    raise OperandTrap("PUSHCTR outside a loop")
+                _body, remaining, trip = loops[-1]
+                value = trip - remaining
+            if len(stack) >= stack_limit:
+                raise StackTrap("operand-stack overflow")
+            stack.append(_clamp(value))
+    except IndexError:
+        raise StackTrap("operand-stack underflow") from None
+
+
+def _stats(tally: List[int], record_bytes: int) -> ExecStats:
+    """``tally`` as the :class:`ExecStats` the cost model reads.  Every
+    ``MATCH`` that did not trap scanned one whole record."""
+    return ExecStats(
+        dict(zip(compress(_OPS, tally), filter(None, tally))),
+        sum(tally),
+        tally[_MATCH] * record_bytes,
+    )
 
 
 def _clamp(value: int) -> int:
@@ -139,181 +332,13 @@ def interpret(
     verifier protects) so a program rejected *for DPU limits* still
     computes its answer on the host.
     """
-    if len(record) != geometry.record_bytes:
-        raise WindowTrap(
-            f"record is {len(record)}B, geometry says "
-            f"{geometry.record_bytes}B"
-        )
-    code = program.code
-    try:
-        patterns = _compiled(program.patterns)
-    except re.error as exc:
-        raise OperandTrap(f"invalid pattern: {exc}") from None
-    if not 0 <= program.scratch <= SCRATCH_LIMIT:
-        raise ScratchTrap(f"scratch size {program.scratch} out of range")
-    scratch = bytearray(program.scratch)
-    stack: List[int] = []
-    loops: List[List[int]] = []  # [start_pc, remaining, trip]
-    emitted = bytearray()
-    stats = ExecStats()
-    if acc is None:
-        acc = [0] * ACC_REGS
-    selected = program.kind != "filter"
-
-    def pop() -> int:
-        if not stack:
-            raise StackTrap("operand-stack underflow")
-        return stack.pop()
-
-    def push(value: int) -> None:
-        if len(stack) >= stack_limit:
-            raise StackTrap("operand-stack overflow")
-        stack.append(_clamp(value))
-
-    def window(offset: int, width: int) -> bytes:
-        if width not in WIDTHS:
-            raise OperandTrap(f"bad load width {width}")
-        if offset < 0 or offset + width > geometry.record_bytes:
-            raise WindowTrap(
-                f"load [{offset}:{offset + width}] outside the "
-                f"{geometry.record_bytes}B record window"
-            )
-        return record[offset:offset + width]
-
-    pc = 0
-    while True:
-        if pc >= len(code):
-            raise OperandTrap("fell off the end of the program (no RET)")
-        if stats.steps >= fuel:
-            raise FuelTrap(f"fuel exhausted after {stats.steps} steps")
-        instr = code[pc]
-        op = instr.op
-        stats.count(op)
-        next_pc = pc + 1
-        if op is Op.PUSH:
-            push(instr.a)
-        elif op is Op.POP:
-            pop()
-        elif op is Op.DUP:
-            value = pop()
-            push(value)
-            push(value)
-        elif op is Op.SWAP:
-            first, second = pop(), pop()
-            push(first)
-            push(second)
-        elif op is Op.LOAD:
-            push(int.from_bytes(window(instr.a, instr.b), "little"))
-        elif op is Op.LOADD:
-            push(int.from_bytes(window(pop(), instr.b), "little"))
-        elif op is Op.LOADS:
-            if instr.b not in WIDTHS:
-                raise OperandTrap(f"bad load width {instr.b}")
-            if instr.a < 0 or instr.a + instr.b > len(scratch):
-                raise ScratchTrap(
-                    f"scratch read [{instr.a}:{instr.a + instr.b}] "
-                    f"outside {len(scratch)}B"
-                )
-            push(
-                int.from_bytes(
-                    scratch[instr.a:instr.a + instr.b], "little"
-                )
-            )
-        elif op is Op.STORE:
-            if instr.b not in WIDTHS:
-                raise OperandTrap(f"bad store width {instr.b}")
-            if instr.a < 0 or instr.a + instr.b > len(scratch):
-                raise ScratchTrap(
-                    f"scratch write [{instr.a}:{instr.a + instr.b}] "
-                    f"outside {len(scratch)}B"
-                )
-            value = pop() & ((1 << (8 * instr.b)) - 1)
-            scratch[instr.a:instr.a + instr.b] = value.to_bytes(
-                instr.b, "little"
-            )
-        elif op is Op.PUSHCTR:
-            if not loops:
-                raise OperandTrap("PUSHCTR outside a loop")
-            start, remaining, trip = loops[-1]
-            push(trip - remaining)
-        elif op is Op.ADD:
-            push(pop() + pop())
-        elif op is Op.SUB:
-            right, left = pop(), pop()
-            push(left - right)
-        elif op is Op.MUL:
-            push(pop() * pop())
-        elif op is Op.EQ:
-            push(1 if pop() == pop() else 0)
-        elif op is Op.LT:
-            right, left = pop(), pop()
-            push(1 if left < right else 0)
-        elif op is Op.GT:
-            right, left = pop(), pop()
-            push(1 if left > right else 0)
-        elif op is Op.AND:
-            right, left = pop(), pop()
-            push(1 if left and right else 0)
-        elif op is Op.OR:
-            right, left = pop(), pop()
-            push(1 if left or right else 0)
-        elif op is Op.NOT:
-            push(0 if pop() else 1)
-        elif op is Op.JMP:
-            if not 0 <= instr.a < len(code):
-                raise OperandTrap(f"jump target {instr.a} out of range")
-            next_pc = instr.a
-        elif op is Op.JZ:
-            if not 0 <= instr.a < len(code):
-                raise OperandTrap(f"jump target {instr.a} out of range")
-            if pop() == 0:
-                next_pc = instr.a
-        elif op is Op.LOOP:
-            if instr.a < 1:
-                raise OperandTrap(f"loop trip {instr.a} must be >= 1")
-            loops.append([pc, instr.a, instr.a])
-        elif op is Op.END:
-            if not loops:
-                raise OperandTrap("END without a matching LOOP")
-            frame = loops[-1]
-            frame[1] -= 1
-            if frame[1] > 0:
-                next_pc = frame[0] + 1
-            else:
-                loops.pop()
-        elif op is Op.EMITF:
-            emitted.extend(window(instr.a, instr.b))
-        elif op is Op.EMITV:
-            if instr.b not in WIDTHS:
-                raise OperandTrap(f"bad emit width {instr.b}")
-            value = pop() & ((1 << (8 * instr.b)) - 1)
-            emitted.extend(value.to_bytes(instr.b, "little"))
-        elif op is Op.MATCH:
-            if not 0 <= instr.a < len(patterns):
-                raise OperandTrap(f"pattern index {instr.a} out of range")
-            stats.match_bytes += len(record)
-            push(1 if patterns[instr.a].search(record) else 0)
-        elif op is Op.AADD or op is Op.AMAX or op is Op.AMIN:
-            if not 0 <= instr.a < ACC_REGS:
-                raise OperandTrap(f"accumulator {instr.a} out of range")
-            value = pop()
-            if op is Op.AADD:
-                acc[instr.a] = _clamp(acc[instr.a] + value)
-            elif op is Op.AMAX:
-                acc[instr.a] = max(acc[instr.a], value)
-            else:
-                acc[instr.a] = min(acc[instr.a], value)
-        elif op is Op.ACNT:
-            if not 0 <= instr.a < ACC_REGS:
-                raise OperandTrap(f"accumulator {instr.a} out of range")
-            acc[instr.a] = _clamp(acc[instr.a] + 1)
-        elif op is Op.RET:
-            if program.kind == "filter":
-                selected = pop() != 0
-            return StageResult(selected, bytes(emitted), stats)
-        else:  # pragma: no cover - enum is closed
-            raise OperandTrap(f"unknown opcode {op!r}")
-        pc = next_pc
+    _check_window(record, geometry.record_bytes)
+    tally = [0] * len(_OPS)
+    selected, emitted = _run(
+        _decode(program), record, fuel,
+        [0] * ACC_REGS if acc is None else acc, stack_limit, tally,
+    )
+    return StageResult(selected, emitted, _stats(tally, len(record)))
 
 
 def interpret_pipeline(
@@ -330,19 +355,52 @@ def interpret_pipeline(
     The filter gates the later stages: a rejected record costs only the
     filter's steps.  ``fuel`` bounds each stage independently.
     """
-    stats = ExecStats()
-    emitted = b""
-    selected = True
-    for program in pipeline.stages:
-        if program.kind != "filter" and not selected:
-            break
-        result = interpret(
-            program, record, geometry, fuel, acc=acc,
-            stack_limit=stack_limit,
-        )
-        stats.merge(result.stats)
-        if program.kind == "filter":
-            selected = result.selected
-        elif program.kind == "project":
-            emitted = result.emitted
-    return StageResult(selected, emitted, stats)
+    # Checked here too: a page entry takes any other length for
+    # several records, or for none.
+    _check_window(record, geometry.record_bytes)
+    selected, emitted, stats = interpret_page(
+        pipeline, record, geometry, fuel,
+        [0] * ACC_REGS if acc is None else acc, stack_limit=stack_limit,
+    )
+    return StageResult(bool(selected), b"".join(emitted), stats)
+
+
+def interpret_page(
+    pipeline: Pipeline,
+    page: bytes,
+    geometry: Geometry,
+    fuel: int,
+    acc: List[int],
+    *,
+    stack_limit: int = STACK_LIMIT,
+) -> Tuple[List[Tuple[int, bytes]], List[bytes], ExecStats]:
+    """Run a whole pipeline over every record of ``page`` (raw entry).
+
+    :func:`interpret_pipeline` folded over the records: the selected
+    ``(slot, record)`` pairs, each one's projection output (``b""``
+    without a project stage) and one :class:`ExecStats` for the lot;
+    ``acc`` folds in place.  A stage is decoded when a record first
+    reaches it, so one that no record reaches raises nothing.
+    """
+    size = geometry.record_bytes
+    stages: List[Optional[_Stage]] = [None] * len(pipeline.stages)
+    tally = [0] * len(_OPS)
+    selected: List[Tuple[int, bytes]] = []
+    emitted: List[bytes] = []
+    for slot, at in enumerate(range(0, len(page), size)):
+        record = page[at:at + size]
+        _check_window(record, size)
+        output = b""
+        for index, program in enumerate(pipeline.stages):
+            stage = stages[index]
+            if stage is None:
+                stage = stages[index] = _decode(program)
+            keep, chunk = _run(stage, record, fuel, acc, stack_limit, tally)
+            if not keep:  # only a filter rejects, and it gates the rest
+                break
+            if program.kind == "project":
+                output = chunk
+        else:
+            selected.append((slot, record))
+            emitted.append(output)
+    return selected, emitted, _stats(tally, size)

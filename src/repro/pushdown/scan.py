@@ -24,14 +24,15 @@ selected records whole.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Generator, List, Optional, Tuple
 
 from ..hardware.accelerators import (
     ARM_SOFTWARE_REGEX,
     BF2_REGEX,
     HardwareAccelerator,
-    compile_pattern,
     regex_scan,
 )
 from ..hardware.cpu import CpuCore
@@ -66,6 +67,9 @@ __all__ = [
     "PushdownScanner",
     "run_pushdown_experiment",
     "canonical_pipeline",
+    "PipelineTable",
+    "build_pipeline_table",
+    "pipeline_table",
     "PipelineScanResult",
     "PipelineScanner",
     "run_pipeline_experiment",
@@ -84,11 +88,66 @@ MODES = ("ship-all", "dpu-software", "dpu-regex")
 NEEDLE_PATTERN = rb"needle-\d{8}"
 
 
+#: A generator word's top byte -> the letter ``97 + (word >> 27)``, and
+#: the top bytes that draw is redone for (``word >> 27 >= 26``).
+_LETTER = bytes(97 + (top >> 3) for top in range(256))
+_REDRAWN = bytes(range(26 << 3, 256))
+
+
+def _letters(rng: SeededRng, count: int) -> bytes:
+    """``bytes(97 + rng.randrange(26) for _ in range(count))``, in bulk.
+
+    That draw is ``getrandbits(5)`` — a generator word's top five bits
+    — redone while >= 26, and ``getrandbits(32 * n)`` is the next ``n``
+    words, lowest first.  Never asking for more words than letters are
+    missing leaves the stream where the per-byte loop does (pinned,
+    bytes and stream, by ``tests/test_pushdown_table.py``).
+    """
+    out = b""
+    while len(out) < count:
+        need = count - len(out)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        out += words[3::4].translate(_LETTER, _REDRAWN)
+    return out
+
+
+def _draw_table(
+    rng: SeededRng,
+    pages: int,
+    selectivity: float,
+    make_record: Callable[[int, SeededRng, bool], bytes],
+) -> Tuple[Tuple[bytes, ...], List[bytes]]:
+    """``pages`` pages of ``make_record(index, rng, hit)`` records, and
+    the hit records among them."""
+    table: List[bytes] = []
+    hits: List[bytes] = []
+    for first in range(0, pages * RECORDS_PER_PAGE, RECORDS_PER_PAGE):
+        records = []
+        for index in range(first, first + RECORDS_PER_PAGE):
+            hit = rng.random() < selectivity
+            record = make_record(index, rng, hit)
+            records.append(record)
+            if hit:
+                hits.append(record)
+        table.append(b"".join(records))
+    return tuple(table), hits
+
+
 def _make_record(index: int, rng: SeededRng, hit: bool) -> bytes:
     """A record that may contain the needle the query searches for."""
-    body = bytes(97 + rng.randrange(26) for _ in range(RECORD_BYTES - 24))
+    body = _letters(rng, RECORD_BYTES - 24)
     marker = b"needle-%08d" % index if hit else b"chaff--%08d" % index
     return (marker + body)[:RECORD_BYTES].ljust(RECORD_BYTES, b".")
+
+
+@lru_cache(maxsize=4)
+def _needle_table(
+    pages: int, selectivity: float, seed: int
+) -> Tuple[Tuple[bytes, ...], int]:
+    """The needle table a seed names, and how many records hold one."""
+    rng = SeededRng(seed)
+    table, hits = _draw_table(rng, pages, selectivity, _make_record)
+    return table, len(hits)
 
 
 class PushdownScanner:
@@ -138,20 +197,10 @@ class PushdownScanner:
                 f"needle scan failed admission: {self.admission.explain()}"
             )
         self.token: VerifiedPipeline = token
-        rng = SeededRng(seed)
-        self.expected_hits = 0
-        for page_id in range(pages):
-            records = []
-            for slot in range(RECORDS_PER_PAGE):
-                hit = rng.random() < selectivity
-                self.expected_hits += hit
-                records.append(
-                    _make_record(page_id * RECORDS_PER_PAGE + slot, rng, hit)
-                )
-            self.fs.write_sync(
-                self.file_id, page_id * PAGE_BYTES, b"".join(records)
-            )
-        self.pattern = compile_pattern(self.token.pattern)
+        table, self.expected_hits = _needle_table(pages, selectivity, seed)
+        for page_id, page in enumerate(table):
+            self.fs.write_sync(self.file_id, page_id * PAGE_BYTES, page)
+        self.pattern = token.lowered[0]
         self.wire_bytes = 0
 
     # ------------------------------------------------------------------
@@ -269,9 +318,7 @@ def _make_pipeline_record(index: int, rng: SeededRng, hit: bool) -> bytes:
     marker = b"needle-%08d" % index if hit else b"chaff--%08d" % index
     value = rng.randrange(10_000)
     weight = rng.randrange(100)
-    tail = bytes(
-        97 + rng.randrange(26) for _ in range(RECORD_BYTES - WEIGHT_OFFSET - 4)
-    )
+    tail = _letters(rng, RECORD_BYTES - WEIGHT_OFFSET - 4)
     record = (
         marker.ljust(VALUE_OFFSET, b".")
         + value.to_bytes(4, "little")
@@ -280,6 +327,39 @@ def _make_pipeline_record(index: int, rng: SeededRng, hit: bool) -> bytes:
     )
     assert len(record) == RECORD_BYTES
     return record
+
+
+@dataclass(frozen=True)
+class PipelineTable:
+    """A pipeline table's pages and the answers a scan of it must find."""
+
+    pages: Tuple[bytes, ...]
+    hits: int
+    value_sum: int
+    max_weight: int
+
+
+def build_pipeline_table(
+    rng: SeededRng, pages: int, selectivity: float
+) -> PipelineTable:
+    """Draw the next ``pages``-page pipeline table off ``rng``."""
+    table, hits = _draw_table(rng, pages, selectivity, _make_pipeline_record)
+    columns = [  # value and weight are adjacent LE u32s
+        struct.unpack_from("<II", record, VALUE_OFFSET) for record in hits
+    ]
+    return PipelineTable(
+        table,
+        len(hits),
+        sum(value for value, _weight in columns),
+        max((weight for _value, weight in columns), default=0),
+    )
+
+
+@lru_cache(maxsize=4)
+def pipeline_table(pages: int, selectivity: float, seed: int) -> PipelineTable:
+    """The table a seed names — a pure function of the three, so the
+    scanners of a sweep load one build of it."""
+    return build_pipeline_table(SeededRng(seed), pages, selectivity)
 
 
 class PipelineScanner:
@@ -336,33 +416,12 @@ class PipelineScanner:
                 else None
             )
             self.engine = PushdownEngine(env, self.dpu_core, accelerator)
-        rng = SeededRng(seed)
-        self.expected_hits = 0
-        self.expected_sum = 0
-        self.expected_max_weight = 0
-        for page_id in range(pages):
-            records = []
-            for slot in range(RECORDS_PER_PAGE):
-                hit = rng.random() < selectivity
-                record = _make_pipeline_record(
-                    page_id * RECORDS_PER_PAGE + slot, rng, hit
-                )
-                if hit:
-                    self.expected_hits += 1
-                    value = int.from_bytes(
-                        record[VALUE_OFFSET:VALUE_OFFSET + 4], "little"
-                    )
-                    weight = int.from_bytes(
-                        record[WEIGHT_OFFSET:WEIGHT_OFFSET + 4], "little"
-                    )
-                    self.expected_sum += value
-                    self.expected_max_weight = max(
-                        self.expected_max_weight, weight
-                    )
-                records.append(record)
-            self.fs.write_sync(
-                self.file_id, page_id * PAGE_BYTES, b"".join(records)
-            )
+        table = pipeline_table(pages, selectivity, seed)
+        self.expected_hits = table.hits
+        self.expected_sum = table.value_sum
+        self.expected_max_weight = table.max_weight
+        for page_id, page in enumerate(table.pages):
+            self.fs.write_sync(self.file_id, page_id * PAGE_BYTES, page)
         self.wire_bytes = 0
 
     def _page_payload(self, emitted: List[bytes], selected: int) -> int:

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Pattern, Tuple
 
 from .isa import (
     ACC_REGS,
@@ -157,6 +158,13 @@ class VerifiedPipeline:
     #: The single regex the RXP engine can absorb for the filter stage,
     #: when the filter lowers (``None`` -> software filter).
     pattern: Optional[bytes] = None
+
+    @cached_property
+    def lowered(self) -> Tuple[Pattern[bytes], Pipeline]:
+        """A lowering's two halves: ``pattern`` compiled for the RXP,
+        and the stages after the filter for the Arm cores."""
+        assert self.pattern is not None, "the filter does not lower"
+        return re.compile(self.pattern), Pipeline(self.pipeline.stages[1:])
 
 
 # ----------------------------------------------------------------------

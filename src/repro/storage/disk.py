@@ -10,6 +10,7 @@ device the DPU file service drives (§4.3, §7: SPDK's ``spdk_bdev_read``/
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Generator, List, Optional, Tuple
 
 from ..hardware.ssd import NvmeDevice
@@ -17,6 +18,19 @@ from ..sim import Environment, SeededRng
 from ..structures.memory import zero_buffer
 
 __all__ = ["RamDisk", "SpdkBdev"]
+
+
+#: Largest never-written read answered with a shared object: with the
+#: eight sizes kept, the most memory the sharing itself can pin.
+_SHARED_ZEROS_MAX = 1 << 20
+
+
+@lru_cache(maxsize=8)
+def _zeros(size: int) -> bytes:
+    """What a never-written range reads as: one immutable object per
+    size (a workload reads few distinct sizes) instead of an allocation
+    and its first-touch page faults per read."""
+    return bytes(size)
 
 
 class RamDisk:
@@ -47,7 +61,7 @@ class RamDisk:
         stop = -(-(offset + size) // extent)
         if self._written.find(1, offset // extent, stop) < 0:
             # Never written: zeros, without faulting the buffer's pages.
-            return bytes(size)
+            return _zeros(size) if size <= _SHARED_ZEROS_MAX else bytes(size)
         return bytes(self._data[offset : offset + size])
 
     def write(self, offset: int, data: bytes) -> None:

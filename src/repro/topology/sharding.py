@@ -645,7 +645,7 @@ class ShardedOffloadServer(OffloadServerBase):
         by the host's (much larger) fuel and surfaces as a trap.
         """
         from ..pushdown.engine import HOST_HZ, cycles_of
-        from ..pushdown.interp import ExecStats, interpret_pipeline
+        from ..pushdown.interp import interpret_page
         from ..pushdown.isa import ACC_REGS, STACK_LIMIT
 
         page_bytes = geometry.page_bytes
@@ -653,8 +653,7 @@ class ShardedOffloadServer(OffloadServerBase):
         host_fuel = geometry.fuel_limit * 1024
         acc: List[int] = [0] * ACC_REGS
         selected: List[Tuple[int, bytes]] = []
-        wire_bytes = 0
-        stats = ExecStats()
+        wire_bytes = cycles = 0
         for page_id in range(pages):
             page = yield from filesystem.read(
                 file_id, page_id * page_bytes, page_bytes
@@ -665,23 +664,14 @@ class ShardedOffloadServer(OffloadServerBase):
             yield from self.transport.process(len(page))
             yield from self.app_net.process(len(page))
             wire_bytes += len(page)
-            for start in range(0, len(page), geometry.record_bytes):
-                record = page[start:start + geometry.record_bytes]
-                result = interpret_pipeline(
-                    pipeline,
-                    record,
-                    geometry,
-                    host_fuel,
-                    acc=acc,
-                    stack_limit=STACK_LIMIT * 128,
-                )
-                stats.merge(result.stats)
-                if result.selected:
-                    slot = page_id * geometry.records_per_page + (
-                        start // geometry.record_bytes
-                    )
-                    selected.append((slot, record))
-        yield from self.host_pool.execute(cycles_of(stats) / HOST_HZ)
+            hits, _emitted, stats = interpret_page(
+                pipeline, page, geometry, host_fuel, acc,
+                stack_limit=STACK_LIMIT * 128,
+            )
+            cycles += cycles_of(stats)
+            first = page_id * geometry.records_per_page
+            selected.extend((first + slot, record) for slot, record in hits)
+        yield from self.host_pool.execute(cycles / HOST_HZ)
         return PushdownScanOutcome(
             file_id=file_id,
             shard=shard_index,

@@ -34,3 +34,9 @@ def verifies_then_runs(pipeline, record, geometry):
     return interpret_pipeline(  # clean: admission precedes execution
         token.pipeline, record, geometry, verdict.fuel
     )
+
+
+def runs_raw_page(pipeline, page, geometry):
+    return interp.interpret_page(  # DDS501 line 40
+        pipeline, page, geometry, 4096, [0, 0, 0, 0]
+    )

@@ -228,6 +228,7 @@ def test_pushdown_admission_exact_rules_and_lines():
         ("DDS501", 9),  # interpret() with no verify in scope
         ("DDS501", 13),  # interp.interpret_pipeline() via attribute
         ("DDS501", 19),  # verify exists but only *after* execution
+        ("DDS501", 40),  # interp.interpret_page(): the page-level entry
         ("DDS502", 27),  # VerifiedPipeline built by hand
     ]
 

@@ -20,10 +20,8 @@ from repro.pushdown import (
 )
 from repro.pushdown.scan import (
     PAGE_BYTES,
-    RECORDS_PER_PAGE,
     VALUE_OFFSET,
-    WEIGHT_OFFSET,
-    _make_pipeline_record,
+    build_pipeline_table,
     canonical_pipeline,
 )
 from repro.pushdown.verifier import PDV_RULES
@@ -58,31 +56,10 @@ def _add_table(fs, name, rng, pages=PAGES, selectivity=0.2):
     """Write one pipeline table into ``fs``; returns its file id and
     the ``(hits, total, best)`` a filter-project-agg scan must find."""
     file_id = fs.create_file("table", name)
-    hits = 0
-    total = 0
-    best = 0
-    for page_id in range(pages):
-        records = []
-        for slot in range(RECORDS_PER_PAGE):
-            hit = rng.random() < selectivity
-            record = _make_pipeline_record(
-                page_id * RECORDS_PER_PAGE + slot, rng, hit
-            )
-            if hit:
-                hits += 1
-                total += int.from_bytes(
-                    record[VALUE_OFFSET:VALUE_OFFSET + 4], "little"
-                )
-                best = max(
-                    best,
-                    int.from_bytes(
-                        record[WEIGHT_OFFSET:WEIGHT_OFFSET + 4],
-                        "little",
-                    ),
-                )
-            records.append(record)
-        fs.write_sync(file_id, page_id * PAGE_BYTES, b"".join(records))
-    return file_id, (hits, total, best)
+    table = build_pipeline_table(rng, pages, selectivity)
+    for page_id, page in enumerate(table.pages):
+        fs.write_sync(file_id, page_id * PAGE_BYTES, page)
+    return file_id, (table.hits, table.value_sum, table.max_weight)
 
 
 def _scan(env, server, file_id, pipeline, pages=PAGES):

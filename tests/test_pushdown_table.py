@@ -1,0 +1,152 @@
+"""The scan tables are values: pinned bytes, built once, never shared.
+
+``repro.pushdown.scan`` draws a record's random tail in bulk
+(``_letters``) instead of one ``rng.randrange(26)`` per byte, and
+memoises a table by ``(pages, selectivity, seed)``.  Every pushdown
+golden, ``BENCH_pushdown.json`` and the e2e benchmark's ``sim_*`` hang
+off *which records are hits*, so the licence for both is here: the
+bytes, the ground truth and the generator's position afterwards equal a
+per-byte ``randrange`` reference (a Python that ever draws ``randrange``
+differently fails this loudly), and a memoised table is only ever
+copied into a scanner's own disk.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import repro
+from repro.pushdown.scan import (
+    PAGE_BYTES,
+    RECORD_BYTES,
+    RECORDS_PER_PAGE,
+    VALUE_OFFSET,
+    WEIGHT_OFFSET,
+    PipelineScanner,
+    PushdownScanner,
+    build_pipeline_table,
+    canonical_pipeline,
+    pipeline_table,
+)
+from repro.sim import Environment, SeededRng
+
+SEEDS = (1, 55, 99)
+
+
+def _tail(rng, count):
+    return bytes(97 + rng.randrange(26) for _ in range(count))
+
+
+def _reference_pipeline_table(rng, pages, selectivity):
+    """The table loop and per-byte record as first written."""
+    table, hits, value_sum, max_weight = [], 0, 0, 0
+    for index in range(pages * RECORDS_PER_PAGE):
+        hit = rng.random() < selectivity
+        marker = b"needle-%08d" % index if hit else b"chaff--%08d" % index
+        value = rng.randrange(10_000)
+        weight = rng.randrange(100)
+        table.append(
+            marker.ljust(VALUE_OFFSET, b".")
+            + value.to_bytes(4, "little")
+            + weight.to_bytes(4, "little")
+            + _tail(rng, RECORD_BYTES - WEIGHT_OFFSET - 4)
+        )
+        if hit:
+            hits += 1
+            value_sum += value
+            max_weight = max(max_weight, weight)
+    return b"".join(table), (hits, value_sum, max_weight)
+
+
+def _reference_needle_table(rng, pages, selectivity):
+    table, hits = [], 0
+    for index in range(pages * RECORDS_PER_PAGE):
+        hit = rng.random() < selectivity
+        hits += hit
+        body = _tail(rng, RECORD_BYTES - 24)
+        marker = b"needle-%08d" % index if hit else b"chaff--%08d" % index
+        table.append(
+            (marker + body)[:RECORD_BYTES].ljust(RECORD_BYTES, b".")
+        )
+    return b"".join(table), hits
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pipeline_table_is_the_per_byte_table(seed):
+    table = pipeline_table(128, 0.05, seed)
+    data, truth = _reference_pipeline_table(SeededRng(seed), 128, 0.05)
+    assert [len(page) for page in table.pages] == [PAGE_BYTES] * 128
+    assert _digest(b"".join(table.pages)) == _digest(data)
+    assert (table.hits, table.value_sum, table.max_weight) == truth
+    assert table.hits > 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_needle_table_is_the_per_byte_table(seed):
+    scanner = PushdownScanner(
+        Environment(), pages=128, selectivity=0.05, mode="ship-all",
+        seed=seed,
+    )
+    data, hits = _reference_needle_table(SeededRng(seed), 128, 0.05)
+    stored = scanner.fs.read_sync(scanner.file_id, 0, 128 * PAGE_BYTES)
+    assert _digest(stored) == _digest(data)
+    assert scanner.expected_hits == hits > 0
+
+
+def test_tables_drawn_off_one_stream_leave_it_where_the_reference_does():
+    """``build_pipeline_table`` takes the rng so several tables can come
+    off one stream: each must consume exactly what the per-byte loop
+    consumed, or the *next* table moves."""
+    shipped, reference = SeededRng(99), SeededRng(99)
+    for pages, selectivity in ((3, 0.2), (1, 1.0), (2, 0.0)):
+        table = build_pipeline_table(shipped, pages, selectivity)
+        data, truth = _reference_pipeline_table(
+            reference, pages, selectivity
+        )
+        assert b"".join(table.pages) == data
+        assert (table.hits, table.value_sum, table.max_weight) == truth
+        assert shipped.getstate() == reference.getstate()
+
+
+def test_scanners_of_one_memoised_table_share_no_disk_byte():
+    assert pipeline_table(2, 0.5, 7) is pipeline_table(2, 0.5, 7)
+    first, second = (
+        PipelineScanner(
+            Environment(), canonical_pipeline("filter"), pages=2,
+            selectivity=0.5, seed=7,
+        )
+        for _ in range(2)
+    )
+    table = b"".join(pipeline_table(2, 0.5, 7).pages)
+    assert first.fs.read_sync(first.file_id, 0, len(table)) == table
+    first.fs.write_sync(first.file_id, 0, b"\xee" * PAGE_BYTES)
+    assert first.fs.read_sync(first.file_id, 0, 4) == b"\xee" * 4
+    assert second.fs.read_sync(second.file_id, 0, len(table)) == table
+    # ... nor does the write reach the memo a third scanner loads from.
+    assert b"".join(pipeline_table(2, 0.5, 7).pages) == table
+
+
+def test_scanning_does_not_import_the_linter():
+    """Every e2e child imports ``repro.pushdown.scan``; the restricted-
+    Python frontend must not drag ``repro.analysis`` (the whole ddslint
+    driver) in with it."""
+    code = (
+        "import sys, repro.pushdown.scan\n"
+        "loaded = sorted(m for m in sys.modules "
+        "if m.startswith('repro.analysis'))\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    subprocess.run(
+        [sys.executable, "-c", code], check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )

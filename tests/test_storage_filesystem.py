@@ -328,6 +328,30 @@ class TestSparseClone:
         # A range that straddles a written extent is the real bytes.
         disk.write(2 * self.EXTENT - 2, b"abcd")
         assert disk.read(2 * self.EXTENT - 4, 8) == b"\0\0abcd\0\0"
+
+    def test_never_written_reads_of_one_size_are_one_object(self):
+        """``bytes`` is immutable, so every never-written read of a size
+        is the same zeros object — an open-loop run otherwise parked
+        thousands of fresh 64 KiB payloads in the dedup window."""
+        disk, other = RamDisk(1 << 20), RamDisk(1 << 20)
+        for size in (0, 1, 512, 4096, self.EXTENT, 3 * self.EXTENT + 5):
+            zeros = disk.read(7, size)
+            assert zeros == bytes(size)
+            assert disk.read(self.EXTENT + 9, size) is zeros
+            assert other.read(0, size) is zeros
+        # Sharing is for request-sized reads; it pins nothing big.
+        disk = RamDisk(4 << 20)
+        huge = disk.read(0, (1 << 20) + 1)
+        assert huge == bytes((1 << 20) + 1)
+        assert disk.read(0, (1 << 20) + 1) is not huge
+        # Anything that overlaps a written extent is that disk's bytes.
+        disk.write(2 * self.EXTENT - 2, b"abcd")
+        straddling = disk.read(2 * self.EXTENT - 4, 8)
+        assert straddling == b"\0\0abcd\0\0"
+        assert straddling is not other.read(2 * self.EXTENT - 4, 8)
+        disk.write(5 * self.EXTENT, b"x" * 4096)
+        assert disk.read(5 * self.EXTENT, 4096) == b"x" * 4096
+        assert disk.read(7 * self.EXTENT, 4096) is other.read(0, 4096)
         assert disk.read(self.EXTENT - 1, self.EXTENT + 1)[-3:] == b"\0ab"
         assert disk.read(0, self.EXTENT) == bytes(self.EXTENT)
 
