@@ -52,7 +52,7 @@ def test_timeout_churn():
         env.process(churner(index))
     env.run()
     _RESULTS["timeout_churn"] = env.scheduled_count
-    assert env.scheduled_count == 50050
+    assert env.scheduled_count == 50025
     assert len(done) == 25
     assert env.now == pytest.approx(2000 * 7e-6)
 
@@ -75,7 +75,7 @@ def test_process_spawn_teardown():
     env.process(spawner())
     env.run()
     _RESULTS["spawn_teardown"] = env.scheduled_count
-    assert env.scheduled_count == 30202
+    assert env.scheduled_count == 30201
     assert finished[0] == 200 * 50
 
 
@@ -101,7 +101,7 @@ def test_fan_in_allof_anyof():
     env.process(fan())
     env.run()
     _RESULTS["fan_in"] = env.scheduled_count
-    assert env.scheduled_count == 24002
+    assert env.scheduled_count == 24001
     assert rounds[0] == 2000
 
 
@@ -126,5 +126,5 @@ def test_same_tick_storm():
     env.process(storm())
     env.run()
     _RESULTS["same_tick_storm"] = env.scheduled_count
-    assert env.scheduled_count == 120402
+    assert env.scheduled_count == 120401
     assert woken[0] == 400 * 100

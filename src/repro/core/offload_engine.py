@@ -218,7 +218,8 @@ class OffloadEngine:
         """
         if self._crashed:
             return False  # dead engine: no cost, immediate host fallback
-        yield from self._complete_ready()
+        if not self._completing:  # the walk's own guard, before building it
+            yield from self._complete_ready()
         yield from self.core.execute(self.OFFFUNC_COST)
         if self._crashed:
             # The engine died while this intake was on the core.

@@ -12,7 +12,6 @@ delay.  The NIC also exposes the two forwarding hops that matter to DDS:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Generator
 
@@ -52,7 +51,7 @@ class NetworkLink:
         """Number of MTU-sized packets a payload segments into."""
         if payload_bytes <= 0:
             return 1
-        return max(1, math.ceil(payload_bytes / self.spec.mtu))
+        return -(-payload_bytes // self.spec.mtu)
 
     def wire_bytes(self, payload_bytes: int) -> int:
         """Payload plus per-packet header overhead on the wire."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Optional, Tuple
 
 __all__ = ["FiveTuple", "AppSignature", "Segment", "WILDCARD"]
@@ -44,10 +45,19 @@ class FiveTuple:
         """Symmetric RSS hash: both directions map to the same core (§7).
 
         Symmetry avoids sharing TCP-splitting connection state between
-        DPU cores when the host responds on a split connection.  The
-        hash is blake2b over the *sorted* endpoint pair — not the
-        builtin ``hash``, which is salted per process (PYTHONHASHSEED)
-        and would make core and shard placement differ between runs.
+        DPU cores when the host responds on a split connection.
+        """
+        return self._rss_digest % buckets
+
+    @cached_property
+    def _rss_digest(self) -> int:
+        """The 64 bits every bucket count is taken from, derived once
+        per flow object (``cached_property`` writes the ``__dict__``,
+        which frozen allows and ``__eq__``/``__hash__`` do not see).
+
+        blake2b over the *sorted* endpoint pair — not the builtin
+        ``hash``, which is salted per process (PYTHONHASHSEED) and would
+        make core and shard placement differ between runs.
         """
         endpoints = sorted(
             [
@@ -57,7 +67,7 @@ class FiveTuple:
         )
         key = f"{endpoints[0]},{endpoints[1]},{self.protocol}".encode()
         digest = hashlib.blake2b(key, digest_size=8).digest()
-        return int.from_bytes(digest, "little") % buckets
+        return int.from_bytes(digest, "little")
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,13 @@ realise that order:
   entirely; a ready entry runs before the heap top unless the heap top
   shares the current timestamp with a smaller ``seq``.
 
-Process bootstrap and the "poke" that resumes a process whose yielded
-target already triggered are *direct continuations* — ``(seq, None,
-callable, None)`` ready entries — instead of freshly allocated throwaway
-``Event`` objects.  They consume exactly one ``seq`` each, like the event
-they replace, so the total order (and therefore every figure output) is
-bit-for-bit identical to the historical implementation.
+Process bootstrap, the "poke" that resumes a process whose yielded
+target already triggered, and an interrupt are *direct continuations* —
+``(seq, None, callable, argument)`` ready entries — instead of throwaway
+``Event`` objects.  Each consumes one ``seq``, like the event it
+replaces, so everything that has an effect keeps its historical order;
+what has none (the completion of a process nobody waits on) is not
+scheduled at all.
 
 Every class here carries ``__slots__``, events store their sole callback
 inline (promoting to a list only on the second waiter), and ``run()``
@@ -209,28 +210,15 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers after a fixed simulated delay."""
+    """An event that triggers at a set simulated instant; built by
+    :meth:`Environment.timeout` and :meth:`Environment.timeout_at`."""
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        self.env = env
-        self._cb = None
-        self._value = _PENDING
-        self._exception = None
-        self._scheduled = True
-        # Inlined Environment._schedule: timeouts are the hottest
-        # schedule site, and the inline keeps seq consumption identical.
-        eid = env._eid
-        env._eid = eid + 1
-        if delay == 0.0:
-            env._ready.append((eid, self, value, None))
-        else:
-            heapq.heappush(
-                env._heap, (env._now + delay, eid, self, value, None)
-            )
+
+#: What every new process is first resumed with: succeeded, with None.
+_START = Event(None)  # type: ignore[arg-type]
+_START._value = None
 
 
 class Process(Event):
@@ -240,9 +228,14 @@ class Process(Event):
     each yielded event triggers.  The process is itself an event that
     triggers with the generator's return value (or its uncaught exception),
     so processes can wait on each other.
+
+    A process that returns while nothing waits on it (fire-and-forget:
+    most of them) takes its value at that instant, with no completion
+    event, and a later waiter finds it triggered.  One that is waited
+    on, or that fails, completes through the queue.
     """
 
-    __slots__ = ("_generator", "name", "_target", "_poke_target")
+    __slots__ = ("_generator", "name", "_target")
 
     def __init__(self, env: "Environment", generator: Generator) -> None:
         if not hasattr(generator, "send"):
@@ -254,13 +247,15 @@ class Process(Event):
         self._scheduled = False
         self._generator = generator
         self.name = getattr(generator, "__name__", "process")
-        #: The pending event this process is registered on (for
-        #: deregistration when interrupted), and the already-triggered
-        #: event a scheduled same-tick poke will resume it with.
-        self._target: Optional[Event] = None
-        self._poke_target: Optional[Event] = None
-        # Kick off execution at the current simulation time.
-        env._schedule_call(self._bootstrap)
+        #: The event whose outcome the generator takes next: pending
+        #: (registered on), triggered (a continuation is queued), the
+        #: start signal or an interrupt.  Any other delivery is stale.
+        self._target: Optional[Event] = _START
+        # Kick off execution at the current simulation time (an inlined
+        # ``_schedule_call``: one queue trip per spawn, one frame).
+        eid = env._eid
+        env._eid = eid + 1
+        env._ready.append((eid, None, self._resume, _START))
 
     @property
     def is_alive(self) -> bool:
@@ -270,83 +265,73 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw an :class:`Interrupt` into the process at the current time.
 
-        The process is *deregistered* from whatever it was waiting on, so
-        the original wait target neither accumulates a dead callback nor
-        resumes the process at a stale yield point when it eventually
-        fires.
+        It replaces whatever the process was about to receive: the
+        process is *deregistered* from the event it waited on (no dead
+        callback, no resume at a stale yield point when that fires) and
+        a same-tick delivery on its way, an earlier interrupt included,
+        is dropped.  Interrupted before its first resume, a process
+        never runs: it fails with the interrupt.
         """
         if self._value is not _PENDING or self._exception is not None:
             raise SimulationError("cannot interrupt a finished process")
-        target = self._target
-        if target is not None:
-            target.remove_callback(self._resume)
-            self._target = None
-        # Cancel a pending same-tick poke: its target's outcome must not
-        # be delivered after the interrupt rewound the wait.
-        self._poke_target = None
-        exc = Interrupt(cause)
-        self.env._schedule_call(lambda: self._step(throw=exc))
+        if self._scheduled:
+            return  # the generator has returned; its outcome is queued
+        self._target.remove_callback(self._resume)
+        signal = Event(self.env)
+        signal._exception = Interrupt(cause)
+        self._target = signal
+        self.env._schedule_call(self._resume, signal)
 
     # ------------------------------------------------------------------
     # engine internals
     # ------------------------------------------------------------------
-    def _bootstrap(self) -> None:
-        """First resume (scheduled as a direct continuation)."""
-        self._step(send=None)
-
-    def _poke(self) -> None:
-        """Deliver an already-triggered target's outcome (same tick)."""
-        target = self._poke_target
-        if target is None:
-            return  # cancelled by interrupt()
-        self._poke_target = None
-        if target._exception is not None:
-            self._step(throw=target._exception)
-        else:
-            self._step(send=target._value)
-
     def _resume(self, event: Event) -> None:
-        """Resume the generator with the outcome of ``event``."""
-        self._target = None
-        if event._exception is not None:
-            self._step(throw=event._exception)
-        else:
-            self._step(send=event._value)
-
-    def _step(self, send: Any = None, throw: Optional[BaseException] = None):
-        if self._value is not _PENDING or self._exception is not None or (
-            self._scheduled
-        ):
-            # A stale wakeup must not resume a finished process.
-            return
+        """Deliver ``event``'s outcome to the generator and wait on what
+        it yields next: the callback of a pending target, and the
+        continuation that starts, pokes or interrupts the process."""
+        if event is not self._target:
+            return  # an interrupt took this delivery's place
         try:
-            if throw is not None:
-                target = self._generator.throw(throw)
+            if event._exception is None:
+                target = self._generator.send(event._value)
             else:
-                target = self._generator.send(send)
+                target = self._generator.throw(event._exception)
         except StopIteration as stop:
+            self._target = None
             self._scheduled = True
-            self.env._schedule(self, 0.0, stop.value, None)
+            if self._cb is None:
+                # Nobody waits, so a completion event would do nothing:
+                # the value lands now and only a traced run is told.
+                self._value = stop.value
+                env = self.env
+                if env.trace is not None:
+                    env.trace(env._now, self)
+            else:
+                self.env._schedule(self, 0.0, stop.value, None)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate into waiters
+            self._target = None
             self._scheduled = True
             self.env._schedule(self, 0.0, _PENDING, exc)
             return
 
-        if not isinstance(target, Event):
+        try:
+            pending = target._exception is None and target._value is _PENDING
+        except AttributeError:
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; "
                 "processes must yield Event instances"
-            )
-        if target._value is not _PENDING or target._exception is not None:
+            ) from None
+        self._target = target
+        if not pending:
             # Already triggered: resume at the same timestamp via a
             # same-tick continuation to keep scheduling fair with
             # respect to other ready processes.
-            self._poke_target = target
-            self.env._schedule_call(self._poke)
+            self.env._schedule_call(self._resume, target)
+        elif target._cb is None:
+            target._cb = self._resume
         else:
             target.add_callback(self._resume)
-            self._target = target
 
 
 class Interrupt(Exception):
@@ -441,8 +426,9 @@ class Environment:
         #: Delayed occurrences: (time, seq, event, value, exception).
         self._heap: List[tuple] = []
         #: Same-tick occurrences: (seq, event, value, exception) where
-        #: ``event is None`` marks a direct continuation and ``value``
-        #: holds the callable.  Entries are always at time ``_now``.
+        #: ``event is None`` marks a direct continuation, ``value`` the
+        #: callable and ``exception`` its argument.  Entries are always
+        #: at time ``_now``.
         self._ready: Deque[tuple] = deque()
         #: Next (time, seq) tiebreaker; also the count of everything
         #: ever scheduled (events + continuations) — the ``events`` the
@@ -475,7 +461,9 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that triggers ``delay`` simulated seconds from now."""
-        return Timeout(self, delay, value)
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        return self.timeout_at(self._now + delay, value)
 
     def reserve_seq(self) -> int:
         """Take the next sequence number without scheduling anything.
@@ -501,21 +489,26 @@ class Environment:
         the moment the number was reserved instead of a fresh one; no
         two pending events may share an instant and a ``seq``.
         """
-        if not when >= self._now:  # also rejects NaN
+        now = self._now
+        if not when >= now:  # also rejects NaN
             raise ValueError(
-                f"timeout_at({when}) is in the past (now={self._now})"
+                f"timeout_at({when}) is in the past (now={now})"
             )
+        # The hottest schedule site: no constructor frame.
+        event = Timeout.__new__(Timeout)
+        event.env = self
+        event._cb = None
+        event._value = _PENDING
+        event._exception = None
+        event._scheduled = True
         if seq is None:
-            if when == self._now:
-                return Timeout(self, 0.0, value)
             seq = self._eid
             self._eid = seq + 1
-        # Timeout's constructor takes a delay; build the event around
-        # it.  A reserved ``seq`` is older than the ready deque's, so it
-        # goes through the heap even when due now.
-        event = Timeout.__new__(Timeout)
-        Event.__init__(event, self)
-        event._scheduled = True
+            if when == now:
+                self._ready.append((seq, event, value, None))
+                return event
+        # A reserved ``seq`` is older than the ready deque's, so it goes
+        # through the heap even when due now.
         heapq.heappush(self._heap, (when, seq, event, value, None))
         return event
 
@@ -551,36 +544,30 @@ class Environment:
                 (self._now + delay, eid, event, value, exception),
             )
 
-    def _schedule_call(self, fn: Callable[[], None]) -> None:
-        """Schedule a same-tick engine continuation (no Event object)."""
+    def _schedule_call(self, fn: Callable[[Any], None], arg: Any) -> None:
+        """Schedule ``fn(arg)`` as a same-tick continuation (no Event)."""
         eid = self._eid
         self._eid = eid + 1
-        self._ready.append((eid, None, fn, None))
-
-    def _pop_next(self) -> tuple:
-        """Remove and return the next (event, value, exception) triple,
-        advancing the clock.  Callers ensure a queue is non-empty."""
-        ready = self._ready
-        heap = self._heap
-        if ready:
-            # A heap entry at the current timestamp with a smaller seq
-            # predates everything in the ready deque.
-            if heap and heap[0][0] <= self._now and heap[0][1] < ready[0][0]:
-                entry = heapq.heappop(heap)
-                return entry[2], entry[3], entry[4]
-            entry = ready.popleft()
-            return entry[1], entry[2], entry[3]
-        entry = heapq.heappop(heap)
-        self._now = entry[0]
-        return entry[2], entry[3], entry[4]
+        self._ready.append((eid, None, fn, arg))
 
     def step(self) -> None:
         """Process the single next scheduled occurrence."""
-        if not self._ready and not self._heap:
-            raise SimulationError("no scheduled events")
-        event, value, exception = self._pop_next()
+        ready = self._ready
+        heap = self._heap
+        if not ready:
+            if not heap:
+                raise SimulationError("no scheduled events")
+            self._now = heap[0][0]
+        # A heap entry at the current timestamp with a smaller seq
+        # predates everything in the ready deque.
+        if heap and heap[0][0] <= self._now and (
+            not ready or heap[0][1] < ready[0][0]
+        ):
+            event, value, exception = heapq.heappop(heap)[2:]
+        else:
+            event, value, exception = ready.popleft()[1:]
         if event is None:
-            value()
+            value(exception)
             return
         if self.trace is not None:
             self.trace(self._now, event)
@@ -636,7 +623,7 @@ class Environment:
                         "event triggered (deadlock?)"
                     )
                 if event is None:
-                    value()
+                    value(exception)
                 else:
                     event._apply(value, exception)
             return until.value
@@ -664,7 +651,7 @@ class Environment:
             else:
                 break
             if event is None:
-                value()
+                value(exception)
             else:
                 event._apply(value, exception)
         if until is not None:
@@ -683,15 +670,7 @@ class Environment:
                 self.step()
             return until.value
         deadline = float("inf") if until is None else float(until)
-        while True:
-            if self._ready:
-                if self._now > deadline:
-                    break
-            elif self._heap:
-                if self._heap[0][0] > deadline:
-                    break
-            else:
-                break
+        while (self._ready or self._heap) and self.peek() <= deadline:
             self.step()
         if until is not None:
             self._now = max(self._now, deadline)

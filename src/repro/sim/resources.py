@@ -101,7 +101,16 @@ class Resource:
     def hold(self, duration: float) -> Event:
         """Hold a unit for ``duration``, queueing FIFO; the event
         triggers at the end of the hold."""
-        return self.env.timeout_at(self.book(duration))
+        free_at = self._free_at
+        if self.capacity != 1 or free_at is None or duration < 0:
+            return self.env.timeout_at(self.book(duration))
+        # One unit (every core, link and bus): :meth:`book` without the
+        # search — the same addition on the same two operands.
+        env = self.env
+        now = env.now
+        start = free_at[0]
+        free_at[0] = end = (start if start > now else now) + duration
+        return env.timeout_at(end)
 
     def request(self) -> Event:
         """Return an event that triggers when a unit is granted."""

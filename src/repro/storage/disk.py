@@ -43,8 +43,10 @@ class RamDisk:
     touches only those.
     """
 
-    #: Granularity of the ever-written map.
-    EXTENT_BYTES = 64 << 10
+    #: Granularity of the ever-written map: a memory page, so a read
+    #: beside a small write stays on the never-written path (a read
+    #: fault in the shared anonymous buffer is a real page).
+    EXTENT_BYTES = 4 << 10
 
     def __init__(self, size: int) -> None:
         if size <= 0:

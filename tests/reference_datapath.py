@@ -20,6 +20,11 @@ baseline servers' OS-file path is not covered, and the relay between
 shards is still spawned in the shipped code.  A resource is
 either booked or requested for life, so a hold site missing from the
 reference fails loudly rather than half-applying it.
+
+:func:`schedule_every_completion` is a separate reference, for the
+engine rather than the models (DESIGN.md §11, "In-place completions"):
+every process completes through the queue, as all of them did before
+a process nobody waits on took its value in place.
 """
 
 from repro.core.file_library import PollMode
@@ -31,6 +36,7 @@ from repro.hardware.cpu import CpuCore, CpuPool
 from repro.hardware.nic import NetworkLink
 from repro.hardware.pcie import DmaEngine
 from repro.hardware.ssd import DeviceError, NvmeDevice
+from repro.sim import Process
 from repro.storage.filesystem import (
     DdsFileSystem,
     FileSystemError,
@@ -39,7 +45,7 @@ from repro.storage.filesystem import (
 from repro.structures.response import ResponseStatus
 from repro.topology.stages import DdsHostSide
 
-__all__ = ["install", "held"]
+__all__ = ["install", "held", "schedule_every_completion"]
 
 
 def held(resource, duration):
@@ -255,3 +261,24 @@ def install(monkeypatch):
         (DdsHostSide, "_completion_pump", _host_completion_pump),
     ]:
         monkeypatch.setattr(owner, name, reference)
+
+
+# ----------------------------------------------------------------------
+# a completion event for every process
+# ----------------------------------------------------------------------
+def _nobody(_event):
+    """A waiter that does nothing: what a completion event with no
+    callback ran."""
+
+
+def schedule_every_completion(monkeypatch):
+    """Every process is born waited on, so each completes through the
+    queue.  (A failure the shipped engine would raise out of ``run()``
+    is delivered to this waiter instead; the scenarios have none.)"""
+    shipped = Process.__init__
+
+    def __init__(self, env, generator):
+        shipped(self, env, generator)
+        self.add_callback(_nobody)
+
+    monkeypatch.setattr(Process, "__init__", __init__)

@@ -1,6 +1,10 @@
 """Tests for five-tuples, application signatures, and stack cost models."""
 
+import dataclasses
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.hardware import (
     DPU_TLDK,
@@ -8,6 +12,7 @@ from repro.hardware import (
     CpuCore,
     CpuPool,
     HOST_CPU,
+    NIC_100G,
     NetworkLink,
 )
 from repro.net import AppSignature, FiveTuple, Segment, StackLayer, WILDCARD
@@ -45,6 +50,23 @@ class TestFiveTuple:
         flow = FiveTuple("10.0.0.1", 40000, "10.0.0.2", 5000)
         assert flow.rss_hash(1 << 30) == 134748005
         assert flow.reversed().rss_hash(1 << 30) == 134748005
+
+    def test_rss_digest_is_kept_per_instance_and_stays_out_of_identity(self):
+        """The digest is derived once per flow object; the reverse
+        direction and an equal-but-distinct instance, which derive
+        their own, land in the same bucket, and keeping it changes
+        neither equality nor the hash."""
+        flow = FiveTuple("10.0.0.1", 40000, "10.0.0.2", 5000)
+        twin = FiveTuple("10.0.0.1", 40000, "10.0.0.2", 5000)
+        hashed = hash(flow)
+        for buckets in range(1, 9):
+            bucket = flow.rss_hash(buckets)
+            assert 0 <= bucket < buckets
+            assert flow.reversed().rss_hash(buckets) == bucket
+            assert twin.rss_hash(buckets) == bucket
+        assert flow == twin and twin is not flow
+        assert hash(flow) == hashed == hash(twin.reversed().reversed())
+        assert "_rss_digest" in vars(flow)  # kept, not recomputed
 
     def test_rss_hash_agrees_with_shard_steering(self):
         """flow_shard delegates to rss_hash: one keying for both."""
@@ -136,6 +158,16 @@ class TestNetworkLink:
         assert link.packets_for(1500) == 1
         assert link.packets_for(1501) == 2
         assert link.packets_for(0) == 1
+
+    @given(
+        payload=st.integers(min_value=1, max_value=1 << 31),
+        mtu=st.sampled_from([576, 1500, 9000]),
+    )
+    def test_packets_for_in_integers_is_the_float_ceiling(self, payload, mtu):
+        link = NetworkLink(
+            Environment(), dataclasses.replace(NIC_100G, mtu=mtu)
+        )
+        assert link.packets_for(payload) == max(1, math.ceil(payload / mtu))
 
     def test_transmit_time_scales_with_size(self):
         env = Environment()

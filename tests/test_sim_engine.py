@@ -351,3 +351,151 @@ def test_deterministic_fifo_at_same_timestamp():
         env.process(proc(env, tag))
     env.run()
     assert order == list(range(10))
+
+
+# ----------------------------------------------------------------------
+# in-place completions (DESIGN.md §11)
+# ----------------------------------------------------------------------
+def _returns_after(env, delay, value):
+    yield env.timeout(delay)
+    return value
+
+
+def test_unwaited_process_takes_its_value_the_instant_it_returns():
+    env = Environment()
+    seen = []
+
+    def watcher(env, proc):
+        # Due at the same instant, scheduled after the child's timeout:
+        # it runs right after the child's generator returned, ahead of
+        # anything the return could have put on the queue.
+        yield env.timeout(3)
+        seen.append((proc.triggered, proc.is_alive, proc.ok, proc.value))
+
+    proc = env.process(_returns_after(env, 3, "v"))
+    env.process(watcher(env, proc))
+    env.run()
+    assert seen == [(True, False, True, "v")]
+
+
+def test_late_waiters_take_a_finished_process_value_in_the_same_instant():
+    env = Environment()
+    proc = env.process(_returns_after(env, 2, "v"))
+    env.run(until=5)
+    assert proc.triggered
+    assert env.run(until=proc) == "v"
+
+    def late(env):
+        started = env.now
+        value = yield proc
+        joined = yield env.all_of([proc, env.timeout(0, "t")])
+        which, first = yield env.any_of([proc, env.event()])
+        return value, joined, which is proc, first, env.now - started
+
+    waiter = env.process(late(env))
+    env.run()
+    assert waiter.value == ("v", ["v", "t"], True, "v", 0.0)
+
+
+def test_waited_on_process_still_completes_through_the_queue():
+    """Its waiter resumes after everything that was already ready at
+    that instant, as it always has."""
+    env = Environment()
+    order = []
+
+    def child(env):
+        yield env.timeout(1)
+        order.append("child")
+
+    def parent(env):
+        yield env.process(child(env))
+        order.append("parent")
+
+    def other(env):
+        yield env.timeout(0.5)
+        yield env.timeout(0.5)  # due with the child's, scheduled after it
+        order.append("other")
+
+    env.process(parent(env))
+    env.process(other(env))
+    env.run()
+    assert env.now == 1.0
+    assert order == ["child", "other", "parent"]
+
+
+def test_interrupting_a_process_that_finished_in_place_is_an_error():
+    env = Environment()
+    proc = env.process(_returns_after(env, 1, None))
+    env.run()
+    with pytest.raises(SimulationError, match="finished process"):
+        proc.interrupt()
+
+
+def test_interrupt_supersedes_what_the_process_was_about_to_receive():
+    """Whatever was on its way — the first resume, an earlier interrupt
+    of the same instant — the process takes the latest interrupt and
+    nothing else."""
+    env = Environment()
+    outcomes = []
+
+    def sleeper(env):
+        try:
+            yield env.timeout(10)
+        except Interrupt as interrupt:
+            outcomes.append(interrupt.cause)
+            yield env.timeout(1)
+            outcomes.append("slept")
+
+    def never_started(env):
+        outcomes.append("started")  # pragma: no cover - must not run
+        yield env.timeout(1)
+
+    victim = env.process(sleeper(env))
+    env.run(until=2)
+    victim.interrupt("first")
+    victim.interrupt("second")
+    env.run()
+    assert outcomes == ["second", "slept"]
+
+    stillborn = env.process(never_started(env))
+    stillborn.interrupt("early")
+    with pytest.raises(Interrupt):
+        env.run()
+    assert outcomes == ["second", "slept"] and not stillborn.ok
+
+
+# ----------------------------------------------------------------------
+# what each primitive costs, in sequence numbers
+# ----------------------------------------------------------------------
+def _cost(env, action):
+    """Sequence numbers consumed by ``action`` and the run after it."""
+    before = env.scheduled_count
+    action()
+    env.run()
+    return env.scheduled_count - before
+
+
+def test_exact_sequence_cost_of_spawn_hold_and_lane_timeout():
+    from repro.sim import Resource
+
+    def nothing(env):
+        return "done"
+        yield  # pragma: no cover - make this a generator
+
+    def joins(env):
+        yield env.process(nothing(env))
+
+    env = Environment()
+    # Spawn and finish, nobody waiting: the bootstrap, nothing else.
+    assert _cost(env, lambda: env.process(nothing(env))) == 1
+    # With a waiter: bootstrap + completion, for the child and for the
+    # parent nobody waits on just its bootstrap.
+    assert _cost(env, lambda: env.process(joins(env))) == 1 + 2
+    core = Resource(env)
+    assert _cost(env, lambda: core.hold(1.0)) == 1
+    assert _cost(env, lambda: core.hold(1.0)) == 1  # the booked path
+    pool = Resource(env, capacity=3)
+    assert _cost(env, lambda: pool.hold(1.0)) == 1
+    lane = env.reserve_seq()
+    assert _cost(env, lambda: env.timeout_at(env.now + 1, seq=lane)) == 0
+    assert _cost(env, lambda: env.timeout_at(env.now)) == 1

@@ -355,6 +355,28 @@ class TestSparseClone:
         assert disk.read(self.EXTENT - 1, self.EXTENT + 1)[-3:] == b"\0ab"
         assert disk.read(0, self.EXTENT) == bytes(self.EXTENT)
 
+    def test_the_ever_written_map_is_page_sized(self):
+        """A small write marks the one page it lands in, so a read of
+        the page beside it stays on the never-written path (with 64 KiB
+        extents, scattered 1 KiB writes made nearly every read fault a
+        real page of the shared mapping)."""
+        page = 4096
+        assert self.EXTENT == page
+        disk = RamDisk(256 << 20)
+        assert len(disk._written) == 64 << 10
+        disk.write(5 * page + 100, b"k" * 1024)
+        assert disk._written.count(1) == 1 and disk._written[5] == 1
+        assert disk.written_runs(0, disk.size) == [(5 * page, page)]
+        # Clipped to pages, then to the range asked about.
+        assert disk.written_runs(5 * page + 50, 2 * page) == [
+            (5 * page + 50, page - 50)
+        ]
+        for neighbour in (4 * page, 6 * page):
+            assert disk.read(neighbour, page) is RamDisk(page).read(0, page)
+        straddling = disk.read(4 * page, 2 * page)
+        assert straddling[page + 100 : page + 1124] == b"k" * 1024
+        assert straddling.count(0) == 2 * page - 1024
+
     def _namespace(self):
         env, disk, fs = make_fs(disk_size=32 << 20)
         fs.create_directory("db")
