@@ -13,10 +13,13 @@ Regenerate after an *intentional* model change with::
 
 from pathlib import Path
 
+from repro.apps.kv_service import run_kv_experiment
+from repro.apps.pageserver import run_pageserver_experiment
 from repro.bench.harness import run_io_experiment
 from repro.hardware import DPU_CPU, CpuCore, MICROSECOND
 from repro.sim import Environment, SeededRng
 from repro.structures import CuckooCacheTable
+from repro.topology.registry import SOLUTIONS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -42,6 +45,62 @@ def fig16_golden_lines():
             f"p99={result.p99!r} host={result.host_cores!r} "
             f"dpu={result.dpu_cores!r} client={result.client_cores!r}"
         )
+    return lines
+
+
+def solutions_golden_lines():
+    """Every registered solution on reads and on a 50/50 mix, then both
+    §9 applications on both deployments: one full-precision line each,
+    recorded before ``build_server`` became the one assembler."""
+    lines = []
+    for name in SOLUTIONS:
+        for read_fraction in (1.0, 0.5):
+            result = run_io_experiment(
+                name,
+                400_000.0,
+                total_requests=_FIG16_REQUESTS,
+                read_fraction=read_fraction,
+                max_outstanding=96,
+            )
+            lines.append(
+                f"{name} reads={read_fraction} "
+                f"achieved={result.achieved_iops!r} "
+                f"elapsed={result.elapsed!r} p50={result.p50!r} "
+                f"p99={result.p99!r} host={result.host_cores!r} "
+                f"dpu={result.dpu_cores!r} client={result.client_cores!r} "
+                f"events={result.events}"
+            )
+    for kind in ("baseline", "dds"):
+        for label, achieved, result in (
+            (
+                "kv",
+                "achieved_ops",
+                run_kv_experiment(
+                    kind,
+                    300_000.0,
+                    total_requests=3000,
+                    records=38_900,  # 192 B under budget: one log flush
+                    read_fraction=0.6,
+                ),
+            ),
+            (
+                "pageserver",
+                "achieved_pages",
+                run_pageserver_experiment(
+                    kind,
+                    80_000.0,
+                    total_requests=600,
+                    pages=2048,
+                    replay_rate=200_000.0,
+                ),
+            ),
+        ):
+            lines.append(
+                f"{label}-{kind} achieved={getattr(result, achieved)!r} "
+                f"p50={result.p50!r} p99={result.p99!r} "
+                f"host={result.host_cores!r} dpu={result.dpu_cores!r} "
+                f"offloaded={result.offloaded_fraction!r}"
+            )
     return lines
 
 
@@ -89,6 +148,10 @@ def test_fig16_reduced_golden():
     _check("golden_fig16.txt", fig16_golden_lines())
 
 
+def test_every_solution_and_both_apps_golden():
+    _check("golden_solutions.txt", solutions_golden_lines())
+
+
 def test_fig22_reduced_golden():
     _check("golden_fig22.txt", fig22_golden_lines())
 
@@ -97,6 +160,9 @@ def _regen():  # pragma: no cover - maintenance entry point
     FIXTURES.mkdir(exist_ok=True)
     (FIXTURES / "golden_fig16.txt").write_text(
         "\n".join(fig16_golden_lines()) + "\n"
+    )
+    (FIXTURES / "golden_solutions.txt").write_text(
+        "\n".join(solutions_golden_lines()) + "\n"
     )
     (FIXTURES / "golden_fig22.txt").write_text(
         "\n".join(fig22_golden_lines()) + "\n"
