@@ -24,7 +24,7 @@ def run_figure():
         breakdown = result.breakdown
         rows.append(
             (
-                kops(result.achieved_pages),
+                kops(result.achieved),
                 cores(breakdown["dbms-network"]),
                 cores(breakdown["os-network"]),
                 cores(breakdown["filesystem"]),

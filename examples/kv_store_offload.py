@@ -60,7 +60,7 @@ def compare_deployments() -> None:
             kind, offered, total_requests=6000, batch=batch
         )
         print(
-            f"{kind:10s} {result.achieved_ops / 1e3:7.1f}K "
+            f"{kind:10s} {result.achieved / 1e3:7.1f}K "
             f"{result.p50 * 1e6:6.0f}us {result.p99 * 1e6:6.0f}us "
             f"{result.host_cores:11.2f}"
         )

@@ -62,7 +62,7 @@ def compare_deployments() -> None:
             kind, offered, total_requests=5000
         )
         print(
-            f"{kind:10s} {result.achieved_pages / 1e3:7.1f}K "
+            f"{kind:10s} {result.achieved / 1e3:7.1f}K "
             f"{result.p99 * 1e6:7.0f}us {result.host_cores:11.2f} "
             f"{result.offloaded_fraction * 100:9.1f}%"
         )

@@ -34,6 +34,7 @@ from .determinism import check_determinism
 from .pushdown_admission import check_pushdown_admission
 from .rules import DEFAULT_CONFIG, Finding, LintConfig
 from .shared_state import check_shared_state
+from .unused_imports import check_unused_imports
 
 __all__ = [
     "lint_source",
@@ -120,6 +121,7 @@ def lint_source(
     findings = check_shared_state(tree, path, classes)
     findings += check_determinism(tree, path, classes)
     findings += check_pushdown_admission(tree, path, classes)
+    findings += check_unused_imports(tree, path)
     findings.sort(key=lambda f: (f.line, f.rule))
     return _apply_suppressions(findings, source.splitlines())
 

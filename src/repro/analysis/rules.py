@@ -80,6 +80,7 @@ RULES: Dict[str, str] = {
         "hand-built VerifiedProgram/VerifiedPipeline — proof tokens "
         "are minted only by the verifier"
     ),
+    "DDS601": "imported name never used in the module (any module)",
 }
 
 

@@ -6,10 +6,9 @@ compressed_storage`.
 """
 
 from .compute import ComputeServer, LogRecord, LogServer
-from .faster import RECORD, DdsFileDevice, FasterKv, OsFileDevice
+from .faster import RECORD, FasterKv
 from .kv_service import (
     KvCluster,
-    KvExperimentResult,
     build_kv_cluster,
     kv_offload_callbacks,
     run_kv_experiment,
@@ -18,7 +17,6 @@ from .pageserver import (
     PAGE_BYTES,
     PAGE_HEADER,
     PageServerCluster,
-    PageServerResult,
     build_pageserver_cluster,
     make_page,
     pageserver_callbacks,
@@ -29,17 +27,13 @@ from .ycsb import WORKLOAD_MIXES, YcsbWorkload
 
 __all__ = [
     "ComputeServer",
-    "DdsFileDevice",
     "LogRecord",
     "LogServer",
     "FasterKv",
     "KvCluster",
-    "KvExperimentResult",
-    "OsFileDevice",
     "PAGE_BYTES",
     "PAGE_HEADER",
     "PageServerCluster",
-    "PageServerResult",
     "RECORD",
     "WORKLOAD_MIXES",
     "YcsbWorkload",

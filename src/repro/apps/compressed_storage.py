@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, List
 
+from ..core.file_service import DpuFileService
 from ..hardware.accelerators import (
     ARM_SOFTWARE_COMPRESSION,
     BF2_COMPRESSION,
@@ -132,7 +133,7 @@ class CompressedPageStore:
         entry = self._directory.get(page_id)
         if entry is None:
             raise KeyError(f"no such page: {page_id}")
-        yield from self.spdk_core.execute(0.35e-6)
+        yield from self.spdk_core.execute(DpuFileService.SUBMIT_COST)
         stored = yield from self.fs.read(
             self.file_id, entry.offset, entry.stored_bytes
         )

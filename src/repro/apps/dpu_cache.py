@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from typing import Generator, List
 
 from ..core.api import ReadOp
+from ..core.file_service import DpuFileService
 from ..hardware.cpu import CpuCore
-from ..hardware.specs import MICROSECOND
+from ..hardware.specs import DPU_CPU, MICROSECOND
 from ..sim import Environment, SeededRng
 from ..storage.disk import RamDisk, SpdkBdev
 from ..storage.filesystem import DdsFileSystem
@@ -151,8 +152,8 @@ def run_dpu_cache_experiment(
             page_id * page_bytes,
             page_id.to_bytes(8, "little") * (page_bytes // 8),
         )
-    core = CpuCore(env, speed=0.35, name="engine")
-    spdk_core = CpuCore(env, speed=0.35, name="spdk")
+    core = CpuCore(env, speed=DPU_CPU.speed, name="engine")
+    spdk_core = CpuCore(env, speed=DPU_CPU.speed, name="spdk")
     cache = (
         DpuReadCache(env, core, cache_bytes) if cache_bytes > 0 else None
     )
@@ -166,7 +167,7 @@ def run_dpu_cache_experiment(
             data = yield from cache.lookup(read_op)
             if data is not None:
                 return data
-        yield from spdk_core.execute(0.35e-6)
+        yield from spdk_core.execute(DpuFileService.SUBMIT_COST)
         data = yield from fs.read(file_id, read_op.offset, read_op.size)
         if cache is not None:
             cache.fill(read_op, data)

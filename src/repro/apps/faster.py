@@ -3,8 +3,10 @@
 FASTER stores records in a *hybrid log* that spans memory and secondary
 storage.  The in-memory tail supports in-place updates; behind it lies a
 read-only in-memory region, and everything older is flushed to storage
-through the ``IDevice`` abstraction.  A hash index maps keys to their
-latest record address in the log.
+through the ``IDevice`` abstraction (``read(offset, size)`` /
+``write(offset, data)`` generators raising ``FileSystemError``; the
+OS-file and DDS-library pair lives in :mod:`repro.topology.stages`).
+A hash index maps keys to their latest record address in the log.
 
 This module implements the store for real — records are bytes on a
 log whose disk portion lives in the DDS filesystem — plus the CPU cost
@@ -20,66 +22,14 @@ from __future__ import annotations
 import struct
 from typing import Callable, Generator, Optional, Union
 
-from ..core.file_library import DdsFileLibrary
 from ..hardware.cpu import CpuCore, CpuPool
 from ..hardware.specs import MICROSECOND
 from ..sim import Environment
-from ..storage.osfs import OsFileSystem
 
-__all__ = ["RECORD", "FasterKv", "OsFileDevice", "DdsFileDevice"]
+__all__ = ["RECORD", "FasterKv"]
 
 #: On-log record encoding.
 RECORD = struct.Struct("<QQ")
-
-
-class OsFileDevice:
-    """IDevice over the OS filesystem (FASTER's default storage)."""
-
-    def __init__(self, osfs: OsFileSystem, file_id: int) -> None:
-        self.osfs = osfs
-        self.file_id = file_id
-
-    def read(self, offset: int, size: int) -> Generator:
-        """Read log bytes through the OS filesystem."""
-        return (yield from self.osfs.read(self.file_id, offset, size))
-
-    def write(self, offset: int, data: bytes) -> Generator:
-        """Flush log bytes through the OS filesystem."""
-        yield from self.osfs.write(self.file_id, offset, data)
-
-
-class DdsFileDevice:
-    """IDevice implemented with the DDS front-end library (§9.2).
-
-    The paper's integration point: ~360 lines of code replace the
-    Windows-file IDevice with DDS's library, and flushes flowing through
-    the DPU file service populate the cache table via cache-on-write.
-    """
-
-    def __init__(
-        self,
-        library: DdsFileLibrary,
-        file_id: int,
-        completion_router,
-    ) -> None:
-        self.library = library
-        self.file_id = file_id
-        self._router = completion_router
-
-    def read(self, offset: int, size: int) -> Generator:
-        """Read log bytes via the DDS library (executed on the DPU)."""
-        request_id = yield from self.library.read_file(
-            self.file_id, offset, size
-        )
-        response = yield self._router.wait_for(request_id)
-        return response.data
-
-    def write(self, offset: int, data: bytes) -> Generator:
-        """Flush log bytes via the DDS library; cache-on-write fires."""
-        request_id = yield from self.library.write_file(
-            self.file_id, offset, data
-        )
-        yield self._router.wait_for(request_id)
 
 
 class FasterKv:
@@ -232,7 +182,8 @@ class FasterKv:
         appends would both flush (and doubly advance past) the same
         page, losing the records behind it.  Appends arriving during a
         flush let memory exceed the budget transiently; the next append
-        flushes again.
+        flushes again — also after a device write that raised, which
+        leaves the page (its records' only copy) in memory.
         """
         self._flushing = True
         try:

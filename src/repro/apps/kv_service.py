@@ -7,32 +7,33 @@ Two deployments:
 * **baseline** — the server receives each GET over Windows sockets, runs
   the FASTER read path, and reaches records through an IDevice on the OS
   filesystem.
-* **dds** — the IDevice is reimplemented with the DDS front-end library,
-  and the offload API caches ``{key -> (file id, offset, size)}`` on
+* **dds** — the IDevice is the DDS front-end library's, and the offload
+  API caches ``{key -> (file id, offset, size)}`` on
   every log flush (cache-on-write parses the flushed page's records), so
   the traffic director serves GETs for on-disk records entirely from the
   DPU.  GETs for in-memory records — which only the host can see — fall
   back to the host over the split connection.
 
+The integration is what §9 says it is: Table 1's four callbacks, one
+host handler, and the deployment's ``IDevice`` under the store —
+:func:`~repro.topology.registry.build_server` assembles both datapaths.
 Requests ride the shared wire format with ``tag`` carrying the key.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Generator, List, Optional, Sequence, Tuple
 
+from ..bench.harness import AppResult, bring_up, measure_app
 from ..core.api import OffloadCallbacks, ReadOp, WriteOp
-from ..core.client import ClientConfig, ClientResult, WorkloadClient
+from ..core.client import ClientConfig
 from ..core.messages import IoRequest, IoResponse, OpCode
-from ..core.server import BaselineServer, DdsOffloadServer
-from ..hardware.nic import NetworkLink
 from ..hardware.specs import HOST_APP_NET, MICROSECOND, NVME_1TB
-from ..hardware.ssd import NvmeDevice
-from ..sim import Environment, Event, SeededRng
-from ..storage.disk import RamDisk, SpdkBdev
-from ..storage.filesystem import DdsFileSystem
-from .faster import RECORD, DdsFileDevice, FasterKv, OsFileDevice
+from ..sim import Environment, SeededRng
+from ..topology.registry import build_server
+from .faster import RECORD, FasterKv
 from .ycsb import YcsbWorkload
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "KvCluster",
     "build_kv_cluster",
     "run_kv_experiment",
-    "KvExperimentResult",
 ]
 
 
@@ -102,34 +102,6 @@ def kv_offload_callbacks(kv_file_id: int) -> OffloadCallbacks:
     )
 
 
-class _CompletionRouter:
-    """Resolves DDS-library completions back to waiting IDevice calls."""
-
-    def __init__(self, env: Environment, library, group) -> None:
-        self.env = env
-        self.library = library
-        self.group = group
-        self._waiters: Dict[int, Event] = {}
-        env.process(self._pump())
-
-    def wait_for(self, request_id: int) -> Event:
-        event = self.env.event()
-        self._waiters[request_id] = event
-        return event
-
-    def _pump(self) -> Generator:
-        from ..core.file_library import PollMode
-
-        while True:
-            completion = yield from self.library.poll_wait(
-                self.group, PollMode.SLEEPING
-            )
-            request_id, ok, data = completion
-            waiter = self._waiters.pop(request_id, None)
-            if waiter is not None:
-                waiter.succeed(IoResponse(request_id, ok, data))
-
-
 @dataclass
 class KvCluster:
     """A ready-to-drive disaggregated KV deployment."""
@@ -157,81 +129,64 @@ def build_kv_cluster(
     """
     if kind not in ("baseline", "dds"):
         raise ValueError(f"unknown KV deployment: {kind!r}")
-    import dataclasses
-
-    env = Environment()
-    disk = RamDisk(max(records * RECORD.size * 2, 64 << 20))
+    offload = kind == "dds"
     small_read_spec = dataclasses.replace(
         NVME_1TB, name="nvme-1tb-small-reads", read_latency=60 * MICROSECOND
     )
-    device_model = NvmeDevice(env, small_read_spec)
-    fs = DdsFileSystem(env, SpdkBdev(env, disk, device=device_model))
+    env, fs, link = bring_up(
+        max(records * RECORD.size * 2, 64 << 20), small_read_spec
+    )
     fs.create_directory("faster")
     kv_file_id = fs.create_file("faster", "hybrid-log")
-    link = NetworkLink(env)
     workload = YcsbWorkload(records, mix="C", seed=seed)
 
-    if kind == "baseline":
-        kv_holder: List[FasterKv] = []
+    def handler(request: IoRequest) -> Generator:
+        if request.op is OpCode.WRITE:
+            value = int.from_bytes(request.payload[:8], "little")
+            yield from kv.upsert(request.tag, value)
+            if cache_table is not None:
+                # The new version lives on the in-memory tail, so any
+                # cached disk location for this key is now stale -- the
+                # integration drops it (it is re-cached by cache-on-write
+                # when the tail flushes, §9.2).
+                cache_table.delete(request.tag)
+            return IoResponse(request.request_id, True)
+        value = yield from kv.read(request.tag)
+        if value is None:
+            return IoResponse(request.request_id, False)
+        return IoResponse(
+            request.request_id, True, RECORD.pack(request.tag, value)
+        )
 
-        def handler(request: IoRequest) -> Generator:
-            if request.op is OpCode.WRITE:
-                value = int.from_bytes(request.payload[:8], "little")
-                yield from kv_holder[0].upsert(request.tag, value)
-                return IoResponse(request.request_id, True)
-            value = yield from kv_holder[0].read(request.tag)
-            if value is None:
-                return IoResponse(request.request_id, False)
-            return IoResponse(
-                request.request_id, True, RECORD.pack(request.tag, value)
-            )
-
+    callbacks = kv_offload_callbacks(kv_file_id)
+    server = build_server(
+        "dds-offload" if offload else "baseline", env, link, fs,
+        callbacks=callbacks,
+        host_app=handler,
         # FASTER's remote layer is a full data-system network module,
         # heavier than the §8.1 benchmark app's messaging.
-        server = BaselineServer(
-            env, link, fs, app_handler=handler, app_net_spec=HOST_APP_NET
-        )
-        device = OsFileDevice(server.osfs, kv_file_id)
-        kv = FasterKv(env, server.host_pool, memory_budget, device=device)
-        kv_holder.append(kv)
-        loader = _load(kv, workload, fs, kv_file_id, cache_table=None)
-    else:
-        kv_holder = []
-        server_holder = []
-
-        def handler(request: IoRequest) -> Generator:
-            if request.op is OpCode.WRITE:
-                # Upsert: the new version lives on the in-memory tail, so
-                # any cached disk location for this key is now stale --
-                # the integration drops it (it is re-cached by
-                # cache-on-write when the tail flushes, §9.2).
-                value = int.from_bytes(request.payload[:8], "little")
-                yield from kv_holder[0].upsert(request.tag, value)
-                server_holder[0].cache_table.delete(request.tag)
-                return IoResponse(request.request_id, True)
-            value = yield from kv_holder[0].read(request.tag)
-            if value is None:
-                return IoResponse(request.request_id, False)
-            return IoResponse(
-                request.request_id, True, RECORD.pack(request.tag, value)
-            )
-
-        callbacks = kv_offload_callbacks(kv_file_id)
-        server = DdsOffloadServer(
-            env, link, fs, callbacks=callbacks, host_app=handler
-        )
-        server_holder.append(server)
-        group = server.library.create_poll()
-        server.library.poll_add(group, kv_file_id)
-        router = _CompletionRouter(env, server.library, group)
-        device = DdsFileDevice(server.library, kv_file_id, router)
-        kv = FasterKv(env, server.host_pool, memory_budget, device=device)
-        kv_holder.append(kv)
-        loader = _load(
-            kv, workload, fs, kv_file_id, cache_table=server.cache_table
-        )
-    for _ in loader:
-        pass
+        app_net_spec=HOST_APP_NET,
+    )
+    cache_table = server.cache_table if offload else None
+    backend = server.backend if offload else server.execution
+    kv = FasterKv(
+        env, server.host_pool, memory_budget,
+        device=backend.device(kv_file_id),
+    )
+    # Load phase: populate the store, persisting flushed pages for real
+    # in zero simulated time and (in the DDS deployment) caching their
+    # records exactly as the runtime cache-on-write hook would.
+    for key, value_bytes in workload.load_keys():
+        flushed = kv.load(key, int.from_bytes(value_bytes, "little"))
+        if flushed is None:
+            continue
+        offset, page = flushed
+        fs.write_sync(kv_file_id, offset, page)
+        if cache_table is not None:
+            for item in callbacks.cache(
+                WriteOp(kv_file_id, offset, len(page), context=page)
+            ):
+                cache_table.insert(*item)
     return KvCluster(
         env=env,
         server=server,
@@ -239,44 +194,6 @@ def build_kv_cluster(
         workload=workload,
         kv_file_id=kv_file_id,
     )
-
-
-def _load(kv, workload, fs, kv_file_id, cache_table):
-    """Load phase: populate the store, persisting flushed pages for real.
-
-    Flushed pages are written into the filesystem with zero simulated
-    time, and (in the DDS deployment) their records are cached exactly
-    as the runtime cache-on-write hook would.
-    """
-    callbacks = (
-        kv_offload_callbacks(kv_file_id) if cache_table is not None else None
-    )
-    for key, value_bytes in workload.load_keys():
-        flushed = kv.load(key, int.from_bytes(value_bytes, "little"))
-        if flushed is not None:
-            offset, page = flushed
-            fs.write_sync(kv_file_id, offset, page)
-            if cache_table is not None:
-                items = callbacks.cache(
-                    WriteOp(kv_file_id, offset, len(page), context=page)
-                )
-                for item_key, item in items:
-                    cache_table.insert(item_key, item)
-        yield
-
-
-@dataclass
-class KvExperimentResult:
-    """One Figure 25/26 measurement point."""
-
-    kind: str
-    offered_ops: float
-    achieved_ops: float
-    p50: float
-    p99: float
-    host_cores: float
-    dpu_cores: float
-    offloaded_fraction: float
 
 
 def run_kv_experiment(
@@ -289,7 +206,7 @@ def run_kv_experiment(
     max_outstanding: int = 128,
     read_fraction: float = 1.0,
     seed: int = 11,
-) -> KvExperimentResult:
+) -> AppResult:
     """Drive a YCSB workload at one offered rate.
 
     ``read_fraction=1.0`` is the paper's uniform-read benchmark;
@@ -331,22 +248,6 @@ def run_kv_experiment(
         max_outstanding=max_outstanding,
         seed=request_rng.randrange(1 << 30),
     )
-    client = WorkloadClient(
-        cluster.env,
-        cluster.server,
-        cluster.kv_file_id,
-        config,
-        request_factory=factory,
-    )
-    result: ClientResult = client.run()
-    server = cluster.server
-    return KvExperimentResult(
-        kind=kind,
-        offered_ops=offered_ops,
-        achieved_ops=result.achieved_iops,
-        p50=result.p50,
-        p99=result.p99,
-        host_cores=server.host_cores(result.elapsed),
-        dpu_cores=server.dpu_cores(result.elapsed),
-        offloaded_fraction=server.offloaded_fraction(),
+    return measure_app(
+        kind, cluster.env, cluster.server, cluster.kv_file_id, config, factory
     )

@@ -23,16 +23,14 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
+from ..bench.harness import AppResult, bring_up, measure_app
 from ..core.api import OffloadCallbacks, ReadOp, WriteOp
-from ..core.client import ClientConfig, ClientResult, WorkloadClient
+from ..core.client import ClientConfig
 from ..core.messages import IoRequest, IoResponse, OpCode
-from ..core.server import BaselineServer, DdsOffloadServer
 from ..hardware.cpu import CpuCore
-from ..hardware.nic import NetworkLink
 from ..hardware.specs import HOST_APP_NET, MICROSECOND
 from ..sim import Environment, SeededRng
-from ..storage.disk import RamDisk, SpdkBdev
-from ..storage.filesystem import DdsFileSystem
+from ..topology.registry import build_server
 
 __all__ = [
     "PAGE_BYTES",
@@ -43,7 +41,6 @@ __all__ = [
     "PageServerCluster",
     "build_pageserver_cluster",
     "run_pageserver_experiment",
-    "PageServerResult",
 ]
 
 PAGE_BYTES = 8192
@@ -138,16 +135,15 @@ class _PageServerApp:
         host_pool,
         rbpex_file_id: int,
         pages: int,
-        read_page,
-        write_page,
+        device,
         rng: SeededRng,
     ) -> None:
         self.env = env
         self.host_pool = host_pool
         self.rbpex_file_id = rbpex_file_id
         self.pages = pages
-        self.read_page = read_page    # generator: (offset, size) -> bytes
-        self.write_page = write_page  # generator: (offset, data) -> None
+        #: The RBPEX file's ``IDevice`` (OS files or the DDS library).
+        self.device = device
         self.rng = rng
         self.page_lsns: Dict[int, int] = {p: 0 for p in range(pages)}
         self.current_lsn = 0
@@ -191,9 +187,9 @@ class _PageServerApp:
         offset = page_id * PAGE_BYTES
         # Read the page (invalidate-on-read fires in the file service),
         # apply the record, write it back (cache-on-write re-caches it).
-        yield from self.read_page(offset, PAGE_BYTES)
+        yield from self.device.read(offset, PAGE_BYTES)
         yield from self.host_pool.execute(self.REPLAY_APPLY_COST)
-        yield from self.write_page(offset, make_page(page_id, lsn))
+        yield from self.device.write(offset, make_page(page_id, lsn))
         self.page_lsns[page_id] = lsn
         self.records_replayed += 1
         still_waiting = []
@@ -218,7 +214,7 @@ class _PageServerApp:
             gate = self.env.event()
             self._lsn_waiters.append((page_id, wanted_lsn, gate))
             yield gate
-        data = yield from self.read_page(page_id * PAGE_BYTES, PAGE_BYTES)
+        data = yield from self.device.read(page_id * PAGE_BYTES, PAGE_BYTES)
         self.pages_served += 1
         return IoResponse(request.request_id, True, data)
 
@@ -243,9 +239,8 @@ def build_pageserver_cluster(
     """Assemble the §9.1 setup: RBPEX on local SSD, replay, GetPage@LSN."""
     if kind not in ("baseline", "dds"):
         raise ValueError(f"unknown page-server deployment: {kind!r}")
-    env = Environment()
-    disk = RamDisk(pages * PAGE_BYTES + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
+    offload = kind == "dds"
+    env, fs, link = bring_up(pages * PAGE_BYTES + (64 << 20))
     fs.create_directory("rbpex")
     rbpex = fs.create_file("rbpex", "data")
     # Materialize every page at LSN 0.
@@ -256,68 +251,19 @@ def build_pageserver_cluster(
             page_id * PAGE_BYTES,
             PAGE_HEADER.pack(0, page_id),
         )
-    link = NetworkLink(env)
-    rng = SeededRng(seed)
 
-    if kind == "baseline":
-        app_holder: List[_PageServerApp] = []
-
-        def handler(request: IoRequest) -> Generator:
-            return (yield from app_holder[0].get_page(request))
-
-        server = BaselineServer(
-            env, link, fs, app_handler=handler, app_net_spec=HOST_APP_NET
-        )
-
-        def read_page(offset, size):
-            return server.osfs.read(rbpex, offset, size)
-
-        def write_page(offset, data):
-            return server.osfs.write(rbpex, offset, data)
-
-        app = _PageServerApp(
-            env, server.host_pool, rbpex, pages, read_page, write_page, rng
-        )
-        app_holder.append(app)
-    else:
-        app_holder = []
-
-        def handler(request: IoRequest) -> Generator:
-            return (yield from app_holder[0].get_page(request))
-
-        callbacks = pageserver_callbacks(rbpex)
-        server = DdsOffloadServer(
-            env, link, fs, callbacks=callbacks, host_app=handler
-        )
-        from .kv_service import _CompletionRouter
-
-        group = server.library.create_poll()
-        server.library.poll_add(group, rbpex)
-        router = _CompletionRouter(env, server.library, group)
-
-        def read_page(offset, size):
-            def op():
-                request_id = yield from server.library.read_file(
-                    rbpex, offset, size
-                )
-                response = yield router.wait_for(request_id)
-                return response.data
-
-            return op()
-
-        def write_page(offset, data):
-            def op():
-                request_id = yield from server.library.write_file(
-                    rbpex, offset, data
-                )
-                yield router.wait_for(request_id)
-
-            return op()
-
-        app = _PageServerApp(
-            env, server.host_pool, rbpex, pages, read_page, write_page, rng
-        )
-        app_holder.append(app)
+    server = build_server(
+        "dds-offload" if offload else "baseline", env, link, fs,
+        callbacks=pageserver_callbacks(rbpex),
+        host_app=lambda request: app.get_page(request),  # built below
+        app_net_spec=HOST_APP_NET,
+    )
+    backend = server.backend if offload else server.execution
+    app = _PageServerApp(
+        env, server.host_pool, rbpex, pages, backend.device(rbpex),
+        SeededRng(seed),
+    )
+    if offload:
         # Seed the cache table: every page is clean at LSN 0.
         for page_id in range(pages):
             server.cache_table.insert(
@@ -329,21 +275,6 @@ def build_pageserver_cluster(
     )
 
 
-@dataclass
-class PageServerResult:
-    """One Figure 2/24 measurement point."""
-
-    kind: str
-    offered_pages: float
-    achieved_pages: float
-    p50: float
-    p99: float
-    host_cores: float
-    dpu_cores: float
-    offloaded_fraction: float
-    breakdown: Dict[str, float]
-
-
 def run_pageserver_experiment(
     kind: str,
     offered_pages: float,
@@ -353,7 +284,7 @@ def run_pageserver_experiment(
     batch: int = 2,
     max_outstanding: int = 128,
     seed: int = 23,
-) -> PageServerResult:
+) -> AppResult:
     """Drive GetPage@LSN traffic at one offered rate.
 
     Requests ask for the page's current LSN (the common case: the
@@ -386,37 +317,23 @@ def run_pageserver_experiment(
         max_outstanding=max_outstanding,
         seed=seed + 2,
     )
-    client = WorkloadClient(
-        cluster.env,
-        cluster.server,
-        cluster.rbpex_file_id,
-        config,
-        request_factory=factory,
+    point = measure_app(
+        kind, cluster.env, cluster.server, cluster.rbpex_file_id, config,
+        factory,
     )
-    result: ClientResult = client.run()
-    server = cluster.server
-    elapsed = result.elapsed
-    breakdown: Dict[str, float] = {}
     if kind == "baseline":
-        breakdown = {
-            "dbms-network": server.app_net.cores_consumed(elapsed),
-            "os-network": server.os_tcp.cores_consumed(elapsed),
-            "filesystem": server.osfs.layer.cores_consumed(elapsed)
-            + server.osfs.serializer.utilization(elapsed),
-            "dbms-other": server.app_other.cores_consumed(elapsed)
-            + app.dispatch_core.utilization(elapsed),
+        # Figure 2's split of the host's cores; the SQL dispatch thread
+        # is a core of the app's own, outside the server's roll-up.
+        elapsed = point.elapsed
+        dispatch = app.dispatch_core.utilization(elapsed)
+        _wire, os_tcp, app_net, execution, _egress = cluster.server.stages
+        point.breakdown = {
+            "dbms-network": app_net.layer.cores_consumed(elapsed),
+            "os-network": os_tcp.layer.cores_consumed(elapsed),
+            "filesystem": execution.osfs.layer.cores_consumed(elapsed)
+            + execution.osfs.serializer.utilization(elapsed),
+            "dbms-other": execution.app_other.cores_consumed(elapsed)
+            + dispatch,
         }
-    host_cores = server.host_cores(elapsed)
-    if kind == "baseline":
-        host_cores += app.dispatch_core.utilization(elapsed)
-    return PageServerResult(
-        kind=kind,
-        offered_pages=offered_pages,
-        achieved_pages=result.achieved_iops,
-        p50=result.p50,
-        p99=result.p99,
-        host_cores=host_cores,
-        dpu_cores=server.dpu_cores(elapsed),
-        offloaded_fraction=server.offloaded_fraction(),
-        breakdown=breakdown,
-    )
+        point.host_cores += dispatch
+    return point

@@ -1,14 +1,6 @@
-"""Comparison systems for Figure 16's ten-solution study (§8.4)."""
+"""Comparison-system stages for Figure 16's ten-solution study (§8.4)."""
 
-from .local import NO_TRANSPORT, LocalDdsServer, LocalOsServer
-from .redy import RedyServer
-from .smb import SMB_PROTOCOL, SmbServer
+from .redy import RedyTransport
+from .smb import SMB_PROTOCOL, SmbExchange
 
-__all__ = [
-    "LocalDdsServer",
-    "LocalOsServer",
-    "NO_TRANSPORT",
-    "RedyServer",
-    "SMB_PROTOCOL",
-    "SmbServer",
-]
+__all__ = ["RedyTransport", "SMB_PROTOCOL", "SmbExchange"]

@@ -15,21 +15,12 @@ messages flow, on both sides of the wire.
 
 from __future__ import annotations
 
-from ..core.server import PipelineServer
 from ..hardware.cpu import CpuPool
-from ..hardware.nic import NetworkLink
 from ..hardware.specs import RDMA_VERBS
 from ..sim import Environment
-from ..storage.filesystem import DdsFileSystem
-from ..topology.stages import (
-    DdsBackend,
-    OsFileExecution,
-    TransportStage,
-    WireEgress,
-    WireIngress,
-)
+from ..topology.stages import TransportStage
 
-__all__ = ["RedyServer", "RedyTransport"]
+__all__ = ["RedyTransport"]
 
 
 class RedyTransport(TransportStage):
@@ -39,76 +30,15 @@ class RedyTransport(TransportStage):
     than per-message work — exactly how Figure 16 accounts Redy.
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        cpu: CpuPool,
-        server_pollers: int,
-        client_pollers: int,
-    ) -> None:
-        super().__init__(env, RDMA_VERBS, cpu, name="redy-rpc")
-        self.server_pollers = server_pollers
-        self.client_pollers = client_pollers
-
-    def host_cores(self, elapsed: float) -> float:
-        return float(self.server_pollers)
-
-    def client_cores(self) -> float:
-        return float(self.client_pollers)
-
-
-class RedyServer(PipelineServer):
-    """RDMA RPC disaggregation with spin-polling cores on both sides."""
-
     #: Polling cores dedicated per side (always 100% busy).
     POLLING_CORES_SERVER = 2
     POLLING_CORES_CLIENT = 1
 
-    client_spec = RDMA_VERBS
+    def __init__(self, env: Environment, cpu: CpuPool) -> None:
+        super().__init__(env, RDMA_VERBS, cpu, name="redy-rpc")
 
-    def __init__(
-        self,
-        env: Environment,
-        link: NetworkLink,
-        filesystem: DdsFileSystem,
-        dds_files: bool = False,
-    ) -> None:
-        super().__init__(env, link)
-        self.dds_files = dds_files
-        transport = RedyTransport(
-            env,
-            self.host_pool,
-            self.POLLING_CORES_SERVER,
-            self.POLLING_CORES_CLIENT,
-        )
-        if dds_files:
-            backend = DdsBackend(env, self.host_pool, filesystem)
-            execution = backend
-            self.host_side = backend.host_side
-            self.osfs = None
-        else:
-            backend = None
-            execution = OsFileExecution(env, filesystem, self.host_pool)
-            self.host_side = None
-            self.osfs = execution.osfs
-            self.app_other = execution.app_other
-        self._set_pipeline(
-            # RDMA writes land in user memory directly: no NIC->host
-            # kernel forward hop on ingest.
-            [
-                WireIngress(env, link, forward_latency=False),
-                transport,
-                execution,
-                WireEgress(env, link),
-            ],
-            execution=execution,
-        )
-        self.transport = transport.layer
-        if backend is not None:
-            self.backend = backend
-            self.dma = backend.dma
-            self.dma_core = backend.dma_core
-            self.spdk_core = backend.spdk_core
-            self.file_service = backend.file_service
-            self.library = backend.library
-            backend.start()
+    def host_cores(self, elapsed: float) -> float:
+        return float(self.POLLING_CORES_SERVER)
+
+    def client_cores(self) -> float:
+        return float(self.POLLING_CORES_CLIENT)

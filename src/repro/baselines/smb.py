@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Generator
 
 from ..core.messages import IoRequest, IoResponse, OpCode
-from ..core.server import PipelineServer
 from ..hardware.cpu import CpuPool
 from ..hardware.nic import NetworkLink
 from ..hardware.specs import (
@@ -33,7 +32,7 @@ from ..storage.filesystem import DdsFileSystem
 from ..storage.osfs import OsFileSystem
 from ..topology.stages import Stage, StageKind
 
-__all__ = ["SmbServer", "SmbExchange", "SMB_PROTOCOL"]
+__all__ = ["SmbExchange", "SMB_PROTOCOL"]
 
 #: SMB server-side protocol processing per operation (marshalling,
 #: credit management, signing bookkeeping) on top of the transport.
@@ -46,9 +45,19 @@ SMB_PROTOCOL = StackSpec(
 
 
 class SmbExchange(Stage):
-    """One SMB operation end to end, gated by session credits."""
+    """One SMB operation end to end, gated by session credits.
+
+    A mounted remote disk has no batching: each request is its own
+    protocol exchange, even if the benchmark client handed over several
+    at once.  ``direct=True`` gives SMB Direct (RDMA transport).  The
+    session grants a bounded number of credits (outstanding operations),
+    which caps throughput no matter how hard the client pushes.
+    """
 
     kind = StageKind.EXECUTION
+
+    #: Outstanding-operation credits per session.
+    CREDITS = 32
 
     def __init__(
         self,
@@ -56,7 +65,6 @@ class SmbExchange(Stage):
         link: NetworkLink,
         filesystem: DdsFileSystem,
         host_pool: CpuPool,
-        credits: int,
         direct: bool,
     ) -> None:
         super().__init__("smb-exchange")
@@ -66,7 +74,7 @@ class SmbExchange(Stage):
         self.transport = StackLayer(env, transport_spec, host_pool)
         self.protocol = StackLayer(env, SMB_PROTOCOL, host_pool)
         self.osfs = OsFileSystem(env, filesystem, host_pool)
-        self.credits = Resource(env, capacity=credits)
+        self.credits = Resource(env, capacity=self.CREDITS)
 
     def host_cores(self, elapsed: float) -> float:
         return self.osfs.serializer.utilization(elapsed)
@@ -99,36 +107,3 @@ class SmbExchange(Stage):
         finally:
             self.credits.release()
         return response
-
-
-class SmbServer(PipelineServer):
-    """A mounted remote disk: per-operation round trips, OS files behind.
-
-    ``direct=True`` gives SMB Direct (RDMA transport).  The SMB session
-    grants a bounded number of credits (outstanding operations), which
-    caps throughput no matter how hard the client pushes.
-    """
-
-    #: Outstanding-operation credits per session.
-    CREDITS = 32
-
-    def __init__(
-        self,
-        env: Environment,
-        link: NetworkLink,
-        filesystem: DdsFileSystem,
-        direct: bool = False,
-    ) -> None:
-        super().__init__(env, link)
-        self.direct = direct
-        exchange = SmbExchange(
-            env, link, filesystem, self.host_pool, self.CREDITS, direct
-        )
-        self.client_spec = exchange.transport.spec
-        # SMB has no batching: each request is its own protocol exchange,
-        # even if the benchmark client handed us several at once.
-        self._set_pipeline([exchange], execution=exchange)
-        self.transport = exchange.transport
-        self.protocol = exchange.protocol
-        self.osfs = exchange.osfs
-        self._credits = exchange.credits

@@ -6,6 +6,10 @@ cluster for a named solution, runs the §8.1 random-I/O client against
 it, and reports achieved IOPS, latency percentiles, and cores consumed
 on host, DPU, and client.
 
+The §9 applications measure through the same step
+(:func:`measure_app`, reporting an :class:`AppResult`) and start from
+the same :func:`bring_up`.
+
 Solution names live in :data:`repro.topology.registry.SOLUTIONS` — the
 single source of truth: each name maps to a declarative
 :class:`~repro.topology.spec.DeploymentSpec`, and the registry builds
@@ -53,6 +57,8 @@ from ..faults import (
     ShardKill,
 )
 from ..hardware.nic import NetworkLink
+from ..hardware.specs import NVME_1TB, SsdSpec
+from ..hardware.ssd import NvmeDevice
 from ..sim import Environment
 from ..storage.disk import RamDisk, SpdkBdev
 from ..storage.filesystem import DdsFileSystem
@@ -65,8 +71,11 @@ from ..workload import OpenLoopTrafficEngine, TenantSpec
 __all__ = [
     "SOLUTIONS",
     "ExperimentResult",
+    "AppResult",
     "Cluster",
+    "bring_up",
     "build_cluster",
+    "measure_app",
     "run_io_experiment",
     "sweep",
     "find_peak",
@@ -116,6 +125,23 @@ class ExperimentResult:
 
 
 @dataclass
+class AppResult:
+    """One §9 application measurement point (Figures 2, 24, 25, 26)."""
+
+    kind: str
+    offered: float
+    achieved: float
+    elapsed: float
+    p50: float
+    p99: float
+    host_cores: float
+    dpu_cores: float
+    offloaded_fraction: float
+    #: Host cores by component (Figure 2), where a deployment splits them.
+    breakdown: Dict[str, float] = field(default_factory=dict)
+
+
+@dataclass
 class Cluster:
     """A freshly-built simulated cluster ready for a workload."""
 
@@ -148,6 +174,16 @@ class Cluster:
         return digest.hexdigest()
 
 
+def bring_up(
+    disk_bytes: int, ssd: SsdSpec = NVME_1TB
+) -> Tuple[Environment, DdsFileSystem, NetworkLink]:
+    """What every cluster starts from: an environment, an empty DDS
+    filesystem on a RAM disk behind the SSD model, the client link."""
+    env = Environment()
+    bdev = SpdkBdev(env, RamDisk(disk_bytes), NvmeDevice(env, ssd))
+    return env, DdsFileSystem(env, bdev), NetworkLink(env)
+
+
 def build_cluster(
     kind: Optional[Solution] = None,
     db_bytes: int = 192 << 20,
@@ -175,21 +211,59 @@ def build_cluster(
         raise ValueError("pass exactly one of a solution or shards=")
     spec = None if kind is None else resolve(kind)
     file_bytes = file_bytes or db_bytes
-    env = Environment()
-    disk = RamDisk(disk_bytes or files * file_bytes + (64 << 20))
-    fs = DdsFileSystem(env, SpdkBdev(env, disk))
+    env, fs, link = bring_up(disk_bytes or files * file_bytes + (64 << 20))
     fs.create_directory("bench")
     file_ids = []
     for index in range(files):
         file_id = fs.create_file("bench", f"file-{index}")
         fs.preallocate(file_id, file_bytes)
         file_ids.append(file_id)
-    link = NetworkLink(env)
     if spec is not None:
         server = build_server(spec, env, link, fs)
     else:
         server = ShardedOffloadServer(env, link, fs, shard_count=shards)
     return Cluster(env, server, fs, file_ids[0], file_ids, file_bytes)
+
+
+def _measure(
+    env: Environment,
+    server: StorageServerBase,
+    file_id: int,
+    config: ClientConfig,
+    request_factory: Optional[Callable] = None,
+) -> Tuple[ClientResult, float, float]:
+    """The one measuring step: run the §8.1 client to completion, then
+    read the server's average host and DPU cores over the run."""
+    result = WorkloadClient(
+        env, server, file_id, config, request_factory=request_factory
+    ).run()
+    elapsed = result.elapsed
+    return result, server.host_cores(elapsed), server.dpu_cores(elapsed)
+
+
+def measure_app(
+    kind: str,
+    env: Environment,
+    server: StorageServerBase,
+    file_id: int,
+    config: ClientConfig,
+    request_factory: Callable,
+) -> AppResult:
+    """Drive an application's own requests at ``config.offered_iops``."""
+    result, host_cores, dpu_cores = _measure(
+        env, server, file_id, config, request_factory
+    )
+    return AppResult(
+        kind=kind,
+        offered=config.offered_iops,
+        achieved=result.achieved_iops,
+        elapsed=result.elapsed,
+        p50=result.p50,
+        p99=result.p99,
+        host_cores=host_cores,
+        dpu_cores=dpu_cores,
+        offloaded_fraction=server.offloaded_fraction(),
+    )
 
 
 def run_io_experiment(
@@ -215,9 +289,10 @@ def run_io_experiment(
         file_size=db_bytes,
         seed=seed,
     )
-    client = WorkloadClient(cluster.env, cluster.server, cluster.file_id, config)
-    result: ClientResult = client.run()
     server = cluster.server
+    result, host_cores, dpu_cores = _measure(
+        cluster.env, server, cluster.file_id, config
+    )
     return ExperimentResult(
         kind=resolve(kind).name,
         offered_iops=offered_iops,
@@ -226,8 +301,8 @@ def run_io_experiment(
         p50=result.p50,
         p99=result.p99,
         mean_latency=result.mean_latency,
-        host_cores=server.host_cores(result.elapsed),
-        dpu_cores=server.dpu_cores(result.elapsed),
+        host_cores=host_cores,
+        dpu_cores=dpu_cores,
         client_cores=result.client_cores + server.client_extra_cores(),
         latencies=result.latencies,
         events=cluster.env.scheduled_count,

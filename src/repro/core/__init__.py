@@ -12,8 +12,6 @@ from .traffic_director import TrafficDirector
 # are built from repro.topology stages, and those stages import this
 # package's leaf modules — eager imports here would close that loop.
 _LAZY = {
-    "BaselineServer": "server",
-    "DdsLibraryServer": "server",
     "DdsOffloadServer": "server",
     "PipelineServer": "server",
     "StorageServerBase": "server",
@@ -27,7 +25,6 @@ _LAZY = {
 }
 
 __all__ = [
-    "BaselineServer",
     "CircuitBreaker",
     "ClientConfig",
     "ClientResult",
@@ -35,7 +32,6 @@ __all__ = [
     "ContextStatus",
     "DdsClient",
     "DdsFileLibrary",
-    "DdsLibraryServer",
     "DdsOffloadServer",
     "DmaRingChannel",
     "DpuFileService",

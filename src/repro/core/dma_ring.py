@@ -22,7 +22,7 @@ from typing import Callable, Generator, List, Optional
 
 from ..hardware.cpu import CpuCore
 from ..hardware.pcie import DmaEngine
-from ..hardware.specs import MICROSECOND
+from ..hardware.specs import DPU_CPU, MICROSECOND
 from ..sim import Environment, SeededRng, Store
 from ..structures.rings import FarmRing, LockRing, ProgressRing
 
@@ -210,7 +210,9 @@ class RingTransferModel:
         self.producers = producers
         self.dma = dma if dma is not None else DmaEngine(env)
         self.dpu_core = (
-            dpu_core if dpu_core is not None else CpuCore(env, speed=0.35)
+            dpu_core
+            if dpu_core is not None
+            else CpuCore(env, speed=DPU_CPU.speed)
         )
         self.rng = rng if rng is not None else SeededRng(17)
         if design == "progress":

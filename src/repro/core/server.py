@@ -1,24 +1,27 @@
-"""Assembled storage servers: the baseline and the two DDS deployments.
+"""Storage servers: one pipeline, and the offload deployments on top.
 
-Three server flavours correspond to the three curves of Figures 14-15:
-
-* :class:`BaselineServer` — today's disaggregated storage: Windows
-  sockets TCP + the DBMS network module on the host, OS filesystem I/O.
-* :class:`DdsLibraryServer` — the host application keeps its network
-  stack but replaces OS files with the DDS file library; file execution
-  happens on the DPU file service.
-* :class:`DdsOffloadServer` — full DDS: the NIC's signature match and the
-  traffic director steer read requests to the offload engine, which
-  serves them without touching the host; writes (and cache-miss reads)
-  fall back to the host library path over the split connection.
-
-All three are :class:`PipelineServer` compositions of the stages in
-:mod:`repro.topology.stages` — the generic ingress walks the inbound
+Every server is a :class:`PipelineServer` — a composition of the stages
+in :mod:`repro.topology.stages`: the generic ingress walks the inbound
 stages, fans requests out to the execution stage (or hands the whole
 message to a steering stage), and walks the outbound stages back.  Every
 server exposes the same ``submit`` interface to the workload client and
 the same per-stage cores-consumed roll-up, so every benchmark swaps
 servers without touching the harness.
+
+A solution without an offload engine is *only* such a composition, so
+it has no class: :func:`repro.topology.registry.build_server` picks its
+stages from the spec's transport and filesystem columns.  What is still
+a class is what has behaviour of its own:
+
+* :class:`OffloadServerBase` — the host half every offload deployment
+  shares: the split connection's fallback with its write-commit chain,
+  the resilience arming, the per-DPU unit list.
+* :class:`DdsOffloadServer` — full DDS on one DPU: the NIC's signature
+  match and the traffic director steer read requests to the offload
+  engine, which serves them without touching the host; writes (and
+  cache-miss reads) fall back to the host library path.
+  (:class:`~repro.topology.sharding.ShardedOffloadServer` is N DPUs
+  with steering, replication, resharding and QoS in front.)
 """
 
 from __future__ import annotations
@@ -37,16 +40,12 @@ from ..hardware.specs import (
 from ..net.packet import AppSignature, FiveTuple
 from ..net.stack import StackLayer
 from ..sim import Environment, Event
-from ..storage.filesystem import DdsFileSystem
+from ..storage.filesystem import DdsFileSystem, FileSystemError
 from ..topology.stages import (
-    DdsBackend,
     DirectorSteering,
     OffloadShard,
-    OsFileExecution,
     Stage,
     StageKind,
-    TransportStage,
-    WireEgress,
     WireIngress,
 )
 from .api import OffloadCallbacks, passthrough_callbacks
@@ -57,8 +56,6 @@ from .retry import CircuitBreaker
 __all__ = [
     "StorageServerBase",
     "PipelineServer",
-    "BaselineServer",
-    "DdsLibraryServer",
     "OffloadServerBase",
     "DdsOffloadServer",
 ]
@@ -174,8 +171,10 @@ class StorageServerBase:
 class PipelineServer(StorageServerBase):
     """A server assembled from composable datapath stages.
 
-    Subclasses build their stage list in ``__init__`` and hand it to
-    :meth:`_set_pipeline`.  The generic ingress then walks the inbound
+    Whoever assembles it (:func:`~repro.topology.registry.build_server`,
+    or an offload subclass in ``__init__``) hands the stage list to
+    :meth:`set_pipeline` and lists in ``filesystems`` what each DPU (or
+    the host) executes against.  The generic ingress then walks the inbound
     stages (ingest + transport) forward, runs the execution stage per
     request (or yields the whole message to the steering stage, which
     owns its own egress), and walks transports in reverse plus the
@@ -183,7 +182,7 @@ class PipelineServer(StorageServerBase):
     single roll-up over the stages — no per-server overrides.
     """
 
-    def _set_pipeline(
+    def set_pipeline(
         self,
         stages: Sequence[Stage],
         execution: Optional[Stage] = None,
@@ -194,7 +193,8 @@ class PipelineServer(StorageServerBase):
                 "a pipeline needs exactly one of execution or steering"
             )
         self._stages = list(stages)
-        self._execution = execution
+        #: The per-request execution stage (None behind a steering stage).
+        self.execution = execution
         self._steering = steering
         self._inbound = [
             s for s in self._stages
@@ -264,7 +264,7 @@ class PipelineServer(StorageServerBase):
             if not requests and not replayed:
                 return
         served = [
-            self.env.process(self._execution.serve(r)) for r in requests
+            self.env.process(self.execution.serve(r)) for r in requests
         ]
         responses: List[IoResponse] = (
             (yield self.env.all_of(served)) if served else []
@@ -279,93 +279,6 @@ class PipelineServer(StorageServerBase):
         self.requests_served += len(responses)
         for response in responses:
             arrived(response)
-
-
-class BaselineServer(PipelineServer):
-    """Windows sockets + OS filesystem: the paper's baseline (§8.1)."""
-
-    def __init__(
-        self,
-        env: Environment,
-        link: NetworkLink,
-        filesystem: DdsFileSystem,
-        app_handler: Optional[Callable] = None,
-        app_net_spec: StackSpec = BENCH_APP_NET,
-    ) -> None:
-        super().__init__(env, link)
-        os_tcp = TransportStage(env, HOST_OS_TCP, self.host_pool)
-        app_net = TransportStage(env, app_net_spec, self.host_pool)
-        # Application override: (IoRequest) -> generator yielding events,
-        # returning an IoResponse.  Default is plain file semantics.
-        execution = OsFileExecution(
-            env,
-            filesystem,
-            self.host_pool,
-            app_handler=app_handler,
-            catch_errors=True,
-        )
-        self._set_pipeline(
-            [
-                WireIngress(env, link, forward_latency=True),
-                os_tcp,
-                app_net,
-                execution,
-                WireEgress(env, link),
-            ],
-            execution=execution,
-        )
-        # Long-standing wiring aliases (apps and tests reach into them).
-        self.os_tcp = os_tcp.layer
-        self.app_net = app_net.layer
-        self.app_other = execution.app_other
-        self.osfs = execution.osfs
-
-    @property
-    def app_handler(self) -> Optional[Callable]:
-        return self._execution.app_handler
-
-    @app_handler.setter
-    def app_handler(self, handler: Optional[Callable]) -> None:
-        self._execution.app_handler = handler
-
-
-class DdsLibraryServer(PipelineServer):
-    """Host networking + DDS file library; file execution on the DPU."""
-
-    def __init__(
-        self,
-        env: Environment,
-        link: NetworkLink,
-        filesystem: DdsFileSystem,
-        copy_mode: bool = False,
-        transport_spec: StackSpec = HOST_OS_TCP,
-    ) -> None:
-        super().__init__(env, link)
-        self.client_spec = transport_spec
-        backend = DdsBackend(env, self.host_pool, filesystem, copy_mode)
-        transport = TransportStage(env, transport_spec, self.host_pool)
-        app_net = TransportStage(env, BENCH_APP_NET, self.host_pool)
-        self._set_pipeline(
-            [
-                WireIngress(env, link, forward_latency=True),
-                transport,
-                app_net,
-                backend,
-                WireEgress(env, link),
-            ],
-            execution=backend,
-        )
-        self.backend = backend
-        self.filesystems = [filesystem]
-        self.dma = backend.dma
-        self.dma_core = backend.dma_core
-        self.spdk_core = backend.spdk_core
-        self.file_service = backend.file_service
-        self.library = backend.library
-        self.host_side = backend.host_side
-        self.transport = transport.layer
-        self.app_net = app_net.layer
-        backend.start()
 
 
 class OffloadServerBase(PipelineServer):
@@ -485,7 +398,12 @@ class OffloadServerBase(PipelineServer):
         would be cached by the shared dedup table and replayed to the
         client's retry, acking a write the deployment never committed.
         """
-        response: IoResponse = yield from handler(request)
+        try:
+            response: IoResponse = yield from handler(request)
+        except FileSystemError:
+            # An application handler whose device failed answers as the
+            # baseline's ``OsFileExecution(catch_errors=True)`` does.
+            return IoResponse(request.request_id, ok=False)
         if response.ok and request.op is OpCode.WRITE:
             for commit in self._commit_chain:
                 if not (yield from commit(shard_index, request)):
@@ -550,7 +468,7 @@ class DdsOffloadServer(OffloadServerBase):
         self.filesystems = [filesystem]
         backend = unit.backend
         steering = DirectorSteering(unit)
-        self._set_pipeline(
+        self.set_pipeline(
             # NIC hardware evaluates the signature at line rate, so the
             # ingest stage skips the NIC->host PCIe forward; unmatched
             # flows pay it inside receive_message instead.

@@ -37,6 +37,7 @@ __all__ = [
     "DPU_TLDK",
     "HOST_TLDK",
     "RDMA_VERBS",
+    "NO_TRANSPORT",
     "MICROSECOND",
     "KIB",
     "MIB",
@@ -235,6 +236,14 @@ RDMA_VERBS = StackSpec(
     per_message_core_time=0.4 * MICROSECOND,
     per_byte_core_time=0.05e-9,
     per_message_latency=2.0 * MICROSECOND,
+)
+
+#: Local access (Figure 16 ① and ②) pays no transport CPU at all.
+NO_TRANSPORT = StackSpec(
+    name="no-transport",
+    per_message_core_time=0.0,
+    per_byte_core_time=0.0,
+    per_message_latency=0.0,
 )
 
 #: The host OS filesystem + block layer (NTFS in the paper's baseline).

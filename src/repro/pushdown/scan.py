@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Generator, List, Optional, Tuple
 
+from ..core.file_service import DpuFileService
 from ..hardware.accelerators import (
     ARM_SOFTWARE_REGEX,
     BF2_REGEX,
@@ -208,7 +209,7 @@ class PushdownScanner:
     # ------------------------------------------------------------------
     def scan_page(self, page_id: int) -> Generator:
         """Scan one page; returns the matching records at the client."""
-        yield from self.spdk_core.execute(0.35e-6)
+        yield from self.spdk_core.execute(DpuFileService.SUBMIT_COST)
         page = yield from self.fs.read(
             self.file_id, page_id * PAGE_BYTES, PAGE_BYTES
         )
@@ -434,7 +435,7 @@ class PipelineScanner:
 
     def scan_page(self, page_id: int) -> Generator:
         """Scan one page through the verified engine."""
-        yield from self.spdk_core.execute(0.35e-6)
+        yield from self.spdk_core.execute(DpuFileService.SUBMIT_COST)
         page = yield from self.fs.read(
             self.file_id, page_id * PAGE_BYTES, PAGE_BYTES
         )

@@ -1,11 +1,40 @@
 """The solution registry: every deployment the harness can build.
 
 This is the single source of truth for solution names.  Each entry is a
-:class:`~repro.topology.spec.DeploymentSpec`; :func:`build_server` turns
-a spec (or its registered name) into a fully wired server on a given
-environment/link/filesystem.  The bench harness, the figure benchmarks,
-and the examples all resolve names here — there is no string-dispatch
-ladder anywhere else.
+:class:`~repro.topology.spec.DeploymentSpec`, and :func:`build_server`
+is the one assembler: it turns a spec (or its registered name) into a
+wired server on a given environment/link/filesystem, for the benchmark
+application or for one that brings its own offload callbacks and host
+handler (§9).  The bench harness, the figure benchmarks, the examples
+and both applications all resolve names here — there is no
+string-dispatch ladder anywhere else.
+
+A solution *is* its spec.  Figure 16's table is transport × file path ×
+"offload or not", and that is how a server is composed:
+
+========== =========================================================
+filesystem the execution stage
+========== =========================================================
+``OS``     ``OsFileExecution`` (application handler or plain files)
+``DDS``    ``DdsBackend`` (file library → DPU file service)
+========== =========================================================
+
+============== =====================================================
+transport      what stands around the execution stage
+============== =====================================================
+``NONE``       nothing; the client pays ``NO_TRANSPORT``
+``TCP``        wire + PCIe forward → OS TCP → app network → · → wire
+``REDY``       wire → ``RedyTransport`` (spin pollers) → · → wire
+``SMB`` /      the per-operation ``SmbExchange`` *is* the execution
+``SMB_DIRECT`` stage (credits, wire, transport, protocol, OS files)
+============== =====================================================
+
+With ``offload`` the traffic director and offload engine front the DDS
+file service instead: :class:`~repro.core.server.DdsOffloadServer` on
+one DPU, :class:`~repro.topology.sharding.ShardedOffloadServer` on
+``dpu_count`` of them — the only deployments that are classes, because
+they have behaviour of their own (host fallback, commit chain,
+resilience, membership).
 
 The ten ``headline`` entries are the solutions charted in Figure 16, in
 chart order; the remaining entries are the ablations (zero-copy off) and
@@ -14,12 +43,20 @@ the multi-DPU sharded deployments.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
+from ..hardware.specs import (
+    BENCH_APP_NET,
+    HOST_OS_TCP,
+    NO_TRANSPORT,
+    RDMA_VERBS,
+    StackSpec,
+)
 from .spec import DeploymentSpec, FilesystemKind, TransportKind
 
 if TYPE_CHECKING:
-    from ..core.server import StorageServerBase
+    from ..core.api import OffloadCallbacks
+    from ..core.server import PipelineServer
     from ..hardware.nic import NetworkLink
     from ..sim import Environment
     from ..storage.filesystem import DdsFileSystem
@@ -127,62 +164,105 @@ def build_server(
     env: "Environment",
     link: "NetworkLink",
     filesystem: "DdsFileSystem",
-) -> "StorageServerBase":
+    callbacks: Optional["OffloadCallbacks"] = None,
+    host_app: Optional[Callable] = None,
+    app_net_spec: StackSpec = BENCH_APP_NET,
+) -> "PipelineServer":
     """Wire the server a spec describes.
 
-    Dispatch is on the spec's typed fields, so registering a new solution
-    is *only* adding a :class:`DeploymentSpec` — no builder edits — as
-    long as it composes the existing stages.
+    The server is composed from the spec's columns (module docstring),
+    so registering a new solution is *only* adding a
+    :class:`DeploymentSpec` as long as it composes the existing stages.
+
+    An application enters by the same door (§9): ``callbacks`` are
+    Table 1's four offload functions (used where there is an offload
+    engine), ``host_app`` its handler for requests the host serves
+    (``(IoRequest) -> generator returning an IoResponse``, on the OS
+    file path and on the offload servers' host fallback; default plain
+    file semantics), ``app_net_spec`` its own network module on the
+    sockets path (the offload servers' split connection keeps the
+    benchmark app's: a pinned cost model, DESIGN §8).  Its files it
+    reaches through ``execution.device(file_id)`` (``backend.device``
+    behind a director).
     """
     spec = resolve(solution)
-    if spec.transport is TransportKind.NONE:
-        from ..baselines.local import LocalDdsServer, LocalOsServer
-
-        if spec.filesystem is FilesystemKind.DDS:
-            return LocalDdsServer(env, link, filesystem)
-        return LocalOsServer(env, link, filesystem)
-    if spec.transport in (TransportKind.SMB, TransportKind.SMB_DIRECT):
-        from ..baselines.smb import SmbServer
-
-        return SmbServer(
-            env, link, filesystem,
-            direct=spec.transport is TransportKind.SMB_DIRECT,
-        )
-    if spec.transport is TransportKind.REDY:
-        from ..baselines.redy import RedyServer
-
-        return RedyServer(
-            env, link, filesystem,
-            dds_files=spec.filesystem is FilesystemKind.DDS,
-        )
-    rdma = spec.transport is TransportKind.RDMA
     if spec.offload:
+        options = dict(
+            callbacks=callbacks,
+            host_app=host_app,
+            copy_mode=spec.copy_mode,
+            rdma_transport=spec.transport is TransportKind.RDMA,
+        )
         if spec.sharded:
             from .sharding import ShardedOffloadServer
 
             return ShardedOffloadServer(
-                env, link, filesystem,
-                shard_count=spec.dpu_count,
-                cache_items=spec.cache_items,
-                director_cores=spec.director_cores,
-                context_slots=spec.context_slots,
-                copy_mode=spec.copy_mode,
-                rdma_transport=rdma,
+                env, link, filesystem, spec.dpu_count, **options
             )
         from ..core.server import DdsOffloadServer
 
-        return DdsOffloadServer(
-            env, link, filesystem,
-            cache_items=spec.cache_items,
-            director_cores=spec.director_cores,
-            context_slots=spec.context_slots,
-            copy_mode=spec.copy_mode,
-            rdma_transport=rdma,
+        return DdsOffloadServer(env, link, filesystem, **options)
+
+    from ..core.server import PipelineServer
+    from .stages import (
+        DdsBackend,
+        OsFileExecution,
+        TransportStage,
+        WireEgress,
+        WireIngress,
+    )
+
+    server = PipelineServer(env, link)
+    server.filesystems = [filesystem]
+    pool = server.host_pool
+    transport = spec.transport
+    if transport in (TransportKind.SMB, TransportKind.SMB_DIRECT):
+        from ..baselines.smb import SmbExchange
+
+        execution = SmbExchange(
+            env, link, filesystem, pool,
+            direct=transport is TransportKind.SMB_DIRECT,
         )
+        server.client_spec = execution.transport.spec
+        server.set_pipeline([execution], execution=execution)
+        return server
     if spec.filesystem is FilesystemKind.DDS:
-        from ..core.server import DdsLibraryServer
+        execution = DdsBackend(env, pool, filesystem, spec.copy_mode)
+    else:
+        execution = OsFileExecution(
+            env, filesystem, pool,
+            app_handler=host_app,
+            # Only the sockets baseline answers a failed file operation;
+            # the local and Redy paths surface it.
+            catch_errors=transport is TransportKind.TCP,
+        )
+    if transport is TransportKind.NONE:
+        server.client_spec = NO_TRANSPORT
+        stages = [execution]
+    elif transport is TransportKind.REDY:
+        from ..baselines.redy import RedyTransport
 
-        return DdsLibraryServer(env, link, filesystem, copy_mode=spec.copy_mode)
-    from ..core.server import BaselineServer
-
-    return BaselineServer(env, link, filesystem)
+        server.client_spec = RDMA_VERBS
+        # RDMA writes land in user memory directly: no NIC->host kernel
+        # forward hop on ingest.
+        stages = [
+            WireIngress(env, link, forward_latency=False),
+            RedyTransport(env, pool),
+            execution,
+            WireEgress(env, link),
+        ]
+    else:
+        server.client_spec = HOST_OS_TCP
+        stages = [
+            WireIngress(env, link, forward_latency=True),
+            TransportStage(env, HOST_OS_TCP, pool),
+            TransportStage(env, app_net_spec, pool),
+            execution,
+            WireEgress(env, link),
+        ]
+    server.set_pipeline(stages, execution=execution)
+    if spec.filesystem is FilesystemKind.DDS:
+        # Last: the service threads take their sequence numbers after
+        # the host side's completion pumps (bring-up order is pinned).
+        execution.start()
+    return server

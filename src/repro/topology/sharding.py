@@ -414,7 +414,7 @@ class ShardedOffloadServer(OffloadServerBase):
         #: Shard-lifecycle members, walked in order at every membership
         #: change (steering first, then the replicator).
         self._lifecycle: List[ShardLifecycle] = [self.steering]
-        self._set_pipeline(
+        self.set_pipeline(
             [WireIngress(env, link, forward_latency=False)]
             + [shard.backend for shard in self.shards]
             + [self.steering],

@@ -63,11 +63,9 @@ class DeploymentSpec:
         OS file path or DDS file service.
     offload:
         Put the traffic director + offload engine in front (§5-§6).
-    host_count / dpu_count:
+    dpu_count:
         Machine shape.  ``dpu_count > 1`` shards the namespace across
         DPUs with a consistent-hash shard map in each traffic director.
-    cache_items / director_cores / context_slots:
-        Offload-engine sizing knobs (per shard).
     copy_mode:
         Disable zero-copy (the Figure 18/23 ablations).
     headline:
@@ -79,25 +77,15 @@ class DeploymentSpec:
     transport: TransportKind
     filesystem: FilesystemKind
     offload: bool = False
-    host_count: int = 1
     dpu_count: int = 0
-    cache_items: int = 1 << 20
-    director_cores: int = 1
-    context_slots: int = 1024
     copy_mode: bool = False
     headline: bool = False
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a deployment needs a name")
-        if self.host_count != 1:
-            raise ValueError("only single-host deployments are modelled")
         if self.dpu_count < 0:
             raise ValueError("dpu_count must be non-negative")
-        if self.cache_items < 1 or self.context_slots < 1:
-            raise ValueError("cache_items and context_slots must be >= 1")
-        if self.director_cores < 1:
-            raise ValueError("director_cores must be >= 1")
         if self.filesystem is FilesystemKind.OS:
             if self.dpu_count != 0:
                 raise ValueError(

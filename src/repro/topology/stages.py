@@ -15,7 +15,10 @@ every server flavour.  This module breaks the wiring into typed, reusable
   (application dispatch + OS filesystem).
 * :class:`DdsBackend` — ``execution`` backend: the DPU half of DDS (DMA
   engine, DMA/SPDK cores, file service, host file library, host-side
-  completion pump).
+  completion routers).
+* :class:`OsFileDevice` / :class:`DdsFileDevice` — §9's ``IDevice``
+  pair: what an application reads and writes one file through, handed
+  out by either execution stage's ``device(file_id)``.
 * :class:`OffloadShard` — one whole DPU of an offload deployment (a
   backend plus cache table, director cores, offload engine and traffic
   director), the one place those are constructed.
@@ -60,6 +63,9 @@ __all__ = [
     "WireEgress",
     "TransportStage",
     "OsFileExecution",
+    "OsFileDevice",
+    "CompletionRouter",
+    "DdsFileDevice",
     "DdsHostSide",
     "DdsBackend",
     "OffloadShard",
@@ -225,6 +231,21 @@ class TransportStage(Stage):
         yield from self.layer.process(response_bytes)
 
 
+class OsFileDevice:
+    """``IDevice`` over the OS filesystem (an application's default
+    storage); a failed I/O raises :class:`FileSystemError`."""
+
+    def __init__(self, osfs: OsFileSystem, file_id: int) -> None:
+        self.osfs = osfs
+        self.file_id = file_id
+
+    def read(self, offset: int, size: int) -> Generator:
+        return (yield from self.osfs.read(self.file_id, offset, size))
+
+    def write(self, offset: int, data: bytes) -> Generator:
+        yield from self.osfs.write(self.file_id, offset, data)
+
+
 class OsFileExecution(Stage):
     """Host execution through the OS filesystem (the paper's baseline).
 
@@ -257,6 +278,10 @@ class OsFileExecution(Stage):
         # the host pool.
         return self.osfs.serializer.utilization(elapsed)
 
+    def device(self, file_id: int) -> OsFileDevice:
+        """The ``IDevice`` an application reaches ``file_id`` through."""
+        return OsFileDevice(self.osfs, file_id)
+
     def serve(self, request: IoRequest) -> Generator:
         yield from self.app_other.process(request.wire_size)
         try:
@@ -279,14 +304,77 @@ class OsFileExecution(Stage):
         return response
 
 
+class CompletionRouter:
+    """One notification group and the pump that hands each of its
+    completions to whoever issued the operation (one per simulated
+    application thread, §4.2)."""
+
+    def __init__(self, env: Environment, library: DdsFileLibrary) -> None:
+        self.env = env
+        self.library = library
+        self.group = library.create_poll()
+        self._waiters: Dict[int, Event] = {}
+        env.process(self._pump())
+
+    def wait_for(self, request_id: int) -> Event:
+        """Fires with the operation's completion (an ``IoResponse`` in
+        the library's own id space)."""
+        waiter = self.env.event()
+        self._waiters[request_id] = waiter
+        return waiter
+
+    def _pump(self) -> Generator:
+        while True:
+            completion = yield from self.library.poll_wait(
+                self.group, PollMode.SLEEPING
+            )
+            request_id, ok, data = completion
+            waiter = self._waiters.pop(request_id, None)
+            if waiter is not None:
+                waiter.succeed(IoResponse(request_id, ok, data))
+
+
+class DdsFileDevice:
+    """``IDevice`` over the DDS front-end library (§9): the operation
+    executes on the DPU, and the flushes flowing through its file
+    service populate the cache table via cache-on-write.  A failed
+    completion raises :class:`FileSystemError`, as the OS device does.
+    """
+
+    def __init__(self, router: CompletionRouter, file_id: int) -> None:
+        self.router = router
+        self.file_id = file_id
+        router.library.poll_add(router.group, file_id)
+
+    def _complete(self, request_id: int) -> Generator:
+        completion: IoResponse = yield self.router.wait_for(request_id)
+        if not completion.ok:
+            raise FileSystemError(
+                f"DDS file {self.file_id}: operation {request_id} failed"
+            )
+        return completion.data
+
+    def read(self, offset: int, size: int) -> Generator:
+        request_id = yield from self.router.library.read_file(
+            self.file_id, offset, size
+        )
+        return (yield from self._complete(request_id))
+
+    def write(self, offset: int, data: bytes) -> Generator:
+        request_id = yield from self.router.library.write_file(
+            self.file_id, offset, data
+        )
+        yield from self._complete(request_id)
+
+
 class DdsHostSide:
     """Host application logic shared by every DDS library deployment.
 
-    Owns a set of notification groups (one per simulated application
-    thread), the completion pump that resolves request ids back to
-    waiters, and the host app's single I/O dispatch thread whose
-    serialized per-request work bounds the library path's throughput
-    (see DESIGN.md §4 on this calibration assumption).
+    Owns one completion router per simulated application thread, each
+    file's device (spread over the routers round-robin), and the host
+    app's single I/O dispatch thread whose serialized per-request work
+    bounds the library path's throughput (see DESIGN.md §4 on this
+    calibration assumption).
     """
 
     DISPATCH_COST = 1.7 * MICROSECOND
@@ -298,54 +386,36 @@ class DdsHostSide:
         host_pool: CpuPool,
         library: DdsFileLibrary,
     ) -> None:
-        self.env = env
-        self.host_pool = host_pool
-        self.library = library
         self.dispatch_core = CpuCore(env, speed=1.0, name="app-dispatch")
         self.app_other = StackLayer(env, HOST_APP_OTHER, host_pool)
-        self.groups = [library.create_poll() for _ in range(self.GROUPS)]
-        self._waiters: Dict[int, Event] = {}
-        self._registered_files: set = set()
-        for group in self.groups:
-            env.process(self._completion_pump(group))
+        self.routers = [
+            CompletionRouter(env, library) for _ in range(self.GROUPS)
+        ]
+        self._devices: Dict[int, DdsFileDevice] = {}
 
-    def register_file(self, file_id: int) -> None:
-        """Spread files across notification groups round-robin."""
-        if file_id in self._registered_files:
-            return
-        group = self.groups[len(self._registered_files) % len(self.groups)]
-        self.library.poll_add(group, file_id)
-        self._registered_files.add(file_id)
-
-    def _completion_pump(self, group) -> Generator:
-        while True:
-            completion = yield from self.library.poll_wait(
-                group, PollMode.SLEEPING
-            )
-            request_id, ok, data = completion
-            waiter = self._waiters.pop(request_id, None)
-            if waiter is not None:
-                waiter.succeed(IoResponse(request_id, ok, data))
+    def device(self, file_id: int) -> DdsFileDevice:
+        """The file's device, made on first use."""
+        device = self._devices.get(file_id)
+        if device is None:
+            router = self.routers[len(self._devices) % len(self.routers)]
+            device = self._devices[file_id] = DdsFileDevice(router, file_id)
+        return device
 
     def serve(self, request: IoRequest) -> Generator:
         """Application processing + library issue + completion wait."""
         yield from self.app_other.process(request.wire_size)
         yield from self.dispatch_core.execute(self.DISPATCH_COST)
-        self.register_file(request.file_id)
-        if request.op is OpCode.READ:
-            request_id = yield from self.library.read_file(
-                request.file_id, request.offset, request.size
-            )
-        else:
-            request_id = yield from self.library.write_file(
-                request.file_id, request.offset, request.payload
-            )
-        waiter = self.env.event()
-        self._waiters[request_id] = waiter
-        completion: IoResponse = yield waiter
+        device = self.device(request.file_id)
         # The library numbers operations in its own id space; the client
-        # correlates responses by the wire request id, so translate back.
-        return IoResponse(request.request_id, completion.ok, completion.data)
+        # correlates responses by the wire request id.
+        try:
+            if request.op is OpCode.READ:
+                data = yield from device.read(request.offset, request.size)
+                return IoResponse(request.request_id, True, data)
+            yield from device.write(request.offset, request.payload)
+            return IoResponse(request.request_id, True)
+        except FileSystemError:
+            return IoResponse(request.request_id, False)
 
 
 class DdsBackend(Stage):
@@ -394,6 +464,11 @@ class DdsBackend(Stage):
         return self.dma_core.utilization(elapsed) + self.spdk_core.utilization(
             elapsed
         )
+
+    def device(self, file_id: int) -> DdsFileDevice:
+        """The ``IDevice`` an application reaches ``file_id`` through,
+        completing on a notification group of the application's own."""
+        return DdsFileDevice(CompletionRouter(self.env, self.library), file_id)
 
     def serve(self, request: IoRequest) -> Generator:
         return self.host_side.serve(request)
@@ -489,7 +564,7 @@ class PushdownExecution(Stage):
         wire_bytes = 0
         selected: List[Tuple[int, bytes]] = []
         for page_id in range(pages):
-            yield from self.spdk_core.execute(0.35e-6)
+            yield from self.spdk_core.execute(DpuFileService.SUBMIT_COST)
             page = yield from self.filesystem.read(
                 file_id, page_id * page_bytes, page_bytes
             )

@@ -43,7 +43,7 @@ from repro.storage.filesystem import (
     StorageFullError,
 )
 from repro.structures.response import ResponseStatus
-from repro.topology.stages import DdsHostSide
+from repro.topology.stages import CompletionRouter
 
 __all__ = ["install", "held", "schedule_every_completion"]
 
@@ -229,10 +229,10 @@ def _steered_ingress(shipped):
     return _ingress
 
 
-def _host_completion_pump(self, group):
+def _host_completion_pump(self):
     while True:
         completion = yield self.env.process(
-            self.library.poll_wait(group, PollMode.SLEEPING)
+            self.library.poll_wait(self.group, PollMode.SLEEPING)
         )
         request_id, ok, data = completion
         waiter = self._waiters.pop(request_id, None)
@@ -258,7 +258,7 @@ def install(monkeypatch):
             "_ingress",
             _steered_ingress(PipelineServer._ingress),
         ),
-        (DdsHostSide, "_completion_pump", _host_completion_pump),
+        (CompletionRouter, "_pump", _host_completion_pump),
     ]:
         monkeypatch.setattr(owner, name, reference)
 

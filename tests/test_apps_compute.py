@@ -175,7 +175,7 @@ class TestFullArchitecture:
             data = yield env.process(
                 cluster.filesystem_read(page_id)
                 if hasattr(cluster, "filesystem_read")
-                else cluster.app.read_page(page_id * PAGE_BYTES, PAGE_BYTES)
+                else cluster.app.device.read(page_id * PAGE_BYTES, PAGE_BYTES)
             )
             return data
 

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import FasterKv, OsFileDevice, YcsbWorkload, WORKLOAD_MIXES
+from repro.apps import FasterKv, YcsbWorkload, WORKLOAD_MIXES
 from repro.apps.faster import RECORD
 from repro.hardware import HOST_CPU, CpuPool
 from repro.sim import Environment
 from repro.storage import DdsFileSystem, OsFileSystem, RamDisk, SpdkBdev
+from repro.topology.stages import OsFileDevice
 
 from .conftest import run
 

@@ -2,15 +2,10 @@
 
 import pytest
 
-from repro.baselines import (
-    NO_TRANSPORT,
-    LocalDdsServer,
-    LocalOsServer,
-    RedyServer,
-    SmbServer,
-)
+from repro.baselines import RedyTransport
 from repro.bench import build_cluster
 from repro.core import IoRequest, OpCode
+from repro.hardware import NO_TRANSPORT
 from repro.net import FiveTuple
 
 FLOW = FiveTuple("10.0.0.2", 40_000, "10.0.0.1", 5000)
@@ -95,7 +90,7 @@ class TestSmb:
     def test_credits_bound_concurrency(self):
         cluster = build_cluster("smb", db_bytes=8 << 20)
         server = cluster.server
-        assert server.CREDITS == 32
+        assert server.execution.CREDITS == 32
         requests = [
             IoRequest(OpCode.READ, i, cluster.file_id, i * 1024, 1024)
             for i in range(1, 65)
@@ -104,7 +99,7 @@ class TestSmb:
         assert len(responses) == 64
         # With 64 requests over 32 credits, in-flight never exceeded 32:
         # total time covers at least two service generations.
-        assert server._credits.in_use == 0
+        assert server.execution.credits.in_use == 0
 
     def test_writes_supported(self):
         cluster = build_cluster("smb", db_bytes=4 << 20)
@@ -116,7 +111,7 @@ class TestRedy:
     def test_polling_cores_always_counted(self):
         cluster = build_cluster("redy-os", db_bytes=4 << 20)
         # Even with zero traffic, the pollers burn their cores.
-        assert cluster.server.host_cores(1.0) >= RedyServer.POLLING_CORES_SERVER
+        assert cluster.server.host_cores(1.0) >= RedyTransport.POLLING_CORES_SERVER
         assert cluster.server.client_extra_cores() == 1.0
 
     def test_dds_files_variant_uses_dpu(self):

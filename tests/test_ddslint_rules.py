@@ -252,6 +252,23 @@ def test_pushdown_admission_suppressible():
     assert ("DDS501", 13) in flagged
 
 
+def test_unused_imports_exact_rules_and_lines():
+    """DDS601: what pyflakes would say; applies whatever the class."""
+    findings = _lint("unused_import_bad.py", frozenset())
+    assert _inventory(findings) == [
+        ("DDS601", 5),  # import os
+        ("DDS601", 6),  # import struct as packer
+        ("DDS601", 7),  # OrderedDict (deque is in __all__)
+        ("DDS601", 10),  # import xml.dom binds `xml`
+        ("DDS601", 14),  # TYPE_CHECKING import no annotation names
+    ]
+    # List: a name; Decimal, Optional: inside string annotations.
+    assert "'OrderedDict'" in findings[2].message
+    # A package's __init__ imports are its re-exports.
+    source = (FIXTURES / "unused_import_bad.py").read_text(encoding="utf-8")
+    assert lint_source(source, "pkg/__init__.py", frozenset()) == []
+
+
 def test_rule_registry_covers_every_reported_rule():
     rules = set()
     for fixture, classes in [
@@ -260,6 +277,7 @@ def test_rule_registry_covers_every_reported_rule():
         ("scheduler_bypass.py", SIM_HOT),
         ("spawn_join.py", SIM_HOT),
         ("pushdown_bad.py", OFFLOAD),
+        ("unused_import_bad.py", frozenset()),
     ]:
         rules.update(f.rule for f in _lint(fixture, classes))
     assert rules <= set(RULES)

@@ -71,10 +71,9 @@ def solutions_golden_lines():
                 f"events={result.events}"
             )
     for kind in ("baseline", "dds"):
-        for label, achieved, result in (
+        for label, result in (
             (
                 "kv",
-                "achieved_ops",
                 run_kv_experiment(
                     kind,
                     300_000.0,
@@ -85,7 +84,6 @@ def solutions_golden_lines():
             ),
             (
                 "pageserver",
-                "achieved_pages",
                 run_pageserver_experiment(
                     kind,
                     80_000.0,
@@ -96,7 +94,7 @@ def solutions_golden_lines():
             ),
         ):
             lines.append(
-                f"{label}-{kind} achieved={getattr(result, achieved)!r} "
+                f"{label}-{kind} achieved={result.achieved!r} "
                 f"p50={result.p50!r} p99={result.p99!r} "
                 f"host={result.host_cores!r} dpu={result.dpu_cores!r} "
                 f"offloaded={result.offloaded_fraction!r}"

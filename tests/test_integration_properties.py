@@ -133,7 +133,7 @@ class TestNotificationGroupMultiplexing:
     def test_files_in_different_groups_complete_independently(self):
         cluster = build_cluster("dds-files", db_bytes=8 << 20)
         fs = cluster.filesystem
-        library = cluster.server.library
+        library = cluster.server.execution.library
         env = cluster.env
         fid_a = fs.create_file("bench", "a")
         fid_b = fs.create_file("bench", "b")

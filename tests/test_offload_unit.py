@@ -91,3 +91,37 @@ def test_core_imports_topology_only_from_server():
                 names.update(alias.name for alias in node.names)
         imports_topology = any("topology" in name.split(".") for name in names)
         assert path.name == "server.py" or not imports_topology, path.name
+
+
+def _class_bases(path):
+    """{class name: [base names]} of every class a source file defines."""
+    return {
+        node.name: [
+            getattr(base, "id", None) or getattr(base, "attr", None)
+            for base in node.bases
+        ]
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+
+
+def test_a_solution_without_an_offload_engine_is_not_a_class():
+    """``build_server`` composes it from the spec; only the offload
+    deployments, which have behaviour of their own, subclass the
+    pipeline."""
+    package = pathlib.Path(repro.core.__file__).parent.parent
+    subclasses = [
+        name
+        for path in package.rglob("*.py")
+        for name, bases in _class_bases(path).items()
+        if "PipelineServer" in bases
+    ]
+    assert subclasses == ["OffloadServerBase"]
+
+
+def test_baselines_define_stages_only():
+    for path in (
+        pathlib.Path(repro.core.__file__).parent.parent / "baselines"
+    ).glob("*.py"):
+        for name, bases in _class_bases(path).items():
+            assert set(bases) <= {"Stage", "TransportStage"}, name

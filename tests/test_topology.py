@@ -31,13 +31,17 @@ class TestRegistry:
     @pytest.mark.parametrize("name", list(REGISTRY))
     def test_every_registered_solution_builds_and_serves(self, name):
         cluster = build_cluster(name, db_bytes=4 << 20)
-        read = IoRequest(OpCode.READ, 1, cluster.file_id, 4096, 512)
-        responses = []
-        done = cluster.server.submit(FLOW, [read], responses.append)
-        cluster.env.run(until=done)
-        assert len(responses) == 1
-        assert responses[0].ok
-        assert len(responses[0].data) == 512
+        payload = bytes(range(256)) * 2
+        for request in (
+            IoRequest(OpCode.WRITE, 1, cluster.file_id, 4096, 512, payload),
+            IoRequest(OpCode.READ, 2, cluster.file_id, 4096, 512),
+        ):
+            responses = []
+            done = cluster.server.submit(FLOW, [request], responses.append)
+            cluster.env.run(until=done)
+            assert len(responses) == 1
+            assert responses[0].ok
+        assert responses[0].data == payload
 
     def test_headline_solutions_are_figure16s_ten(self):
         assert SOLUTIONS == headline_solutions()
@@ -116,7 +120,7 @@ class TestStageProtocol:
     def test_pipeline_needs_execution_xor_steering(self):
         cluster = build_cluster("baseline", db_bytes=4 << 20)
         with pytest.raises(ValueError, match="exactly one"):
-            cluster.server._set_pipeline([])
+            cluster.server.set_pipeline([])
 
     def test_stage_kinds_cover_the_datapath(self):
         assert {k.value for k in StageKind} == {
