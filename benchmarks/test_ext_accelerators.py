@@ -15,7 +15,7 @@ proposal on the reproduced system.
 from _tables import emit, kops, us
 
 from repro.apps.compressed_storage import run_compressed_read_experiment
-from repro.pushdown.scan import run_pushdown_experiment
+from repro.pushdown.scan import PLACEMENTS, run_pipeline_experiment
 
 
 def run_compression():
@@ -44,17 +44,17 @@ def run_compression():
 
 def run_pushdown():
     results = {
-        mode: run_pushdown_experiment(mode, pages=96)
-        for mode in ("ship-all", "dpu-software", "dpu-regex")
+        placement: run_pipeline_experiment(placement, "filter", pages=96)
+        for placement in PLACEMENTS
     }
     rows = [
         (
-            mode,
+            placement,
             f"{r.scan_seconds * 1e3:.2f}ms",
             f"{r.wire_bytes / 1024:.1f}KB",
-            f"{r.arm_core_seconds * 1e3:.2f}ms",
+            f"{r.dpu_core_seconds * 1e3:.2f}ms",
         )
-        for mode, r in results.items()
+        for placement, r in results.items()
     ]
     emit(
         "ext_pushdown",
@@ -84,13 +84,13 @@ def test_ext_pushdown_scan(benchmark):
     ship, software, regex = (
         results["ship-all"],
         results["dpu-software"],
-        results["dpu-regex"],
+        results["dpu-accel"],
     )
     # The regex engine filters at ship-all speed with ~selectivity-
     # proportional wire traffic and zero Arm involvement.
     assert regex.wire_bytes < 0.2 * ship.wire_bytes
     assert regex.scan_seconds < 1.3 * ship.scan_seconds
-    assert regex.arm_core_seconds == 0.0
+    assert regex.dpu_core_seconds == 0.0
     assert software.scan_seconds > 2 * regex.scan_seconds
     # All placements return the same answer.
-    assert ship.matches == software.matches == regex.matches
+    assert ship.rows == software.rows == regex.rows

@@ -141,6 +141,13 @@ class LintConfig:
     #: calls need a preceding verify (DDS501) and proof tokens must come
     #: from the verifier (DDS502, DESIGN.md §14).
     offload_prefixes: Tuple[str, ...] = ("pushdown/",)
+    #: ... and the two modules outside the package that execute them:
+    #: the per-shard stage redeems tokens, the sharded server runs
+    #: refused programs on the host.
+    offload_files: Tuple[str, ...] = (
+        "topology/stages.py",
+        "topology/sharding.py",
+    )
     #: The pushdown machinery itself — the interpreter (calls itself),
     #: the verifier (mints the tokens), and the engine (the sanctioned
     #: redeemer) — is where the admission discipline is *implemented*,
@@ -172,7 +179,7 @@ class LintConfig:
         if (
             relpath.startswith(self.offload_prefixes)
             and relpath not in self.offload_exempt_files
-        ):
+        ) or relpath in self.offload_files:
             classes.add("offload")
         return frozenset(classes)
 

@@ -22,8 +22,8 @@ Model
   **lockset** and carry a vector clock (release publishes, acquire
   joins) — the happens-before edges of mutual exclusion.
 * Every other label is a **data access** on its ``key``.  Labels
-  registered in ``read_labels`` are reads; unknown labels default to
-  writes (the conservative direction).  Labels in ``tolerant_labels``
+  registered in ``READ_LABELS`` are reads; unknown labels default to
+  writes (the conservative direction).  Labels in ``TOLERANT_LABELS``
   are deliberately racy reads whose safety the interleaving invariants
   prove (e.g. ``cuckoo.probe`` against the copy-on-write writer); the
   sanitizer skips them entirely.
@@ -50,7 +50,7 @@ from repro.concurrency import hooks
 __all__ = ["AccessEvent", "RaceReport", "TrackedLock", "LocksetSanitizer"]
 
 #: Labels whose accesses are reads (everything else defaults to write).
-DEFAULT_READ_LABELS = frozenset(
+READ_LABELS = frozenset(
     {
         "cuckoo.probe",
         "ring.read_batch",
@@ -71,7 +71,7 @@ DEFAULT_READ_LABELS = frozenset(
 #:   context-switch opportunity, not an unguarded access, and the
 #:   mutation itself runs under a ``threading.Lock`` the sanitizer
 #:   cannot see.
-DEFAULT_TOLERANT_LABELS = frozenset(
+TOLERANT_LABELS = frozenset(
     {
         "cuckoo.probe",
         "pool.alloc",
@@ -81,6 +81,9 @@ DEFAULT_TOLERANT_LABELS = frozenset(
         "lockring.consume",
     }
 )
+
+#: Innermost frames kept per access in a report.
+STACK_DEPTH = 6
 
 _VectorClock = Dict[int, int]
 
@@ -172,17 +175,7 @@ class TrackedLock:
 class LocksetSanitizer:
     """Record yield-point events; report lockset/HB candidate races."""
 
-    def __init__(
-        self,
-        read_labels: FrozenSet[str] = DEFAULT_READ_LABELS,
-        tolerant_labels: FrozenSet[str] = DEFAULT_TOLERANT_LABELS,
-        capture_stacks: bool = True,
-        stack_depth: int = 6,
-    ) -> None:
-        self.read_labels = read_labels
-        self.tolerant_labels = tolerant_labels
-        self.capture_stacks = capture_stacks
-        self.stack_depth = stack_depth
+    def __init__(self) -> None:
         self.reports: List[RaceReport] = []
         self._mutex = threading.Lock()
         self._threads: Dict[int, _ThreadState] = {}
@@ -232,7 +225,7 @@ class LocksetSanitizer:
     # ------------------------------------------------------------------
     def _hook(self, label: str, key: Hashable) -> None:
         try:
-            if key is not None and label not in self.tolerant_labels:
+            if key is not None and label not in TOLERANT_LABELS:
                 if label.startswith("atomic."):
                     self._on_sync(key)
                 else:
@@ -287,10 +280,10 @@ class LocksetSanitizer:
                 thread_id=tid,
                 thread_name=threading.current_thread().name,
                 label=label,
-                is_write=label not in self.read_labels,
+                is_write=label not in READ_LABELS,
                 epoch=state.clock.get(tid, 0),
                 lockset=frozenset(state.held),
-                stack=self._stack() if self.capture_stacks else [],
+                stack=self._stack(),
             )
             per_thread = self._accesses.setdefault(key, {})
             for other_tid, (read, write) in per_thread.items():
@@ -326,7 +319,7 @@ class LocksetSanitizer:
             for frame in frames
             if frame.filename != __file__
         ]
-        summary = trimmed[-self.stack_depth:]
+        summary = trimmed[-STACK_DEPTH:]
         return [
             f"{frame.filename}:{frame.lineno} in {frame.name}"
             for frame in summary

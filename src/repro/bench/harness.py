@@ -25,7 +25,9 @@ N-files-on-a-sharded-server deployment, :func:`striped_rw_factory` /
 :func:`drain_until` and :func:`ack_buckets` its one way to observe and
 settle a run, and the cluster scenarios (:func:`run_scaleout`,
 :func:`run_shard_kill`, :func:`run_elastic`, :func:`run_overload`) are
-plain functions returning a :class:`ScenarioRun`.
+plain functions returning a :class:`ScenarioRun`;
+:func:`run_tenant_isolation` is the QoS gate's dispatch order alone, on
+a toy server.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import (
     Dict,
     FrozenSet,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -46,9 +49,9 @@ from typing import (
 )
 
 from ..core.client import ClientConfig, ClientResult, DdsClient, WorkloadClient
-from ..core.messages import IoRequest, OpCode
+from ..core.messages import IoRequest, IoResponse, OpCode
 from ..core.retry import RetryBudget, RetryPolicy
-from ..core.server import StorageServerBase
+from ..core.server import PipelineServer
 from ..faults import (
     DurabilityChecker,
     FaultInjector,
@@ -59,10 +62,11 @@ from ..faults import (
 from ..hardware.nic import NetworkLink
 from ..hardware.specs import NVME_1TB, SsdSpec
 from ..hardware.ssd import NvmeDevice
-from ..sim import Environment
+from ..net.packet import FiveTuple
+from ..sim import Environment, Resource, SeededRng
 from ..storage.disk import RamDisk, SpdkBdev
 from ..storage.filesystem import DdsFileSystem
-from ..topology.qos import QosConfig
+from ..topology.qos import QosConfig, TenantQosGate
 from ..topology.registry import build_server, headline_solutions, resolve
 from ..topology.sharding import ShardedOffloadServer
 from ..topology.spec import DeploymentSpec
@@ -91,6 +95,8 @@ __all__ = [
     "run_shard_kill",
     "run_elastic",
     "run_overload",
+    "FairnessResult",
+    "run_tenant_isolation",
 ]
 
 #: The ten Figure 16 solutions, chart order (from the registry).
@@ -146,7 +152,7 @@ class Cluster:
     """A freshly-built simulated cluster ready for a workload."""
 
     env: Environment
-    server: StorageServerBase
+    server: PipelineServer
     filesystem: DdsFileSystem
     #: The first (for single-file clusters: the only) file.
     file_id: int
@@ -227,7 +233,7 @@ def build_cluster(
 
 def _measure(
     env: Environment,
-    server: StorageServerBase,
+    server: PipelineServer,
     file_id: int,
     config: ClientConfig,
     request_factory: Optional[Callable] = None,
@@ -244,7 +250,7 @@ def _measure(
 def measure_app(
     kind: str,
     env: Environment,
-    server: StorageServerBase,
+    server: PipelineServer,
     file_id: int,
     config: ClientConfig,
     request_factory: Callable,
@@ -667,3 +673,68 @@ def run_overload(
             tenant_of=engine.tenant_for_flow,
         ))
     return ScenarioRun(**vars(cluster), result=engine.run())
+
+
+class FairnessResult(NamedTuple):
+    """The decisive number is the light tenant's *worst* latency: under
+    FIFO it waits out the whole burst, under DRR one round."""
+
+    light_max_latency: float
+    light_mean_latency: float
+    heavy_throughput: float
+
+
+def run_tenant_isolation(scheduler: str) -> FairnessResult:
+    """A light closed-loop trickle (5K/s) beside a 2000-message dump at
+    t=0, on a server that takes 10 us per 4 KiB message, one at a time,
+    for 50 ms: in arrival order (``"fifo"``, one Resource — what stock
+    DDS effectively has) or behind the datapath's QoS gate (``"drr"``:
+    no buckets, no shedding, only its fair dispatch)."""
+    env, rng, duration, burst = Environment(), SeededRng(71), 0.05, 2000
+    waits: Dict[str, List[float]] = {"light": [], "heavy": []}
+    server = Resource(env, capacity=1)
+
+    def serve(flow, requests, respond):
+        yield server.hold(10e-6)
+        for request in requests:
+            respond(IoResponse(request.request_id, ok=True))
+
+    if scheduler == "drr":
+        submit = TenantQosGate(
+            env,
+            QosConfig(queue_capacity=burst, max_inflight=1,
+                      sojourn_target=None,
+                      tenant_of=lambda flow: flow.client_ip),
+            serve,
+        ).intake
+    else:
+        def submit(flow, requests, respond):
+            env.process(serve(flow, requests, respond))
+
+    def send(tenant: str, request_id: int):
+        done, sent = env.event(), env.now
+
+        def respond(_response) -> None:
+            waits[tenant].append(env.now - sent)
+            done.succeed()
+
+        write = IoRequest(OpCode.WRITE, request_id, 1, 0, 4096, bytes(4096))
+        submit(FiveTuple(tenant, 40000, "10.0.0.1", 5000), [write], respond)
+        return done
+
+    def light():
+        request_id = burst
+        while env.now < duration:
+            yield env.timeout(rng.exponential(1 / 5_000.0))
+            request_id += 1
+            yield send("light", request_id)
+
+    for request_id in range(burst):
+        send("heavy", request_id)
+    env.process(light())
+    env.run(until=duration)
+    return FairnessResult(
+        max(waits["light"]),
+        sum(waits["light"]) / len(waits["light"]),
+        len(waits["heavy"]) / duration,
+    )

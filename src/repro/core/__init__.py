@@ -14,7 +14,6 @@ from .traffic_director import TrafficDirector
 _LAZY = {
     "DdsOffloadServer": "server",
     "PipelineServer": "server",
-    "StorageServerBase": "server",
     "ClientConfig": "client",
     "ClientResult": "client",
     "WorkloadClient": "client",
@@ -48,7 +47,6 @@ __all__ = [
     "RetryPolicy",
     "RingTransferModel",
     "RingTransferResult",
-    "StorageServerBase",
     "TrafficDirector",
     "WorkloadClient",
     "WriteOp",

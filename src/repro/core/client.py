@@ -20,7 +20,7 @@ from ..net.packet import FiveTuple
 from ..sim import Environment, Event, SeededRng
 from .messages import IoRequest, IoResponse, OpCode
 from .retry import RetryBudget, RetryPolicy
-from .server import StorageServerBase
+from .server import PipelineServer
 
 __all__ = [
     "ClientConfig",
@@ -101,7 +101,7 @@ class WorkloadClient:
     def __init__(
         self,
         env: Environment,
-        server: StorageServerBase,
+        server: PipelineServer,
         file_id: int,
         config: Optional[ClientConfig] = None,
         request_factory=None,
@@ -405,7 +405,7 @@ class DdsClient(WorkloadClient):
     def __init__(
         self,
         env: Environment,
-        server: StorageServerBase,
+        server: PipelineServer,
         file_id: int,
         config: Optional[ClientConfig] = None,
         request_factory=None,

@@ -182,6 +182,7 @@ class RingTransferModel:
     """
 
     MESSAGE_BYTES = 8
+    RING_BYTES = 1 << 12
     #: Serialized host work per insert (reserve + copy + pointer update).
     INSERT_SERIAL = 45e-9
     #: Critical-section inflation per extra contending producer.
@@ -191,16 +192,7 @@ class RingTransferModel:
     CONSUME_COST = 0.01 * MICROSECOND
     FARM_ARM_HANDLING = 2.0 * MICROSECOND  # host-equivalent per DMA op
 
-    def __init__(
-        self,
-        env: Environment,
-        design: str,
-        producers: int,
-        dma: Optional[DmaEngine] = None,
-        dpu_core: Optional[CpuCore] = None,
-        ring_capacity: int = 1 << 12,
-        rng: Optional[SeededRng] = None,
-    ) -> None:
+    def __init__(self, env: Environment, design: str, producers: int) -> None:
         if design not in ("progress", "lock", "farm"):
             raise ValueError(f"unknown ring design: {design!r}")
         if producers < 1:
@@ -208,17 +200,13 @@ class RingTransferModel:
         self.env = env
         self.design = design
         self.producers = producers
-        self.dma = dma if dma is not None else DmaEngine(env)
-        self.dpu_core = (
-            dpu_core
-            if dpu_core is not None
-            else CpuCore(env, speed=DPU_CPU.speed)
-        )
-        self.rng = rng if rng is not None else SeededRng(17)
+        self.dma = DmaEngine(env)
+        self.dpu_core = CpuCore(env, speed=DPU_CPU.speed)
+        self.rng = SeededRng(17)
         if design == "progress":
-            self.ring = ProgressRing(ring_capacity)
+            self.ring = ProgressRing(self.RING_BYTES)
         elif design == "lock":
-            self.ring = LockRing(ring_capacity)
+            self.ring = LockRing(self.RING_BYTES)
         else:
             self.ring = FarmRing(slots=64, slot_size=64)
         from ..sim import Resource

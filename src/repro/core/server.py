@@ -54,15 +54,25 @@ from .messages import IoRequest, IoResponse, OpCode
 from .retry import CircuitBreaker
 
 __all__ = [
-    "StorageServerBase",
     "PipelineServer",
     "OffloadServerBase",
     "DdsOffloadServer",
 ]
 
 
-class StorageServerBase:
-    """Shared wiring: link, host CPU pool, response fan-in, accounting."""
+class PipelineServer:
+    """A server assembled from composable datapath stages.
+
+    Whoever assembles it (:func:`~repro.topology.registry.build_server`,
+    or an offload subclass in ``__init__``) hands the stage list to
+    :meth:`set_pipeline` and lists in ``filesystems`` what each DPU (or
+    the host) executes against.  The generic ingress then walks the inbound
+    stages (ingest + transport) forward, runs the execution stage per
+    request (or yields the whole message to the steering stage, which
+    owns its own egress), and walks transports in reverse plus the
+    completion stages on the way out.  Cores-consumed accounting is a
+    single roll-up over the stages — no per-server overrides.
+    """
 
     #: Transport stack the *client* machine pays per message (Figure 16
     #: accounts client + server CPU); TCP solutions use the OS stack.
@@ -129,14 +139,6 @@ class StorageServerBase:
             self.env.process(self._ingress(flow, list(requests), deliver))
         return done
 
-    def _ingress(
-        self,
-        flow: FiveTuple,
-        requests: List[IoRequest],
-        arrived: Callable,
-    ) -> Generator:
-        raise NotImplementedError
-
     # ------------------------------------------------------------------
     # resilience (chaos deployments opt in; figures never pay for it)
     # ------------------------------------------------------------------
@@ -152,36 +154,8 @@ class StorageServerBase:
         return self.dedup
 
     # ------------------------------------------------------------------
-    # accounting
+    # the pipeline
     # ------------------------------------------------------------------
-    def host_cores(self, elapsed: float) -> float:
-        """Average host cores consumed over ``elapsed`` seconds."""
-        return self.host_pool.cores_consumed(elapsed)
-
-    def dpu_cores(self, elapsed: float) -> float:
-        """Average DPU cores consumed (0 for host-only servers)."""
-        return 0.0
-
-    def offloaded_fraction(self) -> float:
-        """Share of the requests its traffic directors dispatched that
-        the DPU served without the host (0 for servers without one)."""
-        return 0.0
-
-
-class PipelineServer(StorageServerBase):
-    """A server assembled from composable datapath stages.
-
-    Whoever assembles it (:func:`~repro.topology.registry.build_server`,
-    or an offload subclass in ``__init__``) hands the stage list to
-    :meth:`set_pipeline` and lists in ``filesystems`` what each DPU (or
-    the host) executes against.  The generic ingress then walks the inbound
-    stages (ingest + transport) forward, runs the execution stage per
-    request (or yields the whole message to the steering stage, which
-    owns its own egress), and walks transports in reverse plus the
-    completion stages on the way out.  Cores-consumed accounting is a
-    single roll-up over the stages — no per-server overrides.
-    """
-
     def set_pipeline(
         self,
         stages: Sequence[Stage],
@@ -241,6 +215,11 @@ class PipelineServer(StorageServerBase):
         for stage in self._stages:
             total += stage.client_cores()
         return total
+
+    def offloaded_fraction(self) -> float:
+        """Share of the requests its traffic directors dispatched that
+        the DPU served without the host (0 for servers without one)."""
+        return 0.0
 
     # ------------------------------------------------------------------
     # generic ingress

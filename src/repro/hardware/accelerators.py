@@ -34,7 +34,6 @@ __all__ = [
     "BF2_COMPRESSION",
     "BF2_REGEX",
     "ARM_SOFTWARE_COMPRESSION",
-    "ARM_SOFTWARE_REGEX",
     "compress_page",
     "decompress_page",
     "regex_scan",
@@ -73,13 +72,6 @@ ARM_SOFTWARE_COMPRESSION = AcceleratorSpec(
     name="arm-zlib",
     setup_latency=1 * MICROSECOND,
     bandwidth=0.12 * GIB,
-    channels=1,
-)
-
-ARM_SOFTWARE_REGEX = AcceleratorSpec(
-    name="arm-re",
-    setup_latency=0.5 * MICROSECOND,
-    bandwidth=0.25 * GIB,
     channels=1,
 )
 

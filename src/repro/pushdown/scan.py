@@ -1,20 +1,11 @@
-"""Storage-stack scan operators built on the verified pushdown DSL.
+"""The storage-stack scan built on the verified pushdown DSL.
 
-Two scanners share the same DDS filesystem/table plumbing:
-
-* :class:`PushdownScanner` — the original §11 string-operator scan
-  (``ship-all`` / ``dpu-software`` / ``dpu-regex``).  Its behaviour
-  and costs are pinned byte-identical to the pre-DSL implementation by
-  ``tests/test_pushdown_golden.py``; its operator is *admitted*: the
-  scanner builds the equivalent one-stage pipeline and requires a
-  verifier proof token before scanning.
-
-* :class:`PipelineScanner` — the general verified path: any admitted
-  filter → project → aggregate :class:`~repro.pushdown.isa.Pipeline`
-  executed by :class:`~repro.pushdown.engine.PushdownEngine` at one of
-  three placements (``ship-all`` on the compute node, ``dpu-software``
-  on the Arm cores, ``dpu-accel`` with the RXP absorbing a lowered
-  filter).
+:class:`PipelineScanner` is the one scanner: any admitted filter →
+project → aggregate :class:`~repro.pushdown.isa.Pipeline`, redeemed
+through :class:`~repro.pushdown.engine.PushdownEngine` at one of three
+placements (``ship-all`` on the compute node, ``dpu-software`` on the
+Arm cores, ``dpu-accel`` with the RXP absorbing a lowered filter).  The
+§11 string operator is ``canonical_pipeline("filter")``.
 
 Wire accounting: a project stage ships its emitted bytes per selected
 record; an aggregate stage ships nothing per record and one
@@ -24,18 +15,12 @@ selected records whole.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Generator, List, Optional, Tuple
+from typing import Generator, List, Tuple
 
 from ..core.file_service import DpuFileService
-from ..hardware.accelerators import (
-    ARM_SOFTWARE_REGEX,
-    BF2_REGEX,
-    HardwareAccelerator,
-    regex_scan,
-)
+from ..hardware.accelerators import BF2_REGEX, HardwareAccelerator
 from ..hardware.cpu import CpuCore
 from ..hardware.nic import NetworkLink
 from ..hardware.specs import DPU_CPU, HOST_CPU
@@ -58,15 +43,11 @@ __all__ = [
     "PAGE_BYTES",
     "RECORDS_PER_PAGE",
     "GEOMETRY",
-    "MODES",
     "PLACEMENTS",
     "PIPELINES",
     "NEEDLE_PATTERN",
     "VALUE_OFFSET",
     "WEIGHT_OFFSET",
-    "ScanResult",
-    "PushdownScanner",
-    "run_pushdown_experiment",
     "canonical_pipeline",
     "PipelineTable",
     "build_pipeline_table",
@@ -82,8 +63,6 @@ RECORDS_PER_PAGE = PAGE_BYTES // RECORD_BYTES
 
 #: The record/page shape every scan in this module verifies against.
 GEOMETRY = Geometry(RECORD_BYTES, RECORDS_PER_PAGE)
-
-MODES = ("ship-all", "dpu-software", "dpu-regex")
 
 #: The byte regex the demo tables are seeded around.
 NEEDLE_PATTERN = rb"needle-\d{8}"
@@ -111,179 +90,6 @@ def _letters(rng: SeededRng, count: int) -> bytes:
         out += words[3::4].translate(_LETTER, _REDRAWN)
     return out
 
-
-def _draw_table(
-    rng: SeededRng,
-    pages: int,
-    selectivity: float,
-    make_record: Callable[[int, SeededRng, bool], bytes],
-) -> Tuple[Tuple[bytes, ...], List[bytes]]:
-    """``pages`` pages of ``make_record(index, rng, hit)`` records, and
-    the hit records among them."""
-    table: List[bytes] = []
-    hits: List[bytes] = []
-    for first in range(0, pages * RECORDS_PER_PAGE, RECORDS_PER_PAGE):
-        records = []
-        for index in range(first, first + RECORDS_PER_PAGE):
-            hit = rng.random() < selectivity
-            record = make_record(index, rng, hit)
-            records.append(record)
-            if hit:
-                hits.append(record)
-        table.append(b"".join(records))
-    return tuple(table), hits
-
-
-def _make_record(index: int, rng: SeededRng, hit: bool) -> bytes:
-    """A record that may contain the needle the query searches for."""
-    body = _letters(rng, RECORD_BYTES - 24)
-    marker = b"needle-%08d" % index if hit else b"chaff--%08d" % index
-    return (marker + body)[:RECORD_BYTES].ljust(RECORD_BYTES, b".")
-
-
-@lru_cache(maxsize=4)
-def _needle_table(
-    pages: int, selectivity: float, seed: int
-) -> Tuple[Tuple[bytes, ...], int]:
-    """The needle table a seed names, and how many records hold one."""
-    rng = SeededRng(seed)
-    table, hits = _draw_table(rng, pages, selectivity, _make_record)
-    return table, len(hits)
-
-
-class PushdownScanner:
-    """A table of records in the DDS filesystem plus a scan operator."""
-
-    def __init__(
-        self,
-        env: Environment,
-        pages: int = 128,
-        selectivity: float = 0.05,
-        mode: str = "dpu-regex",
-        seed: int = 55,
-    ) -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode: {mode!r}")
-        if not 0 <= selectivity <= 1:
-            raise ValueError("selectivity must be in [0, 1]")
-        self.env = env
-        self.mode = mode
-        self.pages = pages
-        self.link = NetworkLink(env)
-        self.fs = DdsFileSystem(
-            env, SpdkBdev(env, RamDisk(pages * PAGE_BYTES + (32 << 20)))
-        )
-        self.fs.create_directory("table")
-        self.file_id = self.fs.create_file("table", "records")
-        self.spdk_core = CpuCore(env, speed=DPU_CPU.speed, name="spdk")
-        self.scan_core = CpuCore(env, speed=DPU_CPU.speed, name="scan")
-        if mode == "dpu-regex":
-            self.engine: Optional[HardwareAccelerator] = HardwareAccelerator(
-                env, BF2_REGEX
-            )
-        elif mode == "dpu-software":
-            self.engine = HardwareAccelerator(
-                env, ARM_SOFTWARE_REGEX, software_core=self.scan_core
-            )
-        else:
-            self.engine = None
-        # Admission: even this fixed operator goes through the verifier
-        # now.  The proof token also certifies the RXP lowering the
-        # ``dpu-regex`` mode relies on (``token.pattern``).
-        self.admission, token = verify(
-            Pipeline((regex_filter(NEEDLE_PATTERN),)), GEOMETRY
-        )
-        if token is None or token.pattern is None:  # pragma: no cover
-            raise AssertionError(
-                f"needle scan failed admission: {self.admission.explain()}"
-            )
-        self.token: VerifiedPipeline = token
-        table, self.expected_hits = _needle_table(pages, selectivity, seed)
-        for page_id, page in enumerate(table):
-            self.fs.write_sync(self.file_id, page_id * PAGE_BYTES, page)
-        self.pattern = token.lowered[0]
-        self.wire_bytes = 0
-
-    # ------------------------------------------------------------------
-    # scan
-    # ------------------------------------------------------------------
-    def scan_page(self, page_id: int) -> Generator:
-        """Scan one page; returns the matching records at the client."""
-        yield from self.spdk_core.execute(DpuFileService.SUBMIT_COST)
-        page = yield from self.fs.read(
-            self.file_id, page_id * PAGE_BYTES, PAGE_BYTES
-        )
-        if self.mode == "ship-all":
-            # Ship the whole page; the compute node filters.
-            yield from self.link.transmit("server_to_client", PAGE_BYTES)
-            self.wire_bytes += PAGE_BYTES
-            return regex_scan(page, self.pattern, RECORD_BYTES)
-        # Pushdown: evaluate on the DPU, ship matches only.
-        yield from self.engine.process(PAGE_BYTES)
-        matches = regex_scan(page, self.pattern, RECORD_BYTES)
-        payload = len(matches) * RECORD_BYTES
-        if payload:
-            yield from self.link.transmit("server_to_client", payload)
-        self.wire_bytes += payload
-        return matches
-
-    def scan_table(self, concurrency: int = 16) -> Generator:
-        """Scan every page; returns all matches."""
-        results: List[Tuple[int, bytes]] = []
-
-        def worker(page_ids):
-            for page_id in page_ids:
-                matches = yield from self.scan_page(page_id)
-                results.extend(matches)
-
-        chunks = [
-            list(range(start, self.pages, concurrency))
-            for start in range(concurrency)
-        ]
-        workers = [self.env.process(worker(chunk)) for chunk in chunks]
-        yield self.env.all_of(workers)
-        return results
-
-
-@dataclass
-class ScanResult:
-    """Outcome of one pushdown experiment."""
-
-    mode: str
-    scan_seconds: float
-    matches: int
-    wire_bytes: int
-    arm_core_seconds: float
-
-
-def run_pushdown_experiment(
-    mode: str,
-    pages: int = 128,
-    selectivity: float = 0.05,
-    seed: int = 55,
-) -> ScanResult:
-    """Full-table scan at one operator placement."""
-    env = Environment()
-    scanner = PushdownScanner(
-        env, pages=pages, selectivity=selectivity, mode=mode, seed=seed
-    )
-    proc = env.process(scanner.scan_table())
-    env.run(until=proc)
-    matches = proc.value
-    assert len(matches) == scanner.expected_hits
-    assert all(record.startswith(b"needle-") for _idx, record in matches)
-    return ScanResult(
-        mode=mode,
-        scan_seconds=env.now,
-        matches=len(matches),
-        wire_bytes=scanner.wire_bytes,
-        arm_core_seconds=scanner.scan_core.busy_time,
-    )
-
-
-# ----------------------------------------------------------------------
-# verified pipeline scans
-# ----------------------------------------------------------------------
 
 #: Where the verified pipeline executes.
 PLACEMENTS = ("ship-all", "dpu-software", "dpu-accel")
@@ -314,22 +120,6 @@ def canonical_pipeline(name: str) -> Pipeline:
     raise ValueError(f"unknown pipeline: {name!r} (want one of {PIPELINES})")
 
 
-def _make_pipeline_record(index: int, rng: SeededRng, hit: bool) -> bytes:
-    """Marker at 0, u32 value at 16, u32 weight at 20, random tail."""
-    marker = b"needle-%08d" % index if hit else b"chaff--%08d" % index
-    value = rng.randrange(10_000)
-    weight = rng.randrange(100)
-    tail = _letters(rng, RECORD_BYTES - WEIGHT_OFFSET - 4)
-    record = (
-        marker.ljust(VALUE_OFFSET, b".")
-        + value.to_bytes(4, "little")
-        + weight.to_bytes(4, "little")
-        + tail
-    )
-    assert len(record) == RECORD_BYTES
-    return record
-
-
 @dataclass(frozen=True)
 class PipelineTable:
     """A pipeline table's pages and the answers a scan of it must find."""
@@ -343,17 +133,30 @@ class PipelineTable:
 def build_pipeline_table(
     rng: SeededRng, pages: int, selectivity: float
 ) -> PipelineTable:
-    """Draw the next ``pages``-page pipeline table off ``rng``."""
-    table, hits = _draw_table(rng, pages, selectivity, _make_pipeline_record)
-    columns = [  # value and weight are adjacent LE u32s
-        struct.unpack_from("<II", record, VALUE_OFFSET) for record in hits
-    ]
-    return PipelineTable(
-        table,
-        len(hits),
-        sum(value for value, _weight in columns),
-        max((weight for _value, weight in columns), default=0),
-    )
+    """Draw the next ``pages``-page pipeline table off ``rng``: per
+    record a marker at 0, a u32 value at 16, a u32 weight at 20 and a
+    random tail."""
+    table: List[bytes] = []
+    hits = value_sum = max_weight = 0
+    for first in range(0, pages * RECORDS_PER_PAGE, RECORDS_PER_PAGE):
+        records = []
+        for index in range(first, first + RECORDS_PER_PAGE):
+            hit = rng.random() < selectivity
+            marker = b"needle-%08d" % index if hit else b"chaff--%08d" % index
+            value = rng.randrange(10_000)
+            weight = rng.randrange(100)
+            records.append(
+                marker.ljust(VALUE_OFFSET, b".")
+                + value.to_bytes(4, "little")
+                + weight.to_bytes(4, "little")
+                + _letters(rng, RECORD_BYTES - WEIGHT_OFFSET - 4)
+            )
+            if hit:
+                hits += 1
+                value_sum += value
+                max_weight = max(max_weight, weight)
+        table.append(b"".join(records))
+    return PipelineTable(tuple(table), hits, value_sum, max_weight)
 
 
 @lru_cache(maxsize=4)

@@ -419,10 +419,9 @@ class Environment:
 
     def __init__(
         self,
-        initial_time: float = 0.0,
         trace: Optional[Callable[[float, "Event"], None]] = None,
     ) -> None:
-        self._now = float(initial_time)
+        self._now = 0.0
         #: Delayed occurrences: (time, seq, event, value, exception).
         self._heap: List[tuple] = []
         #: Same-tick occurrences: (seq, event, value, exception) where

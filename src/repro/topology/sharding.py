@@ -69,7 +69,7 @@ def _splitmix64(value: int) -> int:
 class ConsistentHashShardMap:
     """File id → owning shard, via a versioned consistent-hash ring.
 
-    Each shard contributes ``vnodes`` points on a 64-bit ring; a file id
+    Each shard contributes ``VNODES`` points on a 64-bit ring; a file id
     belongs to the first point clockwise of its hash.  Virtual nodes keep
     the per-shard share near fair (within ~15% relative at 64 vnodes —
     see ``tests/test_sharding_properties.py`` for the measured bound),
@@ -86,13 +86,14 @@ class ConsistentHashShardMap:
     member set behaves exactly like the fixed-N map it replaced.
     """
 
-    def __init__(self, shard_count: int, vnodes: int = 64) -> None:
+    #: Ring points per shard; placement is a pure function of this and
+    #: the membership (pinned by ``tests/test_sharding_properties.py``).
+    VNODES = 64
+
+    def __init__(self, shard_count: int) -> None:
         if shard_count < 1:
             raise ValueError("shard_count must be >= 1")
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
         self.shard_count = shard_count
-        self.vnodes = vnodes
         #: Bumped on every membership change.
         self.epoch = 0
         self._members = list(range(shard_count))
@@ -110,7 +111,7 @@ class ConsistentHashShardMap:
     def _shard_points(self, shard: int) -> List[Tuple[int, int]]:
         return [
             (_splitmix64(((shard + 1) << 32) | vnode), shard)
-            for vnode in range(self.vnodes)
+            for vnode in range(self.VNODES)
         ]
 
     @property
@@ -582,9 +583,7 @@ class ShardedOffloadServer(OffloadServerBase):
         return self.pushdown_stages
 
     def _install_pushdown(self, shard: OffloadShard) -> None:
-        stage = PushdownExecution(
-            self.env, shard.backend, self.link, shard=shard.index
-        )
+        stage = PushdownExecution(self.env, shard, self.link)
         with self._topology_lock:
             self.pushdown_stages[shard.index] = stage
             self._stages.append(stage)
@@ -601,11 +600,16 @@ class ShardedOffloadServer(OffloadServerBase):
         Admission first: the pipeline goes through :func:`repro.
         pushdown.verifier.verify` against ``geometry`` (default: the
         canonical 128B×64 record/page shape).  A proof token routes the
-        scan to the owning shard's :class:`PushdownExecution` stage; a
-        rejection falls back to the host path — every page ships over
-        the wire and through the host transport, and the host pool
-        computes the same answer — returning an outcome whose
-        ``verdict`` carries the typed rule that refused the DPU.
+        scan to the serving shard's :class:`PushdownExecution` stage; a
+        rejection falls back to that shard's host path — every page
+        ships over the wire and through the host transport, and the
+        host pool computes the same answer — returning an outcome whose
+        ``verdict`` carries the typed rule that refused the DPU.  The
+        serving shard is the one the directors route the file's
+        requests to (the map's owner; the acting leader while
+        replicated), and a scan it cannot finish because it is down
+        raises :class:`~repro.storage.filesystem.FileSystemError` like any
+        failed page read.
 
         Returns ``(verdict, outcome)``; a process generator either way.
         """
@@ -614,17 +618,18 @@ class ShardedOffloadServer(OffloadServerBase):
 
         geometry = geometry or GEOMETRY
         verdict, token = verify(pipeline, geometry)
-        owner = self.shard_map.owner(file_id)
+        # Every director carries the same routing hook.
+        serving = self.directors[0].owner_of(file_id)
         if token is None:
             outcome = yield from self._pushdown_host_fallback(
-                owner, file_id, pipeline, pages, geometry
+                serving, file_id, pipeline, pages, geometry
             )
             return verdict, outcome
         if not self.pushdown_stages:
             raise RuntimeError(
                 "call enable_pushdown() before pushdown_scan()"
             )
-        stage = self.pushdown_stages[owner]
+        stage = self.pushdown_stages[serving]
         outcome = yield from stage.scan(token, file_id, pages)
         return verdict, outcome
 
@@ -649,21 +654,25 @@ class ShardedOffloadServer(OffloadServerBase):
         from ..pushdown.isa import ACC_REGS, STACK_LIMIT
 
         page_bytes = geometry.page_bytes
+        shard = self.shards[shard_index]
         filesystem = self.filesystems[shard_index]
         host_fuel = geometry.fuel_limit * 1024
         acc: List[int] = [0] * ACC_REGS
         selected: List[Tuple[int, bytes]] = []
         wire_bytes = cycles = 0
         for page_id in range(pages):
+            shard.require_alive()
             page = yield from filesystem.read(
                 file_id, page_id * page_bytes, page_bytes
             )
             # Ship-all: the whole page crosses the wire and the host
             # transport before any operator runs.
+            shard.require_alive()
             yield from self.link.transmit("server_to_client", len(page))
             yield from self.transport.process(len(page))
             yield from self.app_net.process(len(page))
             wire_bytes += len(page)
+            # ddslint: disable=DDS501 -- the verifier's refusal is why this runs: host-sized fuel and stack
             hits, _emitted, stats = interpret_page(
                 pipeline, page, geometry, host_fuel, acc,
                 stack_limit=STACK_LIMIT * 128,

@@ -494,12 +494,13 @@ class PushdownExecution(Stage):
 
     Owns one Arm core and an RXP accelerator per shard and redeems
     :class:`~repro.pushdown.verifier.VerifiedPipeline` proof tokens
-    against its shard's filesystem — resolved through ``backend`` at
-    each read, so the stage follows the swap a recovery makes: pages
-    are read locally, records run
+    against its shard's filesystem — resolved through the unit's
+    backend at each read, so the stage follows the swap a recovery
+    makes: pages are read locally, records run
     through the :class:`~repro.pushdown.engine.PushdownEngine` (RXP
     absorbing a regex-lowerable filter), and only the operator's output
-    crosses the wire.  Admission itself happens at the server
+    crosses the wire.  A scan dies with its DPU: a dead unit starts no
+    page and ships nothing.  Admission itself happens at the server
     (:meth:`~repro.topology.sharding.ShardedOffloadServer.
     pushdown_scan`) so a rejection can fall back to the host path
     *before* any DPU resources are touched.
@@ -508,20 +509,16 @@ class PushdownExecution(Stage):
     kind = StageKind.EXECUTION
 
     def __init__(
-        self,
-        env: Environment,
-        backend: DdsBackend,
-        link: NetworkLink,
-        shard: int = 0,
-        name: Optional[str] = None,
+        self, env: Environment, unit: OffloadShard, link: NetworkLink
     ) -> None:
-        super().__init__(name or f"pushdown-{shard}")
+        shard = unit.index
+        super().__init__(f"pushdown-{shard}")
         # Local import keeps topology importable without the pushdown
         # package having been wired into a deployment.
         from ..pushdown.engine import PushdownEngine
 
         self.env = env
-        self.backend = backend
+        self.unit = unit
         self.link = link
         self.shard = shard
         self.core = CpuCore(
@@ -532,11 +529,12 @@ class PushdownExecution(Stage):
         )
         self.accelerator = HardwareAccelerator(env, BF2_REGEX)
         self._engine_cls = PushdownEngine
+        #: Scans answered in full.
         self.scans = 0
 
     @property
     def filesystem(self) -> DdsFileSystem:
-        return self.backend.filesystem
+        return self.unit.backend.filesystem
 
     def dpu_cores(self, elapsed: float) -> float:
         return self.core.utilization(elapsed) + self.spdk_core.utilization(
@@ -560,10 +558,10 @@ class PushdownExecution(Stage):
             self.core,
             self.accelerator if token.pattern is not None else None,
         )
-        self.scans += 1
         wire_bytes = 0
         selected: List[Tuple[int, bytes]] = []
         for page_id in range(pages):
+            self.unit.require_alive()
             yield from self.spdk_core.execute(DpuFileService.SUBMIT_COST)
             page = yield from self.filesystem.read(
                 file_id, page_id * page_bytes, page_bytes
@@ -580,13 +578,16 @@ class PushdownExecution(Stage):
             else:
                 payload = len(outcome.selected) * geometry.record_bytes
             if payload:
+                self.unit.require_alive()
                 yield from self.link.transmit("server_to_client", payload)
             wire_bytes += payload
         if has_aggregate:
             # The folded registers are the aggregate's entire answer.
             acc_bytes = len(engine.acc) * 8
+            self.unit.require_alive()
             yield from self.link.transmit("server_to_client", acc_bytes)
             wire_bytes += acc_bytes
+        self.scans += 1
         return PushdownScanOutcome(
             file_id=file_id,
             shard=self.shard,
@@ -676,6 +677,12 @@ class OffloadShard:
         #: the ingress set for good (indices are never reused, so the
         #: object stays in ``server.shards`` as a tombstone).
         self.retired = False
+
+    def require_alive(self) -> None:
+        """What a scan calls before each step that spends this DPU's
+        cores or NIC: a dead DPU fails it like a failed page read."""
+        if not self.alive:
+            raise FileSystemError(f"shard {self.index} is down")
 
 
 class DirectorSteering(Stage):

@@ -165,7 +165,6 @@ class OpenLoopTrafficEngine:
         retry_budget=None,
         observer=None,
         drain: float = 5e-3,
-        id_base: int = 1,
     ) -> None:
         if horizon <= 0:
             raise ValueError("horizon must be positive")
@@ -186,7 +185,7 @@ class OpenLoopTrafficEngine:
         self.client_pool = CpuPool(env, HOST_CPU, name="traffic-engine")
         self._file_ids = list(file_ids)
         self._slots = max(1, file_bytes // io_size)
-        self._next_id = id_base
+        self._next_id = 1
         self._started = False
         self._start_time = 0.0
         # aggregate counters

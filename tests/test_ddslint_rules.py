@@ -165,7 +165,7 @@ def test_clean_fixture_is_clean_under_every_class():
         ("structures/rings.py", {"shared", "instrumented"}),
         ("structures/cuckoo.py", {"shared", "instrumented"}),
         ("core/offload_engine.py", {"shared", "instrumented"}),
-        ("topology/sharding.py", {"shared"}),
+        ("topology/sharding.py", {"shared", "offload"}),  # host fallback
         ("net/packet.py", {"sim", "sim_hot"}),
         ("hardware/cpu.py", {"sim", "sim_hot"}),
         ("baselines/__init__.py", {"sim", "sim_hot"}),
@@ -180,6 +180,7 @@ def test_clean_fixture_is_clean_under_every_class():
         ("pushdown/interp.py", set()),  # implements the raw entry
         ("pushdown/verifier.py", set()),  # mints the tokens
         ("pushdown/engine.py", set()),  # the sanctioned redeemer
+        ("topology/stages.py", {"offload"}),  # redeems proof tokens
     ],
 )
 def test_default_config_classification(relpath, expected):

@@ -31,14 +31,16 @@ def test_live_tree_baseline_is_small_and_justified():
     # yield before invoking it; plus the lazy-bucket materialization in
     # cuckoo's _materialize, where the None->list swap is one atomic
     # store invisible to readers and callers yield before the enclosing
-    # write op.  Growing this inventory is a reviewed decision, not a
-    # drive-by.
+    # write op; plus the sharded server's host fallback, which runs
+    # the programs the verifier *refused* (under host-sized bounds), so
+    # no verify() can precede its interpret_page.  Growing this
+    # inventory is a reviewed decision, not a drive-by.
     inventory = sorted(
         (Path(f.path).name, f.rule) for f in suppressed
     )
     assert inventory == [("cuckoo.py", "DDS201")] + [
         ("rings.py", "DDS201")
-    ] * 3
+    ] * 3 + [("sharding.py", "DDS501")]
 
 
 def test_cli_exits_zero_on_live_tree(capsys):

@@ -19,7 +19,12 @@ from repro.hardware import (
     decompress_page,
     regex_scan,
 )
-from repro.pushdown.scan import PushdownScanner, run_pushdown_experiment
+from repro.pushdown.scan import (
+    PLACEMENTS,
+    PipelineScanner,
+    canonical_pipeline,
+    run_pipeline_experiment,
+)
 from repro.sim import Environment
 
 
@@ -160,34 +165,35 @@ class TestCompressedStore:
 class TestPushdown:
     def test_all_modes_return_identical_matches(self):
         results = {
-            mode: run_pushdown_experiment(mode, pages=32)
-            for mode in ("ship-all", "dpu-software", "dpu-regex")
+            placement: run_pipeline_experiment(placement, "filter", pages=32)
+            for placement in PLACEMENTS
         }
-        counts = {r.matches for r in results.values()}
+        counts = {r.rows for r in results.values()}
         assert len(counts) == 1
 
     def test_pushdown_saves_wire_bytes(self):
-        ship = run_pushdown_experiment("ship-all", pages=32)
-        regex = run_pushdown_experiment("dpu-regex", pages=32)
+        ship = run_pipeline_experiment("ship-all", "filter", pages=32)
+        regex = run_pipeline_experiment("dpu-accel", "filter", pages=32)
         assert regex.wire_bytes < 0.2 * ship.wire_bytes
 
     def test_regex_engine_beats_software_scan(self):
-        software = run_pushdown_experiment("dpu-software", pages=32)
-        regex = run_pushdown_experiment("dpu-regex", pages=32)
+        software = run_pipeline_experiment("dpu-software", "filter", pages=32)
+        regex = run_pipeline_experiment("dpu-accel", "filter", pages=32)
         assert regex.scan_seconds < software.scan_seconds
-        assert regex.arm_core_seconds == 0.0
-        assert software.arm_core_seconds > 0.0
+        assert regex.dpu_core_seconds == 0.0
+        assert software.dpu_core_seconds > 0.0
 
     def test_selectivity_controls_wire_bytes(self):
-        low = run_pushdown_experiment("dpu-regex", pages=32,
+        low = run_pipeline_experiment("dpu-accel", "filter", pages=32,
                                       selectivity=0.02)
-        high = run_pushdown_experiment("dpu-regex", pages=32,
+        high = run_pipeline_experiment("dpu-accel", "filter", pages=32,
                                        selectivity=0.30)
         assert high.wire_bytes > 3 * low.wire_bytes
 
     def test_invalid_parameters(self):
         env = Environment()
+        pipeline = canonical_pipeline("filter")
         with pytest.raises(ValueError):
-            PushdownScanner(env, mode="fpga")
+            PipelineScanner(env, pipeline, placement="fpga")
         with pytest.raises(ValueError):
-            PushdownScanner(env, selectivity=1.5)
+            PipelineScanner(env, pipeline, selectivity=1.5)

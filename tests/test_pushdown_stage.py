@@ -27,7 +27,7 @@ from repro.pushdown.scan import (
 from repro.pushdown.verifier import PDV_RULES
 from repro.sim import Environment, SeededRng
 from repro.storage.disk import RamDisk, SpdkBdev
-from repro.storage.filesystem import DdsFileSystem
+from repro.storage.filesystem import DdsFileSystem, FileSystemError
 from repro.topology.sharding import ShardedOffloadServer
 
 PAGES = 6
@@ -212,3 +212,109 @@ def test_pushdown_stage_follows_the_recovered_filesystem():
     )
     assert verdict.ok and outcome.offloaded and outcome.shard == 1
     assert (outcome.rows, outcome.acc[0], outcome.acc[2]) == expected
+
+
+# ----------------------------------------------------------------------
+# pushdown x kill: a dead DPU serves no scan
+# ----------------------------------------------------------------------
+
+
+def _dpu_work(server, stage):
+    """Everything a scan on ``stage`` spends or ships."""
+    return {
+        "core": stage.core.busy_time,
+        "spdk_core": stage.spdk_core.busy_time,
+        "rxp_jobs": stage.accelerator.jobs,
+        "scans": stage.scans,
+        "wire": server.link.stats["server_to_client"].bytes,
+    }
+
+
+def _two_shards(env):
+    fs, (file_id,), expected = _build_table(env)
+    server = ShardedOffloadServer(env, NetworkLink(env), fs, shard_count=2)
+    server.enable_pushdown()
+    return server, file_id, expected[file_id]
+
+
+def test_dead_shard_serves_no_scan():
+    """Regression: ``pushdown_scan`` never read ``alive``, so a killed
+    owner answered in full — on its Arm core, RXP, SSD and NIC."""
+    env = Environment()
+    server, file_id, _expected = _two_shards(env)
+    owner = server.shard_map.owner(file_id)
+    server.kill_shard(owner)
+    before = _dpu_work(server, server.pushdown_stages[owner])
+    with pytest.raises(FileSystemError, match=f"shard {owner} is down"):
+        _scan(env, server, file_id, canonical_pipeline("filter"))
+    assert _dpu_work(server, server.pushdown_stages[owner]) == before
+    # The refused program's host fallback reads the same dark shard.
+    with pytest.raises(FileSystemError, match=f"shard {owner} is down"):
+        _scan(env, server, file_id, Pipeline((_deep_stack_filter(5000),)))
+    assert _dpu_work(server, server.pushdown_stages[owner]) == before
+    assert server.host_pool.busy_time == 0.0
+
+
+def test_replicated_scan_is_served_by_the_acting_leader():
+    """Regression: the scan resolved the map's owner while the
+    directors route to the keyspace's acting leader."""
+    env = Environment()
+    server, file_id, (hits, total, best) = _two_shards(env)
+    replicator = server.enable_replication()
+    owner = server.shard_map.owner(file_id)
+    server.kill_shard(owner)
+    leader = replicator.leader_for(file_id)
+    assert leader != owner
+    before = _dpu_work(server, server.pushdown_stages[owner])
+    del before["wire"]  # the leader's answer does cross it
+    verdict, outcome = _scan(
+        env, server, file_id, canonical_pipeline("filter-project-agg")
+    )
+    assert verdict.ok and outcome.offloaded
+    assert outcome.shard == leader
+    assert (outcome.rows, outcome.acc[0], outcome.acc[2]) == (
+        hits, total, best,
+    )
+    after = _dpu_work(server, server.pushdown_stages[owner])
+    assert {key: after[key] for key in before} == before
+    assert server.pushdown_stages[leader].scans == 1
+
+
+def test_scan_dies_with_its_shard():
+    """Regression: an owner killed mid-scan ran the scan to the end and
+    kept transmitting."""
+    env = Environment()
+    server, file_id, _expected = _two_shards(env)
+    owner = server.shard_map.owner(file_id)
+    stage = server.pushdown_stages[owner]
+    proc = env.process(
+        server.pushdown_scan(file_id, canonical_pipeline("filter"), PAGES)
+    )
+    env.run(until=150e-6)
+    assert proc.is_alive and stage.accelerator.jobs > 0
+    server.kill_shard(owner)
+    before = _dpu_work(server, stage)
+    with pytest.raises(FileSystemError, match=f"shard {owner} is down"):
+        env.run(until=proc)
+    # The page on the RXP at the kill finishes there; no core is charged
+    # for another and nothing more leaves the NIC.
+    after = _dpu_work(server, stage)
+    assert after.pop("rxp_jobs") <= before.pop("rxp_jobs") + 1
+    assert after == before
+
+
+def test_scan_succeeds_again_after_recover():
+    env = Environment()
+    server, file_id, (hits, total, best) = _two_shards(env)
+    owner = server.shard_map.owner(file_id)
+    server.kill_shard(owner)
+    with pytest.raises(FileSystemError):
+        _scan(env, server, file_id, canonical_pipeline("filter"))
+    env.run(until=env.process(server.recover_shard(owner)))
+    verdict, outcome = _scan(
+        env, server, file_id, canonical_pipeline("filter-project-agg")
+    )
+    assert verdict.ok and outcome.offloaded and outcome.shard == owner
+    assert (outcome.rows, outcome.acc[0], outcome.acc[2]) == (
+        hits, total, best,
+    )

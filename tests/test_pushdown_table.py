@@ -13,8 +13,10 @@ copied into a scanner's own disk.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -28,7 +30,6 @@ from repro.pushdown.scan import (
     VALUE_OFFSET,
     WEIGHT_OFFSET,
     PipelineScanner,
-    PushdownScanner,
     build_pipeline_table,
     canonical_pipeline,
     pipeline_table,
@@ -63,19 +64,6 @@ def _reference_pipeline_table(rng, pages, selectivity):
     return b"".join(table), (hits, value_sum, max_weight)
 
 
-def _reference_needle_table(rng, pages, selectivity):
-    table, hits = [], 0
-    for index in range(pages * RECORDS_PER_PAGE):
-        hit = rng.random() < selectivity
-        hits += hit
-        body = _tail(rng, RECORD_BYTES - 24)
-        marker = b"needle-%08d" % index if hit else b"chaff--%08d" % index
-        table.append(
-            (marker + body)[:RECORD_BYTES].ljust(RECORD_BYTES, b".")
-        )
-    return b"".join(table), hits
-
-
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -88,18 +76,6 @@ def test_pipeline_table_is_the_per_byte_table(seed):
     assert _digest(b"".join(table.pages)) == _digest(data)
     assert (table.hits, table.value_sum, table.max_weight) == truth
     assert table.hits > 0
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_needle_table_is_the_per_byte_table(seed):
-    scanner = PushdownScanner(
-        Environment(), pages=128, selectivity=0.05, mode="ship-all",
-        seed=seed,
-    )
-    data, hits = _reference_needle_table(SeededRng(seed), 128, 0.05)
-    stored = scanner.fs.read_sync(scanner.file_id, 0, 128 * PAGE_BYTES)
-    assert _digest(stored) == _digest(data)
-    assert scanner.expected_hits == hits > 0
 
 
 def test_tables_drawn_off_one_stream_leave_it_where_the_reference_does():
@@ -150,3 +126,18 @@ def test_scanning_does_not_import_the_linter():
         [sys.executable, "-c", code], check=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def test_regex_scan_has_one_caller():
+    """One string operator, one cost model: outside the module that
+    defines it, only the verified engine runs ``regex_scan``."""
+    root = pathlib.Path(repro.__file__).parent
+    callers = {
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        == "regex_scan"
+    }
+    assert callers - {"hardware/accelerators.py"} == {"pushdown/engine.py"}
