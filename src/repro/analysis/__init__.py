@@ -28,7 +28,7 @@ suppression syntax.
 from .determinism import check_determinism
 from .driver import lint_file, lint_source, lint_tree, main
 from .pushdown_admission import check_pushdown_admission
-from .rules import DEFAULT_CONFIG, RULES, Finding, LintConfig
+from .rules import RULES, Finding, classes_for
 from .sanitizer import (
     AccessEvent,
     LocksetSanitizer,
@@ -39,9 +39,7 @@ from .shared_state import check_shared_state
 
 __all__ = [
     "AccessEvent",
-    "DEFAULT_CONFIG",
     "Finding",
-    "LintConfig",
     "LocksetSanitizer",
     "RULES",
     "RaceReport",
@@ -49,6 +47,7 @@ __all__ = [
     "check_determinism",
     "check_pushdown_admission",
     "check_shared_state",
+    "classes_for",
     "lint_file",
     "lint_source",
     "lint_tree",

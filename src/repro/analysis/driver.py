@@ -32,7 +32,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .determinism import check_determinism
 from .pushdown_admission import check_pushdown_admission
-from .rules import DEFAULT_CONFIG, Finding, LintConfig
+from .rules import Finding, classes_for
 from .shared_state import check_shared_state
 from .unused_imports import check_unused_imports
 
@@ -144,14 +144,10 @@ def _relative_module_path(path: Path, root: Path) -> str:
         return path.name
 
 
-def lint_file(
-    path: Path,
-    root: Path,
-    config: LintConfig = DEFAULT_CONFIG,
-) -> List[Finding]:
+def lint_file(path: Path, root: Path) -> List[Finding]:
     """Lint one file, classifying it by its path under ``root``."""
     relpath = _relative_module_path(path, root)
-    classes = config.classes_for(relpath)
+    classes = classes_for(relpath)
     source = path.read_text(encoding="utf-8")
     return lint_source(source, str(path), classes)
 
@@ -166,13 +162,11 @@ def iter_python_files(root: Path) -> Iterable[Path]:
         yield path
 
 
-def lint_tree(
-    root: Path, config: LintConfig = DEFAULT_CONFIG
-) -> List[Finding]:
+def lint_tree(root: Path) -> List[Finding]:
     """Lint every Python file under ``root``."""
     findings: List[Finding] = []
     for path in iter_python_files(root):
-        findings.extend(lint_file(path, root, config))
+        findings.extend(lint_file(path, root))
     return findings
 
 

@@ -18,7 +18,7 @@ visible in *offload*-class modules:
 
 The pushdown machinery itself (the interpreter, the verifier that mints
 tokens, the engine that redeems them) is exempt by configuration —
-see :class:`~repro.analysis.rules.LintConfig.offload_exempt_files`.
+see :data:`~repro.analysis.rules.OFFLOAD_EXEMPT_FILES`.
 """
 
 from __future__ import annotations

@@ -20,18 +20,17 @@ conventions DESIGN.md documents:
   (DDS305).
 
 Classification is by path relative to the ``repro`` package root, so the
-registry below is the single place a new module opts into a class.
+constants below are the single place a new module opts into a class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import Dict, FrozenSet, Set
 
 __all__ = [
     "Finding",
-    "LintConfig",
-    "DEFAULT_CONFIG",
+    "classes_for",
     "RULES",
     "EXEMPT_DECLARATION",
 ]
@@ -100,88 +99,76 @@ class Finding:
         return f"{self.path}:{self.line}: {self.rule}{tag} {self.message}"
 
 
-@dataclass(frozen=True)
-class LintConfig:
-    """Which module paths belong to which lint class.
-
-    Paths are posix-style and relative to the ``repro`` package root
-    (``structures/rings.py``).  Prefixes match whole directories.
-    """
-
-    shared_prefixes: Tuple[str, ...] = ("structures/",)
-    shared_files: Tuple[str, ...] = (
-        "core/offload_engine.py",
-        "topology/sharding.py",
-        "topology/replication.py",
-    )
-    instrumented_prefixes: Tuple[str, ...] = ("structures/",)
-    instrumented_files: Tuple[str, ...] = (
-        "core/offload_engine.py",
-        "topology/replication.py",
-    )
-    sim_prefixes: Tuple[str, ...] = (
-        "sim/",
-        "hardware/",
-        "net/",
-        "baselines/",
-        "faults/",
-        "workload/",
-    )
-    #: Files inside sim prefixes that *implement* the blessed idioms and
-    #: are therefore exempt from the determinism rules (the seeded RNG
-    #: wrapper is allowed to touch :mod:`random`).
-    sim_exempt_files: Tuple[str, ...] = ("sim/rng.py",)
-    #: The engine itself: the only sim module allowed to own event-queue
-    #: mechanics (``heapq``, the ready deque, the sequence counter).
-    #: Everything else in a sim prefix must schedule through the
-    #: engine's API (``env.timeout`` / ``succeed`` / ``process``) so the
-    #: hot path stays in one optimizable place (DDS304, DESIGN.md §11).
-    scheduler_files: Tuple[str, ...] = ("sim/engine.py",)
-    #: Modules that host or dispatch offload programs: raw interpreter
-    #: calls need a preceding verify (DDS501) and proof tokens must come
-    #: from the verifier (DDS502, DESIGN.md §14).
-    offload_prefixes: Tuple[str, ...] = ("pushdown/",)
-    #: ... and the two modules outside the package that execute them:
-    #: the per-shard stage redeems tokens, the sharded server runs
-    #: refused programs on the host.
-    offload_files: Tuple[str, ...] = (
-        "topology/stages.py",
-        "topology/sharding.py",
-    )
-    #: The pushdown machinery itself — the interpreter (calls itself),
-    #: the verifier (mints the tokens), and the engine (the sanctioned
-    #: redeemer) — is where the admission discipline is *implemented*,
-    #: so the rules do not apply to it.
-    offload_exempt_files: Tuple[str, ...] = (
-        "pushdown/interp.py",
-        "pushdown/verifier.py",
-        "pushdown/engine.py",
-    )
-
-    def classes_for(self, relpath: str) -> FrozenSet[str]:
-        """The lint classes a module (path relative to repro/) is in."""
-        classes: Set[str] = set()
-        if relpath.startswith(self.shared_prefixes) or (
-            relpath in self.shared_files
-        ):
-            classes.add("shared")
-        if relpath.startswith(self.instrumented_prefixes) or (
-            relpath in self.instrumented_files
-        ):
-            classes.add("instrumented")
-        if (
-            relpath.startswith(self.sim_prefixes)
-            and relpath not in self.sim_exempt_files
-        ):
-            classes.add("sim")
-            if relpath not in self.scheduler_files:
-                classes.add("sim_hot")
-        if (
-            relpath.startswith(self.offload_prefixes)
-            and relpath not in self.offload_exempt_files
-        ) or relpath in self.offload_files:
-            classes.add("offload")
-        return frozenset(classes)
+# Module classes by path, posix-style and relative to the ``repro``
+# package root (``structures/rings.py``); prefixes match whole
+# directories.
+SHARED_PREFIXES = ("structures/",)
+SHARED_FILES = (
+    "core/offload_engine.py",
+    "topology/sharding.py",
+    "topology/replication.py",
+)
+INSTRUMENTED_PREFIXES = ("structures/",)
+INSTRUMENTED_FILES = (
+    "core/offload_engine.py",
+    "topology/replication.py",
+)
+SIM_PREFIXES = (
+    "sim/",
+    "hardware/",
+    "net/",
+    "baselines/",
+    "faults/",
+    "workload/",
+)
+#: Files inside sim prefixes that *implement* the blessed idioms and
+#: are therefore exempt from the determinism rules (the seeded RNG
+#: wrapper is allowed to touch :mod:`random`).
+SIM_EXEMPT_FILES = ("sim/rng.py",)
+#: The engine itself: the only sim module allowed to own event-queue
+#: mechanics (``heapq``, the ready deque, the sequence counter).
+#: Everything else in a sim prefix must schedule through the
+#: engine's API (``env.timeout`` / ``succeed`` / ``process``) so the
+#: hot path stays in one optimizable place (DDS304, DESIGN.md §11).
+SCHEDULER_FILES = ("sim/engine.py",)
+#: Modules that host or dispatch offload programs: raw interpreter
+#: calls need a preceding verify (DDS501) and proof tokens must come
+#: from the verifier (DDS502, DESIGN.md §14).
+OFFLOAD_PREFIXES = ("pushdown/",)
+#: ... and the two modules outside the package that execute them:
+#: the per-shard stage redeems tokens, the sharded server runs
+#: refused programs on the host.
+OFFLOAD_FILES = (
+    "topology/stages.py",
+    "topology/sharding.py",
+)
+#: The pushdown machinery itself — the interpreter (calls itself),
+#: the verifier (mints the tokens), and the engine (the sanctioned
+#: redeemer) — is where the admission discipline is *implemented*,
+#: so the rules do not apply to it.
+OFFLOAD_EXEMPT_FILES = (
+    "pushdown/interp.py",
+    "pushdown/verifier.py",
+    "pushdown/engine.py",
+)
 
 
-DEFAULT_CONFIG = LintConfig()
+def classes_for(relpath: str) -> FrozenSet[str]:
+    """The lint classes a module (path relative to repro/) is in."""
+    classes: Set[str] = set()
+    if relpath.startswith(SHARED_PREFIXES) or relpath in SHARED_FILES:
+        classes.add("shared")
+    if relpath.startswith(INSTRUMENTED_PREFIXES) or (
+        relpath in INSTRUMENTED_FILES
+    ):
+        classes.add("instrumented")
+    if relpath.startswith(SIM_PREFIXES) and relpath not in SIM_EXEMPT_FILES:
+        classes.add("sim")
+        if relpath not in SCHEDULER_FILES:
+            classes.add("sim_hot")
+    if (
+        relpath.startswith(OFFLOAD_PREFIXES)
+        and relpath not in OFFLOAD_EXEMPT_FILES
+    ) or relpath in OFFLOAD_FILES:
+        classes.add("offload")
+    return frozenset(classes)

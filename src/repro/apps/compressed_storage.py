@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, List
 
-from ..core.file_service import DpuFileService
+from ..core.file_service import submit_read
 from ..hardware.accelerators import (
     ARM_SOFTWARE_COMPRESSION,
     BF2_COMPRESSION,
@@ -133,9 +133,9 @@ class CompressedPageStore:
         entry = self._directory.get(page_id)
         if entry is None:
             raise KeyError(f"no such page: {page_id}")
-        yield from self.spdk_core.execute(DpuFileService.SUBMIT_COST)
-        stored = yield from self.fs.read(
-            self.file_id, entry.offset, entry.stored_bytes
+        stored = yield from submit_read(
+            self.spdk_core, self.fs, self.file_id, entry.offset,
+            entry.stored_bytes,
         )
         if entry.compressed:
             if self.engine is None:
@@ -163,19 +163,14 @@ class CompressedReadResult:
 
 
 def run_compressed_read_experiment(
-    mode: str,
-    pages: int = 192,
-    reads: int = 1500,
-    concurrency: int = 32,
-    redundancy: float = 0.8,
-    seed: int = 77,
+    mode: str, pages: int = 192, reads: int = 1500
 ) -> CompressedReadResult:
-    """Random page reads through the compressed store at one mode."""
+    """Random page reads, 32 at a time, through the compressed store
+    (its default 80 %-redundant pages, seed 77) at one mode."""
+    concurrency = 32
     env = Environment()
-    store = CompressedPageStore(
-        env, pages=pages, mode=mode, redundancy=redundancy, seed=seed
-    )
-    rng = SeededRng(seed + 1)
+    store = CompressedPageStore(env, pages=pages, mode=mode)
+    rng = SeededRng(78)
     latencies: List[float] = []
     read_bytes_before = store.fs.bdev.device.stats.read_bytes
 

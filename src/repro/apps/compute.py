@@ -52,7 +52,6 @@ class LogServer:
         link: NetworkLink,
         pages: int,
         record_rate: float,
-        seed: int = 41,
     ) -> None:
         if record_rate < 0:
             raise ValueError("record rate must be non-negative")
@@ -60,7 +59,7 @@ class LogServer:
         self.link = link
         self.pages = pages
         self.record_rate = record_rate
-        self.rng = SeededRng(seed)
+        self.rng = SeededRng(41)
         self.head_lsn = 0           # newest record produced
         self._queue: Store = Store(env)
         self.records_produced = 0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Generator, List
 
 from ..core.api import ReadOp
-from ..core.file_service import DpuFileService
+from ..core.file_service import submit_read
 from ..hardware.cpu import CpuCore
 from ..hardware.specs import DPU_CPU, MICROSECOND
 from ..sim import Environment, SeededRng
@@ -126,20 +126,16 @@ class CachedReadResult:
 
 
 def run_dpu_cache_experiment(
-    cache_bytes: int,
-    pages: int = 512,
-    page_bytes: int = 4096,
-    reads: int = 4000,
-    concurrency: int = 48,
-    theta: float = 0.99,
-    seed: int = 61,
+    cache_bytes: int, reads: int = 4000
 ) -> CachedReadResult:
-    """Zipfian reads through an offload path with a DPU read cache.
+    """Zipfian (theta 0.99) reads of 512 4 KiB pages, 48 at a time,
+    through an offload path with a DPU read cache.
 
     ``cache_bytes=0`` disables the cache (stock DDS).  The skew makes a
     small DPU cache absorb most of the traffic — the scenario where DPU
     memory, though small, pays off.
     """
+    pages, page_bytes, concurrency = 512, 4096, 48
     env = Environment()
     fs = DdsFileSystem(
         env, SpdkBdev(env, RamDisk(pages * page_bytes + (32 << 20)))
@@ -157,8 +153,7 @@ def run_dpu_cache_experiment(
     cache = (
         DpuReadCache(env, core, cache_bytes) if cache_bytes > 0 else None
     )
-    rng = SeededRng(seed)
-    zipf = ZipfGenerator(pages, theta=theta, rng=rng)
+    zipf = ZipfGenerator(pages, theta=0.99, rng=SeededRng(61))
     latencies: List[float] = []
 
     def serve_read(page_id: int) -> Generator:
@@ -167,8 +162,9 @@ def run_dpu_cache_experiment(
             data = yield from cache.lookup(read_op)
             if data is not None:
                 return data
-        yield from spdk_core.execute(DpuFileService.SUBMIT_COST)
-        data = yield from fs.read(file_id, read_op.offset, read_op.size)
+        data = yield from submit_read(
+            spdk_core, fs, file_id, read_op.offset, read_op.size
+        )
         if cache is not None:
             cache.fill(read_op, data)
         return data

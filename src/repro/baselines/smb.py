@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..core.messages import IoRequest, IoResponse, OpCode
+from ..core.messages import IoRequest
 from ..hardware.cpu import CpuPool
 from ..hardware.nic import NetworkLink
 from ..hardware.specs import (
@@ -89,16 +89,7 @@ class SmbExchange(Stage):
             yield self.env.timeout(self.link.spec.host_forward)
             yield from self.transport.process(request.wire_size)
             yield from self.protocol.process(request.wire_size)
-            if request.op is OpCode.READ:
-                data = yield from self.osfs.read(
-                    request.file_id, request.offset, request.size
-                )
-                response = IoResponse(request.request_id, True, data)
-            else:
-                yield from self.osfs.write(
-                    request.file_id, request.offset, request.payload
-                )
-                response = IoResponse(request.request_id, True)
+            response = yield from self.osfs.serve(request)
             yield from self.protocol.process(response.wire_size)
             yield from self.transport.process(response.wire_size)
             yield from self.link.transmit(

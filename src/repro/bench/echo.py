@@ -76,10 +76,6 @@ class EchoResult:
     rtt: float
     server_latency: float
 
-    @property
-    def rtt_us(self) -> float:
-        return self.rtt / MICROSECOND
-
 
 class EchoBench:
     """TCP echo between a client and a server with a BF-2 DPU."""

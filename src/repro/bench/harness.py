@@ -330,13 +330,11 @@ def sweep(
 def find_peak(
     kind: Solution,
     start_iops: float = 200_000.0,
-    factor: float = 1.6,
-    tolerance: float = 0.05,
-    max_rounds: int = 8,
     on_result=None,
     **kwargs,
 ) -> ExperimentResult:
-    """Increase offered load until achieved throughput stops growing.
+    """Grow offered load 1.6x a round (at most 8) until achieved
+    throughput gains under 5 %.
 
     Returns the measurement at the peak (Figure 16 reports peak
     throughput and the CPU/latency observed there).  ``on_result`` (if
@@ -345,18 +343,18 @@ def find_peak(
     """
     best: Optional[ExperimentResult] = None
     offered = start_iops
-    for _ in range(max_rounds):
+    for _ in range(8):
         result = run_io_experiment(kind, offered, **kwargs)
         if on_result is not None:
             on_result(result)
         if best is not None and result.achieved_iops < best.achieved_iops * (
-            1 + tolerance
+            1 + 0.05
         ):
             if result.achieved_iops > best.achieved_iops:
                 best = result
             break
         best = result
-        offered *= factor
+        offered *= 1.6
     return best
 
 

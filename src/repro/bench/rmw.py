@@ -39,11 +39,11 @@ class RmwResult:
 def run_rmw_scaling(
     platform: str,
     threads: int,
-    records: int = 10_000,
     ops_per_thread: int = 2_000,
-    seed: int = 31,
 ) -> RmwResult:
-    """Measure RMW throughput with ``threads`` workers on one platform."""
+    """Measure RMW throughput with ``threads`` workers on one platform
+    (10,000 YCSB records, seed 31)."""
+    records, seed = 10_000, 31
     if platform not in ("host", "dpu"):
         raise ValueError(f"unknown platform: {platform!r}")
     env = Environment()

@@ -140,8 +140,11 @@ def _run_chaos(mode: str) -> dict:
     total_requests = 4800 if mode == "full" else 1200
     cluster = build_cluster(shards=4, files=16, file_bytes=1 << 20)
     cluster.server.enable_resilience()
+    # Halfway through the offered window (2 ms in full mode), so the
+    # kill lands on live traffic in both modes.
+    kill_at = 0.5 * total_requests / 1.2e6
     plan = FaultPlan(
-        seed=13, events=(ShardKill(at=2e-3, down_for=3e-3, shard=1),)
+        seed=13, events=(ShardKill(at=kill_at, down_for=3e-3, shard=1),)
     )
     FaultInjector(cluster.env, cluster.server, plan).arm()
     result = drive_striped(
@@ -343,15 +346,10 @@ def _run_pushdown(mode: str) -> dict:
     is the wire-bytes and client-core columns collapsing as operators
     move device-side.  Every cell cross-checks rows and (where the
     pipeline aggregates) the accumulator registers against the table's
-    ground truth, so a perf figure can never come from a wrong answer.
+    ground truth (:func:`~repro.pushdown.scan.run_pipeline_experiment`
+    asserts it), so a perf figure can never come from a wrong answer.
     """
-    from ..pushdown.scan import (
-        PIPELINES,
-        PLACEMENTS,
-        PipelineScanner,
-        canonical_pipeline,
-    )
-    from ..sim import Environment
+    from ..pushdown.scan import PIPELINES, PLACEMENTS, run_pipeline_experiment
 
     pages = 64 if mode == "full" else 12
     selectivity = 0.05
@@ -361,36 +359,20 @@ def _run_pushdown(mode: str) -> dict:
     best_records_per_sec = 0.0
     for pipeline_name in PIPELINES:
         for placement in PLACEMENTS:
-            env = Environment()
-            scanner = PipelineScanner(
-                env,
-                canonical_pipeline(pipeline_name),
-                pages=pages,
-                selectivity=selectivity,
-                placement=placement,
-                seed=55,
+            result = run_pipeline_experiment(
+                placement, pipeline_name, pages=pages, selectivity=selectivity
             )
-            proc = env.process(scanner.scan_table())
-            env.run(until=proc)
-            selected = proc.value
-            assert len(selected) == scanner.expected_hits
-            if scanner.has_aggregate:
-                assert scanner.acc[0] == scanner.expected_sum
-                assert scanner.acc[1] == scanner.expected_hits
-                assert scanner.acc[2] == scanner.expected_max_weight
-            events += env.scheduled_count
+            events += result.events
             records = pages * 64  # RECORDS_PER_PAGE
             best_records_per_sec = max(
-                best_records_per_sec, records / env.now
+                best_records_per_sec, records / result.scan_seconds
             )
             cells[f"{pipeline_name}/{placement}"] = {
-                "scan_ms": round(env.now * 1e3, 4),
-                "rows": len(selected),
-                "wire_bytes": scanner.wire_bytes,
-                "dpu_core_ms": round(scanner.dpu_core.busy_time * 1e3, 4),
-                "client_core_ms": round(
-                    scanner.client_core.busy_time * 1e3, 4
-                ),
+                "scan_ms": round(result.scan_seconds * 1e3, 4),
+                "rows": result.rows,
+                "wire_bytes": result.wire_bytes,
+                "dpu_core_ms": round(result.dpu_core_seconds * 1e3, 4),
+                "client_core_ms": round(result.client_core_seconds * 1e3, 4),
             }
 
     ship = cells["filter-project-agg/ship-all"]["wire_bytes"]

@@ -372,7 +372,7 @@ class WorkloadClient:
                 ):
                     # The server shed at least one of these: cooperate
                     # by backing off harder than for a silent loss.
-                    delay *= policy.throttle_backoff_factor
+                    delay *= policy.THROTTLE_BACKOFF_FACTOR
                     for request in pending:
                         self._throttled_ids.discard(request.request_id)
                 yield self.env.timeout(delay)

@@ -20,7 +20,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Union
 
 from ..hardware.cpu import CpuCore, CpuPool
 from ..hardware.pcie import DmaEngine
-from ..hardware.specs import DDS_FILE_LIBRARY, StackSpec
+from ..hardware.specs import DDS_FILE_LIBRARY
 from ..sim import Environment
 from .dma_ring import DmaRingChannel
 from .file_service import DpuFileService
@@ -59,21 +59,20 @@ class NotificationGroup:
 class DdsFileLibrary:
     """Userspace front end issuing file operations to the DPU service."""
 
+    spec = DDS_FILE_LIBRARY
+    ring_capacity = 1 << 20
+
     def __init__(
         self,
         env: Environment,
         host_cpu: Union[CpuCore, CpuPool],
         file_service: DpuFileService,
         dma: DmaEngine,
-        spec: StackSpec = DDS_FILE_LIBRARY,
-        ring_capacity: int = 1 << 20,
     ) -> None:
         self.env = env
         self.host_cpu = host_cpu
         self.file_service = file_service
         self.dma = dma
-        self.spec = spec
-        self.ring_capacity = ring_capacity
         self._groups: Dict[int, NotificationGroup] = {}
         self._file_group: Dict[int, int] = {}
         self._next_group_id = 1

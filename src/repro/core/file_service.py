@@ -36,7 +36,7 @@ from .api import ReadOp, WriteOp
 from .dma_ring import POINTER_AREA_BYTES, DmaRingChannel
 from .messages import IoRequest, IoResponse, OpCode
 
-__all__ = ["DpuFileService"]
+__all__ = ["DpuFileService", "submit_read"]
 
 
 class DpuFileService:
@@ -405,3 +405,14 @@ class DpuFileService:
             return
         self.requests_executed += 1
         on_complete(ResponseStatus.SUCCESS, data)
+
+
+def submit_read(
+    spdk_core: CpuCore, filesystem: DdsFileSystem, file_id: int, offset: int,
+    size: int,
+) -> Generator:
+    """One DPU-side read outside the host rings: the SPDK submit on
+    ``spdk_core``, then the device-timed read; returns the bytes.  What
+    a scan pays per page and a DPU cache per miss."""
+    yield from spdk_core.execute(DpuFileService.SUBMIT_COST)
+    return (yield from filesystem.read(file_id, offset, size))

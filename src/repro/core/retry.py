@@ -40,9 +40,9 @@ class RetryPolicy:
     timeout: float = 400e-6
     #: Total attempts (first try included) before a request is failed.
     max_attempts: int = 8
-    #: First backoff delay; doubles (``factor``) up to ``cap``.
+    #: First backoff delay; doubles (``BACKOFF_FACTOR``) up to ``cap``.
     backoff_base: float = 100e-6
-    backoff_factor: float = 2.0
+    BACKOFF_FACTOR = 2.0
     backoff_cap: float = 5e-3
     #: Uniform jitter as a fraction of the computed backoff.
     jitter: float = 0.2
@@ -51,7 +51,7 @@ class RetryPolicy:
     #: half of retry-circuit cooperation (a throttle is a *signal*, not
     #: a loss; hammering a server that just said "stop" is how retry
     #: storms start).
-    throttle_backoff_factor: float = 4.0
+    THROTTLE_BACKOFF_FACTOR = 4.0
 
     def __post_init__(self) -> None:
         if self.timeout <= 0:
@@ -62,13 +62,11 @@ class RetryPolicy:
             raise ValueError("need 0 <= backoff_base <= backoff_cap")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
-        if self.throttle_backoff_factor < 1.0:
-            raise ValueError("throttle_backoff_factor must be >= 1")
 
     def backoff(self, attempt: int, rng: SeededRng) -> float:
         """Delay before retry number ``attempt`` (0-based), jittered."""
         delay = min(
-            self.backoff_base * self.backoff_factor**attempt,
+            self.backoff_base * self.BACKOFF_FACTOR**attempt,
             self.backoff_cap,
         )
         if self.jitter > 0 and delay > 0:

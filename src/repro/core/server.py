@@ -276,17 +276,16 @@ class OffloadServerBase(PipelineServer):
         env: Environment,
         link: NetworkLink,
         callbacks: Optional[OffloadCallbacks],
-        signature: Optional[AppSignature],
         host_app: Optional[Callable],
         rdma_transport: bool,
         **unit_options,
     ) -> None:
         """``unit_options`` are :class:`OffloadShard`'s own sizing knobs
-        (``cache_items``, ``director_cores``, ``context_slots``,
-        ``copy_mode``), the same for every unit of the deployment."""
+        (``director_cores``, ``context_slots``, ``copy_mode``), the same
+        for every unit of the deployment."""
         super().__init__(env, link)
         self.callbacks = callbacks or passthrough_callbacks()
-        self._signature = signature or AppSignature(server_port=5000)
+        self._signature = AppSignature(server_port=5000)
         # Application override for requests bounced to the host (KV gets,
         # GetPage@LSN); default is plain file semantics via the library.
         self.host_app = host_app
@@ -422,8 +421,6 @@ class DdsOffloadServer(OffloadServerBase):
         link: NetworkLink,
         filesystem: DdsFileSystem,
         callbacks: Optional[OffloadCallbacks] = None,
-        signature: Optional[AppSignature] = None,
-        cache_items: int = 1 << 20,
         director_cores: int = 1,
         context_slots: int = 1024,
         copy_mode: bool = False,
@@ -434,10 +431,8 @@ class DdsOffloadServer(OffloadServerBase):
             env,
             link,
             callbacks,
-            signature,
             host_app,
             rdma_transport,
-            cache_items=cache_items,
             director_cores=director_cores,
             context_slots=context_slots,
             copy_mode=copy_mode,

@@ -205,6 +205,12 @@ class DurabilityChecker:
         return server.filesystems[owner]
 
 
+def _below_quorum(commit) -> bool:
+    """RI3's test: fewer members applied the write than its quorum —
+    both when both were live, the lone survivor otherwise."""
+    return len(commit.applied) < min(2, max(1, len(commit.live)))
+
+
 class ReplicationInvariantChecker(DurabilityChecker):
     """Runtime checker for replicated shard groups (RI1–RI5).
 
@@ -315,8 +321,7 @@ class ReplicationInvariantChecker(DurabilityChecker):
     def on_commit(self, group, record, commit) -> None:
         """RI3 (release side): the quorum held when the ack was freed."""
         self.commits_seen += 1
-        needed = min(2, max(1, len(commit.live)))
-        if len(commit.applied) < needed:
+        if _below_quorum(commit):
             self._flag(
                 "RI3",
                 f"group {group.keyspace}: write {record.request_id} "
@@ -423,8 +428,7 @@ class ReplicationInvariantChecker(DurabilityChecker):
                 "record (ack released before the quorum hop)",
             )
             return
-        needed = min(2, max(1, len(commit.live)))
-        if len(commit.applied) < needed:
+        if _below_quorum(commit):
             self._flag(
                 "RI3",
                 f"write {request.request_id} acked with "

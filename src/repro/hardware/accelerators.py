@@ -122,9 +122,9 @@ class HardwareAccelerator:
 # real data transforms (the accelerator models only their *time*)
 # ----------------------------------------------------------------------
 
-def compress_page(page: bytes, level: int = 1) -> bytes:
-    """Deflate one page (real zlib)."""
-    return zlib.compress(page, level)
+def compress_page(page: bytes) -> bytes:
+    """Deflate one page (real zlib, fastest level)."""
+    return zlib.compress(page, 1)
 
 
 def decompress_page(blob: bytes) -> bytes:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Generator
 
 from ..sim import Environment, Resource
-from .specs import DmaSpec, PCIE_GEN4_DMA
+from .specs import PCIE_GEN4_DMA
 
 __all__ = ["DmaStats", "DmaEngine"]
 
@@ -38,11 +38,12 @@ class DmaStats:
 class DmaEngine:
     """Simulated DMA engine on the DPU side of the PCIe switch."""
 
-    def __init__(self, env: Environment, spec: DmaSpec = PCIE_GEN4_DMA):
+    spec = PCIE_GEN4_DMA
+
+    def __init__(self, env: Environment):
         self.env = env
-        self.spec = spec
         self.stats = DmaStats()
-        self._channels = Resource(env, capacity=spec.channels)
+        self._channels = Resource(env, capacity=self.spec.channels)
 
     def dma_read(self, nbytes: int) -> Generator:
         """Process generator: DMA-read ``nbytes`` from host memory."""

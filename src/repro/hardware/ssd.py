@@ -114,11 +114,6 @@ class NvmeDevice:
             self.errors += 1
             raise DeviceError("media error")
 
-    @property
-    def queue_depth(self) -> int:
-        """Operations in service plus waiting."""
-        return self._slots.in_use + self._slots.queue_length
-
     def read(self, size: int) -> Generator:
         """Process generator servicing one read of ``size`` bytes."""
         yield from self._service(

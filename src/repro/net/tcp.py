@@ -51,14 +51,13 @@ class TcpSender:
 
     #: Ticks without ACK progress before a timeout retransmission.
     RTO_TICKS = 3
+    mss = MSS
 
     def __init__(
         self,
         initial_cwnd: int = 10,
         ssthresh: int = 64,
-        mss: int = MSS,
     ) -> None:
-        self.mss = mss
         self._stalled_ticks = 0
         self.snd_una = 0           # oldest unacknowledged byte
         self.snd_nxt = 0           # next new byte to send

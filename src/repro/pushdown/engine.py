@@ -42,6 +42,7 @@ __all__ = [
     "HOST_HZ",
     "cycles_of",
     "PageOutcome",
+    "shipped_bytes",
     "PushdownEngine",
 ]
 
@@ -89,6 +90,25 @@ class PageOutcome:
     cycles: int = 0
     #: Bytes the RXP accelerator scanned (0 on the software path).
     accel_bytes: int = 0
+
+
+def shipped_bytes(
+    token: VerifiedPipeline, outcome: Optional[PageOutcome] = None
+) -> int:
+    """What a pushdown scan puts on the wire: per scanned page
+    (``outcome``) the project stage's emitted bytes, nothing under an
+    aggregate, or the selected records whole for a bare filter; at the
+    end of the scan an aggregate's ``ACC_REGS * 8``-byte register dump,
+    its entire answer."""
+    pipeline = token.pipeline
+    aggregates = pipeline.stage("aggregate") is not None
+    if outcome is None:
+        return ACC_REGS * 8 if aggregates else 0
+    if pipeline.stage("project") is not None:
+        return sum(len(chunk) for chunk in outcome.emitted)
+    if aggregates:
+        return 0
+    return len(outcome.selected) * token.geometry.record_bytes
 
 
 class PushdownEngine:

@@ -113,7 +113,9 @@ class Op(enum.Enum):
     RET = "ret"          # filter: pop selection flag; must be last
 
 
-#: Opcodes that read an operand from the stack (count popped).
+#: Opcodes that read an operand from the stack (count popped) — what
+#: the verifier's loop-frame floor check subtracts.  What each opcode
+#: pushes is the verifier's abstract pass itself.
 POPS = {
     Op.PUSH: 0, Op.POP: 1, Op.DUP: 1, Op.SWAP: 2, Op.LOAD: 0,
     Op.LOADD: 1, Op.LOADS: 0, Op.STORE: 1, Op.PUSHCTR: 0, Op.ADD: 2,
@@ -121,16 +123,6 @@ POPS = {
     Op.OR: 2, Op.NOT: 1, Op.JMP: 0, Op.JZ: 1, Op.LOOP: 0, Op.END: 0,
     Op.EMITF: 0, Op.EMITV: 1, Op.MATCH: 0, Op.AADD: 1, Op.AMAX: 1,
     Op.AMIN: 1, Op.ACNT: 0, Op.RET: 0,
-}
-
-#: Opcodes that push a result (count pushed).
-PUSHES = {
-    Op.PUSH: 1, Op.POP: 0, Op.DUP: 2, Op.SWAP: 2, Op.LOAD: 1,
-    Op.LOADD: 1, Op.LOADS: 1, Op.STORE: 0, Op.PUSHCTR: 1, Op.ADD: 1,
-    Op.SUB: 1, Op.MUL: 1, Op.EQ: 1, Op.LT: 1, Op.GT: 1, Op.AND: 1,
-    Op.OR: 1, Op.NOT: 1, Op.JMP: 0, Op.JZ: 0, Op.LOOP: 0, Op.END: 0,
-    Op.EMITF: 0, Op.EMITV: 0, Op.MATCH: 1, Op.AADD: 0, Op.AMAX: 0,
-    Op.AMIN: 0, Op.ACNT: 0, Op.RET: 0,
 }
 
 

@@ -7,10 +7,8 @@ placements (``ship-all`` on the compute node, ``dpu-software`` on the
 Arm cores, ``dpu-accel`` with the RXP absorbing a lowered filter).  The
 §11 string operator is ``canonical_pipeline("filter")``.
 
-Wire accounting: a project stage ships its emitted bytes per selected
-record; an aggregate stage ships nothing per record and one
-``ACC_REGS * 8``-byte register dump at the end; a bare filter ships the
-selected records whole.
+Wire accounting is :func:`~repro.pushdown.engine.shipped_bytes`, the
+one rule the sharded server's pushdown stage pays by too.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Generator, List, Tuple
 
-from ..core.file_service import DpuFileService
+from ..core.file_service import submit_read
 from ..hardware.accelerators import BF2_REGEX, HardwareAccelerator
 from ..hardware.cpu import CpuCore
 from ..hardware.nic import NetworkLink
@@ -27,9 +25,8 @@ from ..hardware.specs import DPU_CPU, HOST_CPU
 from ..sim import Environment, SeededRng
 from ..storage.disk import RamDisk, SpdkBdev
 from ..storage.filesystem import DdsFileSystem
-from .engine import PushdownEngine
+from .engine import PushdownEngine, shipped_bytes
 from .isa import (
-    ACC_REGS,
     Geometry,
     Pipeline,
     aggregate_fields,
@@ -198,7 +195,6 @@ class PipelineScanner:
         self.env = env
         self.placement = placement
         self.pages = pages
-        self.has_project = pipeline.stage("project") is not None
         self.has_aggregate = pipeline.stage("aggregate") is not None
         self.link = NetworkLink(env)
         self.fs = DdsFileSystem(
@@ -228,19 +224,11 @@ class PipelineScanner:
             self.fs.write_sync(self.file_id, page_id * PAGE_BYTES, page)
         self.wire_bytes = 0
 
-    def _page_payload(self, emitted: List[bytes], selected: int) -> int:
-        """Bytes a scanned page puts on the wire under pushdown."""
-        if self.has_project:
-            return sum(len(chunk) for chunk in emitted)
-        if self.has_aggregate:
-            return 0
-        return selected * RECORD_BYTES
-
     def scan_page(self, page_id: int) -> Generator:
         """Scan one page through the verified engine."""
-        yield from self.spdk_core.execute(DpuFileService.SUBMIT_COST)
-        page = yield from self.fs.read(
-            self.file_id, page_id * PAGE_BYTES, PAGE_BYTES
+        page = yield from submit_read(
+            self.spdk_core, self.fs, self.file_id, page_id * PAGE_BYTES,
+            PAGE_BYTES,
         )
         if self.placement == "ship-all":
             yield from self.link.transmit("server_to_client", PAGE_BYTES)
@@ -248,7 +236,7 @@ class PipelineScanner:
             outcome = yield from self.engine.execute_page(self.token, page)
             return outcome.selected
         outcome = yield from self.engine.execute_page(self.token, page)
-        payload = self._page_payload(outcome.emitted, len(outcome.selected))
+        payload = shipped_bytes(self.token, outcome)
         if payload:
             yield from self.link.transmit("server_to_client", payload)
         self.wire_bytes += payload
@@ -269,10 +257,10 @@ class PipelineScanner:
         ]
         workers = [self.env.process(worker(chunk)) for chunk in chunks]
         yield self.env.all_of(workers)
-        if self.has_aggregate and self.placement != "ship-all":
-            # The folded registers are the aggregate's entire answer.
-            yield from self.link.transmit("server_to_client", ACC_REGS * 8)
-            self.wire_bytes += ACC_REGS * 8
+        dump = shipped_bytes(self.token)
+        if dump and self.placement != "ship-all":
+            yield from self.link.transmit("server_to_client", dump)
+            self.wire_bytes += dump
         return results
 
     @property
@@ -293,6 +281,8 @@ class PipelineScanResult:
     dpu_core_seconds: float
     client_core_seconds: float
     acc: Tuple[int, ...]
+    #: Occurrences the scan scheduled (``Environment.scheduled_count``).
+    events: int
 
 
 def run_pipeline_experiment(
@@ -300,9 +290,9 @@ def run_pipeline_experiment(
     pipeline: str = "filter-project-agg",
     pages: int = 64,
     selectivity: float = 0.05,
-    seed: int = 55,
 ) -> PipelineScanResult:
-    """Full-table verified-pipeline scan at one placement."""
+    """Full-table verified-pipeline scan at one placement (the table of
+    seed 55), cross-checked against the table's ground truth."""
     env = Environment()
     scanner = PipelineScanner(
         env,
@@ -310,7 +300,6 @@ def run_pipeline_experiment(
         pages=pages,
         selectivity=selectivity,
         placement=placement,
-        seed=seed,
     )
     proc = env.process(scanner.scan_table())
     env.run(until=proc)
@@ -331,4 +320,5 @@ def run_pipeline_experiment(
         dpu_core_seconds=scanner.dpu_core.busy_time,
         client_core_seconds=scanner.client_core.busy_time,
         acc=scanner.acc,
+        events=env.scheduled_count,
     )

@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Pattern, Tuple
+from typing import Dict, List, Optional, Pattern, Tuple, Union
 
 from .isa import (
     ACC_REGS,
@@ -44,6 +44,7 @@ from .isa import (
     I64_MIN,
     MAX_CODE,
     MAX_LOOP_NEST,
+    POPS,
     SCRATCH_LIMIT,
     STACK_LIMIT,
     WIDTHS,
@@ -405,10 +406,9 @@ def verify_program(program: Program, geometry: Geometry) -> Verdict:
         )
 
     # Abstract interpretation: stack depth + value intervals.
-    verdict = _abstract_pass(program, geometry, loop_of)
-    if verdict is not None:
-        return verdict
-    max_stack = _max_stack(program, geometry, loop_of)
+    max_stack = _abstract_pass(program, geometry, loop_of)
+    if isinstance(max_stack, Verdict):
+        return max_stack
     return Verdict(
         True, fuel=fuel, max_stack=max_stack, max_emit=max_emit
     )
@@ -418,19 +418,21 @@ def _abstract_pass(
     program: Program,
     geometry: Geometry,
     loop_of: List[Optional[int]],
-) -> Optional[Verdict]:
+) -> Union[Verdict, int]:
     """One forward pass of interval abstract interpretation.
 
     Sound in a single pass because nothing live crosses a loop
     back-edge: loop bodies are stack-neutral, may not reach below
     their frame, scratch reads always return full-width ranges, and
-    accumulators are write-only.
+    accumulators are write-only.  Returns the first rule that fired,
+    or the deepest stack a reachable path leaves behind an
+    instruction (the verdict's ``max_stack``).
     """
     code = program.code
     pending: Dict[int, List[Interval]] = {0: []}
     loop_entry_depth: Dict[int, int] = {}
     state: Optional[List[Interval]] = None
-    _max_stack_seen = 0
+    max_stack = 0
 
     for pc, instr in enumerate(code):
         incoming = pending.pop(pc, None)
@@ -454,8 +456,7 @@ def _abstract_pass(
         frame = loop_of[pc]
         if frame is not None and frame != pc:
             floor = loop_entry_depth.get(frame, 0)
-            pops = _POPS[op]
-            if len(state) - pops < floor:
+            if len(state) - POPS[op] < floor:
                 return Verdict(
                     False, "PDV201",
                     "loop body reaches below its stack frame", pc,
@@ -567,17 +568,19 @@ def _abstract_pass(
             return Verdict(
                 False, "PDV201", "operand-stack underflow", pc
             )
-        if next_state is not None and len(next_state) > STACK_LIMIT:
-            return Verdict(
-                False, "PDV201",
-                f"stack depth {len(next_state)} exceeds "
-                f"{STACK_LIMIT}", pc,
-            )
+        if next_state is not None:
+            if len(next_state) > STACK_LIMIT:
+                return Verdict(
+                    False, "PDV201",
+                    f"stack depth {len(next_state)} exceeds "
+                    f"{STACK_LIMIT}", pc,
+                )
+            max_stack = max(max_stack, len(next_state))
         state = next_state
 
     # Pending merges that target past the end cannot exist (targets
     # are range-checked), so reaching here means every path RETs.
-    return None
+    return max_stack
 
 
 class _Underflow(Exception):
@@ -597,52 +600,6 @@ def _merge_pending(
     return [_iv_join(a, b) for a, b in zip(existing, incoming)]
 
 
-# END's loop is the LOOP it closes, not the enclosing one; patch the
-# table view used above.
-_POPS = {
-    Op.PUSH: 0, Op.POP: 1, Op.DUP: 1, Op.SWAP: 2, Op.LOAD: 0,
-    Op.LOADD: 1, Op.LOADS: 0, Op.STORE: 1, Op.PUSHCTR: 0, Op.ADD: 2,
-    Op.SUB: 2, Op.MUL: 2, Op.EQ: 2, Op.LT: 2, Op.GT: 2, Op.AND: 2,
-    Op.OR: 2, Op.NOT: 1, Op.JMP: 0, Op.JZ: 1, Op.LOOP: 0, Op.END: 0,
-    Op.EMITF: 0, Op.EMITV: 1, Op.MATCH: 0, Op.AADD: 1, Op.AMAX: 1,
-    Op.AMIN: 1, Op.ACNT: 0, Op.RET: 0,
-}
-
-
-def _max_stack(
-    program: Program,
-    geometry: Geometry,
-    loop_of: List[Optional[int]],
-) -> int:
-    """Worst-case stack depth (the abstract pass already proved it
-    bounded; this recomputes the maximum for the verdict)."""
-    depth = 0
-    max_depth = 0
-    by_pc: Dict[int, int] = {}
-    for pc, instr in enumerate(code_of(program)):
-        if pc in by_pc:
-            depth = max(depth, by_pc[pc])
-        depth = depth - _POPS[instr.op] + _PUSHES[instr.op]
-        if instr.op in (Op.JMP, Op.JZ):
-            by_pc[instr.a] = max(by_pc.get(instr.a, 0), depth)
-        max_depth = max(max_depth, depth)
-    return max_depth
-
-
-_PUSHES = {
-    Op.PUSH: 1, Op.POP: 0, Op.DUP: 2, Op.SWAP: 2, Op.LOAD: 1,
-    Op.LOADD: 1, Op.LOADS: 1, Op.STORE: 0, Op.PUSHCTR: 1, Op.ADD: 1,
-    Op.SUB: 1, Op.MUL: 1, Op.EQ: 1, Op.LT: 1, Op.GT: 1, Op.AND: 1,
-    Op.OR: 1, Op.NOT: 1, Op.JMP: 0, Op.JZ: 0, Op.LOOP: 0, Op.END: 0,
-    Op.EMITF: 0, Op.EMITV: 0, Op.MATCH: 1, Op.AADD: 0, Op.AMAX: 0,
-    Op.AMIN: 0, Op.ACNT: 0, Op.RET: 0,
-}
-
-
-def code_of(program: Program) -> Tuple[Instruction, ...]:
-    return program.code
-
-
 def verify(
     pipeline: Pipeline, geometry: Geometry
 ) -> Tuple[PipelineVerdict, Optional[VerifiedPipeline]]:
@@ -652,9 +609,9 @@ def verify(
     verifies (``None`` otherwise — the caller falls back to host
     execution and ships the verdict).
     """
-    verdicts: List[Verdict] = []
-    for program in pipeline.stages:
-        verdicts.append(verify_program(program, geometry))
+    verdicts = [
+        verify_program(program, geometry) for program in pipeline.stages
+    ]
     for program, verdict in zip(pipeline.stages, verdicts):
         if not verdict.ok:
             summary = PipelineVerdict(

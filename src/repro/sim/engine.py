@@ -35,7 +35,7 @@ scheduled at all.
 
 Every class here carries ``__slots__``, events store their sole callback
 inline (promoting to a list only on the second waiter), and ``run()``
-selects a no-trace fast loop once at entry.
+selects its one no-trace fast loop once at entry.
 
 Example
 -------
@@ -69,6 +69,18 @@ __all__ = [
 
 class SimulationError(Exception):
     """Raised for misuse of the engine (e.g., re-triggering an event)."""
+
+
+class _StopRun(Exception):
+    """Ends :meth:`Environment.run` once the awaited event has triggered."""
+
+
+def _stop_run(_arg: Any) -> None:
+    raise _StopRun
+
+
+#: The ready entry that stops a run (seq -1 outranks every other entry).
+_STOP = (-1, None, _stop_run, None)
 
 
 #: Sentinel distinguishing "no value yet" from a triggered ``None`` value.
@@ -589,20 +601,26 @@ class Environment:
             return self._run_traced(until)
 
         # --------------------------------------------------------------
-        # no-trace fast loops: selected once here, tight locals inside
+        # the no-trace fast loop: tight locals, one loop for every
+        # ``until``.  An awaited event's callback puts the stop entry at
+        # the head of the ready deque, so the loop leaves right after
+        # the event's step.
         # --------------------------------------------------------------
         ready = self._ready
         heap = self._heap
         pop_heap = heapq.heappop
         pop_ready = ready.popleft
-
-        if isinstance(until, Event):
+        awaited = isinstance(until, Event)
+        if awaited:
             if until._value is not _PENDING or until._exception is not None:
                 return until.value
-            fired: List[Event] = []
-            until.add_callback(fired.append)
-            while not fired:
+            until.add_callback(self._queue_stop)
+        deadline = float("inf") if until is None or awaited else float(until)
+        try:
+            while True:
                 if ready:
+                    if self._now > deadline:
+                        break
                     top = heap[0] if heap else None
                     if (
                         top is not None
@@ -613,49 +631,34 @@ class Environment:
                     else:
                         _s, event, value, exception = pop_ready()
                 elif heap:
+                    if heap[0][0] > deadline:
+                        break
                     entry = pop_heap(heap)
                     self._now = entry[0]
                     event, value, exception = entry[2], entry[3], entry[4]
                 else:
-                    raise SimulationError(
-                        "simulation ran out of events before the awaited "
-                        "event triggered (deadlock?)"
-                    )
+                    break
                 if event is None:
                     value(exception)
                 else:
                     event._apply(value, exception)
+        except _StopRun:
             return until.value
-
-        deadline = float("inf") if until is None else float(until)
-        while True:
-            if ready:
-                if self._now > deadline:
-                    break
-                top = heap[0] if heap else None
-                if (
-                    top is not None
-                    and top[0] <= self._now
-                    and top[1] < ready[0][0]
-                ):
-                    _t, _s, event, value, exception = pop_heap(heap)
-                else:
-                    _s, event, value, exception = pop_ready()
-            elif heap:
-                if heap[0][0] > deadline:
-                    break
-                entry = pop_heap(heap)
-                self._now = entry[0]
-                event, value, exception = entry[2], entry[3], entry[4]
-            else:
-                break
-            if event is None:
-                value(exception)
-            else:
-                event._apply(value, exception)
+        finally:
+            if awaited:
+                # Ended any other way: no callback left to stop a later run.
+                until.remove_callback(self._queue_stop)
+        if awaited:
+            raise SimulationError(
+                "simulation ran out of events before the awaited event "
+                "triggered (deadlock?)"
+            )
         if until is not None:
             self._now = max(self._now, deadline)
         return None
+
+    def _queue_stop(self, _event: Event) -> None:
+        self._ready.appendleft(_STOP)
 
     def _run_traced(self, until: Any) -> Any:
         """Step-by-step loop used when a trace hook is attached."""

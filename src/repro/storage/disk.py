@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Generator, List, Optional, Tuple
 
 from ..hardware.ssd import NvmeDevice
-from ..sim import Environment, SeededRng
+from ..sim import Environment
 from ..structures.memory import zero_buffer
 
 __all__ = ["RamDisk", "SpdkBdev"]
@@ -125,13 +125,10 @@ class SpdkBdev:
         env: Environment,
         disk: RamDisk,
         device: Optional[NvmeDevice] = None,
-        rng: Optional[SeededRng] = None,
     ) -> None:
         self.env = env
         self.disk = disk
-        self.device = device if device is not None else NvmeDevice(
-            env, rng=rng
-        )
+        self.device = device if device is not None else NvmeDevice(env)
 
     def read(self, offset: int, size: int) -> Generator:
         """Async read; yields until the device completes, returns bytes."""

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from typing import Generator, Union
 
+from ..core.messages import IoRequest, IoResponse, OpCode
 from ..hardware.cpu import CpuCore, CpuPool
-from ..hardware.specs import HOST_OS_FS, MICROSECOND, StackSpec
+from ..hardware.specs import HOST_OS_FS, MICROSECOND
 from ..net.stack import StackLayer
 from ..sim import Environment
 from .filesystem import DdsFileSystem
@@ -43,11 +44,10 @@ class OsFileSystem:
         env: Environment,
         inner: DdsFileSystem,
         host_cpu: Union[CpuCore, CpuPool],
-        spec: StackSpec = HOST_OS_FS,
     ) -> None:
         self.env = env
         self.inner = inner
-        self.layer = StackLayer(env, spec, host_cpu)
+        self.layer = StackLayer(env, HOST_OS_FS, host_cpu)
         self.serializer = CpuCore(env, speed=1.0, name="kernel-io-serial")
 
     # Namespace operations go straight through (metadata cost is charged
@@ -77,3 +77,14 @@ class OsFileSystem:
         yield from self.layer.process(len(data))
         yield from self.serializer.execute(self.WRITE_SERIAL)
         yield from self.inner.write(file_id, offset, data)
+
+    def serve(self, request: IoRequest) -> Generator:
+        """Plain file semantics for one request: the kernel read or
+        write, answered (a failed I/O raises ``FileSystemError``)."""
+        if request.op is OpCode.READ:
+            data = yield from self.read(
+                request.file_id, request.offset, request.size
+            )
+            return IoResponse(request.request_id, True, data)
+        yield from self.write(request.file_id, request.offset, request.payload)
+        return IoResponse(request.request_id, True)

@@ -124,9 +124,9 @@ class QosConfig:
     #: no global bucket) and bucket burst.
     global_rate: Optional[float] = None
     global_burst: float = 256.0
-    #: DRR weight per tenant name; absent tenants get default_weight.
+    #: DRR weight per tenant name; absent tenants get DEFAULT_WEIGHT.
     weights: Dict[str, float] = field(default_factory=dict)
-    default_weight: float = 1.0
+    DEFAULT_WEIGHT = 1.0
     #: Per-tenant admission-rate overrides (e.g. a known-abusive tenant
     #: capped below the default).
     tenant_rates: Dict[str, float] = field(default_factory=dict)
@@ -142,8 +142,6 @@ class QosConfig:
             raise ValueError("max_inflight must be >= 1")
         if self.sojourn_target is not None and self.sojourn_target <= 0:
             raise ValueError("sojourn_target must be positive")
-        if self.default_weight <= 0:
-            raise ValueError("default_weight must be positive")
         for tenant, weight in self.weights.items():
             if weight <= 0:
                 raise ValueError(f"weight for {tenant!r} must be positive")
@@ -249,7 +247,7 @@ class TenantQosGate(Stage):
                 bucket = TokenBucket(self.env, rate, config.tenant_burst)
             state = _TenantState(
                 tenant,
-                config.weights.get(tenant, config.default_weight),
+                config.weights.get(tenant, QosConfig.DEFAULT_WEIGHT),
                 bucket,
             )
             self._states[tenant] = state

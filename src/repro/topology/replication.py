@@ -16,10 +16,11 @@ one is dark).
   against), the current leader, and a monotonic epoch bumped on every
   leadership change.
 * :class:`ShardReplicator` — the deployment-level protocol driver:
-  routes each keyspace to its acting leader (the director's ``route``
-  hook), mirrors writes with relay-fabric costs, runs the deterministic
-  leader handoff on ``kill_shard``, and replays the survivor's log into
-  a recovered member (anti-entropy catch-up) before it rejoins.
+  routes each keyspace to its acting leader (``leader_for`` becomes the
+  server's routing hook), mirrors writes with relay-fabric costs, runs
+  the deterministic leader handoff on ``kill_shard``, and replays the
+  survivor's log into a recovered member (anti-entropy catch-up)
+  before it rejoins.
 
 Every protocol step reports to an optional observer (the Derecho-style
 runtime invariant checker in :mod:`repro.faults.durability`), so the
@@ -57,6 +58,7 @@ __all__ = [
     "CommitRecord",
     "ReplicaGroup",
     "ShardReplicator",
+    "land_relay",
     "relay_write",
 ]
 
@@ -336,34 +338,41 @@ class ReplicaGroup:
             self.last_adoption = (member, mark, len(self.log))
 
 
-def relay_write(
-    server: "ShardedOffloadServer", sender: int, peer: int, request: IoRequest
+def land_relay(
+    server: "ShardedOffloadServer", peer: int, packets: int, file_id: int,
+    offset: int, payload: bytes,
 ) -> Generator:
-    """Ship one applied write ``sender`` → ``peer`` over the relay fabric.
-
-    Charged like the §5.3 bump-in-the-wire forward the relay path
-    already pays: Arm-core forward cost on the sender, the DPU→DPU hop,
-    receive cost on the peer, then a device-timed write into the peer's
-    filesystem (fetched at write time: a recovery replaces the object).
-    Returns False when the peer was dark at the far end of the hop or
-    died mid-write — the caller must not count the apply.  A device
-    refusal propagates as :class:`FileSystemError`.
-    """
-    link = server.link
-    packets = link.packets_for(request.wire_size)
-    yield from server.shards[sender].cores[0].execute(
-        TrafficDirector.FORWARD_COST_PER_PACKET * packets
-    )
-    yield server.env.timeout(link.spec.dpu_forward)
+    """The far half of every relay-fabric write (a mirror, a straggler
+    forward, a migration chunk), once the sender has paid its forward
+    cost: the DPU→DPU hop, receive cost on the peer's Arm core, then a
+    device-timed write into the peer's filesystem (fetched at write
+    time: a recovery replaces the object).  False when the peer was
+    dark at the far end of the hop or died mid-write — the caller must
+    not count the bytes.  A device refusal raises FileSystemError."""
+    yield server.env.timeout(server.link.spec.dpu_forward)
     if not server.shards[peer].alive:
         return False
     yield from server.shards[peer].cores[0].execute(
         TrafficDirector.RX_COST_PER_PACKET * packets
     )
-    yield from server.filesystems[peer].write(
-        request.file_id, request.offset, request.payload or b""
-    )
+    yield from server.filesystems[peer].write(file_id, offset, payload)
     return server.shards[peer].alive
+
+
+def relay_write(
+    server: "ShardedOffloadServer", sender: int, peer: int, request: IoRequest
+) -> Generator:
+    """Ship one applied write ``sender`` → ``peer`` over the relay fabric:
+    the §5.3 bump-in-the-wire forward cost on the sender's Arm core,
+    then :func:`land_relay`."""
+    packets = server.link.packets_for(request.wire_size)
+    yield from server.shards[sender].cores[0].execute(
+        TrafficDirector.FORWARD_COST_PER_PACKET * packets
+    )
+    return (yield from land_relay(
+        server, peer, packets, request.file_id, request.offset,
+        request.payload or b"",
+    ))
 
 
 class ShardReplicator(ShardLifecycle):
@@ -392,26 +401,15 @@ class ShardReplicator(ShardLifecycle):
         server: "ShardedOffloadServer",
         observer=None,
     ) -> None:
-        members = sorted(
-            shard.index for shard in server.shards if not shard.retired
-        )
-        if len(members) < 2:
-            raise ValueError("replication needs at least two shards")
         self.env = env
         self.server = server
+        pairing = self._pairing()
         self.observer = observer
         if observer is not None:
             observer.attach(self)
-        # Keyspace k's group is (primary=k, backup=next live member in
-        # cyclic order) — identical to (k+1) % N while membership is
-        # contiguous, and well-defined after drains leave holes.
         self.groups: Dict[int, ReplicaGroup] = {
-            member: ReplicaGroup(
-                keyspace=member,
-                primary=member,
-                backup=members[(rank + 1) % len(members)],
-            )
-            for rank, member in enumerate(members)
+            member: ReplicaGroup(keyspace=member, primary=member, backup=backup)
+            for member, backup in pairing.items()
         }
         #: request_id -> quorum state at ack time (the runtime checker's
         #: no-ack-before-quorum evidence).
@@ -461,10 +459,6 @@ class ShardReplicator(ShardLifecycle):
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def leader_of(self, keyspace: int) -> int:
-        """The shard currently serving ``keyspace``."""
-        return self.groups[keyspace].leader
-
     def leader_for(self, file_id: int) -> int:
         """The shard currently serving ``file_id``: its keyspace's acting
         leader (every director's ``owner_of`` hook while replicated)."""
@@ -472,6 +466,21 @@ class ShardReplicator(ShardLifecycle):
 
     def _alive(self, member: int) -> bool:
         return self.server.shards[member].alive
+
+    def _pairing(self) -> Dict[int, int]:
+        """Keyspace -> backup for the current membership: keyspace k's
+        group is (primary=k, backup=next non-retired member in cyclic
+        order) — identical to (k+1) % N while membership is contiguous,
+        and well-defined after drains leave holes."""
+        members = sorted(
+            shard.index for shard in self.server.shards if not shard.retired
+        )
+        if len(members) < 2:
+            raise ValueError("replication needs at least two shards")
+        return {
+            member: members[(rank + 1) % len(members)]
+            for rank, member in enumerate(members)
+        }
 
     # ------------------------------------------------------------------
     # write path (called by the serving shard after its local apply,
@@ -694,9 +703,9 @@ class ShardReplicator(ShardLifecycle):
         Runs from :meth:`shard_added` (after the new shard is wired,
         *before* any keyspace flips to it) and :meth:`shard_retired`
         (after the drained shard's migration and tombstone).  The
-        pairing is the same rule ``__init__`` uses — backup = next live
-        member in cyclic order — so a contiguous membership reproduces
-        the original ``(k + 1) % N`` groups exactly.
+        pairing is :meth:`_pairing`, the rule ``__init__`` uses, so a
+        contiguous membership reproduces the original ``(k + 1) % N``
+        groups exactly.
 
         Each changed group is resized in two steps: the prospective
         backup is *synced* (the log prefix it is missing is replayed
@@ -707,17 +716,7 @@ class ShardReplicator(ShardLifecycle):
         backup stays in the group (still mirroring, still quorum) until
         the instant the new one is fully caught up.
         """
-        members = sorted(
-            shard.index
-            for shard in self.server.shards
-            if not shard.retired
-        )
-        if len(members) < 2:
-            raise ValueError("replication needs at least two shards")
-        backup_of = {
-            member: members[(rank + 1) % len(members)]
-            for rank, member in enumerate(members)
-        }
+        backup_of = self._pairing()
         for keyspace in sorted(self.groups):
             if keyspace in backup_of:
                 continue
@@ -730,7 +729,7 @@ class ShardReplicator(ShardLifecycle):
                 self.observer.on_resize(
                     retired_group, retired_group.backup, None, 0
                 )
-        for member in members:
+        for member in backup_of:
             group = self.groups.get(member)
             if group is None:
                 new_group = ReplicaGroup(

@@ -43,7 +43,7 @@ from ..core.messages import IoRequest
 from ..core.traffic_director import TrafficDirector
 from ..sim import Environment, Interrupt
 from ..structures.atomics import AtomicCounter
-from .replication import relay_write
+from .replication import land_relay, relay_write
 
 if TYPE_CHECKING:
     from .sharding import ShardedOffloadServer
@@ -132,36 +132,28 @@ class ReshardingCoordinator:
     # planning (atomic: ring swap + pins, no simulation yield)
     # ------------------------------------------------------------------
     def plan_add(self, index: int) -> List[FileMove]:
-        """Admit ``index`` to the ring; pin every moved file to its old
-        owner.  Runs without yielding, so routing sees either the old
-        placement or (pinned) old owners — never a half-applied map."""
+        """Admit ``index`` to the ring (see :meth:`_plan`)."""
+        return self._plan(lambda shard_map: shard_map.add_shard(index))
+
+    def plan_remove(self, index: int) -> List[FileMove]:
+        """Retire ``index`` from the ring: only its own files move, and
+        they drain on it (see :meth:`_plan`)."""
+        return self._plan(lambda shard_map: shard_map.remove_shard(index))
+
+    def _plan(self, change) -> List[FileMove]:
+        """Apply ``change`` to the ring and pin every file it moves to
+        its old owner.  Runs without yielding, so routing sees either the
+        old placement or (pinned) old owners — never a half-applied map."""
         shard_map = self.server.shard_map
         files = self.server.filesystems[0].file_ids()
         old = {f: shard_map.owner(f) for f in files}
-        shard_map.add_shard(index)
+        change(shard_map)
         moves = []
         for file_id in files:
             new = shard_map.ring_owner(file_id)
             if new != old[file_id]:
                 shard_map.pin(file_id, old[file_id])
                 moves.append(FileMove(file_id, old[file_id], new))
-        return moves
-
-    def plan_remove(self, index: int) -> List[FileMove]:
-        """Retire ``index`` from the ring; its files drain on it (pinned)
-        until each one is copied to its new ring owner."""
-        shard_map = self.server.shard_map
-        files = self.server.filesystems[0].file_ids()
-        old = {f: shard_map.owner(f) for f in files}
-        shard_map.remove_shard(index)
-        moves = []
-        for file_id in files:
-            if old[file_id] != index:
-                continue
-            shard_map.pin(file_id, index)
-            moves.append(
-                FileMove(file_id, index, shard_map.ring_owner(file_id))
-            )
         return moves
 
     # ------------------------------------------------------------------
@@ -233,34 +225,27 @@ class ReshardingCoordinator:
                     # the next pass wait for its recovery.
                     self._dirty[move.file_id].add(chunk_index)
 
-    def _copy_source(self, move: FileMove) -> int:
-        """Where to read from: the pinned owner, or — replicated — the
-        keyspace's acting leader (a dead source's backup serves)."""
-        replicator = self.server.replicator
-        if replicator is not None and move.source in replicator.groups:
-            return replicator.leader_of(move.source)
-        return move.source
-
     def _wait_alive(self, index: int) -> Generator:
         while not self.server.shards[index].alive:
             yield self.env.timeout(self.wait_tick)
 
     def _copy_chunk(self, move: FileMove, chunk_index: int) -> Generator:
-        """One device-timed source→destination segment copy.
-
-        Charged like the relay fabric the mirrors already pay: forward
-        cost on the source's Arm core, the DPU→DPU hop, receive cost on
-        the destination, then the destination's device write.  Returns
-        False when the destination died mid-copy (the chunk must be
-        re-queued).
+        """One device-timed source→destination segment copy: forward
+        cost on the source's Arm core, the source's device read, then
+        :func:`~repro.topology.replication.land_relay` on the
+        destination.  The source is the routing hook's answer — the
+        file is pinned to ``move.source`` until its flip, so the pinned
+        owner or, replicated, its keyspace's acting leader (a drained
+        shard keeps its group until after its last flip).  Returns False
+        when the destination died mid-copy (re-queue the chunk).
         """
-        env, server = self.env, self.server
-        source = self._copy_source(move)
+        server = self.server
+        source = server.owner_of(move.file_id)
         if not server.shards[source].alive:
             # No acting leader can serve the bytes: stall until the
             # source recovers (§4.3 raw-disk recovery), then re-resolve.
             yield from self._wait_alive(source)
-            source = self._copy_source(move)
+            source = server.owner_of(move.file_id)
         yield from self._wait_alive(move.dest)
         # The live size, not the plan-time one: a write may have grown
         # the file mid-migration (its chunks arrive via dirty marks).
@@ -269,26 +254,17 @@ class ReshardingCoordinator:
         length = min(self.chunk_bytes, size - offset)
         if length <= 0:
             return True
-        link = server.link
-        packets = link.packets_for(length)
+        packets = server.link.packets_for(length)
         yield from server.shards[source].cores[0].execute(
             TrafficDirector.FORWARD_COST_PER_PACKET * packets
         )
         payload = yield from server.filesystems[source].read(
             move.file_id, offset, length
         )
-        yield env.timeout(link.spec.dpu_forward)
-        if not server.shards[move.dest].alive:
-            return False
-        yield from server.shards[move.dest].cores[0].execute(
-            TrafficDirector.RX_COST_PER_PACKET * packets
+        landed = yield from land_relay(
+            server, move.dest, packets, move.file_id, offset, payload
         )
-        # Re-fetch the filesystem at write time: a recovery replaces
-        # the destination's filesystem object.
-        yield from server.filesystems[move.dest].write(
-            move.file_id, offset, payload
-        )
-        if not server.shards[move.dest].alive:
+        if not landed:
             return False
         self._chunk_copies.fetch_add(1)
         self._bytes_copied.fetch_add(length)
@@ -330,20 +306,13 @@ class ReshardingCoordinator:
             moved = file_id in self._moved
         if not moved:
             return True
-        owner = self._routed_owner(file_id)
+        owner = self.server.owner_of(file_id)
         if executor == owner:
             return True
         landed = yield from relay_write(self.server, executor, owner, request)
         if landed:
             self._straggler_forwards.fetch_add(1)
         return landed
-
-    def _routed_owner(self, file_id: int) -> int:
-        owner = self.server.shard_map.owner(file_id)
-        replicator = self.server.replicator
-        if replicator is not None and owner in replicator.groups:
-            return replicator.leader_of(owner)
-        return owner
 
 
 class ShardAutoscaler:
@@ -353,10 +322,14 @@ class ShardAutoscaler:
     and compares the busiest live shard's request rate against the
     water marks: above ``high_water_iops`` → ``add_shard`` (up to
     ``max_shards``); below ``low_water_iops`` → drain the newest live
-    shard (down to ``min_shards``).  ``cooldown`` intervals must pass
-    after an action before the next one, so a single burst cannot
-    thrash the ring.  Decisions (and the rates that drove them) land in
-    :attr:`decisions` for the cost-curve tables.
+    shard (down to ``min_shards``, the policy floor; the safety floor is
+    the server's).  ``cooldown`` intervals must pass after an action
+    before the next one, so a single burst cannot thrash the ring.  A
+    step the server's :meth:`~repro.topology.sharding.
+    ShardedOffloadServer.membership_refusal` refuses (a dark shard, a
+    change in flight, the drain floor) is held.  Decisions (and the
+    rates that drove them) land in :attr:`decisions` for the cost-curve
+    tables.
     """
 
     def __init__(
@@ -431,19 +404,23 @@ class ShardAutoscaler:
                 busiest > self.high_water_iops
                 and len(live) < self.max_shards
             ):
-                index = yield from self.server.add_shard()
-                action = f"add:{index}"
-                self.scale_outs += 1
-                cooling = self.cooldown
+                # A refused step is recorded with no action and asked
+                # again next tick.
+                if self.server.membership_refusal() is None:
+                    index = yield from self.server.add_shard()
+                    action = f"add:{index}"
+                    self.scale_outs += 1
+                    cooling = self.cooldown
             elif (
                 busiest < self.low_water_iops
                 and len(live) > self.min_shards
             ):
                 index = max(s.index for s in live)
-                yield from self.server.drain_shard(index)
-                action = f"drain:{index}"
-                self.scale_ins += 1
-                cooling = self.cooldown
+                if self.server.membership_refusal(drain=index) is None:
+                    yield from self.server.drain_shard(index)
+                    action = f"drain:{index}"
+                    self.scale_ins += 1
+                    cooling = self.cooldown
             self.decisions.append(
                 {
                     "time": self.env.now,

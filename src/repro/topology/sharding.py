@@ -31,7 +31,7 @@ from ..core.api import OffloadCallbacks
 from ..core.messages import IoRequest
 from ..core.server import OffloadServerBase
 from ..hardware.nic import NetworkLink
-from ..net.packet import AppSignature, FiveTuple
+from ..net.packet import FiveTuple
 from ..sim import Environment
 from ..storage.disk import RamDisk, SpdkBdev
 from ..storage.filesystem import DdsFileSystem
@@ -351,8 +351,6 @@ class ShardedOffloadServer(OffloadServerBase):
         filesystem: DdsFileSystem,
         shard_count: int,
         callbacks: Optional[OffloadCallbacks] = None,
-        signature: Optional[AppSignature] = None,
-        cache_items: int = 1 << 20,
         director_cores: int = 1,
         context_slots: int = 1024,
         copy_mode: bool = False,
@@ -365,15 +363,17 @@ class ShardedOffloadServer(OffloadServerBase):
             env,
             link,
             callbacks,
-            signature,
             host_app,
             rdma_transport,
-            cache_items=cache_items,
             director_cores=director_cores,
             context_slots=context_slots,
             copy_mode=copy_mode,
         )
         self.shard_map = ConsistentHashShardMap(shard_count)
+        #: The routing hook — which shard serves a file now: the map's
+        #: owner, the acting leader once replicated.  Every director's
+        #: ``owner_of`` is this object; scans and migrations ask it too.
+        self.owner_of: Callable[[int], int] = self.shard_map.owner
         #: Installed by :meth:`enable_replication`; None keeps every
         #: datapath byte-identical to the unreplicated deployment.
         self.replicator = None
@@ -387,6 +387,8 @@ class ShardedOffloadServer(OffloadServerBase):
         #: Installed by :meth:`enable_qos`; None keeps ingress steering
         #: byte-identical to the ungated deployment.
         self.qos = None
+        #: True while a membership change runs.
+        self._changing = False
         #: Shard 0 serves the caller's filesystem; other shards get a
         #: mirrored namespace on their own SSD.
         self.filesystems = [filesystem] + [
@@ -395,7 +397,7 @@ class ShardedOffloadServer(OffloadServerBase):
         ]
         self._topology_lock = threading.Lock()
         for fs in self.filesystems:
-            shard = self._build_unit(fs, self.shard_map.owner)
+            shard = self._build_unit(fs, self.owner_of)
             with self._topology_lock:
                 self.shards.append(shard)
         directors = [shard.director for shard in self.shards]
@@ -461,11 +463,10 @@ class ShardedOffloadServer(OffloadServerBase):
             raise RuntimeError("replication is already enabled")
         replicator = ShardReplicator(self.env, self, observer=checker)
         self.replicator = replicator
-
-        def route_to_leader(shard: OffloadShard) -> None:
-            shard.director.owner_of = replicator.leader_for
-
-        self._wire_every_shard(route_to_leader)
+        # A shard built later takes the hook from _build_unit.
+        self.owner_of = replicator.leader_for
+        for shard in self.live_shards:
+            shard.director.owner_of = self.owner_of
         with self._topology_lock:
             self._lifecycle = self._lifecycle + [replicator]
             # Quorum first, whatever the enable order: a write the group
@@ -495,18 +496,51 @@ class ShardedOffloadServer(OffloadServerBase):
                 ]
         return self.resharder
 
+    def membership_refusal(self, drain: Optional[int] = None) -> Optional[str]:
+        """Why :meth:`add_shard` (or :meth:`drain_shard` of ``drain``)
+        cannot start now, or None — checked before either touches
+        anything, and asked by the autoscaler.  One change at a time, a
+        live unretired drainee, no dark shard (the pairing would resize
+        around a member that cannot sync; one dying *mid*-change is
+        handled), and no drain below the lifecycle members' floor."""
+        if self._changing:
+            return "a resharding operation is already in flight"
+        live = self.live_shards
+        if drain is not None:
+            if self.shards[drain].retired:
+                return f"shard {drain} is already retired"
+            if not self.shards[drain].alive:
+                return f"cannot drain dead shard {drain}"
+            floor = 1 + max(member.min_shards for member in self._lifecycle)
+            if len(live) < floor:
+                return f"cannot drain below {floor - 1} live shard(s)"
+        if any(not shard.alive for shard in live):
+            change = "an add" if drain is None else "a drain"
+            return f"cannot start {change} with a dead shard"
+        return None
+
+    def _begin_change(self, drain: Optional[int] = None):
+        """Raise the refusal, or mark a change started (cleared when it
+        ends) and return the coordinator."""
+        refusal = self.membership_refusal(drain)
+        if refusal is not None:
+            raise RuntimeError(refusal)
+        self._changing = True
+        return self.enable_resharding()
+
     def add_shard(self) -> Generator:
         """Grow the deployment by one shard, live, under traffic.
 
-        Builds the new DPU's machinery (cloned namespace on its own
-        SSD, backend, engine, director), wires it into the relay fabric,
-        applies every registered per-shard wiring, walks the lifecycle
-        members (ingress opens, the replication pairing resizes), then
-        admits it to the ring and migrates the moved keyspaces' segments
-        — sources keep serving reads and writes until each file's atomic
-        cutover.  Returns the new shard index.
+        Refused up front (:meth:`membership_refusal`).  Builds the new
+        DPU's machinery (cloned namespace on its own SSD, backend,
+        engine, director), wires it into the relay fabric, applies
+        every registered per-shard wiring, walks the lifecycle members
+        (ingress opens, the replication pairing resizes), then admits it
+        to the ring and migrates the moved keyspaces' segments — sources
+        keep serving reads and writes until each file's atomic cutover.
+        Returns the new shard index.
         """
-        resharder = self.enable_resharding()
+        resharder = self._begin_change()
         index = len(self.shards)
         fs = mirror_filesystem(self.env, self.filesystems[0])
         # Durability point for the new disk: a shard killed mid-
@@ -515,7 +549,7 @@ class ShardedOffloadServer(OffloadServerBase):
         with self._topology_lock:
             # Copy-on-write (relay/steering paths read the list live).
             self.filesystems = list(self.filesystems) + [fs]
-        shard = self._build_unit(fs, self.shard_map.owner)
+        shard = self._build_unit(fs, self.owner_of)
         shard.director.peers = self.directors
         with self._topology_lock:
             self.shards.append(shard)
@@ -529,6 +563,7 @@ class ShardedOffloadServer(OffloadServerBase):
             yield from member.shard_added(shard)
         moves = resharder.plan_add(index)
         yield from resharder.migrate(moves, kind=f"add:{index}")
+        self._changing = False
         return index
 
     def drain_shard(self, index: int) -> Generator:
@@ -536,25 +571,10 @@ class ShardedOffloadServer(OffloadServerBase):
         remove it from the ring, the replication pairing, and the
         ingress set.  The drained shard keeps serving its files until
         each one's atomic cutover (zero dark window by construction).
+        Refused up front (:meth:`membership_refusal`).
         """
+        resharder = self._begin_change(drain=index)
         shard = self.shards[index]
-        if shard.retired:
-            raise RuntimeError(f"shard {index} is already retired")
-        if not shard.alive:
-            raise RuntimeError(f"cannot drain dead shard {index}")
-        live = self.live_shards
-        floor = 1 + max(member.min_shards for member in self._lifecycle)
-        if len(live) < floor:
-            raise RuntimeError(
-                f"cannot drain below {floor - 1} live shard(s)"
-            )
-        if any(not s.alive for s in live):
-            # A drain *started* while a peer is dark would resize the
-            # replication pairing around a member that cannot sync; a
-            # shard dying mid-drain is handled (the copy plane stalls
-            # or reads from the acting leader), starting one is not.
-            raise RuntimeError("cannot start a drain with a dead shard")
-        resharder = self.enable_resharding()
         moves = resharder.plan_remove(index)
         yield from resharder.migrate(moves, kind=f"drain:{index}")
         # Tombstone *before* the members hear of it: the replication
@@ -566,6 +586,7 @@ class ShardedOffloadServer(OffloadServerBase):
         shard.retired = True
         for member in self._lifecycle:
             yield from member.shard_retired(shard)
+        self._changing = False
 
     # ------------------------------------------------------------------
     # verified pushdown: per-shard offload-program execution (DESIGN §14)
@@ -618,8 +639,7 @@ class ShardedOffloadServer(OffloadServerBase):
 
         geometry = geometry or GEOMETRY
         verdict, token = verify(pipeline, geometry)
-        # Every director carries the same routing hook.
-        serving = self.directors[0].owner_of(file_id)
+        serving = self.owner_of(file_id)
         if token is None:
             outcome = yield from self._pushdown_host_fallback(
                 serving, file_id, pipeline, pages, geometry

@@ -40,7 +40,7 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..core.api import OffloadCallbacks
 from ..core.file_library import DdsFileLibrary, PollMode
-from ..core.file_service import DpuFileService
+from ..core.file_service import DpuFileService, submit_read
 from ..core.messages import IoRequest, IoResponse, OpCode
 from ..core.offload_engine import OffloadEngine
 from ..core.traffic_director import TrafficDirector
@@ -285,18 +285,8 @@ class OsFileExecution(Stage):
     def serve(self, request: IoRequest) -> Generator:
         yield from self.app_other.process(request.wire_size)
         try:
-            if self.app_handler is not None:
-                response = yield from self.app_handler(request)
-            elif request.op is OpCode.READ:
-                data = yield from self.osfs.read(
-                    request.file_id, request.offset, request.size
-                )
-                response = IoResponse(request.request_id, True, data)
-            else:
-                yield from self.osfs.write(
-                    request.file_id, request.offset, request.payload
-                )
-                response = IoResponse(request.request_id, True)
+            handler = self.app_handler or self.osfs.serve
+            response = yield from handler(request)
         except FileSystemError:
             if not self.catch_errors:
                 raise
@@ -513,10 +503,6 @@ class PushdownExecution(Stage):
     ) -> None:
         shard = unit.index
         super().__init__(f"pushdown-{shard}")
-        # Local import keeps topology importable without the pushdown
-        # package having been wired into a deployment.
-        from ..pushdown.engine import PushdownEngine
-
         self.env = env
         self.unit = unit
         self.link = link
@@ -528,7 +514,6 @@ class PushdownExecution(Stage):
             env, speed=DPU_CPU.speed, name=f"dpu{shard}-pushdown-spdk"
         )
         self.accelerator = HardwareAccelerator(env, BF2_REGEX)
-        self._engine_cls = PushdownEngine
         #: Scans answered in full.
         self.scans = 0
 
@@ -548,12 +533,13 @@ class PushdownExecution(Stage):
         The engine is fresh per scan (accumulators start at zero); the
         RXP path engages iff the token certifies a regex lowering.
         """
+        # Local import keeps topology importable without the pushdown
+        # package having been wired into a deployment.
+        from ..pushdown.engine import PushdownEngine, shipped_bytes
+
         geometry = token.geometry
         page_bytes = geometry.page_bytes
-        pipeline = token.pipeline
-        has_project = pipeline.stage("project") is not None
-        has_aggregate = pipeline.stage("aggregate") is not None
-        engine = self._engine_cls(
+        engine = PushdownEngine(
             self.env,
             self.core,
             self.accelerator if token.pattern is not None else None,
@@ -562,31 +548,26 @@ class PushdownExecution(Stage):
         selected: List[Tuple[int, bytes]] = []
         for page_id in range(pages):
             self.unit.require_alive()
-            yield from self.spdk_core.execute(DpuFileService.SUBMIT_COST)
-            page = yield from self.filesystem.read(
-                file_id, page_id * page_bytes, page_bytes
+            page = yield from submit_read(
+                self.spdk_core, self.filesystem, file_id,
+                page_id * page_bytes, page_bytes,
             )
             outcome = yield from engine.execute_page(token, page)
             for slot, record in outcome.selected:
                 selected.append(
                     (page_id * geometry.records_per_page + slot, record)
                 )
-            if has_project:
-                payload = sum(len(chunk) for chunk in outcome.emitted)
-            elif has_aggregate:
-                payload = 0
-            else:
-                payload = len(outcome.selected) * geometry.record_bytes
+            payload = shipped_bytes(token, outcome)
             if payload:
                 self.unit.require_alive()
                 yield from self.link.transmit("server_to_client", payload)
             wire_bytes += payload
-        if has_aggregate:
-            # The folded registers are the aggregate's entire answer.
-            acc_bytes = len(engine.acc) * 8
+        # An aggregate's folded registers are its entire answer.
+        dump = shipped_bytes(token)
+        if dump:
             self.unit.require_alive()
-            yield from self.link.transmit("server_to_client", acc_bytes)
-            wire_bytes += acc_bytes
+            yield from self.link.transmit("server_to_client", dump)
+            wire_bytes += dump
         self.scans += 1
         return PushdownScanOutcome(
             file_id=file_id,
@@ -617,6 +598,9 @@ class OffloadShard:
     it once its pipeline is set.
     """
 
+    #: Cache-table capacity (items) of every DPU.
+    CACHE_ITEMS = 1 << 20
+
     def __init__(
         self,
         env: Environment,
@@ -627,7 +611,6 @@ class OffloadShard:
         signature: AppSignature,
         host_serve: Callable[..., Generator],
         index: int,
-        cache_items: int,
         director_cores: int,
         context_slots: int,
         copy_mode: bool,
@@ -638,7 +621,7 @@ class OffloadShard:
         self.backend = DdsBackend(
             env, host_pool, filesystem, copy_mode, name=f"dds-backend-{index}"
         )
-        self.cache_table = CuckooCacheTable(cache_items)
+        self.cache_table = CuckooCacheTable(self.CACHE_ITEMS)
         self.backend.file_service.set_offload_hooks(
             callbacks, self.cache_table
         )

@@ -45,13 +45,11 @@ class DiurnalCurve:
     """Sinusoidal day/night load modulation.
 
     ``multiplier(t)`` swings in ``[1 - amplitude, 1 + amplitude]`` with
-    the given period; ``phase`` shifts where in the cycle t=0 falls
-    (phase 0 starts at the mean, rising).
+    the given period, starting at the mean, rising, at t=0.
     """
 
     amplitude: float = 0.5
     period: float = 86_400.0
-    phase: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.amplitude <= 1.0:
@@ -61,7 +59,7 @@ class DiurnalCurve:
 
     def multiplier(self, t: float) -> float:
         return 1.0 + self.amplitude * math.sin(
-            _TWO_PI * (t - self.phase) / self.period
+            _TWO_PI * t / self.period
         )
 
     @property

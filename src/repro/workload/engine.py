@@ -416,7 +416,7 @@ class OpenLoopTrafficEngine:
                 if status["throttled"]:
                     # The server said THROTTLED: cooperate, back off
                     # harder than for a silent loss.
-                    delay *= policy.throttle_backoff_factor
+                    delay *= policy.THROTTLE_BACKOFF_FACTOR
                 yield self.env.timeout(delay)
         status["settled"] = True
         if not status["acked"]:

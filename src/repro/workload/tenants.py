@@ -8,7 +8,7 @@ while a long tail of mice individually do almost nothing — so the
 population factory draws per-tenant rates from a Pareto distribution
 and normalizes to the requested aggregate.
 
-Scale math: at ``per_user_rate`` = 0.15 req/s (a page server's end
+Scale math: at :data:`PER_USER_RATE` = 0.15 req/s (a page server's end
 user touching storage every ~7 s), a 150K IOPS aggregate stands for a
 million concurrent users; :func:`population_users` reports the exact
 number a population models.
@@ -23,6 +23,9 @@ from ..sim import SeededRng
 from .arrivals import PoissonArrivals
 
 __all__ = ["TenantSpec", "heavy_tailed_population", "population_users"]
+
+#: Requests/sec one end user contributes (the scale math above).
+PER_USER_RATE = 0.15
 
 
 @dataclass
@@ -63,18 +66,14 @@ def heavy_tailed_population(
     total_rate: float,
     rng: SeededRng,
     alpha: float = 1.2,
-    per_user_rate: float = 0.15,
-    read_fraction: float = 1.0,
-    zipf_theta: float = 0.99,
-    slo_p99: Optional[float] = None,
-    arrivals_factory=PoissonArrivals,
 ) -> List[TenantSpec]:
     """Build ``count`` tenants whose rates sum to ``total_rate``.
 
     Per-tenant shares are Pareto(``alpha``) draws normalized to the
     aggregate — alpha near 1 gives a whale-dominated population, large
     alpha approaches uniform.  Each tenant's implied user count is its
-    rate divided by ``per_user_rate`` (at least one user).
+    rate divided by :data:`PER_USER_RATE` (at least one user); the rest
+    are :class:`TenantSpec`'s defaults.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -92,11 +91,7 @@ def heavy_tailed_population(
                 name=f"tenant-{index:04d}",
                 index=index,
                 rate=rate,
-                users=max(1, int(round(rate / per_user_rate))),
-                read_fraction=read_fraction,
-                zipf_theta=zipf_theta,
-                slo_p99=slo_p99,
-                arrivals=arrivals_factory(),
+                users=max(1, int(round(rate / PER_USER_RATE))),
             )
         )
     return specs

@@ -77,3 +77,8 @@ def test_only_is_validated_before_anything_runs(selection, monkeypatch, capsys):
     assert ran == []
     message = capsys.readouterr().err
     assert all(name in message for name in WORKLOADS)
+
+
+def test_smoke_chaos_record_sees_its_kill():
+    """The smoke run's shard kill lands inside its offered window."""
+    assert load_bench("chaos")["smoke"]["detail"]["retries"] > 0

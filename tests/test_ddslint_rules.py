@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import DEFAULT_CONFIG, RULES, lint_source
+from repro.analysis import RULES, classes_for, lint_source
 from repro.analysis.driver import main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "ddslint"
@@ -184,7 +184,7 @@ def test_clean_fixture_is_clean_under_every_class():
     ],
 )
 def test_default_config_classification(relpath, expected):
-    assert DEFAULT_CONFIG.classes_for(relpath) == frozenset(expected)
+    assert classes_for(relpath) == frozenset(expected)
 
 
 def test_scheduler_bypass_exact_rules_and_lines():

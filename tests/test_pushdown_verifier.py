@@ -227,3 +227,29 @@ def test_compile_predicate_rejects_extra_parameters():
     with pytest.raises(SourceRejected) as info:
         compile_predicate(pred)
     assert info.value.verdict.rule == "PDV401"
+
+
+def test_max_stack_of_the_shipped_programs_is_pinned():
+    """The proven stack bound of the canonical pipelines, a field
+    filter and the demo's compiled predicate (the last prints as
+    ``stack<=2`` in ``examples/pushdown_demo.py``)."""
+    from repro.pushdown.isa import field_filter
+    from repro.pushdown.scan import GEOMETRY, PIPELINES, canonical_pipeline
+
+    def pred(rec):
+        return rec.u32(16) > 5000 and rec.match(rb"needle-\d{8}")
+
+    bounds = {
+        name: [
+            verify_program(program, GEOMETRY).max_stack
+            for program in canonical_pipeline(name).stages
+        ]
+        for name in PIPELINES
+    }
+    assert bounds == {
+        "filter": [1],
+        "filter-project": [1, 0],
+        "filter-project-agg": [1, 0, 1],
+    }
+    assert verify_program(field_filter(16, 4, 10, 20), GEOMETRY).max_stack == 3
+    assert verify_program(compile_predicate(pred), GEOMETRY).max_stack == 2

@@ -196,6 +196,40 @@ def test_run_until_event_deadlock_detected():
         env.run(until=never)
 
 
+def test_run_until_event_stops_right_after_the_events_step():
+    """Same-instant work queued behind the awaited event's completion
+    waits for the next run; a run that ended otherwise leaves nothing
+    behind that could stop a later one."""
+    env = Environment()
+    log = []
+
+    def first():
+        yield env.timeout(1)
+        log.append("first")
+        return "done"
+
+    def second():
+        yield env.timeout(1)
+        log.append("second")
+        yield env.timeout(0)  # queued behind first's completion
+        log.append("second again")
+
+    proc = env.process(first())
+    env.process(second())
+    assert env.run(until=proc) == "done"
+    assert (log, env.now, env.scheduled_count) == (
+        ["first", "second"], 1.0, 6,
+    )
+    never = env.event()
+    with pytest.raises(SimulationError, match="deadlock"):
+        env.run(until=never)
+    assert log == ["first", "second", "second again"]
+    never.succeed()
+    late = env.timeout(2)
+    env.run(until=5)
+    assert late.triggered and env.now == 5.0
+
+
 def test_all_of_collects_values_in_order():
     env = Environment()
 
