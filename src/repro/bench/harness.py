@@ -28,12 +28,17 @@ settle a run, and the cluster scenarios (:func:`run_scaleout`,
 plain functions returning a :class:`ScenarioRun`;
 :func:`run_tenant_isolation` is the QoS gate's dispatch order alone, on
 a toy server.
+
+:func:`differential` checks, seed by seed, that a reference (a list of
+single-site patches) changes nothing a scenario (:func:`observe_*`) sees.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, field
+from itertools import zip_longest
 from typing import (
     Any,
     Callable,
@@ -47,6 +52,7 @@ from typing import (
     Tuple,
     Union,
 )
+from unittest import mock
 
 from ..core.client import ClientConfig, ClientResult, DdsClient, WorkloadClient
 from ..core.messages import IoRequest, IoResponse, OpCode
@@ -95,8 +101,13 @@ __all__ = [
     "run_shard_kill",
     "run_elastic",
     "run_overload",
+    "observe_host_path",
+    "observe_replicated",
     "FairnessResult",
     "run_tenant_isolation",
+    "Divergence",
+    "DifferentialReport",
+    "differential",
 ]
 
 #: The ten Figure 16 solutions, chart order (from the registry).
@@ -446,6 +457,8 @@ class AckTimeline:
         self.checker = checker
         #: (sim time, file id) of every successful response.
         self.acks: List[Tuple[float, int]] = []
+        #: (request id, sim time, ok) of every response; ok None: gave up.
+        self.outcomes: List[Tuple[int, float, Optional[bool]]] = []
 
     def on_issue(self, request) -> None:
         if self.checker is not None:
@@ -454,12 +467,14 @@ class AckTimeline:
     def on_ack(self, request, response) -> None:
         if self.checker is not None:
             self.checker.on_ack(request, response)
+        self.outcomes.append((request.request_id, self.env.now, response.ok))
         if response.ok:
             self.acks.append((self.env.now, request.file_id))
 
     def on_give_up(self, request) -> None:
         if self.checker is not None:
             self.checker.on_give_up(request)
+        self.outcomes.append((request.request_id, self.env.now, None))
 
 
 def drain_until(
@@ -571,6 +586,45 @@ def run_shard_kill(
         **vars(cluster), result=result, acks=timeline.acks, checker=checker,
         report=checker.check(server, dedup=dedup), injector=injector,
     )
+
+
+def observe_host_path(seed: int) -> Tuple[Dict[str, Any], Environment]:
+    """One shard, every third request a write: the DMA ring and the
+    host file service carry traffic with idle gaps in between."""
+    cluster = build_cluster(shards=1, files=4, file_bytes=1 << 20)
+    return _observe(cluster, seed, 60e3, 240, write_every=3)
+
+
+def observe_replicated(seed: int) -> Tuple[Dict[str, Any], Environment]:
+    """Four replicated shards: relays, mirrored writes and quorum acks
+    make several DMA threads wake each other's hosts."""
+    cluster = build_cluster(shards=4, files=8, file_bytes=1 << 20)
+    _arm_audit(cluster, replicated=True)
+    return _observe(cluster, seed, 150e3, 320, write_every=4)
+
+
+def _observe(cluster, seed, offered_iops, total_requests, write_every):
+    """Drive, idle 1 ms, return what two runs must agree on (responses,
+    DMA counters, clock, bytes on disk) and the environment."""
+    timeline = AckTimeline(cluster.env)
+    drive_striped(
+        cluster, offered_iops=offered_iops, total_requests=total_requests,
+        seed=seed, write_every=write_every, observer=timeline,
+    )
+    cluster.env.run(until=cluster.env.now + 1e-3)
+    backends = [shard.backend for shard in cluster.server.shards]
+    for backend in backends:
+        backend.file_service.settle_idle_polls()
+    return {
+        "acks": timeline.outcomes,
+        "dma": [asdict(backend.dma.stats) for backend in backends],
+        "fetched": [
+            (channel.fetched_batches, channel.fetched_requests)
+            for backend in backends for channel in backend.file_service.channels
+        ],
+        "now": cluster.env.now,
+        "digest": cluster.state_digest(),
+    }, cluster.env
 
 
 def run_elastic(
@@ -736,3 +790,91 @@ def run_tenant_isolation(scheduler: str) -> FairnessResult:
         sum(waits["light"]) / len(waits["light"]),
         len(waits["heavy"]) / duration,
     )
+
+
+# ----------------------------------------------------------------------
+# the differential harness: shipped vs a reference, seed by seed
+# ----------------------------------------------------------------------
+class Divergence(NamedTuple):
+    """A reference run's first difference: the key, the position in a
+    list value (``None``: scalar), both values, and the sites that alone
+    reproduce it (when none does, those without which it goes away)."""
+
+    key: str
+    index: Optional[int]
+    shipped: Any
+    reference: Any
+    sites: Tuple[str, ...] = ()
+
+
+class DifferentialReport(NamedTuple):
+    """One reference, by seed: the shipped observation (shared), both
+    runs' ``scheduled_count``, and each diverging seed's divergence."""
+
+    shipped: Dict[int, Any]
+    events: Dict[int, Tuple[int, int]]
+    divergences: Dict[int, Divergence]
+
+
+def differential(
+    scenario: Callable[[int], Tuple[Dict[str, Any], Environment]],
+    references: Dict[str, Sequence[Tuple[Any, str, Any]]],
+    seeds: Sequence[int],
+) -> Dict[str, DifferentialReport]:
+    """Check that each reference changes nothing ``scenario`` observes.
+
+    ``scenario(seed)`` returns ``(observation, env)``: a dict of what
+    two runs must agree on, and the environment it ran in.  A reference
+    is the list of sites ``(owner, attribute, replacement)`` that swap an
+    older implementation in, applied for its runs only; one shipped run
+    per seed serves every reference.
+    """
+    shipped: Dict[int, Any] = {}
+    reports = {name: DifferentialReport(shipped, {}, {}) for name in references}
+    for seed in seeds:
+        shipped[seed], env = scenario(seed)
+        for name, sites in references.items():
+            observation, reference_env = _run(scenario, seed, sites)
+            report = reports[name]
+            report.events[seed] = (env.scheduled_count,
+                                   reference_env.scheduled_count)
+            found = _first_divergence(shipped[seed], observation)
+            if found is not None:
+                report.divergences[seed] = found._replace(
+                    sites=_bisect(scenario, seed, shipped[seed], sites, found)
+                )
+    return reports
+
+
+def _run(scenario, seed, sites):
+    with ExitStack() as patches:
+        for site in sites:
+            patches.enter_context(mock.patch.object(*site))
+        return scenario(seed)
+
+
+def _bisect(scenario, seed, shipped, sites, found) -> Tuple[str, ...]:
+    def reproduces(subset) -> bool:
+        observation, _env = _run(scenario, seed, subset)
+        return _first_divergence(shipped, observation) == found
+
+    names = [f"{owner.__name__}.{attribute}" for owner, attribute, _ in sites]
+    alone = [name for name, site in zip(names, sites) if reproduces([site])]
+    return tuple(alone or [
+        name for index, name in enumerate(names)
+        if not reproduces([*sites[:index], *sites[index + 1:]])
+    ])
+
+
+def _first_divergence(shipped, reference) -> Optional[Divergence]:
+    for key, ours in shipped.items():
+        theirs = reference[key]
+        if ours == theirs:
+            continue
+        if not (isinstance(ours, list) and isinstance(theirs, list)):
+            return Divergence(key, None, ours, theirs)
+        # The first differing entry; past the end of a list reads None.
+        for index, (mine, other) in enumerate(zip_longest(ours, theirs)):
+            if mine != other:
+                return Divergence(key, index, mine, other)
+    return None

@@ -112,8 +112,8 @@ class OverloadInvariantChecker:
         self._issue_tenant: Dict[int, str] = {}
         self._latencies: Dict[str, List[float]] = {}
         self._acks_in_window = 0
-        self._window_floor: Optional[float] = None
-        self._window_process = None
+        #: The open window (a fresh token per window), or ``None``.
+        self._window: Optional[object] = None
 
     # ------------------------------------------------------------------
     # wiring
@@ -204,25 +204,25 @@ class OverloadInvariantChecker:
         must stay >= ``min_goodput_iops``."""
         if min_goodput_iops <= 0:
             raise ValueError("min_goodput_iops must be positive")
-        if self._window_floor is not None:
+        if self._window is not None:
             raise RuntimeError("an overload window is already open")
-        self._window_floor = min_goodput_iops
+        self._window = window = object()
         self._acks_in_window = 0
-        self._window_process = self.env.process(self._sample_goodput())
+        self.env.process(self._sample_goodput(window, min_goodput_iops))
 
     def end_overload_window(self) -> None:
         """Close the current overload window (stops OL1 sampling)."""
-        self._window_floor = None
+        self._window = None
 
-    def _sample_goodput(self) -> Generator:
+    def _sample_goodput(self, window: object, floor: float) -> Generator:
         # The first interval is a grace period: the window typically
         # opens at the instant the flood starts, before any flood-era
-        # ack could exist.
-        while self._window_floor is not None:
+        # ack could exist.  A sampler serves its own window only: one
+        # reopened within an interval has a sampler of its own.
+        while self._window is window:
             self._acks_in_window = 0
-            floor = self._window_floor
             yield self.env.timeout(self.sample_interval)
-            if self._window_floor is None:
+            if self._window is not window:
                 return
             self.goodput_samples += 1
             goodput = self._acks_in_window / self.sample_interval

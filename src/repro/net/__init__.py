@@ -3,7 +3,7 @@
 from .packet import WILDCARD, AppSignature, FiveTuple, Segment
 from .pep import LengthPrefixFramer, NaiveOffloadPath, TcpSplittingPep
 from .stack import StackLayer
-from .tcp import MSS, TcpReceiver, TcpSender, TcpStats, connect
+from .tcp import MSS, TcpReceiver, TcpSender, TcpStats
 
 __all__ = [
     "AppSignature",
@@ -18,5 +18,4 @@ __all__ = [
     "TcpSplittingPep",
     "TcpStats",
     "WILDCARD",
-    "connect",
 ]

@@ -233,8 +233,3 @@ class TcpReceiver:
         data = b"".join(self._delivered)
         self._delivered = []
         return data
-
-
-def connect() -> tuple:
-    """Convenience: a fresh (sender, receiver) pair."""
-    return TcpSender(), TcpReceiver()

@@ -10,14 +10,13 @@ from .engine import (
     SimulationError,
     Timeout,
 )
-from .resources import Container, Resource, Store
+from .resources import Resource, Store
 from .rng import SeededRng, ZipfGenerator
 from .trace import EventLog, TraceRecord
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "EventLog",

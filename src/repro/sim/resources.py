@@ -1,6 +1,6 @@
 """Shared-resource primitives for the simulation engine.
 
-Three primitives cover every contention point in the models:
+Two primitives cover every contention point in the models:
 
 * :class:`Resource` — a counted FIFO server.  CPU cores, DMA channels,
   link arbitration and the SSD bus *book* their hold times
@@ -10,7 +10,6 @@ Three primitives cover every contention point in the models:
 * :class:`Store` — an unbounded (or bounded) FIFO of items with blocking
   ``get``.  Used for packet queues, request queues, and mailboxes between
   simulated threads.
-* :class:`Container` — a continuous quantity (e.g., buffer-pool bytes).
 
 All operations return :class:`~repro.sim.engine.Event` objects, so
 processes compose them with ``yield``.
@@ -23,7 +22,7 @@ from typing import Any, Deque, List, Optional
 
 from .engine import Environment, Event, SimulationError
 
-__all__ = ["Resource", "Store", "Container"]
+__all__ = ["Resource", "Store"]
 
 
 class Resource:
@@ -203,47 +202,3 @@ class Store:
             putter, item = self._putters.popleft()
             self._items.append(item)
             putter.succeed()
-
-
-class Container:
-    """A continuous quantity (bytes, tokens) with blocking ``get``."""
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if init < 0 or init > capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._getters: Deque[tuple] = deque()  # (event, amount)
-
-    @property
-    def level(self) -> float:
-        """Current stored quantity."""
-        return self._level
-
-    def put(self, amount: float) -> None:
-        """Add ``amount`` immediately (capped at capacity)."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        self._level = min(self.capacity, self._level + amount)
-        self._drain_getters()
-
-    def get(self, amount: float) -> Event:
-        """Event that triggers once ``amount`` can be withdrawn."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        event = self.env.event()
-        self._getters.append((event, amount))
-        self._drain_getters()
-        return event
-
-    def _drain_getters(self) -> None:
-        while self._getters and self._getters[0][1] <= self._level:
-            event, amount = self._getters.popleft()
-            self._level -= amount
-            event.succeed()

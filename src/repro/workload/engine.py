@@ -170,6 +170,13 @@ class OpenLoopTrafficEngine:
             raise ValueError("horizon must be positive")
         if not tenants:
             raise ValueError("need at least one tenant")
+        # The index picks a tenant's flow; tags read it back as a position.
+        for position, spec in enumerate(tenants):
+            if spec.index != position:
+                raise ValueError(
+                    f"tenant {spec.name!r} has index {spec.index}; "
+                    f"indices must be 0..{len(tenants) - 1} in order"
+                )
         if not file_ids:
             raise ValueError("need at least one file id")
         self.env = env

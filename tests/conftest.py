@@ -1,6 +1,29 @@
 """Shared test helpers."""
 
+from functools import lru_cache
+
+import pytest
+
+from repro.bench.harness import differential, observe_host_path, observe_replicated
 from repro.sim import Environment
+
+from .reference_datapath import REFERENCES
+
+#: The kit's two differential scenarios, under their historical test ids.
+scenarios = pytest.mark.parametrize(
+    "scenario", [observe_host_path, observe_replicated],
+    ids=["_host_path", "_replicated"],
+)
+
+
+@pytest.fixture(scope="session")
+def canary():
+    """``canary(scenario)``: seeds 1–3 against every reference, run once
+    per scenario so one shipped run per seed serves all three canaries
+    (``benchmarks/test_differential.py`` runs 300 seeds)."""
+    return lru_cache()(
+        lambda scenario: differential(scenario, REFERENCES, (1, 2, 3))
+    )
 
 
 def settle(env: Environment) -> None:

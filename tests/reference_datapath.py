@@ -1,30 +1,25 @@
-"""The datapath as it was before booked holds and inlined I/O.
+"""The engine and datapath as they were before each event-eliding change.
 
-Tests-only reference (DESIGN.md §11, "Booked holds and inlined I/O").
-The shipped models book a FIFO hold with one event
-(:meth:`repro.sim.Resource.hold`) and call the layer below with
-``yield from``; there is no switch for the old behaviour, so it lives
-here, as the always-poll DMA thread lives in
-``tests/test_idle_poll_elision.py``:
+Tests-only references (DESIGN.md §11), one site list each in
+:data:`REFERENCES` for :func:`repro.bench.harness.differential`; the
+shipped code has no switch back:
 
-* every known-duration hold is request → grant event → ``timeout`` →
-  release (:func:`held`), one per model as it was;
-* every layer of one I/O is a process of its own, joined on the spot
-  (``yield env.process(...)``), and a filesystem read or write submits
-  each physical run as a process and joins them with ``all_of`` even
-  when there is only one.
-
-:func:`install` patches the models on the DDS datapath (the host path
-through the DMA rings, the offloaded read, the steering hand-off); the
-baseline servers' OS-file path is not covered, and the relay between
-shards is still spawned in the shipped code.  A resource is
-either booked or requested for life, so a hold site missing from the
-reference fails loudly rather than half-applying it.
-
-:func:`schedule_every_completion` is a separate reference, for the
-engine rather than the models (DESIGN.md §11, "In-place completions"):
-every process completes through the queue, as all of them did before
-a process nobody waits on took its value in place.
+* ``always-poll`` ("Idle-poll elision"): the DMA thread never parks.
+* ``old-datapath`` ("Booked holds and inlined I/O"): every
+  known-duration hold is request → grant event → ``timeout`` → release
+  (:func:`held`), one per model as it was, and every layer of one I/O
+  is a process of its own, joined on the spot
+  (``yield env.process(...)``); a filesystem read or write submits each
+  physical run as a process and joins them with ``all_of`` even when
+  there is only one.  It covers the models on the DDS datapath (the
+  host path through the DMA rings, the offloaded read, the steering
+  hand-off); the baseline servers' OS-file path is not covered, and the
+  relay between shards is still spawned in the shipped code.  A
+  resource is either booked or requested for life, so a hold site
+  missing from the reference fails loudly rather than half-applying it.
+* ``every-completion`` ("In-place completions"), for the engine rather
+  than the models: every process completes through the queue, as all
+  of them did before a process nobody waits on took its value in place.
 """
 
 from repro.core.file_library import PollMode
@@ -45,7 +40,7 @@ from repro.storage.filesystem import (
 from repro.structures.response import ResponseStatus
 from repro.topology.stages import CompletionRouter
 
-__all__ = ["install", "held", "schedule_every_completion"]
+__all__ = ["REFERENCES", "held"]
 
 
 def held(resource, duration):
@@ -240,9 +235,27 @@ def _host_completion_pump(self):
             waiter.succeed(IoResponse(request_id, ok, data))
 
 
-def install(monkeypatch):
-    """Swap the old idiom in for the rest of the test."""
-    for owner, name, reference in [
+# ----------------------------------------------------------------------
+# a completion event for every process
+# ----------------------------------------------------------------------
+def _born_waited_on(shipped):
+    """Every process is born waited on by a waiter that does nothing, so
+    each completes through the queue.  (A failure the shipped engine
+    would raise out of ``run()`` is delivered to this waiter instead;
+    the scenarios have none.)"""
+
+    def __init__(self, env, generator):
+        shipped(self, env, generator)
+        self.add_callback(lambda _event: None)
+
+    return __init__
+
+
+#: Each reference, by name: the sites ``(owner, attribute, replacement)``
+#: that swap it in, for :func:`repro.bench.harness.differential`.
+REFERENCES = {
+    "always-poll": [(DpuFileService, "_can_park", lambda self: False)],
+    "old-datapath": [
         (CpuCore, "execute", _core_execute),
         (CpuPool, "execute", _core_execute),
         (NetworkLink, "transmit", _link_transmit),
@@ -253,32 +266,8 @@ def install(monkeypatch):
         (DdsFileSystem, "write", _fs_write),
         (DpuFileService, "_execute", _service_execute),
         (DpuFileService, "execute_offloaded", _service_execute_offloaded),
-        (
-            PipelineServer,
-            "_ingress",
-            _steered_ingress(PipelineServer._ingress),
-        ),
+        (PipelineServer, "_ingress", _steered_ingress(PipelineServer._ingress)),
         (CompletionRouter, "_pump", _host_completion_pump),
-    ]:
-        monkeypatch.setattr(owner, name, reference)
-
-
-# ----------------------------------------------------------------------
-# a completion event for every process
-# ----------------------------------------------------------------------
-def _nobody(_event):
-    """A waiter that does nothing: what a completion event with no
-    callback ran."""
-
-
-def schedule_every_completion(monkeypatch):
-    """Every process is born waited on, so each completes through the
-    queue.  (A failure the shipped engine would raise out of ``run()``
-    is delivered to this waiter instead; the scenarios have none.)"""
-    shipped = Process.__init__
-
-    def __init__(self, env, generator):
-        shipped(self, env, generator)
-        self.add_callback(_nobody)
-
-    monkeypatch.setattr(Process, "__init__", __init__)
+    ],
+    "every-completion": [(Process, "__init__", _born_waited_on(Process.__init__))],
+}

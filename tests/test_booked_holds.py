@@ -3,46 +3,29 @@
 The models book a FIFO hold with one event and call the layer below
 with ``yield from`` (DESIGN.md §11); the old idiom — a grant event
 before every timeout, a process per layer of one I/O — survives only
-in :mod:`tests.reference_datapath`.  Both run the scenarios of
-``test_idle_poll_elision.py`` and everything observable must agree:
+in :mod:`tests.reference_datapath` (``old-datapath``).  Both run the
+kit's differential scenarios and everything observable must agree:
 every ack and its time, the DMA counters, the final clock, the bytes
 on disk.  Booking keeps every completion instant, float for float;
-what it can move is the order of two events at one instant, and the
-seeds are what hunts for that (the residual over 300 seeds per
-scenario is recorded in DESIGN.md §11).
+what it can move is the order of two events at one instant.  Three
+seeds here; the 300-seed hunt is ``benchmarks/results/differential.txt``.
 """
 
 import pytest
 
 from repro.bench.harness import build_cluster
 
-from . import reference_datapath
-from . import test_idle_poll_elision as scenarios
-
-SEEDS = range(1, 23)
+from .conftest import scenarios
 
 
-@pytest.mark.parametrize(
-    "scenario", [scenarios._host_path, scenarios._replicated]
-)
-def test_booking_and_inlining_are_unobservable(scenario, monkeypatch):
-    envs = []
-
-    def remembering(*args, **kwargs):
-        cluster = build_cluster(*args, **kwargs)
-        envs.append(cluster.env)
-        return cluster
-
-    monkeypatch.setattr(scenarios, "build_cluster", remembering)
-    shipped = [scenario(seed)[0] for seed in SEEDS]
-    reference_datapath.install(monkeypatch)
-    for index, seed in enumerate(SEEDS):
-        reference, _elided = scenario(seed)
-        assert len(reference["acks"]) > 0
-        assert shipped[index] == reference, f"seed {seed}"
+@scenarios
+def test_booking_and_inlining_are_unobservable(scenario, canary):
+    report = canary(scenario)["old-datapath"]
+    assert report.divergences == {}
+    for seed, (events, reference_events) in report.events.items():
+        assert len(report.shipped[seed]["acks"]) > 0
         # Not vacuous: the reference really is the longer way round.
-        events = envs[index].scheduled_count
-        assert events < 0.8 * envs[-1].scheduled_count, f"seed {seed}"
+        assert events < 0.8 * reference_events, f"seed {seed}"
 
 
 def test_the_dma_thread_refuses_to_park_behind_a_booked_transfer():

@@ -3,104 +3,32 @@
 The file service's DMA thread parks when polling can find nothing and is
 resumed at the instant and loop position it would have reached had it
 kept polling.  There is no switch for that, so the always-poll reference
-lives here: the same scenarios run with the park predicate patched to
-``False``, and everything observable — every ack and its time, the DMA
-counters, the final clock, the bytes on disk — must be identical over
-many seeds.  The seeds are also what hunts for a counter-example to the
-tie rule (a doorbell at exactly a replayed checkpoint; threads of two
-shards waking at one instant).
+lives in :mod:`tests.reference_datapath`: the kit's differential
+scenarios run with the park predicate patched to ``False``, and
+everything observable — every ack and its time, the DMA counters, the
+final clock, the bytes on disk — must be identical.  Three seeds here;
+``benchmarks/test_differential.py`` records 300, which is what hunts
+for a counter-example to the tie rule (a doorbell at exactly a replayed
+checkpoint; threads of two shards waking at one instant).
 """
-
-import dataclasses
 
 import pytest
 
-from repro.bench.harness import build_cluster, drive_striped
+from repro.bench.harness import build_cluster
 from repro.core.file_service import DpuFileService
-from repro.faults import ReplicationInvariantChecker
 from repro.sim import Environment
 
-SEEDS = range(1, 23)
+from .conftest import scenarios
 
 
-class _Acks:
-    """Client observer: (request id, time, ok) of every response."""
-
-    def __init__(self, env):
-        self.env = env
-        self.acks = []
-
-    def on_issue(self, request):
-        pass
-
-    def on_ack(self, request, response):
-        self.acks.append((request.request_id, self.env.now, response.ok))
-
-    def on_give_up(self, request):
-        self.acks.append((request.request_id, self.env.now, None))
-
-
-def _observe(cluster, acks):
-    """Everything the two runs must agree on, plus the elided polls."""
-    backends = [shard.backend for shard in cluster.server.shards]
-    for backend in backends:
-        backend.file_service.settle_idle_polls()
-    return (
-        {
-            "acks": acks.acks,
-            "dma": [dataclasses.asdict(b.dma.stats) for b in backends],
-            "fetched": [
-                (channel.fetched_batches, channel.fetched_requests)
-                for b in backends
-                for channel in b.file_service.channels
-            ],
-            "now": cluster.env.now,
-            "digest": cluster.state_digest(),
-        },
-        sum(b.file_service.polls_elided for b in backends),
-    )
-
-
-def _host_path(seed):
-    """One shard, every third request a write: the DMA ring and the
-    host file service carry traffic with idle gaps in between."""
-    cluster = build_cluster(shards=1, files=4, file_bytes=1 << 20)
-    acks = _Acks(cluster.env)
-    drive_striped(
-        cluster, offered_iops=60e3, total_requests=240, seed=seed,
-        write_every=3, observer=acks,
-    )
-    cluster.env.run(until=cluster.env.now + 1e-3)
-    return _observe(cluster, acks)
-
-
-def _replicated(seed):
-    """Four replicated shards: relays, mirrored writes and quorum acks
-    make several DMA threads wake each other's hosts."""
-    cluster = build_cluster(shards=4, files=8, file_bytes=1 << 20)
-    cluster.server.enable_resilience()
-    cluster.server.enable_replication(
-        ReplicationInvariantChecker(cluster.env)
-    )
-    acks = _Acks(cluster.env)
-    drive_striped(
-        cluster, offered_iops=150e3, total_requests=320, seed=seed,
-        write_every=4, observer=acks,
-    )
-    cluster.env.run(until=cluster.env.now + 1e-3)
-    return _observe(cluster, acks)
-
-
-@pytest.mark.parametrize("scenario", [_host_path, _replicated])
-def test_parking_is_unobservable(scenario, monkeypatch):
-    shipped = [scenario(seed) for seed in SEEDS]
-    monkeypatch.setattr(DpuFileService, "_can_park", lambda self: False)
-    for seed, (observed, elided) in zip(SEEDS, shipped):
-        reference, never = scenario(seed)
-        assert never == 0
-        assert elided > 0, "the shipped run never parked: vacuous"
-        assert len(observed["acks"]) > 0
-        assert observed == reference, f"seed {seed}"
+@scenarios
+def test_parking_is_unobservable(scenario, canary):
+    report = canary(scenario)["always-poll"]
+    for seed, (shipped, always_polling) in report.events.items():
+        # A run that never parks is the always-poll run, event for event.
+        assert shipped < always_polling, "the shipped run never parked: vacuous"
+        assert len(report.shipped[seed]["acks"]) > 0
+    assert report.divergences == {}
 
 
 @pytest.mark.parametrize(

@@ -183,6 +183,34 @@ class TestCheckerCatchesViolations:
         assert any(v.rule == "OL1" for v in report.violations)
         assert report.goodput_samples >= 4
 
+    def test_ol1_window_reopened_within_an_interval_samples_once(self):
+        """Steady 100K acks/s over a 50K floor: windows [0, 2.5) and
+        [2.7, 6.2) ms hold 2 + 3 whole intervals, and nothing is flagged
+        (the first window's sampler used to keep sampling the second)."""
+        from repro.core.messages import IoRequest, IoResponse, OpCode
+
+        env = Environment()
+        checker = OverloadInvariantChecker(env, sample_interval=1e-3)
+        request = IoRequest(OpCode.READ, 1, 1, 0, IO_SIZE)
+
+        def acks():
+            while True:
+                yield env.timeout(1e-5)
+                checker.on_ack(request, IoResponse(1, ok=True))
+
+        def window(length):
+            checker.begin_overload_window(min_goodput_iops=50_000.0)
+            yield env.timeout(length)
+            checker.end_overload_window()
+
+        env.process(acks())
+        env.process(window(2.5e-3))
+        env.run(until=2.7e-3)
+        env.process(window(3.5e-3))
+        env.run(until=8e-3)
+        assert checker.check().violations == []
+        assert checker.goodput_samples == 2 + 3
+
     def test_ol2_slo_breach_flagged(self):
         env = Environment()
         checker = OverloadInvariantChecker(env)

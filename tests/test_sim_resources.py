@@ -1,9 +1,9 @@
-"""Unit tests for Resource, Store, and Container primitives."""
+"""Unit tests for the Resource and Store primitives."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Container, Environment, Resource, SimulationError, Store
+from repro.sim import Environment, Resource, SimulationError, Store
 
 from .conftest import settle
 from .reference_datapath import held
@@ -230,50 +230,3 @@ class TestStore:
         settle(env)
         assert got.triggered and got.value == "direct"
         assert len(store) == 0
-
-
-class TestContainer:
-    def test_put_and_get(self):
-        env = Environment()
-        box = Container(env, capacity=10, init=5)
-        got = box.get(3)
-        settle(env)
-        assert got.triggered and box.level == 2
-
-    def test_get_blocks_until_enough(self):
-        env = Environment()
-        box = Container(env, capacity=10)
-        got = box.get(4)
-        settle(env)
-        assert not got.triggered
-        box.put(3)
-        settle(env)
-        assert not got.triggered
-        box.put(1)
-        settle(env)
-        assert got.triggered and box.level == 0
-
-    def test_put_caps_at_capacity(self):
-        env = Environment()
-        box = Container(env, capacity=5, init=4)
-        box.put(100)
-        assert box.level == 5
-
-    def test_invalid_init_rejected(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            Container(env, capacity=5, init=6)
-
-    def test_fifo_getter_ordering(self):
-        env = Environment()
-        box = Container(env, capacity=100)
-        first = box.get(5)
-        second = box.get(1)
-        box.put(5)
-        settle(env)
-        # FIFO: the big request at the head is served first; the small
-        # one behind it must wait even though enough was available.
-        assert first.triggered and not second.triggered
-        box.put(1)
-        settle(env)
-        assert second.triggered

@@ -273,3 +273,15 @@ class TestEngine:
         engine.start()
         with pytest.raises(RuntimeError):
             engine.start()
+
+    @pytest.mark.parametrize("indices", [(0, 1, 1), (7,), (1, 0)])
+    def test_tenant_indices_must_be_their_positions(self, indices):
+        """The index names the tenant's flow and request tag: a repeat
+        would give two tenants one flow, a gap a tag naming nobody."""
+        env, server, file_ids = build_server()
+        specs = [
+            TenantSpec(f"t{n}", index, rate=100.0)
+            for n, index in enumerate(indices)
+        ]
+        with pytest.raises(ValueError, match="indices must be"):
+            OpenLoopTrafficEngine(env, server, specs, file_ids, horizon=1e-3)
