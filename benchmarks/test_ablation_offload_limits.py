@@ -12,11 +12,11 @@ from _tables import cores, emit, kops
 
 from repro.bench import build_cluster
 from repro.core import ClientConfig, WorkloadClient
-from repro.core.server import DdsOffloadServer
 from repro.hardware import NetworkLink
 from repro.sim import Environment, SeededRng
 from repro.storage import DdsFileSystem, RamDisk, SpdkBdev
 from repro.structures import CuckooCacheTable
+from repro.topology.sharding import ShardedOffloadServer
 
 SLOT_COUNTS = (32, 128, 1024)
 
@@ -27,8 +27,8 @@ def measure_fallback(context_slots: int):
     fs.create_directory("bench")
     fid = fs.create_file("bench", "db")
     fs.preallocate(fid, 64 << 20)
-    server = DdsOffloadServer(
-        env, NetworkLink(env), fs, context_slots=context_slots
+    server = ShardedOffloadServer(
+        env, NetworkLink(env), fs, 1, context_slots=context_slots
     )
     config = ClientConfig(
         offered_iops=700e3,
@@ -38,7 +38,7 @@ def measure_fallback(context_slots: int):
     )
     client = WorkloadClient(env, server, fid, config)
     result = client.run()
-    director = server.director
+    director = server.shards[0].director
     total = director.requests_offloaded + director.requests_to_host
     fallback = director.requests_to_host / total if total else 0.0
     return result, server, fallback

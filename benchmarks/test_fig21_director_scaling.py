@@ -55,6 +55,7 @@ def measure(cores: int) -> float:
         CuckooCacheTable(64),
         None,  # no offload engine: pure bump-in-the-wire directing
         host_handler,
+        lambda file_id: 0,  # one DPU: every file is its own
     )
     flows = balanced_flows(cores)
     done = env.event()

@@ -12,18 +12,12 @@ Run:  python examples/custom_offload.py
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core import (
-    DdsOffloadServer,
-    IoRequest,
-    OffloadCallbacks,
-    OpCode,
-    ReadOp,
-    WriteOp,
-)
+from repro.core import IoRequest, OffloadCallbacks, OpCode, ReadOp, WriteOp
 from repro.hardware import NetworkLink
 from repro.net import FiveTuple
 from repro.sim import Environment
 from repro.storage import DdsFileSystem, RamDisk, SpdkBdev
+from repro.topology.registry import build_server
 
 BLOB_BYTES = 512
 
@@ -76,9 +70,10 @@ def main() -> None:
     fs = DdsFileSystem(env, SpdkBdev(env, RamDisk(32 << 20)))
     fs.create_directory("blobs")
     file_id = fs.create_file("blobs", "store")
-    server = DdsOffloadServer(
-        env, NetworkLink(env), fs, callbacks=blob_callbacks()
+    server = build_server(
+        "dds-offload", env, NetworkLink(env), fs, callbacks=blob_callbacks()
     )
+    dpu = server.shards[0]
     flow = FiveTuple("10.0.0.9", 999, "10.0.0.1", 5000)
 
     def roundtrip(requests):
@@ -97,7 +92,7 @@ def main() -> None:
         for i in range(3)
     ]
     assert all(r.ok for r in roundtrip(puts))
-    print(f"PUT 3 blobs; cache table now holds {len(server.cache_table)}")
+    print(f"PUT 3 blobs; cache table now holds {len(dpu.cache_table)}")
 
     # 2. GET them by id — all served by the DPU.
     gets = [
@@ -109,8 +104,8 @@ def main() -> None:
         blob_id = int.from_bytes(response.data[:8], "little")
         print(f"GET blob {blob_id}: fill byte {response.data[8]}")
     print(
-        f"offloaded={server.director.requests_offloaded} "
-        f"to_host={server.director.requests_to_host}"
+        f"offloaded={dpu.director.requests_offloaded} "
+        f"to_host={dpu.director.requests_to_host}"
     )
 
     # 3. A GET for an unknown id falls through to the host (which
@@ -122,7 +117,7 @@ def main() -> None:
         pass
     print(
         "unknown blob id -> host path "
-        f"(to_host now {server.director.requests_to_host})"
+        f"(to_host now {dpu.director.requests_to_host})"
     )
 
 

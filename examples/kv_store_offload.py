@@ -38,7 +38,7 @@ def demonstrate_paths() -> None:
         cluster.env.run(until=done)
         got_key, got_value = RECORD.unpack(responses[0].data)
         assert (got_key, got_value) == (key, key)
-    director = cluster.server.director
+    director = cluster.server.shards[0].director
     print(
         f"served {director.requests_offloaded} GET from the DPU "
         f"(cache-table hit) and {director.requests_to_host} from the host "

@@ -46,7 +46,8 @@ def demonstrate_freshness() -> None:
     lsn, page_id = parse_page_header(responses[0].data)
     print(
         f"requested page 3 @ LSN>=5 -> served page {page_id} at LSN {lsn} "
-        f"(host path: {cluster.server.director.requests_to_host} request)"
+        f"(host path: {cluster.server.shards[0].director.requests_to_host} "
+        "request)"
     )
     print()
 

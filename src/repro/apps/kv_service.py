@@ -167,8 +167,11 @@ def build_kv_cluster(
         # heavier than the §8.1 benchmark app's messaging.
         app_net_spec=HOST_APP_NET,
     )
-    cache_table = server.cache_table if offload else None
-    backend = server.backend if offload else server.execution
+    if offload:
+        dpu = server.shards[0]
+        cache_table, backend = dpu.cache_table, dpu.backend
+    else:
+        cache_table, backend = None, server.execution
     kv = FasterKv(
         env, server.host_pool, memory_budget,
         device=backend.device(kv_file_id),

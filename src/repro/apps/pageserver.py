@@ -258,7 +258,7 @@ def build_pageserver_cluster(
         host_app=lambda request: app.get_page(request),  # built below
         app_net_spec=HOST_APP_NET,
     )
-    backend = server.backend if offload else server.execution
+    backend = server.shards[0].backend if offload else server.execution
     app = _PageServerApp(
         env, server.host_pool, rbpex, pages, backend.device(rbpex),
         SeededRng(seed),
@@ -266,7 +266,7 @@ def build_pageserver_cluster(
     if offload:
         # Seed the cache table: every page is clean at LSN 0.
         for page_id in range(pages):
-            server.cache_table.insert(
+            server.shards[0].cache_table.insert(
                 ("page", page_id), (0, page_id * PAGE_BYTES)
             )
     app.start_replay(replay_rate)

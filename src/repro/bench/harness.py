@@ -218,11 +218,9 @@ def build_cluster(
     128 GB database; we scale it down — random cold reads behave
     identically since nothing is cached anywhere).
 
-    ``shards=N`` instead builds the elastic
-    :class:`~repro.topology.sharding.ShardedOffloadServer` on N DPUs —
-    also at ``N == 1``, where the registry would pick the single-DPU
-    server that has none of the resilience / replication / resharding /
-    QoS seams — over ``files`` preallocated files of ``file_bytes`` each.
+    ``shards=N`` instead builds the
+    :class:`~repro.topology.sharding.ShardedOffloadServer` on N DPUs
+    over ``files`` preallocated files of ``file_bytes`` each.
     """
     if (kind is None) == (shards is None):
         raise ValueError("pass exactly one of a solution or shards=")

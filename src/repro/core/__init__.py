@@ -12,7 +12,6 @@ from .traffic_director import TrafficDirector
 # are built from repro.topology stages, and those stages import this
 # package's leaf modules — eager imports here would close that loop.
 _LAZY = {
-    "DdsOffloadServer": "server",
     "PipelineServer": "server",
     "ClientConfig": "client",
     "ClientResult": "client",
@@ -31,7 +30,6 @@ __all__ = [
     "ContextStatus",
     "DdsClient",
     "DdsFileLibrary",
-    "DdsOffloadServer",
     "DmaRingChannel",
     "DpuFileService",
     "IoRequest",

@@ -62,7 +62,8 @@ class TrafficDirector:
     #: (§8.4 ⑩: the DDS-RDMA port skips TLDK's TCP processing).
     RDMA_COST_SCALE = 0.4
     #: Host-core-seconds per request to look its file up in the shard
-    #: map (consistent-hash ring walk; sharded deployments only).
+    #: map (consistent-hash ring walk; only while the ring has more
+    #: than one member).
     SHARD_LOOKUP_COST = 0.03 * MICROSECOND
 
     def __init__(
@@ -75,8 +76,8 @@ class TrafficDirector:
         cache_table: CuckooCacheTable,
         engine: Optional[OffloadEngine],
         host_handler: HostHandler,
+        owner_of: Callable[[int], int],
         rdma: bool = False,
-        owner_of: Optional[Callable[[int], int]] = None,
         shard_id: int = 0,
     ) -> None:
         if not cores:
@@ -91,15 +92,18 @@ class TrafficDirector:
         self.host_handler = host_handler
         self.rdma = rdma
         self._cost_scale = self.RDMA_COST_SCALE if rdma else 1.0
-        #: file id → the shard that serves it now.  None on a single
-        #: DPU; the shard map's ``owner`` on a sharded deployment; the
-        #: replicator's ``leader_for`` on a replicated one (the acting
-        #: leader, so a dead primary's keyspace is served by its backup).
+        #: file id → the shard that serves it now: the shard map's
+        #: ``owner``, or the replicator's ``leader_for`` on a replicated
+        #: deployment (the acting leader, so a dead primary's keyspace is
+        #: served by its backup).
         self.owner_of = owner_of
         self.shard_id = shard_id
-        #: Sibling directors indexed by shard id; the sharded deployment
-        #: assigns this once every shard is constructed.
+        #: Sibling directors indexed by shard id, and the shard map whose
+        #: member count decides whether a message pays the ring walk;
+        #: the deployment assigns both when it builds this director's
+        #: DPU.  A director on its own has no siblings and no map.
         self.peers: List["TrafficDirector"] = []
+        self.shard_map = None
         #: Optional resilience hooks (chaos deployments install these):
         #: request-id dedup shared across the deployment's directors, and
         #: a circuit breaker steering around a crashed engine.
@@ -157,25 +161,26 @@ class TrafficDirector:
         self.messages_seen += 1
         message_bytes = sum(r.wire_size for r in requests)
         packets = self.link.packets_for(message_bytes)
-        if self.owner_of is None:
-            yield from core.execute(
-                self._cost_scale * self.RX_COST_PER_PACKET * packets
-                + self.OFFPRED_COST * len(requests)
-            )
-            yield from self._dispatch(core, flow, requests, respond)
-            return
-        # Sharded deployment: TLDK receive plus one shard-map lookup per
-        # request; the OffPred charge is paid by whichever shard ends up
-        # executing each batch.
-        yield from core.execute(
-            self._cost_scale * self.RX_COST_PER_PACKET * packets
-            + self.SHARD_LOOKUP_COST * len(requests)
-        )
         batches: Dict[int, List[IoRequest]] = {}
         owner_of = self.owner_of
         for request in requests:
             batches.setdefault(owner_of(request.file_id), []).append(request)
-        local = batches.pop(self.shard_id, None)
+        local = batches.pop(self.shard_id, [])
+        # One booking: TLDK receive, the shard-map lookup per request
+        # (a one-member ring needs no walk), and OffPred for the requests
+        # this shard serves itself; a relayed batch pays OffPred where it
+        # lands.  Then one forward hold per relayed batch.
+        shard_map = self.shard_map
+        lookup = (
+            self.SHARD_LOOKUP_COST * len(requests)
+            if shard_map is not None and shard_map.shard_count > 1
+            else 0.0
+        )
+        yield from core.execute(
+            self._cost_scale * self.RX_COST_PER_PACKET * packets
+            + lookup
+            + self.OFFPRED_COST * len(local)
+        )
         for shard_id in sorted(batches):
             batch = batches[shard_id]
             relay_bytes = sum(r.wire_size for r in batch)
@@ -187,7 +192,6 @@ class TrafficDirector:
             self.requests_relayed += len(batch)
             self.env.process(self._relay(shard_id, flow, batch, respond))
         if local:
-            yield from core.execute(self.OFFPRED_COST * len(local))
             yield from self._dispatch(core, flow, local, respond)
 
     def _relay(

@@ -4,8 +4,8 @@
 steering / execution / completion) and the :class:`~repro.topology.
 stages.OffloadShard` unit every offload deployment is made of; ``spec``
 declares what a deployment is; ``registry`` maps every solution name to
-a spec and builds servers from them; ``sharding`` is the N-DPU scale-out
-deployment, with ``replication``, ``resharding`` and ``qos`` as its
-opt-ins.  Import from the submodule that defines a name: ``core.server``
+a spec and builds servers from them; ``sharding`` is the offload server
+on N DPUs (one for the paper's DDS), with ``replication``,
+``resharding`` and ``qos`` as its opt-ins.  Import from the submodule that defines a name: ``core.server``
 builds on ``stages``, and ``sharding`` and ``registry`` on ``core.server``.
 """

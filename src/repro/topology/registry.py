@@ -30,11 +30,10 @@ transport      what stands around the execution stage
 ============== =====================================================
 
 With ``offload`` the traffic director and offload engine front the DDS
-file service instead: :class:`~repro.core.server.DdsOffloadServer` on
-one DPU, :class:`~repro.topology.sharding.ShardedOffloadServer` on
-``dpu_count`` of them — the only deployments that are classes, because
-they have behaviour of their own (host fallback, commit chain,
-resilience, membership).
+file service instead: :class:`~repro.topology.sharding.
+ShardedOffloadServer` on ``dpu_count`` DPUs (one for the paper's DDS) —
+the only deployment that is a class, because it has behaviour of its
+own (host fallback, commit chain, resilience, membership).
 
 The ten ``headline`` entries are the solutions charted in Figure 16, in
 chart order; the remaining entries are the ablations (zero-copy off) and
@@ -178,30 +177,24 @@ def build_server(
     Table 1's four offload functions (used where there is an offload
     engine), ``host_app`` its handler for requests the host serves
     (``(IoRequest) -> generator returning an IoResponse``, on the OS
-    file path and on the offload servers' host fallback; default plain
+    file path and on the offload server's host fallback; default plain
     file semantics), ``app_net_spec`` its own network module on the
-    sockets path (the offload servers' split connection keeps the
+    sockets path (the offload server's split connection keeps the
     benchmark app's: a pinned cost model, DESIGN §8).  Its files it
-    reaches through ``execution.device(file_id)`` (``backend.device``
-    behind a director).
+    reaches through ``execution.device(file_id)``
+    (``shards[0].backend.device`` behind a director).
     """
     spec = resolve(solution)
     if spec.offload:
-        options = dict(
+        from .sharding import ShardedOffloadServer
+
+        return ShardedOffloadServer(
+            env, link, filesystem, spec.dpu_count,
             callbacks=callbacks,
             host_app=host_app,
             copy_mode=spec.copy_mode,
             rdma_transport=spec.transport is TransportKind.RDMA,
         )
-        if spec.sharded:
-            from .sharding import ShardedOffloadServer
-
-            return ShardedOffloadServer(
-                env, link, filesystem, spec.dpu_count, **options
-            )
-        from ..core.server import DdsOffloadServer
-
-        return DdsOffloadServer(env, link, filesystem, **options)
 
     from ..core.server import PipelineServer
     from .stages import (

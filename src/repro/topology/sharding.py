@@ -1,15 +1,15 @@
-"""N-DPU sharded scale-out: consistent-hash steering between directors.
+"""The DDS offload server: one host, N DPUs, consistent-hash steering.
 
-The ROADMAP's scale-out item: one host, N DPUs, each DPU owning a shard
-of the file namespace.  A :class:`ConsistentHashShardMap` assigns every
-file id to a shard; each traffic director holds the map and relays
-requests for files it does not own to the owning shard's director over
-the DPU↔DPU fabric (charged like the §5.3 bump-in-the-wire forward).
-The owning shard serves the request — offload engine first, its own host
-fallback second — and answers the client directly (direct server
-return).  Per-shard host fallback is preserved: every shard keeps its
-own file library + host-side dispatch, so writes and bounced reads land
-on the host exactly as in the single-DPU deployment.
+The paper's DDS is one DPU; scale-out is N of them, each owning a shard
+of the file namespace, and the one-shard deployment *is* the paper's.
+A :class:`ConsistentHashShardMap` assigns every file id to a shard; each
+traffic director holds the map and relays requests for files it does
+not own to the owning shard's director over the DPU↔DPU fabric
+(charged like the §5.3 bump-in-the-wire forward).  The owning shard
+serves the request — offload engine first, its own host fallback second
+— and answers the client directly (direct server return).  Every shard
+keeps its own file library + host-side dispatch, so writes and bounced
+reads land on the host exactly as on one DPU.
 
 Hashing is deliberately *not* Python's builtin ``hash`` (salted per
 process); splitmix64 keeps shard placement stable across runs.
@@ -27,14 +27,19 @@ import threading
 from bisect import bisect_right
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
-from ..core.api import OffloadCallbacks
-from ..core.messages import IoRequest
-from ..core.server import OffloadServerBase
+from ..core.api import OffloadCallbacks, passthrough_callbacks
+from ..core.dedup import RequestDedup
+from ..core.messages import IoRequest, IoResponse, OpCode
+from ..core.retry import CircuitBreaker
+from ..core.server import PipelineServer
+from ..core.traffic_director import TrafficDirector
 from ..hardware.nic import NetworkLink
-from ..net.packet import FiveTuple
+from ..hardware.specs import BENCH_APP_NET, HOST_OS_TCP, RDMA_VERBS
+from ..net.packet import AppSignature, FiveTuple
+from ..net.stack import StackLayer
 from ..sim import Environment
 from ..storage.disk import RamDisk, SpdkBdev
-from ..storage.filesystem import DdsFileSystem
+from ..storage.filesystem import DdsFileSystem, FileSystemError
 from ..structures.atomics import AtomicCounter
 from .stages import (
     OffloadShard,
@@ -340,9 +345,20 @@ class ShardedSteering(Stage, ShardLifecycle):
         yield from shard.director.receive_message(flow, requests, respond)
 
 
-class ShardedOffloadServer(OffloadServerBase):
-    """Full DDS offloading sharded across N DPUs (one shard map, N
-    directors, N offload engines, N per-shard host fallbacks)."""
+class ShardedOffloadServer(PipelineServer):
+    """Full DDS offloading on N DPUs (§5-§7): one shard map, N directors,
+    N offload engines, N per-shard host fallbacks.  ``shard_count=1`` is
+    the paper's DDS.
+
+    Each DPU is an :class:`OffloadShard`, ``shards[i]`` over
+    ``filesystems[i]``.  The NIC's signature match and the traffic
+    director steer read requests to the offload engine, which serves
+    them without touching the host; writes (and cache-miss reads) fall
+    back to the host library path over the split connection, which this
+    class owns once for every shard: the application callbacks, the
+    transport layers, the fallback with its write-commit chain and the
+    resilience arming.
+    """
 
     def __init__(
         self,
@@ -359,16 +375,30 @@ class ShardedOffloadServer(OffloadServerBase):
     ) -> None:
         if shard_count < 1:
             raise ValueError("shard_count must be >= 1")
-        super().__init__(
-            env,
-            link,
-            callbacks,
-            host_app,
-            rdma_transport,
+        super().__init__(env, link)
+        self.callbacks = callbacks or passthrough_callbacks()
+        self._signature = AppSignature(server_port=5000)
+        # Application override for requests bounced to the host (KV gets,
+        # GetPage@LSN); default is plain file semantics via the library.
+        self.host_app = host_app
+        self.client_spec = RDMA_VERBS if rdma_transport else HOST_OS_TCP
+        self.transport = StackLayer(env, self.client_spec, self.host_pool)
+        self.app_net = StackLayer(env, BENCH_APP_NET, self.host_pool)
+        # OffloadShard's sizing knobs, kept so a shard added later is
+        # assembled exactly like a construction-time one.
+        self._unit_options = dict(
             director_cores=director_cores,
             context_slots=context_slots,
             copy_mode=copy_mode,
+            rdma=rdma_transport,
         )
+        self.shards: List[OffloadShard] = []
+        self.directors: List[TrafficDirector] = []
+        #: Write-commit chain: ``commit(shard_index, request)`` generators
+        #: run in order between a write's local apply and its ack; the
+        #: first to return False fails the ack.  Empty until replication
+        #: or resharding registers a link.
+        self._commit_chain: List[Callable[[int, IoRequest], Generator]] = []
         self.shard_map = ConsistentHashShardMap(shard_count)
         #: The routing hook — which shard serves a file now: the map's
         #: owner, the acting leader once replicated.  Every director's
@@ -397,12 +427,7 @@ class ShardedOffloadServer(OffloadServerBase):
         ]
         self._topology_lock = threading.Lock()
         for fs in self.filesystems:
-            shard = self._build_unit(fs, self.owner_of)
-            with self._topology_lock:
-                self.shards.append(shard)
-        directors = [shard.director for shard in self.shards]
-        for shard in self.shards:
-            shard.director.peers = directors
+            self._build_unit(fs)
         #: The shard-steering stage (ingress counters live here).  It is
         #: the pipeline's steering entry until :meth:`enable_qos` puts
         #: the gate in front of it.
@@ -410,7 +435,7 @@ class ShardedOffloadServer(OffloadServerBase):
         # The three lists an opt-in registers with; the lifecycle
         # methods and the write path only walk them (DESIGN §8).  Each
         # is swapped copy-on-write under ``_topology_lock``; the third
-        # is the base class's write-commit chain.
+        # is the write-commit chain above.
         #: Per-shard wiring: applied to every live shard on registration
         #: and to every shard :meth:`add_shard` builds afterwards.
         self._shard_wiring: List[Callable[[OffloadShard], None]] = []
@@ -423,7 +448,6 @@ class ShardedOffloadServer(OffloadServerBase):
             + [self.steering],
             steering=self.steering,
         )
-        self.directors = directors
         for shard in self.shards:
             shard.backend.start()
         # Bring-up durability point: every shard's namespace (the cloned
@@ -431,6 +455,28 @@ class ShardedOffloadServer(OffloadServerBase):
         # crashed mid-run can be rebuilt from raw disk via ``recover``.
         for fs in self.filesystems:
             fs.flush_metadata_sync()
+
+    def _build_unit(self, filesystem: DdsFileSystem) -> OffloadShard:
+        """The next DPU's machinery over ``filesystem``, listed in
+        ``shards`` and joined to the relay fabric (not yet started)."""
+        shard = OffloadShard(
+            self.env,
+            self.host_pool,
+            self.link,
+            filesystem,
+            self.callbacks,
+            self._signature,
+            self._host_serve,
+            index=len(self.shards),
+            owner_of=self.owner_of,
+            **self._unit_options,
+        )
+        shard.director.peers = self.directors
+        shard.director.shard_map = self.shard_map
+        with self._topology_lock:
+            self.shards.append(shard)
+            self.directors.append(shard.director)
+        return shard
 
     def _wire_every_shard(
         self, wire: Callable[[OffloadShard], None]
@@ -441,6 +487,91 @@ class ShardedOffloadServer(OffloadServerBase):
             self._shard_wiring = self._shard_wiring + [wire]
         for shard in self.live_shards:
             wire(shard)
+
+    # ------------------------------------------------------------------
+    # the host half: split-connection fallback, commit chain, resilience
+    # ------------------------------------------------------------------
+    def enable_resilience(
+        self,
+        breaker_threshold: int = 4,
+        breaker_recovery: float = 500e-6,
+        breaker_saturation: Optional[int] = None,
+    ) -> RequestDedup:
+        """One dedup table shared by all directors (a retry may land on
+        a different ingress director after failover), plus one circuit
+        breaker per director/engine pair.  ``breaker_saturation`` (off
+        by default) additionally opens a breaker after that many
+        consecutive capacity bounces, so a saturated-but-alive engine
+        sheds intake work to the host path instead of being probed on
+        every request."""
+        dedup = super().enable_resilience()
+
+        def arm(shard: OffloadShard) -> None:
+            shard.director.dedup = dedup
+            shard.director.breaker = CircuitBreaker(
+                self.env,
+                failure_threshold=breaker_threshold,
+                recovery_time=breaker_recovery,
+                saturation_threshold=breaker_saturation,
+            )
+
+        self._wire_every_shard(arm)
+        return dedup
+
+    def offloaded_fraction(self) -> float:
+        offloaded = sum(d.requests_offloaded for d in self.directors)
+        total = offloaded + sum(d.requests_to_host for d in self.directors)
+        return offloaded / total if total else 0.0
+
+    def _serve_one(
+        self, shard_index: int, handler: Callable, request: IoRequest
+    ) -> Generator:
+        """Serve one host-path request, then commit applied writes.
+
+        Every link of the write-commit chain runs before the response
+        is released, so a client never sees an ack the deployment has
+        not committed: first the quorum hop (append + synchronous
+        backup mirror), then migration bookkeeping (dirty-mark, or
+        forward a post-flip straggler to the new owner).  When a link
+        could *not* commit (say the executor died right after its local
+        apply), the response is converted to a failure: a success here
+        would be cached by the shared dedup table and replayed to the
+        client's retry, acking a write the deployment never committed.
+        """
+        try:
+            response: IoResponse = yield from handler(request)
+        except FileSystemError:
+            # An application handler whose device failed answers as the
+            # baseline's ``OsFileExecution(catch_errors=True)`` does.
+            return IoResponse(request.request_id, ok=False)
+        if response.ok and request.op is OpCode.WRITE:
+            for commit in self._commit_chain:
+                if not (yield from commit(shard_index, request)):
+                    return IoResponse(request.request_id, ok=False)
+        return response
+
+    def _host_serve(
+        self,
+        shard: OffloadShard,
+        requests: Sequence[IoRequest],
+        respond: Callable,
+    ) -> Generator:
+        """Host fallback over ``shard``'s split connection (writes,
+        bounces)."""
+        message_bytes = sum(r.wire_size for r in requests)
+        yield from self.transport.process(message_bytes)
+        yield from self.app_net.process(message_bytes)
+        handler = self.host_app or shard.backend.host_side.serve
+        served = [
+            self.env.process(self._serve_one(shard.index, handler, r))
+            for r in requests
+        ]
+        responses: List[IoResponse] = yield self.env.all_of(served)
+        response_bytes = sum(r.wire_size for r in responses)
+        yield from self.app_net.process(response_bytes)
+        yield from self.transport.process(response_bytes)
+        for response in responses:
+            respond(response)
 
     # ------------------------------------------------------------------
     # replication: replica groups, leader routing, quorum acks
@@ -549,11 +680,8 @@ class ShardedOffloadServer(OffloadServerBase):
         with self._topology_lock:
             # Copy-on-write (relay/steering paths read the list live).
             self.filesystems = list(self.filesystems) + [fs]
-        shard = self._build_unit(fs, self.owner_of)
-        shard.director.peers = self.directors
+        shard = self._build_unit(fs)
         with self._topology_lock:
-            self.shards.append(shard)
-            self.directors.append(shard.director)
             self._stages.append(shard.backend)
         shard.backend.start()
         # Wiring before lifecycle: members see a fully armed shard.

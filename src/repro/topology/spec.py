@@ -130,8 +130,3 @@ class DeploymentSpec:
             raise ValueError(
                 f"{self.name}: the SMB server only mounts the OS file path"
             )
-
-    @property
-    def sharded(self) -> bool:
-        """True when the namespace is split across multiple DPUs."""
-        return self.dpu_count > 1

@@ -22,8 +22,6 @@ every server flavour.  This module breaks the wiring into typed, reusable
 * :class:`OffloadShard` — one whole DPU of an offload deployment (a
   backend plus cache table, director cores, offload engine and traffic
   director), the one place those are constructed.
-* :class:`DirectorSteering` — ``steering``: one :class:`OffloadShard`'s
-  director, consuming whole client messages.
 
 Every stage also reports its own resource consumption
 (:meth:`Stage.host_cores` / :meth:`Stage.dpu_cores` /
@@ -69,7 +67,6 @@ __all__ = [
     "DdsHostSide",
     "DdsBackend",
     "OffloadShard",
-    "DirectorSteering",
     "PushdownExecution",
     "PushdownScanOutcome",
     "ShardLifecycle",
@@ -586,16 +583,14 @@ class OffloadShard:
     The paper's DPU is one fixed bundle — the :class:`DdsBackend`
     substrate, the cache table, the director's Arm cores, the offload
     engine and the traffic director in front of them — and scale-out is
-    N of that bundle.  The single-DPU server is one ``OffloadShard``
-    and the sharded server a list of them; nothing else constructs an
-    engine or a director.
+    N of that bundle.  The offload server is a list of them (one for
+    the paper's DDS); nothing else constructs an engine or a director.
 
     ``host_serve(shard, requests, respond)`` is the owning server's host
-    fallback, ``owner_of`` the director's file→shard hook (``None`` on
-    a single DPU).  Bring-up order is part of the contract — every
-    process spawned here consumes a scheduler sequence number — and
-    :meth:`DdsBackend.start` stays with the owning server, which calls
-    it once its pipeline is set.
+    fallback, ``owner_of`` the director's file→shard hook.  Bring-up
+    order is part of the contract — every process spawned here consumes
+    a scheduler sequence number — and :meth:`DdsBackend.start` stays
+    with the owning server, which calls it once its pipeline is set.
     """
 
     #: Cache-table capacity (items) of every DPU.
@@ -615,7 +610,7 @@ class OffloadShard:
         context_slots: int,
         copy_mode: bool,
         rdma: bool,
-        owner_of: Optional[Callable[[int], int]] = None,
+        owner_of: Callable[[int], int],
     ) -> None:
         self.index = index
         self.backend = DdsBackend(
@@ -649,8 +644,8 @@ class OffloadShard:
             self.cache_table,
             self.engine,
             partial(host_serve, self),
+            owner_of,
             rdma=rdma,
-            owner_of=owner_of,
             shard_id=index,
         )
         #: False between kill_shard and recover_shard: ingress and
@@ -666,33 +661,3 @@ class OffloadShard:
         cores or NIC: a dead DPU fails it like a failed page read."""
         if not self.alive:
             raise FileSystemError(f"shard {self.index} is down")
-
-
-class DirectorSteering(Stage):
-    """One DPU's traffic director + offload engine, owning whole messages.
-
-    The steering stage consumes the client message after the NIC hop:
-    the director's signature/OffPred logic dispatches each request to the
-    offload engine or to the host fallback, and responses leave through
-    the director's transmit path — so no egress stages run after it.
-    """
-
-    kind = StageKind.STEERING
-
-    def __init__(self, unit: OffloadShard) -> None:
-        super().__init__("director")
-        self.unit = unit
-
-    def dpu_cores(self, elapsed: float) -> float:
-        total = 0.0
-        for core in self.unit.cores:
-            total += core.utilization(elapsed)
-        return total
-
-    def steer(
-        self,
-        flow: FiveTuple,
-        requests: Sequence[IoRequest],
-        respond: Callable,
-    ) -> Generator:
-        yield from self.unit.director.receive_message(flow, requests, respond)

@@ -68,7 +68,7 @@ class TestKvService:
         got_key, got_value = RECORD.unpack(responses[0].data)
         assert got_key == key
         assert got_value == key  # load value == key (little-endian)
-        assert cluster.server.director.requests_offloaded == 1
+        assert cluster.server.shards[0].director.requests_offloaded == 1
 
     def test_in_memory_key_served_by_host(self):
         cluster = build_kv_cluster("dds", records=50_000)
@@ -80,7 +80,7 @@ class TestKvService:
         done = cluster.server.submit(FLOW, [request], responses.append)
         cluster.env.run(until=done)
         assert responses[0].ok
-        assert cluster.server.director.requests_to_host == 1
+        assert cluster.server.shards[0].director.requests_to_host == 1
         got_key, got_value = RECORD.unpack(responses[0].data)
         assert (got_key, got_value) == (key, key)
 
@@ -166,7 +166,7 @@ class TestPageServer:
         assert responses[0].ok
         lsn, page_id = parse_page_header(responses[0].data)
         assert (lsn, page_id) == (0, 17)
-        assert cluster.server.director.requests_offloaded == 1
+        assert cluster.server.shards[0].director.requests_offloaded == 1
 
     def test_future_lsn_waits_for_replay(self):
         cluster = build_pageserver_cluster(
@@ -189,7 +189,7 @@ class TestPageServer:
         cluster.env.run(until=0.05)  # ~1000 replays over 64 pages
         app = cluster.app
         assert app.records_replayed > 100
-        table = cluster.server.cache_table
+        table = cluster.server.shards[0].cache_table
         fresh = 0
         for page_id, lsn in app.page_lsns.items():
             entry = table.lookup(("page", page_id))
@@ -230,14 +230,14 @@ class TestFailedDdsCompletion:
     def test_failed_host_path_page_read_answers_an_error(self):
         cluster = build_pageserver_cluster("dds", pages=32, replay_rate=0)
         server = cluster.server
-        server.cache_table.delete(("page", 0))  # divert page 0 to the host
+        server.shards[0].cache_table.delete(("page", 0))  # divert page 0 to the host
         server.filesystems[0].bdev.device.inject_errors(1)
         request = IoRequest(
             OpCode.READ, 1, cluster.rbpex_file_id, 0, PAGE_BYTES, tag=0
         )
         assert not _submit(cluster, request).ok
-        assert server.file_service.request_errors == 1
-        assert server.director.requests_to_host == 1
+        assert server.shards[0].backend.file_service.request_errors == 1
+        assert server.shards[0].director.requests_to_host == 1
 
     def test_failed_log_flush_refuses_the_upsert_and_keeps_the_page(self):
         # 38,900 records load to 192 B under the memory budget: the
@@ -259,7 +259,7 @@ class TestFailedDdsCompletion:
             for i in range(1, 14)
         ]
         assert acks == [True] * 12 + [False]
-        assert cluster.server.file_service.request_errors == 1
+        assert cluster.server.shards[0].backend.file_service.request_errors == 1
         # The only copy of the unflushed records is still in memory.
         assert (kv.flushes, kv.head_address) == (flushes, head)
         assert kv.bytes_in_memory == in_memory + 13 * RECORD.size

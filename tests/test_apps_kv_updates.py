@@ -62,18 +62,18 @@ class TestUpserts:
         upserting it must divert subsequent GETs to the host."""
         cluster = build_kv_cluster("dds", records=50_000)
         key = 5  # oldest record: on disk and in the cache table
-        assert key in cluster.server.cache_table
+        assert key in cluster.server.shards[0].cache_table
         before = get(cluster, 1, key)
         assert RECORD.unpack(before.data) == (key, key)
-        assert cluster.server.director.requests_offloaded == 1
+        assert cluster.server.shards[0].director.requests_offloaded == 1
 
         assert put(cluster, 2, key, 42_000).ok
         # The stale disk-location entry is gone...
-        assert key not in cluster.server.cache_table
+        assert key not in cluster.server.shards[0].cache_table
         after = get(cluster, 3, key)
         # ...so the GET went to the host and saw the new tail version.
         assert RECORD.unpack(after.data) == (key, 42_000)
-        assert cluster.server.director.requests_offloaded == 1  # unchanged
+        assert cluster.server.shards[0].director.requests_offloaded == 1  # unchanged
 
     def test_flush_recaches_updated_key_at_new_location(self):
         """After enough churn to flush the tail, the updated key becomes
@@ -83,21 +83,21 @@ class TestUpserts:
         )
         key = 5
         assert put(cluster, 1, key, 777).ok
-        assert key not in cluster.server.cache_table
+        assert key not in cluster.server.shards[0].cache_table
         # Churn other keys until the tail page holding key 5 flushes
         # through the DDS library (firing cache-on-write on the DPU).
         request_id = 10
         churn_key = 1_000_000
-        while key not in cluster.server.cache_table:
+        while key not in cluster.server.shards[0].cache_table:
             assert put(cluster, request_id, churn_key, 1).ok
             request_id += 1
             churn_key += 1
             assert churn_key < 1_020_000, "tail never flushed"
-        offloaded_before = cluster.server.director.requests_offloaded
+        offloaded_before = cluster.server.shards[0].director.requests_offloaded
         response = get(cluster, request_id, key)
         assert RECORD.unpack(response.data) == (key, 777)
         assert (
-            cluster.server.director.requests_offloaded
+            cluster.server.shards[0].director.requests_offloaded
             == offloaded_before + 1
         )
 
@@ -113,6 +113,6 @@ class TestUpserts:
         cluster = build_kv_cluster("dds", records=50_000)
         for i in range(5):
             put(cluster, i + 1, 9000 + i, i)
-        director = cluster.server.director
+        director = cluster.server.shards[0].director
         assert director.requests_offloaded == 0
         assert director.requests_to_host == 5

@@ -33,7 +33,7 @@ def test_the_dma_thread_refuses_to_park_behind_a_booked_transfer():
     holds its DMA engine; a transfer booked by someone else, finished
     or not as an event, must still trip the guard."""
     cluster = build_cluster("dds-offload")
-    env, backend = cluster.env, cluster.server.backend
+    env, backend = cluster.env, cluster.server.shards[0].backend
     env.run(until=1e-3)  # the thread is parked
     assert backend.dma.in_flight == 0
     env.process(backend.dma.dma_write(1 << 20))  # a second issuer

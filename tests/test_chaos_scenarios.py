@@ -18,7 +18,6 @@ import pytest
 from repro.bench.harness import run_shard_kill
 from repro.core.client import ClientConfig, DdsClient
 from repro.core.messages import IoRequest, OpCode
-from repro.core.server import DdsOffloadServer
 from repro.faults import EngineCrash, FaultInjector, FaultPlan, ShardKill
 from repro.hardware.nic import NetworkLink
 from repro.net.packet import FiveTuple
@@ -26,6 +25,7 @@ from repro.sim import Environment
 from repro.sim.trace import EventLog
 from repro.storage.disk import RamDisk, SpdkBdev
 from repro.storage.filesystem import DdsFileSystem
+from repro.topology.registry import build_server
 
 pytestmark = pytest.mark.chaos
 
@@ -104,7 +104,7 @@ def run_engine_down():
     file_id = fs.create_file("bench", "database")
     fs.preallocate(file_id, db_bytes)
     link = NetworkLink(env)
-    server = DdsOffloadServer(env, link, fs)
+    server = build_server("dds-offload", env, link, fs)
     server.enable_resilience()
     plan = FaultPlan(
         seed=3, events=(EngineCrash(at=1e-3, down_for=2e-3, shard=0),)
@@ -145,20 +145,20 @@ class TestEngineCrashFallback:
         assert engine_down.result.retries > 0
 
     def test_breaker_opened_and_closed_again(self, engine_down):
-        breaker = engine_down.server.director.breaker
+        breaker = engine_down.server.shards[0].director.breaker
         assert breaker.times_opened >= 1
         assert breaker.state == breaker.CLOSED
         states = [state for _, state in breaker.transitions]
         assert "open" in states and states[-1] == "closed"
 
     def test_host_fallback_carried_the_down_window(self, engine_down):
-        assert engine_down.server.director.requests_to_host > 0
+        assert engine_down.server.shards[0].director.requests_to_host > 0
 
     def test_engine_serves_again_after_restart(self, engine_down):
         server = engine_down.server
         env = engine_down.env
-        assert not server.engine.crashed
-        before = server.director.requests_offloaded
+        assert not server.shards[0].engine.crashed
+        before = server.shards[0].director.requests_offloaded
         responses = []
         flow = FiveTuple("10.0.0.9", 55_555, "10.0.0.1", 5000)
         probe = IoRequest(
@@ -167,7 +167,7 @@ class TestEngineCrashFallback:
         server.submit(flow, [probe], responses.append)
         env.run(until=env.timeout(1e-3))
         assert responses and responses[0].ok
-        assert server.director.requests_offloaded > before
+        assert server.shards[0].director.requests_offloaded > before
 
     def test_fault_and_recovery_visible_in_sim_trace(self, engine_down):
         names = {

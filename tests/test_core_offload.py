@@ -190,6 +190,7 @@ class TestTrafficDirector:
             CuckooCacheTable(64),
             eng if engine else None,
             host_handler,
+            lambda file_id: 0,  # one DPU: every file is its own
             rdma=rdma,
         )
         return env, director, fid, host_served

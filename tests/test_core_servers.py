@@ -74,8 +74,8 @@ class TestOffloadBehaviour:
         write = IoRequest(OpCode.WRITE, 1, cluster.file_id, 0, 64, bytes(64))
         responses = serve_one(cluster, write)
         assert responses[0].ok
-        assert cluster.server.director.requests_to_host == 1
-        assert cluster.server.director.requests_offloaded == 0
+        assert cluster.server.shards[0].director.requests_to_host == 1
+        assert cluster.server.shards[0].director.requests_offloaded == 0
 
     def test_mixed_workload_splits_correctly(self):
         result = run_io_experiment(

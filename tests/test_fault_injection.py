@@ -124,7 +124,7 @@ class TestServerFaults:
         )
         assert not response.ok
         # Served (and failed) on the DPU, not bounced to the host.
-        assert cluster.server.director.requests_offloaded == 1
+        assert cluster.server.shards[0].director.requests_offloaded == 1
 
     def test_mixed_errors_under_load(self):
         cluster = build_cluster("dds-offload", db_bytes=8 << 20)

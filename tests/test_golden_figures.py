@@ -9,8 +9,12 @@ safety net that makes engine optimization mechanical.
 Regenerate after an *intentional* model change with::
 
     PYTHONPATH=src python tests/test_golden_figures.py --regen
+
+which prints every re-recorded line as ``label: field old → new`` (the
+fields that moved), ready to paste where the change is explained.
 """
 
+from itertools import zip_longest
 from pathlib import Path
 
 from repro.apps.kv_service import run_kv_experiment
@@ -51,7 +55,11 @@ def fig16_golden_lines():
 def solutions_golden_lines():
     """Every registered solution on reads and on a 50/50 mix, then both
     §9 applications on both deployments: one full-precision line each,
-    recorded before ``build_server`` became the one assembler."""
+    recorded before ``build_server`` became the one assembler.  The four
+    ``dds-offload-shard2``/``-shard4`` lines were re-recorded when the
+    single-DPU server became the one-shard cluster and the director got
+    one receive rule (a multi-shard message books one receive hold, not
+    two); every other line is unchanged since."""
     lines = []
     for name in SOLUTIONS:
         for read_fraction in (1.0, 0.5):
@@ -154,17 +162,34 @@ def test_fig22_reduced_golden():
     _check("golden_fig22.txt", fig22_golden_lines())
 
 
+def _moved(before, after):
+    """One re-recorded line as ``label: field old → new, …``; the whole
+    line, old → new, when its shape (or its label) changed."""
+    old, new = before.split(), after.split()
+    keys = [token.split("=")[0] for token in new]
+    changed = [i for i, (o, n) in enumerate(zip(old, new)) if o != n]
+    if keys != [token.split("=")[0] for token in old] or changed[0] == 0:
+        return f"{before or '(none)'} → {after or '(none)'}"
+    moves = [
+        f"{keys[i]} {old[i].split('=', 1)[1]} → {new[i].split('=', 1)[1]}"
+        for i in changed
+    ]
+    return " ".join(new[: changed[0]]) + ": " + ", ".join(moves)
+
+
 def _regen():  # pragma: no cover - maintenance entry point
     FIXTURES.mkdir(exist_ok=True)
-    (FIXTURES / "golden_fig16.txt").write_text(
-        "\n".join(fig16_golden_lines()) + "\n"
-    )
-    (FIXTURES / "golden_solutions.txt").write_text(
-        "\n".join(solutions_golden_lines()) + "\n"
-    )
-    (FIXTURES / "golden_fig22.txt").write_text(
-        "\n".join(fig22_golden_lines()) + "\n"
-    )
+    for name, lines in (
+        ("golden_fig16.txt", fig16_golden_lines()),
+        ("golden_solutions.txt", solutions_golden_lines()),
+        ("golden_fig22.txt", fig22_golden_lines()),
+    ):
+        path = FIXTURES / name
+        old = path.read_text().splitlines() if path.exists() else []
+        for before, after in zip_longest(old, lines, fillvalue=""):
+            if before != after:
+                print(f"{name}: {_moved(before, after)}")
+        path.write_text("\n".join(lines) + "\n")
     print(f"regenerated goldens in {FIXTURES}")
 
 

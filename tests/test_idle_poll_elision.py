@@ -51,7 +51,7 @@ def test_an_idle_deployment_schedules_nothing(build):
 
 def test_a_parked_thread_still_accounts_for_its_polls():
     cluster = build_cluster("dds-offload")
-    env, backend = cluster.env, cluster.server.backend
+    env, backend = cluster.env, cluster.server.shards[0].backend
     env.run(until=1e-3)
     backend.file_service.settle_idle_polls()
     early = backend.dma.stats.reads

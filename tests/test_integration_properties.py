@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from repro.bench import build_cluster
 from repro.core import IoRequest, OpCode
-from repro.core.server import DdsOffloadServer
 from repro.hardware import NetworkLink
 from repro.net import FiveTuple
 from repro.sim import Environment
 from repro.storage import DdsFileSystem, RamDisk, SpdkBdev
+from repro.topology.sharding import ShardedOffloadServer
 
 from .conftest import run
 
@@ -71,8 +71,8 @@ class TestMultiCoreDirector:
         fs.create_directory("d")
         fid = fs.create_file("d", "f")
         fs.preallocate(fid, 16 << 20)
-        server = DdsOffloadServer(
-            env, NetworkLink(env), fs, director_cores=cores
+        server = ShardedOffloadServer(
+            env, NetworkLink(env), fs, 1, director_cores=cores
         )
         return env, server, fid
 
@@ -89,13 +89,13 @@ class TestMultiCoreDirector:
                 )
                 request_id += 1
                 env.run(until=done)
-        busy = [core.busy_time for core in server.director_core_list]
+        busy = [core.busy_time for core in server.shards[0].cores]
         assert sum(1 for b in busy if b > 0) >= 2  # multiple cores used
-        assert server.director.requests_offloaded == 96
+        assert server.shards[0].director.requests_offloaded == 96
 
     def test_each_flow_sticks_to_one_core(self):
         env, server, fid = self.make_server(cores=4)
-        director = server.director
+        director = server.shards[0].director
         for flow in self.FLOWS:
             core_first = director.core_for(flow)
             assert director.core_for(flow) is core_first
@@ -123,7 +123,7 @@ class TestDeterminism:
             return (
                 cluster.env.now,
                 cluster.server.dpu_cores(cluster.env.now),
-                cluster.server.director.requests_offloaded,
+                cluster.server.shards[0].director.requests_offloaded,
             )
 
         assert fingerprint() == fingerprint()

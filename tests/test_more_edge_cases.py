@@ -116,10 +116,10 @@ class TestOffloadEngineEdges:
         with pytest.raises(ValueError):
             OffloadEngine(
                 cluster.env,
-                cluster.server.director_core_list[0],
-                cluster.server.file_service,
+                cluster.server.shards[0].cores[0],
+                cluster.server.shards[0].backend.file_service,
                 cluster.server.callbacks,
-                cluster.server.cache_table,
+                cluster.server.shards[0].cache_table,
                 context_slots=0,
             )
 

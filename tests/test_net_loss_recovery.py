@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.client import ClientConfig, DdsClient
-from repro.core.server import DdsOffloadServer
 from repro.faults import NetworkChaos
 from repro.hardware.nic import NetworkLink
 from repro.net import MSS, TcpReceiver, TcpSender
@@ -15,6 +14,7 @@ from repro.sim import Environment
 from repro.sim.rng import SeededRng
 from repro.storage.disk import RamDisk, SpdkBdev
 from repro.storage.filesystem import DdsFileSystem
+from repro.topology.registry import build_server
 
 
 def lossy_exchange(
@@ -207,7 +207,7 @@ class TestDdsOffloadPathUnderChaos:
         fs.create_directory("bench")
         file_id = fs.create_file("bench", "db")
         fs.preallocate(file_id, 1 << 20)
-        server = DdsOffloadServer(env, NetworkLink(env), fs)
+        server = build_server("dds-offload", env, NetworkLink(env), fs)
         dedup = server.enable_resilience()
         chaos = NetworkChaos(
             env,

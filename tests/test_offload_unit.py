@@ -1,4 +1,5 @@
-"""One DPU, built once: both offload servers are lists of OffloadShard."""
+"""One DPU, built once: the offload server is a list of OffloadShard,
+and the paper's DDS is its one-shard case."""
 
 import ast
 import pathlib
@@ -8,29 +9,114 @@ import pytest
 import repro.core
 from repro.bench.harness import build_cluster
 from repro.core.messages import IoRequest, OpCode
+from repro.core.traffic_director import TrafficDirector
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import EngineCrash, FaultPlan, SsdErrorBurst
+from repro.hardware.specs import DPU_CPU
 from repro.net.packet import FiveTuple
+from repro.topology.sharding import ShardedOffloadServer
 from repro.topology.stages import OffloadShard
 
 FLOW = FiveTuple("10.0.0.2", 40_000, "10.0.0.1", 5000)
 
 
 def test_both_server_kinds_are_made_of_the_same_unit():
+    """The paper's DDS is the one-shard case of the one offload server."""
     single = build_cluster("dds-offload", db_bytes=4 << 20).server
     sharded = build_cluster("dds-offload-shard2", db_bytes=4 << 20).server
+    assert type(single) is type(sharded) is ShardedOffloadServer
     assert [type(s) for s in single.shards + sharded.shards] == [OffloadShard] * 3
     unit = single.shards[0]
-    assert unit.engine is single.engine and unit.director is single.director
-    assert single.filesystems == [single.backend.filesystem]
-    assert single.director.owner_of is None
+    assert single.directors == [unit.director]
+    assert single.filesystems == [unit.backend.filesystem]
+    assert single.shard_map.members == (0,)
+    assert unit.director.owner_of == single.owner_of
+    assert unit.director.shard_map is single.shard_map
+
+
+def _receive_only(cluster, requests):
+    """One message into shard 0's director, dispatch stubbed out so the
+    director cores keep only the receive rule's bookings.  Returns the
+    ingress core, the core times booked on it and the events taken."""
+    env, server = cluster.env, cluster.server
+    env.run()
+    for director in server.directors:
+        director._dispatch = lambda core, flow, batch, respond: iter(())
+    director = server.directors[0]
+    core = director.core_for(FLOW)
+    booked = []
+    execute = core.execute
+
+    def recording(core_time):
+        booked.append(core_time)
+        return execute(core_time)
+
+    core.execute = recording
+    before = env.scheduled_count
+    env.process(director.receive_message(FLOW, requests, lambda r: None))
+    env.run()
+    return core, booked, env.scheduled_count - before
+
+
+def _reads(file_ids):
+    return [
+        IoRequest(OpCode.READ, index, file_id, 0, 512)
+        for index, file_id in enumerate(file_ids)
+    ]
+
+
+def test_one_shard_books_one_receive_hold_without_the_lookup():
+    """RX·p + OFFPRED·n in one hold: a one-member ring needs no walk."""
+    cluster = build_cluster(shards=1, files=8, file_bytes=1 << 20)
+    requests = _reads(cluster.file_ids[:3])
+    core, booked, events = _receive_only(cluster, requests)
+    link = cluster.server.link
+    packets = link.packets_for(sum(r.wire_size for r in requests))
+    receive = (
+        TrafficDirector.RX_COST_PER_PACKET * packets
+        + TrafficDirector.OFFPRED_COST * len(requests)
+    )
+    assert booked == [receive]
+    assert core.busy_time == receive / DPU_CPU.speed
+    assert events == 2  # the receive process, its one hold
+
+
+def test_two_shards_book_one_receive_hold_then_one_forward():
+    """RX·p + LOOKUP·n + OFFPRED·local, then one forward per relayed
+    batch; the relayed batch pays its own receive where it lands."""
+    cluster = build_cluster(shards=2, files=8, file_bytes=1 << 20)
+    local, remote = sorted(cluster.files_on(0)), sorted(cluster.files_on(1))
+    requests = _reads([local[0], remote[0], local[1], remote[1], local[2]])
+    core, booked, events = _receive_only(cluster, requests)
+    link = cluster.server.link
+    packets = link.packets_for(sum(r.wire_size for r in requests))
+    relayed = [r for r in requests if r.file_id in remote]
+    receive = (
+        TrafficDirector.RX_COST_PER_PACKET * packets
+        + TrafficDirector.SHARD_LOOKUP_COST * len(requests)
+        + TrafficDirector.OFFPRED_COST * 3
+    )
+    forward = TrafficDirector.FORWARD_COST_PER_PACKET * link.packets_for(
+        sum(r.wire_size for r in relayed)
+    )
+    assert booked == [receive, forward]
+    speed = DPU_CPU.speed
+    assert core.busy_time == receive / speed + forward / speed
+    peer = cluster.server.directors[1]
+    assert peer.relayed_messages == 1
+    assert cluster.server.directors[0].requests_relayed == 2
+    # The receive process and its two holds; the relay hop's process,
+    # wire timeout, and wait on the peer's receive process, which takes
+    # one hold.
+    assert events == 8
 
 
 def test_single_dpu_arms_the_same_breaker_thresholds_as_a_shard():
     server = build_cluster("dds-offload", db_bytes=4 << 20).server
     server.enable_resilience(breaker_threshold=7, breaker_recovery=123e-6, breaker_saturation=9)
-    breaker = server.director.breaker
-    assert server.director.dedup is server.dedup is not None
+    director = server.shards[0].director
+    breaker = director.breaker
+    assert director.dedup is server.dedup is not None
     assert breaker.failure_threshold == 7 and breaker.recovery_time == 123e-6
     assert breaker.saturation_threshold == 9
 
@@ -70,7 +156,7 @@ def test_fault_plan_reaches_device_and_engine_on_one_dpu(kind):
         events.append(EngineCrash(at=10e-6, down_for=500e-6))
     FaultInjector(env, server, FaultPlan(1, tuple(events))).arm()
     env.run(until=20e-6)
-    assert kind != "dds-offload" or server.engine.crashed
+    assert kind != "dds-offload" or server.shards[0].engine.crashed
     for request_id, ok in ((1, False), (2, True)):
         read = IoRequest(OpCode.READ, request_id, cluster.file_id, 4096, 512)
         responses = []
@@ -78,7 +164,7 @@ def test_fault_plan_reaches_device_and_engine_on_one_dpu(kind):
         assert responses[0].ok is ok
     assert server.filesystems[0].bdev.device.errors == 1
     env.run(until=600e-6)
-    assert kind != "dds-offload" or not server.engine.crashed
+    assert kind != "dds-offload" or not server.shards[0].engine.crashed
 
 
 def test_core_imports_topology_only_from_server():
@@ -107,8 +193,7 @@ def _class_bases(path):
 
 def test_a_solution_without_an_offload_engine_is_not_a_class():
     """``build_server`` composes it from the spec; only the offload
-    deployments, which have behaviour of their own, subclass the
-    pipeline."""
+    server, which has behaviour of its own, subclasses the pipeline."""
     package = pathlib.Path(repro.core.__file__).parent.parent
     subclasses = [
         name
@@ -116,7 +201,7 @@ def test_a_solution_without_an_offload_engine_is_not_a_class():
         for name, bases in _class_bases(path).items()
         if "PipelineServer" in bases
     ]
-    assert subclasses == ["OffloadServerBase"]
+    assert subclasses == ["ShardedOffloadServer"]
 
 
 def test_baselines_define_stages_only():
