@@ -98,12 +98,12 @@ class TrafficDirector:
         #: served by its backup).
         self.owner_of = owner_of
         self.shard_id = shard_id
-        #: Sibling directors indexed by shard id, and the shard map whose
-        #: member count decides whether a message pays the ring walk;
-        #: the deployment assigns both when it builds this director's
-        #: DPU.  A director on its own has no siblings and no map.
+        #: Sibling directors indexed by shard id, and the member count of
+        #: the shard ring ``owner_of`` walks; the deployment assigns both
+        #: when it builds this director's DPU.  A director on its own has
+        #: no siblings and routes over a one-member ring.
         self.peers: List["TrafficDirector"] = []
-        self.shard_map = None
+        self.ring_size: Callable[[], int] = lambda: 1
         #: Optional resilience hooks (chaos deployments install these):
         #: request-id dedup shared across the deployment's directors, and
         #: a circuit breaker steering around a crashed engine.
@@ -169,11 +169,11 @@ class TrafficDirector:
         # One booking: TLDK receive, the shard-map lookup per request
         # (a one-member ring needs no walk), and OffPred for the requests
         # this shard serves itself; a relayed batch pays OffPred where it
-        # lands.  Then one forward hold per relayed batch.
-        shard_map = self.shard_map
+        # lands.  Then one forward hold per relayed batch, so a relay
+        # leaves after the local OffPred, not before it.
         lookup = (
             self.SHARD_LOOKUP_COST * len(requests)
-            if shard_map is not None and shard_map.shard_count > 1
+            if self.ring_size() > 1
             else 0.0
         )
         yield from core.execute(

@@ -472,7 +472,7 @@ class ShardedOffloadServer(PipelineServer):
             **self._unit_options,
         )
         shard.director.peers = self.directors
-        shard.director.shard_map = self.shard_map
+        shard.director.ring_size = lambda: self.shard_map.shard_count
         with self._topology_lock:
             self.shards.append(shard)
             self.directors.append(shard.director)

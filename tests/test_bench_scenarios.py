@@ -82,3 +82,15 @@ def test_only_is_validated_before_anything_runs(selection, monkeypatch, capsys):
 def test_smoke_chaos_record_sees_its_kill():
     """The smoke run's shard kill lands inside its offered window."""
     assert load_bench("chaos")["smoke"]["detail"]["retries"] > 0
+
+
+def test_smoke_resharding_record_drains_under_load():
+    """The smoke run is still offering load when the drain starts, so
+    the drain's cutovers are bucketed and none of them goes dark."""
+    detail = load_bench("resharding")["smoke"]["detail"]
+    phases = [phase["phase"] for phase in detail["cost_curve"]]
+    assert "drain_migration" in phases
+    drain = detail["migrations"][1]
+    assert drain["kind"].startswith("drain")
+    assert len(drain["moved_acks_per_half_ms"]) > 1
+    assert detail["zero_dark_window"]

@@ -31,7 +31,12 @@ def test_both_server_kinds_are_made_of_the_same_unit():
     assert single.filesystems == [unit.backend.filesystem]
     assert single.shard_map.members == (0,)
     assert unit.director.owner_of == single.owner_of
-    assert unit.director.shard_map is single.shard_map
+    # Every director reads the ring size off its deployment's map, so a
+    # membership change moves the lookup charge with it.
+    assert unit.director.ring_size() == 1
+    assert [d.ring_size() for d in sharded.directors] == [2, 2]
+    sharded.shard_map.add_shard()
+    assert [d.ring_size() for d in sharded.directors] == [3, 3]
 
 
 def _receive_only(cluster, requests):
