@@ -121,6 +121,9 @@ SIM_PREFIXES = (
     "faults/",
     "workload/",
 )
+#: Sim-driven modules outside the sim prefixes: the client retry loop
+#: owns backoff jitter draws and attempt timers for both clients.
+SIM_FILES = ("core/retry.py",)
 #: Files inside sim prefixes that *implement* the blessed idioms and
 #: are therefore exempt from the determinism rules (the seeded RNG
 #: wrapper is allowed to touch :mod:`random`).
@@ -162,7 +165,9 @@ def classes_for(relpath: str) -> FrozenSet[str]:
         relpath in INSTRUMENTED_FILES
     ):
         classes.add("instrumented")
-    if relpath.startswith(SIM_PREFIXES) and relpath not in SIM_EXEMPT_FILES:
+    if (
+        relpath.startswith(SIM_PREFIXES) or relpath in SIM_FILES
+    ) and relpath not in SIM_EXEMPT_FILES:
         classes.add("sim")
         if relpath not in SCHEDULER_FILES:
             classes.add("sim_hot")

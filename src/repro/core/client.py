@@ -12,14 +12,15 @@ is accounted against a client-side pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Set
+from functools import partial
+from typing import Generator, List, Optional, Sequence
 
 from ..hardware.cpu import CpuPool
 from ..hardware.specs import HOST_CPU
 from ..net.packet import FiveTuple
-from ..sim import Environment, Event, SeededRng
+from ..sim import Environment, SeededRng
 from .messages import IoRequest, IoResponse, OpCode
-from .retry import RetryBudget, RetryPolicy
+from .retry import RetryBudget, RetryLoop, RetryPolicy
 from .server import PipelineServer
 
 __all__ = [
@@ -75,6 +76,8 @@ class ClientResult:
     #: the client's :class:`~repro.core.retry.RetryBudget` refused.
     throttled_responses: int = 0
     budget_denied: int = 0
+    #: Acks that arrived after the client had already given up.
+    late_acks: int = 0
 
     def percentile(self, p: float) -> float:
         """Latency percentile, p in [0, 100]."""
@@ -139,21 +142,8 @@ class WorkloadClient:
         self._issue_times: dict = {}
         self._latencies: List[float] = []
         self._completed = 0
-        # Retry-path state: which request ids have been answered or
-        # given up on (duplicate responses are detected against these).
-        self._answered: Set[int] = set()
-        self._failed: Set[int] = set()
-        self._requests_by_id: Dict[int, IoRequest] = {}
         self._finished = None
-        self.retries = 0
-        self.failed_requests = 0
-        self.duplicate_responses = 0
-        self.error_responses = 0
-        self.throttled_responses = 0
-        self.budget_denied = 0
-        # Request ids throttled during the current attempt window; the
-        # retry loop backs off harder when the server said "stop".
-        self._throttled_ids: Set[int] = set()
+        self._loop: Optional[RetryLoop] = None
 
     # ------------------------------------------------------------------
     # request generation
@@ -191,10 +181,14 @@ class WorkloadClient:
         outstanding-message window, one message per arrival.  Without a
         retry policy a message is submitted once and trusted to be
         answered (the loss-free path every pinned figure uses); with
-        one it is handed to :meth:`_send_with_retries`.
+        one it is handed to the :class:`~repro.core.retry.RetryLoop`.
         """
         config = self.config
         self._finished = self.env.event()
+        loop = self._loop = RetryLoop(
+            self.env, self.server, self.client_pool, self.retry_policy,
+            self.rng, self._on_retry_ack, self.retry_budget, self.observer,
+        )
         outstanding = [0]
         waiters: List = []
 
@@ -204,17 +198,19 @@ class WorkloadClient:
                 waiters.pop(0).succeed()
 
         def send_once(flow: FiveTuple, requests: List[IoRequest]) -> None:
-            done = self._submit(flow, requests, self._on_response)
+            now = self.env.now
+            for request in requests:
+                self._issue_times[request.request_id] = now
+            done = loop.transmit(flow, requests, self._on_response)
             done.add_callback(release)
 
-        def send_retrying(flow: FiveTuple, requests: List[IoRequest]) -> None:
-            for request in requests:
-                self._requests_by_id[request.request_id] = request
-                if self.observer is not None:
-                    self.observer.on_issue(request)
-            self.env.process(self._send_with_retries(flow, requests, release))
+        def settled() -> None:
+            self._check_finished()
+            release()
 
-        send = send_once if self.retry_policy is None else send_retrying
+        send = send_once
+        if self.retry_policy is not None:
+            send = partial(loop.send, on_done=settled)
 
         def generator() -> Generator:
             issued = 0
@@ -244,32 +240,14 @@ class WorkloadClient:
             elapsed=elapsed,
             latencies=self._latencies,
             client_cores=self.client_pool.cores_consumed(elapsed),
-            retries=self.retries,
-            failed_requests=self.failed_requests,
-            duplicate_responses=self.duplicate_responses,
-            error_responses=self.error_responses,
-            throttled_responses=self.throttled_responses,
-            budget_denied=self.budget_denied,
+            retries=loop.retries,
+            failed_requests=loop.failed,
+            duplicate_responses=loop.duplicates,
+            error_responses=loop.errors,
+            throttled_responses=loop.throttled,
+            budget_denied=loop.budget_denied,
+            late_acks=loop.late_acks,
         )
-
-    def _submit(
-        self,
-        flow: FiveTuple,
-        requests: List[IoRequest],
-        on_response: Callable[[IoResponse], None],
-    ) -> Event:
-        """Stamp the attempt, pay the client's transport CPU (counted in
-        Figure 16) and put one message on the wire."""
-        now = self.env.now
-        for request in requests:
-            self._issue_times[request.request_id] = now
-        spec = self.server.client_spec
-        message_bytes = sum(r.wire_size for r in requests)
-        self.client_pool.charge(
-            spec.per_message_core_time
-            + message_bytes * spec.per_byte_core_time
-        )
-        return self.server.submit(flow, requests, on_response)
 
     def _on_response(self, response: IoResponse) -> None:
         issued = self._issue_times.pop(response.request_id, None)
@@ -278,118 +256,17 @@ class WorkloadClient:
         self._completed += 1
         self._check_finished()
 
-    # ------------------------------------------------------------------
-    # retry path (chaos deployments; the path above stays byte-identical
-    # for the pinned benchmark figures)
-    # ------------------------------------------------------------------
-    def _on_retry_response(self, response: IoResponse) -> None:
-        rid = response.request_id
-        if rid in self._answered or rid in self._failed:
-            # A chaos-duplicated delivery, or a dedup replay racing the
-            # original: client-side dedup drops it.
-            self.duplicate_responses += 1
-            return
-        if not response.ok:
-            if response.throttled:
-                # Explicit overload shed: remember it so the retry loop
-                # applies the throttle backoff factor before re-sending.
-                self.throttled_responses += 1
-                self._throttled_ids.add(rid)
-            else:
-                # Transient failure (device error): leave the request
-                # unanswered so the retry loop re-sends it.
-                self.error_responses += 1
-            return
-        self._answered.add(rid)
-        if self.retry_budget is not None:
-            self.retry_budget.on_success()
-        issued = self._issue_times.pop(rid, None)
-        if issued is not None:
-            # Issue times are per-attempt: this measures the attempt
-            # that actually got answered, not the first try.
-            self._latencies.append(self.env.now - issued)
-        if self.observer is not None:
-            request = self._requests_by_id.get(rid)
-            if request is not None:
-                self.observer.on_ack(request, response)
-        self._requests_by_id.pop(rid, None)
+    def _on_retry_ack(self, issued: float, sent: float) -> None:
+        # Latency from the attempt that was answered, not the first try.
+        self._latencies.append(self.env.now - sent)
         self._completed += 1
         self._check_finished()
 
     def _check_finished(self) -> None:
-        settled = self._completed + len(self._failed)
+        settled = self._completed + self._loop.failed
         if settled >= self.config.total_requests:
             if not self._finished.triggered:
                 self._finished.succeed()
-
-    def _send_with_retries(
-        self,
-        flow: FiveTuple,
-        requests: List[IoRequest],
-        release: Callable[[], None],
-    ) -> Generator:
-        """Send one message; re-send unanswered requests with backoff."""
-        policy = self.retry_policy
-        budget = self.retry_budget
-        pending = list(requests)
-        for attempt in range(policy.max_attempts):
-            pending = [
-                r for r in pending if r.request_id not in self._answered
-            ]
-            if not pending:
-                release()
-                return
-            if attempt and budget is not None:
-                # Every re-send must win a budget token; refused
-                # requests fail fast instead of joining a retry storm.
-                granted = []
-                for request in pending:
-                    if budget.try_spend():
-                        granted.append(request)
-                    else:
-                        self.budget_denied += 1
-                        self._give_up(request)
-                pending = granted
-                if not pending:
-                    self._check_finished()
-                    release()
-                    return
-            if attempt:
-                self.retries += len(pending)
-            done = self._submit(flow, pending, self._on_retry_response)
-            timeout = self.env.timeout(policy.timeout)
-            yield self.env.any_of([done, timeout])
-            pending = [
-                r for r in pending if r.request_id not in self._answered
-            ]
-            if not pending:
-                release()
-                return
-            if attempt + 1 < policy.max_attempts:
-                delay = policy.backoff(attempt, self.rng)
-                if any(
-                    r.request_id in self._throttled_ids for r in pending
-                ):
-                    # The server shed at least one of these: cooperate
-                    # by backing off harder than for a silent loss.
-                    delay *= policy.THROTTLE_BACKOFF_FACTOR
-                    for request in pending:
-                        self._throttled_ids.discard(request.request_id)
-                yield self.env.timeout(delay)
-        for request in pending:
-            self._give_up(request)
-        self._check_finished()
-        release()
-
-    def _give_up(self, request: IoRequest) -> None:
-        """Settle one request as failed (budget denial or attempts out)."""
-        self._failed.add(request.request_id)
-        self._issue_times.pop(request.request_id, None)
-        self._requests_by_id.pop(request.request_id, None)
-        self._throttled_ids.discard(request.request_id)
-        if self.observer is not None:
-            self.observer.on_give_up(request)
-        self.failed_requests += 1
 
 
 class DdsClient(WorkloadClient):

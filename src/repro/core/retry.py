@@ -1,7 +1,8 @@
-"""Client retry policy, retry budget, and the director's circuit breaker.
+"""Client retry policy, retry budget, retry loop, and the director's
+circuit breaker.
 
-Three small, deterministic state machines the chaos and overload layers
-lean on:
+Small, deterministic state machines the chaos and overload layers lean
+on:
 
 * :class:`RetryPolicy` — per-message attempt timeouts plus exponential
   backoff with seeded jitter.  The jitter draw comes from the caller's
@@ -12,6 +13,9 @@ lean on:
   a client may add on top of its first attempts.  Without one, an
   8-attempt policy amplifies offered load up to 8× exactly when the
   server is saturated — the classic retry-storm collapse.
+* :class:`RetryLoop` — the one loop that sends, re-sends and settles
+  client messages under a policy and a budget, for the closed-loop
+  client and the open-loop traffic engine alike (DESIGN §10).
 * :class:`CircuitBreaker` — while a shard's offload engine is down,
   probing it on every request only adds director-core work before the
   inevitable host fallback.  The breaker opens after a burst of
@@ -25,11 +29,16 @@ lean on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
-from ..sim import Environment, SeededRng
+from ..hardware.cpu import CpuPool
+from ..net.packet import FiveTuple
+from ..net.stack import StackLayer
+from ..sim import Environment, Event, SeededRng
+from .messages import IoRequest, IoResponse
 
-__all__ = ["RetryPolicy", "RetryBudget", "CircuitBreaker"]
+__all__ = ["RetryPolicy", "RetryBudget", "RetryLoop", "CircuitBreaker"]
 
 
 @dataclass(frozen=True)
@@ -120,6 +129,177 @@ class RetryBudget:
         """An acked request earns back a fraction of a retry token."""
         self.successes += 1
         self.tokens = min(self.capacity, self.tokens + self.refill_ratio)
+
+
+class _Flight:
+    """One request of a message: first-issue and last-send instants, a
+    THROTTLED seen during its current attempt, acked, given up."""
+
+    __slots__ = ("request", "issued", "sent", "throttled", "acked", "gave_up")
+
+    def __init__(self, request: IoRequest, now: float) -> None:
+        self.request = request
+        self.issued = self.sent = now
+        self.throttled = self.acked = self.gave_up = False
+
+
+class RetryLoop:
+    """Send, re-send and settle one client's messages.
+
+    The closed-loop client and each open-loop tenant send through one of
+    these: the only code that re-sends a message, spends a budget token,
+    applies ``THROTTLE_BACKOFF_FACTOR``, classifies a response, and
+    calls the client observer (``on_issue``/``on_ack``/``on_give_up``)
+    on a retrying path.  Its rules (DESIGN §10):
+
+    * an attempt ends when its message is answered (the event
+      ``server.submit`` returned fires) or its timeout expires;
+    * a THROTTLED landing while an attempt waits multiplies that
+      attempt's backoff by the factor; one landing in a backoff does not;
+    * the first ok response acks a request and refills the budget; any
+      response after it is a duplicate, and an ok after give-up is a
+      late ack (no refill, no callback);
+    * latency is the caller's: ``on_ack(issued, sent)`` gets the first
+      issue and the last attempt's send instant.
+
+    Without a policy a message is sent once and nothing waits.
+    """
+
+    def __init__(
+        self,
+        env: Environment,
+        server,
+        pool: CpuPool,
+        policy: Optional[RetryPolicy],
+        rng: SeededRng,
+        on_ack: Callable[[float, float], None],
+        budget: Optional[RetryBudget] = None,
+        observer=None,
+    ) -> None:
+        self.env = env
+        self.server = server
+        #: The client machine's transport CPU (Figure 16 counts it).
+        self.stack = StackLayer(env, server.client_spec, pool)
+        self.policy = policy
+        self.rng = rng
+        self.on_ack = on_ack
+        self.budget = budget
+        self.observer = observer
+        self.acked = 0
+        self.retries = 0
+        self.failed = 0
+        self.throttled = 0
+        self.budget_denied = 0
+        self.duplicates = 0
+        self.errors = 0
+        self.late_acks = 0
+
+    def transmit(
+        self, flow: FiveTuple, requests: List[IoRequest], on_response
+    ) -> Event:
+        """Pay the client's transport CPU and put one message on the
+        wire; the event fires once every request in it is answered."""
+        self.stack.charge_only(sum([r.wire_size for r in requests]))
+        return self.server.submit(flow, requests, on_response)
+
+    def send(
+        self,
+        flow: FiveTuple,
+        requests: List[IoRequest],
+        on_done: Optional[Callable[[], None]] = None,
+    ) -> None:
+        """Issue one message.  With a policy it is delivered on a process
+        of its own, and ``on_done()`` runs once every request in it is
+        acked or given up."""
+        now = self.env.now
+        flights: Dict[int, _Flight] = {}
+        for request in requests:
+            flights[request.request_id] = _Flight(request, now)
+            if self.observer is not None:
+                self.observer.on_issue(request)
+        respond = partial(self._classify, flights)
+        if self.policy is None:
+            self.transmit(flow, requests, respond)
+        else:
+            self.env.process(self._deliver(flow, flights, respond, on_done))
+
+    def _deliver(
+        self, flow: FiveTuple, flights: Dict[int, _Flight], respond, on_done
+    ) -> Generator:
+        env = self.env
+        policy = self.policy
+        pending = list(flights.values())
+        for attempt in range(policy.max_attempts):
+            if attempt:
+                pending = self._spend([f for f in pending if not f.acked])
+                if not pending:
+                    break
+                self.retries += len(pending)
+            now = env.now
+            for flight in pending:
+                flight.sent = now
+                flight.throttled = False
+            done = self.transmit(flow, [f.request for f in pending], respond)
+            yield env.any_of([done, env.timeout(policy.timeout)])
+            pending = [f for f in pending if not f.acked]
+            if not pending or attempt + 1 == policy.max_attempts:
+                break
+            delay = policy.backoff(attempt, self.rng)
+            if any(flight.throttled for flight in pending):
+                # The server said "stop": back off harder than for a loss.
+                delay *= policy.THROTTLE_BACKOFF_FACTOR
+            yield env.timeout(delay)
+        for flight in pending:
+            self._give_up(flight)
+        if on_done is not None:
+            on_done()
+
+    def _spend(self, pending: List[_Flight]) -> List[_Flight]:
+        """Every re-send must win a budget token; refused requests fail
+        fast instead of joining a retry storm."""
+        if self.budget is None:
+            return pending
+        granted = []
+        for flight in pending:
+            if self.budget.try_spend():
+                granted.append(flight)
+            else:
+                self.budget_denied += 1
+                self._give_up(flight)
+        return granted
+
+    def _give_up(self, flight: _Flight) -> None:
+        flight.gave_up = True
+        self.failed += 1
+        if self.observer is not None:
+            self.observer.on_give_up(flight.request)
+
+    def _classify(
+        self, flights: Dict[int, _Flight], response: IoResponse
+    ) -> None:
+        flight = flights[response.request_id]
+        if flight.acked:
+            # A chaos-duplicated delivery, a dedup replay racing the
+            # original, or the answer to an earlier attempt.
+            self.duplicates += 1
+        elif response.ok:
+            flight.acked = True
+            if flight.gave_up:
+                self.late_acks += 1
+                return
+            self.acked += 1
+            if self.budget is not None:
+                self.budget.on_success()
+            if self.observer is not None:
+                self.observer.on_ack(flight.request, response)
+            self.on_ack(flight.issued, flight.sent)
+        elif response.throttled:
+            # An explicit overload shed: a signal, not a loss.
+            self.throttled += 1
+            flight.throttled = True
+        else:
+            # A transient failure (device error): re-sent like a loss.
+            self.errors += 1
 
 
 class CircuitBreaker:

@@ -64,11 +64,12 @@ class StackLayer:
         Used by coarse-grained paths where per-message scheduling would
         dominate simulation run time (e.g., aggregate background load).
         """
+        core_time = self.core_time(size)
         if self.cpu is not None:
-            self.cpu.charge(self.core_time(size))
+            self.cpu.charge(core_time)
         self.messages += 1
         self.bytes += size
-        self.core_seconds += self.core_time(size)
+        self.core_seconds += core_time
 
     def cores_consumed(self, elapsed: float) -> float:
         """This layer's share of the CPU, in cores (Figure 2 breakdown)."""

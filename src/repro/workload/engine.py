@@ -9,12 +9,13 @@ clients, and (without defenses) breeds retry storms.  Closed-loop
 clients physically cannot produce that regime, which is why every
 pre-overload bench missed it.
 
-Retries follow the same :class:`~repro.core.retry.RetryPolicy` contract
-as :class:`~repro.core.client.DdsClient` — per-attempt timeout,
-exponential backoff with seeded jitter, harder backoff after an
-explicit THROTTLED shed — and an optional shared
+Each tenant sends through its own :class:`~repro.core.retry.RetryLoop`,
+the loop :class:`~repro.core.client.DdsClient` uses too — per-attempt
+timeout, exponential backoff with seeded jitter, harder backoff after
+an explicit THROTTLED shed — and an optional shared
 :class:`~repro.core.retry.RetryBudget` caps the aggregate retry volume
-across the whole population.
+across the whole population.  The engine keeps only the arrival
+processes and its latency stamp: from a request's first issue.
 
 Determinism: every draw (arrival gaps, file popularity, offsets,
 backoff jitter) comes from per-tenant streams spawned off one seed, so
@@ -24,10 +25,12 @@ a run is replayable bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Generator, List, Optional, Sequence
 
 from ..core.client import percentile
-from ..core.messages import IoRequest, IoResponse, OpCode
+from ..core.messages import IoRequest, OpCode
+from ..core.retry import RetryLoop
 from ..hardware.cpu import CpuPool
 from ..hardware.specs import HOST_CPU
 from ..net.packet import FiveTuple
@@ -40,7 +43,9 @@ __all__ = ["OpenLoopTrafficEngine", "TenantOutcome", "TrafficResult"]
 
 @dataclass
 class TenantOutcome:
-    """One tenant's measured slice of a traffic run."""
+    """One tenant's measured slice of a traffic run (``acked``,
+    ``failed``, ``throttled`` and ``retries`` are its retry loop's
+    counters)."""
 
     name: str
     offered: int = 0
@@ -117,9 +122,10 @@ class TrafficResult:
 
 
 class _TenantState:
-    """Per-tenant runtime: RNG streams, flow identity, popularity."""
+    """Per-tenant runtime: RNG streams, flow identity, popularity, and
+    the tenant's retry loop (built when the engine starts)."""
 
-    __slots__ = ("spec", "rng", "flow", "zipf", "curve", "outcome")
+    __slots__ = ("spec", "rng", "flow", "zipf", "curve", "outcome", "loop")
 
     def __init__(
         self,
@@ -135,6 +141,7 @@ class _TenantState:
         self.zipf = zipf
         self.curve = curve
         self.outcome = TenantOutcome(spec.name)
+        self.loop: Optional[RetryLoop] = None
 
 
 class OpenLoopTrafficEngine:
@@ -195,16 +202,6 @@ class OpenLoopTrafficEngine:
         self._next_id = 1
         self._started = False
         self._start_time = 0.0
-        # aggregate counters
-        self.offered = 0
-        self.acked = 0
-        self.failed = 0
-        self.throttled_responses = 0
-        self.retries = 0
-        self.budget_denied = 0
-        self.duplicates = 0
-        self.errors = 0
-        self.late_acks = 0
         self.ack_times: List[float] = []
         self._states: List[_TenantState] = []
         self._flow_tenants: Dict[object, str] = {}
@@ -303,6 +300,11 @@ class OpenLoopTrafficEngine:
         self._started = True
         self._start_time = self.env.now
         for state in self._states:
+            state.loop = RetryLoop(
+                self.env, self.server, self.client_pool, self.retry_policy,
+                state.rng, partial(self._on_ack, state.outcome),
+                self.retry_budget, self.observer,
+            )
             self.env.process(self._tenant_loop(state))
 
     def run(self) -> TrafficResult:
@@ -314,25 +316,32 @@ class OpenLoopTrafficEngine:
         return self.results()
 
     def results(self) -> TrafficResult:
-        elapsed = self.env.now - self._start_time
+        states = self._states
+
+        def total(counter: str) -> int:
+            return sum(getattr(state.loop, counter) for state in states)
+
         result = TrafficResult(
-            elapsed=elapsed,
-            users=population_users(
-                [state.spec for state in self._states]
-            ),
-            offered=self.offered,
-            acked=self.acked,
-            failed=self.failed,
-            throttled_responses=self.throttled_responses,
-            retries=self.retries,
-            budget_denied=self.budget_denied,
-            duplicates=self.duplicates,
-            errors=self.errors,
-            late_acks=self.late_acks,
+            elapsed=self.env.now - self._start_time,
+            users=population_users([state.spec for state in states]),
+            offered=sum(state.outcome.offered for state in states),
+            acked=total("acked"),
+            failed=total("failed"),
+            throttled_responses=total("throttled"),
+            retries=total("retries"),
+            budget_denied=total("budget_denied"),
+            duplicates=total("duplicates"),
+            errors=total("errors"),
+            late_acks=total("late_acks"),
             ack_times=list(self.ack_times),
         )
-        for state in self._states:
-            result.tenants[state.spec.name] = state.outcome
+        for state in states:
+            outcome, loop = state.outcome, state.loop
+            outcome.acked = loop.acked
+            outcome.failed = loop.failed
+            outcome.throttled = loop.throttled
+            outcome.retries = loop.retries
+            result.tenants[state.spec.name] = outcome
         return result
 
     def _tenant_loop(self, state: _TenantState) -> Generator:
@@ -345,89 +354,15 @@ class OpenLoopTrafficEngine:
             if gap > 0:
                 yield self.env.timeout(gap)
             request = self._make_request(state)
-            self.offered += 1
             state.outcome.offered += 1
-            if self.observer is not None:
-                self.observer.on_issue(request)
-            # Open loop: the delivery (and its retries) runs on its own
-            # process; the arrival clock never waits for it.
-            self.env.process(self._deliver(state, request))
+            # Open loop: the arrival clock never waits for the delivery
+            # (or its retries).
+            state.loop.send(state.flow, [request])
 
-    def _deliver(
-        self, state: _TenantState, request: IoRequest
-    ) -> Generator:
-        policy = self.retry_policy
-        budget = self.retry_budget
-        spec = self.server.client_spec
-        outcome = state.outcome
-        issued = self.env.now
-        status = {"acked": False, "settled": False, "throttled": False}
-
-        def on_response(response: IoResponse) -> None:
-            if status["acked"]:
-                self.duplicates += 1
-                return
-            if response.ok:
-                status["acked"] = True
-                if status["settled"]:
-                    self.late_acks += 1
-                    return
-                latency = self.env.now - issued
-                outcome.latencies.append(latency)
-                outcome.acked += 1
-                self.acked += 1
-                self.ack_times.append(self.env.now - self._start_time)
-                if budget is not None:
-                    budget.on_success()
-                if self.observer is not None:
-                    self.observer.on_ack(request, response)
-                signal = status.get("signal")
-                if signal is not None and not signal.triggered:
-                    signal.succeed()
-            elif response.throttled:
-                self.throttled_responses += 1
-                outcome.throttled += 1
-                status["throttled"] = True
-                signal = status.get("signal")
-                if signal is not None and not signal.triggered:
-                    signal.succeed()
-            else:
-                self.errors += 1
-
-        attempts = policy.max_attempts if policy is not None else 1
-        for attempt in range(attempts):
-            if status["acked"]:
-                break
-            if attempt:
-                if budget is not None and not budget.try_spend():
-                    self.budget_denied += 1
-                    break
-                self.retries += 1
-                outcome.retries += 1
-            status["throttled"] = False
-            signal = self.env.event()
-            status["signal"] = signal
-            self.client_pool.charge(
-                spec.per_message_core_time
-                + request.wire_size * spec.per_byte_core_time
-            )
-            self.server.submit(state.flow, [request], on_response)
-            if policy is None:
-                return
-            timeout = self.env.timeout(policy.timeout)
-            yield self.env.any_of([signal, timeout])
-            if status["acked"]:
-                break
-            if attempt + 1 < attempts:
-                delay = policy.backoff(attempt, state.rng)
-                if status["throttled"]:
-                    # The server said THROTTLED: cooperate, back off
-                    # harder than for a silent loss.
-                    delay *= policy.THROTTLE_BACKOFF_FACTOR
-                yield self.env.timeout(delay)
-        status["settled"] = True
-        if not status["acked"]:
-            self.failed += 1
-            outcome.failed += 1
-            if self.observer is not None:
-                self.observer.on_give_up(request)
+    def _on_ack(
+        self, outcome: TenantOutcome, issued: float, sent: float
+    ) -> None:
+        now = self.env.now
+        # Latency from the first issue: what the tenant waited.
+        outcome.latencies.append(now - issued)
+        self.ack_times.append(now - self._start_time)

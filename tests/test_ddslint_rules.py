@@ -181,6 +181,7 @@ def test_clean_fixture_is_clean_under_every_class():
         ("pushdown/verifier.py", set()),  # mints the tokens
         ("pushdown/engine.py", set()),  # the sanctioned redeemer
         ("topology/stages.py", {"offload"}),  # redeems proof tokens
+        ("core/retry.py", {"sim", "sim_hot"}),  # backoff RNG and timers
     ],
 )
 def test_default_config_classification(relpath, expected):

@@ -168,15 +168,28 @@ class SaturableServer:
         self._busy = False
 
     def submit(self, flow, requests, respond):
+        """Like ``PipelineServer.submit``: the returned event fires once
+        every request of the message is answered — never, for a message
+        with a dropped request."""
+        done = self.env.event()
+        unanswered = [len(requests)]
+
+        def arrived(response):
+            respond(response)
+            unanswered[0] -= 1
+            if unanswered[0] == 0:
+                done.succeed()
+
         for request in requests:
             self.submissions += 1
             if len(self.queue) >= self.queue_limit:
                 self.dropped += 1
                 continue
-            self.queue.append((request, respond))
+            self.queue.append((request, arrived))
         if not self._busy and self.queue:
             self._busy = True
             self.env.process(self._serve())
+        return done
 
     def _serve(self):
         while self.queue:
