@@ -58,13 +58,7 @@ from ..core.client import ClientConfig, ClientResult, DdsClient, WorkloadClient
 from ..core.messages import IoRequest, IoResponse, OpCode
 from ..core.retry import RetryBudget, RetryPolicy
 from ..core.server import PipelineServer
-from ..faults import (
-    DurabilityChecker,
-    FaultInjector,
-    FaultPlan,
-    ReplicationInvariantChecker,
-    ShardKill,
-)
+from ..faults import FaultInjector, FaultPlan, InvariantChecker, ShardKill
 from ..hardware.nic import NetworkLink
 from ..hardware.specs import NVME_1TB, SsdSpec
 from ..hardware.ssd import NvmeDevice
@@ -524,13 +518,12 @@ class ScenarioRun(Cluster):
 
 
 def _arm_audit(cluster: Cluster, replicated: bool):
-    """Dedup + breakers, and the checker matching the deployment."""
+    """Dedup + breakers, and the one checker (replicator observer too
+    when ``replicated``)."""
     dedup = cluster.server.enable_resilience()
+    checker = InvariantChecker(cluster.env)
     if replicated:
-        checker = ReplicationInvariantChecker(cluster.env)
         cluster.server.enable_replication(checker)
-    else:
-        checker = DurabilityChecker()
     return dedup, checker
 
 
@@ -558,10 +551,10 @@ def run_shard_kill(
 
     400K offered IOPS over 16 x 1 MiB files.  Unreplicated, the dead
     keyspace goes dark until raw-disk recovery and the
-    :class:`DurabilityChecker` audits the final disks; ``replicated``
-    turns on primary→backup mirroring with the runtime
-    :class:`ReplicationInvariantChecker` attached, and the backup keeps
-    the keyspace acking through the outage.
+    :class:`InvariantChecker` audits the final disks; ``replicated``
+    turns on primary→backup mirroring with the same checker judging
+    RI1–RI5 live, and the backup keeps the keyspace acking through the
+    outage.
     """
     cluster = build_cluster(shards=4, files=16, file_bytes=1 << 20)
     env, server = cluster.env, cluster.server

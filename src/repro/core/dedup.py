@@ -25,7 +25,7 @@ fails, so their TTL is an order of magnitude longer: reclaiming a live
 write is the one hole through which a double-apply could slip, and the
 table counts exactly that.  ``double_applies`` increments when the same
 write id completes successfully twice; the
-:class:`~repro.faults.durability.DurabilityChecker` asserts it is zero
+:class:`~repro.faults.invariants.InvariantChecker` asserts it is zero
 after every chaos run.
 """
 

@@ -1,4 +1,4 @@
-"""Deterministic chaos layer: fault plans, injection, durability audit.
+"""Deterministic chaos layer: fault plans, injection, invariant checking.
 
 Quickstart::
 
@@ -8,21 +8,15 @@ Quickstart::
         ShardKill(at=10e-3, down_for=8e-3, shard=2),
     ))
     FaultInjector(env, server, plan).arm()
-    # ... run the workload; then audit with DurabilityChecker.check()
+    # ... run the workload; then audit with InvariantChecker.check()
 
 Every fault draws its randomness from the plan's seed, so a chaos run
 is replayable: same seed, same fault log, same final state.
 """
 
-from .durability import (
-    DurabilityChecker,
-    DurabilityReport,
-    InvariantViolation,
-    ReplicationInvariantChecker,
-)
 from .injector import FaultInjector
+from .invariants import InvariantChecker, InvariantReport, InvariantViolation
 from .netem import NetworkChaos
-from .overload import OverloadInvariantChecker, OverloadReport
 from .plan import (
     EngineCrash,
     FaultEvent,
@@ -34,20 +28,20 @@ from .plan import (
     SsdLatencySpike,
 )
 
+# The old name, still imported by the frozen ``benchmarks/e2e``.
+ReplicationInvariantChecker = InvariantChecker
+
 __all__ = [
-    "DurabilityChecker",
-    "DurabilityReport",
     "EngineCrash",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
     "FaultRecord",
+    "InvariantChecker",
+    "InvariantReport",
     "InvariantViolation",
     "NetworkChaos",
     "NicFault",
-    "OverloadInvariantChecker",
-    "OverloadReport",
-    "ReplicationInvariantChecker",
     "ShardKill",
     "SsdErrorBurst",
     "SsdLatencySpike",

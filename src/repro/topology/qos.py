@@ -29,7 +29,7 @@ back off (retry-circuit cooperation).  A shed request whose id is
 already completed in the dedup table is *replayed* instead — invariant
 OL4 (no acked request is ever shed) holds by construction and is
 double-checked live by the
-:class:`~repro.faults.overload.OverloadInvariantChecker`.
+:class:`~repro.faults.invariants.InvariantChecker`.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ class TenantQosGate(Stage):
     ``dedup_source`` returns the deployment's live dedup table (or
     None) so sheds of already-completed retries replay instead of
     throttling; ``observer`` (an
-    :class:`~repro.faults.overload.OverloadInvariantChecker`) receives
+    :class:`~repro.faults.invariants.InvariantChecker`) receives
     every enqueue, shed, and dispatch synchronously.
     """
 

@@ -23,7 +23,7 @@ one is dark).
   before it rejoins.
 
 Every protocol step reports to an optional observer (the Derecho-style
-runtime invariant checker in :mod:`repro.faults.durability`), so the
+runtime invariant checker in :mod:`repro.faults.invariants`), so the
 invariants are checked *while* chaos runs, not just post-hoc.
 
 Group membership is deterministic: shard ``k``'s group is
@@ -383,7 +383,7 @@ class ShardReplicator(ShardLifecycle):
     hooks below hold the protocol's order at each membership change)
     and puts :meth:`replicate` at the head of the write-commit chain.
     The optional ``observer`` (a
-    :class:`~repro.faults.durability.ReplicationInvariantChecker`)
+    :class:`~repro.faults.invariants.InvariantChecker`)
     receives a synchronous callback at every protocol step:
     ``on_append``, ``on_apply``, ``on_commit``, ``on_handoff``,
     ``on_rejoin``, ``on_resize``.
@@ -405,8 +405,6 @@ class ShardReplicator(ShardLifecycle):
         self.server = server
         pairing = self._pairing()
         self.observer = observer
-        if observer is not None:
-            observer.attach(self)
         self.groups: Dict[int, ReplicaGroup] = {
             member: ReplicaGroup(keyspace=member, primary=member, backup=backup)
             for member, backup in pairing.items()

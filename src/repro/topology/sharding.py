@@ -583,15 +583,18 @@ class ShardedOffloadServer(PipelineServer):
         peer before the client ack, and each director routes requests to
         the keyspace's *acting leader* instead of its static owner — so
         a killed shard's keyspace keeps serving from the backup with
-        zero dark window.  ``checker`` (a
-        :class:`~repro.faults.durability.ReplicationInvariantChecker`)
-        receives every protocol step as it happens.  Returns the
-        installed :class:`~repro.topology.replication.ShardReplicator`.
+        zero dark window.  ``checker`` (an
+        :class:`~repro.faults.invariants.InvariantChecker`, attached to
+        this server) receives every protocol step as it happens.
+        Returns the installed
+        :class:`~repro.topology.replication.ShardReplicator`.
         """
         from .replication import ShardReplicator
 
         if self.replicator is not None:
             raise RuntimeError("replication is already enabled")
+        if checker is not None:
+            checker.attach(self)
         replicator = ShardReplicator(self.env, self, observer=checker)
         self.replicator = replicator
         # A shard built later takes the hook from _build_unit.
@@ -849,15 +852,17 @@ class ShardedOffloadServer(PipelineServer):
         per-tenant bounded queues, and reach the shard directors via
         weighted-fair DRR dispatch; excess load is shed with explicit
         THROTTLED responses instead of growing invisible queues.
-        ``checker`` (an :class:`~repro.faults.overload.
-        OverloadInvariantChecker`) receives every enqueue, shed, and
-        dispatch synchronously.  Returns the installed
-        :class:`~repro.topology.qos.TenantQosGate`.
+        ``checker`` (an :class:`~repro.faults.invariants.
+        InvariantChecker`, attached to this server) receives every
+        enqueue, shed, and dispatch synchronously.  Returns the
+        installed :class:`~repro.topology.qos.TenantQosGate`.
         """
         from .qos import QosConfig, TenantQosGate
 
         if self.qos is not None:
             raise RuntimeError("QoS is already enabled")
+        if checker is not None:
+            checker.attach(self)
         gate = TenantQosGate(
             self.env,
             config or QosConfig(),

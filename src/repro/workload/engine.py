@@ -153,7 +153,7 @@ class OpenLoopTrafficEngine:
     ``retry_budget`` (shared across all tenants) bounds the storm.
     ``observer`` speaks the client-observer protocol
     (``on_issue``/``on_ack``/``on_give_up``) — wire the
-    :class:`~repro.faults.overload.OverloadInvariantChecker` here.
+    :class:`~repro.faults.invariants.InvariantChecker` here.
     """
 
     def __init__(

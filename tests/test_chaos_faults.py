@@ -14,9 +14,9 @@ from repro.core.dedup import RequestDedup
 from repro.core.messages import IoRequest, IoResponse, OpCode
 from repro.core.retry import CircuitBreaker, RetryPolicy
 from repro.faults import (
-    DurabilityChecker,
     EngineCrash,
     FaultPlan,
+    InvariantChecker,
     NetworkChaos,
     NicFault,
     ShardKill,
@@ -337,7 +337,7 @@ class TestSsdLatencySpikes:
 GOLDEN_FAULT_SEQUENCE = "S...E..E....EE....SE.E.E"
 
 
-class TestDurabilityChecker:
+class TestDurabilityAudit:
     def _fs_server(self):
         env = Environment()
         fs = DdsFileSystem(
@@ -351,7 +351,7 @@ class TestDurabilityChecker:
 
     def test_acked_write_on_disk_passes(self):
         fs, server, fid = self._fs_server()
-        checker = DurabilityChecker()
+        checker = InvariantChecker(fs.env)
         request = IoRequest(OpCode.WRITE, 1, fid, 0, 4, b"abcd")
         checker.on_issue(request)
         fs.write_sync(fid, 0, b"abcd")
@@ -362,7 +362,7 @@ class TestDurabilityChecker:
 
     def test_lost_acked_write_is_reported(self):
         fs, server, fid = self._fs_server()
-        checker = DurabilityChecker()
+        checker = InvariantChecker(fs.env)
         request = IoRequest(OpCode.WRITE, 1, fid, 0, 4, b"abcd")
         checker.on_issue(request)
         checker.on_ack(request, IoResponse(1, True))  # never hit disk
@@ -374,7 +374,7 @@ class TestDurabilityChecker:
 
     def test_unacked_overwrite_is_admissible(self):
         fs, server, fid = self._fs_server()
-        checker = DurabilityChecker()
+        checker = InvariantChecker(fs.env)
         acked = IoRequest(OpCode.WRITE, 1, fid, 0, 4, b"aaaa")
         racing = IoRequest(OpCode.WRITE, 2, fid, 0, 4, b"bbbb")
         checker.on_issue(acked)
@@ -393,6 +393,6 @@ class TestDurabilityChecker:
         dedup.complete(1, IoResponse(1, True))
         dedup.begin(_write(1))
         dedup.complete(1, IoResponse(1, True))
-        checker = DurabilityChecker()
+        checker = InvariantChecker(fs.env)
         report = checker.check(server, dedup=dedup)
         assert not report.ok and report.double_applies == 1

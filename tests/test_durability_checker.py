@@ -1,6 +1,6 @@
 """Duplicate-ack handling in the durability audit (chaos bug burn-down).
 
-``DurabilityChecker.on_ack`` used to stamp every write acknowledgement
+``InvariantChecker.on_ack`` used to stamp every write acknowledgement
 with ``len(self.acked_writes)``.  A *duplicated* delivery of an ack the
 checker had already recorded (a NIC duplication window, or a dedup
 replay racing the original response) re-entered the WRITE branch and
@@ -16,7 +16,7 @@ import types
 
 from repro.core.messages import IoRequest, IoResponse, OpCode
 from repro.bench import build_cluster
-from repro.faults import DurabilityChecker, FaultInjector, FaultPlan, NicFault
+from repro.faults import FaultInjector, FaultPlan, InvariantChecker, NicFault
 from repro.net import FiveTuple
 from repro.sim import Environment
 from repro.storage import DdsFileSystem, RamDisk, SpdkBdev
@@ -46,7 +46,7 @@ class TestDuplicateAckStamps:
         "acked write not found on disk".
         """
         fs, server, fid = _fs_server()
-        checker = DurabilityChecker()
+        checker = InvariantChecker(fs.env)
         w1 = IoRequest(OpCode.WRITE, 1, fid, 0, 4, b"aaaa")
         w2 = IoRequest(OpCode.WRITE, 2, fid, 0, 4, b"bbbb")
         checker.on_issue(w1)
@@ -62,7 +62,7 @@ class TestDuplicateAckStamps:
 
     def test_stamps_stay_dense_and_monotonic_under_duplicates(self):
         fs, server, fid = _fs_server()
-        checker = DurabilityChecker()
+        checker = InvariantChecker(fs.env)
         for rid in (1, 2, 3):
             request = IoRequest(
                 OpCode.WRITE, rid, fid, (rid - 1) * 512, 4, b"wxyz"
@@ -76,7 +76,7 @@ class TestDuplicateAckStamps:
 
     def test_duplicate_read_acks_are_not_write_duplicates(self):
         _fs, _server, fid = _fs_server()
-        checker = DurabilityChecker()
+        checker = InvariantChecker(_fs.env)
         read = IoRequest(OpCode.READ, 9, fid, 0, 4)
         checker.on_issue(read)
         checker.on_ack(read, IoResponse(9, True, b"aaaa"))
@@ -98,7 +98,7 @@ class TestDuplicatedAckChaosPlan:
             ),
         )
         FaultInjector(env, server, plan).arm()
-        checker = DurabilityChecker()
+        checker = InvariantChecker(env)
         requests = {
             1: IoRequest(OpCode.WRITE, 1, fid, 0, 1024, b"a" * 1024),
             2: IoRequest(OpCode.WRITE, 2, fid, 0, 1024, b"b" * 1024),

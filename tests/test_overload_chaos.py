@@ -2,13 +2,15 @@
 
 The acceptance scenario for DESIGN §15: a flooding tenant drives the
 gate well past its admission cap while one of four shards is killed and
-recovered mid-flood.  The :class:`OverloadInvariantChecker` rides along
+recovered mid-flood.  The :class:`InvariantChecker` rides along
 as both client observer and gate observer, checking OL1 (goodput
 floor), OL3 (bounded queues), and OL4 (no acked request shed)
 synchronously as the run executes, and OL2 (tenant SLO) at audit time.
 A clean report must also *prove coverage*: zero violations with zero
 sheds would mean the checker never saw overload.
 """
+
+import types
 
 import pytest
 
@@ -17,7 +19,7 @@ from repro.core.retry import RetryBudget, RetryPolicy
 from repro.faults import (
     FaultPlan,
     FaultInjector,
-    OverloadInvariantChecker,
+    InvariantChecker,
     ShardKill,
 )
 from repro.sim import Environment
@@ -37,7 +39,7 @@ HORIZON = 30e-3
 def build_stack(seed=29):
     cluster = build_cluster(shards=4, files=8, file_bytes=1 << 20)
     env, server, file_ids = cluster.env, cluster.server, cluster.file_ids
-    dedup = server.enable_resilience(breaker_saturation=16)
+    server.enable_resilience(breaker_saturation=16)
 
     specs = [
         TenantSpec(
@@ -58,11 +60,8 @@ def build_stack(seed=29):
         retry_policy=RetryPolicy(max_attempts=4, timeout=2e-3),
         retry_budget=RetryBudget(capacity=64.0, refill_ratio=0.1),
     )
-    checker = OverloadInvariantChecker(
-        env, sample_interval=1e-3, tenant_of=engine.tenant_for_request
-    )
+    checker = InvariantChecker(env, tenant_of=engine.tenant_for_request)
     engine.observer = checker
-    checker.attach_dedup(dedup)
     for spec in specs:
         checker.set_slo(
             spec.name, spec.slo_p99 or SLO_P99, exempt=spec.flooder
@@ -151,7 +150,7 @@ class TestCheckerCatchesViolations:
 
     def test_ol3_unbounded_queue_flagged(self):
         env = Environment()
-        checker = OverloadInvariantChecker(env)
+        checker = InvariantChecker(env)
         checker.on_enqueue("t", depth=5, capacity=4)
         report = checker.check()
         assert not report.ok
@@ -159,13 +158,13 @@ class TestCheckerCatchesViolations:
 
     def test_ol4_shed_after_completion_flagged(self):
         env = Environment()
-        checker = OverloadInvariantChecker(env)
+        checker = InvariantChecker(env)
 
         class Dedup:
             def cached(self, request_id):
                 return object()  # everything "already completed"
 
-        checker.attach_dedup(Dedup())
+        checker.attach(types.SimpleNamespace(dedup=Dedup()))
         from repro.core.messages import IoRequest, OpCode
 
         request = IoRequest(OpCode.READ, 9, 1, 0, IO_SIZE)
@@ -175,7 +174,7 @@ class TestCheckerCatchesViolations:
 
     def test_ol1_goodput_collapse_flagged(self):
         env = Environment()
-        checker = OverloadInvariantChecker(env, sample_interval=1e-3)
+        checker = InvariantChecker(env)
         checker.begin_overload_window(min_goodput_iops=1000.0)
         env.run(until=env.timeout(5e-3))  # no acks arrive at all
         checker.end_overload_window()
@@ -190,7 +189,7 @@ class TestCheckerCatchesViolations:
         from repro.core.messages import IoRequest, IoResponse, OpCode
 
         env = Environment()
-        checker = OverloadInvariantChecker(env, sample_interval=1e-3)
+        checker = InvariantChecker(env)
         request = IoRequest(OpCode.READ, 1, 1, 0, IO_SIZE)
 
         def acks():
@@ -213,7 +212,7 @@ class TestCheckerCatchesViolations:
 
     def test_ol2_slo_breach_flagged(self):
         env = Environment()
-        checker = OverloadInvariantChecker(env)
+        checker = InvariantChecker(env)
         checker.set_slo("slow", p99=1e-3)
         from repro.core.messages import IoRequest, IoResponse, OpCode
 
@@ -227,7 +226,7 @@ class TestCheckerCatchesViolations:
 
     def test_exempt_flooder_not_held_to_slo(self):
         env = Environment()
-        checker = OverloadInvariantChecker(env)
+        checker = InvariantChecker(env)
         checker.set_slo("flood", p99=1e-3, exempt=True)
         from repro.core.messages import IoRequest, IoResponse, OpCode
 

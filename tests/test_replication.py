@@ -14,7 +14,7 @@ import pytest
 
 from repro.bench.harness import ack_buckets, build_cluster, run_shard_kill
 from repro.core.messages import IoRequest, IoResponse, OpCode
-from repro.faults import ReplicationInvariantChecker, ShardKill
+from repro.faults import InvariantChecker, ShardKill
 from repro.net import FiveTuple
 from repro.sim import Environment
 from repro.topology.replication import CommitRecord, ReplicaGroup
@@ -173,7 +173,7 @@ class TestCheckerNegativePaths:
     """Hand-crafted protocol breaches must fire the matching rule."""
 
     def _checker(self):
-        return ReplicationInvariantChecker(Environment())
+        return InvariantChecker(Environment())
 
     def test_below_quorum_commit_flags_ri3(self):
         checker = self._checker()
@@ -206,7 +206,7 @@ class TestCheckerNegativePaths:
 
     def test_ack_without_commit_flags_ri3(self):
         cluster = small_cluster()
-        checker = ReplicationInvariantChecker(cluster.env)
+        checker = InvariantChecker(cluster.env)
         cluster.server.enable_replication(checker)
         request = IoRequest(
             OpCode.WRITE, 5, cluster.file_id, 0, 4, b"abcd"

@@ -14,7 +14,7 @@ migration copy plane is mid-flight.  Two cases:
   serving every pinned file, and every cutover still lands.
 
 Both must finish with zero acked-write loss, a clean
-:class:`ReplicationInvariantChecker` audit, and no leftover pins.
+:class:`InvariantChecker` audit, and no leftover pins.
 """
 
 import pytest
