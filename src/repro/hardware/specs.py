@@ -87,7 +87,6 @@ class SsdSpec:
     read_bandwidth: float
     write_bandwidth: float
     parallelism: int
-    block_size: int = 4096
 
     @property
     def max_read_iops(self) -> float:

@@ -17,6 +17,7 @@ processes compose them with ``yield``.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from typing import Any, Deque, List, Optional
 
@@ -58,7 +59,10 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiting: Deque[Event] = deque()
-        #: Booked mode: the instant each unit's last booking ends.
+        #: Booked mode: the instant each unit's last booking ends, kept
+        #: sorted (which unit frees when never matters, only the
+        #: instants; a heap would be ``heapq``, which DDS304 keeps in
+        #: the engine).
         self._free_at: Optional[List[float]] = None
 
     @property
@@ -90,11 +94,11 @@ class Resource:
             if self._in_use:
                 raise SimulationError("hold() on a resource with requests")
             free_at = self._free_at = [self.env.now] * self.capacity
-        start = min(free_at)
-        unit = free_at.index(start)
+        start = free_at[0]
         now = self.env.now
         end = (start if start > now else now) + duration
-        free_at[unit] = end
+        del free_at[0]
+        insort(free_at, end)
         return end
 
     def hold(self, duration: float) -> Event:
@@ -104,7 +108,7 @@ class Resource:
         if self.capacity != 1 or free_at is None or duration < 0:
             return self.env.timeout_at(self.book(duration))
         # One unit (every core, link and bus): :meth:`book` without the
-        # search — the same addition on the same two operands.
+        # re-sort — the same addition on the same two operands.
         env = self.env
         now = env.now
         start = free_at[0]

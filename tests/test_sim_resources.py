@@ -92,8 +92,8 @@ class TestBookedHold:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        capacity=st.integers(1, 4),
-        steps=st.lists(st.tuples(_STEPS, _STEPS), min_size=1, max_size=24),
+        capacity=st.integers(1, 48),
+        steps=st.lists(st.tuples(_STEPS, _STEPS), min_size=1, max_size=96),
     )
     def test_completes_when_the_requested_hold_would(self, capacity, steps):
         jobs, arrival = [], 0.0
@@ -108,6 +108,13 @@ class TestBookedHold:
         if capacity == 1:
             # One unit serves in arrival order, back to back.
             assert [index for index, _, _ in booked] == list(range(len(jobs)))
+
+    def test_a_burst_queues_behind_all_48_units(self):
+        """The host's 48-core pool under bursts four times its width:
+        every booking waits for the earliest-free unit."""
+        durations = (0.1, 0.25, 0.3, 1.7, 0.0)
+        jobs = [(i // 200 * 0.5, durations[i % 5]) for i in range(600)]
+        assert _serve(48, jobs, booked=True) == _serve(48, jobs, booked=False)
 
     def test_zero_length_hold_keeps_its_place_in_the_queue(self):
         env = Environment()

@@ -306,6 +306,13 @@ class TestSparseClone:
         ]
         assert disk.written_runs(5 * self.EXTENT, 3 * self.EXTENT) == []
 
+    def test_an_empty_range_has_no_written_runs(self):
+        disk = RamDisk(1 << 20)
+        disk.write(0, b"x")
+        assert disk.written_runs(100, 0) == []
+        assert disk.written_runs(self.EXTENT, 0) == []
+        assert disk.written_runs(0, 0) == []
+
     def test_reading_never_written_extents_touches_no_page(self):
         """A read before any write is zeros off the ever-written map,
         not a slice of the (shared, anonymous) mmap: slicing faults the
@@ -418,3 +425,101 @@ class TestSparseClone:
         for fid in files:
             size = fs.file_size(fid)
             assert mirror.read_sync(fid, 0, size) == fs.read_sync(fid, 0, size)
+
+
+class TestPackedBlockStore:
+    """``RamDisk`` packs written blocks into slots; against a flat
+    ``bytearray`` of the whole disk it must answer every ``read`` and
+    ``written_runs`` the same, and hold one slot per block written."""
+
+    BLOCK = RamDisk.BLOCK_BYTES
+    EXTENT = RamDisk.EXTENT_BYTES
+    SIZES = (0, 1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, EXTENT,
+             2 * EXTENT + 3, 9 * BLOCK)
+    #: No zeros, and a period prime to the block: a byte written to the
+    #: wrong place shows.
+    PATTERN = bytes(range(1, 252)) * 40
+
+    def _range(self, disk_size, anchor, skew, size):
+        """Near a block (so also an extent) boundary, mostly low on the
+        disk so that writes and reads overlap; anchor 25 is the last."""
+        anchor = disk_size // self.BLOCK if anchor == 25 else anchor
+        offset = min(max(anchor * self.BLOCK + skew, 0), disk_size)
+        return offset, min(size, disk_size - offset)
+
+    def _reference_runs(self, written, offset, size):
+        runs = []
+        extent = self.EXTENT
+        for index in range(offset // extent, -(-(offset + size) // extent)):
+            start = max(offset, index * extent)
+            stop = min(offset + size, (index + 1) * extent)
+            if index not in written or stop <= start:
+                continue
+            if runs and sum(runs[-1]) == start:
+                runs[-1] = (runs[-1][0], stop - runs[-1][0])
+            else:
+                runs.append((start, stop - start))
+        return runs
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        disk_size=st.sampled_from(
+            [3 * BLOCK + 1, 5 * EXTENT + 517, (1 << 20) + 3]
+        ),
+        steps=st.lists(
+            st.tuples(
+                st.integers(0, 25), st.integers(-3, 3),
+                st.sampled_from(SIZES), st.booleans(),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_matches_a_flat_bytearray(self, disk_size, steps):
+        disk = RamDisk(disk_size)
+        flat = bytearray(disk_size)
+        written = set()
+        for step, (anchor, skew, size, write) in enumerate(steps):
+            offset, size = self._range(disk_size, anchor, skew, size)
+            if write:
+                payload = self.PATTERN[step : step + size]
+                disk.write(offset, payload)
+                flat[offset : offset + size] = payload
+                if size:
+                    written.update(range(
+                        offset // self.EXTENT,
+                        (offset + size - 1) // self.EXTENT + 1,
+                    ))
+            assert disk.read(offset, size) == flat[offset : offset + size]
+            assert disk.written_runs(offset, size) == self._reference_runs(
+                written, offset, size
+            )
+        assert disk.read(0, disk_size) == flat
+        assert disk.written_runs(0, disk_size) == self._reference_runs(
+            written, 0, disk_size
+        )
+
+    def test_a_written_block_costs_one_slot(self):
+        disk = RamDisk(256 << 20)
+        stride = 37 * self.EXTENT + self.BLOCK  # one block per page touched
+        for i in range(1000):
+            disk.write(i * stride, bytes([i % 255 + 1]) * self.BLOCK)
+        assert len(disk._slots) == 1000
+        assert all(
+            disk._slots[i * stride // self.BLOCK] == i for i in range(1000)
+        )
+        # An all-new aligned 8 KiB write: one run of 8 fresh slots.
+        page = bytes(range(256)) * 32
+        at = 200 << 20
+        disk.write(at, page)
+        first = at // self.BLOCK
+        assert [disk._slots[first + i] for i in range(8)] == list(
+            range(1000, 1008)
+        )
+        assert disk._data[1000 * self.BLOCK : 1008 * self.BLOCK] == page
+        # Rewrites land in their blocks' slots and allocate nothing.
+        disk.write(at + 100, b"r" * 3000)
+        disk.write(5 * stride + 3, b"s" * 10)
+        assert len(disk._slots) == 1008
+        assert disk.read(at, len(page)) == page[:100] + b"r" * 3000 + page[3100:]
+        assert disk.read(5 * stride, 16) == b"\x06" * 3 + b"s" * 10 + b"\x06" * 3
