@@ -8,6 +8,7 @@ recovery time itself, and the durability audit over the final disk
 state.  Run with ``pytest -m chaos benchmarks/test_chaos_recovery.py``.
 """
 
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +16,7 @@ from _tables import emit, kops, us
 
 from repro.bench.harness import ack_buckets, run_shard_kill
 from repro.faults import ShardKill
+from repro.sim.stats import rate, slices
 
 pytestmark = pytest.mark.chaos
 
@@ -54,49 +56,47 @@ def run_chaos_bench(seed=13, replicated=False):
     )
 
 
+def outage_buckets(run):
+    """Dead-keyspace acks per half-ms slice of the kill window."""
+    return ack_buckets(run.acks, run.dead_files, KILL_AT, KILL_AT + DOWN_FOR)
+
+
 def summarize(run):
     """Total and dead-shard ack rates around the kill window."""
-    buckets, dead_buckets = {}, {}
-    for stamp, file_id in run.acks:
-        bucket = int(stamp / BUCKET)
-        buckets[bucket] = buckets.get(bucket, 0) + 1
-        if file_id in run.dead_files:
-            dead_buckets[bucket] = dead_buckets.get(bucket, 0) + 1
-    last = max(buckets)
-    steady_ids = [b for b in buckets if (b + 1) * BUCKET <= KILL_AT]
-    after_ids = [b for b in buckets if b * BUCKET >= run.recover_time and b < last]
-
-    def rate(table, ids):
-        return (
-            sum(table.get(b, 0) for b in ids) / (len(ids) * BUCKET)
-            if ids
-            else 0.0
-        )
-
-    # Count by exact timestamp, not bucket, at the kill boundaries: the
-    # first half-millisecond of the window still drains responses that
-    # were on the wire when the shard died.
-    dark_dead = sum(
-        1
-        for stamp, file_id in run.acks
-        if file_id in run.dead_files
-        and KILL_AT + 5e-4 < stamp < KILL_AT + DOWN_FOR
-    )
-    recovered_dead = sum(
-        1
-        for stamp, file_id in run.acks
-        if file_id in run.dead_files and stamp >= run.recover_time
-    )
+    stamps = [stamp for stamp, _ in run.acks]
+    dead = [stamp for stamp, file_id in run.acks if file_id in run.dead_files]
+    last = int(max(stamps) / BUCKET)  # the run ends inside this bucket
+    end = BUCKET * (last + 1)
+    # Whole buckets that start once the shard is back, short of the last.
+    back = math.ceil(run.recover_time / BUCKET)
     return SimpleNamespace(
-        buckets=buckets,
-        dead_buckets=dead_buckets,
-        steady=rate(buckets, steady_ids),
-        dead_steady=rate(dead_buckets, steady_ids),
-        recovered=rate(buckets, after_ids),
-        after_ids=after_ids,
-        dark_dead=dark_dead,
-        recovered_dead=recovered_dead,
+        buckets=slices(stamps, 0.0, end, BUCKET),
+        dead_buckets=slices(dead, 0.0, end, BUCKET),
+        steady=rate(stamps, 0.0, KILL_AT),
+        outage=rate(stamps, KILL_AT, KILL_AT + DOWN_FOR),
+        dead_steady=rate(dead, 0.0, KILL_AT),
+        recovered=rate(stamps, back * BUCKET, last * BUCKET),
+        after_ids=list(range(back, last)),
+        # Past the outage's first half-millisecond, which still drains
+        # responses that were on the wire when the shard died.
+        dark_dead=sum(outage_buckets(run)[1:]),
+        recovered_dead=sum(slices(dead, run.recover_time, end, BUCKET)),
     )
+
+
+def bucket_rows(stats):
+    """One table row per 1 ms bucket: all acks, dead-shard acks, rate."""
+    return [
+        (
+            f"{bucket * BUCKET * 1e3:.0f}-{(bucket + 1) * BUCKET * 1e3:.0f}ms",
+            count,
+            dead,
+            kops(count / BUCKET),
+        )
+        for bucket, (count, dead) in enumerate(
+            zip(stats.buckets, stats.dead_buckets)
+        )
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -108,15 +108,7 @@ def runs():
 def table(runs):
     run = runs[0]
     stats = summarize(run)
-    rows = [
-        (
-            f"{bucket * BUCKET * 1e3:.0f}-{(bucket + 1) * BUCKET * 1e3:.0f}ms",
-            stats.buckets.get(bucket, 0),
-            stats.dead_buckets.get(bucket, 0),
-            kops(stats.buckets.get(bucket, 0) / BUCKET),
-        )
-        for bucket in range(max(stats.buckets) + 1)
-    ]
+    rows = bucket_rows(stats)
     rows.append(("recovery", "-", "-", us(run.recovery_us / 1e6)))
     emit(
         "chaos_recovery",
@@ -184,11 +176,6 @@ def run_replicated_bench(seed=13):
     return run_chaos_bench(seed, replicated=True)
 
 
-def outage_buckets(run):
-    """Dead-keyspace acks per half-ms slice of the kill window."""
-    return ack_buckets(run.acks, run.dead_files, KILL_AT, KILL_AT + DOWN_FOR)
-
-
 @pytest.fixture(scope="module")
 def replicated_run():
     return run_replicated_bench(seed=13)
@@ -198,15 +185,7 @@ def replicated_run():
 def replicated_table(replicated_run):
     run = replicated_run
     stats = summarize(run)
-    rows = [
-        (
-            f"{bucket * BUCKET * 1e3:.0f}-{(bucket + 1) * BUCKET * 1e3:.0f}ms",
-            stats.buckets.get(bucket, 0),
-            stats.dead_buckets.get(bucket, 0),
-            kops(stats.buckets.get(bucket, 0) / BUCKET),
-        )
-        for bucket in range(max(stats.buckets) + 1)
-    ]
+    rows = bucket_rows(stats)
     replicator = run.replicator
     rows.append(("handoffs", replicator.handoffs, "-", "-"))
     rows.append(("mirrored", replicator.mirrored_writes, "-", "-"))
@@ -261,17 +240,7 @@ class TestReplicatedChaosBench:
         # acked throughput barely dips while the shard is dark, because
         # the backup absorbs the dead keyspace immediately.
         stats = replicated_table
-        outage_ids = [
-            bucket
-            for bucket in stats.buckets
-            if bucket * BUCKET >= KILL_AT
-            and (bucket + 1) * BUCKET <= KILL_AT + DOWN_FOR
-        ]
-        assert outage_ids
-        outage_rate = sum(
-            stats.buckets.get(bucket, 0) for bucket in outage_ids
-        ) / (len(outage_ids) * BUCKET)
-        assert outage_rate >= 0.8 * stats.steady
+        assert stats.outage >= 0.8 * stats.steady
 
     def test_same_seed_reproduces_the_replicated_run(self, replicated_run):
         again = run_replicated_bench(seed=13)

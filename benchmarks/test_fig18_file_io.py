@@ -9,7 +9,7 @@ asynchronous I/O; the gap widens with request size.
 from _tables import emit, kops
 
 from repro.core import DdsFileLibrary, DpuFileService
-from repro.hardware import DPU_CPU, HOST_CPU, CpuCore, CpuPool, DmaEngine
+from repro.hardware import DPU_CPU, HOST_CPU, CpuPool, DmaEngine
 from repro.sim import Environment
 from repro.storage import DdsFileSystem, RamDisk, SpdkBdev
 
@@ -28,8 +28,8 @@ def measure(size: int, copy_mode: bool) -> float:
     service = DpuFileService(
         env,
         fs,
-        CpuCore(env, speed=DPU_CPU.speed),
-        CpuCore(env, speed=DPU_CPU.speed),
+        CpuPool(env, speed=DPU_CPU.speed),
+        CpuPool(env, speed=DPU_CPU.speed),
         copy_mode=copy_mode,
     )
     library = DdsFileLibrary(

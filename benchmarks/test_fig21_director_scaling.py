@@ -9,7 +9,7 @@ from _tables import emit
 
 from repro.core import IoRequest, IoResponse, OpCode, TrafficDirector
 from repro.core.api import passthrough_callbacks
-from repro.hardware import DPU_CPU, CpuCore, NetworkLink
+from repro.hardware import DPU_CPU, CpuPool, NetworkLink
 from repro.net import AppSignature, FiveTuple
 from repro.sim import Environment
 from repro.structures import CuckooCacheTable
@@ -39,7 +39,7 @@ def measure(cores: int) -> float:
     """Directed bandwidth (bits/s) with ``cores`` director cores."""
     env = Environment()
     link = NetworkLink(env)
-    core_list = [CpuCore(env, speed=DPU_CPU.speed) for _ in range(cores)]
+    core_list = [CpuPool(env, speed=DPU_CPU.speed) for _ in range(cores)]
 
     def host_handler(requests, respond):
         for request in requests:

@@ -12,7 +12,7 @@ costs are charged on simulated DPU cores.
 
 from _tables import emit
 
-from repro.hardware import DPU_CPU, CpuCore, MICROSECOND
+from repro.hardware import DPU_CPU, CpuPool, MICROSECOND
 from repro.sim import Environment, SeededRng
 from repro.structures import CuckooCacheTable
 
@@ -30,7 +30,7 @@ PER_BYTE_COST = 0.10e-9  # copying the cache item's value
 
 def measure_inserts(item_bytes: int) -> float:
     env = Environment()
-    core = CpuCore(env, speed=DPU_CPU.speed)
+    core = CpuPool(env, speed=DPU_CPU.speed)
     table = CuckooCacheTable(INSERTS)
     rng = SeededRng(5)
     payload = bytes(item_bytes)
@@ -68,7 +68,7 @@ def measure_lookups(item_bytes: int, readers: int) -> float:
                 LOOKUP_COST + item_bytes * PER_BYTE_COST
             )
 
-    core_for = [CpuCore(env, speed=DPU_CPU.speed) for _ in range(readers)]
+    core_for = [CpuPool(env, speed=DPU_CPU.speed) for _ in range(readers)]
     workers = [env.process(reader(i)) for i in range(readers)]
     done = env.all_of(workers)
     env.run(until=done)

@@ -66,7 +66,7 @@ class TestScaleoutBehaviour:
         for n, (server, result) in sweep.items():
             for shard in server.shards:
                 for core in shard.cores:
-                    assert core.utilization(result.elapsed) <= 1.0 + 1e-9
+                    assert core.cores_consumed(result.elapsed) <= 1.0 + 1e-9
 
     def test_host_fallback_preserved_per_shard(self):
         server, result = run_sharded_writes()

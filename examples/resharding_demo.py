@@ -19,17 +19,11 @@ from repro.bench.harness import (
     drain_until,
     drive_striped,
 )
+from repro.sim.stats import rate
 from repro.topology.resharding import ShardAutoscaler
 
 BURST_IOPS = 150_000  # moderate crowd: the copy plane keeps headroom
 BURST_REQUESTS = 9_000  # ~60 ms — long enough for two adds to converge
-
-
-def iops_between(acks, start, end):
-    span = end - start
-    if span <= 0:
-        return 0.0
-    return sum(1 for stamp in acks if start <= stamp < end) / span
 
 
 def main() -> None:
@@ -82,11 +76,11 @@ def main() -> None:
     )
     for record in resharder.history:
         span = record["end"] - record["start"]
-        rate = record["bytes"] / span / 1e6 if span > 0 else 0.0
+        mb_s = record["bytes"] / span / 1e6 if span > 0 else 0.0
         print(
             f"{record['kind']:10s} {len(record['files']):5d} "
             f"{record['bytes'] >> 10:7d} {span * 1e3:7.2f}ms "
-            f"{rate:6.1f}MB/s"
+            f"{mb_s:6.1f}MB/s"
         )
 
     print("\ncost curve (client throughput per phase)")
@@ -109,7 +103,7 @@ def main() -> None:
     for start, end, label in phases:
         print(
             f"{label:10s} {start * 1e3:7.2f}-{end * 1e3:7.2f}ms "
-            f"{iops_between(acks, start, end) / 1e3:8.1f}K"
+            f"{rate(acks, start, end) / 1e3:8.1f}K"
         )
 
     print(

@@ -28,7 +28,7 @@ from ..hardware.accelerators import (
     compress_page,
     decompress_page,
 )
-from ..hardware.cpu import CpuCore
+from ..hardware.cpu import CpuPool
 from ..hardware.specs import DPU_CPU
 from ..sim import Environment, SeededRng
 from ..storage.disk import RamDisk, SpdkBdev
@@ -81,14 +81,14 @@ class CompressedPageStore:
         )
         self.fs.create_directory("compressed")
         self.file_id = self.fs.create_file("compressed", "pages")
-        self.spdk_core = CpuCore(env, speed=DPU_CPU.speed, name="spdk")
+        self.spdk_core = CpuPool(env, speed=DPU_CPU.speed, name="spdk")
         if mode == "accel":
             self.engine = HardwareAccelerator(env, BF2_COMPRESSION)
         elif mode == "software":
             self.engine = HardwareAccelerator(
                 env,
                 ARM_SOFTWARE_COMPRESSION,
-                software_core=CpuCore(env, speed=DPU_CPU.speed, name="arm"),
+                software_core=CpuPool(env, speed=DPU_CPU.speed, name="arm"),
             )
         else:
             self.engine = None

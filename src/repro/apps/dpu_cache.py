@@ -21,7 +21,7 @@ from typing import Generator, List
 
 from ..core.api import ReadOp
 from ..core.file_service import submit_read
-from ..hardware.cpu import CpuCore
+from ..hardware.cpu import CpuPool
 from ..hardware.specs import DPU_CPU, MICROSECOND
 from ..sim import Environment, SeededRng
 from ..storage.disk import RamDisk, SpdkBdev
@@ -42,7 +42,7 @@ class DpuReadCache:
     def __init__(
         self,
         env: Environment,
-        core: CpuCore,
+        core: CpuPool,
         capacity_bytes: int,
     ) -> None:
         if capacity_bytes < 1:
@@ -148,8 +148,8 @@ def run_dpu_cache_experiment(
             page_id * page_bytes,
             page_id.to_bytes(8, "little") * (page_bytes // 8),
         )
-    core = CpuCore(env, speed=DPU_CPU.speed, name="engine")
-    spdk_core = CpuCore(env, speed=DPU_CPU.speed, name="spdk")
+    core = CpuPool(env, speed=DPU_CPU.speed, name="engine")
+    spdk_core = CpuPool(env, speed=DPU_CPU.speed, name="spdk")
     cache = (
         DpuReadCache(env, core, cache_bytes) if cache_bytes > 0 else None
     )

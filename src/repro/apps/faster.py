@@ -20,9 +20,9 @@ uses 8 B keys and 8 B values).
 from __future__ import annotations
 
 import struct
-from typing import Callable, Generator, Optional, Union
+from typing import Callable, Generator, Optional
 
-from ..hardware.cpu import CpuCore, CpuPool
+from ..hardware.cpu import CpuPool
 from ..hardware.specs import MICROSECOND
 from ..sim import Environment
 
@@ -51,7 +51,7 @@ class FasterKv:
     def __init__(
         self,
         env: Environment,
-        cpu: Union[CpuCore, CpuPool],
+        cpu: CpuPool,
         memory_budget: int,
         device=None,
         on_flush: Optional[Callable[[int, bytes], None]] = None,

@@ -27,7 +27,7 @@ from ..bench.harness import AppResult, bring_up, measure_app
 from ..core.api import OffloadCallbacks, ReadOp, WriteOp
 from ..core.client import ClientConfig
 from ..core.messages import IoRequest, IoResponse, OpCode
-from ..hardware.cpu import CpuCore
+from ..hardware.cpu import CpuPool
 from ..hardware.specs import HOST_APP_NET, MICROSECOND
 from ..sim import Environment, SeededRng
 from ..topology.registry import build_server
@@ -147,7 +147,7 @@ class _PageServerApp:
         self.rng = rng
         self.page_lsns: Dict[int, int] = {p: 0 for p in range(pages)}
         self.current_lsn = 0
-        self.dispatch_core = CpuCore(env, speed=1.0, name="sql-dispatch")
+        self.dispatch_core = CpuPool(env, speed=1.0, name="sql-dispatch")
         self._lsn_waiters: List[tuple] = []
         self.pages_served = 0
         self.records_replayed = 0
@@ -324,13 +324,13 @@ def run_pageserver_experiment(
         # Figure 2's split of the host's cores; the SQL dispatch thread
         # is a core of the app's own, outside the server's roll-up.
         elapsed = point.elapsed
-        dispatch = app.dispatch_core.utilization(elapsed)
+        dispatch = app.dispatch_core.cores_consumed(elapsed)
         _wire, os_tcp, app_net, execution, _egress = cluster.server.stages
         point.breakdown = {
             "dbms-network": app_net.layer.cores_consumed(elapsed),
             "os-network": os_tcp.layer.cores_consumed(elapsed),
             "filesystem": execution.osfs.layer.cores_consumed(elapsed)
-            + execution.osfs.serializer.utilization(elapsed),
+            + execution.osfs.serializer.cores_consumed(elapsed),
             "dbms-other": execution.app_other.cores_consumed(elapsed)
             + dispatch,
         }

@@ -77,7 +77,7 @@ class SmbExchange(Stage):
         self.credits = Resource(env, capacity=self.CREDITS)
 
     def host_cores(self, elapsed: float) -> float:
-        return self.osfs.serializer.utilization(elapsed)
+        return self.osfs.serializer.cores_consumed(elapsed)
 
     def serve(self, request: IoRequest) -> Generator:
         grant = self.credits.request()

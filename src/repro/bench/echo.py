@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List
 
-from ..hardware.cpu import CpuCore
+from ..hardware.cpu import CpuPool
 from ..hardware.nic import NetworkLink
 from ..hardware.specs import MICROSECOND
 from ..sim import Environment
@@ -83,7 +83,7 @@ class EchoBench:
     def __init__(self, env: Environment = None) -> None:
         self.env = env if env is not None else Environment()
         self.link = NetworkLink(self.env)
-        self.dpu_core = CpuCore(self.env, speed=1.0, name="dpu-echo")
+        self.dpu_core = CpuPool(self.env, speed=1.0, name="dpu-echo")
         # Note: per-message constants above are expressed as *wall* time
         # on their own processor, so the core here only provides queueing
         # (speed 1.0 keeps the charge equal to the wall constant).

@@ -64,6 +64,7 @@ from ..hardware.specs import NVME_1TB, SsdSpec
 from ..hardware.ssd import NvmeDevice
 from ..net.packet import FiveTuple
 from ..sim import Environment, Resource, SeededRng
+from ..sim.stats import slices
 from ..storage.disk import RamDisk, SpdkBdev
 from ..storage.filesystem import DdsFileSystem
 from ..topology.qos import QosConfig, TenantQosGate
@@ -492,13 +493,8 @@ def ack_buckets(
     """Acks to ``files`` per half-millisecond slice of ``[start, end)``.
 
     A zero bucket is a dark window: that keyspace went silent."""
-    window = 5e-4
-    buckets = [0] * max(1, int((end - start) / window))
-    for stamp, file_id in acks:
-        if file_id in files and start <= stamp < end:
-            index = min(len(buckets) - 1, int((stamp - start) / window))
-            buckets[index] += 1
-    return buckets
+    watched = [stamp for stamp, file_id in acks if file_id in files]
+    return slices(watched, start, end, 5e-4)
 
 
 @dataclass

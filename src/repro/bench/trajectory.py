@@ -47,8 +47,8 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from ..core.client import percentile
 from ..faults import FaultInjector, FaultPlan, ShardKill
+from ..sim.stats import percentile, rate
 from ..workload import FlashCrowd
 from .harness import (
     OVERLOAD_CAPACITY,
@@ -265,8 +265,9 @@ def _run_resharding(mode: str) -> dict:
 
     resharder = run.server.resharder
     acks = run.acks
+    stamps = [stamp for stamp, _ in acks]
     reshard_iops = run.result.achieved_iops
-    last_ack = max(stamp for stamp, _ in acks)
+    last_ack = max(stamps)
 
     migrations = []
     dark_free = True
@@ -299,17 +300,15 @@ def _run_resharding(mode: str) -> dict:
         ("drain_migration", drain_rec["start"], min(drain_rec["end"], last_ack)),
         ("post", min(drain_rec["end"], last_ack), last_ack),
     ]
-    phases = []
-    for name, start, end in boundaries:
-        span = end - start
-        if span <= 0:
-            continue
-        count = sum(1 for stamp, _ in acks if start <= stamp < end)
-        phases.append({
+    phases = [
+        {
             "phase": name,
-            "duration_ms": round(span * 1e3, 3),
-            "achieved_iops": round(count / span, 1),
-        })
+            "duration_ms": round((end - start) * 1e3, 3),
+            "achieved_iops": round(rate(stamps, start, end), 1),
+        }
+        for name, start, end in boundaries
+        if end > start
+    ]
 
     return {
         "events": events,
@@ -456,9 +455,6 @@ def _run_overload(mode: str) -> dict:
             if defenses and mult == 2.0:
                 class_p99 = class_p99_ms(result)
 
-    def window(acks, lo, hi):
-        return sum(1 for t in acks if lo <= t < hi) / (hi - lo)
-
     crowd = FlashCrowd(
         start=crowd_start, duration=crowd_len, multiplier=5.0
     )
@@ -470,11 +466,9 @@ def _run_overload(mode: str) -> dict:
         )
         events += run.env.scheduled_count
         result = run.result
-        pre = window(result.ack_times, 2e-3, crowd_start)
-        during = window(
-            result.ack_times, crowd_start, crowd_start + crowd_len
-        )
-        post = window(
+        pre = rate(result.ack_times, 2e-3, crowd_start)
+        during = rate(result.ack_times, crowd_start, crowd_start + crowd_len)
+        post = rate(
             result.ack_times, crowd_start + crowd_len + 4e-3, flash_horizon
         )
         flash[key] = {

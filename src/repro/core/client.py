@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Generator, List, Optional, Sequence
+from typing import Generator, List, Optional
 
 from ..hardware.cpu import CpuPool
 from ..hardware.specs import HOST_CPU
 from ..net.packet import FiveTuple
 from ..sim import Environment, SeededRng
+from ..sim.stats import percentile
 from .messages import IoRequest, IoResponse, OpCode
 from .retry import RetryBudget, RetryLoop, RetryPolicy
 from .server import PipelineServer
@@ -28,20 +29,7 @@ __all__ = [
     "ClientResult",
     "WorkloadClient",
     "DdsClient",
-    "percentile",
 ]
-
-
-def percentile(ordered: Sequence[float], p: float) -> float:
-    """Nearest-rank percentile (p in [0, 100]) of an already-sorted
-    sample; 0.0 when empty.  The one latency-percentile rule every
-    result type and checker shares."""
-    if not ordered:
-        return 0.0
-    index = min(
-        len(ordered) - 1, max(0, int(round(p / 100 * len(ordered))) - 1)
-    )
-    return ordered[index]
 
 
 @dataclass

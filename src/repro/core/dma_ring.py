@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Generator, List, Optional
 
-from ..hardware.cpu import CpuCore
+from ..hardware.cpu import CpuPool
 from ..hardware.pcie import DmaEngine
 from ..hardware.specs import DPU_CPU, MICROSECOND
 from ..sim import Environment, SeededRng, Store
@@ -201,7 +201,7 @@ class RingTransferModel:
         self.design = design
         self.producers = producers
         self.dma = DmaEngine(env)
-        self.dpu_core = CpuCore(env, speed=DPU_CPU.speed)
+        self.dpu_core = CpuPool(env, speed=DPU_CPU.speed)
         self.rng = SeededRng(17)
         if design == "progress":
             self.ring = ProgressRing(self.RING_BYTES)

@@ -16,9 +16,9 @@ which the DPU fills by DMA write.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Union
+from typing import Dict, Generator, List, Optional, Sequence
 
-from ..hardware.cpu import CpuCore, CpuPool
+from ..hardware.cpu import CpuPool
 from ..hardware.pcie import DmaEngine
 from ..hardware.specs import DDS_FILE_LIBRARY
 from ..sim import Environment
@@ -65,7 +65,7 @@ class DdsFileLibrary:
     def __init__(
         self,
         env: Environment,
-        host_cpu: Union[CpuCore, CpuPool],
+        host_cpu: CpuPool,
         file_service: DpuFileService,
         dma: DmaEngine,
     ) -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Generator, List, Optional
 
-from ..hardware.cpu import CpuCore
+from ..hardware.cpu import CpuPool
 from ..hardware.specs import MICROSECOND
 from ..sim import Environment, Event, Store
 from ..storage.filesystem import DdsFileSystem, FileSystemError
@@ -60,8 +60,8 @@ class DpuFileService:
         self,
         env: Environment,
         filesystem: DdsFileSystem,
-        dma_core: CpuCore,
-        spdk_core: CpuCore,
+        dma_core: CpuPool,
+        spdk_core: CpuPool,
         copy_mode: bool = False,
     ) -> None:
         self.env = env
@@ -408,7 +408,7 @@ class DpuFileService:
 
 
 def submit_read(
-    spdk_core: CpuCore, filesystem: DdsFileSystem, file_id: int, offset: int,
+    spdk_core: CpuPool, filesystem: DdsFileSystem, file_id: int, offset: int,
     size: int,
 ) -> Generator:
     """One DPU-side read outside the host rings: the SPDK submit on

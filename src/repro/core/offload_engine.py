@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Callable, Generator, List, Optional
 
 from ..concurrency.hooks import yield_point
-from ..hardware.cpu import CpuCore
+from ..hardware.cpu import CpuPool
 from ..hardware.specs import MICROSECOND
 from ..sim import Environment, Store
 from ..structures.atomics import AtomicCounter
@@ -91,7 +91,7 @@ class OffloadEngine:
     def __init__(
         self,
         env: Environment,
-        core: CpuCore,
+        core: CpuPool,
         file_service: DpuFileService,
         callbacks: OffloadCallbacks,
         cache_table: CuckooCacheTable,

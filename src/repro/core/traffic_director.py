@@ -25,7 +25,7 @@ from typing import (
     Sequence,
 )
 
-from ..hardware.cpu import CpuCore
+from ..hardware.cpu import CpuPool
 from ..hardware.nic import NetworkLink
 from ..hardware.specs import MICROSECOND
 from ..net.packet import AppSignature, FiveTuple
@@ -70,7 +70,7 @@ class TrafficDirector:
         self,
         env: Environment,
         link: NetworkLink,
-        cores: List[CpuCore],
+        cores: List[CpuPool],
         signature: AppSignature,
         callbacks: OffloadCallbacks,
         cache_table: CuckooCacheTable,
@@ -125,7 +125,7 @@ class TrafficDirector:
     # ------------------------------------------------------------------
     # receive path
     # ------------------------------------------------------------------
-    def core_for(self, flow: FiveTuple) -> CpuCore:
+    def core_for(self, flow: FiveTuple) -> CpuPool:
         """Symmetric RSS: both directions of a flow share one core (§7)."""
         return self.cores[flow.rss_hash(len(self.cores))]
 
@@ -240,7 +240,7 @@ class TrafficDirector:
 
     def _dispatch(
         self,
-        core: CpuCore,
+        core: CpuPool,
         flow: FiveTuple,
         requests: Sequence[IoRequest],
         respond: Callable,

@@ -69,9 +69,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
-from ..core.client import percentile
 from ..core.dedup import RequestDedup
 from ..core.messages import IoRequest, IoResponse, OpCode
+from ..sim.stats import percentile
 
 __all__ = ["InvariantChecker", "InvariantReport", "InvariantViolation"]
 

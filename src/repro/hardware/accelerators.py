@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Generator, List, Optional, Pattern, Tuple
 
 from ..sim import Environment, Resource
-from .cpu import CpuCore
+from .cpu import CpuPool
 from .specs import GIB, MICROSECOND
 
 __all__ = [
@@ -88,7 +88,7 @@ class HardwareAccelerator:
         self,
         env: Environment,
         spec: AcceleratorSpec,
-        software_core: Optional[CpuCore] = None,
+        software_core: Optional[CpuPool] = None,
     ) -> None:
         self.env = env
         self.spec = spec

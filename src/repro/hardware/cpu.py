@@ -1,4 +1,4 @@
-"""CPU models with per-core busy-time accounting.
+"""CPU model with per-core busy-time accounting.
 
 The evaluation's central cost metric is "CPU cores consumed" at a given
 throughput (Figures 2, 14, 16, 25).  We therefore model a CPU as a pool of
@@ -16,47 +16,15 @@ from typing import Generator, Optional
 from ..sim import Environment, Resource
 from .specs import CpuSpec
 
-__all__ = ["CpuCore", "CpuPool"]
-
-
-class CpuCore:
-    """A single core: a capacity-1 resource that accounts busy time.
-
-    Components with dedicated threads (the DPU's DMA thread, SPDK worker,
-    and traffic-director core, §7) each own one :class:`CpuCore`.
-    """
-
-    def __init__(self, env: Environment, speed: float = 1.0, name: str = ""):
-        if speed <= 0:
-            raise ValueError("core speed must be positive")
-        self.env = env
-        self.speed = speed
-        self.name = name
-        self.busy_time = 0.0
-        self._resource = Resource(env, capacity=1)
-
-    def execute(self, core_time: float) -> Generator:
-        """Run ``core_time`` host-core-seconds of work on this core.
-
-        A process generator: holds the core for the scaled duration,
-        behind whatever was queued on it first, and accrues the busy
-        time when the work finishes.
-        """
-        if core_time < 0:
-            raise ValueError("core_time must be non-negative")
-        duration = core_time / self.speed
-        yield self._resource.hold(duration)
-        self.busy_time += duration
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` this core spent busy."""
-        return self.busy_time / elapsed if elapsed > 0 else 0.0
+__all__ = ["CpuPool"]
 
 
 class CpuPool:
     """A pool of identical cores with run-anywhere scheduling.
 
-    Used for host application threads: any free core may pick up work.
+    Host application threads share one pool; a component with a
+    dedicated thread (the DPU's DMA thread, SPDK worker and
+    traffic-director core, §7) owns a one-core pool.
     ``cores_consumed(elapsed)`` is the paper's cost metric.
     """
 
@@ -64,14 +32,14 @@ class CpuPool:
         self,
         env: Environment,
         spec: Optional[CpuSpec] = None,
-        cores: Optional[int] = None,
+        cores: int = 1,
         speed: float = 1.0,
         name: str = "",
     ) -> None:
         if spec is not None:
             cores, speed = spec.cores, spec.speed
             name = name or spec.name
-        if cores is None or cores < 1:
+        if cores < 1:
             raise ValueError("a CpuPool needs at least one core")
         if speed <= 0:
             raise ValueError("core speed must be positive")

@@ -10,7 +10,7 @@ as load approaches the device ceiling — emerge from slot contention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 from ..sim import Environment, Resource, SeededRng
@@ -31,7 +31,6 @@ class IoStats:
     writes: int = 0
     read_bytes: int = 0
     write_bytes: int = 0
-    busy_time: float = field(default=0.0, repr=False)
 
     @property
     def ops(self) -> int:
@@ -126,14 +125,6 @@ class NvmeDevice:
             size, self.spec.write_latency, self.spec.write_bandwidth, True
         )
 
-    def submit_read(self, size: int):
-        """Start a read as a process; returns its completion event."""
-        return self.env.process(self.read(size))
-
-    def submit_write(self, size: int):
-        """Start a write as a process; returns its completion event."""
-        return self.env.process(self.write(size))
-
     def _service(
         self, size: int, base: float, bandwidth: float, is_write: bool
     ) -> Generator:
@@ -145,11 +136,9 @@ class NvmeDevice:
             jitter = self.rng.bounded_exponential(
                 base * self.JITTER_FRACTION, self.JITTER_CAP
             )
-            start = self.env.now
             yield self.env.timeout(base + jitter + self._spike_delay())
             self._maybe_fail()  # after seek/service: the op burned time
             yield self._bus.hold(size / bandwidth)
-            self.stats.busy_time += self.env.now - start
             if is_write:
                 self.stats.writes += 1
                 self.stats.write_bytes += size

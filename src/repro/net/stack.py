@@ -9,9 +9,9 @@ glue that turns them into simulated time and cores-consumed.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Union
+from typing import Generator, Optional
 
-from ..hardware.cpu import CpuCore, CpuPool
+from ..hardware.cpu import CpuPool
 from ..hardware.specs import StackSpec
 from ..sim import Environment
 
@@ -25,7 +25,7 @@ class StackLayer:
         self,
         env: Environment,
         spec: StackSpec,
-        cpu: Optional[Union[CpuCore, CpuPool]] = None,
+        cpu: Optional[CpuPool] = None,
     ) -> None:
         self.env = env
         self.spec = spec
@@ -43,7 +43,7 @@ class StackLayer:
 
     def service_time(self, size: int) -> float:
         """Unloaded end-to-end time through this layer on a full-speed core."""
-        speed = getattr(self.cpu, "speed", 1.0) if self.cpu else 1.0
+        speed = self.cpu.speed if self.cpu is not None else 1.0
         return self.core_time(size) / speed + self.spec.per_message_latency
 
     def process(self, size: int) -> Generator:

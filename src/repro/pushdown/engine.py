@@ -8,7 +8,7 @@ directly is what ddslint's DDS501 flags; forging a token is DDS502).
 Cost model
 ----------
 Software execution charges the owning :class:`~repro.hardware.cpu.
-CpuCore` per *executed opcode* from :data:`OP_CYCLES` (plus
+CpuPool` per *executed opcode* from :data:`OP_CYCLES` (plus
 :data:`DISPATCH_CYCLES` of decode per step and :data:`MATCH_BYTE_CYCLES`
 per byte a software ``MATCH`` scans), converted to host-core-seconds at
 :data:`HOST_HZ`.  The core's ``speed`` then does the host-vs-Arm scaling
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Generator, List, Optional, Tuple
 
 from ..hardware.accelerators import HardwareAccelerator, regex_scan
-from ..hardware.cpu import CpuCore
+from ..hardware.cpu import CpuPool
 from .interp import ExecStats, interpret_page
 from .isa import ACC_REGS, Op
 from .verifier import VerifiedPipeline
@@ -122,7 +122,7 @@ class PushdownEngine:
     def __init__(
         self,
         env: object,
-        core: CpuCore,
+        core: CpuPool,
         accelerator: Optional[HardwareAccelerator] = None,
     ) -> None:
         self.env = env

@@ -19,7 +19,7 @@ from typing import Generator, List, Tuple
 
 from ..core.file_service import submit_read
 from ..hardware.accelerators import BF2_REGEX, HardwareAccelerator
-from ..hardware.cpu import CpuCore
+from ..hardware.cpu import CpuPool
 from ..hardware.nic import NetworkLink
 from ..hardware.specs import DPU_CPU, HOST_CPU
 from ..sim import Environment, SeededRng
@@ -202,9 +202,9 @@ class PipelineScanner:
         )
         self.fs.create_directory("table")
         self.file_id = self.fs.create_file("table", "records")
-        self.spdk_core = CpuCore(env, speed=DPU_CPU.speed, name="spdk")
-        self.dpu_core = CpuCore(env, speed=DPU_CPU.speed, name="pushdown")
-        self.client_core = CpuCore(env, speed=HOST_CPU.speed, name="client")
+        self.spdk_core = CpuPool(env, speed=DPU_CPU.speed, name="spdk")
+        self.dpu_core = CpuPool(env, speed=DPU_CPU.speed, name="pushdown")
+        self.client_core = CpuPool(env, speed=HOST_CPU.speed, name="client")
         if placement == "ship-all":
             self.engine = PushdownEngine(env, self.client_core)
         elif placement == "dpu-software":

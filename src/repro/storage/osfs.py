@@ -11,10 +11,10 @@ differ only in who does the work and where.
 
 from __future__ import annotations
 
-from typing import Generator, Union
+from typing import Generator
 
 from ..core.messages import IoRequest, IoResponse, OpCode
-from ..hardware.cpu import CpuCore, CpuPool
+from ..hardware.cpu import CpuPool
 from ..hardware.specs import HOST_OS_FS, MICROSECOND
 from ..net.stack import StackLayer
 from ..sim import Environment
@@ -43,12 +43,12 @@ class OsFileSystem:
         self,
         env: Environment,
         inner: DdsFileSystem,
-        host_cpu: Union[CpuCore, CpuPool],
+        host_cpu: CpuPool,
     ) -> None:
         self.env = env
         self.inner = inner
         self.layer = StackLayer(env, HOST_OS_FS, host_cpu)
-        self.serializer = CpuCore(env, speed=1.0, name="kernel-io-serial")
+        self.serializer = CpuPool(env, speed=1.0, name="kernel-io-serial")
 
     # Namespace operations go straight through (metadata cost is charged
     # as one op's worth of kernel work).

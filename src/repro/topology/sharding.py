@@ -313,7 +313,7 @@ class ShardedSteering(Stage, ShardLifecycle):
         total = 0.0
         for shard in self.shards:
             for core in shard.cores:
-                total += core.utilization(elapsed)
+                total += core.cores_consumed(elapsed)
         return total
 
     def steer(

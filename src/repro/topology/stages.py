@@ -43,7 +43,7 @@ from ..core.messages import IoRequest, IoResponse, OpCode
 from ..core.offload_engine import OffloadEngine
 from ..core.traffic_director import TrafficDirector
 from ..hardware.accelerators import BF2_REGEX, HardwareAccelerator
-from ..hardware.cpu import CpuCore, CpuPool
+from ..hardware.cpu import CpuPool
 from ..hardware.nic import NetworkLink
 from ..hardware.pcie import DmaEngine
 from ..hardware.specs import DPU_CPU, HOST_APP_OTHER, MICROSECOND, StackSpec
@@ -273,7 +273,7 @@ class OsFileExecution(Stage):
     def host_cores(self, elapsed: float) -> float:
         # The kernel's serialized I/O section is a dedicated core outside
         # the host pool.
-        return self.osfs.serializer.utilization(elapsed)
+        return self.osfs.serializer.cores_consumed(elapsed)
 
     def device(self, file_id: int) -> OsFileDevice:
         """The ``IDevice`` an application reaches ``file_id`` through."""
@@ -373,7 +373,7 @@ class DdsHostSide:
         host_pool: CpuPool,
         library: DdsFileLibrary,
     ) -> None:
-        self.dispatch_core = CpuCore(env, speed=1.0, name="app-dispatch")
+        self.dispatch_core = CpuPool(env, speed=1.0, name="app-dispatch")
         self.app_other = StackLayer(env, HOST_APP_OTHER, host_pool)
         self.routers = [
             CompletionRouter(env, library) for _ in range(self.GROUPS)
@@ -430,8 +430,8 @@ class DdsBackend(Stage):
         self.env = env
         self.filesystem = filesystem
         self.dma = DmaEngine(env)
-        self.dma_core = CpuCore(env, speed=DPU_CPU.speed, name="dpu-dma")
-        self.spdk_core = CpuCore(env, speed=DPU_CPU.speed, name="dpu-spdk")
+        self.dma_core = CpuPool(env, speed=DPU_CPU.speed, name="dpu-dma")
+        self.spdk_core = CpuPool(env, speed=DPU_CPU.speed, name="dpu-spdk")
         self.file_service = DpuFileService(
             env, filesystem, self.dma_core, self.spdk_core, copy_mode
         )
@@ -445,12 +445,11 @@ class DdsBackend(Stage):
         self.file_service.start()
 
     def host_cores(self, elapsed: float) -> float:
-        return self.host_side.dispatch_core.utilization(elapsed)
+        return self.host_side.dispatch_core.cores_consumed(elapsed)
 
     def dpu_cores(self, elapsed: float) -> float:
-        return self.dma_core.utilization(elapsed) + self.spdk_core.utilization(
-            elapsed
-        )
+        dma, spdk = self.dma_core, self.spdk_core
+        return dma.cores_consumed(elapsed) + spdk.cores_consumed(elapsed)
 
     def device(self, file_id: int) -> DdsFileDevice:
         """The ``IDevice`` an application reaches ``file_id`` through,
@@ -504,10 +503,10 @@ class PushdownExecution(Stage):
         self.unit = unit
         self.link = link
         self.shard = shard
-        self.core = CpuCore(
+        self.core = CpuPool(
             env, speed=DPU_CPU.speed, name=f"dpu{shard}-pushdown"
         )
-        self.spdk_core = CpuCore(
+        self.spdk_core = CpuPool(
             env, speed=DPU_CPU.speed, name=f"dpu{shard}-pushdown-spdk"
         )
         self.accelerator = HardwareAccelerator(env, BF2_REGEX)
@@ -519,9 +518,8 @@ class PushdownExecution(Stage):
         return self.unit.backend.filesystem
 
     def dpu_cores(self, elapsed: float) -> float:
-        return self.core.utilization(elapsed) + self.spdk_core.utilization(
-            elapsed
-        )
+        core, spdk = self.core, self.spdk_core
+        return core.cores_consumed(elapsed) + spdk.cores_consumed(elapsed)
 
     def scan(self, token, file_id: int, pages: int) -> Generator:
         """Run one admitted pipeline over ``pages`` pages of a file.
@@ -621,7 +619,7 @@ class OffloadShard:
             callbacks, self.cache_table
         )
         self.cores = [
-            CpuCore(
+            CpuPool(
                 env, speed=DPU_CPU.speed, name=f"dpu{index}-director-{core}"
             )
             for core in range(director_cores)

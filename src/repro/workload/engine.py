@@ -28,13 +28,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, Generator, List, Optional, Sequence
 
-from ..core.client import percentile
 from ..core.messages import IoRequest, OpCode
 from ..core.retry import RetryLoop
 from ..hardware.cpu import CpuPool
 from ..hardware.specs import HOST_CPU
 from ..net.packet import FiveTuple
 from ..sim import Environment, SeededRng, ZipfGenerator
+from ..sim.stats import percentile, slices
 from .arrivals import DiurnalCurve, FlashCrowd, RateCurve
 from .tenants import TenantSpec, population_users
 
@@ -54,13 +54,6 @@ class TenantOutcome:
     throttled: int = 0
     retries: int = 0
     latencies: List[float] = field(default_factory=list, repr=False)
-
-    def percentile(self, p: float) -> float:
-        return percentile(sorted(self.latencies), p)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(99)
 
 
 @dataclass
@@ -83,11 +76,6 @@ class TrafficResult:
     tenants: Dict[str, TenantOutcome] = field(default_factory=dict)
 
     @property
-    def goodput(self) -> float:
-        """Client-perceived acked throughput (unique acks / elapsed)."""
-        return self.acked / self.elapsed if self.elapsed > 0 else 0.0
-
-    @property
     def amplification(self) -> float:
         """Messages sent per demanded request (1.0 = no retries)."""
         if self.offered == 0:
@@ -100,20 +88,15 @@ class TrafficResult:
             raise ValueError("bucket must be positive")
         if not self.ack_times:
             return []
-        buckets = int(self.elapsed / bucket) + 1
-        counts = [0] * buckets
-        for t in self.ack_times:
-            index = int(t / bucket)
-            if 0 <= index < buckets:
-                counts[index] += 1
-        return [count / bucket for count in counts]
+        end = bucket * (int(self.elapsed / bucket) + 1)
+        return [
+            count / bucket for count in slices(self.ack_times, 0.0, end, bucket)
+        ]
 
     def percentile(self, p: float) -> float:
         """Population-wide latency percentile."""
-        merged: List[float] = []
-        for outcome in self.tenants.values():
-            merged.extend(outcome.latencies)
-        merged.sort()
+        outcomes = self.tenants.values()
+        merged = sorted(x for outcome in outcomes for x in outcome.latencies)
         return percentile(merged, p)
 
     @property

@@ -27,7 +27,7 @@ from repro.core.file_service import DpuFileService
 from repro.core.messages import IoResponse, OpCode
 from repro.core.server import PipelineServer
 from repro.hardware.accelerators import HardwareAccelerator
-from repro.hardware.cpu import CpuCore, CpuPool
+from repro.hardware.cpu import CpuPool
 from repro.hardware.nic import NetworkLink
 from repro.hardware.pcie import DmaEngine
 from repro.hardware.ssd import DeviceError, NvmeDevice
@@ -90,11 +90,9 @@ def _ssd_service(self, size, base, bandwidth, is_write):
         jitter = self.rng.bounded_exponential(
             base * self.JITTER_FRACTION, self.JITTER_CAP
         )
-        start = self.env.now
         yield self.env.timeout(base + jitter + self._spike_delay())
         self._maybe_fail()
         yield from held(self._bus, size / bandwidth)
-        self.stats.busy_time += self.env.now - start
         if is_write:
             self.stats.writes += 1
             self.stats.write_bytes += size
@@ -256,7 +254,6 @@ def _born_waited_on(shipped):
 REFERENCES = {
     "always-poll": [(DpuFileService, "_can_park", lambda self: False)],
     "old-datapath": [
-        (CpuCore, "execute", _core_execute),
         (CpuPool, "execute", _core_execute),
         (NetworkLink, "transmit", _link_transmit),
         (DmaEngine, "_transfer", _dma_transfer),

@@ -137,6 +137,10 @@ class TestScenarioKit:
         assert ack_buckets(acks, {1, 2}, 1e-3, 2.5e-3) == [2, 1, 1]
         # A span shorter than one window still gets one bucket.
         assert ack_buckets(acks, {1}, 1e-3, 1.2e-3) == [1]
+        # [10, 15) ms is ten slices although 5e-3 / 5e-4 is 9.999...:
+        # a silent last half-millisecond must show as a zero bucket.
+        quiet_tail = [(10e-3 + (i + 0.5) * 5e-4, 1) for i in range(9)]
+        assert ack_buckets(quiet_tail, {1}, 10e-3, 15e-3) == [1] * 9 + [0]
 
     def test_drain_until_is_bounded_and_stops_early(self):
         env = Environment()

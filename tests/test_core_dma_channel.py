@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import DmaRingChannel, DpuFileService, IoRequest, OpCode
 from repro.core.api import OffloadCallbacks, ReadOp, WriteOp
-from repro.hardware import DPU_CPU, CpuCore, DmaEngine
+from repro.hardware import DPU_CPU, CpuPool, DmaEngine
 from repro.sim import Environment
 from repro.storage import DdsFileSystem, RamDisk, SpdkBdev
 from repro.structures import CuckooCacheTable
@@ -79,8 +79,8 @@ class TestFileServiceHooks:
         service = DpuFileService(
             env,
             fs,
-            CpuCore(env, speed=DPU_CPU.speed),
-            CpuCore(env, speed=DPU_CPU.speed),
+            CpuPool(env, speed=DPU_CPU.speed),
+            CpuPool(env, speed=DPU_CPU.speed),
         )
         return env, service, fid
 

@@ -13,7 +13,7 @@ from repro.core import (
     TrafficDirector,
     passthrough_callbacks,
 )
-from repro.hardware import DPU_CPU, CpuCore, DmaEngine, NetworkLink
+from repro.hardware import DPU_CPU, CpuPool, DmaEngine, NetworkLink
 from repro.net import AppSignature, FiveTuple
 from repro.sim import Environment
 from repro.storage import DdsFileSystem, RamDisk, SpdkBdev
@@ -31,10 +31,10 @@ def make_engine(context_slots=512, pool=None, callbacks=None):
     service = DpuFileService(
         env,
         fs,
-        CpuCore(env, speed=DPU_CPU.speed),
-        CpuCore(env, speed=DPU_CPU.speed),
+        CpuPool(env, speed=DPU_CPU.speed),
+        CpuPool(env, speed=DPU_CPU.speed),
     )
-    core = CpuCore(env, speed=DPU_CPU.speed)
+    core = CpuPool(env, speed=DPU_CPU.speed)
     engine = OffloadEngine(
         env,
         core,
@@ -171,7 +171,7 @@ class TestTrafficDirector:
         env, eng, fid = make_engine()
         link = NetworkLink(env)
         cores = [
-            CpuCore(env, speed=DPU_CPU.speed) for _ in range(director_cores)
+            CpuPool(env, speed=DPU_CPU.speed) for _ in range(director_cores)
         ]
         host_served = []
 

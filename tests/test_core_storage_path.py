@@ -7,7 +7,7 @@ filesystem, and responses back.  Real bytes travel the whole path.
 import pytest
 
 from repro.core import DdsFileLibrary, DpuFileService, PollMode
-from repro.hardware import DPU_CPU, HOST_CPU, CpuCore, CpuPool, DmaEngine
+from repro.hardware import DPU_CPU, HOST_CPU, CpuPool, DmaEngine
 from repro.sim import Environment
 from repro.storage import DdsFileSystem, RamDisk, SpdkBdev
 
@@ -18,8 +18,8 @@ def make_stack(copy_mode=False):
     env = Environment()
     fs = DdsFileSystem(env, SpdkBdev(env, RamDisk(32 << 20)), segment_size=1 << 16)
     dma = DmaEngine(env)
-    dma_core = CpuCore(env, speed=DPU_CPU.speed)
-    spdk_core = CpuCore(env, speed=DPU_CPU.speed)
+    dma_core = CpuPool(env, speed=DPU_CPU.speed)
+    spdk_core = CpuPool(env, speed=DPU_CPU.speed)
     service = DpuFileService(env, fs, dma_core, spdk_core, copy_mode=copy_mode)
     host = CpuPool(env, HOST_CPU)
     library = DdsFileLibrary(env, host, service, dma)

@@ -1,11 +1,11 @@
 """``harness.differential`` on a toy scenario: three jobs on one core."""
 
 from repro.bench.harness import differential
-from repro.hardware.cpu import CpuCore, CpuPool
-from repro.sim import Environment
+from repro.hardware.cpu import CpuPool
+from repro.sim import Environment, Resource
 
-EXECUTE = CpuCore.execute
-NO_OPS = [(CpuPool, "execute", CpuPool.execute), (Environment, "run", Environment.run)]
+EXECUTE = CpuPool.execute
+NO_OPS = [(Resource, "hold", Resource.hold), (Environment, "run", Environment.run)]
 
 
 def _slower(self, core_time):
@@ -14,7 +14,7 @@ def _slower(self, core_time):
 
 def _jobs(seed):
     env, done = Environment(), []
-    core = CpuCore(env)
+    core = CpuPool(env)
 
     def job(name):
         yield from core.execute(seed * 1e-6)
@@ -27,11 +27,11 @@ def _jobs(seed):
 
 
 def test_a_planted_site_is_found_and_named():
-    planted = [NO_OPS[0], (CpuCore, "execute", _slower), NO_OPS[1]]
+    planted = [NO_OPS[0], (CpuPool, "execute", _slower), NO_OPS[1]]
     report = differential(_jobs, {"planted": planted}, (1, 2))["planted"]
     assert sorted(report.divergences) == [1, 2]
-    assert report.divergences[1].sites == ("CpuCore.execute",)
-    assert CpuCore.execute is EXECUTE  # restored after every run
+    assert report.divergences[1].sites == ("CpuPool.execute",)
+    assert CpuPool.execute is EXECUTE  # restored after every run
 
 
 def test_an_identical_reference_diverges_nowhere():
@@ -46,7 +46,7 @@ def test_the_first_divergence_names_key_and_list_index():
         observation, env = _jobs(seed)
         return {"now": observation["now"]}, env
 
-    planted = {"planted": [(CpuCore, "execute", _slower)]}
+    planted = {"planted": [(CpuPool, "execute", _slower)]}
     in_list = differential(_jobs, planted, (1,))["planted"].divergences[1]
     assert in_list[:3] == ("done", 0, ("a", 1e-6))
     scalar = differential(clock, planted, (1,))["planted"].divergences[1]

@@ -12,7 +12,7 @@ from repro.hardware import (
     ARM_SOFTWARE_COMPRESSION,
     BF2_COMPRESSION,
     BF2_REGEX,
-    CpuCore,
+    CpuPool,
     HardwareAccelerator,
     compile_pattern,
     compress_page,
@@ -71,7 +71,7 @@ class TestHardwareAccelerator:
 
     def test_software_fallback_charges_the_core(self):
         env = Environment()
-        core = CpuCore(env, speed=0.35)
+        core = CpuPool(env, speed=0.35)
         engine = HardwareAccelerator(
             env, ARM_SOFTWARE_COMPRESSION, software_core=core
         )

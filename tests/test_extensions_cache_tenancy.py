@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.dpu_cache import DpuReadCache, run_dpu_cache_experiment
 from repro.core.api import ReadOp
-from repro.hardware import CpuCore
+from repro.hardware import CpuPool
 from repro.sim import Environment
 
 from .conftest import run
@@ -14,7 +14,7 @@ from .test_drr_edge_cases import Tenants
 class TestDpuReadCache:
     def make(self, capacity=1 << 16):
         env = Environment()
-        core = CpuCore(env, speed=0.35)
+        core = CpuPool(env, speed=0.35)
         return env, DpuReadCache(env, core, capacity)
 
     def test_miss_then_hit(self):
@@ -64,7 +64,7 @@ class TestDpuReadCache:
     def test_invalid_capacity(self):
         env = Environment()
         with pytest.raises(ValueError):
-            DpuReadCache(env, CpuCore(env), 0)
+            DpuReadCache(env, CpuPool(env), 0)
 
     def test_experiment_shapes(self):
         stock = run_dpu_cache_experiment(0, reads=1440)

@@ -20,7 +20,7 @@ from pathlib import Path
 from repro.apps.kv_service import run_kv_experiment
 from repro.apps.pageserver import run_pageserver_experiment
 from repro.bench.harness import run_io_experiment
-from repro.hardware import DPU_CPU, CpuCore, MICROSECOND
+from repro.hardware import DPU_CPU, CpuPool, MICROSECOND
 from repro.sim import Environment, SeededRng
 from repro.structures import CuckooCacheTable
 from repro.topology.registry import SOLUTIONS
@@ -117,7 +117,7 @@ def fig22_golden_lines():
     lines = []
     for item_bytes in (16, 256):
         env = Environment()
-        core = CpuCore(env, speed=DPU_CPU.speed)
+        core = CpuPool(env, speed=DPU_CPU.speed)
         table = CuckooCacheTable(2000)
         rng = SeededRng(5)
         payload = bytes(item_bytes)

@@ -6,7 +6,6 @@ from repro.hardware import (
     DPU_CPU,
     HOST_CPU,
     NVME_1TB,
-    CpuCore,
     CpuPool,
     DmaEngine,
     NvmeDevice,
@@ -17,7 +16,7 @@ from repro.sim import Environment
 class TestCpuCore:
     def test_execute_takes_scaled_time(self):
         env = Environment()
-        core = CpuCore(env, speed=0.5)
+        core = CpuPool(env, speed=0.5)
 
         def main():
             yield from core.execute(10e-6)
@@ -30,7 +29,7 @@ class TestCpuCore:
 
     def test_single_core_serializes_work(self):
         env = Environment()
-        core = CpuCore(env)
+        core = CpuPool(env)
         finish = []
 
         def job():
@@ -44,21 +43,21 @@ class TestCpuCore:
 
     def test_utilization(self):
         env = Environment()
-        core = CpuCore(env)
+        core = CpuPool(env)
 
         def main():
             yield from core.execute(3e-6)
 
         proc = env.process(main())
         env.run(until=proc)
-        assert core.utilization(6e-6) == pytest.approx(0.5)
-        assert core.utilization(0) == 0.0
+        assert core.cores_consumed(6e-6) == pytest.approx(0.5)
+        assert core.cores_consumed(0) == 0.0
 
     def test_invalid_parameters(self):
         env = Environment()
         with pytest.raises(ValueError):
-            CpuCore(env, speed=0)
-        core = CpuCore(env)
+            CpuPool(env, speed=0)
+        core = CpuPool(env)
         with pytest.raises(ValueError):
             list(core.execute(-1))
 

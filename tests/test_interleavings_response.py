@@ -196,12 +196,12 @@ def _drive(generator):
 
 def _file_service_scenario(stray_harvester):
     from repro.core import DmaRingChannel, DpuFileService, IoRequest, OpCode
-    from repro.hardware import CpuCore, DmaEngine
+    from repro.hardware import CpuPool, DmaEngine
     from repro.sim import Environment
 
     def build():
         env = Environment()
-        service = DpuFileService(env, None, CpuCore(env), CpuCore(env))
+        service = DpuFileService(env, None, CpuPool(env), CpuPool(env))
         # Room for two 40-byte responses: the third waits for a delivery.
         service.RESPONSE_BUFFER_BYTES = 96
         service.DELIVERY_BATCH_BYTES = 1

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from repro.hardware import (
     DPU_TLDK,
     HOST_OS_TCP,
-    CpuCore,
     CpuPool,
     HOST_CPU,
     NIC_100G,
@@ -130,9 +129,9 @@ class TestStackLayer:
 
     def test_wimpy_core_scales_service_time(self):
         env = Environment()
-        slow = CpuCore(env, speed=0.35)
+        slow = CpuPool(env, speed=0.35)
         layer = StackLayer(env, DPU_TLDK, slow)
-        fast_layer = StackLayer(env, DPU_TLDK, CpuCore(env, speed=1.0))
+        fast_layer = StackLayer(env, DPU_TLDK, CpuPool(env, speed=1.0))
         assert layer.service_time(100) > fast_layer.service_time(100)
 
     def test_charge_only_accounts_without_time(self):

@@ -24,7 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.hardware.accelerators import BF2_REGEX, HardwareAccelerator
-from repro.hardware.cpu import CpuCore
+from repro.hardware.cpu import CpuPool
 from repro.pushdown import (
     ACC_REGS,
     STACK_LIMIT,
@@ -338,7 +338,7 @@ def test_interpret_page_on_the_canonical_table():
 def _engine_page(token, page, accelerated):
     env = Environment()
     engine = PushdownEngine(
-        env, CpuCore(env),
+        env, CpuPool(env),
         HardwareAccelerator(env, BF2_REGEX) if accelerated else None,
     )
     proc = env.process(engine.execute_page(token, page))
