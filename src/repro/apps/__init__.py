@@ -1,11 +1,15 @@
 """Production-system integrations (§9): page server and FASTER KV.
 
+The page server replays a rate-driven log stream and answers
+GetPage@LSN; the §9.1 compute and log servers are not modelled (the
+clients' GetPage@LSN requests stand in for compute-server misses).
+YCSB keys are uniform, as in §9.2's read benchmark.
+
 Plus two §10/§11 page-serving experiments that extend them, imported
 by module: :mod:`~repro.apps.dpu_cache`, :mod:`~repro.apps.
 compressed_storage`.
 """
 
-from .compute import ComputeServer, LogRecord, LogServer
 from .faster import RECORD, FasterKv
 from .kv_service import (
     KvCluster,
@@ -26,9 +30,6 @@ from .pageserver import (
 from .ycsb import WORKLOAD_MIXES, YcsbWorkload
 
 __all__ = [
-    "ComputeServer",
-    "LogRecord",
-    "LogServer",
     "FasterKv",
     "KvCluster",
     "PAGE_BYTES",

@@ -1,8 +1,9 @@
 """A Hyperscale-like page server (§9.1, Figures 2 and 24).
 
 The page server stores a partition of the database in an RBPEX file on
-local SSDs and continuously *replays log records* fetched from the log
-server to refresh pages.  Compute servers send **GetPage@LSN** requests
+local SSDs and continuously *replays log records* to refresh pages
+(here a Poisson stream of records onto random pages, standing in for
+the log server's feed).  Compute servers send **GetPage@LSN** requests
 on cache misses: the returned page must reflect all updates up to the
 requested LSN.
 
@@ -159,21 +160,6 @@ class _PageServerApp:
         """Continuously replay log records onto random pages."""
         if records_per_second > 0:
             self.env.process(self._replay_loop(records_per_second))
-
-    def start_replay_from(self, log_server, max_batch: int = 32) -> None:
-        """Replay from a :class:`~repro.apps.compute.LogServer` feed.
-
-        The full §9.1 wiring: log records are pulled in batches over the
-        network and applied in LSN order.
-        """
-        self.env.process(self._replay_from_log(log_server, max_batch))
-
-    def _replay_from_log(self, log_server, max_batch: int) -> Generator:
-        while True:
-            batch = yield from log_server.pull_batch(max_batch)
-            for record in batch:
-                self.current_lsn = max(self.current_lsn, record.lsn)
-                yield from self._replay_one(record.page_id, record.lsn)
 
     def _replay_loop(self, rate: float) -> Generator:
         while True:

@@ -1,8 +1,8 @@
 """YCSB workload generator [24] for the KV-service experiments (§9.2).
 
-Standard workload mixes over a fixed key space with a pluggable request
-distribution (uniform, as in the paper's §9.2 read benchmark, or
-Zipfian).  Each draw yields an operation tuple the KV driver executes.
+Standard workload mixes over a fixed key space with uniform key
+popularity, as in the paper's §9.2 read benchmark.  Each draw yields an
+operation tuple the KV driver executes.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
-from ..sim import SeededRng, ZipfGenerator
+from ..sim import SeededRng
 
 __all__ = ["YcsbWorkload", "WORKLOAD_MIXES"]
 
@@ -39,37 +39,20 @@ class YcsbWorkload:
     KEY_BYTES = 8
     VALUE_BYTES = 8
 
-    def __init__(
-        self,
-        records: int,
-        mix: str = "C",
-        distribution: str = "uniform",
-        theta: float = 0.99,
-        seed: int = 7,
-    ) -> None:
+    def __init__(self, records: int, mix: str = "C", seed: int = 7) -> None:
         if records < 1:
             raise ValueError("need at least one record")
         if mix not in WORKLOAD_MIXES:
             raise ValueError(
                 f"unknown mix {mix!r}; choose from {sorted(WORKLOAD_MIXES)}"
             )
-        if distribution not in ("uniform", "zipfian"):
-            raise ValueError(f"unknown distribution: {distribution!r}")
         self.records = records
         self.mix = mix
-        self.distribution = distribution
         self.rng = SeededRng(seed)
-        self._zipf = (
-            ZipfGenerator(records, theta=theta, rng=self.rng.spawn("zipf"))
-            if distribution == "zipfian"
-            else None
-        )
         self._weights = WORKLOAD_MIXES[mix]
 
     def draw_key(self) -> int:
-        """One key from the configured distribution."""
-        if self._zipf is not None:
-            return self._zipf.draw()
+        """One key, uniform over the key space."""
         return self.rng.randrange(self.records)
 
     def draw_op(self) -> YcsbOp:

@@ -46,6 +46,16 @@ class ClientConfig:
     file_size: int = 256 << 20
     seed: int = 42
 
+    def __post_init__(self) -> None:
+        if self.offered_iops <= 0:
+            raise ValueError("offered_iops must be positive")
+        for name in ("total_requests", "io_size", "batch", "connections",
+                     "max_outstanding"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0.0 <= self.read_fraction <= 1.0:
+            raise ValueError("read_fraction must be in [0, 1]")
+
 
 @dataclass
 class ClientResult:

@@ -145,6 +145,15 @@ class QosConfig:
         for tenant, weight in self.weights.items():
             if weight <= 0:
                 raise ValueError(f"weight for {tenant!r} must be positive")
+        # The token buckets are built lazily, on a tenant's first
+        # message: check their settings here, not mid-run.
+        rates = [self.tenant_rate, self.global_rate, *self.tenant_rates.values()]
+        if any(rate is not None and rate <= 0 for rate in rates):
+            raise ValueError(
+                "tenant_rate, tenant_rates and global_rate must be positive"
+            )
+        if self.tenant_burst < 1 or self.global_burst < 1:
+            raise ValueError("tenant_burst and global_burst must be >= 1")
 
 
 @dataclass

@@ -1,21 +1,17 @@
-"""Open-loop traffic generation at population scale (ROADMAP item 3).
+"""Open-loop multi-tenant traffic for the overload study.
 
-The package that turns "a handful of closed-loop benchmark clients"
-into "heavy traffic from millions of users": arrival processes (Poisson
-and self-similar), time-varying rate curves (diurnal cycles, flash
-crowds), Zipf-skewed file popularity, and heavy-tailed multi-tenant
-populations — all driven by :class:`~repro.sim.rng.SeededRng`, so any
-run replays deterministically from its seed.
+Poisson tenants (:class:`TenantSpec`) whose shared rate curve may carry
+flash crowds, Zipf-skewed file popularity, and an engine that drives
+them open loop — all from :class:`~repro.sim.rng.SeededRng`, so any run
+replays deterministically from its seed.
 
 Quickstart::
 
-    from repro.workload import (
-        FlashCrowd, OpenLoopTrafficEngine, heavy_tailed_population,
-    )
+    from repro.workload import FlashCrowd, OpenLoopTrafficEngine, TenantSpec
 
-    tenants = heavy_tailed_population(
-        count=200, total_rate=150_000.0, rng=SeededRng(7)
-    )
+    tenants = [
+        TenantSpec(f"tenant-{i}", i, rate=15_000.0) for i in range(10)
+    ]
     engine = OpenLoopTrafficEngine(
         env, server, tenants, file_ids,
         horizon=40e-3, events=(FlashCrowd(start=10e-3, duration=10e-3),),
@@ -29,32 +25,16 @@ retry storms and metastable collapse appear (and what the QoS gate in
 :mod:`repro.topology.qos` defends against).
 """
 
-from .arrivals import (
-    BModelArrivals,
-    DiurnalCurve,
-    FlashCrowd,
-    OnOffArrivals,
-    PoissonArrivals,
-    RateCurve,
-)
+from .arrivals import FlashCrowd, PoissonArrivals, RateCurve
 from .engine import OpenLoopTrafficEngine, TenantOutcome, TrafficResult
-from .tenants import (
-    TenantSpec,
-    heavy_tailed_population,
-    population_users,
-)
+from .tenants import TenantSpec
 
 __all__ = [
-    "BModelArrivals",
-    "DiurnalCurve",
     "FlashCrowd",
-    "OnOffArrivals",
     "OpenLoopTrafficEngine",
     "PoissonArrivals",
     "RateCurve",
     "TenantOutcome",
     "TenantSpec",
     "TrafficResult",
-    "heavy_tailed_population",
-    "population_users",
 ]

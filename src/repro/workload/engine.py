@@ -1,4 +1,4 @@
-"""The open-loop traffic engine: population-scale load against a server.
+"""The open-loop traffic engine: multi-tenant load against a server.
 
 One simulation process per tenant walks that tenant's arrival stream
 (:mod:`repro.workload.arrivals`) and fires each request the moment its
@@ -35,8 +35,8 @@ from ..hardware.specs import HOST_CPU
 from ..net.packet import FiveTuple
 from ..sim import Environment, SeededRng, ZipfGenerator
 from ..sim.stats import percentile, slices
-from .arrivals import DiurnalCurve, FlashCrowd, RateCurve
-from .tenants import TenantSpec, population_users
+from .arrivals import FlashCrowd, RateCurve
+from .tenants import TenantSpec
 
 __all__ = ["OpenLoopTrafficEngine", "TenantOutcome", "TrafficResult"]
 
@@ -61,7 +61,6 @@ class TrafficResult:
     """Aggregate outcome of one engine run."""
 
     elapsed: float
-    users: int
     offered: int = 0
     acked: int = 0
     failed: int = 0
@@ -130,8 +129,8 @@ class _TenantState:
 class OpenLoopTrafficEngine:
     """Drive a tenant population against a storage server, open loop.
 
-    ``diurnal`` and ``events`` modulate *every* tenant's base rate (the
-    flash crowd hits the whole population, as real ones do).  With a
+    ``events`` modulate *every* tenant's base rate (the flash crowd
+    hits the whole population, as real ones do).  With a
     ``retry_policy`` each request is retried like a chaos client's;
     ``retry_budget`` (shared across all tenants) bounds the storm.
     ``observer`` speaks the client-observer protocol
@@ -149,7 +148,6 @@ class OpenLoopTrafficEngine:
         io_size: int = 1024,
         file_bytes: int = 1 << 20,
         seed: int = 11,
-        diurnal: Optional[DiurnalCurve] = None,
         events: Sequence[FlashCrowd] = (),
         retry_policy=None,
         retry_budget=None,
@@ -186,19 +184,11 @@ class OpenLoopTrafficEngine:
         self._started = False
         self._start_time = 0.0
         self.ack_times: List[float] = []
-        self._states: List[_TenantState] = []
         self._flow_tenants: Dict[object, str] = {}
-        self._specs_by_name: Dict[str, TenantSpec] = {}
-        for spec in tenants:
-            state = self._build_state(spec, diurnal, events)
-            self._states.append(state)
-            self._specs_by_name[spec.name] = spec
+        self._states = [self._build_state(spec, events) for spec in tenants]
 
     def _build_state(
-        self,
-        spec: TenantSpec,
-        diurnal: Optional[DiurnalCurve],
-        events: Sequence[FlashCrowd],
+        self, spec: TenantSpec, events: Sequence[FlashCrowd]
     ) -> _TenantState:
         rng = self.rng.spawn(spec.name)
         # One flow per tenant, unique endpoint: the QoS gate classifies
@@ -216,7 +206,7 @@ class OpenLoopTrafficEngine:
             zipf = ZipfGenerator(
                 len(self._file_ids), theta=spec.zipf_theta, rng=rng
             )
-        curve = RateCurve(spec.rate, diurnal=diurnal, events=events)
+        curve = RateCurve(spec.rate, events=events)
         return _TenantState(spec, rng, flow, zipf, curve)
 
     # ------------------------------------------------------------------
@@ -306,7 +296,6 @@ class OpenLoopTrafficEngine:
 
         result = TrafficResult(
             elapsed=self.env.now - self._start_time,
-            users=population_users([state.spec for state in states]),
             offered=sum(state.outcome.offered for state in states),
             acked=total("acked"),
             failed=total("failed"),

@@ -14,6 +14,26 @@ FLOW = FiveTuple("10.0.0.2", 40_000, "10.0.0.1", 5000)
 
 
 class TestClientEdgeCases:
+    @pytest.mark.parametrize("settings", [
+        {"offered_iops": 0.0},
+        {"total_requests": 0},
+        {"io_size": 0},
+        {"batch": 0},
+        {"connections": 0},
+        {"max_outstanding": 0},
+        {"read_fraction": -0.1},
+        {"read_fraction": 2.0},
+    ])
+    def test_config_rejects_bad_settings_at_build(self, settings):
+        """Each of these used to deadlock, divide by zero mid-run, or
+        (read_fraction) silently run all reads."""
+        with pytest.raises(ValueError):
+            ClientConfig(**settings)
+
+    def test_config_accepts_read_fraction_bounds(self):
+        for fraction in (0.0, 1.0):
+            assert ClientConfig(read_fraction=fraction).read_fraction == fraction
+
     def test_batch_larger_than_total_is_clamped(self):
         cluster = build_cluster("local-dds", db_bytes=8 << 20)
         config = ClientConfig(

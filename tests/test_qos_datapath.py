@@ -218,6 +218,17 @@ class TestGateUnit:
             QosConfig(sojourn_target=0.0)
         with pytest.raises(ValueError):
             QosConfig(weights={"t": 0.0})
+        # The admission buckets are built on a tenant's first message;
+        # a bad setting must fail here, not out of ``env.run()`` mid-run.
+        for settings in (
+            {"tenant_rate": 0.0},
+            {"tenant_rates": {"ok": 10.0, "bad": -1.0}},
+            {"global_rate": 0.0},
+            {"tenant_burst": 0.5},
+            {"global_burst": 0.0},
+        ):
+            with pytest.raises(ValueError):
+                QosConfig(**settings)
 
 
 # ----------------------------------------------------------------------

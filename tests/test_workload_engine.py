@@ -1,9 +1,9 @@
-"""The open-loop traffic engine: arrivals, populations, determinism.
+"""The open-loop traffic engine: arrivals, tenant specs, determinism.
 
 Statistical checks use wide tolerances on purpose — every stream is
 seeded, so the numbers are reproducible, but the assertions should
-state distributional *properties* (burstier-than-Poisson, flash-crowd
-density, heavy-tailed shares), not memorize draws.
+state distributional *properties* (mean rate, flash-crowd density),
+not memorize draws.
 """
 
 import pytest
@@ -12,16 +12,11 @@ from repro.bench.harness import build_cluster
 from repro.core.retry import RetryBudget, RetryPolicy
 from repro.sim import SeededRng
 from repro.workload import (
-    BModelArrivals,
-    DiurnalCurve,
     FlashCrowd,
-    OnOffArrivals,
     OpenLoopTrafficEngine,
     PoissonArrivals,
     RateCurve,
     TenantSpec,
-    heavy_tailed_population,
-    population_users,
 )
 
 
@@ -30,57 +25,41 @@ def collect(process, rate, horizon, seed=5, **curve_kw):
     return list(process.arrivals(SeededRng(seed), curve, horizon))
 
 
-def dispersion(times, horizon, bins):
-    """Index of dispersion (var/mean) of per-bin arrival counts."""
-    counts = [0] * bins
-    width = horizon / bins
-    for t in times:
-        counts[min(bins - 1, int(t / width))] += 1
-    mean = sum(counts) / bins
-    if mean == 0:
-        return 0.0
-    var = sum((c - mean) ** 2 for c in counts) / bins
-    return var / mean
-
-
 # ----------------------------------------------------------------------
 # rate curves
 # ----------------------------------------------------------------------
 class TestRateCurves:
-    def test_diurnal_swings_around_mean(self):
-        curve = DiurnalCurve(amplitude=0.4, period=1.0)
-        values = [curve.multiplier(t / 100) for t in range(100)]
-        assert max(values) == pytest.approx(1.4, abs=0.01)
-        assert min(values) == pytest.approx(0.6, abs=0.01)
-        assert curve.peak_multiplier == pytest.approx(1.4)
+    def test_flash_crowd_plateau_edges(self):
+        """The plateau is ``[start, start + duration)``: the start is
+        in the crowd, the end is not."""
+        crowd = FlashCrowd(start=1.0, duration=1.0, multiplier=8.0)
+        assert crowd.multiplier_at(0.999) == 1.0
+        assert crowd.multiplier_at(1.0) == 8.0
+        assert crowd.multiplier_at(1.5) == 8.0
+        assert crowd.multiplier_at(1.999) == 8.0
+        assert crowd.multiplier_at(2.0) == 1.0
 
-    def test_flash_crowd_plateau_and_ramps(self):
-        crowd = FlashCrowd(start=1.0, duration=1.0, multiplier=8.0, ramp=0.25)
-        assert crowd.multiplier_at(0.5) == 1.0
-        assert crowd.multiplier_at(1.5) == 8.0  # plateau
-        assert 1.0 < crowd.multiplier_at(1.1) < 8.0  # rising edge
-        assert 1.0 < crowd.multiplier_at(1.9) < 8.0  # falling edge
-        assert crowd.multiplier_at(2.5) == 1.0
-
-    def test_curve_composes_base_diurnal_events(self):
+    def test_curve_composes_base_and_events(self):
         curve = RateCurve(
             1000.0,
-            diurnal=DiurnalCurve(amplitude=0.5, period=1.0),
-            events=(FlashCrowd(start=0.2, duration=0.1, multiplier=4.0),),
+            events=(
+                FlashCrowd(start=0.2, duration=0.1, multiplier=4.0),
+                FlashCrowd(start=0.25, duration=0.1, multiplier=2.0),
+            ),
         )
-        assert curve.peak_rate() == pytest.approx(1000.0 * 1.5 * 4.0)
-        assert curve.rate(0.25) > curve.rate(0.9)
-        assert curve.mean_rate(1.0) > 1000.0  # the crowd adds mass
+        assert curve.peak_rate() == pytest.approx(1000.0 * 4.0 * 2.0)
+        assert curve.rate(0.1) == 1000.0
+        assert curve.rate(0.22) == 4000.0
+        assert curve.rate(0.27) == 8000.0  # overlapping crowds multiply
+        assert curve.rate(0.32) == 2000.0
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
             RateCurve(-1.0)
         with pytest.raises(ValueError):
-            DiurnalCurve(amplitude=1.5)
-        with pytest.raises(ValueError):
             FlashCrowd(start=0, duration=1.0, multiplier=0.5)
         with pytest.raises(ValueError):
-            FlashCrowd(start=0, duration=1.0, ramp=0.8)
+            FlashCrowd(start=0, duration=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -105,72 +84,18 @@ class TestArrivals:
         # The crowd window should hold ~5x the density of a plain window.
         assert inside / max(outside / 2, 1) == pytest.approx(5.0, rel=0.3)
 
-    def test_onoff_burstier_than_poisson(self):
-        horizon, rate = 80e-3, 50_000.0
-        poisson = collect(PoissonArrivals(), rate, horizon, seed=11)
-        onoff = collect(OnOffArrivals(), rate, horizon, seed=11)
-        bins = 80
-        assert dispersion(onoff, horizon, bins) > 2 * dispersion(
-            poisson, horizon, bins
-        )
-        # Long-run mean still tracks the curve.
-        assert len(onoff) == pytest.approx(len(poisson), rel=0.45)
-
-    def test_bmodel_burstier_than_poisson_exact_count(self):
-        horizon, rate = 40e-3, 50_000.0
-        times = collect(BModelArrivals(bias=0.8), rate, horizon, seed=3)
-        poisson = collect(PoissonArrivals(), rate, horizon, seed=3)
-        assert len(times) == round(rate * horizon)  # budget is exact
-        assert times == sorted(times)
-        assert dispersion(times, horizon, 64) > 3 * dispersion(
-            poisson, horizon, 64
-        )
-
     def test_arrivals_deterministic_per_seed(self):
-        for process in (
-            PoissonArrivals(),
-            OnOffArrivals(),
-            BModelArrivals(),
-        ):
-            a = collect(process, 20_000.0, 20e-3, seed=9)
-            b = collect(process, 20_000.0, 20e-3, seed=9)
-            c = collect(process, 20_000.0, 20e-3, seed=10)
-            assert a == b
-            assert a != c
-
-    def test_arrival_validation(self):
-        with pytest.raises(ValueError):
-            OnOffArrivals(alpha=2.5)
-        with pytest.raises(ValueError):
-            OnOffArrivals(mean_on=0)
-        with pytest.raises(ValueError):
-            BModelArrivals(bias=0.4)
-        with pytest.raises(ValueError):
-            BModelArrivals(levels=0)
+        a = collect(PoissonArrivals(), 20_000.0, 20e-3, seed=9)
+        b = collect(PoissonArrivals(), 20_000.0, 20e-3, seed=9)
+        c = collect(PoissonArrivals(), 20_000.0, 20e-3, seed=10)
+        assert a == b
+        assert a != c
 
 
 # ----------------------------------------------------------------------
-# tenant populations
+# tenant specs
 # ----------------------------------------------------------------------
 class TestPopulation:
-    def test_rates_normalize_and_tail_is_heavy(self):
-        specs = heavy_tailed_population(
-            count=400, total_rate=150_000.0, rng=SeededRng(7)
-        )
-        assert len(specs) == 400
-        assert sum(s.rate for s in specs) == pytest.approx(150_000.0)
-        shares = sorted((s.rate for s in specs), reverse=True)
-        top_decile = sum(shares[:40]) / 150_000.0
-        assert top_decile > 0.25  # whales dominate
-        assert all(s.users >= 1 for s in specs)
-
-    def test_population_models_a_million_users(self):
-        specs = heavy_tailed_population(
-            count=2000, total_rate=150_000.0, rng=SeededRng(1)
-        )
-        # 150K IOPS at 0.15 req/user/s stands for ~a million users.
-        assert population_users(specs) == pytest.approx(1_000_000, rel=0.01)
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             TenantSpec("t", 0, rate=-1.0)
@@ -179,9 +104,11 @@ class TestPopulation:
         with pytest.raises(ValueError):
             TenantSpec("t", 0, rate=1.0, read_fraction=1.5)
         with pytest.raises(ValueError):
-            heavy_tailed_population(0, 1.0, SeededRng(1))
+            TenantSpec("t", 0, rate=1.0, zipf_theta=-0.5)
         with pytest.raises(ValueError):
-            heavy_tailed_population(2, 1.0, SeededRng(1), alpha=1.0)
+            TenantSpec("t", 0, rate=1.0, slo_p99=0.0)
+        with pytest.raises(ValueError):
+            TenantSpec("t", 0, rate=1.0, slo_p99=-1e-3)
 
 
 # ----------------------------------------------------------------------
@@ -192,28 +119,33 @@ def build_server():
     return cluster.env, cluster.server, cluster.file_ids
 
 
+def tenants(count, total_rate):
+    """``count`` tenants of unequal rates (1:2:…:count) summing to
+    ``total_rate``."""
+    scale = total_rate / (count * (count + 1) / 2)
+    return [
+        TenantSpec(f"tenant-{i:04d}", i, rate=(i + 1) * scale)
+        for i in range(count)
+    ]
+
+
 def run_engine(seed=9, **engine_kw):
     env, server, file_ids = build_server()
-    tenants = heavy_tailed_population(
-        count=40, total_rate=60_000.0, rng=SeededRng(seed)
-    )
     engine = OpenLoopTrafficEngine(
-        env, server, tenants, file_ids, horizon=15e-3, seed=seed, **engine_kw
+        env, server, tenants(40, 60_000.0), file_ids, horizon=15e-3,
+        seed=seed, **engine_kw
     )
     return engine, engine.run()
 
 
 class TestEngine:
     def test_moderate_load_all_acked(self):
-        engine, result = run_engine()
+        _engine, result = run_engine()
         assert result.offered > 500
         assert result.acked == result.offered
         assert result.failed == 0
         assert result.amplification == 1.0
         assert result.p99 > 0
-        assert result.users == population_users(
-            [s.spec for s in engine._states]
-        )
         # Per-tenant outcomes tile the aggregate.
         assert sum(o.offered for o in result.tenants.values()) == (
             result.offered
@@ -247,11 +179,8 @@ class TestEngine:
 
     def test_tenant_classifiers_round_trip(self):
         env, server, file_ids = build_server()
-        specs = heavy_tailed_population(
-            count=8, total_rate=10_000.0, rng=SeededRng(2)
-        )
         engine = OpenLoopTrafficEngine(
-            env, server, specs, file_ids, horizon=1e-3
+            env, server, tenants(8, 10_000.0), file_ids, horizon=1e-3
         )
         for state in engine._states:
             assert engine.tenant_for_flow(state.flow) == state.spec.name
