@@ -7,8 +7,10 @@ collect the statements that mutate state reachable from ``self``:
   (DDS101): two interleaved instances lose an update;
 * container mutation — ``self.items.append(...)``,
   ``self.buf[a:b] = data``, ``del self.d[k]``, including mutations
-  through a local alias ``bucket = self._buckets[i]`` (DDS102): a
-  concurrent lock-free reader can observe a half-applied edit.
+  through a local alias ``bucket = self._buckets[i]``,
+  ``self._buckets.get(i)`` (or ``.setdefault``) or ``self._buckets[i]
+  or ()`` (DDS102): a concurrent lock-free reader can observe a
+  half-applied edit.
 
 An access is *excused* from DDS101/DDS102 when it happens under a lock
 (``with self.<...lock...>:``) or when the class declares the field in
@@ -65,6 +67,10 @@ _MUTATORS = frozenset(
 )
 
 
+#: Methods that hand back an element of the container they are called on.
+_ELEMENT_GETTERS = frozenset({"get", "setdefault"})
+
+
 @dataclass
 class SharedAccess:
     """One mutation of state reachable from ``self``."""
@@ -116,6 +122,29 @@ def _is_self_chain(node: ast.expr) -> Optional[str]:
     if isinstance(current, ast.Name) and current.id == "self":
         return last_attr
     return None
+
+
+def _alias_root(value: ast.expr) -> Optional[str]:
+    """Root attr a name bound to ``value`` aliases, if any.
+
+    A pure self chain (``self._buckets[i]``), an element fetched from
+    one (``self._buckets.get(i)``, ``.setdefault(i, [])``), or either
+    behind ``or`` (``self._buckets[i] or ()``): a later mutation
+    through the name edits the self field.
+    """
+    if isinstance(value, ast.BoolOp) and isinstance(value.op, ast.Or):
+        for operand in value.values:
+            root = _alias_root(operand)
+            if root is not None:
+                return root
+        return None
+    if (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Attribute)
+        and value.func.attr in _ELEMENT_GETTERS
+    ):
+        return _alias_root(value.func.value)
+    return _is_self_chain(value)
 
 
 def _reads_self_attr(value: ast.expr, attr: str) -> bool:
@@ -281,7 +310,7 @@ class _FunctionScanner:
         # Alias tracking: name = <self-rooted chain> makes later
         # mutations through the name attributable to the self field.
         if len(targets) == 1 and isinstance(targets[0], ast.Name):
-            root = _is_self_chain(stmt.value)
+            root = _alias_root(stmt.value)
             name = targets[0].id
             if root is not None:
                 self._aliases[name] = root

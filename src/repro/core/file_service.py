@@ -350,12 +350,22 @@ class DpuFileService:
                 )
             buffer = self._response_buffers[id(channel)]
             data_bytes = request.size if request.op is OpCode.READ else 0
+            # A response the buffer can never hold is answered with its
+            # header alone, as an error, in its place in the order.
+            fits = buffer.response_size(data_bytes) <= buffer.capacity
+            if not fits:
+                data_bytes = 0
             response = buffer.allocate(request.request_id, data_bytes)
             while response is None:
                 # Only the DMA thread's mark_delivered frees capacity.
                 yield self.env.timeout(self.POLL_INTERVAL)
                 response = buffer.allocate(request.request_id, data_bytes)
-            self.env.process(self._execute(request, response))
+            if fits:
+                self.env.process(self._execute(request, response))
+            else:
+                response.complete(ResponseStatus.OUT_OF_RANGE)
+                self.request_errors += 1
+                self._ring_doorbell()
 
     def _execute(
         self, request: IoRequest, response: PreallocatedResponse

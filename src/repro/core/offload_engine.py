@@ -230,7 +230,11 @@ class OffloadEngine:
             if on_bounce is not None:
                 on_bounce("off-func")
             return False
-        buffer = self.pool.allocate(max(1, read_op.size))
+        size = max(1, read_op.size)
+        # A read no size class holds gets no lease, like an empty pool.
+        buffer = (
+            self.pool.allocate(size) if size <= self.pool.max_class else None
+        )
         if buffer is None:
             self._bounced_no_buffer.fetch_add(1)
             if on_bounce is not None:

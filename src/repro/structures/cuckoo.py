@@ -39,7 +39,7 @@ production) so the interleaving harness can context-switch there.
 from __future__ import annotations
 
 import threading
-from typing import Any, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.concurrency.hooks import yield_point
 
@@ -161,12 +161,10 @@ class CuckooCacheTable:
         # floor so tiny tables still have two distinct buckets to probe.
         nominal = max(2, int(max_items / (0.7 * slots_per_bucket)) + 1)
         self._nbuckets = nominal
-        # Buckets materialize on first write: a fresh million-item table
-        # is one pointer array, not hundreds of thousands of empty
-        # lists.  ``None`` reads as an empty bucket everywhere.
-        self._buckets: List[Optional[List[Tuple[Hashable, Any]]]] = (
-            [None] * nominal
-        )
+        # Only written buckets exist: the table costs what it holds, so
+        # a fresh million-item table commits no per-bucket memory.  A
+        # missing index reads as an empty bucket everywhere.
+        self._buckets: Dict[int, List[Tuple[Hashable, Any]]] = {}
         self._count = 0
         self._writer_lock = threading.Lock()
         self.stats = CacheTableStats()
@@ -203,7 +201,7 @@ class CuckooCacheTable:
         result = default
         for index in (self._index1(key), self._index2(key)):
             yield_point("cuckoo.probe", self._bucket_key(index))
-            bucket = self._buckets[index] or ()
+            bucket = self._buckets.get(index, ())
             for entry_key, entry_value in bucket:
                 probes += 1
                 if entry_key == key:
@@ -228,9 +226,9 @@ class CuckooCacheTable:
         return self._count / self.max_items
 
     def items(self) -> Iterator[Tuple[Hashable, Any]]:
-        """Iterate all entries (test/debug use; not concurrency-safe)."""
-        for bucket in self._buckets:
-            yield from bucket or ()
+        """Entries in bucket-index order (test/debug; not concurrency-safe)."""
+        for index in sorted(self._buckets):
+            yield from self._buckets[index]
 
     # ------------------------------------------------------------------
     # writes (single writer)
@@ -262,7 +260,7 @@ class CuckooCacheTable:
         with self._writer_lock:
             self.stats.deletes += 1
             for index in (self._index1(key), self._index2(key)):
-                bucket = self._buckets[index] or ()
+                bucket = self._buckets.get(index, ())
                 for position, (entry_key, _val) in enumerate(bucket):
                     if entry_key == key:
                         yield_point(
@@ -279,25 +277,24 @@ class CuckooCacheTable:
     # internals
     # ------------------------------------------------------------------
     def _bucket_len(self, index: int) -> int:
-        bucket = self._buckets[index]
-        return 0 if bucket is None else len(bucket)
+        return len(self._buckets.get(index, ()))
 
     def _materialize(self, index: int) -> List[Tuple[Hashable, Any]]:
         """The bucket list at ``index``, created on first write.
 
-        The single list assignment happens under the writer lock and is
-        atomic for lock-free readers (who treat ``None`` as empty).
+        The first store under a new key happens under the writer lock and
+        is atomic for lock-free readers (a missing index reads as empty).
         """
-        bucket = self._buckets[index]
+        bucket = self._buckets.get(index)
         if bucket is None:
             bucket = []
-            # ddslint: disable=DDS201 -- atomic None->list store invisible to readers; callers yield first
+            # ddslint: disable=DDS201 -- atomic first store under a new key, invisible to readers; callers yield first
             self._buckets[index] = bucket
         return bucket
 
     def _update_in_place(self, key: Hashable, value: Any) -> bool:
         for index in (self._index1(key), self._index2(key)):
-            bucket = self._buckets[index] or ()
+            bucket = self._buckets.get(index, ())
             for position, (entry_key, _val) in enumerate(bucket):
                 if entry_key == key:
                     # Single-slot tuple swap: atomic for readers.

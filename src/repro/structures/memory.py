@@ -66,15 +66,16 @@ class PoolStats:
 
 
 class DmaBuffer:
-    """A leased buffer: ``size`` requested bytes inside a ``class_size`` slab."""
+    """A lease of ``size`` bytes in a ``class_size`` slab (accounting only:
+    the device returns the read's bytes and the offload context carries
+    them)."""
 
-    __slots__ = ("pool", "class_size", "size", "data", "_free")
+    __slots__ = ("pool", "class_size", "size", "_free")
 
     def __init__(self, pool: "BufferPool", class_size: int, size: int):
         self.pool = pool
         self.class_size = class_size
         self.size = size
-        self.data = bytearray(class_size)
         self._free = False
 
     def release(self) -> None:

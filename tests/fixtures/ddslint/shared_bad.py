@@ -25,3 +25,24 @@ class BadQueue:
     def locked_push(self, item):
         with self._lock:
             self.items.append(item)
+
+    def get_alias_mutation(self, key):
+        bucket = self.table.get(key)
+        bucket.append(0)
+
+    def setdefault_alias_mutation(self, key):
+        bucket = self.table.setdefault(key, [])
+        bucket[0] = 1
+
+    def or_alias_mutation(self, key):
+        bucket = self.table[key] or ()
+        bucket[0] = 1
+
+    def rebound_alias_is_forgotten(self, key):
+        bucket = self.table.get(key) or []
+        bucket = list(bucket)
+        bucket.append(0)
+
+    def copy_is_not_an_alias(self):
+        keys = sorted(self.table)
+        keys.append(0)

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core import DmaRingChannel, DpuFileService, IoRequest, OpCode
+from repro.core import (
+    DmaRingChannel,
+    DpuFileService,
+    IoRequest,
+    IoResponse,
+    OpCode,
+)
 from repro.core.api import OffloadCallbacks, ReadOp, WriteOp
 from repro.hardware import DPU_CPU, CpuPool, DmaEngine
 from repro.sim import Environment
@@ -158,3 +164,27 @@ class TestFileServiceHooks:
         assert got and got[0][1] == bytes(16)
         assert events == []
         assert ("blk", 0) in table
+
+    def test_response_too_large_for_the_buffer_fails_alone(self):
+        """A read whose response can never fit the ResponseBuffer is
+        answered header-only, in order and as an error; the SPDK worker
+        keeps serving the requests behind it."""
+        env, service, fid = self.make_service()
+        channel = DmaRingChannel(env, DmaEngine(env), ring_capacity=1 << 12)
+        service.register_channel(channel)
+        service.start()
+        oversized = service.RESPONSE_BUFFER_BYTES + (1 << 20)
+        assert channel.try_insert(
+            IoRequest(OpCode.READ, 1, fid, 0, oversized).encode()
+        )
+        assert channel.try_insert(IoRequest(OpCode.READ, 2, fid, 0, 16).encode())
+        env.run(until=1e-3)
+        responses = []
+        while (encoded := channel.try_poll_response()) is not None:
+            responses.append(IoResponse.decode(encoded))
+        assert [(r.request_id, r.ok) for r in responses] == [
+            (1, False),
+            (2, True),
+        ]
+        assert responses[0].data is None
+        assert responses[1].data == bytes(16)

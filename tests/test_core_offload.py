@@ -119,6 +119,29 @@ class TestOffloadEngine:
         assert all(accepted) and len(responses) == 30
         assert pool.stats.bytes_in_use == 0
 
+    def test_read_above_largest_buffer_class_bounces_to_host(self):
+        # No size class can hold it: like an exhausted pool, the request
+        # goes to the host (Figure 13 lines 5-7) instead of raising.
+        env, engine, fid = make_engine()
+        request = IoRequest(OpCode.READ, 1, fid, 0, 2 * engine.pool.max_class)
+        bounces, accepted = [], []
+
+        def main():
+            accepted.append(
+                (
+                    yield from engine.handle(
+                        request, lambda _r: None, on_bounce=bounces.append
+                    )
+                )
+            )
+
+        env.process(main())
+        env.run()
+        assert accepted == [False]
+        assert bounces == ["no-buffer"]
+        assert engine.bounced_no_buffer == 1
+        assert engine.pool.stats.bytes_in_use == 0
+
     def test_failed_read_produces_error_response(self):
         env, engine, fid = make_engine()
         request = IoRequest(OpCode.READ, 1, fid, 1 << 30, 64)  # beyond EOF

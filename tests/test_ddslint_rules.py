@@ -43,6 +43,10 @@ def test_shared_bad_exact_rules_and_lines():
         ("DDS102", 13),  # self.items.append(item)
         ("DDS102", 19),  # del self.table[key]
         ("DDS102", 23),  # mutation through the local alias `bucket`
+        ("DDS102", 31),  # alias bound by self.table.get(key)
+        ("DDS102", 34),  # self.table.setdefault(...) itself
+        ("DDS102", 35),  # alias bound by self.table.setdefault(...)
+        ("DDS102", 39),  # alias bound by `self.table[key] or ()`
     ]
 
 
@@ -57,6 +61,24 @@ def test_messages_name_class_method_and_attribute():
     assert "'count'" in by_line[12].message
     assert "BadQueue.push" in by_line[12].message
     assert "'items'" in by_line[23].message
+
+
+def test_element_getter_and_or_default_aliases_are_tracked():
+    # `.get`/`.setdefault` on a self chain, and `<self chain> or
+    # <default>`, alias the field; a rebinding or a copy does not.
+    findings = _lint("shared_bad.py", SHARED)
+    alias_lines = [
+        line for rule, line in _inventory(findings) if 29 <= line <= 48
+    ]
+    assert alias_lines == [31, 34, 35, 39]
+    by_line = {f.line: f for f in findings}
+    for line, method in [
+        (31, "get_alias_mutation"),
+        (35, "setdefault_alias_mutation"),
+        (39, "or_alias_mutation"),
+    ]:
+        assert "'table'" in by_line[line].message
+        assert f"BadQueue.{method}" in by_line[line].message
 
 
 # ----------------------------------------------------------------------
@@ -86,6 +108,10 @@ def test_shared_bad_under_instrumentation_needs_yields_even_under_lock():
         ("DDS201", 19),
         ("DDS201", 23),
         ("DDS201", 27),
+        ("DDS201", 31),
+        ("DDS201", 34),
+        ("DDS201", 35),
+        ("DDS201", 39),
     ]
 
 

@@ -29,11 +29,12 @@ def test_live_tree_baseline_is_small_and_justified():
     # The full baseline: the three wrap-around writes in the shared
     # _ByteRing._write_at helper, whose callers own the byte range and
     # yield before invoking it; plus the lazy-bucket materialization in
-    # cuckoo's _materialize, where the None->list swap is one atomic
-    # store invisible to readers and callers yield before the enclosing
-    # write op; plus the sharded server's host fallback, which runs
-    # the programs the verifier *refused* (under host-sized bounds), so
-    # no verify() can precede its interpret_page.  Growing this
+    # cuckoo's _materialize, where the first store of an empty bucket
+    # under a new key is one atomic store invisible to readers and
+    # callers yield before the enclosing write op; plus the sharded
+    # server's host fallback, which runs the programs the verifier
+    # *refused* (under host-sized bounds), so no verify() can precede
+    # its interpret_page.  Growing this
     # inventory is a reviewed decision, not a drive-by.
     inventory = sorted(
         (Path(f.path).name, f.rule) for f in suppressed

