@@ -17,7 +17,7 @@ that contract when they leak into sim-driven modules:
 * **DDS303 — hash-salt / iteration-order dependence**: the builtin
   ``hash()`` is salted per process (PYTHONHASHSEED), so anything
   derived from it — including ``set`` iteration order — differs between
-  runs.  Use a keyed digest (``hashlib.blake2b``) or ``sorted()``.
+  runs.  Use a keyed digest (``repro.digest.blake2b``) or ``sorted()``.
 * **DDS304 — scheduling-API bypass**: only the engine
   (``sim/engine.py``) may own event-queue mechanics.  A model that
   imports ``heapq`` or pokes the engine's private queues (``_heap``,
@@ -231,7 +231,7 @@ def check_determinism(
                     "DDS303",
                     node.lineno,
                     "builtin hash() is PYTHONHASHSEED-salted: derived "
-                    "values differ between runs (use hashlib.blake2b "
+                    "values differ between runs (use repro.digest.blake2b "
                     "or a splitmix64 mix)",
                 )
         elif isinstance(node, (ast.For, ast.AsyncFor)):

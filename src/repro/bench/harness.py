@@ -35,7 +35,6 @@ single-site patches) changes nothing a scenario (:func:`observe_*`) sees.
 
 from __future__ import annotations
 
-import hashlib
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
@@ -52,12 +51,12 @@ from typing import (
     Tuple,
     Union,
 )
-from unittest import mock
 
 from ..core.client import ClientConfig, ClientResult, DdsClient, WorkloadClient
 from ..core.messages import IoRequest, IoResponse, OpCode
 from ..core.retry import RetryBudget, RetryPolicy
 from ..core.server import PipelineServer
+from ..digest import blake2b
 from ..faults import FaultInjector, FaultPlan, InvariantChecker, ShardKill
 from ..hardware.nic import NetworkLink
 from ..hardware.specs import NVME_1TB, SsdSpec
@@ -175,7 +174,7 @@ class Cluster:
 
     def state_digest(self) -> str:
         """Digest of every file's bytes on its owning shard's disk."""
-        digest = hashlib.blake2b(digest_size=16)
+        digest = blake2b(digest_size=16)
         for file_id in self.file_ids:
             owner = self.server.shard_map.owner(file_id)
             digest.update(
@@ -834,6 +833,8 @@ def differential(
 
 
 def _run(scenario, seed, sites):
+    from unittest import mock  # loads asyncio: import on use only
+
     with ExitStack() as patches:
         for site in sites:
             patches.enter_context(mock.patch.object(*site))

@@ -25,25 +25,32 @@ cooperatively and explores their interleavings deterministically:
 See DESIGN.md §"Concurrency testing" for the replay workflow.
 """
 
+from .._lazy import lazy_exports
 from .hooks import yield_point
-from .scheduler import (
-    DeadlockError,
-    GeneratorTask,
-    InterleavingScheduler,
-    RandomStrategy,
-    ReplayStrategy,
-    SchedulerError,
-    TaskFailure,
-    ThreadTask,
-)
-from .explore import (
-    BoundedExplorer,
-    ExplorationFailure,
-    Scenario,
-    explore_bounded,
-    explore_random,
-    replay_seed,
-)
+
+# The instrumented structures import ``hooks``, which runs this file in
+# every process; the scheduler and the explorer are test-time tools, so
+# they load on first use (PEP 562).
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "scheduler": (
+        "DeadlockError",
+        "GeneratorTask",
+        "InterleavingScheduler",
+        "RandomStrategy",
+        "ReplayStrategy",
+        "SchedulerError",
+        "TaskFailure",
+        "ThreadTask",
+    ),
+    "explore": (
+        "BoundedExplorer",
+        "ExplorationFailure",
+        "Scenario",
+        "explore_bounded",
+        "explore_random",
+        "replay_seed",
+    ),
+})
 
 __all__ = [
     "BoundedExplorer",

@@ -1,5 +1,6 @@
 """DDS core: storage path, network path, offload engine, servers, client."""
 
+from .._lazy import lazy_exports
 from .api import OffloadCallbacks, ReadOp, WriteOp, passthrough_callbacks
 from .dma_ring import DmaRingChannel, RingTransferModel, RingTransferResult
 from .file_library import DdsFileLibrary, NotificationGroup, PollMode
@@ -11,16 +12,12 @@ from .traffic_director import TrafficDirector
 # The server and client modules are loaded lazily (PEP 562): the servers
 # are built from repro.topology stages, and those stages import this
 # package's leaf modules — eager imports here would close that loop.
-_LAZY = {
-    "PipelineServer": "server",
-    "ClientConfig": "client",
-    "ClientResult": "client",
-    "WorkloadClient": "client",
-    "DdsClient": "client",
-    "RetryPolicy": "retry",
-    "CircuitBreaker": "retry",
-    "RequestDedup": "dedup",
-}
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "server": ("PipelineServer",),
+    "client": ("ClientConfig", "ClientResult", "WorkloadClient", "DdsClient"),
+    "retry": ("RetryPolicy", "CircuitBreaker"),
+    "dedup": ("RequestDedup",),
+})
 
 __all__ = [
     "CircuitBreaker",
@@ -50,21 +47,3 @@ __all__ = [
     "WriteOp",
     "passthrough_callbacks",
 ]
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

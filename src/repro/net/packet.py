@@ -10,10 +10,11 @@ rate.  Stage two (the offload predicate) inspects payloads and lives in
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Optional, Tuple
+
+from ..digest import blake2b
 
 __all__ = ["FiveTuple", "AppSignature", "Segment", "WILDCARD"]
 
@@ -66,7 +67,7 @@ class FiveTuple:
             ]
         )
         key = f"{endpoints[0]},{endpoints[1]},{self.protocol}".encode()
-        digest = hashlib.blake2b(key, digest_size=8).digest()
+        digest = blake2b(key, digest_size=8).digest()
         return int.from_bytes(digest, "little")
 
 

@@ -19,7 +19,7 @@ The intended flow — and the one ddslint's DDS501/DDS502 enforce — is::
         ...
 """
 
-from .frontend import SourceRejected, compile_predicate
+from .._lazy import lazy_exports
 from .interp import (
     ExecStats,
     FuelTrap,
@@ -61,6 +61,13 @@ from .verifier import (
     verify,
     verify_program,
 )
+
+# The restricted-Python frontend parses source with ``ast`` and
+# ``inspect``; only authoring calls it, so it loads on first use
+# (PEP 562).
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "frontend": ("SourceRejected", "compile_predicate"),
+})
 
 __all__ = [
     # isa

@@ -1,5 +1,6 @@
 """Discrete-event simulation engine (SimPy-like, dependency-free)."""
 
+from .._lazy import lazy_exports
 from .engine import (
     AllOf,
     AnyOf,
@@ -12,7 +13,12 @@ from .engine import (
 )
 from .resources import Resource, Store
 from .rng import SeededRng, ZipfGenerator
-from .trace import EventLog, TraceRecord
+
+# The event log is a debugging aid a run attaches on request; it loads
+# on first use (PEP 562).
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "trace": ("EventLog", "TraceRecord"),
+})
 
 __all__ = [
     "AllOf",

@@ -14,10 +14,10 @@ file service, or the OS-filesystem baseline wrapper) owns CPU accounting.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Dict, Generator, List, Optional, Tuple
 
+from ..digest import blake2b
 from ..hardware.ssd import DeviceError
 from ..sim import Environment
 from .disk import SpdkBdev
@@ -365,7 +365,7 @@ class DdsFileSystem:
         image = (
             len(payload).to_bytes(_SLOT_HEADER, "little")
             + payload
-            + hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest()
+            + blake2b(payload, digest_size=_DIGEST_SIZE).digest()
         )
         if len(image) > self._slot_capacity():
             raise FileSystemError(
@@ -404,7 +404,7 @@ class DdsFileSystem:
             return None
         payload = disk.read(offset + _SLOT_HEADER, length)
         digest = disk.read(offset + _SLOT_HEADER + length, _DIGEST_SIZE)
-        if hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest() != (
+        if blake2b(payload, digest_size=_DIGEST_SIZE).digest() != (
             digest
         ):
             return None

@@ -36,7 +36,6 @@ same seed produce identical failover trajectories.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Generator, Optional, Tuple
@@ -44,6 +43,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Generator, Optional, Tuple
 from ..concurrency.hooks import yield_point
 from ..core.messages import IoRequest
 from ..core.traffic_director import TrafficDirector
+from ..digest import blake2b
 from ..sim import Environment
 from ..storage.filesystem import FileSystemError
 from ..structures.atomics import AtomicCounter
@@ -65,7 +65,7 @@ __all__ = [
 
 def _digest(payload: bytes) -> str:
     """Short stable content digest for log records and violation text."""
-    return hashlib.blake2b(payload, digest_size=8).hexdigest()
+    return blake2b(payload, digest_size=8).hexdigest()
 
 
 @dataclass(frozen=True)
