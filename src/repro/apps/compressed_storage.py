@@ -180,7 +180,11 @@ def run_compressed_read_experiment(
             start = env.now
             page = yield from store.read_page(page_id)
             latencies.append(env.now - start)
-            assert store.verify(page_id, page)
+            if not store.verify(page_id, page):
+                raise RuntimeError(
+                    f"{mode}: page {page_id} read back differs from the "
+                    "loaded image"
+                )
 
     per_worker = reads // concurrency
     workers = [env.process(worker(per_worker)) for _ in range(concurrency)]

@@ -175,7 +175,11 @@ def run_dpu_cache_experiment(
             start = env.now
             data = yield from serve_read(page_id)
             latencies.append(env.now - start)
-            assert data[:8] == page_id.to_bytes(8, "little")
+            if data[:8] != page_id.to_bytes(8, "little"):
+                raise RuntimeError(
+                    f"read of page {page_id} returned the page tagged "
+                    f"{int.from_bytes(data[:8], 'little')}"
+                )
 
     per_worker = reads // concurrency
     workers = [env.process(worker(per_worker)) for _ in range(concurrency)]

@@ -349,7 +349,8 @@ def _run_pushdown(mode: str) -> dict:
     move device-side.  Every cell cross-checks rows and (where the
     pipeline aggregates) the accumulator registers against the table's
     ground truth (:func:`~repro.pushdown.scan.run_pipeline_experiment`
-    asserts it), so a perf figure can never come from a wrong answer.
+    raises ``RuntimeError`` on a mismatch, also under ``python -O``), so
+    a perf figure can never come from a wrong answer.
     """
     from ..pushdown.scan import PIPELINES, PLACEMENTS, run_pipeline_experiment
 

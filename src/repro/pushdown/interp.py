@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
-from typing import Dict, List, Optional, Pattern, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .isa import (
     ACC_REGS,
@@ -105,9 +105,13 @@ class StageResult:
     stats: ExecStats
 
 
+#: A compiled pattern's bound ``search``.
+_Search = Callable[[bytes], Optional["re.Match[bytes]"]]
+
+
 @lru_cache(maxsize=256)
-def _compiled(patterns: Tuple[bytes, ...]) -> Tuple[Pattern[bytes], ...]:
-    return tuple(re.compile(pattern) for pattern in patterns)
+def _searches(patterns: Tuple[bytes, ...]) -> Tuple[_Search, ...]:
+    return tuple(re.compile(pattern).search for pattern in patterns)
 
 
 #: Dense opcode numbers, in the order of :func:`_run`'s arms: what the
@@ -127,7 +131,8 @@ _OPS = (
     _NOT, _DUP, _POP, _SWAP, _LOADS, _STORE,
     _JMP, _JZ, _LOOP, _END, _EMITV, _PUSHCTR,
 ) = range(len(_OPS))
-_NUMBER = {op: number for number, op in enumerate(_OPS)}
+#: Keyed by member name: an ``Op`` hashes in Python, its name in C.
+_NUMBER = {op._name_: number for number, op in enumerate(_OPS)}
 assert len(_NUMBER) == len(Op), "every opcode needs an arm in _run"
 
 #: ``_GT`` .. ``_MUL`` as ``f(left, right)``.
@@ -136,21 +141,30 @@ _BINARY = (
     operator.add, operator.sub, operator.mul,
 )
 
-#: One decoded stage: ``(op, a, b)`` triples, compiled patterns,
-#: is-a-filter, scratch bytes.
-_Stage = Tuple[Tuple[Tuple[int, int, int], ...], tuple, bool, int]
+#: One decoded stage: ``(op, a, b)`` triples and their count, each
+#: pattern's ``search`` and their count, is-a-filter, scratch bytes.
+_Stage = Tuple[
+    Tuple[Tuple[int, int, int], ...], int, Tuple[_Search, ...], int, bool, int
+]
+
+#: What a ``RET`` with nothing emitted returns: no tuple is built for it.
+_KEPT = (True, b"")
+_REJECTED = (False, b"")
 
 
 def _decode(program: Program) -> _Stage:
     """Hoist what no record changes; instructions are copied unchecked."""
     try:
-        patterns = _compiled(program.patterns)
+        searches = _searches(program.patterns)
     except re.error as exc:
         raise OperandTrap(f"invalid pattern: {exc}") from None
     if not 0 <= program.scratch <= SCRATCH_LIMIT:
         raise ScratchTrap(f"scratch size {program.scratch} out of range")
-    code = tuple([(_NUMBER[i.op], i.a, i.b) for i in program.code])
-    return code, patterns, program.kind == "filter", program.scratch
+    code = tuple([(_NUMBER[i.op._name_], i.a, i.b) for i in program.code])
+    return (
+        code, len(code), searches, len(searches),
+        program.kind == "filter", program.scratch,
+    )
 
 
 def _check_window(record: bytes, record_bytes: int) -> None:
@@ -167,6 +181,9 @@ def _run(
     acc: List[int],
     stack_limit: int,
     tally: List[int],
+    stack: List[int],
+    loops: List[List[int]],
+    emitted: bytearray,
 ) -> Tuple[bool, bytes]:
     """One decoded stage over one whole record: ``(selected, emitted)``.
 
@@ -174,15 +191,14 @@ def _run(
     number) before it runs.  An arm checks its operands, then pops, then
     — if it pushes — leaves the result in ``value`` for the overflow
     check and clamp at the bottom of the loop; the others ``continue``.
-    Underflow is the stack list's own bounds check, translated.
+    Underflow is the stack list's own bounds check, translated.  The
+    caller's ``stack``, ``loops`` (``[body_pc, remaining, trip]``) and
+    ``emitted`` are empty on entry, and ``RET`` leaves them so; a trap
+    ends the caller's call, so it leaves them as they are.  Scratch is
+    allocated by the first access that passes its bounds check.
     """
-    code, patterns, is_filter, scratch_bytes = stage
-    size = len(code)
-    record_bytes = len(record)
-    scratch = bytearray(scratch_bytes)
-    stack: List[int] = []
-    loops: List[List[int]] = []  # [body_pc, remaining, trip]
-    emitted = bytearray()
+    code, size, searches, patterns, is_filter, scratch_bytes = stage
+    scratch: Optional[bytearray] = None
     steps = pc = 0
     try:
         while True:
@@ -195,18 +211,26 @@ def _run(
             tally[op] += 1
             pc += 1
             if op == _MATCH:
-                if not 0 <= a < len(patterns):
+                if not 0 <= a < patterns:
                     raise OperandTrap(f"pattern index {a} out of range")
-                value = 1 if patterns[a].search(record) else 0
+                value = 1 if searches[a](record) else 0
             elif op == _RET:
-                selected = stack.pop() != 0 if is_filter else True
-                return selected, bytes(emitted)
+                keep = not is_filter or stack.pop() != 0
+                if stack:
+                    stack.clear()
+                if loops:
+                    loops.clear()
+                if not emitted:
+                    return _KEPT if keep else _REJECTED
+                chunk = bytes(emitted)
+                emitted.clear()
+                return keep, chunk
             elif op <= _LOADD:  # LOAD, EMITF, LOADD: b bytes of the window
                 if op == _LOADD:
                     a = stack.pop()
                 if b not in WIDTHS:
                     raise OperandTrap(f"bad window width {b}")
-                if a < 0 or a + b > record_bytes:
+                if a < 0 or a + b > len(record):
                     raise WindowTrap(f"[{a}:{a + b}] outside the window")
                 if op == _EMITF:
                     emitted += record[a:a + b]
@@ -249,6 +273,8 @@ def _run(
                     raise OperandTrap(f"bad scratch width {b}")
                 if a < 0 or a + b > scratch_bytes:
                     raise ScratchTrap(f"[{a}:{a + b}] outside scratch")
+                if scratch is None:
+                    scratch = bytearray(scratch_bytes)
                 if op == _STORE:
                     low = stack.pop() & ((1 << (8 * b)) - 1)
                     scratch[a:a + b] = low.to_bytes(b, "little")
@@ -288,7 +314,11 @@ def _run(
                 value = trip - remaining
             if len(stack) >= stack_limit:
                 raise StackTrap("operand-stack overflow")
-            stack.append(_clamp(value))
+            if value > I64_MAX:
+                value = I64_MAX
+            elif value < I64_MIN:
+                value = I64_MIN
+            stack.append(value)
     except IndexError:
         raise StackTrap("operand-stack underflow") from None
 
@@ -337,6 +367,7 @@ def interpret(
     selected, emitted = _run(
         _decode(program), record, fuel,
         [0] * ACC_REGS if acc is None else acc, stack_limit, tally,
+        [], [], bytearray(),
     )
     return StageResult(selected, emitted, _stats(tally, len(record)))
 
@@ -383,24 +414,36 @@ def interpret_page(
     reaches it, so one that no record reaches raises nothing.
     """
     size = geometry.record_bytes
-    stages: List[Optional[_Stage]] = [None] * len(pipeline.stages)
+    whole = len(page) - len(page) % size
+    # Per stage: [decoded once a record reaches it, program, is-a-project].
+    plan: List[List[Any]] = [
+        [None, program, program.kind == "project"]
+        for program in pipeline.stages
+    ]
     tally = [0] * len(_OPS)
+    stack: List[int] = []
+    loops: List[List[int]] = []
+    buffer = bytearray()
     selected: List[Tuple[int, bytes]] = []
     emitted: List[bytes] = []
-    for slot, at in enumerate(range(0, len(page), size)):
+    for at in range(0, whole, size):
         record = page[at:at + size]
-        _check_window(record, size)
         output = b""
-        for index, program in enumerate(pipeline.stages):
-            stage = stages[index]
+        for entry in plan:
+            stage = entry[0]
             if stage is None:
-                stage = stages[index] = _decode(program)
-            keep, chunk = _run(stage, record, fuel, acc, stack_limit, tally)
+                stage = entry[0] = _decode(entry[1])
+            keep, chunk = _run(
+                stage, record, fuel, acc, stack_limit, tally,
+                stack, loops, buffer,
+            )
             if not keep:  # only a filter rejects, and it gates the rest
                 break
-            if program.kind == "project":
+            if entry[2]:
                 output = chunk
         else:
-            selected.append((slot, record))
+            selected.append((at // size, record))
             emitted.append(output)
+    if whole < len(page):  # a short last record
+        _check_window(page[whole:], size)
     return selected, emitted, _stats(tally, size)

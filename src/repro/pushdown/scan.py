@@ -119,12 +119,21 @@ def canonical_pipeline(name: str) -> Pipeline:
 
 @dataclass(frozen=True)
 class PipelineTable:
-    """A pipeline table's pages and the answers a scan of it must find."""
+    """A pipeline table's bytes and the answers a scan of it must find."""
 
-    pages: Tuple[bytes, ...]
+    #: The pages back to back: what a scanner loads in one write.
+    image: bytes
     hits: int
     value_sum: int
     max_weight: int
+
+    @property
+    def pages(self) -> Tuple[bytes, ...]:
+        """The image cut into ``PAGE_BYTES`` pages (fresh copies)."""
+        image = self.image
+        return tuple(
+            image[at:at + PAGE_BYTES] for at in range(0, len(image), PAGE_BYTES)
+        )
 
 
 def build_pipeline_table(
@@ -153,7 +162,7 @@ def build_pipeline_table(
                 value_sum += value
                 max_weight = max(max_weight, weight)
         table.append(b"".join(records))
-    return PipelineTable(tuple(table), hits, value_sum, max_weight)
+    return PipelineTable(b"".join(table), hits, value_sum, max_weight)
 
 
 @lru_cache(maxsize=4)
@@ -220,8 +229,7 @@ class PipelineScanner:
         self.expected_hits = table.hits
         self.expected_sum = table.value_sum
         self.expected_max_weight = table.max_weight
-        for page_id, page in enumerate(table.pages):
-            self.fs.write_sync(self.file_id, page_id * PAGE_BYTES, page)
+        self.fs.write_sync(self.file_id, 0, table.image)
         self.wire_bytes = 0
 
     def scan_page(self, page_id: int) -> Generator:
@@ -242,7 +250,10 @@ class PipelineScanner:
         self.wire_bytes += payload
         return outcome.selected
 
-    def scan_table(self, concurrency: int = 16) -> Generator:
+    #: Page scans in flight: worker ``i`` takes pages ``i``, ``i + 16``, ...
+    WORKERS = 16
+
+    def scan_table(self) -> Generator:
         """Scan every page; returns all selected records."""
         results: List[Tuple[int, bytes]] = []
 
@@ -252,8 +263,8 @@ class PipelineScanner:
                 results.extend(matches)
 
         chunks = [
-            list(range(start, self.pages, concurrency))
-            for start in range(concurrency)
+            list(range(start, self.pages, self.WORKERS))
+            for start in range(self.WORKERS)
         ]
         workers = [self.env.process(worker(chunk)) for chunk in chunks]
         yield self.env.all_of(workers)
@@ -304,13 +315,23 @@ def run_pipeline_experiment(
     proc = env.process(scanner.scan_table())
     env.run(until=proc)
     selected = proc.value
-    assert len(selected) == scanner.expected_hits
-    assert all(record.startswith(b"needle-") for _slot, record in selected)
+    if len(selected) != scanner.expected_hits:
+        raise RuntimeError(
+            f"{pipeline}/{placement}: {len(selected)} rows selected, "
+            f"the table has {scanner.expected_hits} hits"
+        )
+    if not all(record.startswith(b"needle-") for _slot, record in selected):
+        raise RuntimeError(f"{pipeline}/{placement}: selected a non-hit")
     if scanner.has_aggregate:
-        acc = scanner.acc
-        assert acc[0] == scanner.expected_sum
-        assert acc[1] == scanner.expected_hits
-        assert acc[2] == scanner.expected_max_weight
+        expected = (
+            scanner.expected_sum, scanner.expected_hits,
+            scanner.expected_max_weight,
+        )
+        if scanner.acc[:3] != expected:
+            raise RuntimeError(
+                f"{pipeline}/{placement}: accumulators {scanner.acc[:3]} "
+                f"(sum, count, max), the table says {expected}"
+            )
     return PipelineScanResult(
         placement=placement,
         pipeline=pipeline,

@@ -1,9 +1,13 @@
 """Tests for the §11 future-work extensions: accelerators, pushdown."""
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.apps.compressed_storage import (
     CompressedPageStore,
     run_compressed_read_experiment,
@@ -197,3 +201,60 @@ class TestPushdown:
             PipelineScanner(env, pipeline, placement="fpga")
         with pytest.raises(ValueError):
             PipelineScanner(env, pipeline, selectivity=1.5)
+
+
+#: Each experiment driver run against tampered ground truth: the table
+#: reports one hit too many or a wrong sum, the store's image differs
+#: from what it loaded, every read returns a page with a wrong tag.
+TAMPERED = {
+    "pushdown-rows": (
+        "import dataclasses\n"
+        "from repro.pushdown import scan\n"
+        "table = scan.pipeline_table\n"
+        "scan.pipeline_table = lambda *key: dataclasses.replace(\n"
+        "    table(*key), hits=table(*key).hits + 1)\n"
+        "scan.run_pipeline_experiment('dpu-software', 'filter', pages=4)\n"
+    ),
+    "pushdown-aggregate": (
+        "import dataclasses\n"
+        "from repro.pushdown import scan\n"
+        "table = scan.pipeline_table\n"
+        "scan.pipeline_table = lambda *key: dataclasses.replace(\n"
+        "    table(*key), value_sum=table(*key).value_sum + 1)\n"
+        "scan.run_pipeline_experiment('dpu-accel', pages=4)\n"
+    ),
+    "compressed-read": (
+        "from repro.apps import compressed_storage as cs\n"
+        "load = cs.CompressedPageStore.__init__\n"
+        "def tampered(self, *args, **kwargs):\n"
+        "    load(self, *args, **kwargs)\n"
+        "    for page_id, page in self._expected.items():\n"
+        "        self._expected[page_id] = bytes([page[0] ^ 1]) + page[1:]\n"
+        "cs.CompressedPageStore.__init__ = tampered\n"
+        "cs.run_compressed_read_experiment('accel', pages=8, reads=64)\n"
+    ),
+    "dpu-cache": (
+        "from repro.apps import dpu_cache\n"
+        "read = dpu_cache.submit_read\n"
+        "def misread(*args):\n"
+        "    data = yield from read(*args)\n"
+        "    return bytes([data[0] ^ 1]) + data[1:]\n"
+        "dpu_cache.submit_read = misread\n"
+        "dpu_cache.run_dpu_cache_experiment(0, reads=96)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(TAMPERED))
+def test_a_driver_refuses_a_wrong_answer_under_python_O(driver):
+    """The drivers check their results with explicit raises: ``-O``
+    strips ``assert``, and a wrong answer must not come back as a
+    figure."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", TAMPERED[driver]],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.returncode != 0, run.stdout
+    assert "RuntimeError" in run.stderr, run.stderr

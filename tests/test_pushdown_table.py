@@ -35,6 +35,8 @@ from repro.pushdown.scan import (
     pipeline_table,
 )
 from repro.sim import Environment, SeededRng
+from repro.storage.disk import RamDisk, SpdkBdev
+from repro.storage.filesystem import DdsFileSystem
 
 SEEDS = (1, 55, 99)
 
@@ -109,6 +111,32 @@ def test_scanners_of_one_memoised_table_share_no_disk_byte():
     assert second.fs.read_sync(second.file_id, 0, len(table)) == table
     # ... nor does the write reach the memo a third scanner loads from.
     assert b"".join(pipeline_table(2, 0.5, 7).pages) == table
+
+
+def test_a_one_write_load_lays_the_disk_out_as_page_writes_do():
+    """A scanner loads its table in one ``write_sync``: the packed store
+    hands the joined pages one run of fresh slots, exactly the slots and
+    written extents a page-by-page load leaves."""
+    pages = 8
+    scanner = PipelineScanner(
+        Environment(), canonical_pipeline("filter"), pages=pages, seed=3
+    )
+    env = Environment()
+    paged = DdsFileSystem(
+        env, SpdkBdev(env, RamDisk(pages * PAGE_BYTES + (32 << 20)))
+    )
+    paged.create_directory("table")
+    file_id = paged.create_file("table", "records")
+    assert file_id == scanner.file_id
+    for page_id, page in enumerate(pipeline_table(pages, 0.05, 3).pages):
+        paged.write_sync(file_id, page_id * PAGE_BYTES, page)
+    size = pages * PAGE_BYTES
+    assert scanner.fs.read_sync(file_id, 0, size) == paged.read_sync(
+        file_id, 0, size
+    )
+    one, many = scanner.fs.bdev.disk, paged.bdev.disk
+    assert one._slots == many._slots
+    assert one._written == many._written
 
 
 def test_scanning_does_not_import_the_linter():
