@@ -275,7 +275,7 @@ class _FunctionScanner:
             self._scan_assign(stmt, under)
         elif isinstance(stmt, ast.AugAssign):
             # A bare-Name target rebinds a local (``cls <<= 1`` after
-            # ``cls = self.min_class`` copies an int) — not a shared
+            # ``cls = self.MIN_CLASS`` copies an int) — not a shared
             # mutation.  Attribute/Subscript targets mutate in place.
             if not isinstance(stmt.target, ast.Name):
                 attr = _root_attr(stmt.target, self._aliases)

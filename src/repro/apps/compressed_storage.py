@@ -60,22 +60,24 @@ class _PageEntry:
 
 
 class CompressedPageStore:
-    """A page store whose on-disk representation may be compressed."""
+    """A page store whose on-disk representation may be compressed.
+
+    Page contents come from seed 77; a :attr:`REDUNDANCY` share of each
+    page is a repeating motif.
+    """
+
+    #: Fraction of each page that is a repeating (compressible) motif.
+    REDUNDANCY = 0.8
 
     def __init__(
-        self,
-        env: Environment,
-        pages: int = 256,
-        mode: str = "accel",
-        redundancy: float = 0.8,
-        seed: int = 77,
+        self, env: Environment, pages: int = 256, mode: str = "accel"
     ) -> None:
         if mode not in ("accel", "software", "none"):
             raise ValueError(f"unknown mode: {mode!r}")
         self.env = env
         self.mode = mode
         self.pages = pages
-        rng = SeededRng(seed)
+        rng = SeededRng(77)
         self.fs = DdsFileSystem(
             env, SpdkBdev(env, RamDisk(pages * PAGE_BYTES + (32 << 20)))
         )
@@ -94,15 +96,15 @@ class CompressedPageStore:
             self.engine = None
         self._directory: Dict[int, _PageEntry] = {}
         self._expected: Dict[int, bytes] = {}
-        self._load(rng, redundancy)
+        self._load(rng)
 
     # ------------------------------------------------------------------
     # load phase (setup time, not measured)
     # ------------------------------------------------------------------
-    def _load(self, rng: SeededRng, redundancy: float) -> None:
+    def _load(self, rng: SeededRng) -> None:
         cursor = 0
         for page_id in range(self.pages):
-            page = _make_page(page_id, rng, redundancy)
+            page = _make_page(page_id, rng, self.REDUNDANCY)
             self._expected[page_id] = page
             if self.mode == "none":
                 stored = page
@@ -166,7 +168,7 @@ def run_compressed_read_experiment(
     mode: str, pages: int = 192, reads: int = 1500
 ) -> CompressedReadResult:
     """Random page reads, 32 at a time, through the compressed store
-    (its default 80 %-redundant pages, seed 77) at one mode."""
+    (80 %-redundant pages, seed 77) at one mode."""
     concurrency = 32
     env = Environment()
     store = CompressedPageStore(env, pages=pages, mode=mode)

@@ -47,6 +47,8 @@ class FasterKv:
     MUTABLE_FRACTION = 0.9
     #: Flush granularity to the device.
     PAGE_BYTES = 1 << 15
+    #: Called with ``(offset, page)`` for every flushed log page.
+    on_flush: Optional[Callable[[int, bytes], None]] = None
 
     def __init__(
         self,
@@ -54,7 +56,6 @@ class FasterKv:
         cpu: CpuPool,
         memory_budget: int,
         device=None,
-        on_flush: Optional[Callable[[int, bytes], None]] = None,
         memory_cost_scale: float = 1.0,
     ) -> None:
         if memory_budget < 2 * self.PAGE_BYTES:
@@ -66,7 +67,6 @@ class FasterKv:
         self.memory_cost_scale = memory_cost_scale
         self.memory_budget = memory_budget
         self.device = device
-        self.on_flush = on_flush
         self.index: dict = {}
         self.tail_address = 0
         self.head_address = 0          # memory/disk boundary

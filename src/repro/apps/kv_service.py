@@ -43,6 +43,14 @@ __all__ = [
     "run_kv_experiment",
 ]
 
+#: The §9.2 store: 400 K records against a 256 KiB in-memory log, so
+#: ~96 % of records live on disk (the paper's memory-constrained setup).
+RECORDS = 400_000
+MEMORY_BUDGET = 256 << 10
+#: Share of :func:`run_kv_experiment` requests that are GETs: the
+#: paper's uniform-read benchmark.
+READ_FRACTION = 1.0
+
 
 def kv_offload_callbacks(kv_file_id: int) -> OffloadCallbacks:
     """The §9.2 offload plan: ~360 lines in the paper, four functions here.
@@ -115,8 +123,8 @@ class KvCluster:
 
 def build_kv_cluster(
     kind: str,
-    records: int = 400_000,
-    memory_budget: int = 256 << 10,
+    records: int = RECORDS,
+    memory_budget: int = MEMORY_BUDGET,
     seed: int = 11,
 ) -> KvCluster:
     """Assemble the §9.2 setup: most records flushed to storage.
@@ -203,27 +211,23 @@ def run_kv_experiment(
     kind: str,
     offered_ops: float,
     total_requests: int = 10_000,
-    records: int = 400_000,
-    memory_budget: int = 256 << 10,
     batch: int = 4,
     max_outstanding: int = 128,
-    read_fraction: float = 1.0,
 ) -> AppResult:
     """Drive a YCSB workload (seed 11) at one offered rate.
 
-    ``read_fraction=1.0`` is the paper's uniform-read benchmark;
-    lower values mix in upserts (YCSB-B at 0.95, YCSB-A at 0.5), which
-    always execute on the host and invalidate the written key's cache
-    entry.
+    A :data:`READ_FRACTION` below 1.0 mixes in upserts (YCSB-B at 0.95,
+    YCSB-A at 0.5), which always execute on the host and invalidate the
+    written key's cache entry.
     """
     cluster = build_kv_cluster(
-        kind, records=records, memory_budget=memory_budget, seed=11
+        kind, records=RECORDS, memory_budget=MEMORY_BUDGET, seed=11
     )
     request_rng = SeededRng(12)
 
     def factory(request_id: int, _rng) -> IoRequest:
         key = cluster.workload.draw_key()
-        if request_rng.random() < read_fraction:
+        if request_rng.random() < READ_FRACTION:
             return IoRequest(
                 OpCode.READ,
                 request_id,

@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 PAGE_BYTES = 8192
+#: The §9.1 partition (128 MiB, a scaled-down 128 GB) and its log
+#: replay rate (pages/s).
+PAGES = 16_384
+REPLAY_RATE = 2_000.0
 PAGE_HEADER = struct.Struct("<QQ")  # page_lsn, page_id
 
 
@@ -217,10 +221,7 @@ class PageServerCluster:
 
 
 def build_pageserver_cluster(
-    kind: str,
-    pages: int = 16_384,  # 128 MiB partition (scaled-down 128 GB)
-    replay_rate: float = 2_000.0,
-    seed: int = 23,
+    kind: str, pages: int = PAGES, replay_rate: float = REPLAY_RATE
 ) -> PageServerCluster:
     """Assemble the §9.1 setup: RBPEX on local SSD, replay, GetPage@LSN."""
     if kind not in ("baseline", "dds"):
@@ -247,7 +248,7 @@ def build_pageserver_cluster(
     backend = server.shards[0].backend if offload else server.execution
     app = _PageServerApp(
         env, server.host_pool, rbpex, pages, backend.device(rbpex),
-        SeededRng(seed),
+        SeededRng(23),
     )
     if offload:
         # Seed the cache table: every page is clean at LSN 0.
@@ -265,8 +266,6 @@ def run_pageserver_experiment(
     kind: str,
     offered_pages: float,
     total_requests: int = 6_000,
-    pages: int = 16_384,
-    replay_rate: float = 2_000.0,
     max_outstanding: int = 128,
 ) -> AppResult:
     """Drive GetPage@LSN traffic at one offered rate (messages of two
@@ -277,7 +276,7 @@ def run_pageserver_experiment(
     pages being replayed at that instant divert to the host.
     """
     cluster = build_pageserver_cluster(
-        kind, pages=pages, replay_rate=replay_rate
+        kind, pages=PAGES, replay_rate=REPLAY_RATE
     )
     app = cluster.app
     rng = SeededRng(24)

@@ -35,7 +35,7 @@ class RedyTransport(TransportStage):
     POLLING_CORES_CLIENT = 1
 
     def __init__(self, env: Environment, cpu: CpuPool) -> None:
-        super().__init__(env, RDMA_VERBS, cpu, name="redy-rpc")
+        super().__init__(env, RDMA_VERBS, cpu)
 
     def host_cores(self, elapsed: float) -> float:
         return float(self.POLLING_CORES_SERVER)

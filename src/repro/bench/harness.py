@@ -198,7 +198,6 @@ def bring_up(
 def build_cluster(
     kind: Optional[Solution] = None,
     db_bytes: int = 192 << 20,
-    disk_bytes: Optional[int] = None,
     *,
     files: int = 1,
     file_bytes: Optional[int] = None,
@@ -220,7 +219,7 @@ def build_cluster(
         raise ValueError("pass exactly one of a solution or shards=")
     spec = None if kind is None else resolve(kind)
     file_bytes = file_bytes or db_bytes
-    env, fs, link = bring_up(disk_bytes or files * file_bytes + (64 << 20))
+    env, fs, link = bring_up(files * file_bytes + (64 << 20))
     fs.create_directory("bench")
     file_ids = []
     for index in range(files):

@@ -21,7 +21,7 @@ from ..net.packet import FiveTuple
 from ..sim import Environment, SeededRng
 from ..sim.stats import percentile
 from .messages import IoRequest, IoResponse, OpCode
-from .retry import RetryBudget, RetryLoop, RetryPolicy
+from .retry import RetryLoop, RetryPolicy
 from .server import PipelineServer
 
 __all__ = [
@@ -55,6 +55,8 @@ class ClientConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ValueError("read_fraction must be in [0, 1]")
+        if self.file_size < self.io_size:
+            raise ValueError("file_size must hold at least one io_size request")
 
 
 @dataclass
@@ -71,7 +73,8 @@ class ClientResult:
     duplicate_responses: int = 0
     error_responses: int = 0
     #: Explicit server sheds seen (overload backpressure), and retries
-    #: the client's :class:`~repro.core.retry.RetryBudget` refused.
+    #: a :class:`~repro.core.retry.RetryBudget` refused (always 0: the
+    #: closed-loop client retries without one).
     throttled_responses: int = 0
     budget_denied: int = 0
     #: Acks that arrived after the client had already given up.
@@ -108,7 +111,6 @@ class WorkloadClient:
         request_factory=None,
         retry_policy: Optional[RetryPolicy] = None,
         observer=None,
-        retry_budget: Optional[RetryBudget] = None,
     ) -> None:
         self.env = env
         self.server = server
@@ -122,11 +124,6 @@ class WorkloadClient:
         #: seeded jitter); without one the client trusts every message
         #: to be answered — the loss-free fast path every benchmark uses.
         self.retry_policy = retry_policy
-        #: Optional (shareable) retry budget: each re-send must win a
-        #: token, each success refills a fraction of one — the client
-        #: half of the metastability defense.  None keeps the unbounded
-        #: max_attempts behaviour.
-        self.retry_budget = retry_budget
         #: Optional chaos observer: ``on_issue(request)``,
         #: ``on_ack(request, response)``, ``on_give_up(request)``.
         self.observer = observer
@@ -185,7 +182,7 @@ class WorkloadClient:
         self._finished = self.env.event()
         loop = self._loop = RetryLoop(
             self.env, self.server, self.client_pool, self.retry_policy,
-            self.rng, self._on_retry_ack, self.retry_budget, self.observer,
+            self.rng, self._on_retry_ack, None, self.observer,
         )
         outstanding = [0]
         waiters: List = []
@@ -284,9 +281,7 @@ class DdsClient(WorkloadClient):
         file_id: int,
         config: Optional[ClientConfig] = None,
         request_factory=None,
-        retry_policy: Optional[RetryPolicy] = None,
         observer=None,
-        retry_budget: Optional[RetryBudget] = None,
     ) -> None:
         super().__init__(
             env,
@@ -294,7 +289,6 @@ class DdsClient(WorkloadClient):
             file_id,
             config,
             request_factory,
-            retry_policy=retry_policy or RetryPolicy(),
+            retry_policy=RetryPolicy(),
             observer=observer,
-            retry_budget=retry_budget,
         )

@@ -43,21 +43,14 @@ __all__ = ["RequestDedup"]
 class RequestDedup:
     """Bounded request-id → response table shared by a deployment."""
 
-    def __init__(
-        self,
-        env: Environment,
-        capacity: int = 1 << 16,
-        read_ttl: float = 2e-3,
-        write_ttl: float = 20e-3,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if read_ttl <= 0 or write_ttl <= 0:
-            raise ValueError("TTLs must be positive")
+    #: Completed responses kept for replay (oldest evicted first).
+    CAPACITY = 1 << 16
+    #: In-flight lifetimes before an entry is presumed lost (seconds).
+    READ_TTL = 2e-3
+    WRITE_TTL = 20e-3
+
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.capacity = capacity
-        self.read_ttl = read_ttl
-        self.write_ttl = write_ttl
         self._completed: "OrderedDict[int, IoResponse]" = OrderedDict()
         #: request_id -> (registration time, is_write)
         self._in_flight: Dict[int, Tuple[float, bool]] = {}
@@ -83,7 +76,7 @@ class RequestDedup:
         is_write = request.op is OpCode.WRITE
         entry = self._in_flight.get(rid)
         if entry is not None:
-            ttl = self.write_ttl if entry[1] else self.read_ttl
+            ttl = self.WRITE_TTL if entry[1] else self.READ_TTL
             if self.env.now - entry[0] < ttl:
                 self.absorbed += 1
                 return False
@@ -137,7 +130,7 @@ class RequestDedup:
         if request_id in self._completed:
             self._completed.move_to_end(request_id)
         self._completed[request_id] = response
-        while len(self._completed) > self.capacity:
+        while len(self._completed) > self.CAPACITY:
             self._completed.popitem(last=False)
 
     def abandon(self, request_id: int) -> None:

@@ -48,13 +48,15 @@ class DmaRingChannel:
     #: equality check; ``tail-first`` (the rejected layout) forces two
     #: dependent reads — first the progress pointer, then the tail.
     LAYOUTS = ("progress-first", "tail-first")
+    #: The request ring's maximum allowable progress (None: the whole
+    #: ring, :class:`~repro.structures.rings.ProgressRing`'s default).
+    MAX_PROGRESS: Optional[int] = None
 
     def __init__(
         self,
         env: Environment,
         dma: DmaEngine,
         ring_capacity: int = 1 << 20,
-        max_progress: Optional[int] = None,
         pointer_layout: str = "progress-first",
     ) -> None:
         if pointer_layout not in self.LAYOUTS:
@@ -62,7 +64,7 @@ class DmaRingChannel:
         self.env = env
         self.dma = dma
         self.pointer_layout = pointer_layout
-        self.request_ring = ProgressRing(ring_capacity, max_progress)
+        self.request_ring = ProgressRing(ring_capacity, self.MAX_PROGRESS)
         self.responses: Store = Store(env)
         #: Called after every successful insert.  Not a modelled PCIe
         #: write (the paper's DPU polls precisely because the host has

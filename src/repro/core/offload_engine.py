@@ -233,7 +233,7 @@ class OffloadEngine:
         size = max(1, read_op.size)
         # A read no size class holds gets no lease, like an empty pool.
         buffer = (
-            self.pool.allocate(size) if size <= self.pool.max_class else None
+            self.pool.allocate(size) if size <= self.pool.MAX_CLASS else None
         )
         if buffer is None:
             self._bounced_no_buffer.fetch_add(1)

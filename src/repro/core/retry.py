@@ -49,12 +49,12 @@ class RetryPolicy:
     timeout: float = 400e-6
     #: Total attempts (first try included) before a request is failed.
     max_attempts: int = 8
-    #: First backoff delay; doubles (``BACKOFF_FACTOR``) up to ``cap``.
-    backoff_base: float = 100e-6
+    #: First backoff delay; doubles (``BACKOFF_FACTOR``) up to the cap.
+    BACKOFF_BASE = 100e-6
     BACKOFF_FACTOR = 2.0
-    backoff_cap: float = 5e-3
+    BACKOFF_CAP = 5e-3
     #: Uniform jitter as a fraction of the computed backoff.
-    jitter: float = 0.2
+    JITTER = 0.2
     #: Extra backoff multiplier applied when the server answered with an
     #: explicit THROTTLED shed during the attempt window — the client
     #: half of retry-circuit cooperation (a throttle is a *signal*, not
@@ -67,19 +67,19 @@ class RetryPolicy:
             raise ValueError("timeout must be positive")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base < 0 or self.backoff_cap < self.backoff_base:
-            raise ValueError("need 0 <= backoff_base <= backoff_cap")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
+        if self.BACKOFF_BASE < 0 or self.BACKOFF_CAP < self.BACKOFF_BASE:
+            raise ValueError("need 0 <= BACKOFF_BASE <= BACKOFF_CAP")
+        if not 0.0 <= self.JITTER <= 1.0:
+            raise ValueError("JITTER must be in [0, 1]")
 
     def backoff(self, attempt: int, rng: SeededRng) -> float:
         """Delay before retry number ``attempt`` (0-based), jittered."""
         delay = min(
-            self.backoff_base * self.BACKOFF_FACTOR**attempt,
-            self.backoff_cap,
+            self.BACKOFF_BASE * self.BACKOFF_FACTOR**attempt,
+            self.BACKOFF_CAP,
         )
-        if self.jitter > 0 and delay > 0:
-            delay += self.jitter * delay * rng.random()
+        if self.JITTER > 0 and delay > 0:
+            delay += self.JITTER * delay * rng.random()
         return delay
 
 
@@ -99,18 +99,17 @@ class RetryBudget:
     traffic, not demand.
     """
 
-    def __init__(
-        self,
-        capacity: float = 32.0,
-        refill_ratio: float = 0.1,
-        initial: Optional[float] = None,
-    ) -> None:
+    #: Tokens a new budget holds (None: start full, at ``capacity``).
+    INITIAL: Optional[float] = None
+
+    def __init__(self, capacity: float = 32.0, refill_ratio: float = 0.1) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         if refill_ratio < 0:
             raise ValueError("refill_ratio must be >= 0")
         self.capacity = float(capacity)
         self.refill_ratio = float(refill_ratio)
+        initial = self.INITIAL
         self.tokens = self.capacity if initial is None else float(initial)
         self.spent = 0
         self.denied = 0

@@ -34,10 +34,11 @@ class NetworkLink:
 
     #: L2-L4 header bytes added to each packet on the wire.
     HEADER_BYTES = 66
+    #: Both ends' NIC: 100 Gb/s, 1500 B MTU.
+    spec: NicSpec = NIC_100G
 
-    def __init__(self, env: Environment, spec: NicSpec = NIC_100G) -> None:
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.spec = spec
         self._tx = {
             "client_to_server": Resource(env, capacity=1),
             "server_to_client": Resource(env, capacity=1),

@@ -51,18 +51,16 @@ class TcpSender:
 
     #: Ticks without ACK progress before a timeout retransmission.
     RTO_TICKS = 3
+    #: Slow-start threshold before the first loss, in segments.
+    INITIAL_SSTHRESH = 64
     mss = MSS
 
-    def __init__(
-        self,
-        initial_cwnd: int = 10,
-        ssthresh: int = 64,
-    ) -> None:
+    def __init__(self, initial_cwnd: int = 10) -> None:
         self._stalled_ticks = 0
         self.snd_una = 0           # oldest unacknowledged byte
         self.snd_nxt = 0           # next new byte to send
         self.cwnd = initial_cwnd   # congestion window, in segments
-        self.ssthresh = ssthresh
+        self.ssthresh = self.INITIAL_SSTHRESH
         self._dup_ack_count = 0
         self._last_ack = 0
         self._ca_credit = 0.0  # fractional cwnd growth in congestion avoidance

@@ -174,18 +174,18 @@ class Event:
     # ------------------------------------------------------------------
     # triggering
     # ------------------------------------------------------------------
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Trigger the event successfully with ``value`` after ``delay``."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Trigger the event successfully with ``value``."""
         if self._value is not _PENDING or self._exception is not None or (
             self._scheduled
         ):
             raise SimulationError("event has already been triggered")
         self._scheduled = True
-        self.env._schedule(self, delay, value, None)
+        self.env._schedule(self, value, None)
         return self
 
-    def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
-        """Trigger the event as failed with ``exception`` after ``delay``."""
+    def fail(self, exception: BaseException) -> "Event":
+        """Trigger the event as failed with ``exception``."""
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
         if self._value is not _PENDING or self._exception is not None or (
@@ -193,7 +193,7 @@ class Event:
         ):
             raise SimulationError("event has already been triggered")
         self._scheduled = True
-        self.env._schedule(self, delay, _PENDING, exception)
+        self.env._schedule(self, _PENDING, exception)
         return self
 
     def _apply(self, value: Any, exception: Optional[BaseException]) -> None:
@@ -319,12 +319,12 @@ class Process(Event):
                 if env.trace is not None:
                     env.trace(env._now, self)
             else:
-                self.env._schedule(self, 0.0, stop.value, None)
+                self.env._schedule(self, stop.value, None)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate into waiters
             self._target = None
             self._scheduled = True
-            self.env._schedule(self, 0.0, _PENDING, exc)
+            self.env._schedule(self, _PENDING, exc)
             return
 
         try:
@@ -539,21 +539,12 @@ class Environment:
     # scheduling and execution
     # ------------------------------------------------------------------
     def _schedule(
-        self,
-        event: Event,
-        delay: float,
-        value: Any,
-        exception: Optional[BaseException],
+        self, event: Event, value: Any, exception: Optional[BaseException]
     ) -> None:
+        """Trigger ``event`` at the current instant (a ready entry)."""
         eid = self._eid
         self._eid = eid + 1
-        if delay == 0.0:
-            self._ready.append((eid, event, value, exception))
-        else:
-            heapq.heappush(
-                self._heap,
-                (self._now + delay, eid, event, value, exception),
-            )
+        self._ready.append((eid, event, value, exception))
 
     def _schedule_call(self, fn: Callable[[Any], None], arg: Any) -> None:
         """Schedule ``fn(arg)`` as a same-tick continuation (no Event)."""

@@ -86,21 +86,19 @@ class DmaBuffer:
 class BufferPool:
     """Fixed-budget size-class allocator over a pre-registered region."""
 
-    def __init__(
-        self,
-        total_bytes: int,
-        min_class: int = 512,
-        max_class: int = 1 << 20,
-    ) -> None:
+    #: Smallest and largest size classes (powers of two, in bytes).
+    MIN_CLASS = 512
+    MAX_CLASS = 1 << 20
+
+    def __init__(self, total_bytes: int) -> None:
+        min_class, max_class = self.MIN_CLASS, self.MAX_CLASS
         if total_bytes < min_class:
             raise ValueError("pool smaller than the minimum size class")
         if min_class & (min_class - 1) or max_class & (max_class - 1):
             raise ValueError("size classes must be powers of two")
         if min_class > max_class:
-            raise ValueError("min_class must not exceed max_class")
+            raise ValueError("MIN_CLASS must not exceed MAX_CLASS")
         self.total_bytes = total_bytes
-        self.min_class = min_class
-        self.max_class = max_class
         self._remaining = total_bytes
         self._freelists: Dict[int, List[DmaBuffer]] = {}
         self._lock = threading.Lock()
@@ -111,11 +109,11 @@ class BufferPool:
         """Smallest size class that fits ``size`` bytes."""
         if size < 1:
             raise ValueError("size must be positive")
-        if size > self.max_class:
+        if size > self.MAX_CLASS:
             raise ValueError(
-                f"request of {size} bytes exceeds max class {self.max_class}"
+                f"request of {size} bytes exceeds max class {self.MAX_CLASS}"
             )
-        cls = self.min_class
+        cls = self.MIN_CLASS
         while cls < size:
             cls <<= 1
         return cls

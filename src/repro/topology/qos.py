@@ -38,6 +38,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Callable,
+    ClassVar,
     Deque,
     Dict,
     Generator,
@@ -86,11 +87,11 @@ class TokenBucket:
         self._refill()
         return self._tokens
 
-    def try_take(self, count: float = 1.0) -> bool:
-        """Spend ``count`` tokens if available; never blocks."""
+    def try_take(self) -> bool:
+        """Spend one token if available; never blocks."""
         self._refill()
-        if self._tokens >= count:
-            self._tokens -= count
+        if self._tokens >= 1.0:
+            self._tokens -= 1.0
             return True
         return False
 
@@ -105,7 +106,7 @@ class QosConfig:
     """Knobs for the tenant QoS gate."""
 
     #: DRR quantum added to a backlogged tenant's deficit each round.
-    quantum_bytes: float = 8192.0
+    QUANTUM_BYTES = 8192.0
     #: Per-tenant bounded queue length (messages); overflow drops the
     #: oldest entry from the front.
     queue_capacity: int = 64
@@ -117,9 +118,10 @@ class QosConfig:
     #: (None disables deadline shedding).
     sojourn_target: Optional[float] = 2e-3
     #: Per-tenant admission rate (requests/sec; None = no tenant
-    #: buckets) and bucket burst.
-    tenant_rate: Optional[float] = None
-    tenant_burst: float = 64.0
+    #: buckets), per-tenant overrides of it, and the bucket burst.
+    TENANT_RATE: ClassVar[Optional[float]] = None
+    TENANT_RATES: ClassVar[Dict[str, float]] = {}
+    TENANT_BURST = 64.0
     #: Global admission rate across all tenants (requests/sec; None =
     #: no global bucket) and bucket burst.
     global_rate: Optional[float] = None
@@ -127,15 +129,12 @@ class QosConfig:
     #: DRR weight per tenant name; absent tenants get DEFAULT_WEIGHT.
     weights: Dict[str, float] = field(default_factory=dict)
     DEFAULT_WEIGHT = 1.0
-    #: Per-tenant admission-rate overrides (e.g. a known-abusive tenant
-    #: capped below the default).
-    tenant_rates: Dict[str, float] = field(default_factory=dict)
     #: Flow → tenant name classifier.
     tenant_of: Callable[[FiveTuple], str] = flow_tenant
 
     def __post_init__(self) -> None:
-        if self.quantum_bytes <= 0:
-            raise ValueError("quantum_bytes must be positive")
+        if self.QUANTUM_BYTES <= 0:
+            raise ValueError("QUANTUM_BYTES must be positive")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
         if self.max_inflight < 1:
@@ -147,13 +146,13 @@ class QosConfig:
                 raise ValueError(f"weight for {tenant!r} must be positive")
         # The token buckets are built lazily, on a tenant's first
         # message: check their settings here, not mid-run.
-        rates = [self.tenant_rate, self.global_rate, *self.tenant_rates.values()]
+        rates = [self.TENANT_RATE, self.global_rate, *self.TENANT_RATES.values()]
         if any(rate is not None and rate <= 0 for rate in rates):
             raise ValueError(
-                "tenant_rate, tenant_rates and global_rate must be positive"
+                "TENANT_RATE, TENANT_RATES and global_rate must be positive"
             )
-        if self.tenant_burst < 1 or self.global_burst < 1:
-            raise ValueError("tenant_burst and global_burst must be >= 1")
+        if self.TENANT_BURST < 1 or self.global_burst < 1:
+            raise ValueError("TENANT_BURST and global_burst must be >= 1")
 
 
 @dataclass
@@ -251,9 +250,9 @@ class TenantQosGate(Stage):
         if state is None:
             config = self.config
             bucket = None
-            rate = config.tenant_rates.get(tenant, config.tenant_rate)
+            rate = config.TENANT_RATES.get(tenant, config.TENANT_RATE)
             if rate is not None:
-                bucket = TokenBucket(self.env, rate, config.tenant_burst)
+                bucket = TokenBucket(self.env, rate, config.TENANT_BURST)
             state = _TenantState(
                 tenant,
                 config.weights.get(tenant, QosConfig.DEFAULT_WEIGHT),
@@ -409,7 +408,7 @@ class TenantQosGate(Stage):
                 # credit saved across idle rounds.
                 state.deficit = 0.0
                 continue
-            state.deficit += self.config.quantum_bytes * state.weight
+            state.deficit += self.config.QUANTUM_BYTES * state.weight
             yield from self._drain_tenant(state)
 
     def _drain_tenant(self, state: _TenantState) -> Generator:

@@ -360,6 +360,16 @@ class ShardedOffloadServer(PipelineServer):
     resilience arming.
     """
 
+    #: Traffic-director cores per DPU.
+    DIRECTOR_CORES = 1
+    #: Each director's circuit breaker (:meth:`enable_resilience`): it
+    #: opens after this many consecutive failures, half-opens after this
+    #: long, and (when not None) also opens after this many consecutive
+    #: capacity bounces.
+    BREAKER_THRESHOLD = 4
+    BREAKER_RECOVERY = 500e-6
+    BREAKER_SATURATION: Optional[int] = None
+
     def __init__(
         self,
         env: Environment,
@@ -367,7 +377,6 @@ class ShardedOffloadServer(PipelineServer):
         filesystem: DdsFileSystem,
         shard_count: int,
         callbacks: Optional[OffloadCallbacks] = None,
-        director_cores: int = 1,
         context_slots: int = 1024,
         copy_mode: bool = False,
         rdma_transport: bool = False,
@@ -387,7 +396,7 @@ class ShardedOffloadServer(PipelineServer):
         # OffloadShard's sizing knobs, kept so a shard added later is
         # assembled exactly like a construction-time one.
         self._unit_options = dict(
-            director_cores=director_cores,
+            director_cores=self.DIRECTOR_CORES,
             context_slots=context_slots,
             copy_mode=copy_mode,
             rdma=rdma_transport,
@@ -491,28 +500,23 @@ class ShardedOffloadServer(PipelineServer):
     # ------------------------------------------------------------------
     # the host half: split-connection fallback, commit chain, resilience
     # ------------------------------------------------------------------
-    def enable_resilience(
-        self,
-        breaker_threshold: int = 4,
-        breaker_recovery: float = 500e-6,
-        breaker_saturation: Optional[int] = None,
-    ) -> RequestDedup:
+    def enable_resilience(self) -> RequestDedup:
         """One dedup table shared by all directors (a retry may land on
         a different ingress director after failover), plus one circuit
-        breaker per director/engine pair.  ``breaker_saturation`` (off
-        by default) additionally opens a breaker after that many
-        consecutive capacity bounces, so a saturated-but-alive engine
-        sheds intake work to the host path instead of being probed on
-        every request."""
+        breaker per director/engine pair, armed with the ``BREAKER_*``
+        constants.  A ``BREAKER_SATURATION`` (off: None) additionally
+        opens a breaker after that many consecutive capacity bounces, so
+        a saturated-but-alive engine sheds intake work to the host path
+        instead of being probed on every request."""
         dedup = super().enable_resilience()
 
         def arm(shard: OffloadShard) -> None:
             shard.director.dedup = dedup
             shard.director.breaker = CircuitBreaker(
                 self.env,
-                failure_threshold=breaker_threshold,
-                recovery_time=breaker_recovery,
-                saturation_threshold=breaker_saturation,
+                failure_threshold=self.BREAKER_THRESHOLD,
+                recovery_time=self.BREAKER_RECOVERY,
+                saturation_threshold=self.BREAKER_SATURATION,
             )
 
         self._wire_every_shard(arm)
@@ -740,18 +744,12 @@ class ShardedOffloadServer(PipelineServer):
             self.pushdown_stages[shard.index] = stage
             self._stages.append(stage)
 
-    def pushdown_scan(
-        self,
-        file_id: int,
-        pipeline,
-        pages: int,
-        geometry=None,
-    ) -> Generator:
+    def pushdown_scan(self, file_id: int, pipeline, pages: int) -> Generator:
         """Serve a pushdown pipeline over one file, shard-routed.
 
         Admission first: the pipeline goes through :func:`repro.
-        pushdown.verifier.verify` against ``geometry`` (default: the
-        canonical 128B×64 record/page shape).  A proof token routes the
+        pushdown.verifier.verify` against the canonical 128B×64
+        record/page ``GEOMETRY``.  A proof token routes the
         scan to the serving shard's :class:`PushdownExecution` stage; a
         rejection falls back to that shard's host path — every page
         ships over the wire and through the host transport, and the
@@ -768,12 +766,11 @@ class ShardedOffloadServer(PipelineServer):
         from ..pushdown.scan import GEOMETRY
         from ..pushdown.verifier import verify
 
-        geometry = geometry or GEOMETRY
-        verdict, token = verify(pipeline, geometry)
+        verdict, token = verify(pipeline, GEOMETRY)
         serving = self.owner_of(file_id)
         if token is None:
             outcome = yield from self._pushdown_host_fallback(
-                serving, file_id, pipeline, pages, geometry
+                serving, file_id, pipeline, pages, GEOMETRY
             )
             return verdict, outcome
         if not self.pushdown_stages:

@@ -211,14 +211,8 @@ class TransportStage(Stage):
 
     kind = StageKind.TRANSPORT
 
-    def __init__(
-        self,
-        env: Environment,
-        spec: StackSpec,
-        cpu,
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(name or spec.name)
+    def __init__(self, env: Environment, spec: StackSpec, cpu) -> None:
+        super().__init__(spec.name)
         self.layer = StackLayer(env, spec, cpu)
 
     def inbound(self, flow: FiveTuple, message_bytes: int) -> Generator:

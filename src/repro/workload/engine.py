@@ -202,9 +202,9 @@ class OpenLoopTrafficEngine:
         )
         self._flow_tenants[(flow.client_ip, flow.client_port)] = spec.name
         zipf = None
-        if spec.zipf_theta > 0 and len(self._file_ids) > 1:
+        if spec.ZIPF_THETA > 0 and len(self._file_ids) > 1:
             zipf = ZipfGenerator(
-                len(self._file_ids), theta=spec.zipf_theta, rng=rng
+                len(self._file_ids), theta=spec.ZIPF_THETA, rng=rng
             )
         curve = RateCurve(spec.rate, events=events)
         return _TenantState(spec, rng, flow, zipf, curve)
@@ -243,7 +243,7 @@ class OpenLoopTrafficEngine:
         offset = rng.randrange(self._slots) * self.io_size
         request_id = self._next_id
         self._next_id += 1
-        if rng.random() < spec.read_fraction:
+        if rng.random() < spec.READ_FRACTION:
             return IoRequest(
                 OpCode.READ,
                 request_id,

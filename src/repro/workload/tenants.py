@@ -27,23 +27,21 @@ class TenantSpec:
     rate: float
     #: DRR weight at the QoS gate.
     weight: float = 1.0
-    read_fraction: float = 1.0
-    #: Zipf skew of this tenant's file popularity (0 = uniform).
-    zipf_theta: float = 0.99
     #: Declared p99 SLO in seconds (None = best-effort tenant).
     slo_p99: Optional[float] = None
-    #: True marks a deliberately abusive tenant (exempt from SLO
-    #: checks; the OL2 question is whether it hurts the others).
-    flooder: bool = False
+    #: Share of each tenant's requests that are reads.
+    READ_FRACTION: ClassVar[float] = 1.0
+    #: Zipf skew of each tenant's file popularity (0 = uniform).
+    ZIPF_THETA: ClassVar[float] = 0.99
 
     def __post_init__(self) -> None:
         if self.rate < 0:
             raise ValueError("rate must be >= 0")
         if self.weight <= 0:
             raise ValueError("weight must be positive")
-        if not 0.0 <= self.read_fraction <= 1.0:
-            raise ValueError("read_fraction must be in [0, 1]")
-        if self.zipf_theta < 0:
-            raise ValueError("zipf_theta must be >= 0")
+        if not 0.0 <= self.READ_FRACTION <= 1.0:
+            raise ValueError("READ_FRACTION must be in [0, 1]")
+        if self.ZIPF_THETA < 0:
+            raise ValueError("ZIPF_THETA must be >= 0")
         if self.slo_p99 is not None and self.slo_p99 <= 0:
             raise ValueError("slo_p99 must be positive")

@@ -31,9 +31,8 @@ def make_kv(memory_budget=1 << 20, with_device=True):
         def on_flush(offset, page):
             fs.write_sync(fid, offset, page)
 
-        kv = FasterKv(
-            env, cpu, memory_budget, device=device, on_flush=on_flush
-        )
+        kv = FasterKv(env, cpu, memory_budget, device=device)
+        kv.on_flush = on_flush
         return env, kv
     return env, FasterKv(env, cpu, memory_budget)
 

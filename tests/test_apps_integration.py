@@ -13,6 +13,7 @@ from repro.apps import (
     run_kv_experiment,
     run_pageserver_experiment,
 )
+from repro.apps import kv_service, pageserver
 from repro.apps.faster import RECORD
 from repro.core import IoRequest, OpCode, ReadOp, WriteOp
 from repro.net import FiveTuple
@@ -100,16 +101,14 @@ class TestKvService:
             cluster.env.run(until=done)
             assert RECORD.unpack(responses[0].data) == (key, key)
 
-    def test_experiment_shapes_match_paper(self):
+    def test_experiment_shapes_match_paper(self, monkeypatch):
         """Figure 25/26: DDS >> baseline throughput at ~zero host CPU."""
+        monkeypatch.setattr(kv_service, "RECORDS", 100_000)
+        monkeypatch.setattr(kv_service, "MEMORY_BUDGET", 64 << 10)
         baseline = run_kv_experiment(
-            "baseline", 400e3, total_requests=3000, records=100_000,
-            memory_budget=64 << 10, batch=1,
+            "baseline", 400e3, total_requests=3000, batch=1
         )
-        dds = run_kv_experiment(
-            "dds", 800e3, total_requests=3000, records=100_000,
-            memory_budget=64 << 10,
-        )
+        dds = run_kv_experiment("dds", 800e3, total_requests=3000)
         assert dds.achieved > 1.8 * baseline.achieved
         assert dds.host_cores < 1.0 < baseline.host_cores
         assert dds.p50 < baseline.p50
@@ -199,14 +198,13 @@ class TestPageServer:
         # mid-replay may be transiently invalidated).
         assert fresh >= 58
 
-    def test_experiment_shapes_match_paper(self):
+    def test_experiment_shapes_match_paper(self, monkeypatch):
         """Figure 24: DDS serves more pages at lower latency, ~0 host."""
+        monkeypatch.setattr(pageserver, "PAGES", 4096)
         baseline = run_pageserver_experiment(
-            "baseline", 100e3, total_requests=2500, pages=4096
+            "baseline", 100e3, total_requests=2500
         )
-        dds = run_pageserver_experiment(
-            "dds", 160e3, total_requests=2500, pages=4096
-        )
+        dds = run_pageserver_experiment("dds", 160e3, total_requests=2500)
         assert dds.achieved > 1.4 * baseline.achieved
         assert dds.p99 < baseline.p99
         assert dds.host_cores < 0.5 < baseline.host_cores

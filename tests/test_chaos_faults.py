@@ -126,10 +126,10 @@ class TestNetworkChaos:
 
 
 class TestRetryPolicy:
-    def test_backoff_doubles_and_caps(self):
-        policy = RetryPolicy(
-            backoff_base=100e-6, backoff_cap=500e-6, jitter=0.0
-        )
+    def test_backoff_doubles_and_caps(self, monkeypatch):
+        monkeypatch.setattr(RetryPolicy, "BACKOFF_CAP", 500e-6)
+        monkeypatch.setattr(RetryPolicy, "JITTER", 0.0)
+        policy = RetryPolicy()
         rng = SeededRng(0)
         delays = [policy.backoff(a, rng) for a in range(5)]
         assert delays == pytest.approx(
@@ -137,21 +137,24 @@ class TestRetryPolicy:
         )
 
     def test_jitter_is_bounded_and_seeded(self):
-        policy = RetryPolicy(backoff_base=100e-6, jitter=0.2)
+        policy = RetryPolicy()  # 100 us first backoff, 20 % jitter
         first = [policy.backoff(0, SeededRng(9)) for _ in range(20)]
         second = [policy.backoff(0, SeededRng(9)) for _ in range(20)]
         assert first == second
         assert all(100e-6 <= d <= 120e-6 for d in first)
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         with pytest.raises(ValueError):
             RetryPolicy(timeout=0.0)
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_base=2e-3, backoff_cap=1e-3)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
+        with monkeypatch.context() as patch, pytest.raises(ValueError):
+            patch.setattr(RetryPolicy, "BACKOFF_BASE", 2e-3)
+            patch.setattr(RetryPolicy, "BACKOFF_CAP", 1e-3)
+            RetryPolicy()
+        with monkeypatch.context() as patch, pytest.raises(ValueError):
+            patch.setattr(RetryPolicy, "JITTER", 1.5)
+            RetryPolicy()
 
 
 class TestCircuitBreaker:
@@ -239,9 +242,11 @@ class TestRequestDedup:
         dedup.complete(9, IoResponse(9, True))
         assert dedup.double_applies == 0
 
-    def test_stale_read_reclaimed_after_ttl(self):
+    def test_stale_read_reclaimed_after_ttl(self, monkeypatch):
+        monkeypatch.setattr(RequestDedup, "READ_TTL", 1e-3)
+        monkeypatch.setattr(RequestDedup, "WRITE_TTL", 10e-3)
         env = Environment()
-        dedup = RequestDedup(env, read_ttl=1e-3, write_ttl=10e-3)
+        dedup = RequestDedup(env)
         dedup.begin(_read(2))
         dedup.begin(_write(4))
         env.run(until=env.timeout(2e-3))
@@ -249,9 +254,10 @@ class TestRequestDedup:
         assert not dedup.begin(_write(4))  # writes wait much longer
         assert dedup.stale_reclaims == 1
 
-    def test_completed_table_is_bounded_fifo(self):
+    def test_completed_table_is_bounded_fifo(self, monkeypatch):
+        monkeypatch.setattr(RequestDedup, "CAPACITY", 4)
         env = Environment()
-        dedup = RequestDedup(env, capacity=4)
+        dedup = RequestDedup(env)
         for rid in range(1, 9):
             dedup.begin(_read(rid))
             dedup.complete(rid, IoResponse(rid, True))

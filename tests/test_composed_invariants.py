@@ -15,6 +15,7 @@ from repro.bench.harness import build_cluster, drain_until
 from repro.core.retry import RetryBudget, RetryPolicy
 from repro.faults import FaultInjector, FaultPlan, InvariantChecker, ShardKill
 from repro.topology.qos import QosConfig
+from repro.topology.sharding import ShardedOffloadServer
 from repro.workload import OpenLoopTrafficEngine, TenantSpec
 
 pytestmark = pytest.mark.chaos
@@ -26,17 +27,22 @@ HORIZON = 30e-3
 
 
 def run_composed(seed):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ShardedOffloadServer, "BREAKER_SATURATION", 16)
+        patch.setattr(TenantSpec, "READ_FRACTION", 0.75)
+        patch.setattr(QosConfig, "TENANT_RATES", {"flood": FLOOD_CAP})
+        patch.setattr(QosConfig, "TENANT_BURST", 32.0)
+        return _run_composed(seed)
+
+
+def _run_composed(seed):
     cluster = build_cluster(shards=4, files=8, file_bytes=1 << 20)
     env, server = cluster.env, cluster.server
-    dedup = server.enable_resilience(breaker_saturation=16)
+    dedup = server.enable_resilience()
     specs = [
-        TenantSpec(f"acct-{i}", i, rate=20_000.0, read_fraction=0.75)
-        for i in range(3)
+        TenantSpec(f"acct-{i}", i, rate=20_000.0) for i in range(3)
     ]
-    specs.append(
-        TenantSpec("flood", 3, rate=250_000.0, read_fraction=0.75,
-                   flooder=True)
-    )
+    specs.append(TenantSpec("flood", 3, rate=250_000.0))
     engine = OpenLoopTrafficEngine(
         env, server, specs, cluster.file_ids, horizon=HORIZON, seed=seed,
         retry_policy=RetryPolicy(max_attempts=4, timeout=2e-3),
@@ -45,15 +51,10 @@ def run_composed(seed):
     checker = InvariantChecker(env, tenant_of=engine.tenant_for_request)
     engine.observer = checker
     for spec in specs:
-        checker.set_slo(spec.name, SLO_P99, exempt=spec.flooder)
+        checker.set_slo(spec.name, SLO_P99, exempt=spec.name == "flood")
     server.enable_replication(checker)
     server.enable_qos(
-        QosConfig(
-            tenant_rates={"flood": FLOOD_CAP},
-            tenant_burst=32.0,
-            tenant_of=engine.tenant_for_flow,
-        ),
-        checker=checker,
+        QosConfig(tenant_of=engine.tenant_for_flow), checker=checker
     )
     plan = FaultPlan(
         seed=seed, events=(ShardKill(at=10e-3, down_for=5e-3, shard=1),)

@@ -64,11 +64,10 @@ class TestDmaRingChannel:
         assert channel.delivered_responses == 3
         assert channel.try_poll_response() == b"r1"
 
-    def test_insert_backpressure_when_full(self):
+    def test_insert_backpressure_when_full(self, monkeypatch):
+        monkeypatch.setattr(DmaRingChannel, "MAX_PROGRESS", 32)
         env = Environment()
-        channel = DmaRingChannel(
-            env, DmaEngine(env), ring_capacity=64, max_progress=32
-        )
+        channel = DmaRingChannel(env, DmaEngine(env), ring_capacity=64)
         assert channel.try_insert(b"x" * 20)
         assert not channel.try_insert(b"y" * 20)  # over max_progress
 

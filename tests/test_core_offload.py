@@ -101,7 +101,7 @@ class TestOffloadEngine:
 
     def test_exhausted_buffer_pool_bounces(self):
         env0, _eng, _f = make_engine()  # build fs layout once for ids
-        pool = BufferPool(1024, min_class=512)
+        pool = BufferPool(1024)
         env, engine, fid = make_engine(pool=pool)
         requests = [
             IoRequest(OpCode.READ, i, fid, 0, 512) for i in range(6)
@@ -110,7 +110,7 @@ class TestOffloadEngine:
         assert engine.bounced_no_buffer > 0 or all(accepted)
 
     def test_buffers_released_after_completion(self):
-        pool = BufferPool(1 << 20, min_class=512)
+        pool = BufferPool(1 << 20)
         env, engine, fid = make_engine(pool=pool)
         requests = [
             IoRequest(OpCode.READ, i, fid, 0, 256) for i in range(30)
@@ -123,7 +123,7 @@ class TestOffloadEngine:
         # No size class can hold it: like an exhausted pool, the request
         # goes to the host (Figure 13 lines 5-7) instead of raising.
         env, engine, fid = make_engine()
-        request = IoRequest(OpCode.READ, 1, fid, 0, 2 * engine.pool.max_class)
+        request = IoRequest(OpCode.READ, 1, fid, 0, 2 * engine.pool.MAX_CLASS)
         bounces, accepted = [], []
 
         def main():

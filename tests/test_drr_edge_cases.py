@@ -32,18 +32,16 @@ class Tenants:
         #: (tenant, cost) in service order.
         self.served = []
         self._ids = iter(range(1, 1 << 20))
-        self.gate = TenantQosGate(
-            env,
-            QosConfig(
-                quantum_bytes=float(quantum),
-                queue_capacity=4096,
-                max_inflight=1,
-                sojourn_target=None,
-                weights=weights or {},
-                tenant_of=lambda flow: flow.client_ip,
-            ),
-            self._service,
+        config = QosConfig(
+            queue_capacity=4096,
+            max_inflight=1,
+            sojourn_target=None,
+            weights=weights or {},
+            tenant_of=lambda flow: flow.client_ip,
         )
+        # This gate's own quantum: the class constant, set on the instance.
+        config.QUANTUM_BYTES = float(quantum)
+        self.gate = TenantQosGate(env, config, self._service)
 
     def _service(self, flow, requests, respond):
         self.served.append(
@@ -84,7 +82,7 @@ class TestDeficitBanking:
 
         env.process(load())
         env.run(until=env.timeout(5e-3))
-        assert drr.deficit("idler") <= drr.gate.config.quantum_bytes
+        assert drr.deficit("idler") <= drr.gate.config.QUANTUM_BYTES
         assert drr.dispatched("idler") == 2
 
     def test_emptied_queue_resets_running_deficit(self):

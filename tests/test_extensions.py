@@ -134,17 +134,16 @@ class TestCompressedStore:
             env.run(until=proc)
             assert store.verify(7, proc.value), mode
 
-    def test_compression_saves_storage(self):
+    def test_compression_saves_storage(self, monkeypatch):
+        monkeypatch.setattr(CompressedPageStore, "REDUNDANCY", 0.9)
         env = Environment()
-        store = CompressedPageStore(env, pages=24, mode="accel",
-                                    redundancy=0.9)
+        store = CompressedPageStore(env, pages=24, mode="accel")
         assert store.compression_ratio > 2.0
 
-    def test_incompressible_pages_stored_raw(self):
+    def test_incompressible_pages_stored_raw(self, monkeypatch):
+        monkeypatch.setattr(CompressedPageStore, "REDUNDANCY", 0.0)
         env = Environment()
-        store = CompressedPageStore(
-            env, pages=24, mode="accel", redundancy=0.0
-        )
+        store = CompressedPageStore(env, pages=24, mode="accel")
         assert store.compression_ratio <= 1.01
 
     def test_unknown_page_rejected(self):

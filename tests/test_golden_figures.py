@@ -17,6 +17,9 @@ fields that moved), ready to paste where the change is explained.
 from itertools import zip_longest
 from pathlib import Path
 
+import pytest
+
+from repro.apps import kv_service, pageserver
 from repro.apps.kv_service import run_kv_experiment
 from repro.apps.pageserver import run_pageserver_experiment
 from repro.bench.harness import run_io_experiment
@@ -78,35 +81,25 @@ def solutions_golden_lines():
                 f"dpu={result.dpu_cores!r} client={result.client_cores!r} "
                 f"events={result.events}"
             )
-    for kind in ("baseline", "dds"):
-        for label, result in (
-            (
-                "kv",
-                run_kv_experiment(
-                    kind,
-                    300_000.0,
-                    total_requests=3000,
-                    records=38_900,  # 192 B under budget: one log flush
-                    read_fraction=0.6,
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kv_service, "RECORDS", 38_900)  # 192 B under budget: one log flush
+        patch.setattr(kv_service, "READ_FRACTION", 0.6)
+        patch.setattr(pageserver, "PAGES", 2048)
+        patch.setattr(pageserver, "REPLAY_RATE", 200_000.0)
+        for kind in ("baseline", "dds"):
+            for label, result in (
+                ("kv", run_kv_experiment(kind, 300_000.0, total_requests=3000)),
+                (
+                    "pageserver",
+                    run_pageserver_experiment(kind, 80_000.0, total_requests=600),
                 ),
-            ),
-            (
-                "pageserver",
-                run_pageserver_experiment(
-                    kind,
-                    80_000.0,
-                    total_requests=600,
-                    pages=2048,
-                    replay_rate=200_000.0,
-                ),
-            ),
-        ):
-            lines.append(
-                f"{label}-{kind} achieved={result.achieved!r} "
-                f"p50={result.p50!r} p99={result.p99!r} "
-                f"host={result.host_cores!r} dpu={result.dpu_cores!r} "
-                f"offloaded={result.offloaded_fraction!r}"
-            )
+            ):
+                lines.append(
+                    f"{label}-{kind} achieved={result.achieved!r} "
+                    f"p50={result.p50!r} p99={result.p99!r} "
+                    f"host={result.host_cores!r} dpu={result.dpu_cores!r} "
+                    f"offloaded={result.offloaded_fraction!r}"
+                )
     return lines
 
 

@@ -43,6 +43,28 @@ NOT_ON_THE_RUN_PATH = (
 )
 
 
+def _exporting_packages() -> list:
+    """Every ``repro`` package whose ``__init__`` declares ``__all__``
+    (``repro.topology`` deliberately exports nothing)."""
+    packages = []
+    for base, _dirs, names in sorted(os.walk(os.path.join(ROOT, "src", "repro"))):
+        if "__init__.py" not in names:
+            continue
+        with open(os.path.join(base, "__init__.py")) as handle:
+            tree = ast.parse(handle.read())
+        if any(
+            isinstance(node, ast.Assign)
+            and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+            for node in tree.body
+        ):
+            relative = os.path.relpath(base, os.path.join(ROOT, "src"))
+            packages.append(relative.replace(os.sep, "."))
+    return packages
+
+
+EXPORTING = _exporting_packages()
+
+
 def _loaded_after(statements: str) -> set:
     """Module names a fresh interpreter holds after ``statements``."""
     code = statements + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
@@ -88,7 +110,12 @@ def test_harness_import_loads_neither_openssl_nor_asyncio():
     assert _offenders(loaded, ("_hashlib", "asyncio", "unittest.mock")) == []
 
 
-@pytest.mark.parametrize("package", FACADES)
+def test_every_facade_declares_its_exports():
+    assert set(FACADES) <= set(EXPORTING)
+    assert "repro.topology" not in EXPORTING
+
+
+@pytest.mark.parametrize("package", EXPORTING)
 def test_every_exported_name_resolves_and_is_listed(package):
     module = importlib.import_module(package)
     listing = dir(module)

@@ -65,19 +65,18 @@ class TestMultiCoreDirector:
         for i in range(16)
     ]
 
-    def make_server(self, cores):
+    def make_server(self, monkeypatch, cores):
+        monkeypatch.setattr(ShardedOffloadServer, "DIRECTOR_CORES", cores)
         env = Environment()
         fs = DdsFileSystem(env, SpdkBdev(env, RamDisk(32 << 20)))
         fs.create_directory("d")
         fid = fs.create_file("d", "f")
         fs.preallocate(fid, 16 << 20)
-        server = ShardedOffloadServer(
-            env, NetworkLink(env), fs, 1, director_cores=cores
-        )
+        server = ShardedOffloadServer(env, NetworkLink(env), fs, 1)
         return env, server, fid
 
-    def test_rss_spreads_work_across_cores(self):
-        env, server, fid = self.make_server(cores=4)
+    def test_rss_spreads_work_across_cores(self, monkeypatch):
+        env, server, fid = self.make_server(monkeypatch, cores=4)
         request_id = 1
         for _round in range(6):
             for flow in self.FLOWS:
@@ -93,8 +92,8 @@ class TestMultiCoreDirector:
         assert sum(1 for b in busy if b > 0) >= 2  # multiple cores used
         assert server.shards[0].director.requests_offloaded == 96
 
-    def test_each_flow_sticks_to_one_core(self):
-        env, server, fid = self.make_server(cores=4)
+    def test_each_flow_sticks_to_one_core(self, monkeypatch):
+        env, server, fid = self.make_server(monkeypatch, cores=4)
         director = server.shards[0].director
         for flow in self.FLOWS:
             core_first = director.core_for(flow)

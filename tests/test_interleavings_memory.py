@@ -17,9 +17,11 @@ from repro.concurrency import Scenario, explore_bounded, explore_random
 from repro.structures import BufferPool
 
 
-def _pool_scenario(total_bytes=4096):
+def _pool_scenario(monkeypatch, total_bytes=4096):
+    monkeypatch.setattr(BufferPool, "MAX_CLASS", 2048)
+
     def build():
-        pool = BufferPool(total_bytes, min_class=512, max_class=2048)
+        pool = BufferPool(total_bytes)
         live = []
 
         def allocator():
@@ -60,21 +62,21 @@ def _pool_scenario(total_bytes=4096):
     return Scenario("buffer-pool", build)
 
 
-def test_buffer_pool_random_schedules():
-    stats = explore_random(_pool_scenario(), schedules=600)
+def test_buffer_pool_random_schedules(monkeypatch):
+    stats = explore_random(_pool_scenario(monkeypatch), schedules=600)
     assert stats.schedules == 600
 
 
-def test_buffer_pool_exhaustion_schedules():
+def test_buffer_pool_exhaustion_schedules(monkeypatch):
     # A pool that only fits one 512-byte class at a time: allocators
     # mostly fail, exercising the failure/backpressure accounting.
-    stats = explore_random(_pool_scenario(total_bytes=512), schedules=300)
+    stats = explore_random(_pool_scenario(monkeypatch, total_bytes=512), schedules=300)
     assert stats.schedules == 300
 
 
-def test_buffer_pool_bounded_exploration():
+def test_buffer_pool_bounded_exploration(monkeypatch):
     stats = explore_bounded(
-        _pool_scenario(), preemption_bound=2, max_schedules=300
+        _pool_scenario(monkeypatch), preemption_bound=2, max_schedules=300
     )
     assert stats.schedules > 0
 
@@ -119,8 +121,9 @@ def test_racing_releases_raise_exactly_once():
         assert pool.stats.bytes_in_use == 0
 
 
-def test_freelist_reuses_released_buffers():
-    pool = BufferPool(1024, min_class=512, max_class=512)
+def test_freelist_reuses_released_buffers(monkeypatch):
+    monkeypatch.setattr(BufferPool, "MAX_CLASS", 512)
+    pool = BufferPool(1024)
     first = pool.allocate(100)
     second = pool.allocate(100)
     assert pool.allocate(100) is None  # carved region exhausted

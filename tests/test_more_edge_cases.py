@@ -23,10 +23,14 @@ class TestClientEdgeCases:
         {"max_outstanding": 0},
         {"read_fraction": -0.1},
         {"read_fraction": 2.0},
+        {"file_size": 0},
+        {"file_size": -1},
+        {"file_size": 1023},  # one byte short of the 1 KiB default io_size
     ])
     def test_config_rejects_bad_settings_at_build(self, settings):
-        """Each of these used to deadlock, divide by zero mid-run, or
-        (read_fraction) silently run all reads."""
+        """Each of these used to deadlock, divide by zero mid-run,
+        (read_fraction) silently run all reads, or (file_size) issue
+        requests past the end of the file."""
         with pytest.raises(ValueError):
             ClientConfig(**settings)
 

@@ -163,10 +163,12 @@ class TestNetworkLink:
         mtu=st.sampled_from([576, 1500, 9000]),
     )
     def test_packets_for_in_integers_is_the_float_ceiling(self, payload, mtu):
-        link = NetworkLink(
-            Environment(), dataclasses.replace(NIC_100G, mtu=mtu)
-        )
-        assert link.packets_for(payload) == max(1, math.ceil(payload / mtu))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                NetworkLink, "spec", dataclasses.replace(NIC_100G, mtu=mtu)
+            )
+            link = NetworkLink(Environment())
+            assert link.packets_for(payload) == max(1, math.ceil(payload / mtu))
 
     def test_transmit_time_scales_with_size(self):
         env = Environment()

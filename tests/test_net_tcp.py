@@ -48,7 +48,7 @@ class TestTcpBasics:
         assert sender.transmit() == []  # nothing acked yet
 
     def test_slow_start_grows_window(self):
-        sender = TcpSender(initial_cwnd=2, ssthresh=64)
+        sender = TcpSender(initial_cwnd=2)
         receiver = TcpReceiver()
         sender.write(b"x" * (40 * MSS))
         burst_sizes = []

@@ -121,9 +121,12 @@ def test_two_shards_book_one_receive_hold_then_one_forward():
     assert events == 8
 
 
-def test_single_dpu_arms_the_same_breaker_thresholds_as_a_shard():
+def test_single_dpu_arms_the_same_breaker_thresholds_as_a_shard(monkeypatch):
+    monkeypatch.setattr(ShardedOffloadServer, "BREAKER_THRESHOLD", 7)
+    monkeypatch.setattr(ShardedOffloadServer, "BREAKER_RECOVERY", 123e-6)
+    monkeypatch.setattr(ShardedOffloadServer, "BREAKER_SATURATION", 9)
     server = build_cluster("dds-offload", db_bytes=4 << 20).server
-    server.enable_resilience(breaker_threshold=7, breaker_recovery=123e-6, breaker_saturation=9)
+    server.enable_resilience()
     director = server.shards[0].director
     breaker = director.breaker
     assert director.dedup is server.dedup is not None

@@ -24,6 +24,7 @@ from repro.faults import (
 )
 from repro.sim import Environment
 from repro.topology.qos import QosConfig
+from repro.topology.sharding import ShardedOffloadServer
 from repro.workload import OpenLoopTrafficEngine, TenantSpec
 
 pytestmark = pytest.mark.chaos
@@ -39,7 +40,7 @@ HORIZON = 30e-3
 def build_stack(seed=29):
     cluster = build_cluster(shards=4, files=8, file_bytes=1 << 20)
     env, server, file_ids = cluster.env, cluster.server, cluster.file_ids
-    server.enable_resilience(breaker_saturation=16)
+    server.enable_resilience()
 
     specs = [
         TenantSpec(
@@ -47,9 +48,7 @@ def build_stack(seed=29):
         )
         for i in range(3)
     ]
-    specs.append(
-        TenantSpec("flood", 3, rate=250_000.0, flooder=True)
-    )
+    specs.append(TenantSpec("flood", 3, rate=250_000.0))
     engine = OpenLoopTrafficEngine(
         env,
         server,
@@ -64,20 +63,25 @@ def build_stack(seed=29):
     engine.observer = checker
     for spec in specs:
         checker.set_slo(
-            spec.name, spec.slo_p99 or SLO_P99, exempt=spec.flooder
+            spec.name, spec.slo_p99 or SLO_P99, exempt=spec.name == "flood"
         )
     server.enable_qos(
-        QosConfig(
-            tenant_rates={"flood": FLOOD_CAP},
-            tenant_burst=32.0,
-            tenant_of=engine.tenant_for_flow,
-        ),
-        checker=checker,
+        QosConfig(tenant_of=engine.tenant_for_flow), checker=checker
     )
     return env, server, engine, checker
 
 
 def run_flood_with_shard_kill(seed=29):
+    # The defended configuration: breakers that also open on a streak of
+    # capacity bounces, and the flooder capped at admission.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ShardedOffloadServer, "BREAKER_SATURATION", 16)
+        patch.setattr(QosConfig, "TENANT_RATES", {"flood": FLOOD_CAP})
+        patch.setattr(QosConfig, "TENANT_BURST", 32.0)
+        return _run_flood_with_shard_kill(seed)
+
+
+def _run_flood_with_shard_kill(seed):
     env, server, engine, checker = build_stack(seed)
     plan = FaultPlan(
         seed=seed,

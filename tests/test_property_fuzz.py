@@ -1,5 +1,6 @@
 """Extra property fuzzing: framing, namespace churn, cuckoo churn."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -134,7 +135,9 @@ class TestTcpWindowFuzz:
     )
     @settings(max_examples=40, deadline=None)
     def test_in_flight_never_exceeds_window(self, cwnd, payload_segments):
-        sender = TcpSender(initial_cwnd=cwnd, ssthresh=cwnd)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(TcpSender, "INITIAL_SSTHRESH", cwnd)
+            sender = TcpSender(initial_cwnd=cwnd)
         sender.write(b"x" * (payload_segments * MSS))
         receiver = TcpReceiver()
         for _ in range(payload_segments + 5):

@@ -77,13 +77,11 @@ class TestTokenBucket:
 
 
 class TestGateUnit:
-    def test_admission_shed_answers_throttled(self):
+    def test_admission_shed_answers_throttled(self, monkeypatch):
+        monkeypatch.setattr(QosConfig, "TENANT_RATE", 1000.0)
+        monkeypatch.setattr(QosConfig, "TENANT_BURST", 2.0)
         env = Environment()
-        gate = TenantQosGate(
-            env,
-            QosConfig(tenant_rate=1000.0, tenant_burst=2.0),
-            make_service(env),
-        )
+        gate = TenantQosGate(env, QosConfig(), make_service(env))
         out = Collector()
         for rid in range(1, 6):
             gate.intake(FLOW_A, [read(rid)], out)
@@ -130,7 +128,9 @@ class TestGateUnit:
         assert stats.shed_deadline == 4
         assert len(out.acked) == 1
 
-    def test_shed_of_completed_id_replays_cached_response(self):
+    def test_shed_of_completed_id_replays_cached_response(self, monkeypatch):
+        monkeypatch.setattr(QosConfig, "TENANT_RATE", 1000.0)
+        monkeypatch.setattr(QosConfig, "TENANT_BURST", 1.0)
         env = Environment()
 
         class FakeDedup:
@@ -145,7 +145,7 @@ class TestGateUnit:
         dedup.done[7] = cached
         gate = TenantQosGate(
             env,
-            QosConfig(tenant_rate=1000.0, tenant_burst=1.0),
+            QosConfig(),
             make_service(env),
             dedup_source=lambda: dedup,
         )
@@ -160,12 +160,12 @@ class TestGateUnit:
         assert stats.replayed == 1
         assert stats.shed_admission == 1
 
-    def test_drr_shares_bytes_by_weight(self):
+    def test_drr_shares_bytes_by_weight(self, monkeypatch):
+        monkeypatch.setattr(QosConfig, "QUANTUM_BYTES", 4096.0)
         env = Environment()
         gate = TenantQosGate(
             env,
             QosConfig(
-                quantum_bytes=4096.0,
                 queue_capacity=512,
                 max_inflight=1,
                 sojourn_target=None,
@@ -207,9 +207,10 @@ class TestGateUnit:
         assert totals.dispatched == 29
         assert totals.shed == 0
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QosConfig(quantum_bytes=0)
+    def test_config_validation(self, monkeypatch):
+        with monkeypatch.context() as patch, pytest.raises(ValueError):
+            patch.setattr(QosConfig, "QUANTUM_BYTES", 0)
+            QosConfig()
         with pytest.raises(ValueError):
             QosConfig(queue_capacity=0)
         with pytest.raises(ValueError):
@@ -220,13 +221,15 @@ class TestGateUnit:
             QosConfig(weights={"t": 0.0})
         # The admission buckets are built on a tenant's first message;
         # a bad setting must fail here, not out of ``env.run()`` mid-run.
-        for settings in (
-            {"tenant_rate": 0.0},
-            {"tenant_rates": {"ok": 10.0, "bad": -1.0}},
-            {"global_rate": 0.0},
-            {"tenant_burst": 0.5},
-            {"global_burst": 0.0},
+        for constant, value in (
+            ("TENANT_RATE", 0.0),
+            ("TENANT_RATES", {"ok": 10.0, "bad": -1.0}),
+            ("TENANT_BURST", 0.5),
         ):
+            with monkeypatch.context() as patch, pytest.raises(ValueError):
+                patch.setattr(QosConfig, constant, value)
+                QosConfig()
+        for settings in ({"global_rate": 0.0}, {"global_burst": 0.0}):
             with pytest.raises(ValueError):
                 QosConfig(**settings)
 
@@ -235,27 +238,26 @@ class TestGateUnit:
 # enable_qos on the real sharded datapath
 # ----------------------------------------------------------------------
 def drive(enable, tenant_rate=None, seed=17):
+    with pytest.MonkeyPatch.context() as patch:
+        if tenant_rate:
+            patch.setattr(QosConfig, "TENANT_RATES", {"greedy": tenant_rate})
+        patch.setattr(QosConfig, "TENANT_BURST", 16.0)
+        return _drive(enable, seed)
+
+
+def _drive(enable, seed):
     cluster = build_cluster(shards=2, files=8, file_bytes=1 << 20)
     env, server, file_ids = cluster.env, cluster.server, cluster.file_ids
     specs = [
         TenantSpec("steady", 0, rate=30_000.0, slo_p99=2e-3),
-        TenantSpec("greedy", 1, rate=120_000.0, flooder=True),
+        TenantSpec("greedy", 1, rate=120_000.0),
     ]
     engine = OpenLoopTrafficEngine(
         env, server, specs, file_ids, horizon=10e-3, seed=seed
     )
     gate = None
     if enable:
-        gate = server.enable_qos(
-            QosConfig(
-                tenant_rates=(
-                    {"greedy": tenant_rate} if tenant_rate else {}
-                ),
-                tenant_burst=16.0,
-                tenant_rate=None,
-                tenant_of=engine.tenant_for_flow,
-            )
-        )
+        gate = server.enable_qos(QosConfig(tenant_of=engine.tenant_for_flow))
     result = engine.run()
     return server, gate, result
 

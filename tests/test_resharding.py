@@ -21,6 +21,7 @@ from repro.bench.harness import (
 )
 from repro.core.messages import IoRequest, IoResponse, OpCode
 from repro.topology.resharding import FileMove, ShardAutoscaler
+from repro.topology.sharding import ShardedOffloadServer
 
 from .conftest import run
 
@@ -201,16 +202,17 @@ class TestOptInsRegister:
     """An opt-in registers once; no lifecycle method asks after it."""
 
     @pytest.mark.parametrize("enable_first", [True, False])
-    def test_every_live_shard_is_wired_whatever_the_order(self, enable_first):
+    def test_every_live_shard_is_wired_whatever_the_order(
+        self, enable_first, monkeypatch
+    ):
+        monkeypatch.setattr(ShardedOffloadServer, "BREAKER_THRESHOLD", 7)
+        monkeypatch.setattr(ShardedOffloadServer, "BREAKER_RECOVERY", 123e-6)
+        monkeypatch.setattr(ShardedOffloadServer, "BREAKER_SATURATION", 9)
         cluster = cluster_of(2)
         server = cluster.server
 
         def enable():
-            server.enable_resilience(
-                breaker_threshold=7,
-                breaker_recovery=123e-6,
-                breaker_saturation=9,
-            )
+            server.enable_resilience()
             server.enable_pushdown()
             server.enable_replication()
 

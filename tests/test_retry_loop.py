@@ -4,11 +4,13 @@ A :class:`ScriptedServer` answers each send of a request as its script
 says — after a delay, ok, THROTTLED or error — and records the instant
 of every send, so each test pins exact send instants.  One test per
 response class, plus the budget denial and the no-policy path; the last
-two tests drive the rules through the closed-loop :class:`DdsClient`
+two tests drive the rules through the closed-loop :class:`WorkloadClient`
 and the open-loop traffic engine.
 """
 
-from repro.core.client import ClientConfig, DdsClient
+import pytest
+
+from repro.core.client import ClientConfig, WorkloadClient
 from repro.core.messages import IoRequest, IoResponse, OpCode
 from repro.core.retry import RetryBudget, RetryLoop, RetryPolicy
 from repro.hardware.cpu import CpuPool
@@ -18,11 +20,24 @@ from repro.sim import Environment, SeededRng
 from repro.workload import OpenLoopTrafficEngine, TenantSpec
 
 TIMEOUT = 100e-6
-POLICY = RetryPolicy(
-    timeout=TIMEOUT, max_attempts=3, backoff_base=20e-6, jitter=0.0
-)
-B0 = POLICY.backoff(0, SeededRng(0))  # 20 us: no jitter, no draw
-B1 = POLICY.backoff(1, SeededRng(0))  # 40 us
+POLICY = RetryPolicy(timeout=TIMEOUT, max_attempts=3)
+
+
+def exact_backoff(patch):
+    """A 20 us unjittered first backoff: every send instant is exact."""
+    patch.setattr(RetryPolicy, "BACKOFF_BASE", 20e-6)
+    patch.setattr(RetryPolicy, "JITTER", 0.0)
+
+
+@pytest.fixture(autouse=True)
+def _exact_backoff(monkeypatch):
+    exact_backoff(monkeypatch)
+
+
+with pytest.MonkeyPatch.context() as _patch:
+    exact_backoff(_patch)
+    B0 = POLICY.backoff(0, SeededRng(0))  # 20 us: no jitter, no draw
+    B1 = POLICY.backoff(1, SeededRng(0))  # 40 us
 FACTOR = RetryPolicy.THROTTLE_BACKOFF_FACTOR
 FLOW = FiveTuple("10.0.0.2", 40_000, "10.0.0.1", 5000)
 
@@ -131,7 +146,7 @@ class TestResponseClasses:
 
     def test_ok_after_give_up_is_a_late_ack(self):
         budget = RetryBudget()
-        policy = RetryPolicy(timeout=TIMEOUT, max_attempts=1, jitter=0.0)
+        policy = RetryPolicy(timeout=TIMEOUT, max_attempts=1)
         server, loop, observer, acks, done = run_loop(
             by_attempt([(150e-6, "ok"), (160e-6, "ok")]),
             policy=policy, budget=budget,
@@ -185,8 +200,9 @@ class TestResponseClasses:
 
 
 class TestBudgetAndPolicy:
-    def test_budget_denial_gives_up_once(self):
-        budget = RetryBudget(capacity=1.0, initial=0.0)
+    def test_budget_denial_gives_up_once(self, monkeypatch):
+        monkeypatch.setattr(RetryBudget, "INITIAL", 0.0)
+        budget = RetryBudget(capacity=1.0)
         server, loop, observer, _acks, done = run_loop(
             by_attempt(), budget=budget
         )
@@ -246,7 +262,9 @@ class TestClients:
             offered_iops=1e5, total_requests=1, batch=1, connections=1,
             file_size=1 << 20,
         )
-        result = DdsClient(env, server, 1, config, retry_policy=POLICY).run()
+        result = WorkloadClient(
+            env, server, 1, config, retry_policy=POLICY
+        ).run()
         (t0, t1, t2), = server.sends.values()
         assert t1 == t0 + TIMEOUT + B0
         # The THROTTLED answered the first attempt after it timed out:

@@ -25,8 +25,9 @@ class TestRetryBudget:
         assert budget.spent == 3
         assert budget.denied == 1
 
-    def test_successes_refill_fractionally(self):
-        budget = RetryBudget(capacity=4.0, refill_ratio=0.5, initial=0.0)
+    def test_successes_refill_fractionally(self, monkeypatch):
+        monkeypatch.setattr(RetryBudget, "INITIAL", 0.0)
+        budget = RetryBudget(capacity=4.0, refill_ratio=0.5)
         assert not budget.try_spend()
         budget.on_success()
         assert not budget.try_spend()  # 0.5 < 1 token
@@ -200,14 +201,19 @@ class SaturableServer:
 
 
 def run_storm(budget):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TenantSpec, "ZIPF_THETA", 0.0)
+        return _run_storm(budget)
+
+
+def _run_storm(budget):
     env = Environment()
     # queue_limit x service_time stays under the client timeout, so a
     # *queued* request is always served within its patience window —
     # losses happen at the drop tail, where retries are born.
     server = SaturableServer(env, capacity=20_000.0, queue_limit=12)
     specs = [
-        TenantSpec(f"t{i}", i, rate=10_000.0, zipf_theta=0.0)
-        for i in range(4)
+        TenantSpec(f"t{i}", i, rate=10_000.0) for i in range(4)
     ]  # 40K demanded vs 20K capacity: sustained 2x overload
     engine = OpenLoopTrafficEngine(
         env,

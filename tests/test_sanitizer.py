@@ -232,7 +232,7 @@ def test_cuckoo_single_writer_multi_reader_is_silent():
 
 
 def test_buffer_pool_is_silent_under_sanitizer():
-    pool = BufferPool(1 << 20, min_class=512)
+    pool = BufferPool(1 << 20)
 
     def churn():
         for size in (100, 600, 3000, 100):

@@ -11,7 +11,7 @@ from repro.structures import AtomicCounter, BufferPool
 
 class TestBufferPool:
     def test_allocate_rounds_to_size_class(self):
-        pool = BufferPool(1 << 20, min_class=512)
+        pool = BufferPool(1 << 20)
         buf = pool.allocate(700)
         assert buf.class_size == 1024 and buf.size == 700
 
@@ -24,14 +24,15 @@ class TestBufferPool:
         assert pool.stats.allocations == 2 and pool.stats.frees == 1
 
     def test_exhaustion_returns_none(self):
-        pool = BufferPool(1024, min_class=512)
+        pool = BufferPool(1024)
         assert pool.allocate(512) is not None
         assert pool.allocate(512) is not None
         assert pool.allocate(512) is None
         assert pool.stats.failures == 1
 
-    def test_release_makes_space_again(self):
-        pool = BufferPool(1024, min_class=1024)
+    def test_release_makes_space_again(self, monkeypatch):
+        monkeypatch.setattr(BufferPool, "MIN_CLASS", 1024)
+        pool = BufferPool(1024)
         buf = pool.allocate(1000)
         assert pool.allocate(1000) is None
         buf.release()
@@ -58,19 +59,21 @@ class TestBufferPool:
         assert pool.stats.bytes_in_use == 1000 * (64 << 10)
         assert allocated < 1 << 20
 
-    def test_request_above_max_class_rejected(self):
-        pool = BufferPool(1 << 20, max_class=4096)
+    def test_request_above_max_class_rejected(self, monkeypatch):
+        monkeypatch.setattr(BufferPool, "MAX_CLASS", 4096)
+        pool = BufferPool(1 << 20)
         with pytest.raises(ValueError):
             pool.allocate(8192)
 
-    def test_invalid_construction(self):
+    def test_invalid_construction(self, monkeypatch):
         with pytest.raises(ValueError):
-            BufferPool(100, min_class=512)
+            BufferPool(100)
+        monkeypatch.setattr(BufferPool, "MIN_CLASS", 500)
         with pytest.raises(ValueError):
-            BufferPool(1 << 20, min_class=500)  # not a power of two
+            BufferPool(1 << 20)  # not a power of two
 
     def test_peak_accounting(self):
-        pool = BufferPool(1 << 20, min_class=512)
+        pool = BufferPool(1 << 20)
         bufs = [pool.allocate(512) for _ in range(4)]
         assert pool.stats.peak_bytes == 4 * 512
         for b in bufs:
@@ -81,7 +84,13 @@ class TestBufferPool:
     @given(st.lists(st.integers(min_value=1, max_value=8192), max_size=80))
     @settings(max_examples=60, deadline=None)
     def test_property_never_over_budget(self, sizes):
-        pool = BufferPool(64 << 10, min_class=512, max_class=8192)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BufferPool, "MAX_CLASS", 8192)
+            self._never_over_budget(sizes)
+
+    @staticmethod
+    def _never_over_budget(sizes):
+        pool = BufferPool(64 << 10)
         live = []
         for size in sizes:
             buf = pool.allocate(size)

@@ -96,15 +96,17 @@ class TestArrivals:
 # tenant specs
 # ----------------------------------------------------------------------
 class TestPopulation:
-    def test_spec_validation(self):
+    def test_spec_validation(self, monkeypatch):
         with pytest.raises(ValueError):
             TenantSpec("t", 0, rate=-1.0)
         with pytest.raises(ValueError):
             TenantSpec("t", 0, rate=1.0, weight=0.0)
-        with pytest.raises(ValueError):
-            TenantSpec("t", 0, rate=1.0, read_fraction=1.5)
-        with pytest.raises(ValueError):
-            TenantSpec("t", 0, rate=1.0, zipf_theta=-0.5)
+        with monkeypatch.context() as patch, pytest.raises(ValueError):
+            patch.setattr(TenantSpec, "READ_FRACTION", 1.5)
+            TenantSpec("t", 0, rate=1.0)
+        with monkeypatch.context() as patch, pytest.raises(ValueError):
+            patch.setattr(TenantSpec, "ZIPF_THETA", -0.5)
+            TenantSpec("t", 0, rate=1.0)
         with pytest.raises(ValueError):
             TenantSpec("t", 0, rate=1.0, slo_p99=0.0)
         with pytest.raises(ValueError):
