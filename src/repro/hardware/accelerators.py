@@ -143,12 +143,16 @@ def regex_scan(
     """
     if record_size <= 0:
         raise ValueError("record_size must be positive")
-    matches = []
-    for index in range(0, len(data) - record_size + 1, record_size):
-        record = data[index : index + record_size]
-        if pattern.search(record):
-            matches.append((index // record_size, record))
-    return matches
+    if len(data) % record_size:
+        raise ValueError(
+            f"{len(data)}B is not whole {record_size}B records"
+        )
+    search = pattern.search
+    return [
+        (at // record_size, record)
+        for at in range(0, len(data), record_size)
+        if search(record := data[at:at + record_size])
+    ]
 
 
 def compile_pattern(expression: bytes) -> Pattern:

@@ -16,12 +16,16 @@ exactly as everywhere else in the simulator (DPU cores run at 0.35x —
 :data:`~repro.hardware.specs.DPU_CPU`).
 
 When the pipeline's filter lowers to a single regex
-(``token.pattern``), an attached RXP :class:`~repro.hardware.
-accelerators.HardwareAccelerator` absorbs the filter stage at page
-granularity; only the surviving records pay software cycles for the
-remaining stages.  That is the §11 string-operator story: the regex
-engine evaluates the operator where the data lives, the Arm cores stay
-nearly idle.
+(``token.pattern``), every placement runs it as one search per record
+(:func:`~repro.hardware.accelerators.regex_scan`) and only the surviving
+records run the remaining stages through the interpreter.  The placement
+decides who pays for the filter.  An attached RXP :class:`~repro.
+hardware.accelerators.HardwareAccelerator` absorbs it at page
+granularity: that is the §11 string-operator story, the regex engine
+evaluates the operator where the data lives and the Arm cores stay
+nearly idle.  Without one, the core is charged what the interpreter
+would have counted for ``MATCH 0; RET`` on every record, so every
+cycle is the one interpreting the filter costs.
 """
 
 from __future__ import annotations
@@ -154,26 +158,40 @@ class PushdownEngine:
         outcome = PageOutcome()
         fuel = token.verdict.fuel
 
-        if self.accelerator is not None and token.pattern is not None:
-            # RXP absorbs the filter at page granularity; survivors pay
-            # software cycles for the remaining stages only.
-            yield from self.accelerator.process(len(page))
-            outcome.accel_bytes = len(page)
+        if token.pattern is not None:
+            # The filter is one regex: one search per record selects the
+            # rows, and only the survivors run the residual stages.
             matcher, residual = token.lowered
+            if self.accelerator is not None:
+                yield from self.accelerator.process(len(page))
+                outcome.accel_bytes = len(page)
             outcome.selected = regex_scan(
                 page, matcher, geometry.record_bytes
             )
-            survivors = b"".join(
-                record for _slot, record in outcome.selected
-            )
-            _all, emitted, stats = interpret_page(
-                residual, survivors, geometry, fuel, self.acc
-            )
+            if residual.stages:
+                survivors = b"".join(
+                    record for _slot, record in outcome.selected
+                )
+                _all, emitted, stats = interpret_page(
+                    residual, survivors, geometry, fuel, self.acc
+                )
+                outcome.emitted = [chunk for chunk in emitted if chunk]
+            else:
+                stats = ExecStats()
+            if self.accelerator is None:
+                # The core pays what the interpreter counts for the
+                # filter: one MATCH over the record and one RET each.
+                records = len(page) // geometry.record_bytes
+                counts = stats.counts
+                counts[Op.MATCH] = counts.get(Op.MATCH, 0) + records
+                counts[Op.RET] = counts.get(Op.RET, 0) + records
+                stats.steps += 2 * records
+                stats.match_bytes += len(page)
         else:
             outcome.selected, emitted, stats = interpret_page(
                 token.pipeline, page, geometry, fuel, self.acc
             )
-        outcome.emitted = [chunk for chunk in emitted if chunk]
+            outcome.emitted = [chunk for chunk in emitted if chunk]
 
         outcome.cycles = cycles_of(stats)
         if outcome.cycles:

@@ -162,9 +162,27 @@ class VerifiedPipeline:
 
     @cached_property
     def lowered(self) -> Tuple[Pattern[bytes], Pipeline]:
-        """A lowering's two halves: ``pattern`` compiled for the RXP,
-        and the stages after the filter for the Arm cores."""
-        assert self.pattern is not None, "the filter does not lower"
+        """A lowering's two halves: ``pattern`` compiled for one search
+        per record, and the stages after the filter for the interpreter.
+
+        The search stands in for ``MATCH 0; RET`` on every placement,
+        so the interpreter's per-step checks are settled here, once per
+        token: the shape fixes the pc, the pattern index (0 of 1), the
+        stack (one push onto an empty stack, one pop) and the record
+        window (whole records only).  Fuel is the one check the shape
+        does not fix: verification guarantees two steps, and the check
+        below keeps that from resting on the token alone.
+        """
+        kinds = " -> ".join(stage.kind for stage in self.pipeline.stages)
+        if self.pattern is None:
+            raise ValueError(
+                f"the {kinds} pipeline's filter does not lower to one regex"
+            )
+        if self.verdict.fuel < 2:
+            raise ValueError(
+                f"the {kinds} pipeline's fuel {self.verdict.fuel} cannot "
+                "run MATCH 0; RET (2 steps)"
+            )
         return re.compile(self.pattern), Pipeline(self.pipeline.stages[1:])
 
 

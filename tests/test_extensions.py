@@ -119,6 +119,13 @@ class TestTransforms:
         with pytest.raises(ValueError):
             regex_scan(b"abc", re.compile(rb"a"), 0)
 
+    def test_regex_scan_refuses_a_partial_trailing_record(self):
+        # The interpreter traps on a short record (WindowTrap); the
+        # search must not drop one silently either.
+        data = b"x" * 64 + b"hit"
+        with pytest.raises(ValueError, match="not whole 64B records"):
+            regex_scan(data, re.compile(rb"hit"), 64)
+
 
 class TestCompressedStore:
     def test_roundtrip_integrity_all_modes(self):

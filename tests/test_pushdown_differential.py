@@ -44,8 +44,8 @@ from repro.pushdown import (
     interpret_pipeline,
     verify,
 )
-from repro.pushdown.engine import PushdownEngine, cycles_of
-from repro.pushdown.isa import KINDS
+from repro.pushdown.engine import HOST_HZ, PushdownEngine, cycles_of
+from repro.pushdown.isa import KINDS, regex_filter
 from repro.pushdown.scan import (
     GEOMETRY,
     PIPELINES,
@@ -380,3 +380,125 @@ def test_rxp_split_matches_the_per_record_split():
             assert software.selected == outcome.selected
             assert software.emitted == outcome.emitted
             assert soft_acc == acc
+
+
+# ----------------------------------------------------------------------
+# a lowered filter is one search per record, billed by its placement
+# ----------------------------------------------------------------------
+def _billed(page_bytes, cycles, accelerated):
+    """``env.now`` once a placement has paid: the RXP job over the page
+    (when accelerated), then ``cycles`` on the core."""
+    env = Environment()
+    core = CpuPool(env)
+    rxp = HardwareAccelerator(env, BF2_REGEX) if accelerated else None
+
+    def bill():
+        if rxp is not None:
+            yield from rxp.process(page_bytes)
+        if cycles:
+            yield from core.execute(cycles / HOST_HZ)
+
+    env.run(until=env.process(bill()))
+    return env.now
+
+
+def _lowered_reference(token, page, accelerated):
+    """What the engine returned before the core placements searched:
+    the whole pipeline interpreted record by record on the core, or a
+    search per record and the residual stages over the survivors only
+    on the RXP."""
+    acc = [0] * ACC_REGS
+    size, fuel = token.geometry.record_bytes, token.verdict.fuel
+    if accelerated:
+        matcher = re.compile(token.pattern)
+        selected = [
+            (at // size, page[at:at + size])
+            for at in range(0, len(page), size)
+            if matcher.search(page[at:at + size])
+        ]
+        _rows, emitted, stats = _fold_reference(
+            Pipeline(token.pipeline.stages[1:]),
+            b"".join(record for _slot, record in selected),
+            token.geometry, fuel, acc, STACK_LIMIT,
+        )
+    else:
+        selected, emitted, stats = _fold_reference(
+            token.pipeline, page, token.geometry, fuel, acc, STACK_LIMIT
+        )
+    cycles = cycles_of(stats)
+    return (
+        selected, [chunk for chunk in emitted if chunk], cycles, acc,
+        len(page) if accelerated else 0,
+        _billed(len(page), cycles, accelerated),
+    )
+
+
+def _lowered_engine(token, page, accelerated):
+    outcome, acc, now = _engine_page(token, page, accelerated)
+    return (
+        outcome.selected, outcome.emitted, outcome.cycles, acc,
+        outcome.accel_bytes, now,
+    )
+
+
+@pytest.mark.parametrize("accelerated", (False, True), ids=("core", "rxp"))
+def test_a_lowered_filter_bills_its_placement_on_the_table(accelerated):
+    table = pipeline_table(4, 0.2, 99)
+    for name in PIPELINES:
+        _verdict, token = verify(canonical_pipeline(name), GEOMETRY)
+        assert token.pattern is not None
+        for page in table.pages:
+            assert _lowered_engine(token, page, accelerated) == (
+                _lowered_reference(token, page, accelerated)
+            ), name
+
+
+#: Patterns whose answer depends on where a record starts and ends: an
+#: anchor at each end, a word boundary and a lookbehind at its first
+#: byte, and needles the page holds across a record boundary.
+LOWERED_PATTERNS = (rb"^k7", rb"x42$", rb"\bab\d", rb"(?<=a)b\d", rb"needle")
+NEEDLES = (b"k7", b"x42", b"x42\n", b"ab1", b"ab2", b"needle", b"\n")
+_PROJECT, _AGGREGATE = canonical_pipeline("filter-project-agg").stages[1:]
+RESIDUALS = ((), (_PROJECT,), (_AGGREGATE,), (_PROJECT, _AGGREGATE))
+
+
+@st.composite
+def lowered_pages(draw):
+    """Up to twelve whole records with needles spliced in, half of them
+    placed against a record boundary: starting on it, ending on it, or
+    straddling it."""
+    size = GEOMETRY.record_bytes
+    count = draw(st.integers(0, 12))
+    page = bytearray(
+        draw(st.binary(min_size=count * size, max_size=count * size))
+    )
+    for _ in range(draw(st.integers(0, 3 * count))):
+        needle = draw(st.sampled_from(NEEDLES))
+        if draw(st.booleans()):
+            at = size * draw(st.integers(0, count)) - draw(
+                st.integers(0, len(needle))
+            )
+        else:
+            at = draw(st.integers(0, len(page)))
+        at = max(0, min(at, len(page) - len(needle)))
+        page[at:at + len(needle)] = needle
+    return bytes(page)
+
+
+@given(
+    pattern=st.sampled_from(LOWERED_PATTERNS),
+    residual=st.sampled_from(RESIDUALS),
+    page=lowered_pages(),
+    accelerated=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_lowered_filter_is_a_search_per_record(
+    pattern, residual, page, accelerated
+):
+    _verdict, token = verify(
+        Pipeline((regex_filter(pattern),) + residual), GEOMETRY
+    )
+    assert token.pattern == pattern
+    assert _lowered_engine(token, page, accelerated) == (
+        _lowered_reference(token, page, accelerated)
+    )

@@ -10,7 +10,13 @@ output passes the same admission any hand-built program does.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.pushdown import (
     FuelTrap,
@@ -167,6 +173,49 @@ def test_field_filter_does_not_lower_to_rxp():
     assert lowers_to_regex(pipeline) is None
     _verdict, token = verify(pipeline, GEO)
     assert token is not None and token.pattern is None
+
+
+#: Tokens asked for a lowering they do not have: a filter that is not
+#: one regex, and (only a hand-edited token can be this) too little fuel
+#: for ``MATCH 0; RET``'s two steps.
+UNLOWERABLE = {
+    "not-one-regex": (
+        "from repro.pushdown import (\n"
+        "    Pipeline, field_filter, project_fields, verify)\n"
+        "from repro.pushdown.scan import GEOMETRY\n"
+        "pipeline = Pipeline(\n"
+        "    (field_filter(0, 4, 1, 9), project_fields(((0, 8),))))\n"
+        "_verdict, token = verify(pipeline, GEOMETRY)\n"
+        "token.lowered\n"
+    ),
+    "one-step-of-fuel": (
+        "import dataclasses\n"
+        "from repro.pushdown import verify\n"
+        "from repro.pushdown.scan import GEOMETRY, canonical_pipeline\n"
+        "_verdict, token = verify(canonical_pipeline('filter-project'),\n"
+        "                         GEOMETRY)\n"
+        "token = dataclasses.replace(token, verdict=dataclasses.replace(\n"
+        "    token.verdict, fuel=1))\n"
+        "token.lowered\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNLOWERABLE))
+def test_a_token_refuses_a_lowering_it_lacks_under_python_O(case):
+    """Every placement runs a lowered filter through ``lowered``, so it
+    refuses with explicit raises that name the pipeline: ``-O`` strips
+    ``assert``."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", UNLOWERABLE[case]],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.returncode != 0, run.stdout
+    assert "ValueError: the filter -> project pipeline's" in run.stderr, (
+        run.stderr
+    )
 
 
 # ----------------------------------------------------------------------
