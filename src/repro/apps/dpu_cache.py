@@ -7,10 +7,10 @@ reads: a hit serves the response straight from DPU memory (no SSD I/O
 at all), pushing read throughput past the device ceiling for skewed
 workloads while keeping the miss path identical to stock DDS.
 
-The cache stores real bytes, so correctness (including invalidation on
-writes) is testable, and its capacity accounting models the paper's
-constraint that DPU memory is small (§2: 16 GB on BF-2, an order of
-magnitude below what host-side caches get).
+The cache stores real bytes, so correctness is testable, and its
+capacity accounting models the paper's constraint that DPU memory is
+small (§2: 16 GB on BF-2, an order of magnitude below what host-side
+caches get).
 """
 
 from __future__ import annotations
@@ -55,11 +55,6 @@ class DpuReadCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.invalidations = 0
-
-    @property
-    def bytes_cached(self) -> int:
-        return self._bytes
 
     @property
     def hit_rate(self) -> float:
@@ -96,22 +91,6 @@ class DpuReadCache:
             self.evictions += 1
         self._entries[key] = data
         self._bytes += len(data)
-
-    def invalidate_range(
-        self, file_id: int, offset: int, size: int
-    ) -> int:
-        """Drop every cached extent overlapping a written range."""
-        end = offset + size
-        stale = [
-            key
-            for key in self._entries
-            if key[0] == file_id and key[1] < end and key[1] + key[2] > offset
-        ]
-        for key in stale:
-            data = self._entries.pop(key)
-            self._bytes -= len(data)
-            self.invalidations += 1
-        return len(stale)
 
 
 @dataclass

@@ -36,7 +36,6 @@ class YcsbOp:
 class YcsbWorkload:
     """Generates YCSB operations with 8-byte keys and 8-byte values."""
 
-    KEY_BYTES = 8
     VALUE_BYTES = 8
 
     def __init__(self, records: int, mix: str = "C", seed: int = 7) -> None:

@@ -1,6 +1,6 @@
 """Benchmark harness: cluster builder, experiment runner, echo bench."""
 
-from .echo import RESPONDERS, EchoBench, EchoResult
+from .echo import EchoBench, EchoResult
 from .rmw import RmwResult, run_rmw_scaling
 from .harness import (
     SOLUTIONS,
@@ -17,7 +17,6 @@ __all__ = [
     "run_rmw_scaling",
     "EchoResult",
     "ExperimentResult",
-    "RESPONDERS",
     "SOLUTIONS",
     "build_cluster",
     "find_peak",

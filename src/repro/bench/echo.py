@@ -29,16 +29,7 @@ from ..hardware.nic import NetworkLink
 from ..hardware.specs import MICROSECOND
 from ..sim import Environment
 
-__all__ = ["EchoResult", "EchoBench", "RESPONDERS"]
-
-#: Where the echo can be answered and through which stack.
-RESPONDERS = (
-    "host-os",      # Fig 4 host / Fig 19 vanilla: kernel TCP on the host
-    "dpu-raw",      # Fig 4 DPU: answered at the NIC by a DPDK-style loop
-    "dpu-linux",    # Fig 19: TCP splitting via the SoC's Linux stack
-    "dpu-tldk",     # Fig 19/20: TCP splitting via userspace TLDK
-    "host-tldk",    # Fig 20: TLDK on a Linux host
-)
+__all__ = ["EchoResult", "EchoBench"]
 
 # ----------------------------------------------------------------------
 # per-responder cost composition (one-way processing of one message)

@@ -65,11 +65,11 @@ class Context:
 class OffloadEngine:
     """Context-ring execution of offloaded reads with zero-copy buffers.
 
-    Steering counters (``offloaded``, ``bounced_*``) are
-    :class:`~repro.structures.atomics.AtomicCounter` instances behind
-    int-valued properties: the simulated engine is single-core, but the
-    counters are also read by harness invariant checkers while intake
-    steps interleave, and atomic adds make them exact either way.
+    The steering counter ``offloaded`` is an
+    :class:`~repro.structures.atomics.AtomicCounter` behind an
+    int-valued property: the simulated engine is single-core, but the
+    counter is also read by harness invariant checkers while intake
+    steps interleave, and atomic adds make it exact either way.
     """
 
     _DDSLINT_EXEMPT = {
@@ -120,33 +120,15 @@ class OffloadEngine:
         self._epoch = AtomicCounter(0)
         self._notify: Store = Store(env)
         self._offloaded = AtomicCounter(0)
-        self._bounced_ring_full = AtomicCounter(0)
-        self._bounced_no_buffer = AtomicCounter(0)
-        self._bounced_off_func = AtomicCounter(0)
         env.process(self._completion_pump())
 
     # ------------------------------------------------------------------
-    # steering counters (read as plain ints by reports and tests)
+    # steering counter (read as a plain int by reports and tests)
     # ------------------------------------------------------------------
     @property
     def offloaded(self) -> int:
         """Requests executed on the DPU."""
         return self._offloaded.load()
-
-    @property
-    def bounced_ring_full(self) -> int:
-        """Requests bounced to the host because the context ring was full."""
-        return self._bounced_ring_full.load()
-
-    @property
-    def bounced_no_buffer(self) -> int:
-        """Requests bounced to the host on buffer-pool exhaustion."""
-        return self._bounced_no_buffer.load()
-
-    @property
-    def bounced_off_func(self) -> int:
-        """Requests the user's off_func declined to offload."""
-        return self._bounced_off_func.load()
 
     # ------------------------------------------------------------------
     # crash / restart (chaos layer)
@@ -226,7 +208,6 @@ class OffloadEngine:
             return False
         read_op = self.callbacks.off_func(request, self.cache_table)
         if read_op is None:
-            self._bounced_off_func.fetch_add(1)
             if on_bounce is not None:
                 on_bounce("off-func")
             return False
@@ -236,7 +217,6 @@ class OffloadEngine:
             self.pool.allocate(size) if size <= self.pool.MAX_CLASS else None
         )
         if buffer is None:
-            self._bounced_no_buffer.fetch_add(1)
             if on_bounce is not None:
                 on_bounce("no-buffer")
             return False
@@ -246,7 +226,6 @@ class OffloadEngine:
         # tail fetch_add *reserves* the slot index (like ProgressRing's
         # tail CAS), so the subsequent slot write is exclusively owned.
         if self.in_flight >= self.context_slots:
-            self._bounced_ring_full.fetch_add(1)
             buffer.release()
             if on_bounce is not None:
                 on_bounce("ring-full")

@@ -19,7 +19,6 @@ of pattern matching, and an Arm core manages a small fraction of either.
 
 from __future__ import annotations
 
-import re
 import zlib
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Pattern, Tuple
@@ -153,8 +152,3 @@ def regex_scan(
         for at in range(0, len(data), record_size)
         if search(record := data[at:at + record_size])
     ]
-
-
-def compile_pattern(expression: bytes) -> Pattern:
-    """Compile a byte regex for scanning."""
-    return re.compile(expression)

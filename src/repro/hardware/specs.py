@@ -33,9 +33,6 @@ __all__ = [
     "HOST_OS_FS",
     "HOST_APP_OTHER",
     "DDS_FILE_LIBRARY",
-    "DPU_LINUX_TCP",
-    "DPU_TLDK",
-    "HOST_TLDK",
     "RDMA_VERBS",
     "NO_TRANSPORT",
     "MICROSECOND",
@@ -87,16 +84,6 @@ class SsdSpec:
     read_bandwidth: float
     write_bandwidth: float
     parallelism: int
-
-    @property
-    def max_read_iops(self) -> float:
-        """Small-read IOPS ceiling implied by the model."""
-        return self.parallelism / self.read_latency
-
-    @property
-    def max_write_iops(self) -> float:
-        """Small-write IOPS ceiling implied by the model."""
-        return self.parallelism / self.write_latency
 
 
 #: 1 TB NVMe (§8.1).  Anchors: DDS offload peaks at 730K 1 KiB read IOPS
@@ -198,35 +185,6 @@ BENCH_APP_NET = StackSpec(
     per_message_core_time=2.0 * MICROSECOND,
     per_byte_core_time=0.8e-9,
     per_message_latency=2 * MICROSECOND,
-)
-
-#: Linux kernel TCP running on the wimpy BF-2 Arm cores (§5.3, Figure 19:
-#: offloaded echo through Linux TCP is *slower* than answering from the
-#: host).  Costs are expressed in host-core time and divided by the DPU
-#: speed when executed there.
-DPU_LINUX_TCP = StackSpec(
-    name="dpu-linux-tcp",
-    per_message_core_time=4.5 * MICROSECOND,
-    per_byte_core_time=1.4e-9,
-    per_message_latency=14 * MICROSECOND,
-)
-
-#: TLDK userspace TCP on the DPU (§7), SIMD ports and RSS per-core flows.
-#: Anchor: Figure 19 -- 3x lower latency than Linux TCP on the DPU; Figure
-#: 21 -- 6.4 Gbps per Arm core.
-DPU_TLDK = StackSpec(
-    name="dpu-tldk",
-    per_message_core_time=0.9 * MICROSECOND,
-    per_byte_core_time=0.35e-9,
-    per_message_latency=1.0 * MICROSECOND,
-)
-
-#: TLDK on a (Linux) host, used only by the Figure 20 isolation experiment.
-HOST_TLDK = StackSpec(
-    name="host-tldk",
-    per_message_core_time=0.45 * MICROSECOND,
-    per_byte_core_time=0.5e-9,
-    per_message_latency=1.0 * MICROSECOND,
 )
 
 #: RDMA verbs (SMB Direct, Redy, DDS-RDMA variants in Figure 16).

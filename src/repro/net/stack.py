@@ -41,11 +41,6 @@ class StackLayer:
             + size * self.spec.per_byte_core_time
         )
 
-    def service_time(self, size: int) -> float:
-        """Unloaded end-to-end time through this layer on a full-speed core."""
-        speed = self.cpu.speed if self.cpu is not None else 1.0
-        return self.core_time(size) / speed + self.spec.per_message_latency
-
     def process(self, size: int) -> Generator:
         """Process generator: run one message through the layer."""
         if size < 0:

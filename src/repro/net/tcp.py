@@ -41,22 +41,18 @@ class TcpStats:
 
 
 class TcpSender:
-    """Sender half: windowed transmission and loss recovery.
+    """Sender half: windowed transmission and fast retransmit.
 
-    Loss recovery is two-tier, as in real TCP: triple-duplicate-ACK fast
-    retransmit for losses inside a flight, and a retransmission timeout
-    (driven by :meth:`on_tick`) for tail losses where no further ACKs
-    arrive to generate duplicates.
+    A loss inside a flight is repaired by triple-duplicate-ACK fast
+    retransmit.  The model keeps no retransmission timer: the recovery
+    Figure 11 studies is the duplicate-ACK kind.
     """
 
-    #: Ticks without ACK progress before a timeout retransmission.
-    RTO_TICKS = 3
     #: Slow-start threshold before the first loss, in segments.
     INITIAL_SSTHRESH = 64
     mss = MSS
 
     def __init__(self, initial_cwnd: int = 10) -> None:
-        self._stalled_ticks = 0
         self.snd_una = 0           # oldest unacknowledged byte
         self.snd_nxt = 0           # next new byte to send
         self.cwnd = initial_cwnd   # congestion window, in segments
@@ -112,34 +108,6 @@ class TcpSender:
         self._queued_bytes = len(remainder)
         return segments
 
-    def on_tick(self) -> List[Segment]:
-        """Advance the retransmission timer; fires an RTO when stalled.
-
-        Call once per round-trip-scale interval while data is in flight.
-        On timeout the oldest unacknowledged segment is retransmitted and
-        the congestion window collapses (classic RTO behaviour).
-        """
-        if self.bytes_in_flight == 0:
-            self._stalled_ticks = 0
-            return []
-        self._stalled_ticks += 1
-        if self._stalled_ticks < self.RTO_TICKS:
-            return []
-        self._stalled_ticks = 0
-        self.ssthresh = max(2, self.cwnd // 2)
-        self.cwnd = max(2, self.cwnd // 2)
-        segment = self._sent.get(self.snd_una)
-        if segment is None:
-            return []
-        self.stats.retransmissions += 1
-        return [
-            Segment(
-                seq=segment.seq,
-                payload_len=segment.payload_len,
-                data=segment.data,
-            )
-        ]
-
     def on_ack(self, ack: int) -> List[Segment]:
         """Process a cumulative ACK; returns any retransmissions."""
         retransmits: List[Segment] = []
@@ -149,7 +117,6 @@ class TcpSender:
                 del self._sent[seq]
             self.snd_una = ack
             self._dup_ack_count = 0
-            self._stalled_ticks = 0
             if self.cwnd < self.ssthresh:
                 self.cwnd += 1  # slow start
             else:

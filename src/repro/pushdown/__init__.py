@@ -53,7 +53,6 @@ from .isa import (
     regex_filter,
 )
 from .verifier import (
-    PDV_RULES,
     PipelineVerdict,
     Verdict,
     VerifiedPipeline,
@@ -101,7 +100,6 @@ __all__ = [
     "interpret_pipeline",
     "interpret_page",
     # verifier
-    "PDV_RULES",
     "Verdict",
     "PipelineVerdict",
     "VerifiedProgram",

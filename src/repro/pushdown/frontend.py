@@ -17,8 +17,7 @@ bytecode even exists: the function may read nothing but its record
 parameter.  Closures, globals, and attribute chains rooted anywhere
 else are exactly the DDS101/DDS102 accesses :func:`repro.analysis.
 shared_state.external_state_roots` models, and compiling them is
-refused with verifier rule PDV302 (see :data:`~repro.pushdown.
-verifier.PDV_RULES`).
+refused with verifier rule PDV302 (DESIGN.md §14 lists the rules).
 """
 
 from __future__ import annotations

@@ -57,7 +57,6 @@ from .isa import (
 )
 
 __all__ = [
-    "PDV_RULES",
     "Verdict",
     "PipelineVerdict",
     "VerifiedProgram",
@@ -65,32 +64,6 @@ __all__ = [
     "verify_program",
     "verify",
 ]
-
-#: Rule id -> one-line summary (kept in sync with DESIGN.md §14).
-PDV_RULES: Dict[str, str] = {
-    "PDV101": (
-        "unbounded control flow: back-edge, loop-crossing jump, "
-        "unmatched or over-deep LOOP, or trip count beyond the "
-        "record geometry"
-    ),
-    "PDV102": (
-        "step budget: program too long or worst-case fuel exceeds "
-        "the geometry's per-record limit"
-    ),
-    "PDV201": (
-        "operand-stack bound: overflow, underflow, depth mismatch at "
-        "a join, or a loop body that is not stack-neutral"
-    ),
-    "PDV202": "scratch or emit access outside the declared bounds",
-    "PDV301": (
-        "record-window violation: a read that cannot be proven inside "
-        "the record window (the shared-state rule applied to data)"
-    ),
-    "PDV401": (
-        "type/arity violation: malformed operand, misplaced RET, "
-        "missing terminator, or stage stack-contract breach"
-    ),
-}
 
 
 @dataclass(frozen=True)

@@ -73,11 +73,6 @@ class Resource:
             return sum(1 for end in self._free_at if end > now)
         return self._in_use
 
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a unit."""
-        return len(self._waiting)
-
     def book(self, duration: float) -> float:
         """Book the earliest-free unit for ``duration``; returns the end.
 
@@ -139,7 +134,8 @@ class Resource:
 
 
 class Store:
-    """FIFO of items with blocking ``get`` and optionally bounded ``put``."""
+    """FIFO of items with blocking ``get`` and optionally bounded
+    ``try_put``."""
 
     def __init__(self, env: Environment, capacity: Optional[int] = None):
         if capacity is not None and capacity < 1:
@@ -148,7 +144,6 @@ class Store:
         self.capacity = capacity
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()  # (event, item)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -157,21 +152,6 @@ class Store:
     def items(self) -> tuple:
         """Snapshot of queued items (oldest first)."""
         return tuple(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Insert ``item``; blocks (as an event) when at capacity."""
-        event = self.env.event()
-        if self._getters:
-            # Hand the item straight to the oldest waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            event.succeed()
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            event.succeed()
-        else:
-            self._putters.append((event, item))
-        return event
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking insert; returns False when the store is full."""
@@ -188,7 +168,6 @@ class Store:
         event = self.env.event()
         if self._items:
             event.succeed(self._items.popleft())
-            self._admit_putter()
         else:
             self._getters.append(event)
         return event
@@ -197,12 +176,4 @@ class Store:
         """Non-blocking pop; returns None when empty."""
         if not self._items:
             return None
-        item = self._items.popleft()
-        self._admit_putter()
-        return item
-
-    def _admit_putter(self) -> None:
-        if self._putters:
-            putter, item = self._putters.popleft()
-            self._items.append(item)
-            putter.succeed()
+        return self._items.popleft()

@@ -74,10 +74,6 @@ class EventLog:
         """Records with ``start <= time < end``."""
         return [r for r in self._records if start <= r.time < end]
 
-    def of_kind(self, kind: str) -> List[TraceRecord]:
-        """Records of one kind ('process', 'timeout', 'event')."""
-        return [r for r in self._records if r.kind == kind]
-
     def clear(self) -> None:
         """Drop all records and reset the dropped counter."""
         self._records.clear()

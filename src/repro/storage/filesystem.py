@@ -148,14 +148,6 @@ class DdsFileSystem:
         """Current logical size of the file in bytes."""
         return self._meta(file_id).size
 
-    def file_mapping(self, file_id: int) -> FileExtentMap:
-        """The file's segment vector (what the DPU keeps resident)."""
-        return self._meta(file_id).extents
-
-    @property
-    def file_count(self) -> int:
-        return len(self._files)
-
     def file_ids(self) -> List[int]:
         """Every file id in the namespace, sorted (deterministic order
         for whole-namespace sweeps like resharding plans)."""
@@ -180,11 +172,8 @@ class DdsFileSystem:
         if offset < 0:
             raise FileSystemError("negative offset")
         end = offset + len(data)
-        while meta.extents.capacity < end:
-            try:
-                meta.extents.append_segment(self.allocator.allocate())
-            except StorageFullError as exc:
-                raise FileSystemError("device is full") from exc
+        if meta.extents.capacity < end:
+            self._extend(meta, end)
         runs = meta.extents.translate(offset, len(data))
         try:
             if len(runs) == 1:
@@ -211,12 +200,28 @@ class DdsFileSystem:
         allocated and the logical size set, with content left zeroed.
         """
         meta = self._meta(file_id)
+        self._extend(meta, size)
+        meta.size = max(meta.size, size)
+
+    def _extend(self, meta: FileMeta, size: int) -> None:
+        """Attach segments until ``meta`` can hold ``size`` bytes.
+
+        A free segment may still hold what a deleted file, or an earlier
+        life of the disk, wrote there; it is zeroed as it joins, so a
+        file reads zeros wherever it was never written.  (Zeroing at
+        :meth:`delete_file` instead would lose the bytes of a file that
+        a crash before the next metadata flush recovers.)
+        """
+        disk = self.bdev.disk
         while meta.extents.capacity < size:
             try:
-                meta.extents.append_segment(self.allocator.allocate())
+                segment = self.allocator.allocate()
             except StorageFullError as exc:
                 raise FileSystemError("device is full") from exc
-        meta.size = max(meta.size, size)
+            base = segment * self.segment_size
+            for offset, length in disk.written_runs(base, self.segment_size):
+                disk.write(offset, bytes(length))
+            meta.extents.append_segment(segment)
 
     def write_sync(self, file_id: int, offset: int, data: bytes) -> None:
         """Setup-time write: move the bytes with zero simulated time.
@@ -273,10 +278,6 @@ class DdsFileSystem:
             created = other.create_file(meta.directory, meta.name)
             assert created == file_id
             other.preallocate(file_id, meta.size)
-            # What an earlier life of the target's disk left in these
-            # segments must read as zeros wherever the source does.
-            for offset, length in other._written_ranges(file_id):
-                other.write_sync(file_id, offset, bytes(length))
             for offset, length in self._written_ranges(file_id):
                 other.write_sync(
                     file_id, offset, self.read_sync(file_id, offset, length)

@@ -60,13 +60,12 @@ class CacheTableStats:
       ``displacements``, ``chained_inserts``, ``rejected_full`` are only
       mutated under the writer lock.
     * **Read-side counters are exact but published per call** —
-      ``lookups``, ``hits``, ``probe_entries`` are accumulated in locals
-      during a lookup and published at its end with atomic adds, so
-      concurrent readers never lose updates.  A reader mid-lookup has not
-      published yet, so a snapshot taken *during* concurrent reads can
-      trail reality by up to one lookup per in-flight reader; ratios like
-      :attr:`hit_rate` are therefore momentarily approximate, and exact
-      once readers quiesce.
+      ``lookups`` and ``hits`` are decided during a lookup and published
+      at its end with atomic adds, so concurrent readers never lose
+      updates.  A reader mid-lookup has not published yet, so a snapshot
+      taken *during* concurrent reads can trail reality by up to one
+      lookup per in-flight reader; ratios like :attr:`hit_rate` are
+      therefore momentarily approximate, and exact once readers quiesce.
     """
 
     __slots__ = (
@@ -77,7 +76,6 @@ class CacheTableStats:
         "rejected_full",
         "_lookups",
         "_hits",
-        "_probe_entries",
     )
 
     def __init__(self) -> None:
@@ -88,7 +86,6 @@ class CacheTableStats:
         self.rejected_full = 0
         self._lookups = AtomicCounter(0)
         self._hits = AtomicCounter(0)
-        self._probe_entries = AtomicCounter(0)
 
     # -- read-side counters (atomic) -----------------------------------
     @property
@@ -99,15 +96,9 @@ class CacheTableStats:
     def hits(self) -> int:
         return self._hits.load()
 
-    @property
-    def probe_entries(self) -> int:
-        return self._probe_entries.load()
-
-    def record_lookup(self, probes: int, hit: bool) -> None:
-        """Publish one lookup's locally-accumulated counters."""
+    def record_lookup(self, hit: bool) -> None:
+        """Publish one lookup's counters."""
         self._lookups.fetch_add(1)
-        if probes:
-            self._probe_entries.fetch_add(probes)
         if hit:
             self._hits.fetch_add(1)
 
@@ -196,21 +187,19 @@ class CuckooCacheTable:
         Stats are accumulated locally and published once at the end, so
         any number of concurrent readers keep the counters exact.
         """
-        probes = 0
         found = False
         result = default
         for index in (self._index1(key), self._index2(key)):
             yield_point("cuckoo.probe", self._bucket_key(index))
             bucket = self._buckets.get(index, ())
             for entry_key, entry_value in bucket:
-                probes += 1
                 if entry_key == key:
                     found = True
                     result = entry_value
                     break
             if found:
                 break
-        self.stats.record_lookup(probes, found)
+        self.stats.record_lookup(found)
         return result
 
     def __contains__(self, key: Hashable) -> bool:
@@ -219,11 +208,6 @@ class CuckooCacheTable:
 
     def __len__(self) -> int:
         return self._count
-
-    @property
-    def load_factor(self) -> float:
-        """Items stored relative to declared capacity."""
-        return self._count / self.max_items
 
     def items(self) -> Iterator[Tuple[Hashable, Any]]:
         """Entries in bucket-index order (test/debug; not concurrency-safe)."""

@@ -41,7 +41,6 @@ class ResponseStatus(IntEnum):
     PENDING = 0
     SUCCESS = 1
     IO_ERROR = 2
-    INVALID_FILE = 3
     OUT_OF_RANGE = 4
 
 

@@ -267,9 +267,6 @@ class TenantQosGate(Stage):
         """Tenants seen so far, in first-arrival order."""
         return list(self._order)
 
-    def stats_for(self, tenant: str) -> TenantQueueStats:
-        return self._state(tenant).stats
-
     @property
     def totals(self) -> TenantQueueStats:
         """Gate-wide accounting, summed over tenants."""
@@ -286,16 +283,6 @@ class TenantQosGate(Stage):
             total.replayed += stats.replayed
             total.max_depth = max(total.max_depth, stats.max_depth)
         return total
-
-    @property
-    def backlog(self) -> int:
-        """Messages queued at the gate right now."""
-        return self._backlog
-
-    @property
-    def inflight(self) -> int:
-        """Messages currently inside the dispatch window."""
-        return self._inflight
 
     # ------------------------------------------------------------------
     # intake (synchronous: the pipeline's steering entry never blocks,

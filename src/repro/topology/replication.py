@@ -419,7 +419,6 @@ class ShardReplicator(ShardLifecycle):
         self._handoffs = AtomicCounter(0)
         self._catchup_replays = AtomicCounter(0)
         self._mirror_failures = AtomicCounter(0)
-        self._resizes = AtomicCounter(0)
 
     # ------------------------------------------------------------------
     # counters
@@ -448,11 +447,6 @@ class ShardReplicator(ShardLifecycle):
     def mirror_failures(self) -> int:
         """Mirror applies that failed at the peer's filesystem."""
         return self._mirror_failures.load()
-
-    @property
-    def resizes(self) -> int:
-        """Backup adoptions executed by :meth:`resize`."""
-        return self._resizes.load()
 
     # ------------------------------------------------------------------
     # routing
@@ -777,7 +771,6 @@ class ShardReplicator(ShardLifecycle):
                         )
                         group.try_adopt()
                     last_mark = mark
-            self._resizes.fetch_add(1)
             if self.observer is not None:
                 self.observer.on_resize(group, old_backup, new_backup, synced)
 

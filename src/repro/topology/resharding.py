@@ -97,7 +97,6 @@ class ReshardingCoordinator:
         self._bytes_copied = AtomicCounter(0)
         self._chunk_copies = AtomicCounter(0)
         self._dirty_recopies = AtomicCounter(0)
-        self._straggler_forwards = AtomicCounter(0)
         self._cutovers = AtomicCounter(0)
 
     # ------------------------------------------------------------------
@@ -117,11 +116,6 @@ class ReshardingCoordinator:
     def dirty_recopies(self) -> int:
         """Chunk copies repeated because a write landed after the first."""
         return self._dirty_recopies.load()
-
-    @property
-    def straggler_forwards(self) -> int:
-        """Post-flip writes forwarded from the old owner to the new."""
-        return self._straggler_forwards.load()
 
     @property
     def cutovers(self) -> int:
@@ -309,10 +303,7 @@ class ReshardingCoordinator:
         owner = self.server.owner_of(file_id)
         if executor == owner:
             return True
-        landed = yield from relay_write(self.server, executor, owner, request)
-        if landed:
-            self._straggler_forwards.fetch_add(1)
-        return landed
+        return (yield from relay_write(self.server, executor, owner, request))
 
 
 class ShardAutoscaler:

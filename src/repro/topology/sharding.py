@@ -272,11 +272,6 @@ class ShardedSteering(Stage, ShardLifecycle):
         yield from ()
 
     @property
-    def ingress_shards(self) -> List[OffloadShard]:
-        """Shards client flows can currently land on."""
-        return list(self._ingress)
-
-    @property
     def shard_loads(self) -> List[int]:
         """Messages steered to each shard, in shard-index order.
 

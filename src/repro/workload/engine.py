@@ -158,7 +158,7 @@ class OpenLoopTrafficEngine:
             raise ValueError("horizon must be positive")
         if not tenants:
             raise ValueError("need at least one tenant")
-        # The index picks a tenant's flow; tags read it back as a position.
+        # The index picks a tenant's flow and tags its requests.
         for position, spec in enumerate(tenants):
             if spec.index != position:
                 raise ValueError(
@@ -210,7 +210,7 @@ class OpenLoopTrafficEngine:
         return _TenantState(spec, rng, flow, zipf, curve)
 
     # ------------------------------------------------------------------
-    # tenant classification (for the QoS gate and the checker)
+    # tenant classification (for the QoS gate)
     # ------------------------------------------------------------------
     def tenant_for_flow(self, flow: FiveTuple) -> str:
         """Flow → tenant name; pass as ``QosConfig.tenant_of``."""
@@ -218,14 +218,6 @@ class OpenLoopTrafficEngine:
             (flow.client_ip, flow.client_port),
             f"{flow.client_ip}:{flow.client_port}",
         )
-
-    def tenant_for_request(self, request: IoRequest) -> str:
-        """Request → tenant name (requests are tagged with the tenant
-        index); pass as the checker's ``tenant_of``."""
-        index = request.tag
-        if 0 <= index < len(self._states):
-            return self._states[index].spec.name
-        return f"tenant-{index}"
 
     # ------------------------------------------------------------------
     # request generation

@@ -172,7 +172,8 @@ class TestEngineCrashFallback:
     def test_fault_and_recovery_visible_in_sim_trace(self, engine_down):
         names = {
             record.name
-            for record in engine_down.log.of_kind("process")
+            for record in engine_down.log
+            if record.kind == "process"
         }
         assert any(name.startswith("fault:engine-crash") for name in names)
         assert "recover:engine:shard0" in names

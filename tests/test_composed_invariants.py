@@ -48,7 +48,8 @@ def _run_composed(seed):
         retry_policy=RetryPolicy(max_attempts=4, timeout=2e-3),
         retry_budget=RetryBudget(capacity=64.0, refill_ratio=0.1),
     )
-    checker = InvariantChecker(env, tenant_of=engine.tenant_for_request)
+    names = {spec.index: spec.name for spec in specs}
+    checker = InvariantChecker(env, tenant_of=lambda r: names[r.tag])
     engine.observer = checker
     for spec in specs:
         checker.set_slo(spec.name, SLO_P99, exempt=spec.name == "flood")

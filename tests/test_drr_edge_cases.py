@@ -59,7 +59,7 @@ class Tenants:
         return self.gate._states[tenant].deficit
 
     def dispatched(self, tenant):
-        return self.gate.stats_for(tenant).dispatched
+        return self.gate._states[tenant].stats.dispatched
 
 
 class TestDeficitBanking:
@@ -160,7 +160,7 @@ class TestLiveRoster:
         feed("c", start=2e-3)
         env.run(until=env.timeout(8e-3))
         a, b, c = (
-            drr.gate.stats_for(t).bytes_dispatched for t in "abc"
+            drr.gate._states[t].stats.bytes_dispatched for t in "abc"
         )
         assert a == pytest.approx(b, rel=0.15)
         # c joined a quarter of the way in: it gets an equal share of

@@ -18,7 +18,6 @@ from repro.hardware import (
     BF2_REGEX,
     CpuPool,
     HardwareAccelerator,
-    compile_pattern,
     compress_page,
     decompress_page,
     regex_scan,

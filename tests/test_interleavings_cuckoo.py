@@ -200,7 +200,7 @@ def test_churn_with_deletes_keeps_expected_keys_visible():
 
 
 def test_read_side_stats_are_exact_under_real_threads():
-    """Satellite regression: lookups/hits/probe_entries use atomic adds.
+    """Satellite regression: lookups/hits use atomic adds.
 
     With the old non-atomic ``+=`` on the shared stats object, parallel
     readers dropped updates; the counters must now account for every
@@ -225,7 +225,6 @@ def test_read_side_stats_are_exact_under_real_threads():
     )
     assert table.stats.lookups == readers * per_reader
     assert table.stats.hits == expected_hits
-    assert table.stats.probe_entries >= table.stats.hits
 
 
 def test_stats_exactness_contract_documented():

@@ -33,7 +33,7 @@ def membership(server):
     return (
         server.shard_map.members,
         dict(server.shard_map._pins),
-        [shard.index for shard in server.steering.ingress_shards],
+        [shard.index for shard in server.steering._ingress],
         groups,
         len(server.shards),
     )

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.hardware import (
-    DPU_TLDK,
     HOST_OS_TCP,
     CpuPool,
     HOST_CPU,
@@ -123,16 +122,20 @@ class TestStackLayer:
 
         p = env.process(main())
         env.run()
-        assert p.value == pytest.approx(layer.service_time(1000))
+        assert p.value == pytest.approx(
+            layer.core_time(1000) + HOST_OS_TCP.per_message_latency
+        )
         assert pool.busy_time == pytest.approx(layer.core_time(1000))
         assert layer.messages == 1 and layer.bytes == 1000
 
     def test_wimpy_core_scales_service_time(self):
-        env = Environment()
-        slow = CpuPool(env, speed=0.35)
-        layer = StackLayer(env, DPU_TLDK, slow)
-        fast_layer = StackLayer(env, DPU_TLDK, CpuPool(env, speed=1.0))
-        assert layer.service_time(100) > fast_layer.service_time(100)
+        def service_time(speed):
+            env = Environment()
+            layer = StackLayer(env, HOST_OS_TCP, CpuPool(env, speed=speed))
+            env.run(until=env.process(layer.process(100)))
+            return env.now
+
+        assert service_time(0.35) > service_time(1.0)
 
     def test_charge_only_accounts_without_time(self):
         env = Environment()

@@ -59,7 +59,8 @@ def build_stack(seed=29):
         retry_policy=RetryPolicy(max_attempts=4, timeout=2e-3),
         retry_budget=RetryBudget(capacity=64.0, refill_ratio=0.1),
     )
-    checker = InvariantChecker(env, tenant_of=engine.tenant_for_request)
+    names = {spec.index: spec.name for spec in specs}
+    checker = InvariantChecker(env, tenant_of=lambda r: names[r.tag])
     engine.observer = checker
     for spec in specs:
         checker.set_slo(
@@ -139,7 +140,7 @@ class TestFloodWithShardKill:
         assert flood.throttled > flood.acked  # most of it shed
         # The cap is enforced within bucket-burst slack.
         assert admitted_rate < FLOOD_CAP * 1.2
-        stats = server.qos.stats_for("flood")
+        stats = server.qos._states["flood"].stats
         assert stats.shed_admission > 500
 
     def test_shard_kill_really_happened(self, outcome):

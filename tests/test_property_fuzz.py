@@ -82,7 +82,7 @@ class TestNamespaceChurn:
                 )
                 env.run(until=proc)
         held = sum(
-            len(fs.file_mapping(fid)) for fid in live.values()
+            -(-fs.file_size(fid) // SEGMENT) for fid in live.values()
         )
         total = fs.allocator.total_segments
         assert fs.allocator.free_segments == total - 1 - held  # -1: metadata

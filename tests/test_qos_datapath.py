@@ -88,7 +88,7 @@ class TestGateUnit:
         # Burst of 2 admitted, the other 3 shed synchronously.
         assert len(out.throttled) == 3
         assert all(not r.ok for r in out.throttled)
-        stats = gate.stats_for("10.0.0.2:40001")
+        stats = gate.totals  # one tenant
         assert stats.shed_admission == 3
         env.run(until=env.timeout(1e-3))
         assert len(out.acked) == 2
@@ -104,7 +104,7 @@ class TestGateUnit:
         out = Collector()
         for rid in range(1, 12):
             gate.intake(FLOW_A, [read(rid)], out)
-        stats = gate.stats_for("10.0.0.2:40001")
+        stats = gate.totals  # one tenant
         assert stats.max_depth <= 4
         assert stats.shed_queue_full > 0
         # Drop-from-front: the oldest ids were shed, the newest kept.
@@ -122,7 +122,7 @@ class TestGateUnit:
         for rid in range(1, 6):
             gate.intake(FLOW_A, [read(rid)], out)
         env.run(until=env.timeout(20e-3))
-        stats = gate.stats_for("10.0.0.2:40001")
+        stats = gate.totals  # one tenant
         # Head of line served; everything behind it aged past target
         # while the slow dispatch window was full.
         assert stats.shed_deadline == 4
@@ -156,7 +156,7 @@ class TestGateUnit:
         replayed = [r for r in out.responses if r.request_id == 7]
         assert replayed == [cached]
         assert replayed[0].ok and not replayed[0].throttled
-        stats = gate.stats_for("10.0.0.2:40001")
+        stats = gate.totals  # one tenant
         assert stats.replayed == 1
         assert stats.shed_admission == 1
 
@@ -185,8 +185,8 @@ class TestGateUnit:
             gate.intake(FLOW_A, [write(2000 + rid)], out)
             gate.intake(FLOW_B, [write(4000 + rid)], out)
         env.run(until=env.timeout(2e-3))  # partial drain: contention window
-        heavy = gate.stats_for("10.0.0.2:40001")
-        light = gate.stats_for("10.0.0.3:40002")
+        heavy = gate._states["10.0.0.2:40001"].stats
+        light = gate._states["10.0.0.3:40002"].stats
         assert heavy.bytes_dispatched + light.bytes_dispatched > 0
         ratio = heavy.bytes_dispatched / light.bytes_dispatched
         assert ratio == pytest.approx(3.0, rel=0.25)
@@ -200,8 +200,8 @@ class TestGateUnit:
         for rid in range(1, 30):
             gate.intake(FLOW_A, [read(rid)], out)
         env.run(until=env.timeout(10e-3))
-        assert gate.backlog == 0
-        assert gate.inflight == 0
+        assert gate._backlog == 0
+        assert gate._inflight == 0
         assert len(out.acked) == 29
         totals = gate.totals
         assert totals.dispatched == 29
@@ -273,8 +273,8 @@ class TestEnableQos:
 
     def test_gate_caps_flooder_and_signals_backpressure(self):
         _server, gate, result = drive(enable=True, tenant_rate=20_000.0)
-        greedy = gate.stats_for("greedy")
-        steady = gate.stats_for("steady")
+        greedy = gate._states["greedy"].stats
+        steady = gate._states["steady"].stats
         assert greedy.shed_admission > 0
         assert steady.shed == 0  # unthrottled tenant rides through
         assert result.throttled_responses == greedy.shed

@@ -87,7 +87,6 @@ class TestLiveReshardReplicated:
         """After 2→3→2 the groups match a fresh 2-shard deployment:
         (k, (k+1) % N) with every member fully caught up."""
         replicator = elastic.server.replicator
-        assert replicator.resizes == 2
         assert sorted(replicator.groups) == [0, 1]
         assert replicator.groups[0].members == (0, 1)
         assert replicator.groups[1].members == (1, 0)
@@ -117,7 +116,7 @@ class TestLiveReshardReplicated:
         # retired shard keeps its historical totals at index 2.
         assert len(steering.shard_loads) == 3
         assert steering.request_loads[2] > 0
-        assert [s.index for s in steering.ingress_shards] == [0, 1]
+        assert [s.index for s in steering._ingress] == [0, 1]
 
     def test_same_seed_reproduces_the_reshard(self, elastic):
         again = run_elastic(seed=7, total_requests=TOTAL_REQUESTS)
@@ -277,13 +276,11 @@ class TestOptInsRegister:
         resharder._moved[file_id] = owner  # as after its cutover
         request = write(1, file_id)
         assert run(env, resharder.on_write_applied(1 - owner, request))
-        assert resharder.straggler_forwards == 1
         landed = server.filesystems[owner].read_sync(file_id, 0, 1024)
         assert landed == request.payload
         server.kill_shard(owner)
         request = write(2, file_id)
         assert not run(env, resharder.on_write_applied(1 - owner, request))
-        assert resharder.straggler_forwards == 1
 
 
 class TestAutoscaler:

