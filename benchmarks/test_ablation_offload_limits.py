@@ -10,7 +10,6 @@
 
 from _tables import cores, emit, kops
 
-from repro.bench import build_cluster
 from repro.core import ClientConfig, WorkloadClient
 from repro.hardware import NetworkLink
 from repro.sim import Environment, SeededRng

@@ -9,12 +9,13 @@ state.  Run with ``pytest -m chaos benchmarks/test_chaos_recovery.py``.
 """
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 from _tables import emit, kops, us
 
-from repro.bench.harness import ack_buckets, run_shard_kill
+from repro.bench.harness import SHARD_KILL, ack_buckets, run
 from repro.faults import ShardKill
 from repro.sim.stats import rate, slices
 
@@ -30,29 +31,30 @@ KILL = ShardKill(at=KILL_AT, down_for=DOWN_FOR, shard=2)
 
 def run_chaos_bench(seed=13, replicated=False):
     """The kit's shard-kill scenario plus the recovery figures."""
-    run = run_shard_kill(
-        KILL, seed=seed, total_requests=TOTAL_REQUESTS, replicated=replicated
-    )
+    done = run(replace(
+        SHARD_KILL, seed=seed, total_requests=TOTAL_REQUESTS,
+        replicated=replicated, faults=(KILL,),
+    ))
     recover_record = next(
         record
-        for record in run.injector.fault_log
+        for record in done.injector.fault_log
         if record.kind == "shard-recover"
     )
     recovery_us = float(
         recover_record.detail.split("recovery_time=")[1].rstrip("us")
     )
     return SimpleNamespace(
-        server=run.server,
-        replicator=run.server.replicator,
-        checker=run.checker,
-        result=run.result,
-        injector=run.injector,
-        acks=run.acks,
-        dead_files=run.files_on(KILL.shard),
+        server=done.server,
+        replicator=done.server.replicator,
+        checker=done.checker,
+        result=done.result,
+        injector=done.injector,
+        acks=done.acks,
+        dead_files=done.files_on(KILL.shard),
         recover_time=recover_record.time,
         recovery_us=recovery_us,
-        report=run.report,
-        digest=run.state_digest(),
+        report=done.report,
+        digest=done.state_digest(),
     )
 
 

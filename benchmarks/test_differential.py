@@ -19,11 +19,7 @@ Run from the repository root (``tests`` must be importable):
 
 from _tables import emit
 
-from repro.bench.harness import (
-    differential,
-    observe_host_path,
-    observe_replicated,
-)
+from repro.bench.harness import HOST_PATH, REPLICATED, differential
 from tests.reference_datapath import REFERENCES
 
 SEEDS = range(1, 301)
@@ -31,10 +27,10 @@ SEEDS = range(1, 301)
 
 def test_differential_record():
     reports = {
-        scenario.__name__[len("observe_"):]: differential(
-            scenario, REFERENCES, SEEDS
+        label: differential(scenario, REFERENCES, SEEDS)
+        for label, scenario in (
+            ("host_path", HOST_PATH), ("replicated", REPLICATED)
         )
-        for scenario in (observe_host_path, observe_replicated)
     }
     rows = []
     for name in REFERENCES:

@@ -9,9 +9,11 @@ shard's director core must stay within Figure 21's per-Arm-core budget
 reads are one packet each way).
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.bench.harness import IO_SIZE, build_cluster, run_scaleout
+from repro.bench.harness import IO_SIZE, SCALEOUT, build_cluster, run
 from repro.core.messages import IoRequest, OpCode
 from repro.net.packet import FiveTuple
 
@@ -19,8 +21,10 @@ TOTAL_REQUESTS = 12_000
 
 
 def run_sharded(shard_count, total_requests=TOTAL_REQUESTS):
-    run = run_scaleout(shard_count, total_requests)
-    return run.server, run.result
+    done = run(replace(
+        SCALEOUT, shards=shard_count, total_requests=total_requests
+    ))
+    return done.server, done.result
 
 
 @pytest.fixture(scope="module")

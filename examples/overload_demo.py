@@ -27,22 +27,16 @@ collapse — and the recovery — are visible bucket by bucket.
 Run:  python examples/overload_demo.py
 """
 
-from repro.bench.harness import OVERLOAD_CAPACITY, run_overload
-from repro.workload import FlashCrowd
+from dataclasses import replace
 
-BASE_RATE = 0.8 * OVERLOAD_CAPACITY
-HORIZON = 30e-3
-CROWD = FlashCrowd(start=8e-3, duration=6e-3, multiplier=5.0)
+from repro.bench.harness import OVERLOAD, run
+
 BUCKET = 2e-3
-
-
-def run(defended):
-    return run_overload(BASE_RATE, defended, HORIZON, events=(CROWD,)).result
 
 
 def main():
     results = {
-        label: run(defended)
+        label: run(replace(OVERLOAD, defended=defended)).result
         for label, defended in (("stock", False), ("defended", True))
     }
 

@@ -8,7 +8,6 @@ from .harness import (
     build_cluster,
     find_peak,
     run_io_experiment,
-    sweep,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "build_cluster",
     "find_peak",
     "run_io_experiment",
-    "sweep",
 ]

@@ -19,24 +19,25 @@ carries the ablations (``dds-files-copy``, ``dds-offload-copy``) and
 the multi-DPU sharded deployments (``dds-offload-shard2`` / ``-shard4``).
 
 The second half is the *scenario kit* every test, benchmark and example
-shares (DESIGN.md §11): :func:`build_cluster` also brings up the
-N-files-on-a-sharded-server deployment, :func:`striped_rw_factory` /
-:func:`drive_striped` are its one workload, :class:`AckTimeline`,
-:func:`drain_until` and :func:`ack_buckets` its one way to observe and
-settle a run, and the cluster scenarios (:func:`run_scaleout`,
-:func:`run_shard_kill`, :func:`run_elastic`, :func:`run_overload`) are
-plain functions returning a :class:`ScenarioRun`;
+shares (DESIGN.md §11): a cluster scenario is a frozen, picklable
+:class:`Scenario` value (:data:`SCALEOUT`, :data:`SHARD_KILL`,
+:data:`ELASTIC`, :data:`OVERLOAD`, :data:`HOST_PATH`,
+:data:`REPLICATED`), varied with :func:`dataclasses.replace` and run by
+:func:`run` into a :class:`ScenarioRun`.  Its parts stay public for
+runs no value describes: :func:`build_cluster`, the one workload
+:func:`drive_striped`, and :class:`AckTimeline`, :func:`drain_until`
+and :func:`ack_buckets` to observe and settle a run.
 :func:`run_tenant_isolation` is the QoS gate's dispatch order alone, on
 a toy server.
 
 :func:`differential` checks, seed by seed, that a reference (a list of
-single-site patches) changes nothing a scenario (:func:`observe_*`) sees.
+single-site patches) changes nothing a scenario sees.
 """
 
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import zip_longest
 from typing import (
     Any,
@@ -70,7 +71,7 @@ from ..topology.qos import QosConfig, TenantQosGate
 from ..topology.registry import build_server, headline_solutions, resolve
 from ..topology.sharding import ShardedOffloadServer
 from ..topology.spec import DeploymentSpec
-from ..workload import OpenLoopTrafficEngine, TenantSpec
+from ..workload import FlashCrowd, OpenLoopTrafficEngine, TenantSpec
 
 __all__ = [
     "SOLUTIONS",
@@ -81,22 +82,23 @@ __all__ = [
     "build_cluster",
     "measure_app",
     "run_io_experiment",
-    "sweep",
     "find_peak",
     "IO_SIZE",
     "OVERLOAD_CAPACITY",
     "AckTimeline",
+    "Scenario",
     "ScenarioRun",
+    "run",
+    "SCALEOUT",
+    "SHARD_KILL",
+    "ELASTIC",
+    "OVERLOAD",
+    "HOST_PATH",
+    "REPLICATED",
     "ack_buckets",
     "drain_until",
     "drive_striped",
     "striped_rw_factory",
-    "run_scaleout",
-    "run_shard_kill",
-    "run_elastic",
-    "run_overload",
-    "observe_host_path",
-    "observe_replicated",
     "FairnessResult",
     "run_tenant_isolation",
     "Divergence",
@@ -317,18 +319,6 @@ def run_io_experiment(
     )
 
 
-def sweep(
-    kind: Solution,
-    offered_points: List[float],
-    **kwargs,
-) -> List[ExperimentResult]:
-    """Run one experiment per offered-load point."""
-    return [
-        run_io_experiment(kind, offered, **kwargs)
-        for offered in offered_points
-    ]
-
-
 def find_peak(
     kind: Solution,
     start_iops: float = 200_000.0,
@@ -361,13 +351,13 @@ def find_peak(
 
 
 # ----------------------------------------------------------------------
-# the scenario kit: one workload, one observer, one drain, four scenarios
+# the scenario kit: one value, one runner
 # ----------------------------------------------------------------------
 #: Request size of the striped workload.
 IO_SIZE = 1024
 
 #: Measured saturation of one shard serving 64 KiB reads (the SSD/link
-#: path), the unit :func:`run_overload` rates are quoted in.
+#: path), the unit :data:`OVERLOAD` rates are quoted in.
 OVERLOAD_CAPACITY = 52_000.0
 
 
@@ -495,221 +485,219 @@ def ack_buckets(
     return slices(watched, start, end, 5e-4)
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """One cluster scenario as a value; :func:`run` runs it.
+
+    ``files`` preallocated files of ``file_bytes`` on a ``shards``-DPU
+    :class:`~repro.topology.sharding.ShardedOffloadServer`, its opt-ins,
+    its driver, its faults and its seed.  Frozen and picklable: callers
+    vary one of the module-level values below with
+    :func:`dataclasses.replace`.
+    """
+
+    shards: int
+    files: int
+    file_bytes: int
+    seed: int
+    #: The striped client's offered rate, or the tenants' total rate.
+    offered_iops: float
+    #: The closed-loop striped workload (:func:`drive_striped`).
+    total_requests: int = 0
+    write_every: int = 4
+    connections: int = 16
+    max_outstanding: int = 512
+    retrying: bool = True
+    #: Set: the open-loop tenant population (:data:`OVERLOAD`) offers
+    #: load for this long instead, with ``crowd``'s rate spikes.
+    horizon: Optional[float] = None
+    crowd: Tuple[FlashCrowd, ...] = ()
+    #: Opt-ins: dedup and breakers; replicated shard groups; the
+    #: overload defenses (``resilience`` plus a shared retry budget and
+    #: the tenant QoS gate admitting 90% of capacity); a membership
+    #: schedule of ``(delay, "add" | "drain")`` steps, a drain retiring
+    #: the shard the schedule last added.
+    resilience: bool = False
+    replicated: bool = False
+    defended: bool = False
+    membership: Tuple[Tuple[float, str], ...] = ()
+    #: Shard kills, armed on the sim clock (the plan's seed is ``seed``).
+    faults: Tuple[ShardKill, ...] = ()
+    #: One :class:`InvariantChecker` watches the run; afterwards the run
+    #: settles (kills recovered, membership done) and is checked.
+    audit: bool = False
+
+
 @dataclass
 class ScenarioRun(Cluster):
     """The cluster after a scenario ran, plus what the run measured."""
 
     result: Any = None
     acks: List[Tuple[float, int]] = field(repr=False, default_factory=list)
+    #: (request id, sim time, ok) of every response; ok None: gave up.
+    outcomes: List[Tuple[int, float, Optional[bool]]] = field(
+        repr=False, default_factory=list
+    )
     checker: Any = None
-    #: ``checker.check(...)`` taken after the post-run drain.
+    #: ``checker.check(...)`` taken after the post-run settle.
     report: Any = None
     injector: Optional[FaultInjector] = None
-    #: Elastic runs: shard index per completed step (added / drained).
-    marks: Dict[str, int] = field(default_factory=dict)
-    #: Elastic runs: file id -> owner before any membership change.
+    #: ``(step, shard index)`` per completed membership step.
+    marks: List[Tuple[str, int]] = field(default_factory=list)
+    #: File id -> owner before any membership change.
     owners_before: Dict[int, int] = field(default_factory=dict)
 
 
-def _arm_audit(cluster: Cluster, replicated: bool):
-    """Dedup + breakers, and the one checker (replicator observer too
-    when ``replicated``)."""
-    dedup = cluster.server.enable_resilience()
-    checker = InvariantChecker(cluster.env)
-    if replicated:
-        cluster.server.enable_replication(checker)
-    return dedup, checker
-
-
-def run_scaleout(shards: int, total_requests: int) -> ScenarioRun:
-    """Saturating directed reads over 32 x 4 MiB files on N shards."""
-    cluster = build_cluster(shards=shards, files=32, file_bytes=4 << 20)
-    # Offered load far beyond any shard count's capacity, so every
-    # point measures capacity rather than arrival rate.
-    result = drive_striped(
-        cluster, offered_iops=4e6, total_requests=total_requests, seed=7,
-        write_every=0, max_outstanding=192, retrying=False,
+def run(scenario: Scenario) -> ScenarioRun:
+    """Build, arm and drive ``scenario``; settle and audit if it says so."""
+    s = scenario
+    cluster = build_cluster(
+        shards=s.shards, files=s.files, file_bytes=s.file_bytes
     )
-    return ScenarioRun(**vars(cluster), result=result)
-
-
-def run_shard_kill(
-    kill: ShardKill,
-    *,
-    seed: int,
-    total_requests: int,
-    write_every: int = 4,
-    replicated: bool = False,
-) -> ScenarioRun:
-    """Kill one of four shards mid-workload; recover it; audit.
-
-    400K offered IOPS over 16 x 1 MiB files.  Unreplicated, the dead
-    keyspace goes dark until raw-disk recovery and the
-    :class:`InvariantChecker` audits the final disks; ``replicated``
-    turns on primary→backup mirroring with the same checker judging
-    RI1–RI5 live, and the backup keeps the keyspace acking through the
-    outage.
-    """
-    cluster = build_cluster(shards=4, files=16, file_bytes=1 << 20)
     env, server = cluster.env, cluster.server
-    dedup, checker = _arm_audit(cluster, replicated)
-    plan = FaultPlan(seed=seed, events=(kill,))
-    injector = FaultInjector(env, server, plan).arm()
-    timeline = AckTimeline(env, checker)
-    result = drive_striped(
-        cluster, offered_iops=400e3, total_requests=total_requests,
-        seed=seed, write_every=write_every, observer=timeline,
-    )
-    # Anti-entropy catch-up is device-timed and outlasts the workload.
-    drain_until(
-        env,
-        lambda: any(r.kind == "shard-recover" for r in injector.fault_log),
-        120,
-    )
-    env.run(until=env.timeout(1e-3))  # replayed responses, recovery tail
-    return ScenarioRun(
-        **vars(cluster), result=result, acks=timeline.acks, checker=checker,
-        report=checker.check(server, dedup=dedup), injector=injector,
-    )
-
-
-def observe_host_path(seed: int) -> Tuple[Dict[str, Any], Environment]:
-    """One shard, every third request a write: the DMA ring and the
-    host file service carry traffic with idle gaps in between."""
-    cluster = build_cluster(shards=1, files=4, file_bytes=1 << 20)
-    return _observe(cluster, seed, 60e3, 240, write_every=3)
-
-
-def observe_replicated(seed: int) -> Tuple[Dict[str, Any], Environment]:
-    """Four replicated shards: relays, mirrored writes and quorum acks
-    make several DMA threads wake each other's hosts."""
-    cluster = build_cluster(shards=4, files=8, file_bytes=1 << 20)
-    _arm_audit(cluster, replicated=True)
-    return _observe(cluster, seed, 150e3, 320, write_every=4)
-
-
-def _observe(cluster, seed, offered_iops, total_requests, write_every):
-    """Drive, idle 1 ms, return what two runs must agree on (responses,
-    DMA counters, clock, bytes on disk) and the environment."""
-    timeline = AckTimeline(cluster.env)
-    drive_striped(
-        cluster, offered_iops=offered_iops, total_requests=total_requests,
-        seed=seed, write_every=write_every, observer=timeline,
-    )
-    cluster.env.run(until=cluster.env.now + 1e-3)
-    backends = [shard.backend for shard in cluster.server.shards]
-    for backend in backends:
-        backend.file_service.settle_idle_polls()
-    return {
-        "acks": timeline.outcomes,
-        "dma": [asdict(backend.dma.stats) for backend in backends],
-        "fetched": [
-            (channel.fetched_batches, channel.fetched_requests)
-            for backend in backends for channel in backend.file_service.channels
-        ],
-        "now": cluster.env.now,
-        "digest": cluster.state_digest(),
-    }, cluster.env
-
-
-def run_elastic(
-    *,
-    seed: int,
-    total_requests: int,
-    replicated: bool = True,
-    drain: bool = True,
-    kill: Optional[ShardKill] = None,
-) -> ScenarioRun:
-    """Grow a loaded 2-shard deployment to 3, then drain the addition.
-
-    150K offered IOPS over 16 x 64 KiB files: a saturating load starves
-    the copy plane until the workload ends and nothing overlaps.
-    ``drain=False`` stops after the add; ``kill`` lands a shard kill
-    inside the migration (chaos tier).
-    """
-    cluster = build_cluster(shards=2, files=16, file_bytes=64 << 10)
-    env, server = cluster.env, cluster.server
-    dedup, checker = _arm_audit(cluster, replicated)
-    resharder = server.enable_resharding()
+    dedup = server.enable_resilience() if s.resilience or s.defended else None
+    checker = InvariantChecker(env) if s.audit else None
+    if s.replicated:
+        server.enable_replication(checker)
     injector = None
-    if kill is not None:
-        plan = FaultPlan(seed=seed, events=(kill,))
+    if s.faults:
+        plan = FaultPlan(seed=s.seed, events=s.faults)
         injector = FaultInjector(env, server, plan).arm()
     owners_before = {f: server.shard_map.owner(f) for f in cluster.file_ids}
-    marks: Dict[str, int] = {}
-
-    def control():
-        yield env.timeout(1e-3)
-        index = yield from server.add_shard()
-        marks["added"] = index
-        if drain:
-            yield env.timeout(3e-4)
-            yield from server.drain_shard(index)
-            marks["drained"] = index
-
-    env.process(control())
+    marks: List[Tuple[str, int]] = []
+    if s.membership:
+        server.enable_resharding()
+        env.process(_reshape(env, server, s.membership, marks))
     timeline = AckTimeline(env, checker)
-    result = drive_striped(
-        cluster, offered_iops=150e3, total_requests=total_requests,
-        seed=seed, write_every=4, observer=timeline,
-    )
-    # The drain-side resize backfills the re-paired backup device-timed,
-    # and a killed shard's anti-entropy replays every missed log entry:
-    # the audit must read the settled, caught-up filesystems.
-    drain_until(
-        env,
-        lambda: ("drained" if drain else "added") in marks
-        and not resharder.active
-        and all(shard.alive for shard in server.shards),
-        400,
-    )
-    env.run(until=env.timeout(1e-3))
+    if s.horizon is None:
+        result = drive_striped(
+            cluster, offered_iops=s.offered_iops,
+            total_requests=s.total_requests, seed=s.seed,
+            write_every=s.write_every, connections=s.connections,
+            max_outstanding=s.max_outstanding, retrying=s.retrying,
+            observer=timeline,
+        )
+    else:
+        result = _drive_tenants(cluster, s)
+    report = None
+    if s.audit:
+        # Anti-entropy catch-up and the drain-side backfill are
+        # device-timed and outlast the workload: the audit must read the
+        # settled, caught-up filesystems.
+        def settled() -> bool:
+            recovered = injector is None or len(s.faults) == sum(
+                r.kind == "shard-recover" for r in injector.fault_log
+            )
+            return (
+                recovered
+                and len(marks) == len(s.membership)
+                and not (server.resharder and server.resharder.active)
+            )
+
+        drain_until(env, settled, 400)
+        env.run(until=env.timeout(1e-3))  # replayed responses, recovery tail
+        report = checker.check(server, dedup=dedup)
     return ScenarioRun(
-        **vars(cluster), result=result, acks=timeline.acks, checker=checker,
-        report=checker.check(server, dedup=dedup), injector=injector,
-        marks=marks, owners_before=owners_before,
+        **vars(cluster), result=result, acks=timeline.acks,
+        outcomes=timeline.outcomes, checker=checker, report=report,
+        injector=injector, marks=marks, owners_before=owners_before,
     )
 
 
-def run_overload(
-    total_rate: float, defended: bool, horizon: float, events=()
-) -> ScenarioRun:
-    """Open-loop tenants against one shard of 64 KiB reads (DESIGN §15).
+def _reshape(env, server, steps, marks):
+    """Run the membership schedule, marking each completed step."""
+    added = None
+    for delay, step in steps:
+        yield env.timeout(delay)
+        if step == "add":
+            added = yield from server.add_shard()
+        else:
+            yield from server.drain_shard(added)
+        marks.append((step, added))
 
-    Two tenant classes — three interactive accounts (20% of the load,
-    4x DRR weight, latency-sensitive) and one batch whale — retry up to
-    8 times on a 2 ms timeout.  ``defended`` adds dedup, a shared retry
-    budget and the tenant QoS gate admitting 90% of capacity; without
-    it this is the stock, metastable configuration.  The gate is
-    ``run.server.qos`` (None when undefended).
-    """
-    cluster = build_cluster(shards=1, files=8, file_bytes=1 << 20)
+
+def _drive_tenants(cluster: Cluster, s: Scenario):
+    """Three interactive accounts (20% of the load, 4x DRR weight,
+    latency-sensitive) and one batch whale, 64 KiB reads, retrying up to
+    8 times on a 2 ms timeout (DESIGN §15)."""
     specs = [
         TenantSpec(
-            f"int-{i}", i, rate=total_rate * 0.2 / 3, weight=4.0,
+            f"int-{i}", i, rate=s.offered_iops * 0.2 / 3, weight=4.0,
             slo_p99=5e-3,
         )
         for i in range(3)
     ]
-    specs.append(TenantSpec("batch-0", 3, rate=total_rate * 0.8, weight=1.0))
+    specs.append(TenantSpec("batch-0", 3, rate=s.offered_iops * 0.8, weight=1.0))
     engine = OpenLoopTrafficEngine(
         cluster.env, cluster.server, specs, cluster.file_ids,
-        horizon=horizon, io_size=64 << 10, file_bytes=cluster.file_bytes,
-        seed=31, events=events,
+        horizon=s.horizon, io_size=64 << 10, file_bytes=cluster.file_bytes,
+        seed=s.seed, events=s.crowd,
         retry_policy=RetryPolicy(max_attempts=8, timeout=2e-3),
         retry_budget=(
-            RetryBudget(capacity=32.0, refill_ratio=0.1) if defended else None
+            RetryBudget(capacity=32.0, refill_ratio=0.1) if s.defended else None
         ),
     )
-    if defended:
-        cluster.server.enable_resilience()
+    if s.defended:
         cluster.server.enable_qos(QosConfig(
             global_rate=0.9 * OVERLOAD_CAPACITY, global_burst=32.0,
             sojourn_target=2e-3,
             weights={f"int-{i}": 4.0 for i in range(3)},
             tenant_of=engine.tenant_for_flow,
         ))
-    return ScenarioRun(**vars(cluster), result=engine.run())
+    return engine.run()
+
+
+#: Saturating directed reads over 32 x 4 MiB files: offered load far
+#: beyond any shard count's capacity, so every point measures capacity.
+SCALEOUT = Scenario(
+    shards=4, files=32, file_bytes=4 << 20, seed=7, offered_iops=4e6,
+    total_requests=12_000, write_every=0, max_outstanding=192,
+    retrying=False,
+)
+
+#: Kill one of four shards mid-workload, recover it, audit.  400K
+#: offered IOPS over 16 x 1 MiB files.  Unreplicated, the dead keyspace
+#: goes dark until raw-disk recovery; ``replicated`` keeps it acking
+#: through the outage with the checker judging RI1–RI5 live.
+SHARD_KILL = Scenario(
+    shards=4, files=16, file_bytes=1 << 20, seed=13, offered_iops=400e3,
+    total_requests=2400, resilience=True, audit=True,
+    faults=(ShardKill(at=2e-3, down_for=3e-3, shard=2),),
+)
+
+#: Grow a loaded, replicated 2-shard deployment to 3, then drain the
+#: addition.  150K offered IOPS over 16 x 64 KiB files: a saturating
+#: load would starve the copy plane until the workload ends.
+ELASTIC = Scenario(
+    shards=2, files=16, file_bytes=64 << 10, seed=17, offered_iops=150e3,
+    total_requests=6000, resilience=True, replicated=True, audit=True,
+    membership=((1e-3, "add"), (3e-4, "drain")),
+)
+
+#: Open-loop tenants against one shard of 64 KiB reads (DESIGN §15):
+#: 80% of capacity, then a 5x flash crowd for 6 ms.  Undefended, this
+#: is the stock, metastable configuration; ``run(...).server.qos`` is
+#: the gate (None when undefended).
+OVERLOAD = Scenario(
+    shards=1, files=8, file_bytes=1 << 20, seed=31,
+    offered_iops=0.8 * OVERLOAD_CAPACITY, horizon=30e-3,
+    crowd=(FlashCrowd(start=8e-3, duration=6e-3, multiplier=5.0),),
+)
+
+#: :func:`differential`'s two scenarios.  One shard, every third request
+#: a write: the DMA ring and the host file service carry traffic with
+#: idle gaps in between.
+HOST_PATH = Scenario(
+    shards=1, files=4, file_bytes=1 << 20, seed=1, offered_iops=60e3,
+    total_requests=240, write_every=3,
+)
+
+#: Four replicated shards: relays, mirrored writes and quorum acks make
+#: several DMA threads wake each other's hosts.
+REPLICATED = Scenario(
+    shards=4, files=8, file_bytes=1 << 20, seed=1, offered_iops=150e3,
+    total_requests=320, resilience=True, replicated=True,
+)
 
 
 class FairnessResult(NamedTuple):
@@ -802,47 +790,69 @@ class DifferentialReport(NamedTuple):
 
 
 def differential(
-    scenario: Callable[[int], Tuple[Dict[str, Any], Environment]],
+    scenario: Scenario,
     references: Dict[str, Sequence[Tuple[Any, str, Any]]],
     seeds: Sequence[int],
 ) -> Dict[str, DifferentialReport]:
     """Check that each reference changes nothing ``scenario`` observes.
 
-    ``scenario(seed)`` returns ``(observation, env)``: a dict of what
-    two runs must agree on, and the environment it ran in.  A reference
-    is the list of sites ``(owner, attribute, replacement)`` that swap an
-    older implementation in, applied for its runs only; one shipped run
-    per seed serves every reference.
+    Each seed's run (``scenario`` with that seed) idles 1 ms and is then
+    observed: every response, the DMA counters, the clock and the bytes
+    on disk.  A reference is the list of sites ``(owner, attribute,
+    replacement)`` that swap an older implementation in, applied for its
+    runs only; one shipped run per seed serves every reference.
     """
     shipped: Dict[int, Any] = {}
     reports = {name: DifferentialReport(shipped, {}, {}) for name in references}
     for seed in seeds:
-        shipped[seed], env = scenario(seed)
+        seeded = replace(scenario, seed=seed)
+        shipped[seed], env = _observe(seeded)
         for name, sites in references.items():
-            observation, reference_env = _run(scenario, seed, sites)
+            observation, reference_env = _run(seeded, sites)
             report = reports[name]
             report.events[seed] = (env.scheduled_count,
                                    reference_env.scheduled_count)
             found = _first_divergence(shipped[seed], observation)
             if found is not None:
                 report.divergences[seed] = found._replace(
-                    sites=_bisect(scenario, seed, shipped[seed], sites, found)
+                    sites=_bisect(seeded, shipped[seed], sites, found)
                 )
     return reports
 
 
-def _run(scenario, seed, sites):
+def _observe(scenario: Scenario) -> Tuple[Dict[str, Any], Environment]:
+    """Run, idle 1 ms, return what two runs must agree on and the
+    environment."""
+    done = run(scenario)
+    env = done.env
+    env.run(until=env.now + 1e-3)
+    backends = [shard.backend for shard in done.server.shards]
+    for backend in backends:
+        backend.file_service.settle_idle_polls()
+    return {
+        "acks": done.outcomes,
+        "dma": [asdict(backend.dma.stats) for backend in backends],
+        "fetched": [
+            (channel.fetched_batches, channel.fetched_requests)
+            for backend in backends for channel in backend.file_service.channels
+        ],
+        "now": env.now,
+        "digest": done.state_digest(),
+    }, env
+
+
+def _run(scenario, sites):
     from unittest import mock  # loads asyncio: import on use only
 
     with ExitStack() as patches:
         for site in sites:
             patches.enter_context(mock.patch.object(*site))
-        return scenario(seed)
+        return _observe(scenario)
 
 
-def _bisect(scenario, seed, shipped, sites, found) -> Tuple[str, ...]:
+def _bisect(scenario, shipped, sites, found) -> Tuple[str, ...]:
     def reproduces(subset) -> bool:
-        observation, _env = _run(scenario, seed, subset)
+        observation, _env = _run(scenario, subset)
         return _first_divergence(shipped, observation) == found
 
     names = [f"{owner.__name__}.{attribute}" for owner, attribute, _ in sites]

@@ -8,9 +8,10 @@ add→drain reshard (``resharding``), the verified-pushdown placement
 sweep (``pushdown``) and the open-loop overload study (``overload``) —
 and keeps, per workload and mode, only what the simulation determines:
 the same commit gives the same record on any machine, under any
-``PYTHONHASHSEED``.  The cluster workloads call the scenario kit in
-:mod:`repro.bench.harness` (the same functions the tests, benchmarks
-and examples run) and only shape the ``detail`` dict here.
+``PYTHONHASHSEED``.  The cluster workloads :func:`~repro.bench.harness.run`
+the scenario kit's :class:`~repro.bench.harness.Scenario` values (the
+ones the tests, benchmarks and examples run) and only shape the
+``detail`` dict here.
 
 The gate is exact: regenerating a committed record is a no-op
 (``git diff --exit-code -- 'BENCH_*.json'``, which CI runs for both
@@ -44,22 +45,21 @@ from __future__ import annotations
 import argparse
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from ..faults import FaultInjector, FaultPlan, ShardKill
+from ..faults import ShardKill
 from ..sim.stats import percentile, rate
-from ..workload import FlashCrowd
 from .harness import (
+    ELASTIC,
+    OVERLOAD,
     OVERLOAD_CAPACITY,
+    SCALEOUT,
+    SHARD_KILL,
     ack_buckets,
-    build_cluster,
-    drive_striped,
     find_peak,
-    run_elastic,
-    run_overload,
-    run_scaleout,
-    run_shard_kill,
+    run,
 )
 
 __all__ = ["WORKLOADS", "run_workload", "write_bench", "load_bench", "main"]
@@ -70,6 +70,13 @@ REPO_ROOT = Path(__file__).resolve().parents[3]
 #: Smoke runs must stay within a CI-friendly budget; full runs match the
 #: committed benchmark figures' scale.
 _SCALES = ("smoke", "full")
+
+#: The shard-kill deployment at a saturating 1.2M offered IOPS, with no
+#: audit: the chaos and replication-tax records are of the workload alone.
+_SATURATED = replace(
+    SHARD_KILL, offered_iops=1.2e6, connections=8, max_outstanding=160,
+    audit=False,
+)
 
 
 # ----------------------------------------------------------------------
@@ -118,41 +125,30 @@ def _run_fig16(mode: str) -> dict:
 def _run_scaleout(mode: str) -> dict:
     """Directed reads against a consistent-hash 4-shard deployment."""
     total_requests = 12_000 if mode == "full" else 3000
-    run = run_scaleout(4, total_requests)
+    done = run(replace(SCALEOUT, total_requests=total_requests))
     return {
-        "events": run.env.scheduled_count,
-        "peak_iops": run.result.achieved_iops,
+        "events": done.env.scheduled_count,
+        "peak_iops": done.result.achieved_iops,
         "detail": {
             "shards": 4,
             "total_requests": total_requests,
-            "p99_us": run.result.p99 * 1e6,
+            "p99_us": done.result.p99 * 1e6,
         },
     }
 
 
 def _run_chaos(mode: str) -> dict:
-    """Shard-kill recovery: a 4-shard run with one shard dark mid-run.
-
-    The :func:`~repro.bench.harness.run_shard_kill` deployment and
-    fault, but at a saturating 1.2M offered IOPS and with no observer,
-    drain or audit — the record is of the workload alone.
-    """
+    """Shard-kill recovery: a 4-shard run with one shard dark mid-run."""
     total_requests = 4800 if mode == "full" else 1200
-    cluster = build_cluster(shards=4, files=16, file_bytes=1 << 20)
-    cluster.server.enable_resilience()
     # Halfway through the offered window (2 ms in full mode), so the
     # kill lands on live traffic in both modes.
-    kill_at = 0.5 * total_requests / 1.2e6
-    plan = FaultPlan(
-        seed=13, events=(ShardKill(at=kill_at, down_for=3e-3, shard=1),)
-    )
-    FaultInjector(cluster.env, cluster.server, plan).arm()
-    result = drive_striped(
-        cluster, offered_iops=1.2e6, total_requests=total_requests, seed=13,
-        write_every=4, connections=8, max_outstanding=160,
-    )
+    kill = ShardKill(at=0.5 * total_requests / 1.2e6, down_for=3e-3, shard=1)
+    done = run(replace(
+        _SATURATED, total_requests=total_requests, faults=(kill,)
+    ))
+    result = done.result
     return {
-        "events": cluster.env.scheduled_count,
+        "events": done.env.scheduled_count,
         "peak_iops": result.achieved_iops,
         "detail": {
             "total_requests": total_requests,
@@ -176,33 +172,31 @@ def _run_replication(mode: str) -> dict:
       and the runtime invariant checker's verdict.
     """
     tax_requests = 6000 if mode == "full" else 1500
-    kill = ShardKill(at=2e-3, down_for=3e-3, shard=2)
+    # Fault-free and write-heavy (the tax is per write), on the
+    # loss-free client.
+    tax = replace(
+        _SATURATED, seed=7, total_requests=tax_requests, write_every=2,
+        retrying=False, resilience=False, faults=(),
+    )
     events = 0
-
     tax_iops = {}
     for variant in ("plain", "replicated"):
-        cluster = build_cluster(shards=4, files=16, file_bytes=1 << 20)
-        if variant == "replicated":
-            cluster.server.enable_replication()
-        tax_iops[variant] = drive_striped(
-            cluster, offered_iops=1.2e6, total_requests=tax_requests, seed=7,
-            write_every=2,  # write-heavy: the tax is per write
-            connections=8, max_outstanding=160, retrying=False,
-        ).achieved_iops
-        events += cluster.env.scheduled_count
+        done = run(replace(tax, replicated=variant == "replicated"))
+        tax_iops[variant] = done.result.achieved_iops
+        events += done.env.scheduled_count
 
     # 400k offered IOPS for 2400 requests keeps load on the wire for
     # 6 ms — past the end of the 2–5 ms outage in both modes, so the
     # availability curve is fully populated.
-    run = run_shard_kill(
-        kill, seed=13, total_requests=2400, write_every=2, replicated=True
-    )
-    events += run.env.scheduled_count
+    failover = run(replace(SHARD_KILL, write_every=2, replicated=True))
+    events += failover.env.scheduled_count
 
+    (kill,) = SHARD_KILL.faults
     dead_acks = ack_buckets(
-        run.acks, run.files_on(kill.shard), kill.at, kill.at + kill.down_for
+        failover.acks, failover.files_on(kill.shard), kill.at,
+        kill.at + kill.down_for,
     )
-    replicator = run.server.replicator
+    replicator = failover.server.replicator
     plain, replicated = tax_iops["plain"], tax_iops["replicated"]
     return {
         "events": events,
@@ -217,9 +211,9 @@ def _run_replication(mode: str) -> dict:
             "failover": {
                 "dead_acks_per_half_ms": dead_acks,
                 "zero_dark_window": all(c > 0 for c in dead_acks),
-                "violations": len(run.checker.violations),
-                "report_ok": run.report.ok,
-                "failed_requests": run.result.failed_requests,
+                "violations": len(failover.checker.violations),
+                "report_ok": failover.report.ok,
+                "failed_requests": failover.result.failed_requests,
                 "handoffs": replicator.handoffs,
                 "solo_acks": replicator.solo_acks,
                 "mirrored_writes": replicator.mirrored_writes,
@@ -250,23 +244,17 @@ def _run_resharding(mode: str) -> dict:
     # bucket.  ``tests/test_bench_scenarios.py`` guards the overlap.
     total_requests = 6000 if mode == "full" else 4500
 
-    # -- control: identical workload, fixed 2-shard topology -----------
-    control = build_cluster(shards=2, files=16, file_bytes=64 << 10)
-    control.server.enable_resilience()
-    control.server.enable_replication()
-    control_iops = drive_striped(
-        control, offered_iops=150e3, total_requests=total_requests, seed=17,
-        write_every=4,
-    ).achieved_iops
+    # The control: the identical workload on the fixed 2-shard topology.
+    elastic = replace(ELASTIC, total_requests=total_requests)
+    control = run(replace(elastic, membership=(), audit=False))
+    reshard = run(elastic)
+    events = control.env.scheduled_count + reshard.env.scheduled_count
+    control_iops = control.result.achieved_iops
 
-    # -- live reshard: add a shard mid-workload, then drain it ---------
-    run = run_elastic(seed=17, total_requests=total_requests)
-    events = control.env.scheduled_count + run.env.scheduled_count
-
-    resharder = run.server.resharder
-    acks = run.acks
+    resharder = reshard.server.resharder
+    acks = reshard.acks
     stamps = [stamp for stamp, _ in acks]
-    reshard_iops = run.result.achieved_iops
+    reshard_iops = reshard.result.achieved_iops
     last_ack = max(stamps)
 
     migrations = []
@@ -326,10 +314,10 @@ def _run_resharding(mode: str) -> dict:
             "bytes_copied": resharder.bytes_copied,
             "dirty_recopies": resharder.dirty_recopies,
             "cutovers": resharder.cutovers,
-            "leftover_pins": run.server.shard_map.pinned_files,
-            "violations": len(run.checker.violations),
-            "report_ok": run.report.ok,
-            "failed_requests": run.result.failed_requests,
+            "leftover_pins": reshard.server.shard_map.pinned_files,
+            "violations": len(reshard.checker.violations),
+            "report_ok": reshard.report.ok,
+            "failed_requests": reshard.result.failed_requests,
             "total_requests": total_requests,
         },
     }
@@ -422,7 +410,8 @@ def _run_overload(mode: str) -> dict:
         multipliers = (1.0, 2.0)
         horizon = 8e-3
         flash_horizon = 22e-3
-    crowd_start, crowd_len = 8e-3, 6e-3
+    (crowd,) = OVERLOAD.crowd
+    crowd_start, crowd_len = crowd.start, crowd.duration
 
     def class_p99_ms(result):
         merged = {}
@@ -440,9 +429,12 @@ def _run_overload(mode: str) -> dict:
     class_p99 = {}
     for defenses, key in ((False, "off"), (True, "on")):
         for mult in multipliers:
-            run = run_overload(mult * capacity, defenses, horizon)
-            events += run.env.scheduled_count
-            result, gate = run.result, run.server.qos
+            done = run(replace(
+                OVERLOAD, offered_iops=mult * capacity, horizon=horizon,
+                crowd=(), defended=defenses,
+            ))
+            events += done.env.scheduled_count
+            result, gate = done.result, done.server.qos
             shed = gate.totals.shed if gate is not None else 0
             curve[key].append({
                 "multiplier": mult,
@@ -456,17 +448,14 @@ def _run_overload(mode: str) -> dict:
             if defenses and mult == 2.0:
                 class_p99 = class_p99_ms(result)
 
-    crowd = FlashCrowd(
-        start=crowd_start, duration=crowd_len, multiplier=5.0
-    )
-    base_rate = 0.8 * capacity
+    base_rate = OVERLOAD.offered_iops
     flash = {}
     for defenses, key in ((False, "off"), (True, "on")):
-        run = run_overload(
-            base_rate, defenses, flash_horizon, events=(crowd,)
-        )
-        events += run.env.scheduled_count
-        result = run.result
+        done = run(replace(
+            OVERLOAD, horizon=flash_horizon, defended=defenses
+        ))
+        events += done.env.scheduled_count
+        result = done.result
         pre = rate(result.ack_times, 2e-3, crowd_start)
         during = rate(result.ack_times, crowd_start, crowd_start + crowd_len)
         post = rate(

@@ -28,6 +28,7 @@ explorer's DPOR-lite independence check reasons about.
 
 from __future__ import annotations
 
+import _thread
 import random
 import threading
 from typing import Any, Callable, Hashable, Iterator, List, Optional, Sequence, Tuple
@@ -142,21 +143,38 @@ class GeneratorTask(_TaskBase):
         self.done = True
 
 
+def _hand_off() -> Any:
+    """A binary hand-off: a raw lock created held, so ``release()``
+    passes the token and ``acquire()`` waits for it.  A
+    ``Semaphore(0)`` does the same in Python code around a Condition."""
+    lock = _thread.allocate_lock()
+    lock.acquire()
+    return lock
+
+
+def _pass_token(lock: Any) -> None:
+    """``release()`` unless the token is already waiting: a run abandoned
+    after a deadlock can signal twice, which a lock, unlike a semaphore,
+    refuses."""
+    if lock.locked():
+        lock.release()
+
+
 class ThreadTask(_TaskBase):
     """A plain callable run on an OS thread gated by the scheduler.
 
     The thread executes only between ``step()`` handing it the token and
     the next ``yield_point()`` in instrumented code (or the callable
     returning).  All other logical threads are parked on their own
-    semaphores meanwhile, so execution is single-threaded and
+    hand-off locks meanwhile, so execution is single-threaded and
     deterministic regardless of GIL behaviour.
     """
 
     def __init__(self, name: str, fn: Callable[[], Any]) -> None:
         super().__init__(name)
         self._fn = fn
-        self._resume = threading.Semaphore(0)
-        self._parked = threading.Semaphore(0)
+        self._resume = _hand_off()
+        self._parked = _hand_off()
         self._cancelled = False
         self._thread = threading.Thread(target=self._body, name=name, daemon=True)
         self._started = False
@@ -177,7 +195,7 @@ class ThreadTask(_TaskBase):
             self.error = exc
         finally:
             self.done = True
-            self._parked.release()
+            _pass_token(self._parked)
 
     def park(self, label: str, key: Hashable) -> None:
         """Called (via the scheduler hook) from inside this task's thread."""
@@ -204,7 +222,7 @@ class ThreadTask(_TaskBase):
     def cancel(self) -> None:
         if self._started and not self.done:
             self._cancelled = True
-            self._resume.release()
+            _pass_token(self._resume)
             self._thread.join(timeout=1.0)
             self.done = True
 

@@ -42,7 +42,7 @@ class TraceRecord:
 
 
 class EventLog:
-    """A bounded, filterable record of processed simulation events."""
+    """A bounded record of processed simulation events."""
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity < 1:
@@ -69,12 +69,3 @@ class EventLog:
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)
-
-    def between(self, start: float, end: float) -> List[TraceRecord]:
-        """Records with ``start <= time < end``."""
-        return [r for r in self._records if start <= r.time < end]
-
-    def clear(self) -> None:
-        """Drop all records and reset the dropped counter."""
-        self._records.clear()
-        self.dropped = 0

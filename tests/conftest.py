@@ -4,14 +4,14 @@ from functools import lru_cache
 
 import pytest
 
-from repro.bench.harness import differential, observe_host_path, observe_replicated
+from repro.bench.harness import HOST_PATH, REPLICATED, differential
 from repro.sim import Environment
 
 from .reference_datapath import REFERENCES
 
 #: The kit's two differential scenarios, under their historical test ids.
 scenarios = pytest.mark.parametrize(
-    "scenario", [observe_host_path, observe_replicated],
+    "scenario", [HOST_PATH, REPLICATED],
     ids=["_host_path", "_replicated"],
 )
 

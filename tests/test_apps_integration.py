@@ -1,7 +1,5 @@
 """Integration tests for the §9 production-system deployments."""
 
-import pytest
-
 from repro.apps import (
     PAGE_BYTES,
     build_kv_cluster,

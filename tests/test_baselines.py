@@ -1,7 +1,5 @@
 """Unit tests for the Figure 16 comparison systems."""
 
-import pytest
-
 from repro.baselines import RedyTransport
 from repro.bench import build_cluster
 from repro.core import IoRequest, OpCode

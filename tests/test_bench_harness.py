@@ -8,7 +8,6 @@ from repro.bench import (
     find_peak,
     run_io_experiment,
     run_rmw_scaling,
-    sweep,
 )
 from repro.bench.harness import (
     ack_buckets,
@@ -40,16 +39,6 @@ class TestHarness:
         assert result.total_cores == pytest.approx(
             result.host_cores + result.client_cores
         )
-
-    def test_sweep_runs_each_point(self):
-        results = sweep(
-            "local-os",
-            [50e3, 100e3],
-            total_requests=800,
-            db_bytes=16 << 20,
-        )
-        assert [r.offered_iops for r in results] == [50e3, 100e3]
-        assert results[1].achieved_iops > results[0].achieved_iops
 
     def test_find_peak_stops_at_saturation(self):
         peak = find_peak(

@@ -12,9 +12,11 @@ modes and diffs).
 """
 
 import json
+import pickle
 
 import pytest
 
+from repro.bench import harness, trajectory
 from repro.bench.trajectory import (
     REPO_ROOT,
     WORKLOADS,
@@ -30,6 +32,32 @@ ENTRY_KEYS = {"events", "peak_iops", "detail"}
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_smoke_record_is_pinned_and_repeatable(name):
     assert run_workload(name, mode="smoke") == load_bench(name)["smoke"]
+
+
+def _record(done):
+    return (done.env.scheduled_count, done.env.now, done.result,
+            done.outcomes, done.marks)
+
+
+@pytest.mark.parametrize(
+    "name", ["chaos", "overload", "replication", "resharding", "scaleout"]
+)
+def test_every_cluster_scenario_survives_pickling(name, monkeypatch):
+    """Each smoke Scenario, pickled and unpickled, is an equal value that
+    runs to an equal record, and the workload still matches its pin."""
+    scenarios = []
+
+    def both_copies(scenario):
+        copy = pickle.loads(pickle.dumps(scenario))
+        assert copy == scenario and copy is not scenario
+        done = harness.run(scenario)
+        assert _record(harness.run(copy)) == _record(done)
+        scenarios.append(scenario)
+        return done
+
+    monkeypatch.setattr(trajectory, "run", both_copies)
+    assert run_workload(name, mode="smoke") == load_bench(name)["smoke"]
+    assert scenarios
 
 
 def test_committed_records_hold_only_exact_fields():

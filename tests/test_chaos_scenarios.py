@@ -11,11 +11,12 @@ Two acceptance scenarios for the chaos layer:
   the fault/recovery processes are visible in the simulation trace.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
-from repro.bench.harness import run_shard_kill
+from repro.bench.harness import SHARD_KILL, run
 from repro.core.client import ClientConfig, DdsClient
 from repro.core.messages import IoRequest, OpCode
 from repro.faults import EngineCrash, FaultInjector, FaultPlan, ShardKill
@@ -37,10 +38,10 @@ TOTAL_REQUESTS = 3200
 def shard_kill_runs():
     """Kill shard 1 of 4 mid-workload, recover it 4 ms later — twice."""
     kill = ShardKill(at=1.5e-3, down_for=4e-3, shard=1)
-    return tuple(
-        run_shard_kill(kill, seed=7, total_requests=TOTAL_REQUESTS)
-        for _ in range(2)
+    scenario = replace(
+        SHARD_KILL, seed=7, total_requests=TOTAL_REQUESTS, faults=(kill,)
     )
+    return run(scenario), run(scenario)
 
 
 class TestShardKillRecovery:

@@ -1,7 +1,5 @@
 """Tests for the DMA ring channel and the file-service cache hooks."""
 
-import pytest
-
 from repro.core import (
     DmaRingChannel,
     DpuFileService,

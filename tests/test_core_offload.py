@@ -6,14 +6,12 @@ from repro.core import (
     DpuFileService,
     IoRequest,
     IoResponse,
-    OffloadCallbacks,
     OffloadEngine,
     OpCode,
-    ReadOp,
     TrafficDirector,
     passthrough_callbacks,
 )
-from repro.hardware import DPU_CPU, CpuPool, DmaEngine, NetworkLink
+from repro.hardware import DPU_CPU, CpuPool, NetworkLink
 from repro.net import AppSignature, FiveTuple
 from repro.sim import Environment
 from repro.storage import DdsFileSystem, RamDisk, SpdkBdev

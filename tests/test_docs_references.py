@@ -2,19 +2,22 @@
 
 Every backticked dotted name in README.md, DESIGN.md and EXPERIMENTS.md
 whose head is a ``repro`` subpackage or module (``hardware.specs.DPU_CPU``,
-``repro.sim.trace.EventLog``) must import and ``getattr``-resolve, so a
+``repro.sim.trace.EventLog``) must import and ``getattr``-resolve, and
+every bare backticked UPPER_SNAKE name (``HOST_OS_TCP``) must be assigned
+at module level or in a class body somewhere in ``src/repro``, so a
 renamed or deleted definition cannot stay in the docs.  The e2e tracer's
 metric and span names share that shape without being code; they are
 listed in :data:`NOT_CODE`.
 """
 
+import ast
 import importlib
 import os
 import re
 
 import pytest
 
-from .census_tree import PACKAGE, ROOT
+from .census_tree import PACKAGE, ROOT, _files, _parse
 
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 
@@ -34,6 +37,7 @@ NOT_CODE = {
     "pushdown.scanner_init": _SPAN,
     "sim.calls": _METRIC,
     "sim.events_per_op": _METRIC,
+    "TYPE_CHECKING": "typing's import-time flag, not a repro name",
 }
 
 _HEADS = sorted(
@@ -47,17 +51,43 @@ _SPANS = re.compile(r"`([^`\n]+)`")
 _DOTTED = re.compile(
     r"(?<![\w./-])(?:repro\.)?((?:%s)(?:\.[A-Za-z_]\w*)+)" % "|".join(_HEADS)
 )
+#: A bare constant name: not part of a dotted name, a word or a call.
+_CONSTANT = re.compile(r"(?<![\w.])([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+)(?![\w.(])")
 
 
 def references():
-    """``(doc, dotted name)`` for every code-shaped reference."""
+    """``(doc, name)`` for every code-shaped reference: dotted names and
+    bare constant names."""
     found = set()
     for doc in DOCS:
         with open(os.path.join(ROOT, doc)) as handle:
             text = handle.read()
         for span in _SPANS.findall(text):
-            found.update((doc, m.group(1)) for m in _DOTTED.finditer(span))
+            for pattern in (_DOTTED, _CONSTANT):
+                found.update((doc, m.group(1)) for m in pattern.finditer(span))
     return sorted(found)
+
+
+def constants():
+    """Every name assigned at module level or in a class body in src/repro."""
+    names = set()
+
+    def visit(body):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (
+                    node.targets if isinstance(node, ast.Assign) else [node.target]
+                )
+                names.update(
+                    leaf.id for target in targets for leaf in ast.walk(target)
+                    if isinstance(leaf, ast.Name)
+                )
+
+    for path in _files(PACKAGE):
+        visit(_parse(path).body)
+    return names
 
 
 def resolve(dotted):
@@ -83,13 +113,19 @@ def test_the_docs_name_code():
     assert len(names) > 50
     assert "storage.disk.SpdkBdev" in names
     assert "sim.calls" in names
+    assert "HOST_OS_TCP" in names
 
 
 @pytest.mark.parametrize("doc", DOCS)
 def test_every_code_reference_resolves(doc):
     broken = []
+    defined = constants()
     for where, name in references():
         if where != doc or name in NOT_CODE:
+            continue
+        if "." not in name:
+            if name not in defined:
+                broken.append(f"{name}: assigned nowhere in src/repro")
             continue
         try:
             resolve(name)

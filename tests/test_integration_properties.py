@@ -1,6 +1,5 @@
 """Cross-module property tests: persistence, RSS scaling, determinism."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

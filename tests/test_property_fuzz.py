@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.net import LengthPrefixFramer, MSS, TcpReceiver, TcpSender
 from repro.sim import Environment
-from repro.storage import DdsFileSystem, FileSystemError, RamDisk, SpdkBdev
+from repro.storage import DdsFileSystem, RamDisk, SpdkBdev
 from repro.structures import CuckooCacheTable
 
 SEGMENT = 1 << 16

@@ -10,9 +10,11 @@ the deterministic election, the breaker reset on recovery, the all-dead
 ingress drop counter, and the checker's negative paths.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.bench.harness import ack_buckets, build_cluster, run_shard_kill
+from repro.bench.harness import SHARD_KILL, ack_buckets, build_cluster, run
 from repro.core.messages import IoRequest, IoResponse, OpCode
 from repro.faults import InvariantChecker, ShardKill
 from repro.net import FiveTuple
@@ -29,9 +31,10 @@ FLOW = FiveTuple("10.0.0.2", 40_000, "10.0.0.1", 5000)
 
 
 def run_replicated_failover(seed=13):
-    return run_shard_kill(
-        KILL, seed=seed, total_requests=TOTAL_REQUESTS, replicated=True
-    )
+    return run(replace(
+        SHARD_KILL, seed=seed, total_requests=TOTAL_REQUESTS,
+        replicated=True, faults=(KILL,),
+    ))
 
 
 def small_cluster():

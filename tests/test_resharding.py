@@ -11,13 +11,16 @@ steering counters, the load-driven autoscaler, and the three lists the
 opt-ins register with (wiring, lifecycle, write-commit chain).
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.bench import harness
 from repro.bench.harness import (
+    ELASTIC,
     build_cluster,
     drain_until,
     drive_striped,
-    run_elastic,
 )
 from repro.core.messages import IoRequest, IoResponse, OpCode
 from repro.topology.resharding import FileMove, ShardAutoscaler
@@ -37,14 +40,17 @@ def cluster_of(shards):
     return build_cluster(shards=shards, files=FILES, file_bytes=FILE_BYTES)
 
 
+SCENARIO = replace(ELASTIC, seed=7, total_requests=TOTAL_REQUESTS)
+
+
 @pytest.fixture(scope="module")
 def elastic():
-    return run_elastic(seed=7, total_requests=TOTAL_REQUESTS)
+    return harness.run(SCENARIO)
 
 
 class TestLiveReshardReplicated:
     def test_both_operations_completed(self, elastic):
-        assert elastic.marks == {"added": 2, "drained": 2}
+        assert elastic.marks == [("add", 2), ("drain", 2)]
         kinds = [h["kind"] for h in elastic.server.resharder.history]
         assert kinds == ["add:2", "drain:2"]
 
@@ -119,7 +125,7 @@ class TestLiveReshardReplicated:
         assert [s.index for s in steering._ingress] == [0, 1]
 
     def test_same_seed_reproduces_the_reshard(self, elastic):
-        again = run_elastic(seed=7, total_requests=TOTAL_REQUESTS)
+        again = harness.run(SCENARIO)
         assert elastic.acks == again.acks
         first = [
             (h["kind"], h["start"], h["end"], h["files"], h["bytes"])
@@ -138,9 +144,7 @@ class TestLiveReshardPlain:
 
     @pytest.fixture(scope="class")
     def plain(self):
-        return run_elastic(
-            seed=11, total_requests=TOTAL_REQUESTS, replicated=False
-        )
+        return harness.run(replace(SCENARIO, seed=11, replicated=False))
 
     def test_every_request_settles(self, plain):
         assert plain.result.failed_requests == 0
@@ -150,7 +154,7 @@ class TestLiveReshardPlain:
         plain.report.assert_ok()
 
     def test_both_operations_completed(self, plain):
-        assert plain.marks == {"added": 2, "drained": 2}
+        assert plain.marks == [("add", 2), ("drain", 2)]
         assert plain.server.shard_map.pinned_files == 0
         owners = {
             f: plain.server.shard_map.owner(f)

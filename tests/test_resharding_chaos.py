@@ -17,9 +17,11 @@ Both must finish with zero acked-write loss, a clean
 :class:`InvariantChecker` audit, and no leftover pins.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.bench.harness import build_cluster, run_elastic
+from repro.bench.harness import ELASTIC, build_cluster, run
 from repro.faults import ShardKill
 from repro.topology.sharding import ConsistentHashShardMap
 
@@ -45,12 +47,13 @@ def move_sources(file_ids):
 
 
 def run_kill_during_migration(kill, seed=5):
-    return run_elastic(
+    return run(replace(
+        ELASTIC,
         seed=seed,
         total_requests=TOTAL_REQUESTS,
-        drain=False,
-        kill=ShardKill(at=KILL_AT, down_for=DOWN_FOR, shard=kill),
-    )
+        membership=ELASTIC.membership[:1],  # the add alone
+        faults=(ShardKill(at=KILL_AT, down_for=DOWN_FOR, shard=kill),),
+    ))
 
 
 @pytest.fixture(scope="module")

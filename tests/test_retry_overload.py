@@ -13,7 +13,7 @@ import pytest
 from repro.core.messages import IoResponse
 from repro.core.retry import CircuitBreaker, RetryBudget, RetryPolicy
 from repro.hardware.specs import HOST_OS_TCP
-from repro.sim import Environment, SeededRng
+from repro.sim import Environment
 from repro.workload import OpenLoopTrafficEngine, TenantSpec
 
 

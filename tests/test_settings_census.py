@@ -35,10 +35,6 @@ MUTATORS = frozenset({
 })
 
 _CLI = "a command-line seam: tests pass arguments instead of sys.argv"
-_RUNNER = (
-    "a scenario-kit runner: the test tiers are its intended callers and "
-    "choose the scenario"
-)
 _FAULT = (
     "fault-plan vocabulary: the chaos tier composes plans from it; the "
     "one fault a measured run injects is ShardKill"
@@ -66,9 +62,6 @@ ALLOWED = {
         "an output path (a deployment setting): tests write into a "
         "temporary directory"
     ),
-    "bench.harness:run_elastic(replicated)": _RUNNER,
-    "bench.harness:run_elastic(drain)": _RUNNER,
-    "bench.harness:run_elastic(kill)": _RUNNER,
     "core.offload_engine:OffloadEngine(pool)": _SEAM,
     "hardware.ssd:NvmeDevice(rng)": _SEAM,
     "faults.invariants:InvariantChecker(tenant_of)": _OL2,

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    SimulationError,
-)
+from repro.sim import Environment, Interrupt, SimulationError
 
 
 def test_timeout_advances_clock():

@@ -33,21 +33,6 @@ def test_records_carry_time_and_kind():
     assert any(r.kind == "process" and r.name == "worker" for r in log)
 
 
-def test_between_filters_by_time():
-    log = EventLog()
-    env = Environment(trace=log)
-
-    def worker(env):
-        for _ in range(5):
-            yield env.timeout(1)
-
-    env.process(worker(env))
-    env.run()
-    window = log.between(1.5, 3.5)
-    assert all(1.5 <= r.time < 3.5 for r in window)
-    assert len([r for r in window if r.kind == "timeout"]) == 2
-
-
 def test_capacity_bounds_memory():
     log = EventLog(capacity=3)
     env = Environment(trace=log)
@@ -60,16 +45,6 @@ def test_capacity_bounds_memory():
     env.run()
     assert len(log) == 3
     assert log.dropped > 0
-
-
-def test_clear_resets():
-    log = EventLog()
-    env = Environment(trace=log)
-    env.timeout(1)
-    env.run()
-    assert len(log) == 1
-    log.clear()
-    assert len(log) == 0 and log.dropped == 0
 
 
 def test_invalid_capacity():
