@@ -131,8 +131,9 @@ SIM_EXEMPT_FILES = ("sim/rng.py",)
 #: The engine itself: the only sim module allowed to own event-queue
 #: mechanics (``heapq``, the ready deque, the sequence counter).
 #: Everything else in a sim prefix must schedule through the
-#: engine's API (``env.timeout`` / ``succeed`` / ``process``) so the
-#: hot path stays in one optimizable place (DDS304, DESIGN.md §11).
+#: engine's API (``env.timeout`` / ``succeed`` / ``process`` / a yielded
+#: instant) so the hot path stays in one optimizable place (DDS304,
+#: DESIGN.md §11).
 SCHEDULER_FILES = ("sim/engine.py",)
 #: Modules that host or dispatch offload programs: raw interpreter
 #: calls need a preceding verify (DDS501) and proof tokens must come

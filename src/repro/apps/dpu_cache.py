@@ -75,7 +75,7 @@ class DpuReadCache:
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        yield self.env.timeout(self.HIT_TIME)
+        yield self.env.now + self.HIT_TIME
         return data
 
     def fill(self, read_op: ReadOp, data: bytes) -> None:

@@ -167,7 +167,7 @@ class _PageServerApp:
 
     def _replay_loop(self, rate: float) -> Generator:
         while True:
-            yield self.env.timeout(self.rng.exponential(1.0 / rate))
+            yield self.env.now + self.rng.exponential(1.0 / rate)
             page_id = self.rng.randrange(self.pages)
             self.current_lsn += 1
             lsn = self.current_lsn

@@ -86,7 +86,7 @@ class SmbExchange(Stage):
             yield from self.link.transmit(
                 "client_to_server", request.wire_size
             )
-            yield self.env.timeout(self.link.spec.host_forward)
+            yield self.env.now + self.link.spec.host_forward
             yield from self.transport.process(request.wire_size)
             yield from self.protocol.process(request.wire_size)
             response = yield from self.osfs.serve(request)

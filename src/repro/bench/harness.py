@@ -608,7 +608,7 @@ def _reshape(env, server, steps, marks):
     """Run the membership schedule, marking each completed step."""
     added = None
     for delay, step in steps:
-        yield env.timeout(delay)
+        yield env.now + delay
         if step == "add":
             added = yield from server.add_shard()
         else:
@@ -720,7 +720,7 @@ def run_tenant_isolation(scheduler: str) -> FairnessResult:
     server = Resource(env, capacity=1)
 
     def serve(flow, requests, respond):
-        yield server.hold(10e-6)
+        yield server.book(10e-6)
         for request in requests:
             respond(IoResponse(request.request_id, ok=True))
 
@@ -750,7 +750,7 @@ def run_tenant_isolation(scheduler: str) -> FairnessResult:
     def light():
         request_id = burst
         while env.now < duration:
-            yield env.timeout(rng.exponential(1 / 5_000.0))
+            yield env.now + rng.exponential(1 / 5_000.0)
             request_id += 1
             yield send("light", request_id)
 

@@ -212,7 +212,7 @@ class WorkloadClient:
             message_index = 0
             mean_gap = config.batch / config.offered_iops
             while issued < config.total_requests:
-                yield self.env.timeout(self.rng.exponential(mean_gap))
+                yield self.env.now + self.rng.exponential(mean_gap)
                 if outstanding[0] >= config.max_outstanding:
                     gate = self.env.event()
                     waiters.append(gate)

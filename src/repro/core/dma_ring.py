@@ -248,15 +248,14 @@ class RingTransferModel:
                 # the insert (so waiting on the lock / CAS retries count).
                 start = self.env.now
                 while True:
-                    yield self._insert_path.hold(hold)
+                    yield self._insert_path.book(hold)
                     inserted = self.ring.try_enqueue(message)
                     if inserted:
                         self._consume_times[message] = start
                         break
                     # Ring full: back off roughly one consumer cycle.
-                    yield self.env.timeout(
-                        self.rng.bounded_exponential(2 * MICROSECOND)
-                    )
+                    backoff = self.rng.bounded_exponential(2 * MICROSECOND)
+                    yield self.env.now + backoff
 
         def record(batch: List[bytes]) -> None:
             now = self.env.now
@@ -280,7 +279,7 @@ class RingTransferModel:
                     )
                     record(batch)
                 else:
-                    yield self.env.timeout(0.5 * MICROSECOND)
+                    yield self.env.now + 0.5 * MICROSECOND
 
         def consumer_farm() -> Generator:
             while consumed[0] < total:

@@ -196,7 +196,7 @@ class DdsFileLibrary:
         encoded = request.encode()
         while not group.channel.try_insert(encoded):
             # RETRY from the ring: producers are outpacing the DPU.
-            yield self.env.timeout(self.spec.per_message_latency)
+            yield self.env.now + self.spec.per_message_latency
         group.pending[request.request_id] = _PendingOp(
             request.request_id, request.op, request.file_id
         )

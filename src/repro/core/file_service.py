@@ -187,7 +187,7 @@ class DpuFileService:
                 if self._can_park():
                     polled = yield from self._park()
                 else:
-                    yield self.env.timeout(self.POLL_INTERVAL)
+                    yield self.env.now + self.POLL_INTERVAL
 
     # ------------------------------------------------------------------
     # idle-poll elision (DESIGN.md §11)
@@ -358,7 +358,7 @@ class DpuFileService:
             response = buffer.allocate(request.request_id, data_bytes)
             while response is None:
                 # Only the DMA thread's mark_delivered frees capacity.
-                yield self.env.timeout(self.POLL_INTERVAL)
+                yield self.env.now + self.POLL_INTERVAL
                 response = buffer.allocate(request.request_id, data_bytes)
             if fits:
                 self.env.process(self._execute(request, response))

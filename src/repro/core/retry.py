@@ -247,7 +247,7 @@ class RetryLoop:
             if any(flight.throttled for flight in pending):
                 # The server said "stop": back off harder than for a loss.
                 delay *= policy.THROTTLE_BACKOFF_FACTOR
-            yield env.timeout(delay)
+            yield env.now + delay
         for flight in pending:
             self._give_up(flight)
         if on_done is not None:

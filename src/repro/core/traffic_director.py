@@ -152,7 +152,7 @@ class TrafficDirector:
             # with no DPU core involvement at all; the host responds
             # directly through the NIC.
             self.unmatched_messages += 1
-            yield self.env.timeout(self.link.spec.host_forward)
+            yield self.env.now + self.link.spec.host_forward
             yield from self.host_handler(
                 list(requests), self._host_direct_sender(respond)
             )
@@ -202,7 +202,7 @@ class TrafficDirector:
         respond: Callable,
     ) -> Generator:
         """DPU→DPU hop to the shard that owns these files."""
-        yield self.env.timeout(self.link.spec.dpu_forward)
+        yield self.env.now + self.link.spec.dpu_forward
         peer = self.peers[shard_id]
         # Spawned, not ``yield from``, on purpose: the hop decides a tie
         # that does happen.  A relay often lands on the peer's core at
@@ -290,7 +290,7 @@ class TrafficDirector:
                 * self.link.packets_for(host_bytes)
             )
             # Off-path Arm-core forward to the host (~6 us on BF-2).
-            yield self.env.timeout(self.link.spec.dpu_forward)
+            yield self.env.now + self.link.spec.dpu_forward
             self.env.process(self.host_handler(host_requests, wrapped))
 
     def _recording_sender(self, sender: Callable) -> Callable:

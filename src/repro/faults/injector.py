@@ -96,7 +96,7 @@ class FaultInjector:
     # event execution
     # ------------------------------------------------------------------
     def _run_event(self, index: int, event: FaultEvent) -> Generator:
-        yield self.env.timeout(event.at)
+        yield self.env.now + event.at
         if isinstance(event, NicFault):
             yield from self._run_nic(index, event)
         elif isinstance(event, SsdErrorBurst):
@@ -127,7 +127,7 @@ class FaultInjector:
         self.chaos = chaos
         self.server.network_chaos = chaos
         self._log("nic-fault", event.describe())
-        yield self.env.timeout(event.duration)
+        yield self.env.now + event.duration
         if self.server.network_chaos is chaos:
             self.server.network_chaos = None
         self._log(
@@ -145,7 +145,7 @@ class FaultInjector:
         )
 
         def restart() -> Generator:
-            yield self.env.timeout(event.down_for)
+            yield self.env.now + event.down_for
             engine.restart()
             self._log("engine-restart", f"shard={event.shard}")
 
@@ -156,7 +156,7 @@ class FaultInjector:
         self._log("shard-kill", event.describe())
 
         def recover() -> Generator:
-            yield self.env.timeout(event.down_for)
+            yield self.env.now + event.down_for
             started = self.env.now
             yield from self.server.recover_shard(event.shard)
             self._log(

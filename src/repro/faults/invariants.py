@@ -486,7 +486,7 @@ class InvariantChecker:
         # reopened within an interval has a sampler of its own.
         while self._window is window:
             self._acks_in_window = 0
-            yield self.env.timeout(self.SAMPLE_INTERVAL)
+            yield self.env.now + self.SAMPLE_INTERVAL
             if self._window is not window:
                 return
             self.goodput_samples += 1

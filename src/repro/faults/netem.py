@@ -107,7 +107,7 @@ class NetworkChaos:
 
     def delayed(self, start: Callable[[], None]) -> Generator:
         """Named process body that delivers a held-back message."""
-        yield self.env.timeout(self.reorder_delay)
+        yield self.env.now + self.reorder_delay
         start()
 
     # ------------------------------------------------------------------

@@ -112,7 +112,7 @@ class HardwareAccelerator:
                 self.job_time(nbytes) * self.software_core.speed
             )
         else:
-            yield self._channels.hold(self.job_time(nbytes))
+            yield self._channels.book(self.job_time(nbytes))
         self.jobs += 1
         self.bytes_processed += nbytes
 

@@ -55,7 +55,7 @@ class CpuPool:
         if core_time < 0:
             raise ValueError("core_time must be non-negative")
         duration = core_time / self.speed
-        yield self._resource.hold(duration)
+        yield self._resource.book(duration)
         self.busy_time += duration
 
     def charge(self, core_time: float) -> None:

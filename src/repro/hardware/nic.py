@@ -71,7 +71,7 @@ class NetworkLink:
             raise ValueError(f"unknown direction: {direction!r}")
         wire = self.wire_bytes(payload_bytes)
         sent = self._tx[direction].book(wire / self.spec.bandwidth)
-        yield self.env.timeout_at(sent + self.spec.propagation)
+        yield sent + self.spec.propagation
         stats = self.stats[direction]
         stats.packets += self.packets_for(payload_bytes)
         stats.bytes += wire

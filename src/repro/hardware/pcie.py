@@ -70,4 +70,4 @@ class DmaEngine:
     def _transfer(self, nbytes: int) -> Generator:
         if nbytes < 0:
             raise ValueError("DMA size must be non-negative")
-        yield self._channels.hold(self.transfer_time(nbytes))
+        yield self._channels.book(self.transfer_time(nbytes))

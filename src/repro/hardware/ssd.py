@@ -115,13 +115,13 @@ class NvmeDevice:
 
     def read(self, size: int) -> Generator:
         """Process generator servicing one read of ``size`` bytes."""
-        yield from self._service(
+        return self._service(
             size, self.spec.read_latency, self.spec.read_bandwidth, False
         )
 
     def write(self, size: int) -> Generator:
         """Process generator servicing one write of ``size`` bytes."""
-        yield from self._service(
+        return self._service(
             size, self.spec.write_latency, self.spec.write_bandwidth, True
         )
 
@@ -136,9 +136,9 @@ class NvmeDevice:
             jitter = self.rng.bounded_exponential(
                 base * self.JITTER_FRACTION, self.JITTER_CAP
             )
-            yield self.env.timeout(base + jitter + self._spike_delay())
+            yield self.env.now + (base + jitter + self._spike_delay())
             self._maybe_fail()  # after seek/service: the op burned time
-            yield self._bus.hold(size / bandwidth)
+            yield self._bus.book(size / bandwidth)
             if is_write:
                 self.stats.writes += 1
                 self.stats.write_bytes += size

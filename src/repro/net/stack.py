@@ -48,7 +48,7 @@ class StackLayer:
         if self.cpu is not None:
             yield from self.cpu.execute(self.core_time(size))
         if self.spec.per_message_latency > 0:
-            yield self.env.timeout(self.spec.per_message_latency)
+            yield self.env.now + self.spec.per_message_latency
         self.messages += 1
         self.bytes += size
         self.core_seconds += self.core_time(size)

@@ -2,7 +2,8 @@
 
 A small, dependency-free engine in the style of SimPy: simulation
 *processes* are Python generators that ``yield`` :class:`Event` objects and
-are resumed when those events trigger.  The :class:`Environment` owns the
+are resumed when those events trigger, or ``yield`` a float, the absolute
+simulated instant at which they resume.  The :class:`Environment` owns the
 virtual clock and the event queues.
 
 The engine is the substrate on which every hardware and protocol model in
@@ -26,12 +27,13 @@ realise that order:
   shares the current timestamp with a smaller ``seq``.
 
 Process bootstrap, the "poke" that resumes a process whose yielded
-target already triggered, and an interrupt are *direct continuations* —
-``(seq, None, callable, argument)`` ready entries — instead of throwaway
-``Event`` objects.  Each consumes one ``seq``, like the event it
-replaces, so everything that has an effect keeps its historical order;
-what has none (the completion of a process nobody waits on) is not
-scheduled at all.
+target already triggered, an interrupt and the wake-up of a timed wait
+(a yielded float) are *direct continuations* — ``(seq, None, callable,
+argument)`` ready entries, or ``(time, seq, None, callable, argument)``
+heap entries — instead of throwaway ``Event`` objects.  Each consumes
+one ``seq``, like the event it replaces, so everything that has an
+effect keeps its historical order; what has none (the completion of a
+process nobody waits on) is not scheduled at all.
 
 Every class here carries ``__slots__``, events store their sole callback
 inline (promoting to a list only on the second waiter), and ``run()``
@@ -41,7 +43,7 @@ Example
 -------
 >>> env = Environment()
 >>> def hello(env):
-...     yield env.timeout(5)
+...     yield env.now + 5
 ...     return env.now
 >>> proc = env.process(hello(env))
 >>> env.run()
@@ -237,9 +239,11 @@ class Process(Event):
     """A running simulation process wrapping a generator.
 
     The generator yields :class:`Event` objects; the process resumes when
-    each yielded event triggers.  The process is itself an event that
-    triggers with the generator's return value (or its uncaught exception),
-    so processes can wait on each other.
+    each yielded event triggers.  It may also yield a float, the absolute
+    instant at which it resumes (with ``None``): a timed wait that nothing
+    else composes or shares needs no event.  The process is itself an
+    event that triggers with the generator's return value (or its
+    uncaught exception), so processes can wait on each other.
 
     A process that returns while nothing waits on it (fire-and-forget:
     most of them) takes its value at that instant, with no completion
@@ -261,8 +265,10 @@ class Process(Event):
         self.name = getattr(generator, "__name__", "process")
         #: The event whose outcome the generator takes next: pending
         #: (registered on), triggered (a continuation is queued), the
-        #: start signal or an interrupt.  Any other delivery is stale.
-        self._target: Optional[Event] = _START
+        #: start signal or an interrupt; or, during a timed wait, the
+        #: int ``seq`` of its queued wake-up.  Any other delivery is
+        #: stale.
+        self._target: Any = _START
         # Kick off execution at the current simulation time (an inlined
         # ``_schedule_call``: one queue trip per spawn, one frame).
         eid = env._eid
@@ -288,7 +294,9 @@ class Process(Event):
             raise SimulationError("cannot interrupt a finished process")
         if self._scheduled:
             return  # the generator has returned; its outcome is queued
-        self._target.remove_callback(self._resume)
+        target = self._target
+        if target.__class__ is not int:  # a timed wait registers nothing
+            target.remove_callback(self._resume)
         signal = Event(self.env)
         signal._exception = Interrupt(cause)
         self._target = signal
@@ -297,6 +305,13 @@ class Process(Event):
     # ------------------------------------------------------------------
     # engine internals
     # ------------------------------------------------------------------
+    def _wake(self, token: int) -> None:
+        """End the timed wait whose wake-up took sequence number ``token``
+        (the continuation :meth:`_resume` queues for a yielded float)."""
+        if token is self._target:  # else an interrupt took its place
+            self._target = _START
+            self._resume(_START)
+
     def _resume(self, event: Event) -> None:
         """Deliver ``event``'s outcome to the generator and wait on what
         it yields next: the callback of a pending target, and the
@@ -327,12 +342,34 @@ class Process(Event):
             self.env._schedule(self, _PENDING, exc)
             return
 
+        if target.__class__ is float:
+            # A timed wait: the wake-up is a direct continuation at that
+            # instant, taking the seq ``timeout_at`` would have taken.
+            env = self.env
+            now = env._now
+            if target >= now:  # also rejects NaN
+                seq = env._eid
+                env._eid = seq + 1
+                self._target = seq
+                if target == now:
+                    env._ready.append((seq, None, self._wake, seq))
+                else:
+                    heapq.heappush(
+                        env._heap, (target, seq, None, self._wake, seq)
+                    )
+                return
+            # Thrown in at the yield, as ``timeout_at`` raises at its call.
+            error = Event(env)
+            error._exception = ValueError(
+                f"timeout_at({target}) is in the past (now={now})"
+            )
+            target = error
         try:
             pending = target._exception is None and target._value is _PENDING
         except AttributeError:
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; "
-                "processes must yield Event instances"
+                "processes must yield Event instances or float instants"
             ) from None
         self._target = target
         if not pending:
@@ -425,8 +462,9 @@ class Environment:
     Pass ``trace`` (a callable ``(time, event) -> None``) to observe
     every processed event — useful for debugging model behaviour (see
     :class:`~repro.sim.trace.EventLog`).  Engine-internal continuations
-    (process bootstrap and same-tick pokes) are not materialised as
-    events and therefore do not appear in traces.
+    (process bootstrap, same-tick pokes and the wake-up of a yielded
+    float) are not materialised as events and therefore do not appear
+    in traces.
     """
 
     def __init__(
@@ -436,10 +474,10 @@ class Environment:
         self._now = 0.0
         #: Delayed occurrences: (time, seq, event, value, exception).
         self._heap: List[tuple] = []
-        #: Same-tick occurrences: (seq, event, value, exception) where
-        #: ``event is None`` marks a direct continuation, ``value`` the
-        #: callable and ``exception`` its argument.  Entries are always
-        #: at time ``_now``.
+        #: Same-tick occurrences: (seq, event, value, exception).  In
+        #: both queues ``event is None`` marks a direct continuation,
+        #: ``value`` the callable and ``exception`` its argument.  Ready
+        #: entries are always at time ``_now``.
         self._ready: Deque[tuple] = deque()
         #: Next (time, seq) tiebreaker; also the count of everything
         #: ever scheduled (events + continuations) — the ``events`` the

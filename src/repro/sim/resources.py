@@ -4,15 +4,15 @@ Two primitives cover every contention point in the models:
 
 * :class:`Resource` — a counted FIFO server.  CPU cores, DMA channels,
   link arbitration and the SSD bus *book* their hold times
-  (:meth:`Resource.hold`, one event per hold); SSD submission slots and
-  SMB credits, held for a time not known up front, use
-  ``request()``/``release()``.
+  (:meth:`Resource.book`, which returns the instant the hold ends, for
+  the holder to ``yield``); SSD submission slots and SMB credits, held
+  for a time not known up front, use ``request()``/``release()``.
 * :class:`Store` — an unbounded (or bounded) FIFO of items with blocking
   ``get``.  Used for packet queues, request queues, and mailboxes between
   simulated threads.
 
-All operations return :class:`~repro.sim.engine.Event` objects, so
-processes compose them with ``yield``.
+Every operation but a booking returns an
+:class:`~repro.sim.engine.Event`; processes ``yield`` either.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ class Resource:
     """A counted resource with FIFO admission, used in one of two ways.
 
     *Booked*: when the holder knows up front how long it needs a unit,
-    :meth:`hold` books the time and returns the one event that marks
-    the end of the hold::
+    :meth:`book` books the time and returns the instant the hold ends,
+    which the holder yields to wait until then::
 
-        yield resource.hold(duration)
+        yield resource.book(duration)
 
     *Requested*: when the hold time depends on what happens while
     holding (an SSD slot held across a wait for the bus, an SMB credit
@@ -85,30 +85,19 @@ class Resource:
         if duration < 0:
             raise ValueError(f"negative hold duration: {duration}")
         free_at = self._free_at
+        now = self.env.now
         if free_at is None:
             if self._in_use:
-                raise SimulationError("hold() on a resource with requests")
-            free_at = self._free_at = [self.env.now] * self.capacity
+                raise SimulationError("book() on a resource with requests")
+            free_at = self._free_at = [now] * self.capacity
         start = free_at[0]
-        now = self.env.now
         end = (start if start > now else now) + duration
-        del free_at[0]
-        insort(free_at, end)
+        if self.capacity == 1:  # every core, link and bus: no re-sort
+            free_at[0] = end
+        else:
+            del free_at[0]
+            insort(free_at, end)
         return end
-
-    def hold(self, duration: float) -> Event:
-        """Hold a unit for ``duration``, queueing FIFO; the event
-        triggers at the end of the hold."""
-        free_at = self._free_at
-        if self.capacity != 1 or free_at is None or duration < 0:
-            return self.env.timeout_at(self.book(duration))
-        # One unit (every core, link and bus): :meth:`book` without the
-        # re-sort — the same addition on the same two operands.
-        env = self.env
-        now = env.now
-        start = free_at[0]
-        free_at[0] = end = (start if start > now else now) + duration
-        return env.timeout_at(end)
 
     def request(self) -> Event:
         """Return an event that triggers when a unit is granted."""

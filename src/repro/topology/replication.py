@@ -349,7 +349,7 @@ def land_relay(
     time: a recovery replaces the object).  False when the peer was
     dark at the far end of the hop or died mid-write — the caller must
     not count the bytes.  A device refusal raises FileSystemError."""
-    yield server.env.timeout(server.link.spec.dpu_forward)
+    yield server.env.now + server.link.spec.dpu_forward
     if not server.shards[peer].alive:
         return False
     yield from server.shards[peer].cores[0].execute(
@@ -503,7 +503,7 @@ class ShardReplicator(ShardLifecycle):
             # fence lifts as soon as the in-flight mirrors drain).  No
             # simulation yield separates this check from the append, so
             # nothing slips under a fence raised afterwards.
-            yield self.env.timeout(self.ADOPT_TICK)
+            yield self.env.now + self.ADOPT_TICK
         if not self._alive(executor) or executor != group.leader:
             # Dead, demoted, or a resharding straggler (the file's
             # keyspace flipped between routing and this hop — the old
@@ -761,7 +761,7 @@ class ShardReplicator(ShardLifecycle):
                             f"group {group.keyspace}: resize aborted "
                             "by a failover mid-cutover"
                         )
-                    yield self.env.timeout(self.ADOPT_TICK)
+                    yield self.env.now + self.ADOPT_TICK
                     mark = group.synced_watermark(new_backup)
                     if mark == last_mark and self._alive(new_backup):
                         # Wedged (e.g. a mirror skipped while the

@@ -221,7 +221,7 @@ class ReshardingCoordinator:
 
     def _wait_alive(self, index: int) -> Generator:
         while not self.server.shards[index].alive:
-            yield self.env.timeout(self.wait_tick)
+            yield self.env.now + self.wait_tick
 
     def _copy_chunk(self, move: FileMove, chunk_index: int) -> Generator:
         """One device-timed source→destination segment copy: forward
@@ -369,7 +369,7 @@ class ShardAutoscaler:
         cooling = 0
         while self._running:
             try:
-                yield self.env.timeout(self.interval)
+                yield self.env.now + self.interval
             except Interrupt:
                 return
             loads = steering.request_loads

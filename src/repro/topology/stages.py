@@ -189,7 +189,7 @@ class WireIngress(Stage):
     def inbound(self, flow: FiveTuple, message_bytes: int) -> Generator:
         yield from self.link.transmit("client_to_server", message_bytes)
         if self.forward_latency:
-            yield self.env.timeout(self.link.spec.host_forward)
+            yield self.env.now + self.link.spec.host_forward
 
 
 class WireEgress(Stage):

@@ -316,7 +316,7 @@ class OpenLoopTrafficEngine:
         for t in arrivals:
             gap = start + t - self.env.now
             if gap > 0:
-                yield self.env.timeout(gap)
+                yield self.env.now + gap
             request = self._make_request(state)
             state.outcome.offered += 1
             # Open loop: the arrival clock never waits for the delivery

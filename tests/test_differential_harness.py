@@ -7,7 +7,7 @@ from repro.hardware.cpu import CpuPool
 from repro.sim import Environment, Resource
 
 EXECUTE = CpuPool.execute
-NO_OPS = [(Resource, "hold", Resource.hold), (Environment, "run", Environment.run)]
+NO_OPS = [(Resource, "book", Resource.book), (Environment, "run", Environment.run)]
 SHORT = replace(HOST_PATH, total_requests=24)
 
 

@@ -8,9 +8,17 @@ at module level or in a class body somewhere in ``src/repro``, so a
 renamed or deleted definition cannot stay in the docs.  The e2e tracer's
 metric and span names share that shape without being code; they are
 listed in :data:`NOT_CODE`.
+
+Every backticked repository path (``benchmarks/e2e/run.py``,
+``sim/engine.py``, ``tests/test_sim_engine.py::test_timeout_advances_clock``)
+must exist too, under the repository root or one of :data:`PATH_BASES`;
+a bare file name may live anywhere in the tree, and a ``::name`` suffix
+must be a name the file defines or mentions.
 """
 
 import ast
+import fnmatch
+import glob
 import importlib
 import os
 import re
@@ -108,6 +116,62 @@ def resolve(dotted):
     raise ImportError(f"no module repro.{parts[0]}")
 
 
+#: Where a relative path in the docs may start, besides the root: the
+#: package (``sim/engine.py``), ``src/`` and the benchmark, example and
+#: test directories.
+PATH_BASES = (
+    "", "src", os.path.join("src", "repro"), "benchmarks",
+    os.path.join("benchmarks", "e2e"), os.path.join("benchmarks", "results"),
+    "examples", "tests", os.path.join("tests", "fixtures"),
+)
+#: A file path (an extension) or a directory path (a slash), optionally
+#: with ``::`` names after it; ``*`` globs.  Placeholders (``<name>``)
+#: and slash-separated lists of upper-case words are not paths.
+_PATH = re.compile(
+    r"([\w.*/-]+?(?:\.(?:py|md|json|txt|sh|toml)|/|/[\w*-]+))((?:::[\w*]+)*)"
+)
+
+
+def _tree_files():
+    """Every file of the repository, relative to the root."""
+    found = []
+    for base, dirs, names in os.walk(ROOT):
+        dirs[:] = [d for d in dirs if not d.startswith(".") and d != "__pycache__"]
+        found.extend(
+            os.path.relpath(os.path.join(base, name), ROOT) for name in names
+        )
+    return found
+
+
+def path_references():
+    """``(doc, path, names)`` for every backticked span that is one path."""
+    found = set()
+    for doc in DOCS:
+        for span in _SPANS.findall(_text(os.path.join(ROOT, doc))):
+            match = _PATH.fullmatch(span)
+            if match and re.search("[a-z]", match.group(1)):
+                found.add((doc, match.group(1), match.group(2)))
+    return sorted(found)
+
+
+def _text(path):
+    with open(path) as handle:
+        return handle.read()
+
+
+def locate(path, files):
+    """The files or directories a doc path names (empty if none)."""
+    hits = []
+    for base in PATH_BASES:
+        hits.extend(glob.glob(os.path.join(ROOT, base, path)))
+    if not hits and "/" not in path:
+        hits = [
+            os.path.join(ROOT, name) for name in files
+            if fnmatch.fnmatch(os.path.basename(name), path)
+        ]
+    return hits
+
+
 def test_the_docs_name_code():
     names = {name for _doc, name in references()}
     assert len(names) > 50
@@ -137,3 +201,30 @@ def test_every_code_reference_resolves(doc):
 def test_not_code_entries_are_used():
     stale = set(NOT_CODE) - {name for _doc, name in references()}
     assert not stale, f"NOT_CODE lists names no doc uses: {sorted(stale)}"
+
+
+def test_the_docs_name_paths():
+    paths = {path for _doc, path, _names in path_references()}
+    assert len(paths) > 100
+    assert {"sim/engine.py", "benchmarks/e2e", "benchmarks/results/*.txt"} <= paths
+    assert not {"LOOP/END", "/"} & paths
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_path_exists(doc):
+    files = _tree_files()
+    broken = []
+    for where, path, names in path_references():
+        if where != doc:
+            continue
+        hits = locate(path, files)
+        if not hits:
+            broken.append(f"{path}: no such file or directory")
+            continue
+        for name in filter(None, names.split("::")):
+            pattern = re.compile(r"\b%s\b" % re.escape(name).replace(r"\*", r"\w*"))
+            if not any(
+                os.path.isfile(hit) and pattern.search(_text(hit)) for hit in hits
+            ):
+                broken.append(f"{path}::{name}: not in {path}")
+    assert not broken, f"{doc} names paths that do not exist:\n  " + "\n  ".join(broken)

@@ -492,6 +492,120 @@ def test_interrupt_supersedes_what_the_process_was_about_to_receive():
 
 
 # ----------------------------------------------------------------------
+# timed waits: a yielded float is the instant the process resumes at
+# ----------------------------------------------------------------------
+def test_a_yielded_instant_resumes_at_exactly_that_float():
+    env = Environment()
+    woke = []
+    instants = [0.1 + 0.2, 0.30000000000000004 + 1e-17, 7.0]
+
+    def sleeper(env):
+        for when in instants:
+            value = yield when
+            woke.append((env.now, value))
+
+    env.process(sleeper(env))
+    env.run()
+    # 0.1 + 0.2 is not 0.3; the clock lands on the float as yielded.
+    assert woke == [(when, None) for when in instants]
+    assert all(now.__class__ is float for now, _ in woke)
+
+
+def test_an_instant_due_now_takes_the_ready_deque_in_seq_order():
+    env = Environment()
+    order = []
+
+    def instant_first(env):
+        yield 1.0
+        order.append("instant at 1")
+        yield env.now  # due now: after the older heap entry below
+        order.append("instant now")
+
+    def event_second(env):
+        yield env.timeout(1.0)
+        order.append("event at 1")
+        yield env.timeout(0)  # taken after the instant's seq
+        order.append("event now")
+
+    env.process(instant_first(env))
+    env.process(event_second(env))
+    env.run()
+    assert order == ["instant at 1", "event at 1", "instant now", "event now"]
+    assert env.now == 1.0
+
+
+@pytest.mark.parametrize("when", [-1e-9, float("nan")])
+def test_a_past_or_nan_instant_raises_timeout_ats_error(when):
+    env = Environment()
+    with pytest.raises(ValueError, match="in the past"):
+        env.timeout_at(env.now + when)
+
+    def late(env):
+        yield env.now + when
+
+    env.process(late(env))
+    with pytest.raises(ValueError, match="in the past"):
+        env.run()
+
+    caught = []
+
+    def catches(env):
+        try:
+            yield env.now + when
+        except ValueError:
+            caught.append(env.now)
+        yield env.now + 1.0
+        caught.append(env.now)
+
+    env.process(catches(env))
+    env.run()
+    assert caught == [0.0, 1.0]
+
+
+def test_an_interrupt_during_an_instant_wait_drops_the_stale_wake():
+    env = Environment()
+    log = []
+
+    def sleeper(env):
+        try:
+            yield env.now + 5.0
+            log.append(("woke", env.now))
+        except Interrupt as interrupt:
+            log.append(("interrupted", env.now, interrupt.cause))
+        yield env.now + 2.0  # ends before the stale wake at 5.0
+        log.append(("slept", env.now))
+        yield env.now + 10.0  # spans it
+        log.append(("slept", env.now))
+
+    victim = env.process(sleeper(env))
+    env.run(until=1.0)
+    victim.interrupt("early")
+    env.run()
+    assert log == [
+        ("interrupted", 1.0, "early"), ("slept", 3.0), ("slept", 13.0)
+    ]
+
+    # A wake already on the ready deque (an instant due now) is
+    # dropped too.
+    def due_now(env):
+        try:
+            yield env.now
+            log.append("resumed")
+        except Interrupt:
+            log.append("interrupted now")
+
+    log.clear()
+    env.process(due_now(env))
+    victim = env.process(due_now(env))
+    env.step()  # the bootstraps: both wake-ups are queued
+    env.step()
+    victim.interrupt()
+    env.run()
+    assert log == ["resumed", "interrupted now"]
+    assert victim.ok and env.now == 13.0
+
+
+# ----------------------------------------------------------------------
 # what each primitive costs, in sequence numbers
 # ----------------------------------------------------------------------
 def _cost(env, action):
@@ -518,11 +632,25 @@ def test_exact_sequence_cost_of_spawn_hold_and_lane_timeout():
     # With a waiter: bootstrap + completion, for the child and for the
     # parent nobody waits on just its bootstrap.
     assert _cost(env, lambda: env.process(joins(env))) == 1 + 2
+    # A booking is bookkeeping: nothing is scheduled until it is waited
+    # on, and the yielded instant costs one (its wake-up), as the
+    # ``timeout_at`` event it replaces did.
     core = Resource(env)
-    assert _cost(env, lambda: core.hold(1.0)) == 1
-    assert _cost(env, lambda: core.hold(1.0)) == 1  # the booked path
     pool = Resource(env, capacity=3)
-    assert _cost(env, lambda: pool.hold(1.0)) == 1
+    for resource in (core, core, pool):  # first booking, booked, pool
+        assert _cost(env, lambda: resource.book(1.0)) == 0
+
+    def holds(env, resource):
+        yield resource.book(1.0)
+
+    for resource in (core, pool):
+        assert _cost(env, lambda: env.process(holds(env, resource))) == 1 + 1
+
+    def sleeps(env):
+        yield env.now + 1.0
+        yield env.now  # due at once: the ready deque, still one
+
+    assert _cost(env, lambda: env.process(sleeps(env))) == 1 + 2
     lane = env.reserve_seq()
     assert _cost(env, lambda: env.timeout_at(env.now + 1, seq=lane)) == 0
     assert _cost(env, lambda: env.timeout_at(env.now)) == 1

@@ -57,9 +57,12 @@ class TestResource:
         assert spans == [(0.0, 2.0), (2.0, 4.0), (4.0, 6.0)]
 
 
-def _serve(capacity, jobs, booked):
-    """Run ``jobs`` (arrival, duration) through one resource; returns
-    ``(job, completion instant, busy time so far)`` per completion."""
+def _serve(capacity, jobs, wait):
+    """Run ``jobs`` (arrival, duration) through one resource, each
+    waiting out its hold as ``wait`` says: ``"instant"`` (the shipped
+    idiom: yield the booked end), ``"timeout_at"`` (an event at that
+    end) or ``"requested"`` (grant, sleep, release); returns ``(job,
+    completion instant, busy time so far)`` per completion."""
     env = Environment()
     resource = Resource(env, capacity)
     busy = [0.0]
@@ -67,8 +70,10 @@ def _serve(capacity, jobs, booked):
 
     def job(index, arrival, duration):
         yield env.timeout_at(arrival)
-        if booked:
-            yield resource.hold(duration)
+        if wait == "instant":
+            yield resource.book(duration)
+        elif wait == "timeout_at":
+            yield env.timeout_at(resource.book(duration))
         else:
             yield from held(resource, duration)
         busy[0] += duration
@@ -88,23 +93,26 @@ _STEPS = st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 1.0, 1.7, 2.0])
 
 
 class TestBookedHold:
-    """``hold()`` against the loop it replaced (request, sleep, release)."""
+    """A yielded ``book()`` against the loop it replaced (request, sleep,
+    release) and against the ``timeout_at`` event it used to be."""
 
     @settings(max_examples=300, deadline=None)
     @given(
         capacity=st.integers(1, 48),
         steps=st.lists(st.tuples(_STEPS, _STEPS), min_size=1, max_size=96),
+        reference=st.sampled_from(["requested", "timeout_at"]),
     )
-    def test_completes_when_the_requested_hold_would(self, capacity, steps):
+    def test_completes_when_the_requested_hold_would(
+        self, capacity, steps, reference
+    ):
         jobs, arrival = [], 0.0
         for gap, duration in steps:
             arrival += gap
             jobs.append((arrival, duration))
-        booked = _serve(capacity, jobs, booked=True)
-        requested = _serve(capacity, jobs, booked=False)
+        booked = _serve(capacity, jobs, "instant")
         # Same instants as floats, same completion order, and so the
         # same busy time at every completion.
-        assert booked == requested
+        assert booked == _serve(capacity, jobs, reference)
         if capacity == 1:
             # One unit serves in arrival order, back to back.
             assert [index for index, _, _ in booked] == list(range(len(jobs)))
@@ -114,16 +122,19 @@ class TestBookedHold:
         every booking waits for the earliest-free unit."""
         durations = (0.1, 0.25, 0.3, 1.7, 0.0)
         jobs = [(i // 200 * 0.5, durations[i % 5]) for i in range(600)]
-        assert _serve(48, jobs, booked=True) == _serve(48, jobs, booked=False)
+        assert _serve(48, jobs, "instant") == _serve(48, jobs, "requested")
 
     def test_zero_length_hold_keeps_its_place_in_the_queue(self):
         env = Environment()
         resource = Resource(env)
         order = []
+
+        def holder(name, duration):
+            yield resource.book(duration)
+            order.append((name, env.now))
+
         for name, duration in [("a", 2.0), ("b", 0.0), ("c", 1.0)]:
-            resource.hold(duration).add_callback(
-                lambda _event, name=name: order.append((name, env.now))
-            )
+            env.process(holder(name, duration))
         env.run()
         assert order == [("a", 2.0), ("b", 2.0), ("c", 3.0)]
 
@@ -133,9 +144,9 @@ class TestBookedHold:
         ends = []
 
         def worker(duration, again):
-            yield resource.hold(duration)
+            yield resource.book(duration)
             ends.append(env.now)
-            yield resource.hold(again)  # requested as this unit frees
+            yield resource.book(again)  # requested as this unit frees
             ends.append(env.now)
 
         env.process(worker(0.1, 0.2))
@@ -147,9 +158,13 @@ class TestBookedHold:
     def test_occupancy_counts_bookings_that_have_not_ended(self):
         env = Environment()
         resource = Resource(env, capacity=2)
-        resource.hold(1.0)
-        resource.hold(3.0)
-        resource.hold(1.0)  # queued behind the first
+
+        def holder(duration):
+            yield resource.book(duration)
+
+        for duration in (1.0, 3.0, 1.0):  # the third queues behind the first
+            env.process(holder(duration))
+        env.run(until=0.0)  # every holder has booked, none has ended
         assert resource.in_use == 2
         env.run(until=2.0)  # an end at exactly `now` has ended
         assert resource.in_use == 1
@@ -159,15 +174,15 @@ class TestBookedHold:
     def test_booked_or_requested_never_both(self):
         env = Environment()
         booked = Resource(env)
-        booked.hold(1.0)
+        booked.book(1.0)
         with pytest.raises(SimulationError):
             booked.request()
         requested = Resource(env)
         requested.request()
         with pytest.raises(SimulationError):
-            requested.hold(1.0)
+            requested.book(1.0)
         with pytest.raises(ValueError):
-            Resource(env).hold(-1.0)
+            Resource(env).book(-1.0)
 
 
 class TestStore:
