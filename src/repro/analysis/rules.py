@@ -3,16 +3,17 @@
 The lint reasons about three *module classes*, mirroring the concurrency
 conventions DESIGN.md documents:
 
-* **shared** — modules holding state accessed by more than one logical
-  thread (the lock-free structures, the offload engine's context ring,
-  the sharded steering layer).  Read-modify-write and container
-  mutations there must go through :class:`~repro.structures.atomics.
-  AtomicCounter`, a lock, or a documented idiom (DDS101/DDS102).
-* **instrumented** — shared modules whose accesses the deterministic
-  interleaving harness (PR 2) must be able to schedule around: every
-  shared mutation needs a lexically preceding ``yield_point()`` in the
-  same function (DDS201).
-* **sim** — modules driven by the discrete-event simulator, where any
+* **shared** — the paper's concurrent structures, explored under real
+  threads: ``structures/`` and the offload engine's context ring.
+  Read-modify-write and container mutations there must go through
+  :class:`~repro.structures.atomics.AtomicCounter`, a lock, or a
+  documented idiom (DDS101/DDS102).
+* **instrumented** — the same modules, whose accesses the deterministic
+  interleaving harness must be able to schedule around: every shared
+  mutation needs a lexically preceding ``yield_point()`` in the same
+  function (DDS201).
+* **sim** — modules driven by the discrete-event simulator (one OS
+  thread of generators that switch only at ``yield``), where any
   wall-clock read, process-global randomness, or hash-salt dependence
   would make schedules and benchmark figures unreproducible
   (DDS301/DDS302/DDS303); outside the engine they also schedule only
@@ -102,28 +103,20 @@ class Finding:
 # Module classes by path, posix-style and relative to the ``repro``
 # package root (``structures/rings.py``); prefixes match whole
 # directories.
+#: Shared modules are also instrumented: the code explored under real
+#: threads is exactly the code the interleaving harness schedules.
 SHARED_PREFIXES = ("structures/",)
-SHARED_FILES = (
-    "core/offload_engine.py",
-    "topology/sharding.py",
-    "topology/replication.py",
-)
-INSTRUMENTED_PREFIXES = ("structures/",)
-INSTRUMENTED_FILES = (
-    "core/offload_engine.py",
-    "topology/replication.py",
-)
+SHARED_FILES = ("core/offload_engine.py",)
 SIM_PREFIXES = (
     "sim/",
     "hardware/",
     "net/",
     "baselines/",
+    "core/",
+    "topology/",
     "faults/",
     "workload/",
 )
-#: Sim-driven modules outside the sim prefixes: the client retry loop
-#: owns backoff jitter draws and attempt timers for both clients.
-SIM_FILES = ("core/retry.py",)
 #: Files inside sim prefixes that *implement* the blessed idioms and
 #: are therefore exempt from the determinism rules (the seeded RNG
 #: wrapper is allowed to touch :mod:`random`).
@@ -161,14 +154,8 @@ def classes_for(relpath: str) -> FrozenSet[str]:
     """The lint classes a module (path relative to repro/) is in."""
     classes: Set[str] = set()
     if relpath.startswith(SHARED_PREFIXES) or relpath in SHARED_FILES:
-        classes.add("shared")
-    if relpath.startswith(INSTRUMENTED_PREFIXES) or (
-        relpath in INSTRUMENTED_FILES
-    ):
-        classes.add("instrumented")
-    if (
-        relpath.startswith(SIM_PREFIXES) or relpath in SIM_FILES
-    ) and relpath not in SIM_EXEMPT_FILES:
+        classes.update(("shared", "instrumented"))
+    if relpath.startswith(SIM_PREFIXES) and relpath not in SIM_EXEMPT_FILES:
         classes.add("sim")
         if relpath not in SCHEDULER_FILES:
             classes.add("sim_hot")

@@ -1,13 +1,15 @@
 """The schedule-point layer: ``yield_point()``.
 
-Instrumented structures (:mod:`repro.structures.atomics`,
-:mod:`repro.structures.rings`, :mod:`repro.structures.cuckoo`,
-:mod:`repro.structures.response`) call ``yield_point(label, key)`` just
-before each shared-state access.  In production nothing is registered and
-the call is a single global-None check.  Under the interleaving scheduler,
-threads it controls are suspended here until the scheduler hands them the
-next step; threads it does not control (e.g. the pytest main thread
-checking invariants between steps) pass straight through.
+The code explored under real threads — :mod:`repro.structures` (atomics,
+rings, cuckoo table, response buffer, buffer pool) and the offload
+engine's context ring — calls ``yield_point(label, key)`` just before
+each shared-state access; the rest of the simulator runs on one OS
+thread, switches only at a generator's ``yield``, and has none.  In
+production nothing is registered and the call is a single global-None
+check.  Under the interleaving scheduler, threads it controls are
+suspended here until the scheduler hands them the next step; threads it
+does not control (e.g. the pytest main thread checking invariants
+between steps) pass straight through.
 
 ``label`` names the operation for traces ("cas", "cuckoo.bucket_set");
 ``key`` identifies the shared location touched (usually ``(id(obj),

@@ -63,14 +63,7 @@ class Context:
 
 
 class OffloadEngine:
-    """Context-ring execution of offloaded reads with zero-copy buffers.
-
-    The steering counter ``offloaded`` is an
-    :class:`~repro.structures.atomics.AtomicCounter` behind an
-    int-valued property: the simulated engine is single-core, but the
-    counter is also read by harness invariant checkers while intake
-    steps interleave, and atomic adds make it exact either way.
-    """
+    """Context-ring execution of offloaded reads with zero-copy buffers."""
 
     _DDSLINT_EXEMPT = {
         "_ring": (
@@ -119,16 +112,7 @@ class OffloadEngine:
         # of touching the (cleared) ring.
         self._epoch = AtomicCounter(0)
         self._notify: Store = Store(env)
-        self._offloaded = AtomicCounter(0)
         env.process(self._completion_pump())
-
-    # ------------------------------------------------------------------
-    # steering counter (read as a plain int by reports and tests)
-    # ------------------------------------------------------------------
-    @property
-    def offloaded(self) -> int:
-        """Requests executed on the DPU."""
-        return self._offloaded.load()
 
     # ------------------------------------------------------------------
     # crash / restart (chaos layer)
@@ -137,11 +121,6 @@ class OffloadEngine:
     def crashed(self) -> bool:
         """True while the engine is down (intake rejects everything)."""
         return self._crashed
-
-    @property
-    def epoch(self) -> int:
-        """Crash generation: bumped once per :meth:`crash`."""
-        return self._epoch.load()
 
     def crash(self) -> int:
         """Kill the engine: every in-flight context is lost, unanswered.
@@ -235,7 +214,6 @@ class OffloadEngine:
         slot = tail % self.context_slots
         yield_point("engine.ctx_slot", ("engine.ring", id(self), slot))
         self._ring[slot] = context
-        self._offloaded.fetch_add(1)
         self.env.process(
             self.file_service.execute_offloaded(
                 read_op, self._completion_callback(context)

@@ -27,7 +27,6 @@ from ..hardware.specs import HOST_CPU, HOST_OS_TCP, StackSpec
 from ..net.packet import FiveTuple
 from ..sim import Environment, Event
 from ..topology.stages import Stage, StageKind
-from .dedup import RequestDedup
 from .messages import IoRequest, IoResponse
 
 __all__ = ["PipelineServer"]
@@ -59,8 +58,10 @@ class PipelineServer:
         #: Chaos hook: a :class:`~repro.faults.netem.NetworkChaos` gates
         #: every wire crossing while a NIC fault window is open.
         self.network_chaos = None
-        #: Resilience hook: request-id dedup making client retries
-        #: idempotent (installed by :meth:`enable_resilience`).
+        #: Resilience hook: the request-id dedup table that makes client
+        #: retries idempotent.  Only the offload server installs one
+        #: (``ShardedOffloadServer.enable_resilience``); the e2e probes,
+        #: the invariant checker and the QoS gate read it on every server.
         self.dedup = None
 
     # ------------------------------------------------------------------
@@ -111,20 +112,6 @@ class PipelineServer:
         for _copy in range(copies):
             self.env.process(self._ingress(flow, list(requests), deliver))
         return done
-
-    # ------------------------------------------------------------------
-    # resilience (chaos deployments opt in; figures never pay for it)
-    # ------------------------------------------------------------------
-    def enable_resilience(self) -> RequestDedup:
-        """Install request-id dedup (deployments with an offload engine
-        add a host-fallback circuit breaker).  Returns the dedup table
-        so scenarios can audit it after the run.  Enables once: a second
-        table would leave in-flight requests recording into the first
-        while their retries consult the second, and re-execute."""
-        if self.dedup is not None:
-            raise RuntimeError("resilience is already enabled")
-        self.dedup = RequestDedup(self.env)
-        return self.dedup
 
     # ------------------------------------------------------------------
     # the pipeline
@@ -210,21 +197,10 @@ class PipelineServer:
             yield from self._steering.steer(flow, requests, arrived)
             self.requests_served += len(requests)
             return
-        replayed: List[IoResponse] = []
-        if self.dedup is not None:
-            requests = self.dedup.intake(requests, replayed.append)
-            if not requests and not replayed:
-                return
         served = [
             self.env.process(self.execution.serve(r)) for r in requests
         ]
-        responses: List[IoResponse] = (
-            (yield self.env.all_of(served)) if served else []
-        )
-        if self.dedup is not None:
-            for response in responses:
-                self.dedup.record(response)
-            responses = replayed + responses
+        responses: List[IoResponse] = yield self.env.all_of(served)
         response_bytes = sum(r.wire_size for r in responses)
         for stage in self._outbound:
             yield from stage.outbound(flow, response_bytes)

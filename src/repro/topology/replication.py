@@ -22,8 +22,10 @@ one is dark).
   survivor's log into a recovered member (anti-entropy catch-up)
   before it rejoins.
 
-Every protocol step reports to an optional observer (the Derecho-style
-runtime invariant checker in :mod:`repro.faults.invariants`), so the
+Only the replicator's device-timed generators yield, so every group
+mutation is one indivisible step of the simulation.  Every protocol
+step reports to an optional observer (the Derecho-style runtime
+invariant checker in :mod:`repro.faults.invariants`), so the
 invariants are checked *while* chaos runs, not just post-hoc.
 
 Group membership is deterministic: shard ``k``'s group is
@@ -36,17 +38,14 @@ same seed produce identical failover trajectories.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Generator, Optional, Tuple
 
-from ..concurrency.hooks import yield_point
 from ..core.messages import IoRequest
 from ..core.traffic_director import TrafficDirector
 from ..digest import blake2b
 from ..sim import Environment
 from ..storage.filesystem import FileSystemError
-from ..structures.atomics import AtomicCounter
 from .stages import ShardLifecycle
 
 if TYPE_CHECKING:
@@ -111,9 +110,10 @@ class ReplicaGroup:
     in per-member sets because concurrent mirrors complete out of order;
     the watermark only advances over a contiguous prefix.
 
-    All mutations run under the group lock with a preceding
-    ``yield_point``, so the deterministic interleaving harness can drive
-    concurrent appenders, mirrors, and handoffs through every schedule.
+    Every method runs whole: the simulator switches processes only where
+    a generator yields, and no method here yields.  Concurrency is at
+    call granularity — appenders, mirrors and handoffs interleave
+    between calls, never inside one.
     """
 
     def __init__(self, keyspace: int, primary: int, backup: int) -> None:
@@ -138,7 +138,7 @@ class ReplicaGroup:
         self.fenced = False
         #: Joiner awaiting promotion to backup (set by
         #: :meth:`request_adoption`, consumed by the completion-
-        #: triggered swap in :meth:`_maybe_adopt_locked`).
+        #: triggered swap in :meth:`_maybe_adopt`).
         self._pending_adoption: Optional[int] = None
         #: Evidence from the last swap: ``(member, synced watermark at
         #: the swap instant, log length at the swap instant)`` — the
@@ -148,10 +148,6 @@ class ReplicaGroup:
         self.log: list = []
         self._applied: Dict[int, set] = {primary: set(), backup: set()}
         self._watermark: Dict[int, int] = {primary: 0, backup: 0}
-        # Re-entrant: the completion-triggered swap in _maybe_adopt
-        # runs from inside mark_synced's critical section.
-        self._lock = threading.RLock()
-        self._key = ("replica-group", keyspace)
 
     # ------------------------------------------------------------------
     # log writes
@@ -159,31 +155,27 @@ class ReplicaGroup:
     def append_record(
         self, request_id: int, file_id: int, offset: int, payload: bytes
     ) -> WriteRecord:
-        """Append one write to the log; the lsn is assigned atomically."""
-        yield_point("replication.append", self._key)
-        with self._lock:
-            record = WriteRecord(
-                lsn=len(self.log),
-                epoch=self.epoch,
-                request_id=request_id,
-                file_id=file_id,
-                offset=offset,
-                size=len(payload),
-                digest=_digest(payload),
-                payload=payload,
-            )
-            self.log.append(record)
+        """Append one write to the log at the next lsn."""
+        record = WriteRecord(
+            lsn=len(self.log),
+            epoch=self.epoch,
+            request_id=request_id,
+            file_id=file_id,
+            offset=offset,
+            size=len(payload),
+            digest=_digest(payload),
+            payload=payload,
+        )
+        self.log.append(record)
         return record
 
     def mark_applied(self, member: int, lsn: int) -> None:
         """Record that ``member`` has applied log entry ``lsn``."""
         if member not in self._applied:
             raise ValueError(f"shard {member} is not in group {self.keyspace}")
-        yield_point("replication.apply", self._key)
-        with self._lock:
-            self._applied[member].add(lsn)
-            while self._watermark[member] in self._applied[member]:
-                self._watermark[member] += 1
+        self._applied[member].add(lsn)
+        while self._watermark[member] in self._applied[member]:
+            self._watermark[member] += 1
 
     def mark_synced(self, member: int, lsns) -> None:
         """Record log entries a *prospective* member holds on disk.
@@ -193,18 +185,16 @@ class ReplicaGroup:
         for former members is retained so a later re-adoption only
         replays what they missed.
         """
-        yield_point("replication.sync", self._key)
-        with self._lock:
-            applied = self._applied.setdefault(member, set())
-            applied.update(lsns)
-            mark = self._watermark.get(member, 0)
-            while mark in applied:
-                mark += 1
-            self._watermark[member] = mark
-            # The mirror that completes total coverage performs the
-            # pending swap itself — the only instant at which no append
-            # can be in flight.
-            self._maybe_adopt()
+        applied = self._applied.setdefault(member, set())
+        applied.update(lsns)
+        mark = self._watermark.get(member, 0)
+        while mark in applied:
+            mark += 1
+        self._watermark[member] = mark
+        # The mirror that completes total coverage performs the
+        # pending swap itself — the only instant at which no append
+        # can be in flight.
+        self._maybe_adopt()
 
     def synced_watermark(self, member: int) -> int:
         """Like :meth:`applied_watermark`, but 0 for unknown members."""
@@ -218,14 +208,11 @@ class ReplicaGroup:
         has to replay entries *below* it (plus the bounded set of
         writes that were mid-mirror at this instant).
         """
-        yield_point("replication.join", self._key)
-        with self._lock:
-            self.joiners = self.joiners | {member}
-            return len(self.log)
+        self.joiners = self.joiners | {member}
+        return len(self.log)
 
     # ------------------------------------------------------------------
-    # reads (single attribute/dict reads are GIL-indivisible; the lock
-    # is reserved for the compound mutations above)
+    # reads
     # ------------------------------------------------------------------
     def has_applied(self, member: int, lsn: int) -> bool:
         return lsn in self._applied[member]
@@ -251,19 +238,17 @@ class ReplicaGroup:
         (nothing can serve either way).  Returns (old leader, new
         leader, changed); the epoch bumps exactly when leadership moves.
         """
-        yield_point("replication.elect", self._key)
-        with self._lock:
-            old = self.leader
-            if alive(self.primary):
-                new = self.primary
-            elif alive(self.backup):
-                new = self.backup
-            else:
-                new = old
-            changed = new != old
-            if changed:
-                self.leader = new
-                self.epoch += 1
+        old = self.leader
+        if alive(self.primary):
+            new = self.primary
+        elif alive(self.backup):
+            new = self.backup
+        else:
+            new = old
+        changed = new != old
+        if changed:
+            self.leader = new
+            self.epoch += 1
         return old, new, changed
 
     def request_adoption(self, member: int) -> None:
@@ -278,35 +263,29 @@ class ReplicaGroup:
         appended lsn is marked, so swapping there is atomic and needs
         no write fence.  A swap is a view change: the epoch bumps.
         """
-        yield_point("replication.adopt", self._key)
-        with self._lock:
-            if member in self.members:
-                raise ValueError(
-                    f"shard {member} is already in group {self.keyspace}"
-                )
-            if self.leader != self.primary:
-                raise RuntimeError(
-                    f"group {self.keyspace}: cannot resize during failover"
-                )
-            self._pending_adoption = member
+        if member in self.members:
+            raise ValueError(
+                f"shard {member} is already in group {self.keyspace}"
+            )
+        if self.leader != self.primary:
+            raise RuntimeError(
+                f"group {self.keyspace}: cannot resize during failover"
+            )
+        self._pending_adoption = member
 
     def fence(self) -> None:
         """Raise the cutover write fence (new appends stall)."""
-        yield_point("replication.fence", self._key)
-        with self._lock:
-            self.fenced = True
+        self.fenced = True
 
     def cancel_adoption(self) -> None:
         """Abort a pending swap (failover mid-resize): drop the fence
         and the pending joiner so writes flow again under the old
         pairing."""
-        yield_point("replication.fence", self._key)
-        with self._lock:
-            member = self._pending_adoption
-            self._pending_adoption = None
-            self.fenced = False
-            if member is not None:
-                self.joiners = self.joiners - {member}
+        member = self._pending_adoption
+        self._pending_adoption = None
+        self.fenced = False
+        if member is not None:
+            self.joiners = self.joiners - {member}
 
     def try_adopt(self) -> bool:
         """Attempt the pending swap now (the no-traffic fast path).
@@ -315,27 +294,25 @@ class ReplicaGroup:
         return self._pending_adoption is None
 
     def _maybe_adopt(self) -> None:
-        yield_point("replication.adopt", self._key)
-        with self._lock:
-            member = self._pending_adoption
-            if member is None:
-                return
-            if self.leader != self.primary:
-                return  # failover mid-resize: hold until it settles
-            mark = self._watermark.get(member, 0)
-            if mark < len(self.log):
-                return
-            self._applied.setdefault(member, set())
-            self._watermark.setdefault(member, 0)
-            # The outgoing backup's applied state is retained for a
-            # cheaper future re-adoption.
-            self.backup = member
-            self.members = (self.primary, member)
-            self.joiners = self.joiners - {member}
-            self.epoch += 1
-            self._pending_adoption = None
-            self.fenced = False
-            self.last_adoption = (member, mark, len(self.log))
+        member = self._pending_adoption
+        if member is None:
+            return
+        if self.leader != self.primary:
+            return  # failover mid-resize: hold until it settles
+        mark = self._watermark.get(member, 0)
+        if mark < len(self.log):
+            return
+        self._applied.setdefault(member, set())
+        self._watermark.setdefault(member, 0)
+        # The outgoing backup's applied state is retained for a
+        # cheaper future re-adoption.
+        self.backup = member
+        self.members = (self.primary, member)
+        self.joiners = self.joiners - {member}
+        self.epoch += 1
+        self._pending_adoption = None
+        self.fenced = False
+        self.last_adoption = (member, mark, len(self.log))
 
 
 def land_relay(
@@ -412,41 +389,16 @@ class ShardReplicator(ShardLifecycle):
         #: request_id -> quorum state at ack time (the runtime checker's
         #: no-ack-before-quorum evidence).
         self.commits: Dict[int, CommitRecord] = {}
-        self._lock = threading.Lock()
-        self._key = ("replicator", id(self))
-        self._mirrored = AtomicCounter(0)
-        self._solo_acks = AtomicCounter(0)
-        self._handoffs = AtomicCounter(0)
-        self._catchup_replays = AtomicCounter(0)
-        self._mirror_failures = AtomicCounter(0)
-
-    # ------------------------------------------------------------------
-    # counters
-    # ------------------------------------------------------------------
-    @property
-    def mirrored_writes(self) -> int:
-        """Writes successfully applied on the backup before their ack."""
-        return self._mirrored.load()
-
-    @property
-    def solo_acks(self) -> int:
-        """Writes acked by a lone survivor (the peer was dark)."""
-        return self._solo_acks.load()
-
-    @property
-    def handoffs(self) -> int:
-        """Leadership changes (kill-triggered plus rejoin-triggered)."""
-        return self._handoffs.load()
-
-    @property
-    def catchup_replays(self) -> int:
-        """Log entries replayed into recovering members."""
-        return self._catchup_replays.load()
-
-    @property
-    def mirror_failures(self) -> int:
-        """Mirror applies that failed at the peer's filesystem."""
-        return self._mirror_failures.load()
+        #: Writes successfully applied on the backup before their ack.
+        self.mirrored_writes = 0
+        #: Writes acked by a lone survivor (the peer was dark).
+        self.solo_acks = 0
+        #: Leadership changes (kill-triggered plus rejoin-triggered).
+        self.handoffs = 0
+        #: Log entries replayed into recovering members.
+        self.catchup_replays = 0
+        #: Mirror applies that failed at the peer's filesystem.
+        self.mirror_failures = 0
 
     # ------------------------------------------------------------------
     # routing
@@ -530,7 +482,7 @@ class ShardReplicator(ShardLifecycle):
             and peer in group.members
         ):
             group.mark_applied(peer, record.lsn)
-            self._mirrored.fetch_add(1)
+            self.mirrored_writes += 1
             if self.observer is not None:
                 self.observer.on_apply(group, record, peer, catchup=False)
         for joiner in group.joiners:
@@ -554,11 +506,9 @@ class ShardReplicator(ShardLifecycle):
             applied=applied,
             live=live,
         )
-        yield_point("replication.commit", self._key)
-        with self._lock:
-            self.commits[request.request_id] = commit
+        self.commits[request.request_id] = commit
         if len(applied) < 2:
-            self._solo_acks.fetch_add(1)
+            self.solo_acks += 1
         if self.observer is not None:
             self.observer.on_commit(group, record, commit)
         return True
@@ -579,7 +529,7 @@ class ShardReplicator(ShardLifecycle):
                 yield from relay_write(self.server, executor, peer, request)
             )
         except FileSystemError:
-            self._mirror_failures.fetch_add(1)
+            self.mirror_failures += 1
             return False
 
     # ------------------------------------------------------------------
@@ -606,7 +556,7 @@ class ShardReplicator(ShardLifecycle):
         for group in self._groups_of(index):
             old, new, changed = group.elect(self._alive)
             if changed:
-                self._handoffs.fetch_add(1)
+                self.handoffs += 1
                 if self.observer is not None:
                     alive = tuple(
                         m for m in group.members if self._alive(m)
@@ -646,7 +596,7 @@ class ShardReplicator(ShardLifecycle):
                     record.file_id, record.offset, record.payload
                 )
                 group.mark_applied(index, lsn)
-                self._catchup_replays.fetch_add(1)
+                self.catchup_replays += 1
                 if self.observer is not None:
                     self.observer.on_apply(
                         group, record, index, catchup=True
@@ -714,9 +664,7 @@ class ShardReplicator(ShardLifecycle):
                 continue
             # The keyspace's owner drained: its files migrated away and
             # its group has nothing left to protect.
-            yield_point("replication.resize", self._key)
-            with self._lock:
-                retired_group = self.groups.pop(keyspace)
+            retired_group = self.groups.pop(keyspace)
             if self.observer is not None:
                 self.observer.on_resize(
                     retired_group, retired_group.backup, None, 0
@@ -729,9 +677,7 @@ class ShardReplicator(ShardLifecycle):
                     primary=member,
                     backup=backup_of[member],
                 )
-                yield_point("replication.resize", self._key)
-                with self._lock:
-                    self.groups[member] = new_group
+                self.groups[member] = new_group
                 if self.observer is not None:
                     self.observer.on_resize(
                         new_group, None, backup_of[member], 0
@@ -813,6 +759,6 @@ class ShardReplicator(ShardLifecycle):
             yield from self.server.filesystems[member].write(
                 record.file_id, record.offset, record.payload
             )
-            self._catchup_replays.fetch_add(1)
+            self.catchup_replays += 1
         group.mark_synced(member, range(mark, upto))
         return upto - mark

@@ -35,14 +35,12 @@ maps them.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Generator, List, Set
 
 from ..core.messages import IoRequest
 from ..core.traffic_director import TrafficDirector
 from ..sim import Environment, Interrupt
-from ..structures.atomics import AtomicCounter
 from .replication import land_relay, relay_write
 
 if TYPE_CHECKING:
@@ -65,9 +63,8 @@ class ReshardingCoordinator:
 
     One coordinator per deployment (``server.enable_resharding()``);
     operations are serialized — a second ``migrate`` while one is in
-    flight raises.  All protocol state is guarded by ``_lock`` (no
-    yield inside a locked region), and every cutover is atomic with its
-    final dirty check.
+    flight raises.  Every cutover is atomic with its final dirty check:
+    no yield separates them.
     """
 
     #: Copy granularity.  Smaller chunks interleave better with the
@@ -81,7 +78,6 @@ class ReshardingCoordinator:
     def __init__(self, env: Environment, server: "ShardedOffloadServer"):
         self.env = env
         self.server = server
-        self._lock = threading.Lock()
         #: file_id -> FileMove for files between plan and flip.
         self._migrating: Dict[int, FileMove] = {}
         #: file_id -> dirty chunk indices (writes applied since copy).
@@ -93,34 +89,14 @@ class ReshardingCoordinator:
         #: One record per completed operation: kind, sim start/end,
         #: moved file ids, bytes copied.
         self.history: List[dict] = []
-        self._files_moved = AtomicCounter(0)
-        self._bytes_copied = AtomicCounter(0)
-        self._chunk_copies = AtomicCounter(0)
-        self._dirty_recopies = AtomicCounter(0)
-        self._cutovers = AtomicCounter(0)
-
-    # ------------------------------------------------------------------
-    # counters
-    # ------------------------------------------------------------------
-    @property
-    def files_moved(self) -> int:
-        """Files whose cutover completed."""
-        return self._files_moved.load()
-
-    @property
-    def bytes_copied(self) -> int:
-        """Payload bytes shipped source→destination (re-copies included)."""
-        return self._bytes_copied.load()
-
-    @property
-    def dirty_recopies(self) -> int:
-        """Chunk copies repeated because a write landed after the first."""
-        return self._dirty_recopies.load()
-
-    @property
-    def cutovers(self) -> int:
-        """Atomic per-file flips executed."""
-        return self._cutovers.load()
+        #: Files whose cutover completed.
+        self.files_moved = 0
+        #: Payload bytes shipped source→destination (re-copies included).
+        self.bytes_copied = 0
+        #: Chunk copies repeated because a write landed after the first.
+        self.dirty_recopies = 0
+        #: Atomic per-file flips executed.
+        self.cutovers = 0
 
     # ------------------------------------------------------------------
     # planning (atomic: ring swap + pins, no simulation yield)
@@ -155,21 +131,16 @@ class ReshardingCoordinator:
     # ------------------------------------------------------------------
     def migrate(self, moves: List[FileMove], kind: str) -> Generator:
         """Copy every move's segments and flip each file atomically."""
-        with self._lock:
-            if self.active:
-                raise RuntimeError(
-                    "a resharding operation is already in flight"
-                )
-            self.active = True
+        if self.active:
+            raise RuntimeError("a resharding operation is already in flight")
+        self.active = True
         start = self.env.now
         bytes_before = self.bytes_copied
         for move in moves:
-            with self._lock:
-                self._migrating[move.file_id] = move
-                self._dirty[move.file_id] = set()
+            self._migrating[move.file_id] = move
+            self._dirty[move.file_id] = set()
             yield from self._migrate_file(move)
-        with self._lock:
-            self.active = False
+        self.active = False
         self.history.append(
             {
                 "kind": kind,
@@ -188,36 +159,29 @@ class ReshardingCoordinator:
         for chunk_index in range(chunks):
             ok = yield from self._copy_chunk(move, chunk_index)
             if not ok:
-                with self._lock:
-                    self._dirty[move.file_id].add(chunk_index)
+                self._dirty[move.file_id].add(chunk_index)
         # Dirty passes: writes applied during the copy re-dirty their
         # chunks.  When a check finds the set empty, the flip happens
         # with no yield in between — check + cutover are one simulated
         # instant, so exactly one epoch owns the file at all times.
         while True:
-            with self._lock:
-                dirty = self._dirty[move.file_id]
-                if not dirty:
-                    del self._dirty[move.file_id]
-                    del self._migrating[move.file_id]
-                    self._moved[move.file_id] = move.dest
-                    flip = True
-                else:
-                    chunk_index = min(dirty)
-                    dirty.discard(chunk_index)
-                    flip = False
-            if flip:
+            dirty = self._dirty[move.file_id]
+            if not dirty:
+                del self._dirty[move.file_id]
+                del self._migrating[move.file_id]
+                self._moved[move.file_id] = move.dest
                 self.server.shard_map.unpin(move.file_id)
-                self._cutovers.fetch_add(1)
-                self._files_moved.fetch_add(1)
+                self.cutovers += 1
+                self.files_moved += 1
                 return
-            self._dirty_recopies.fetch_add(1)
+            chunk_index = min(dirty)
+            dirty.discard(chunk_index)
+            self.dirty_recopies += 1
             ok = yield from self._copy_chunk(move, chunk_index)
             if not ok:
-                with self._lock:
-                    # The destination died mid-copy; re-queue and let
-                    # the next pass wait for its recovery.
-                    self._dirty[move.file_id].add(chunk_index)
+                # The destination died mid-copy; re-queue and let the
+                # next pass wait for its recovery.
+                self._dirty[move.file_id].add(chunk_index)
 
     def _wait_alive(self, index: int) -> Generator:
         while not self.server.shards[index].alive:
@@ -260,8 +224,7 @@ class ReshardingCoordinator:
         )
         if not landed:
             return False
-        self._chunk_copies.fetch_add(1)
-        self._bytes_copied.fetch_add(length)
+        self.bytes_copied += length
         return True
 
     # ------------------------------------------------------------------
@@ -285,20 +248,18 @@ class ReshardingCoordinator:
         when a forward could not land because the owner went dark.
         """
         file_id = request.file_id
-        with self._lock:
-            if file_id in self._migrating:
-                dirty = self._dirty.get(file_id)
-                if dirty is not None:
-                    first = request.offset // self.chunk_bytes
-                    last = (
-                        max(request.offset, request.offset + request.size - 1)
-                        // self.chunk_bytes
-                    )
-                    for chunk_index in range(first, last + 1):
-                        dirty.add(chunk_index)
-                return True
-            moved = file_id in self._moved
-        if not moved:
+        if file_id in self._migrating:
+            dirty = self._dirty.get(file_id)
+            if dirty is not None:
+                first = request.offset // self.chunk_bytes
+                last = (
+                    max(request.offset, request.offset + request.size - 1)
+                    // self.chunk_bytes
+                )
+                for chunk_index in range(first, last + 1):
+                    dirty.add(chunk_index)
+            return True
+        if file_id not in self._moved:
             return True
         owner = self.server.owner_of(file_id)
         if executor == owner:

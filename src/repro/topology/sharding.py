@@ -19,11 +19,14 @@ The topology is *elastic* (ROADMAP item 2): the shard map is versioned
 :meth:`ShardedOffloadServer.add_shard` / :meth:`~ShardedOffloadServer.
 drain_shard` grow and shrink a live deployment under traffic — the
 migration protocol itself lives in :mod:`repro.topology.resharding`.
+
+The topology layer is simulation code: one OS thread of generators that
+switch only at ``yield``, so it takes no locks.  A list that a generator
+may be walking across a yield is replaced, never mutated in place.
 """
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -40,7 +43,6 @@ from ..net.stack import StackLayer
 from ..sim import Environment
 from ..storage.disk import RamDisk, SpdkBdev
 from ..storage.filesystem import DdsFileSystem, FileSystemError
-from ..structures.atomics import AtomicCounter
 from .stages import (
     OffloadShard,
     PushdownExecution,
@@ -105,7 +107,6 @@ class ConsistentHashShardMap:
         #: file_id -> previous-epoch owner.  Empty whenever no migration
         #: is in flight — the fixed-N fast path costs one falsy check.
         self._pins: Dict[int, int] = {}
-        self._lock = threading.Lock()
         ring = []
         for shard in range(shard_count):
             ring.extend(self._shard_points(shard))
@@ -145,44 +146,41 @@ class ConsistentHashShardMap:
         return self._shards[index % len(self._shards)]
 
     # ------------------------------------------------------------------
-    # membership changes (each bumps the epoch; the ring swap is atomic)
+    # membership changes (each bumps the epoch and swaps the ring whole)
     # ------------------------------------------------------------------
     def add_shard(self, shard: Optional[int] = None) -> int:
         """Admit ``shard`` (default: next unused id) to the ring."""
-        with self._lock:
-            if shard is None:
-                shard = max(self._members) + 1
-            if shard in self._members:
-                raise ValueError(f"shard {shard} is already a member")
-            ring = sorted(
-                list(zip(self._points, self._shards))
-                + self._shard_points(shard)
-            )
-            # Copy-on-write swap: routing reads the lists lock-free.
-            self._points = [point for point, _ in ring]
-            self._shards = [owner for _, owner in ring]
-            self._members = self._members + [shard]
-            self.shard_count = len(self._members)
-            self.epoch += 1
+        if shard is None:
+            shard = max(self._members) + 1
+        if shard in self._members:
+            raise ValueError(f"shard {shard} is already a member")
+        ring = sorted(
+            list(zip(self._points, self._shards)) + self._shard_points(shard)
+        )
+        # Copy-on-write swap: a holder of the old lists keeps a whole ring.
+        self._points = [point for point, _ in ring]
+        self._shards = [owner for _, owner in ring]
+        self._members = self._members + [shard]
+        self.shard_count = len(self._members)
+        self.epoch += 1
         return shard
 
     def remove_shard(self, shard: int) -> None:
         """Retire ``shard`` from the ring (its keys move, nothing else)."""
-        with self._lock:
-            if shard not in self._members:
-                raise ValueError(f"shard {shard} is not a member")
-            if len(self._members) == 1:
-                raise ValueError("cannot remove the last shard")
-            ring = [
-                (point, owner)
-                for point, owner in zip(self._points, self._shards)
-                if owner != shard
-            ]
-            self._points = [point for point, _ in ring]
-            self._shards = [owner for _, owner in ring]
-            self._members = [m for m in self._members if m != shard]
-            self.shard_count = len(self._members)
-            self.epoch += 1
+        if shard not in self._members:
+            raise ValueError(f"shard {shard} is not a member")
+        if len(self._members) == 1:
+            raise ValueError("cannot remove the last shard")
+        ring = [
+            (point, owner)
+            for point, owner in zip(self._points, self._shards)
+            if owner != shard
+        ]
+        self._points = [point for point, _ in ring]
+        self._shards = [owner for _, owner in ring]
+        self._members = [m for m in self._members if m != shard]
+        self.shard_count = len(self._members)
+        self.epoch += 1
 
     # ------------------------------------------------------------------
     # per-file cutover (the old epoch drains, the new epoch owns)
@@ -190,13 +188,11 @@ class ConsistentHashShardMap:
     def pin(self, file_id: int, shard: int) -> None:
         """Keep ``file_id`` routed to ``shard`` (its pre-change owner)
         until :meth:`unpin` — the deterministic cutover rule."""
-        with self._lock:
-            self._pins[file_id] = shard
+        self._pins[file_id] = shard
 
     def unpin(self, file_id: int) -> None:
         """Flip ``file_id`` to its current-epoch ring owner."""
-        with self._lock:
-            self._pins.pop(file_id, None)
+        self._pins.pop(file_id, None)
 
 
 def flow_shard(flow: FiveTuple, shard_count: int) -> int:
@@ -246,63 +242,49 @@ class ShardedSteering(Stage, ShardLifecycle):
         #: RSS hash and the counters track the *dynamic* membership —
         #: not the construction-time list.
         self._ingress = list(shards)
-        # Atomic adds, not ``counts[i] += 1``: steering decisions for
-        # different flows interleave, and a lost update would make the
-        # per-shard load report disagree with the directors' own totals.
-        self._steered = [AtomicCounter(0) for _ in shards]
-        self._requests = [AtomicCounter(0) for _ in shards]
-        self._failovers = AtomicCounter(0)
-        self._dropped = AtomicCounter(0)
-        self._lock = threading.Lock()
+        #: Messages steered to each shard, indexed by shard id: grows as
+        #: shards are added, and a retired shard keeps its historical
+        #: total at its old index.
+        self._steered = [0] * len(shards)
+        #: Requests steered to each shard (messages carry batches; this
+        #: is the IOPS-proportional number the autoscaler samples).
+        self._requests = [0] * len(shards)
+        #: Messages re-routed because their ingress shard was dead.
+        self.failovers = 0
+        #: Messages lost at ingress because every shard was dead: chaos
+        #: benches surface this so an ingress black-hole is
+        #: distinguishable from an in-flight loss (a message that
+        #: reached a director and died with it).
+        self.dropped = 0
 
     def shard_added(self, shard: OffloadShard) -> Generator:
         """Open ingress to a freshly wired shard (counters included)."""
-        with self._lock:
-            while len(self._steered) <= shard.index:
-                self._steered.append(AtomicCounter(0))
-                self._requests.append(AtomicCounter(0))
-            # Copy-on-write: steer() snapshots the list lock-free.
-            self._ingress = self._ingress + [shard]
+        while len(self._steered) <= shard.index:
+            self._steered.append(0)
+            self._requests.append(0)
+        # Copy-on-write: a steer() mid-iteration keeps its snapshot.
+        self._ingress = self._ingress + [shard]
         yield from ()
 
     def shard_retired(self, shard: OffloadShard) -> Generator:
         """Close ingress to a drained shard; its totals are retained."""
-        with self._lock:
-            self._ingress = [s for s in self._ingress if s is not shard]
+        self._ingress = [s for s in self._ingress if s is not shard]
         yield from ()
 
     @property
     def shard_loads(self) -> List[int]:
-        """Messages steered to each shard, in shard-index order.
-
-        Indexed by shard id: grows as shards are added, and a retired
-        shard keeps its historical total at its old index."""
-        return [counter.load() for counter in self._steered]
+        """Messages steered to each shard, in shard-index order."""
+        return list(self._steered)
 
     @property
     def request_loads(self) -> List[int]:
-        """Requests steered to each shard (messages carry batches; this
-        is the IOPS-proportional number the autoscaler samples)."""
-        return [counter.load() for counter in self._requests]
+        """Requests steered to each shard, in shard-index order."""
+        return list(self._requests)
 
     @property
     def messages_steered(self) -> int:
         """Total steering decisions made (sum over shards)."""
         return sum(self.shard_loads)
-
-    @property
-    def failovers(self) -> int:
-        """Messages re-routed because their ingress shard was dead."""
-        return self._failovers.load()
-
-    @property
-    def dropped(self) -> int:
-        """Messages lost at ingress because every shard was dead.
-
-        Chaos benches surface this so an ingress black-hole is
-        distinguishable from an in-flight loss (a message that reached
-        a director and died with it)."""
-        return self._dropped.load()
 
     def dpu_cores(self, elapsed: float) -> float:
         total = 0.0
@@ -330,13 +312,13 @@ class ShardedSteering(Stage, ShardLifecycle):
                 candidate = ingress[(shard_index + probe) % len(ingress)]
                 if candidate.alive:
                     shard = candidate
-                    self._failovers.fetch_add(1)
+                    self.failovers += 1
                     break
             else:
-                self._dropped.fetch_add(1)
+                self.dropped += 1
                 return
-        self._steered[shard.index].fetch_add(1)
-        self._requests[shard.index].fetch_add(len(requests))
+        self._steered[shard.index] += 1
+        self._requests[shard.index] += len(requests)
         yield from shard.director.receive_message(flow, requests, respond)
 
 
@@ -429,7 +411,6 @@ class ShardedOffloadServer(PipelineServer):
             mirror_filesystem(env, filesystem)
             for _ in range(shard_count - 1)
         ]
-        self._topology_lock = threading.Lock()
         for fs in self.filesystems:
             self._build_unit(fs)
         #: The shard-steering stage (ingress counters live here).  It is
@@ -438,8 +419,8 @@ class ShardedOffloadServer(PipelineServer):
         self.steering = ShardedSteering(env, self.shards)
         # The three lists an opt-in registers with; the lifecycle
         # methods and the write path only walk them (DESIGN §8).  Each
-        # is swapped copy-on-write under ``_topology_lock``; the third
-        # is the write-commit chain above.
+        # is swapped copy-on-write, since a generator may be walking it
+        # across a yield; the third is the write-commit chain above.
         #: Per-shard wiring: applied to every live shard on registration
         #: and to every shard :meth:`add_shard` builds afterwards.
         self._shard_wiring: List[Callable[[OffloadShard], None]] = []
@@ -477,9 +458,8 @@ class ShardedOffloadServer(PipelineServer):
         )
         shard.director.peers = self.directors
         shard.director.ring_size = lambda: self.shard_map.shard_count
-        with self._topology_lock:
-            self.shards.append(shard)
-            self.directors.append(shard.director)
+        self.shards.append(shard)
+        self.directors.append(shard.director)
         return shard
 
     def _wire_every_shard(
@@ -487,8 +467,7 @@ class ShardedOffloadServer(PipelineServer):
     ) -> None:
         """Apply ``wire`` to every live shard now and to every shard
         :meth:`add_shard` builds later."""
-        with self._topology_lock:
-            self._shard_wiring = self._shard_wiring + [wire]
+        self._shard_wiring = self._shard_wiring + [wire]
         for shard in self.live_shards:
             wire(shard)
 
@@ -496,14 +475,20 @@ class ShardedOffloadServer(PipelineServer):
     # the host half: split-connection fallback, commit chain, resilience
     # ------------------------------------------------------------------
     def enable_resilience(self) -> RequestDedup:
-        """One dedup table shared by all directors (a retry may land on
-        a different ingress director after failover), plus one circuit
-        breaker per director/engine pair, armed with the ``BREAKER_*``
-        constants.  A ``BREAKER_SATURATION`` (off: None) additionally
-        opens a breaker after that many consecutive capacity bounces, so
-        a saturated-but-alive engine sheds intake work to the host path
-        instead of being probed on every request."""
-        dedup = super().enable_resilience()
+        """One request-id dedup table shared by all directors (a retry
+        may land on a different ingress director after failover), plus
+        one circuit breaker per director/engine pair, armed with the
+        ``BREAKER_*`` constants.  A ``BREAKER_SATURATION`` (off: None)
+        additionally opens a breaker after that many consecutive
+        capacity bounces, so a saturated-but-alive engine sheds intake
+        work to the host path instead of being probed on every request.
+        Returns the table so scenarios can audit it after the run.
+        Enables once: a second table would leave in-flight requests
+        recording into the first while their retries consult the
+        second, and re-execute."""
+        if self.dedup is not None:
+            raise RuntimeError("resilience is already enabled")
+        dedup = self.dedup = RequestDedup(self.env)
 
         def arm(shard: OffloadShard) -> None:
             shard.director.dedup = dedup
@@ -600,11 +585,10 @@ class ShardedOffloadServer(PipelineServer):
         self.owner_of = replicator.leader_for
         for shard in self.live_shards:
             shard.director.owner_of = self.owner_of
-        with self._topology_lock:
-            self._lifecycle = self._lifecycle + [replicator]
-            # Quorum first, whatever the enable order: a write the group
-            # refused must never reach migration bookkeeping.
-            self._commit_chain = [replicator.replicate] + self._commit_chain
+        self._lifecycle = self._lifecycle + [replicator]
+        # Quorum first, whatever the enable order: a write the group
+        # refused must never reach migration bookkeeping.
+        self._commit_chain = [replicator.replicate] + self._commit_chain
         return replicator
 
     # ------------------------------------------------------------------
@@ -623,10 +607,9 @@ class ShardedOffloadServer(PipelineServer):
             from .resharding import ReshardingCoordinator
 
             self.resharder = ReshardingCoordinator(self.env, self)
-            with self._topology_lock:
-                self._commit_chain = self._commit_chain + [
-                    self.resharder.on_write_applied
-                ]
+            self._commit_chain = self._commit_chain + [
+                self.resharder.on_write_applied
+            ]
         return self.resharder
 
     def membership_refusal(self, drain: Optional[int] = None) -> Optional[str]:
@@ -679,12 +662,10 @@ class ShardedOffloadServer(PipelineServer):
         # Durability point for the new disk: a shard killed mid-
         # migration must recover from raw disk like any other.
         fs.flush_metadata_sync()
-        with self._topology_lock:
-            # Copy-on-write (relay/steering paths read the list live).
-            self.filesystems = list(self.filesystems) + [fs]
+        # Copy-on-write (relay/steering paths read the list live).
+        self.filesystems = list(self.filesystems) + [fs]
         shard = self._build_unit(fs)
-        with self._topology_lock:
-            self._stages.append(shard.backend)
+        self._stages.append(shard.backend)
         shard.backend.start()
         # Wiring before lifecycle: members see a fully armed shard.
         for wire in self._shard_wiring:
@@ -735,9 +716,8 @@ class ShardedOffloadServer(PipelineServer):
 
     def _install_pushdown(self, shard: OffloadShard) -> None:
         stage = PushdownExecution(self.env, shard, self.link)
-        with self._topology_lock:
-            self.pushdown_stages[shard.index] = stage
-            self._stages.append(stage)
+        self.pushdown_stages[shard.index] = stage
+        self._stages.append(stage)
 
     def pushdown_scan(self, file_id: int, pipeline, pages: int) -> Generator:
         """Serve a pushdown pipeline over one file, shard-routed.
@@ -863,11 +843,10 @@ class ShardedOffloadServer(PipelineServer):
             observer=checker,
         )
         self.qos = gate
-        with self._topology_lock:
-            # The gate interposes: it becomes the pipeline's steering
-            # entry and dispatches into the shard steering it holds.
-            self._steering = gate
-            self._stages.append(gate)
+        # The gate interposes: it becomes the pipeline's steering entry
+        # and dispatches into the shard steering it holds.
+        self._steering = gate
+        self._stages.append(gate)
         return gate
 
     # ------------------------------------------------------------------

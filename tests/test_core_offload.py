@@ -1,7 +1,5 @@
 """Tests for the offload engine (Figure 13) and traffic director (§5)."""
 
-import pytest
-
 from repro.core import (
     DpuFileService,
     IoRequest,
@@ -152,27 +150,6 @@ class TestOffloadEngine:
         accepted, responses = submit(env, engine, [request])
         assert accepted == [True]
         assert len(responses) == 1 and not responses[0].ok
-
-    def test_steering_counters_are_plain_ints(self):
-        # Regression for the AtomicCounter conversion (ddslint DDS101):
-        # the public counter stays int-valued so reports and tests keep
-        # comparing it directly.
-        env, engine, fid = make_engine()
-        requests = [
-            IoRequest(OpCode.READ, 1, fid, 0, 64),
-            IoRequest(OpCode.WRITE, 2, fid, 0, 4, b"abcd"),
-        ]
-        submit(env, engine, requests)
-        assert type(engine.offloaded) is int
-        assert engine.offloaded == 1
-
-    def test_steering_counters_are_read_only(self):
-        # The counter is a property over an AtomicCounter; writing
-        # through the old public attribute must fail loudly instead of
-        # silently shadowing the atomic.
-        env, engine, _fid = make_engine()
-        with pytest.raises(AttributeError):
-            engine.offloaded = 7
 
     def test_in_flight_drains_to_zero(self):
         env, engine, fid = make_engine()

@@ -190,14 +190,18 @@ def test_clean_fixture_is_clean_under_every_class():
     [
         ("structures/rings.py", {"shared", "instrumented"}),
         ("structures/cuckoo.py", {"shared", "instrumented"}),
-        ("core/offload_engine.py", {"shared", "instrumented"}),
-        ("topology/sharding.py", {"shared", "offload"}),  # host fallback
+        # The context ring is explored under real threads; the rest of
+        # the engine is simulation code like all of core/.
+        ("core/offload_engine.py", {
+            "shared", "instrumented", "sim", "sim_hot",
+        }),
+        ("topology/sharding.py", {"sim", "sim_hot", "offload"}),  # host fallback
         ("net/packet.py", {"sim", "sim_hot"}),
         ("hardware/cpu.py", {"sim", "sim_hot"}),
         ("baselines/__init__.py", {"sim", "sim_hot"}),
         ("sim/engine.py", {"sim"}),  # owns the queues: no sim_hot
         ("sim/rng.py", set()),  # implements the blessed idiom
-        ("core/server.py", set()),
+        ("core/server.py", {"sim", "sim_hot"}),
         ("analysis/driver.py", set()),
         ("apps/compressed_storage.py", set()),  # dispatches no programs
         ("hardware/accelerators.py", {"sim", "sim_hot"}),
@@ -206,8 +210,11 @@ def test_clean_fixture_is_clean_under_every_class():
         ("pushdown/interp.py", set()),  # implements the raw entry
         ("pushdown/verifier.py", set()),  # mints the tokens
         ("pushdown/engine.py", set()),  # the sanctioned redeemer
-        ("topology/stages.py", {"offload"}),  # redeems proof tokens
+        ("topology/stages.py", {"sim", "sim_hot", "offload"}),  # redeems tokens
         ("core/retry.py", {"sim", "sim_hot"}),  # backoff RNG and timers
+        ("topology/replication.py", {"sim", "sim_hot"}),
+        ("topology/resharding.py", {"sim", "sim_hot"}),
+        ("core/traffic_director.py", {"sim", "sim_hot"}),
     ],
 )
 def test_default_config_classification(relpath, expected):

@@ -6,6 +6,7 @@ suppressed finding is part of a small, justified, explicitly-inventoried
 baseline (so a new suppression is a reviewed diff here, not silent).
 """
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -34,14 +35,53 @@ def test_live_tree_baseline_is_small_and_justified():
     # callers yield before the enclosing write op; plus the sharded
     # server's host fallback, which runs the programs the verifier
     # *refused* (under host-sized bounds), so no verify() can precede
-    # its interpret_page.  Growing this
-    # inventory is a reviewed decision, not a drive-by.
+    # its interpret_page; plus the traffic director's relay hop, a
+    # spawned process because it decides a same-instant tie.  Growing
+    # this inventory is a reviewed decision, not a drive-by.
     inventory = sorted(
         (Path(f.path).name, f.rule) for f in suppressed
     )
     assert inventory == [("cuckoo.py", "DDS201")] + [
         ("rings.py", "DDS201")
-    ] * 3 + [("sharding.py", "DDS501")]
+    ] * 3 + [("sharding.py", "DDS501"), ("traffic_director.py", "DDS305")]
+
+
+#: What only code explored under real threads needs.
+THREAD_MODULES = ("threading", "structures.atomics", "concurrency.hooks")
+
+
+def _thread_imports(path: Path):
+    """The thread-discipline modules ``path`` imports."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [
+            name for name in names
+            if name.endswith(THREAD_MODULES)
+        ]
+    return found
+
+
+def test_simulation_code_takes_no_locks():
+    """The simulator is one OS thread of generators that switch only at
+    ``yield``: outside the context ring, core/ and topology/ need no
+    lock, atomic or schedule point, and must not grow them back."""
+    offenders = {}
+    for package in ("core", "topology"):
+        for path in sorted((SRC / package).glob("*.py")):
+            relpath = path.relative_to(SRC).as_posix()
+            if relpath == "core/offload_engine.py":
+                continue
+            imports = _thread_imports(path)
+            if imports:
+                offenders[relpath] = imports
+    assert offenders == {}
 
 
 def test_cli_exits_zero_on_live_tree(capsys):

@@ -1,18 +1,25 @@
 """Deterministic interleaving tests for the replica group log.
 
 The replication protocol's shared state — one log, per-member applied
-sets and watermarks, the leader/epoch pair — is mutated concurrently by
-the primary's append path, the backup's mirror applies, and the
-kill/recover handoff.  Every :class:`~repro.topology.replication.
-ReplicaGroup` mutation sits behind the group lock with a preceding
-``yield_point``, so the harness can park the threads at each boundary
-and check log-prefix agreement in every reachable schedule.
+sets and watermarks, the leader/epoch pair — is mutated by the
+primary's append path, the backup's mirror applies, and the
+kill/recover handoff.  The simulator runs all of them as generators on
+one OS thread and switches only where a generator yields; no
+:class:`~repro.topology.replication.ReplicaGroup` method yields, so
+they interleave at call granularity.  Each task below is a generator
+that yields before every group call it makes, and the harness explores
+the orders of those whole calls, checking log-prefix agreement at every
+schedule point.
 """
+
+import threading
 
 from repro.concurrency import Scenario, explore_bounded, explore_random
 from repro.topology.replication import ReplicaGroup
 
 APPENDS = 4
+#: Every call touches the one group, so no two steps commute.
+GROUP = ("replica-group", 0)
 
 
 def _group_scenario():
@@ -20,6 +27,7 @@ def _group_scenario():
         group = ReplicaGroup(keyspace=0, primary=0, backup=1)
         seen_epoch = [0]
         primary_alive = [True]
+        threads = threading.active_count()
 
         def alive(member):
             if member == group.primary:
@@ -28,35 +36,56 @@ def _group_scenario():
 
         def appender():
             for ordinal in range(APPENDS):
+                yield "replication.append", GROUP
                 record = group.append_record(
                     request_id=ordinal,
                     file_id=1,
                     offset=ordinal * 512,
                     payload=b"%4d" % ordinal,
                 )
+                yield "replication.apply", GROUP
                 group.mark_applied(group.primary, record.lsn)
 
         def mirror():
-            # The backup applies whatever prefix exists when it runs;
+            # Each write has its own mirror and mirrors complete out of
+            # order: the backup applies the newest entry it lacks.
             # on_done drains the rest (anti-entropy's job in the real
             # protocol).
             for _attempt in range(APPENDS * 2):
-                lsn = group.next_unapplied(group.backup)
-                if lsn is not None:
-                    group.mark_applied(group.backup, lsn)
+                missing = [
+                    record.lsn
+                    for record in group.log
+                    if not group.has_applied(group.backup, record.lsn)
+                ]
+                if missing:
+                    yield "replication.apply", GROUP
+                    group.mark_applied(group.backup, missing[-1])
 
         def handoff():
+            # kill_shard and recover_shard each flip the alive flag and
+            # re-elect in one instant.
+            yield "replication.elect", GROUP
             primary_alive[0] = False
             group.elect(alive)
+            yield "replication.elect", GROUP
             primary_alive[0] = True
             group.elect(alive)
 
         def check(_record=None):
+            assert threading.active_count() == threads  # no OS thread
             log_length = len(group.log)
             for index, record in enumerate(group.log):
                 assert record.lsn == index  # dense, append-only
             for member in group.members:
-                assert 0 <= group.applied_watermark(member) <= log_length
+                mark = group.applied_watermark(member)
+                assert 0 <= mark <= log_length
+                # The watermark is the applied prefix: every entry below
+                # it is applied, the one at it is not.
+                for lsn in range(mark):
+                    assert group.has_applied(member, lsn)
+                assert mark == log_length or not group.has_applied(
+                    member, mark
+                )
             assert group.leader in group.members
             assert group.epoch >= seen_epoch[0]  # never rewinds
             seen_epoch[0] = group.epoch
@@ -67,17 +96,18 @@ def _group_scenario():
                 if lsn is None:
                     break
                 group.mark_applied(group.backup, lsn)
+            check()
             assert len(group.log) == APPENDS
             for member in group.members:
                 assert group.applied_watermark(member) == APPENDS
             # The round-trip handoff bumped the epoch exactly twice.
-            assert group.epoch == seen_epoch[0]
+            assert group.epoch == 2
             assert group.leader == group.primary
 
         tasks = [
-            ("append", appender),
-            ("mirror", mirror),
-            ("handoff", handoff),
+            ("append", appender()),
+            ("mirror", mirror()),
+            ("handoff", handoff()),
         ]
         return (tasks, check, on_done)
 

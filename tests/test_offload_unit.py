@@ -134,7 +134,7 @@ def test_single_dpu_arms_the_same_breaker_thresholds_as_a_shard(monkeypatch):
     assert breaker.saturation_threshold == 9
 
 
-@pytest.mark.parametrize("kind", ["dds-offload", "baseline", "dds-offload-shard2"])
+@pytest.mark.parametrize("kind", ["dds-offload", "dds-offload-shard2"])
 def test_resilience_enables_once(kind):
     """A second dedup table would let a retried write re-execute."""
     server = build_cluster(kind, db_bytes=4 << 20).server
