@@ -18,6 +18,7 @@ from _tables import emit, kops, us
 from repro.bench.harness import SHARD_KILL, ack_buckets, run
 from repro.faults import ShardKill
 from repro.sim.stats import rate, slices
+from repro.topology.events import Appended, Committed, LeaderHandoff
 
 pytestmark = pytest.mark.chaos
 
@@ -221,9 +222,9 @@ class TestReplicatedChaosBench:
         assert run.checker.violations == []
         run.report.assert_ok()
         assert run.result.failed_requests == 0
-        assert run.checker.appends_seen > 0
-        assert run.checker.commits_seen == run.checker.appends_seen
-        assert run.checker.handoffs_seen == 2
+        assert run.checker.seen[Appended] > 0
+        assert run.checker.seen[Committed] == run.checker.seen[Appended]
+        assert run.checker.seen[LeaderHandoff] == 2
         assert run.checker.duplicate_acks == 0
 
     def test_failover_and_catchup_counters(self, replicated_run):

@@ -557,6 +557,8 @@ def run(scenario: Scenario) -> ScenarioRun:
     env, server = cluster.env, cluster.server
     dedup = server.enable_resilience() if s.resilience or s.defended else None
     checker = InvariantChecker(env) if s.audit else None
+    if checker is not None:
+        checker.attach(server)  # OL4 and the RI rules read its server
     if s.replicated:
         server.enable_replication(checker)
     injector = None

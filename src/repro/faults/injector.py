@@ -1,13 +1,12 @@
 """The fault injector: schedules a plan's events on the sim clock.
 
 ``FaultInjector(env, server, plan).arm()`` spawns one named process per
-fault event; recoveries run as their own named processes, so an
-:class:`~repro.sim.trace.EventLog` attached to the environment shows
-``fault:...`` and ``recover:...`` entries at exactly the times the plan
-dictates.  Every application and revert is also appended to
-``fault_log`` — a list of :class:`~repro.faults.plan.FaultRecord` —
-whose formatted lines are byte-identical across same-seed runs (the
-golden artifact chaos tests compare).
+fault event (``fault:...``); recoveries run as their own named
+processes (``recover:...``), at exactly the times the plan dictates.
+Every application and revert is appended to ``fault_log`` — a list of
+:class:`~repro.faults.plan.FaultRecord` — whose formatted lines are
+byte-identical across same-seed runs (the golden artifact chaos tests
+compare).
 
 Fault targets are resolved against the server's public wiring — every
 DDS deployment lists its per-DPU ``filesystems``, every offload

@@ -1,17 +1,17 @@
 """One runtime invariant checker: Durability, RI1–RI5 and OL1–OL4.
 
 :class:`InvariantChecker` judges a run with every invariant family that
-applies to it.  A scenario builds one checker and hands the same object
-to every producer: the client (``observer=``, the ``on_issue`` /
-``on_ack`` / ``on_give_up`` protocol), the replicator
-(``enable_replication(checker)``) and the QoS gate
-(``enable_qos(config, checker=checker)``).  Each ``enable_*`` call runs
-:meth:`InvariantChecker.attach`, and the rules that need deployment
-state read it from the attached server when they fire.  Following
-*Specification and Runtime Checking of Derecho* (PAPERS.md), the
-protocol rules are checked synchronously at each step, so a violation
-is stamped with the simulated instant it happened, with the run still
-live.
+applies to it.  It hears two streams: the client's (``observer=``, the
+``on_issue`` / ``on_ack`` / ``on_give_up`` protocol) and the protocol
+stream the replicator and the QoS gate emit on the environment
+(:mod:`repro.topology.events`), which the checker subscribes to on
+construction with one :meth:`InvariantChecker.observe`.  The rules
+that need deployment state read it from the server given to
+:meth:`InvariantChecker.attach` (``enable_replication(checker)`` calls
+it; a QoS-only scenario calls it itself).  Following *Specification
+and Runtime Checking of Derecho* (PAPERS.md), the protocol rules are
+checked synchronously at each step, so a violation is stamped with the
+simulated instant it happened, with the run still live.
 
 **Durability** (post-run audit, :meth:`InvariantChecker.check`):
 
@@ -28,7 +28,7 @@ live.
   RequestDedup` history must show zero second applications of the same
   write id.
 
-**Replication** (replicator callbacks):
+**Replication** (the replicator's events):
 
 * **RI1 append well-formedness** — log records are dense (lsn == index),
   carry the group's current epoch, and are appended by the acting
@@ -46,7 +46,7 @@ live.
 * **RI5 catch-up before rejoin** — a recovering member's watermark
   equals the log length at the instant it rejoins.
 
-**Overload** (QoS gate callbacks, DESIGN §15):
+**Overload** (the QoS gate's events, DESIGN §15):
 
 * **OL1 goodput floor** — while a declared overload window is open,
   acked goodput sampled per interval must stay above the floor.
@@ -59,19 +59,31 @@ live.
 * **OL4 no acked request shed** — a shed request whose id the dedup
   table has already completed would throttle an acked write.
 
-Progress counters (``commits_seen``, ``sheds_seen``, ...) let a scenario
-prove the checker witnessed the protocol and the overload: a run with
-zero violations and zero sheds proves nothing.
+Progress counters (``seen[Committed]``, ``seen[Shed]``, ... one per
+event type, and ``acks_seen``) let a scenario prove the checker
+witnessed the protocol and the overload: a run with zero violations and
+zero sheds proves nothing.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..core.dedup import RequestDedup
 from ..core.messages import IoRequest, IoResponse, OpCode
 from ..sim.stats import percentile
+from ..topology.events import (
+    Appended,
+    Applied,
+    Committed,
+    Enqueued,
+    LeaderHandoff,
+    Rejoined,
+    Resized,
+    Shed,
+)
 
 __all__ = ["InvariantChecker", "InvariantReport", "InvariantViolation"]
 
@@ -98,9 +110,8 @@ class InvariantReport:
     lost_writes: List[str] = field(default_factory=list)
     violations: List[InvariantViolation] = field(default_factory=list)
     acks_seen: int = 0
-    sheds_seen: int = 0
-    enqueues_seen: int = 0
-    dispatches_seen: int = 0
+    #: Protocol events observed, by event type.
+    seen: Counter = field(default_factory=Counter)
     goodput_samples: int = 0
     #: tenant -> measured p99 (seconds) over the run, SLO-audited
     #: tenants only.
@@ -138,7 +149,7 @@ def _below_quorum(commit) -> bool:
 
 
 class InvariantChecker:
-    """Client, replicator and QoS-gate observer; post-run auditor.
+    """Client observer, protocol-stream listener and post-run auditor.
 
     ``tenant_of`` maps a request to its tenant name for OL2 (default:
     the request tag, which the workload engine stamps with the tenant
@@ -174,15 +185,8 @@ class InvariantChecker:
         self.duplicate_acks = 0
         # Progress counters: a clean verdict must also prove coverage.
         self.acks_seen = 0
-        self.appends_seen = 0
-        self.applies_seen = 0
-        self.commits_seen = 0
-        self.handoffs_seen = 0
-        self.rejoins_seen = 0
-        self.resizes_seen = 0
-        self.sheds_seen = 0
-        self.enqueues_seen = 0
-        self.dispatches_seen = 0
+        #: Protocol events observed, by event type.
+        self.seen: Counter = Counter()
         self.goodput_samples = 0
         #: (keyspace, member) -> highest watermark observed (RI2).
         self._watermarks: Dict[Tuple[int, int], int] = {}
@@ -195,6 +199,7 @@ class InvariantChecker:
         self._acks_in_window = 0
         #: The open OL1 window (a fresh token per window), or ``None``.
         self._window: Optional[object] = None
+        env.listeners.append(self.observe)
 
     # ------------------------------------------------------------------
     # wiring
@@ -204,6 +209,15 @@ class InvariantChecker:
         its ``filesystems``, RI3 its ``replicator``'s commit records,
         OL4 its ``dedup`` table."""
         self.server = server
+
+    def observe(self, event) -> None:
+        """The protocol-stream listener: count ``event`` by type and
+        judge it with its rule, synchronously at the step's instant."""
+        kind = event.__class__
+        self.seen[kind] += 1
+        rule = self._RULES.get(kind)
+        if rule is not None:
+            rule(self, *event)
 
     def set_slo(
         self, tenant: str, p99: float, exempt: bool = False
@@ -270,11 +284,10 @@ class InvariantChecker:
         because it may still have been applied."""
 
     # ------------------------------------------------------------------
-    # replicator observer protocol (called synchronously per step)
+    # the replicator's events
     # ------------------------------------------------------------------
-    def on_append(self, group, record, executor: int) -> None:
+    def _appended(self, group, record, executor: int) -> None:
         """RI1: dense lsn, current epoch, appended by the leader."""
-        self.appends_seen += 1
         if record.lsn != len(group.log) - 1 or (
             group.log[record.lsn] is not record
         ):
@@ -296,9 +309,8 @@ class InvariantChecker:
                 f"while shard {group.leader} leads",
             )
 
-    def on_apply(self, group, record, member: int, catchup: bool) -> None:
+    def _applied(self, group, record, member: int, catchup: bool) -> None:
         """RI2: watermark monotone and log-bounded, bytes match the log."""
-        self.applies_seen += 1
         if member not in group.members:
             self._flag(
                 "RI2",
@@ -336,9 +348,8 @@ class InvariantChecker:
                 + (" (during catch-up)" if catchup else ""),
             )
 
-    def on_commit(self, group, record, commit) -> None:
+    def _committed(self, group, record, commit) -> None:
         """RI3 (release side): the quorum held when the ack was freed."""
-        self.commits_seen += 1
         if _below_quorum(commit):
             self._flag(
                 "RI3",
@@ -347,11 +358,10 @@ class InvariantChecker:
                 f"{len(commit.live)} live members",
             )
 
-    def on_handoff(
+    def _handoff(
         self, group, old_leader: int, new_leader: int, alive
     ) -> None:
         """RI4: primary-first deterministic choice, strict epoch bump."""
-        self.handoffs_seen += 1
         if group.primary in alive:
             expected = group.primary
         elif group.backup in alive:
@@ -374,7 +384,7 @@ class InvariantChecker:
             )
         self._epochs[group.keyspace] = group.epoch
 
-    def on_resize(
+    def _resized(
         self, group, old_backup, new_backup, synced: int
     ) -> None:
         """Elastic pairing change (sync-before-adopt, RI5's sibling).
@@ -385,14 +395,13 @@ class InvariantChecker:
         happen once the incoming member holds the entire log — the same
         no-dark-window rule RI5 enforces for rejoins.
         """
-        self.resizes_seen += 1
         if new_backup is None or old_backup is None:
             self._epochs[group.keyspace] = max(
                 self._epochs.get(group.keyspace, 0), group.epoch
             )
             return
         # The swap is completion-triggered, so by the time this
-        # callback runs new appends may already be mid-mirror — judge
+        # event arrives new appends may already be mid-mirror — judge
         # coverage by the evidence captured at the swap instant.
         adoption = group.last_adoption
         if adoption is None:
@@ -418,9 +427,8 @@ class InvariantChecker:
             self._epochs.get(group.keyspace, 0), group.epoch
         )
 
-    def on_rejoin(self, group, member: int) -> None:
+    def _rejoined(self, group, member: int) -> None:
         """RI5: catch-up finished before the member rejoined."""
-        self.rejoins_seen += 1
         mark = group.applied_watermark(member)
         if mark != len(group.log):
             self._flag(
@@ -430,11 +438,10 @@ class InvariantChecker:
             )
 
     # ------------------------------------------------------------------
-    # QoS gate observer protocol (synchronous, hot path)
+    # the QoS gate's events (hot path; ``Dispatched`` is only counted)
     # ------------------------------------------------------------------
-    def on_enqueue(self, tenant: str, depth: int, capacity: int) -> None:
+    def _enqueued(self, tenant: str, depth: int, capacity: int) -> None:
         """OL3: the bounded queue must actually be bounded."""
-        self.enqueues_seen += 1
         if depth > capacity:
             self._flag(
                 "OL3",
@@ -442,13 +449,12 @@ class InvariantChecker:
                 f"capacity {capacity}",
             )
 
-    def on_shed(
+    def _shed(
         self, request: IoRequest, tenant: str, reason: str
     ) -> None:
         """OL4: a shed of an id the dedup table already completed
         throttles a request the client is entitled to see acked (the
         gate must replay, not refuse)."""
-        self.sheds_seen += 1
         dedup = None if self.server is None else self.server.dedup
         if dedup is not None and dedup.cached(request.request_id) is not None:
             self._flag(
@@ -457,8 +463,17 @@ class InvariantChecker:
                 f"shed ({reason}) after completion",
             )
 
-    def on_dispatch(self, tenant: str, sojourn: float) -> None:
-        self.dispatches_seen += 1
+    #: Event type -> its rule.
+    _RULES = {
+        Appended: _appended,
+        Applied: _applied,
+        Committed: _committed,
+        LeaderHandoff: _handoff,
+        Resized: _resized,
+        Rejoined: _rejoined,
+        Enqueued: _enqueued,
+        Shed: _shed,
+    }
 
     # ------------------------------------------------------------------
     # OL1: live goodput floor during a declared overload window
@@ -519,9 +534,7 @@ class InvariantChecker:
             acked_reads=self.acked_reads,
             violations=list(self.violations),
             acks_seen=self.acks_seen,
-            sheds_seen=self.sheds_seen,
-            enqueues_seen=self.enqueues_seen,
-            dispatches_seen=self.dispatches_seen,
+            seen=Counter(self.seen),
             goodput_samples=self.goodput_samples,
         )
         if dedup is not None:

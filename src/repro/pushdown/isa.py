@@ -1,4 +1,4 @@
-"""The pushdown bytecode ISA: a BPF-for-the-DPU (ROADMAP item 5).
+"""The pushdown bytecode ISA: a BPF-for-the-DPU.
 
 Offload programs are tiny stack-machine bytecode run once per fixed-size
 record.  The machine is deliberately small enough to verify statically

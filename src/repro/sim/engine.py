@@ -36,8 +36,13 @@ effect keeps its historical order; what has none (the completion of a
 process nobody waits on) is not scheduled at all.
 
 Every class here carries ``__slots__``, events store their sole callback
-inline (promoting to a list only on the second waiter), and ``run()``
-selects its one no-trace fast loop once at entry.
+inline (promoting to a list only on the second waiter), and ``run()`` is
+the one loop.
+
+Models report *domain* steps, not engine ones: a producer builds a typed
+event (:mod:`repro.topology.events`) only while ``env.listeners`` is
+non-empty and hands it to :meth:`Environment.emit`, a synchronous call
+that schedules nothing.
 
 Example
 -------
@@ -328,11 +333,8 @@ class Process(Event):
             self._scheduled = True
             if self._cb is None:
                 # Nobody waits, so a completion event would do nothing:
-                # the value lands now and only a traced run is told.
+                # the value lands now.
                 self._value = stop.value
-                env = self.env
-                if env.trace is not None:
-                    env.trace(env._now, self)
             else:
                 self.env._schedule(self, stop.value, None)
             return
@@ -459,18 +461,11 @@ class AnyOf(Event):
 class Environment:
     """The simulation world: a virtual clock plus the event queues.
 
-    Pass ``trace`` (a callable ``(time, event) -> None``) to observe
-    every processed event — useful for debugging model behaviour (see
-    :class:`~repro.sim.trace.EventLog`).  Engine-internal continuations
-    (process bootstrap, same-tick pokes and the wake-up of a yielded
-    float) are not materialised as events and therefore do not appear
-    in traces.
+    ``listeners`` are the callables :meth:`emit` hands each domain event
+    to, in subscription order.
     """
 
-    def __init__(
-        self,
-        trace: Optional[Callable[[float, "Event"], None]] = None,
-    ) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         #: Delayed occurrences: (time, seq, event, value, exception).
         self._heap: List[tuple] = []
@@ -483,7 +478,7 @@ class Environment:
         #: ever scheduled (events + continuations) — the ``events`` the
         #: trajectory records pin exactly.
         self._eid = 0
-        self.trace = trace
+        self.listeners: List[Callable[[Any], None]] = []
 
     @property
     def now(self) -> float:
@@ -590,28 +585,11 @@ class Environment:
         self._eid = eid + 1
         self._ready.append((eid, None, fn, arg))
 
-    def step(self) -> None:
-        """Process the single next scheduled occurrence."""
-        ready = self._ready
-        heap = self._heap
-        if not ready:
-            if not heap:
-                raise SimulationError("no scheduled events")
-            self._now = heap[0][0]
-        # A heap entry at the current timestamp with a smaller seq
-        # predates everything in the ready deque.
-        if heap and heap[0][0] <= self._now and (
-            not ready or heap[0][1] < ready[0][0]
-        ):
-            event, value, exception = heapq.heappop(heap)[2:]
-        else:
-            event, value, exception = ready.popleft()[1:]
-        if event is None:
-            value(exception)
-            return
-        if self.trace is not None:
-            self.trace(self._now, event)
-        event._apply(value, exception)
+    def emit(self, event: Any) -> None:
+        """Hand a domain event to every listener, now.  Schedules
+        nothing: a producer calls it only ``if env.listeners``."""
+        for listener in self.listeners:
+            listener(event)
 
     def peek(self) -> float:
         """Time of the next scheduled occurrence, or ``inf`` if none."""
@@ -626,15 +604,11 @@ class Environment:
         (run until that simulated time), or an :class:`Event` (run until it
         triggers, returning its value).
         """
-        if self.trace is not None:
-            return self._run_traced(until)
-
-        # --------------------------------------------------------------
-        # the no-trace fast loop: tight locals, one loop for every
-        # ``until``.  An awaited event's callback puts the stop entry at
-        # the head of the ready deque, so the loop leaves right after
-        # the event's step.
-        # --------------------------------------------------------------
+        # Tight locals, one loop for every ``until``.  An awaited
+        # event's callback puts the stop entry at the head of the ready
+        # deque, so the loop leaves right after the event's step.  A
+        # heap entry at the current timestamp with a smaller seq
+        # predates everything in the ready deque.
         ready = self._ready
         heap = self._heap
         pop_heap = heapq.heappop
@@ -688,21 +662,3 @@ class Environment:
 
     def _queue_stop(self, _event: Event) -> None:
         self._ready.appendleft(_STOP)
-
-    def _run_traced(self, until: Any) -> Any:
-        """Step-by-step loop used when a trace hook is attached."""
-        if isinstance(until, Event):
-            while not until.triggered:
-                if not self._ready and not self._heap:
-                    raise SimulationError(
-                        "simulation ran out of events before the awaited "
-                        "event triggered (deadlock?)"
-                    )
-                self.step()
-            return until.value
-        deadline = float("inf") if until is None else float(until)
-        while (self._ready or self._heap) and self.peek() <= deadline:
-            self.step()
-        if until is not None:
-            self._now = max(self._now, deadline)
-        return None

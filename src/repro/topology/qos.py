@@ -51,6 +51,7 @@ from typing import (
 from ..core.messages import IoRequest, IoResponse
 from ..net.packet import FiveTuple
 from ..sim import Environment, Event, Store
+from .events import Dispatched, Enqueued, Shed
 from .stages import Stage, StageKind
 
 __all__ = ["TokenBucket", "QosConfig", "TenantQosGate"]
@@ -204,9 +205,9 @@ class TenantQosGate(Stage):
     (:meth:`~repro.topology.sharding.ShardedSteering.steer`);
     ``dedup_source`` returns the deployment's live dedup table (or
     None) so sheds of already-completed retries replay instead of
-    throttling; ``observer`` (an
-    :class:`~repro.faults.invariants.InvariantChecker`) receives
-    every enqueue, shed, and dispatch synchronously.
+    throttling.  Every enqueue, shed and dispatch is emitted to the
+    environment's listeners as it happens
+    (:class:`~repro.topology.events.Enqueued`, ``Shed``, ``Dispatched``).
     """
 
     kind = StageKind.STEERING
@@ -219,14 +220,12 @@ class TenantQosGate(Stage):
             [FiveTuple, Sequence[IoRequest], Callable], Generator
         ],
         dedup_source: Optional[Callable[[], object]] = None,
-        observer=None,
     ) -> None:
         super().__init__("tenant-qos")
         self.env = env
         self.config = config
         self._service = service
         self._dedup_source = dedup_source
-        self.observer = observer
         self._states: Dict[str, _TenantState] = {}
         #: Round-robin order: first-seen tenant order, stable per seed.
         self._order: List[str] = []
@@ -334,10 +333,10 @@ class TenantQosGate(Stage):
             for request in old_requests:
                 self._shed_request(state, request, old_respond, "queue-full")
         stats.max_depth = max(stats.max_depth, len(state.queue))
-        if self.observer is not None:
-            self.observer.on_enqueue(
+        if self.env.listeners:
+            self.env.emit(Enqueued(
                 tenant, len(state.queue), self.config.queue_capacity
-            )
+            ))
         self._wakeup.try_put(True)
 
     def _shed_request(
@@ -368,8 +367,8 @@ class TenantQosGate(Stage):
             state.stats.shed_queue_full += 1
         else:
             state.stats.shed_deadline += 1
-        if self.observer is not None:
-            self.observer.on_shed(request, state.name, reason)
+        if self.env.listeners:
+            self.env.emit(Shed(request, state.name, reason))
         respond(IoResponse(request.request_id, ok=False, throttled=True))
 
     # ------------------------------------------------------------------
@@ -427,8 +426,8 @@ class TenantQosGate(Stage):
                 state.deficit = 0.0
             state.stats.dispatched += len(requests)
             state.stats.bytes_dispatched += cost
-            if self.observer is not None:
-                self.observer.on_dispatch(state.name, sojourn)
+            if self.env.listeners:
+                self.env.emit(Dispatched(state.name, sojourn))
             self._inflight += 1
             self.env.process(self._serve(flow, requests, respond))
 

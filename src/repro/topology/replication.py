@@ -1,7 +1,7 @@
 """Replicated shard groups: synchronous primary→backup mirroring.
 
-ROADMAP item 1: the §4.3 raw-disk recovery is crash-consistent but not
-*available* — a killed shard's keyspace goes dark for the whole outage.
+The §4.3 raw-disk recovery is crash-consistent but not *available* — a
+killed shard's keyspace goes dark for the whole outage.
 This module closes that window with SWARM-style near-free replication
 (PAPERS.md): every write is applied on the owning primary and
 synchronously mirrored to one deterministic backup peer over the
@@ -24,9 +24,10 @@ one is dark).
 
 Only the replicator's device-timed generators yield, so every group
 mutation is one indivisible step of the simulation.  Every protocol
-step reports to an optional observer (the Derecho-style runtime
-invariant checker in :mod:`repro.faults.invariants`), so the
-invariants are checked *while* chaos runs, not just post-hoc.
+step is emitted as a typed event (:mod:`repro.topology.events`) while
+the environment has listeners — the Derecho-style runtime invariant
+checker in :mod:`repro.faults.invariants` is one — so the invariants
+are checked *while* chaos runs, not just post-hoc.
 
 Group membership is deterministic: shard ``k``'s group is
 ``(primary=k, backup=(k+1) % N)``, so with N shards every shard is the
@@ -46,6 +47,14 @@ from ..core.traffic_director import TrafficDirector
 from ..digest import blake2b
 from ..sim import Environment
 from ..storage.filesystem import FileSystemError
+from .events import (
+    Appended,
+    Applied,
+    Committed,
+    LeaderHandoff,
+    Rejoined,
+    Resized,
+)
 from .stages import ShardLifecycle
 
 if TYPE_CHECKING:
@@ -359,11 +368,9 @@ class ShardReplicator(ShardLifecycle):
     which registers it as a shard-lifecycle member (the ``shard_*``
     hooks below hold the protocol's order at each membership change)
     and puts :meth:`replicate` at the head of the write-commit chain.
-    The optional ``observer`` (a
-    :class:`~repro.faults.invariants.InvariantChecker`)
-    receives a synchronous callback at every protocol step:
-    ``on_append``, ``on_apply``, ``on_commit``, ``on_handoff``,
-    ``on_rejoin``, ``on_resize``.
+    Every protocol step is emitted to the environment's listeners as it
+    happens: :class:`~repro.topology.events.Appended`, ``Applied``,
+    ``Committed``, ``LeaderHandoff``, ``Rejoined`` and ``Resized``.
     """
 
     #: Poll interval while a resize waits for its completion-triggered
@@ -373,15 +380,11 @@ class ShardReplicator(ShardLifecycle):
     min_shards = 2
 
     def __init__(
-        self,
-        env: Environment,
-        server: "ShardedOffloadServer",
-        observer=None,
+        self, env: Environment, server: "ShardedOffloadServer"
     ) -> None:
         self.env = env
         self.server = server
         pairing = self._pairing()
-        self.observer = observer
         self.groups: Dict[int, ReplicaGroup] = {
             member: ReplicaGroup(keyspace=member, primary=member, backup=backup)
             for member, backup in pairing.items()
@@ -467,11 +470,12 @@ class ShardReplicator(ShardLifecycle):
             request.request_id, request.file_id, request.offset,
             request.payload or b"",
         )
-        if self.observer is not None:
-            self.observer.on_append(group, record, executor)
+        env = self.env
+        if env.listeners:
+            env.emit(Appended(group, record, executor))
         group.mark_applied(executor, record.lsn)
-        if self.observer is not None:
-            self.observer.on_apply(group, record, executor, catchup=False)
+        if env.listeners:
+            env.emit(Applied(group, record, executor, catchup=False))
         peer = group.backup if executor == group.primary else group.primary
         if (
             self._alive(peer)
@@ -483,8 +487,8 @@ class ShardReplicator(ShardLifecycle):
         ):
             group.mark_applied(peer, record.lsn)
             self.mirrored_writes += 1
-            if self.observer is not None:
-                self.observer.on_apply(group, record, peer, catchup=False)
+            if env.listeners:
+                env.emit(Applied(group, record, peer, catchup=False))
         for joiner in group.joiners:
             # Resize in progress: keep the prospective backup current so
             # the backfill's prefix stays fixed.  Outside the quorum —
@@ -509,8 +513,8 @@ class ShardReplicator(ShardLifecycle):
         self.commits[request.request_id] = commit
         if len(applied) < 2:
             self.solo_acks += 1
-        if self.observer is not None:
-            self.observer.on_commit(group, record, commit)
+        if env.listeners:
+            env.emit(Committed(group, record, commit))
         return True
 
     def _mirror(
@@ -548,20 +552,20 @@ class ShardReplicator(ShardLifecycle):
         """Hand leadership back: no yield since catch-up's final check,
         so the rejoin is atomic with the alive flip."""
         self._reelect(shard.index)
-        if self.observer is not None:
+        if self.env.listeners:
             for group in self._groups_of(shard.index):
-                self.observer.on_rejoin(group, shard.index)
+                self.env.emit(Rejoined(group, shard.index))
 
     def _reelect(self, index: int) -> None:
         for group in self._groups_of(index):
             old, new, changed = group.elect(self._alive)
             if changed:
                 self.handoffs += 1
-                if self.observer is not None:
+                if self.env.listeners:
                     alive = tuple(
                         m for m in group.members if self._alive(m)
                     )
-                    self.observer.on_handoff(group, old, new, alive)
+                    self.env.emit(LeaderHandoff(group, old, new, alive))
 
     def _groups_of(self, index: int):
         for keyspace in sorted(self.groups):
@@ -597,10 +601,8 @@ class ShardReplicator(ShardLifecycle):
                 )
                 group.mark_applied(index, lsn)
                 self.catchup_replays += 1
-                if self.observer is not None:
-                    self.observer.on_apply(
-                        group, record, index, catchup=True
-                    )
+                if self.env.listeners:
+                    self.env.emit(Applied(group, record, index, catchup=True))
 
     # ------------------------------------------------------------------
     # elastic resize
@@ -665,9 +667,9 @@ class ShardReplicator(ShardLifecycle):
             # The keyspace's owner drained: its files migrated away and
             # its group has nothing left to protect.
             retired_group = self.groups.pop(keyspace)
-            if self.observer is not None:
-                self.observer.on_resize(
-                    retired_group, retired_group.backup, None, 0
+            if self.env.listeners:
+                self.env.emit(
+                    Resized(retired_group, retired_group.backup, None, 0)
                 )
         for member in backup_of:
             group = self.groups.get(member)
@@ -678,9 +680,9 @@ class ShardReplicator(ShardLifecycle):
                     backup=backup_of[member],
                 )
                 self.groups[member] = new_group
-                if self.observer is not None:
-                    self.observer.on_resize(
-                        new_group, None, backup_of[member], 0
+                if self.env.listeners:
+                    self.env.emit(
+                        Resized(new_group, None, backup_of[member], 0)
                     )
                 continue
             new_backup = backup_of[member]
@@ -717,8 +719,8 @@ class ShardReplicator(ShardLifecycle):
                         )
                         group.try_adopt()
                     last_mark = mark
-            if self.observer is not None:
-                self.observer.on_resize(group, old_backup, new_backup, synced)
+            if self.env.listeners:
+                self.env.emit(Resized(group, old_backup, new_backup, synced))
 
     def _sync_member(self, group: ReplicaGroup, member: int) -> Generator:
         """Backfill ``group``'s log into a prospective backup.

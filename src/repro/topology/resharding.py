@@ -1,8 +1,8 @@
 """Elastic resharding: live keyspace migration plus the autoscaler.
 
-ROADMAP item 2.  The versioned shard map (:mod:`repro.topology.
-sharding`) makes membership changes cheap to *decide*; this module
-makes them cheap to *execute* while the deployment keeps serving:
+The versioned shard map (:mod:`repro.topology.sharding`) makes
+membership changes cheap to *decide*; this module makes them cheap to
+*execute* while the deployment keeps serving:
 
 * :class:`ReshardingCoordinator` — plans a membership change atomically
   (ring swap + per-file pins, no simulation yield, so routing never

@@ -14,7 +14,7 @@ reads land on the host exactly as on one DPU.
 Hashing is deliberately *not* Python's builtin ``hash`` (salted per
 process); splitmix64 keeps shard placement stable across runs.
 
-The topology is *elastic* (ROADMAP item 2): the shard map is versioned
+The topology is *elastic*: the shard map is versioned
 (epoch-stamped membership changes with per-file pinned cutover), and
 :meth:`ShardedOffloadServer.add_shard` / :meth:`~ShardedOffloadServer.
 drain_shard` grow and shrink a live deployment under traffic — the
@@ -561,16 +561,16 @@ class ShardedOffloadServer(PipelineServer):
     # replication: replica groups, leader routing, quorum acks
     # ------------------------------------------------------------------
     def enable_replication(self, checker=None):
-        """Turn on replicated shard groups (ROADMAP item 1).
+        """Turn on replicated shard groups.
 
         Every write is synchronously mirrored to its keyspace's backup
         peer before the client ack, and each director routes requests to
         the keyspace's *acting leader* instead of its static owner — so
         a killed shard's keyspace keeps serving from the backup with
         zero dark window.  ``checker`` (an
-        :class:`~repro.faults.invariants.InvariantChecker`, attached to
-        this server) receives every protocol step as it happens.
-        Returns the installed
+        :class:`~repro.faults.invariants.InvariantChecker`) is attached
+        to this server; it hears every protocol step through the
+        environment's listeners.  Returns the installed
         :class:`~repro.topology.replication.ShardReplicator`.
         """
         from .replication import ShardReplicator
@@ -579,7 +579,7 @@ class ShardedOffloadServer(PipelineServer):
             raise RuntimeError("replication is already enabled")
         if checker is not None:
             checker.attach(self)
-        replicator = ShardReplicator(self.env, self, observer=checker)
+        replicator = ShardReplicator(self.env, self)
         self.replicator = replicator
         # A shard built later takes the hook from _build_unit.
         self.owner_of = replicator.leader_for
@@ -592,7 +592,7 @@ class ShardedOffloadServer(PipelineServer):
         return replicator
 
     # ------------------------------------------------------------------
-    # elastic resharding: live shard add/drain (ROADMAP item 2)
+    # elastic resharding: live shard add/drain
     # ------------------------------------------------------------------
     @property
     def live_shards(self) -> List[OffloadShard]:
@@ -817,30 +817,24 @@ class ShardedOffloadServer(PipelineServer):
     # ------------------------------------------------------------------
     # overload QoS: admission, bounded tenant queues, fair dispatch
     # ------------------------------------------------------------------
-    def enable_qos(self, config=None, checker=None):
+    def enable_qos(self, config=None):
         """Install the tenant QoS gate at ingress (DESIGN §15).
 
         Client messages then pass admission control (token buckets) and
         per-tenant bounded queues, and reach the shard directors via
         weighted-fair DRR dispatch; excess load is shed with explicit
         THROTTLED responses instead of growing invisible queues.
-        ``checker`` (an :class:`~repro.faults.invariants.
-        InvariantChecker`, attached to this server) receives every
-        enqueue, shed, and dispatch synchronously.  Returns the
-        installed :class:`~repro.topology.qos.TenantQosGate`.
+        Returns the installed :class:`~repro.topology.qos.TenantQosGate`.
         """
         from .qos import QosConfig, TenantQosGate
 
         if self.qos is not None:
             raise RuntimeError("QoS is already enabled")
-        if checker is not None:
-            checker.attach(self)
         gate = TenantQosGate(
             self.env,
             config or QosConfig(),
             self.steering.steer,
             dedup_source=lambda: self.dedup,
-            observer=checker,
         )
         self.qos = gate
         # The gate interposes: it becomes the pipeline's steering entry

@@ -54,8 +54,9 @@ ALLOWED = {
     "net.pep:TcpSplittingPep.on_client_ack": _PEP,
     "net.pep:TcpSplittingPep.on_host_response_segment": _PEP,
     "pushdown.isa:field_filter": "README's documented pushdown example",
-    "sim.trace:EventLog": (
-        "the event-trace hook that ROADMAP item 1B's typed events replace"
+    "sim.engine:Environment.peek": (
+        "safety: idle-poll elision's proof that nothing is queued at any "
+        "future instant"
     ),
     "storage.filesystem:DdsFileSystem.delete_file": _FILE_API,
     "storage.filesystem:DdsFileSystem.list_directory": _FILE_API,

@@ -4,7 +4,7 @@ Four replicated shards behind the tenant QoS gate, with dedup and
 breakers: three open-loop tenants and a capped flooder, all at 75 %
 reads, while shard 1 is killed at 10 ms for 5 ms; then a drain until
 every shard is alive again.  One :class:`InvariantChecker` is the
-client, replicator and gate observer at once, with SLOs declared and
+client observer and the protocol stream's listener at once, with SLOs declared and
 one OL1 window open, so Durability, RI1–RI5 and OL1–OL4 all judge the
 same run.  A clean verdict must also show that every family saw work.
 """
@@ -14,6 +14,14 @@ import pytest
 from repro.bench.harness import build_cluster, drain_until
 from repro.core.retry import RetryBudget, RetryPolicy
 from repro.faults import FaultInjector, FaultPlan, InvariantChecker, ShardKill
+from repro.topology.events import (
+    Committed,
+    Dispatched,
+    Enqueued,
+    LeaderHandoff,
+    Rejoined,
+    Shed,
+)
 from repro.topology.qos import QosConfig
 from repro.topology.sharding import ShardedOffloadServer
 from repro.workload import OpenLoopTrafficEngine, TenantSpec
@@ -54,9 +62,7 @@ def _run_composed(seed):
     for spec in specs:
         checker.set_slo(spec.name, SLO_P99, exempt=spec.name == "flood")
     server.enable_replication(checker)
-    server.enable_qos(
-        QosConfig(tenant_of=engine.tenant_for_flow), checker=checker
-    )
+    server.enable_qos(QosConfig(tenant_of=engine.tenant_for_flow))
     plan = FaultPlan(
         seed=seed, events=(ShardKill(at=10e-3, down_for=5e-3, shard=1),)
     )
@@ -89,12 +95,12 @@ class TestEveryFamilyInOneRun:
     def test_every_family_saw_work(self, outcome):
         checker, report = outcome
         assert report.verified_writes > 0  # Durability
-        assert checker.commits_seen > 0  # RI3
-        assert checker.handoffs_seen > 0  # RI4
-        assert checker.rejoins_seen > 0  # RI5
-        assert report.enqueues_seen > 0  # OL3
-        assert report.sheds_seen > 0  # OL4
-        assert report.dispatches_seen > 0
+        assert checker.seen[Committed] > 0  # RI3
+        assert checker.seen[LeaderHandoff] > 0  # RI4
+        assert checker.seen[Rejoined] > 0  # RI5
+        assert report.seen[Enqueued] > 0  # OL3
+        assert report.seen[Shed] > 0  # OL4
+        assert report.seen[Dispatched] > 0
         assert report.goodput_samples > 0  # OL1
         assert set(report.tenant_p99) == {"acct-0", "acct-1", "acct-2",
                                           "flood"}  # OL2

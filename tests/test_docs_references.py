@@ -2,7 +2,7 @@
 
 Every backticked dotted name in README.md, DESIGN.md and EXPERIMENTS.md
 whose head is a ``repro`` subpackage or module (``hardware.specs.DPU_CPU``,
-``repro.sim.trace.EventLog``) must import and ``getattr``-resolve, and
+``repro.sim.engine.Environment``) must import and ``getattr``-resolve, and
 every bare backticked UPPER_SNAKE name (``HOST_OS_TCP``) must be assigned
 at module level or in a class body somewhere in ``src/repro``, so a
 renamed or deleted definition cannot stay in the docs.  The e2e tracer's
@@ -14,6 +14,9 @@ Every backticked repository path (``benchmarks/e2e/run.py``,
 must exist too, under the repository root or one of :data:`PATH_BASES`;
 a bare file name may live anywhere in the tree, and a ``::name`` suffix
 must be a name the file defines or mentions.
+
+No source file cites a ROADMAP item: the roadmap renumbers its items
+when it is re-anchored, so such a citation goes stale.
 """
 
 import ast
@@ -55,7 +58,7 @@ _HEADS = sorted(
     and (name.endswith(".py") or os.path.isdir(os.path.join(PACKAGE, name)))
 )
 _SPANS = re.compile(r"`([^`\n]+)`")
-#: A dotted name not inside a path (``src/repro/sim/trace.py``).
+#: A dotted name not inside a path (``src/repro/sim/engine.py``).
 _DOTTED = re.compile(
     r"(?<![\w./-])(?:repro\.)?((?:%s)(?:\.[A-Za-z_]\w*)+)" % "|".join(_HEADS)
 )
@@ -196,6 +199,18 @@ def test_every_code_reference_resolves(doc):
         except (ImportError, AttributeError) as exc:
             broken.append(f"{name}: {exc}")
     assert not broken, f"{doc} names code that does not exist:\n  " + "\n  ".join(broken)
+
+
+_ROADMAP_ITEM = re.compile(r"ROADMAP[\s#]*items?\s*\d+")
+
+
+def test_no_source_cites_a_roadmap_item():
+    cited = [
+        f"{os.path.relpath(path, ROOT)}: {match.group(0)!r}"
+        for path in _files(PACKAGE)
+        for match in _ROADMAP_ITEM.finditer(_text(path))
+    ]
+    assert not cited, "ROADMAP item numbers go stale:\n  " + "\n  ".join(cited)
 
 
 def test_not_code_entries_are_used():

@@ -19,9 +19,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 E2E = os.path.join(ROOT, "benchmarks", "e2e")
 
 #: The packages whose ``__init__`` loads some names on first use.
-FACADES = (
-    "repro.concurrency", "repro.core", "repro.net", "repro.pushdown", "repro.sim",
-)
+FACADES = ("repro.concurrency", "repro.core", "repro.net", "repro.pushdown")
 
 #: The submodules those façades load only on first use.
 LAZY_SUBMODULES = (
@@ -29,7 +27,6 @@ LAZY_SUBMODULES = (
     "repro.concurrency.explore",
     "repro.net.tcp",
     "repro.net.pep",
-    "repro.sim.trace",
     "repro.pushdown.frontend",
 )
 
@@ -129,11 +126,19 @@ def test_every_exported_name_resolves_and_is_listed(package):
 
 def test_lazy_names_load_on_first_use_in_a_fresh_process():
     loaded = _loaded_after(
-        "import repro.concurrency, repro.net, repro.sim, repro.pushdown"
+        "import repro.concurrency, repro.net, repro.pushdown"
     )
     assert _offenders(loaded, LAZY_SUBMODULES) == []
-    loaded = _loaded_after("from repro.sim import EventLog")
-    assert "repro.sim.trace" in loaded
+    loaded = _loaded_after("from repro.net import TcpSender")
+    assert "repro.net.tcp" in loaded
+
+
+def test_the_checker_hears_the_stream_without_loading_the_replicator():
+    """Every e2e child imports ``repro.faults``; the checker needs the
+    event types, not the protocol that emits them."""
+    loaded = _loaded_after("import repro.faults")
+    assert "repro.topology.events" in loaded
+    assert "repro.topology.replication" not in loaded
 
 
 @pytest.mark.parametrize("package", FACADES)

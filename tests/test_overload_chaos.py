@@ -3,7 +3,7 @@
 The acceptance scenario for DESIGN §15: a flooding tenant drives the
 gate well past its admission cap while one of four shards is killed and
 recovered mid-flood.  The :class:`InvariantChecker` rides along
-as both client observer and gate observer, checking OL1 (goodput
+as both client observer and the gate's event listener, checking OL1 (goodput
 floor), OL3 (bounded queues), and OL4 (no acked request shed)
 synchronously as the run executes, and OL2 (tenant SLO) at audit time.
 A clean report must also *prove coverage*: zero violations with zero
@@ -11,10 +11,11 @@ sheds would mean the checker never saw overload.
 """
 
 import types
+from dataclasses import replace
 
 import pytest
 
-from repro.bench.harness import build_cluster
+from repro.bench.harness import OVERLOAD, build_cluster, run
 from repro.core.retry import RetryBudget, RetryPolicy
 from repro.faults import (
     FaultPlan,
@@ -23,6 +24,7 @@ from repro.faults import (
     ShardKill,
 )
 from repro.sim import Environment
+from repro.topology.events import Dispatched, Enqueued, Shed
 from repro.topology.qos import QosConfig
 from repro.topology.sharding import ShardedOffloadServer
 from repro.workload import OpenLoopTrafficEngine, TenantSpec
@@ -66,9 +68,8 @@ def build_stack(seed=29):
         checker.set_slo(
             spec.name, spec.slo_p99 or SLO_P99, exempt=spec.name == "flood"
         )
-    server.enable_qos(
-        QosConfig(tenant_of=engine.tenant_for_flow), checker=checker
-    )
+    checker.attach(server)
+    server.enable_qos(QosConfig(tenant_of=engine.tenant_for_flow))
     return env, server, engine, checker
 
 
@@ -117,10 +118,10 @@ class TestFloodWithShardKill:
     def test_checker_actually_witnessed_overload(self, outcome):
         """Zero violations is only meaningful with proof of coverage."""
         _server, result, report = outcome
-        assert report.sheds_seen > 500  # the flood was really shed
+        assert report.seen[Shed] > 500  # the flood was really shed
         assert report.goodput_samples >= 20  # OL1 sampled live
-        assert report.enqueues_seen > 1000  # OL3 checked on hot path
-        assert report.dispatches_seen > 1000
+        assert report.seen[Enqueued] > 1000  # OL3 checked on hot path
+        assert report.seen[Dispatched] > 1000
         assert report.acks_seen == result.acked
         assert result.throttled_responses > 0  # backpressure reached
         # the clients as explicit signals
@@ -150,13 +151,22 @@ class TestFloodWithShardKill:
         assert server.steering.failovers > 0
 
 
+def test_an_audited_defended_scenario_judges_every_shed():
+    """No replicator attaches the checker here: the scenario must, or
+    OL4 would skip every shed for want of a dedup table."""
+    done = run(replace(OVERLOAD, defended=True, audit=True))
+    assert done.checker.server is done.server
+    assert done.checker.seen[Shed] > 0
+    done.report.assert_ok()
+
+
 class TestCheckerCatchesViolations:
     """Negative controls: each rule actually fires when violated."""
 
     def test_ol3_unbounded_queue_flagged(self):
         env = Environment()
         checker = InvariantChecker(env)
-        checker.on_enqueue("t", depth=5, capacity=4)
+        checker.observe(Enqueued("t", depth=5, capacity=4))
         report = checker.check()
         assert not report.ok
         assert report.violations[0].rule == "OL3"
@@ -173,7 +183,7 @@ class TestCheckerCatchesViolations:
         from repro.core.messages import IoRequest, OpCode
 
         request = IoRequest(OpCode.READ, 9, 1, 0, IO_SIZE)
-        checker.on_shed(request, "t", "admission")
+        checker.observe(Shed(request, "t", "admission"))
         report = checker.check()
         assert [v.rule for v in report.violations] == ["OL4"]
 

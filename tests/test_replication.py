@@ -19,6 +19,12 @@ from repro.core.messages import IoRequest, IoResponse, OpCode
 from repro.faults import InvariantChecker, ShardKill
 from repro.net import FiveTuple
 from repro.sim import Environment
+from repro.topology.events import (
+    Appended,
+    Committed,
+    LeaderHandoff,
+    Rejoined,
+)
 from repro.topology.replication import CommitRecord, ReplicaGroup
 
 pytestmark = pytest.mark.chaos
@@ -67,10 +73,11 @@ class TestReplicatedFailover:
         failover.report.assert_ok()
         # The clean verdict must come from a checker that actually saw
         # the protocol run, quorum hops and failover included.
-        assert checker.appends_seen > 0
-        assert checker.commits_seen == checker.appends_seen
-        assert checker.handoffs_seen == 2  # kill handoff + rejoin handback
-        assert checker.rejoins_seen == 2  # shard 2 backs groups 1 and 2
+        assert checker.seen[Appended] > 0
+        assert checker.seen[Committed] == checker.seen[Appended]
+        # kill handoff + rejoin handback
+        assert checker.seen[LeaderHandoff] == 2
+        assert checker.seen[Rejoined] == 2  # shard 2 backs groups 1 and 2
 
     def test_failover_counters(self, failover):
         replicator = failover.server.replicator
@@ -190,21 +197,22 @@ class TestCheckerNegativePaths:
             applied=(0,),
             live=(0, 1),
         )
-        checker.on_commit(group, record, commit)
+        checker.observe(Committed(group, record, commit))
         assert [v.rule for v in checker.violations] == ["RI3"]
 
     def test_non_leader_append_flags_ri1(self):
         checker = self._checker()
         group = ReplicaGroup(keyspace=0, primary=0, backup=1)
         record = group.append_record(7, file_id=1, offset=0, payload=b"x")
-        checker.on_append(group, record, executor=1)
+        checker.observe(Appended(group, record, executor=1))
         assert any(v.rule == "RI1" for v in checker.violations)
 
     def test_rejoin_before_catchup_flags_ri5(self):
         checker = self._checker()
         group = ReplicaGroup(keyspace=0, primary=0, backup=1)
         group.append_record(7, file_id=1, offset=0, payload=b"x")
-        checker.on_rejoin(group, member=1)  # watermark 0, log length 1
+        # watermark 0, log length 1
+        checker.observe(Rejoined(group, member=1))
         assert [v.rule for v in checker.violations] == ["RI5"]
 
     def test_ack_without_commit_flags_ri3(self):

@@ -23,6 +23,7 @@ from repro.bench.harness import (
     drive_striped,
 )
 from repro.core.messages import IoRequest, IoResponse, OpCode
+from repro.topology.events import Appended, Committed, Resized
 from repro.topology.resharding import FileMove, ShardAutoscaler
 from repro.topology.sharding import ShardedOffloadServer
 
@@ -83,11 +84,11 @@ class TestLiveReshardReplicated:
     def test_runtime_invariants_hold(self, elastic):
         checker = elastic.checker
         assert checker.violations == []
-        assert checker.appends_seen > 0
-        assert checker.commits_seen == checker.appends_seen
+        assert checker.seen[Appended] > 0
+        assert checker.seen[Committed] == checker.seen[Appended]
         # add: new group + one adoption; drain: retired group + one
         # adoption — four pairing transitions, all witnessed.
-        assert checker.resizes_seen == 4
+        assert checker.seen[Resized] == 4
 
     def test_pairing_rederives_exactly(self, elastic):
         """After 2→3→2 the groups match a fresh 2-shard deployment:

@@ -66,7 +66,6 @@ ALLOWED = {
     "hardware.ssd:NvmeDevice(rng)": _SEAM,
     "faults.invariants:InvariantChecker(tenant_of)": _OL2,
     "faults.invariants:InvariantChecker.set_slo(exempt)": _OL2,
-    "topology.sharding:ShardedOffloadServer.enable_qos(checker)": _OL2,
     "faults.plan:NicFault(duration)": _FAULT,
     "faults.plan:NicFault(drop)": _FAULT,
     "faults.plan:NicFault(duplicate)": _FAULT,
@@ -94,12 +93,6 @@ ALLOWED = {
     "pushdown.interp:interpret(acc)": _INTERP,
     "pushdown.interp:interpret(stack_limit)": _INTERP,
     "pushdown.interp:interpret_pipeline(stack_limit)": _INTERP,
-    "sim.engine:Environment(trace)": (
-        "the event-trace hook that ROADMAP item 1B's typed events replace"
-    ),
-    "sim.trace:EventLog(capacity)": (
-        "the event-trace hook's bound, set by whoever attaches a log"
-    ),
 }
 
 

@@ -594,12 +594,14 @@ def test_an_interrupt_during_an_instant_wait_drops_the_stale_wake():
         except Interrupt:
             log.append("interrupted now")
 
+    def interrupter(env):
+        victim.interrupt()  # after both bootstraps: both wake-ups queued
+        yield env.now
+
     log.clear()
     env.process(due_now(env))
     victim = env.process(due_now(env))
-    env.step()  # the bootstraps: both wake-ups are queued
-    env.step()
-    victim.interrupt()
+    env.process(interrupter(env))
     env.run()
     assert log == ["resumed", "interrupted now"]
     assert victim.ok and env.now == 13.0

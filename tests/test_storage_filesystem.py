@@ -137,6 +137,23 @@ class TestDataPath:
         with pytest.raises(FileSystemError):
             run(env, fs.read(fid, 0, 6))
 
+    def test_read_sync_beyond_eof_rejected(self):
+        _env, _disk, fs = make_fs()
+        fs.create_directory("db")
+        fid = fs.create_file("db", "f")
+        fs.write_sync(fid, 0, b"12345")
+        assert fs.read_sync(fid, 1, 4) == b"2345"
+        with pytest.raises(FileSystemError, match="beyond EOF"):
+            fs.read_sync(fid, 1, 5)
+
+    def test_read_sync_at_negative_offset_rejected(self):
+        _env, _disk, fs = make_fs()
+        fs.create_directory("db")
+        fid = fs.create_file("db", "f")
+        fs.write_sync(fid, 0, b"12345")
+        with pytest.raises(FileSystemError, match="negative"):
+            fs.read_sync(fid, -1, 2)
+
     def test_zero_byte_read(self):
         env, _disk, fs = make_fs()
         fs.create_directory("db")
