@@ -10,9 +10,12 @@ device the DPU file service drives (§4.3, §7: SPDK's ``spdk_bdev_read``/
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import groupby
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, Generator, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from ..hardware.ssd import NvmeDevice
 from ..sim import Environment
@@ -34,6 +37,33 @@ def _zeros(size: int) -> bytes:
     return bytes(size)
 
 
+def _zero_piece(size: int) -> bytes:
+    """``size`` zeros: the shared object up to the sharing limit."""
+    return _zeros(size) if size <= _SHARED_ZEROS_MAX else bytes(size)
+
+
+#: What an adopted run points into: immutable bytes, or a read-only
+#: view of them.
+_Source = Union[bytes, memoryview]
+
+#: An adopted run: blocks ``[start, stop)`` are ``source[at:]``.
+_Run = Tuple[int, int, _Source, int]
+
+
+def _immutable(data) -> bool:
+    """``bytes``, or a flat read-only byte view whose owner is ``bytes``:
+    what no later write by anyone can change under the disk."""
+    if isinstance(data, bytes):
+        return True
+    return (
+        isinstance(data, memoryview)
+        and data.readonly
+        and data.contiguous
+        and data.format == "B"
+        and isinstance(data.obj, bytes)
+    )
+
+
 class RamDisk:
     """The byte content of a simulated SSD.
 
@@ -43,8 +73,16 @@ class RamDisk:
     multi-GB disk costs nothing until blocks are actually written, and
     then one block per block written: a scattered 1 KiB write holds
     1 KiB, not the 4 KiB page it would fault in on a disk-sized buffer.
-    The disk also remembers which extents ever were written, so that
-    copying an image
+
+    A setup-time :meth:`load` of immutable bytes is *adopted* instead:
+    its whole blocks become a run that reads straight out of the
+    caller's object, so nine disks loaded from one table hold one
+    table.  A later :meth:`write` over an adopted block is copy-on-write:
+    the block takes a slot (the untouched bytes of a partly overwritten
+    one copied in first) and leaves the run, and a source no run still
+    covers is dropped.  A block is a slot, an adopted block or never
+    written, never two of these.  The disk also remembers which extents
+    ever were written, so that copying an image
     (:meth:`~repro.storage.filesystem.DdsFileSystem.clone_into`)
     touches only those.
     """
@@ -70,6 +108,10 @@ class RamDisk:
         self._slots: Dict[int, int] = {}
         #: One byte per extent: 1 once any byte of it has been written.
         self._written = bytearray(-(-size // self.EXTENT_BYTES))
+        #: The adopted runs, sorted and disjoint, and their first blocks
+        #: (the bisect key).  No run covers a block that has a slot.
+        self._adopted: List[_Run] = []
+        self._adopted_starts: List[int] = []
 
     def read(self, offset: int, size: int) -> bytes:
         """Read ``size`` bytes at ``offset``."""
@@ -78,7 +120,7 @@ class RamDisk:
         stop = -(-(offset + size) // extent)
         if not size or self._written.find(1, offset // extent, stop) < 0:
             # Never written: zeros, without faulting the buffer's pages.
-            return _zeros(size) if size <= _SHARED_ZEROS_MAX else bytes(size)
+            return _zero_piece(size)
         block = self.BLOCK_BYTES
         first = offset // block
         slots = list(
@@ -91,6 +133,8 @@ class RamDisk:
         ):
             at = slot * block + offset - first * block
             return bytes(data[at : at + size])
+        if self._adopted:
+            return self._read_adopted(offset, size, slots)
         return b"".join(
             bytes(stop - start) if at is None else data[at : at + stop - start]
             for at, start, stop in self._runs(offset, size, slots)
@@ -112,11 +156,15 @@ class RamDisk:
             # All new: one run of fresh slots, so one copy.
             slots = list(range(fresh, fresh + len(slots)))
             index.update(zip(blocks, slots))
+            if self._adopted:
+                self._copy_on_write(offset, size)
         elif None in slots:
             for position, slot in enumerate(slots):
                 if slot is None:
                     slots[position] = index[first + position] = fresh
                     fresh += 1
+            if self._adopted:
+                self._copy_on_write(offset, size)
         slot = slots[0]
         if len(slots) == 1 or slots == list(range(slot, slot + len(slots))):
             at = slot * block + offset - first * block
@@ -125,12 +173,146 @@ class RamDisk:
             view = memoryview(data)
             for at, start, stop in self._runs(offset, size, slots):
                 self._data[at : at + stop - start] = view[start:stop]
+        self._mark_written(offset, size)
+
+    def load(self, offset: int, data) -> None:
+        """Setup-time write of ``data`` at ``offset``, by reference where
+        it can be.
+
+        The whole blocks of an immutable ``data`` (``bytes``, or a
+        read-only view of ``bytes``) are adopted: the disk keeps a
+        reference, never a copy, and never writes through it.  A
+        ``bytearray``, a ragged edge, and a load over any block that
+        already has a slot are copied, as :meth:`write` copies.
+        """
+        size = len(data)
+        self._check(offset, size)
+        block = self.BLOCK_BYTES
+        first = -(-offset // block)
+        stop = (offset + size) // block
+        if (
+            first >= stop
+            or not _immutable(data)
+            or not self._slots.keys().isdisjoint(range(first, stop))
+        ):
+            self.write(offset, data)
+            return
+        head = first * block - offset
+        tail = stop * block - offset
+        if head:
+            self.write(offset, data[:head])
+        if tail < size:
+            self.write(stop * block, data[tail:])
+        if isinstance(data, memoryview) and len(data) == len(data.obj):
+            data = data.obj
+        self._cut(first, stop)
+        position = bisect_left(self._adopted_starts, first)
+        self._adopted.insert(position, (first, stop, data, head))
+        self._adopted_starts.insert(position, first)
+        self._mark_written(offset, size)
+
+    def _mark_written(self, offset: int, size: int) -> None:
         first = offset // self.EXTENT_BYTES
         last = (offset + size - 1) // self.EXTENT_BYTES
         if first == last:
             self._written[first] = 1
         else:
             self._written[first : last + 1] = b"\x01" * (last + 1 - first)
+
+    def _overlapping(self, start: int, stop: int) -> Tuple[int, int]:
+        """``runs[low:high]`` are the adopted runs that hold any block
+        of ``[start, stop)``."""
+        runs, starts = self._adopted, self._adopted_starts
+        low = bisect_right(starts, start) - 1
+        if low < 0 or runs[low][1] <= start:
+            low += 1
+        return low, bisect_left(starts, stop)
+
+    def _cut(self, start: int, stop: int) -> None:
+        """Take blocks ``[start, stop)`` out of every adopted run; a
+        source left with no run is no longer referenced."""
+        low, high = self._overlapping(start, stop)
+        if low >= high:
+            return
+        runs = self._adopted
+        kept: List[_Run] = []
+        run_start, run_stop, source, at = runs[low]
+        if run_start < start:
+            kept.append((run_start, start, source, at))
+        run_start, run_stop, source, at = runs[high - 1]
+        if run_stop > stop:
+            skip = (stop - run_start) * self.BLOCK_BYTES
+            kept.append((stop, run_stop, source, at + skip))
+        runs[low:high] = kept
+        self._adopted_starts[low:high] = [run[0] for run in kept]
+
+    def _run_at(self, block: int) -> Optional[_Run]:
+        """The adopted run holding ``block``, if any."""
+        low, high = self._overlapping(block, block + 1)
+        return self._adopted[low] if low < high else None
+
+    def _copy_on_write(self, offset: int, size: int) -> None:
+        """Blocks of ``[offset, offset + size)`` just given slots leave
+        their adopted runs; an edge block the write only partly covers
+        first gets the bytes it keeps from its run."""
+        block = self.BLOCK_BYTES
+        first = offset // block
+        last = (offset + size - 1) // block
+        edges = []
+        if offset % block:
+            edges.append(first)
+        if (offset + size) % block and last not in edges:
+            edges.append(last)
+        for edge in edges:
+            run = self._run_at(edge)
+            if run is not None:
+                start, _stop, source, at = run
+                at += (edge - start) * block
+                slot = self._slots[edge] * block
+                self._data[slot : slot + block] = source[at : at + block]
+        self._cut(first, last + 1)
+
+    def _read_adopted(
+        self, offset: int, size: int, slots: Sequence[Optional[int]]
+    ) -> bytes:
+        """A read that is not one run of consecutive slots, on a disk
+        holding adopted runs: one slice of the source if the range lies
+        in one run, else slot, source and zero pieces joined as views."""
+        block = self.BLOCK_BYTES
+        if slots[0] is None:
+            run = self._run_at(offset // block)
+            if run is not None and run[1] * block >= offset + size:
+                start, _stop, source, at = run
+                at += offset - start * block
+                piece = source[at : at + size]
+                return piece if isinstance(piece, bytes) else piece.tobytes()
+        data = memoryview(self._data)
+        pieces: List[Union[bytes, memoryview]] = []
+        for at, start, stop in self._runs(offset, size, slots):
+            if at is None:
+                pieces.extend(self._slotless(offset + start, offset + stop))
+            else:
+                pieces.append(data[at : at + stop - start])
+        return b"".join(pieces)
+
+    def _slotless(
+        self, start: int, stop: int
+    ) -> Iterator[Union[bytes, memoryview]]:
+        """``[start, stop)``, no block of it in a slot: views into the
+        adopted runs it crosses, zeros around them."""
+        block = self.BLOCK_BYTES
+        low, high = self._overlapping(start // block, -(-stop // block))
+        cursor = start
+        for run_start, run_stop, source, at in self._adopted[low:high]:
+            begin = max(cursor, run_start * block)
+            if begin > cursor:
+                yield _zero_piece(begin - cursor)
+            end = min(stop, run_stop * block)
+            at += begin - run_start * block
+            yield memoryview(source)[at : at + end - begin]
+            cursor = end
+        if cursor < stop:
+            yield _zero_piece(stop - cursor)
 
     def written_runs(self, offset: int, size: int) -> List[Tuple[int, int]]:
         """The parts of ``[offset, offset + size)`` that may be non-zero.

@@ -227,15 +227,19 @@ class DdsFileSystem:
         """Setup-time write: move the bytes with zero simulated time.
 
         Experiment loaders use this to materialize databases and KV logs
-        without charging device time to the measurement window.
+        without charging device time to the measurement window.  The
+        disk adopts immutable ``data`` by reference (:meth:`~repro.
+        storage.disk.RamDisk.load`): each segment's run is a read-only
+        view of it, so a table loaded into many disks is one table.
         """
         meta = self._meta(file_id)
         end = offset + len(data)
         self.preallocate(file_id, end)
+        view = memoryview(data)
         cursor = 0
         for run in meta.extents.translate(offset, len(data)):
-            self.bdev.disk.write(
-                run.disk_offset, data[cursor : cursor + run.length]
+            self.bdev.disk.load(
+                run.disk_offset, view[cursor : cursor + run.length]
             )
             cursor += run.length
         meta.size = max(meta.size, end)
@@ -286,19 +290,21 @@ class DdsFileSystem:
 
     def _written_ranges(self, file_id: int) -> List[Tuple[int, int]]:
         """``(file offset, length)`` ranges whose disk extents were ever
-        written, each within one segment."""
+        written, joined across segment boundaries: a file loaded from one
+        object reads back as that object, which the clone then adopts."""
         meta = self._files[file_id]
         disk = self.bdev.disk
         ranges: List[Tuple[int, int]] = []
         for base in range(0, meta.size, self.segment_size):
             span = min(self.segment_size, meta.size - base)
             (run,) = meta.extents.translate(base, span)
-            ranges.extend(
-                (base + start - run.disk_offset, length)
-                for start, length in disk.written_runs(
-                    run.disk_offset, run.length
-                )
-            )
+            written = disk.written_runs(run.disk_offset, run.length)
+            for start, length in written:
+                offset = base + start - run.disk_offset
+                if ranges and sum(ranges[-1]) == offset:
+                    offset, before = ranges.pop()
+                    length += before
+                ranges.append((offset, length))
         return ranges
 
     def read(self, file_id: int, offset: int, size: int) -> Generator:

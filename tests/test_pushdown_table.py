@@ -7,8 +7,9 @@ golden, ``BENCH_pushdown.json`` and the e2e benchmark's ``sim_*`` hang
 off *which records are hits*, so the licence for both is here: the
 bytes, the ground truth and the generator's position afterwards equal a
 per-byte ``randrange`` reference (a Python that ever draws ``randrange``
-differently fails this loudly), and a memoised table is only ever
-copied into a scanner's own disk.
+differently fails this loudly), and a memoised table is adopted by every
+scanner's disk, never written through: all of them read the one image,
+and a write to one scanner's table is copy-on-write on that disk alone.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from repro.pushdown.scan import (
 from repro.sim import Environment, SeededRng
 from repro.storage.disk import RamDisk, SpdkBdev
 from repro.storage.filesystem import DdsFileSystem
+
+from .conftest import run
 
 SEEDS = (1, 55, 99)
 
@@ -96,6 +99,8 @@ def test_tables_drawn_off_one_stream_leave_it_where_the_reference_does():
 
 
 def test_scanners_of_one_memoised_table_share_no_disk_byte():
+    """Both disks adopt the memo's image; a write to one is
+    copy-on-write there, so the other and the memo keep the table."""
     assert pipeline_table(2, 0.5, 7) is pipeline_table(2, 0.5, 7)
     first, second = (
         PipelineScanner(
@@ -114,9 +119,9 @@ def test_scanners_of_one_memoised_table_share_no_disk_byte():
 
 
 def test_a_one_write_load_lays_the_disk_out_as_page_writes_do():
-    """A scanner loads its table in one ``write_sync``: the packed store
-    hands the joined pages one run of fresh slots, exactly the slots and
-    written extents a page-by-page load leaves."""
+    """A scanner loads its table in one ``write_sync``, adopting the
+    joined pages by reference; a page-by-page load adopts each page.
+    Both commit no slot and mark the same written extents."""
     pages = 8
     scanner = PipelineScanner(
         Environment(), canonical_pipeline("filter"), pages=pages, seed=3
@@ -137,6 +142,34 @@ def test_a_one_write_load_lays_the_disk_out_as_page_writes_do():
     one, many = scanner.fs.bdev.disk, paged.bdev.disk
     assert one._slots == many._slots
     assert one._written == many._written
+
+
+def test_scanners_hold_one_table_and_share_no_mutable_byte():
+    table = pipeline_table(4, 0.5, 11)
+    scanners = [
+        PipelineScanner(
+            Environment(), canonical_pipeline("filter"), pages=4,
+            selectivity=0.5, seed=11,
+        )
+        for _ in range(3)
+    ]
+    for scanner in scanners:
+        disk = scanner.fs.bdev.disk
+        assert disk._slots == {}
+        ((_start, _stop, source, _at),) = disk._adopted
+        assert source is table.image
+    size = len(table.image)
+    first = scanners[0]
+    first.fs.write_sync(first.file_id, PAGE_BYTES, b"\xee" * PAGE_BYTES)
+    run(first.env, first.fs.write(first.file_id, 100, b"\xdd" * 50))
+    expected = bytearray(table.image)
+    expected[PAGE_BYTES : 2 * PAGE_BYTES] = b"\xee" * PAGE_BYTES
+    expected[100:150] = b"\xdd" * 50
+    assert first.fs.read_sync(first.file_id, 0, size) == expected
+    reference = build_pipeline_table(SeededRng(11), 4, 0.5).image
+    assert table.image == reference
+    for other in scanners[1:]:
+        assert other.fs.read_sync(other.file_id, 0, size) == reference
 
 
 def test_scanning_does_not_import_the_linter():

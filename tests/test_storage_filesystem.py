@@ -464,6 +464,45 @@ class TestSparseClone:
             size = fs.file_size(fid)
             assert mirror.read_sync(fid, 0, size) == fs.read_sync(fid, 0, size)
 
+    def test_a_clone_adopts_a_loaded_file_without_a_second_copy(self):
+        env, disk, fs = make_fs(disk_size=32 << 20)
+        fs.create_directory("db")
+        fid = fs.create_file("db", "table")
+        size = 3 * SEGMENT  # one object across three segments
+        image = (bytes(range(1, 252)) * 800)[:size]
+        fs.write_sync(fid, 0, image)
+        fs.flush_metadata_sync()
+        mirror_disk = RamDisk(32 << 20)
+        mirror = DdsFileSystem(
+            env, SpdkBdev(env, mirror_disk), segment_size=SEGMENT
+        )
+        fs.clone_into(mirror)
+        assert mirror.read_sync(fid, 0, size) == image
+        assert mirror_disk._slots == {}
+        ((_start, _stop, source, _at),) = mirror_disk._adopted
+        assert source is image
+        # A write on either side stays on that side.
+        run(env, fs.write(fid, 10, b"source"))
+        mirror.write_sync(fid, SEGMENT + 2000, b"mirror")
+        assert fs.read_sync(fid, 0, size) == (
+            image[:10] + b"source" + image[16:]
+        )
+        assert mirror.read_sync(fid, 0, size) == (
+            image[: SEGMENT + 2000] + b"mirror" + image[SEGMENT + 2006 :]
+        )
+        # The metadata segment is copied, never adopted, and recovers.
+        assert all(
+            start * RamDisk.BLOCK_BYTES >= SEGMENT
+            for start in disk._adopted_starts
+        )
+        env2 = Environment()
+        recovered = DdsFileSystem.recover(
+            env2, SpdkBdev(env2, disk), segment_size=SEGMENT
+        )
+        assert recovered.read_sync(fid, 0, size) == fs.read_sync(
+            fid, 0, size
+        )
+
 
 class TestPackedBlockStore:
     """``RamDisk`` packs written blocks into slots; against a flat
@@ -561,3 +600,123 @@ class TestPackedBlockStore:
         assert len(disk._slots) == 1008
         assert disk.read(at, len(page)) == page[:100] + b"r" * 3000 + page[3100:]
         assert disk.read(5 * stride, 16) == b"\x06" * 3 + b"s" * 10 + b"\x06" * 3
+
+    def _check_run_table(self, disk):
+        """Adopted runs are sorted, disjoint, hold no slotted block and
+        point only into immutable bytes."""
+        runs = disk._adopted
+        assert disk._adopted_starts == [run[0] for run in runs]
+        for (start, stop, source, at), following in zip(
+            runs, runs[1:] + [(disk.size, None, None, None)]
+        ):
+            assert start < stop <= following[0]
+            assert isinstance(getattr(source, "obj", source), bytes)
+            assert at + (stop - start) * self.BLOCK <= len(source)
+            assert not disk._slots.keys() & range(start, stop)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        disk_size=st.sampled_from(
+            [3 * BLOCK + 1, 5 * EXTENT + 517, (1 << 20) + 3]
+        ),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ("load", "load", "write", "write", "read", "runs")
+                ),
+                # Anchors close together, so loads, writes and reads meet.
+                st.sampled_from((*range(12), 25)), st.integers(-3, 3),
+                st.sampled_from(SIZES),
+                st.sampled_from(("bytes", "bytearray", "view", "again")),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_adopted_loads_match_a_flat_bytearray(self, disk_size, steps):
+        """Loads in ``write_sync``'s style (aligned or not; ``bytes``,
+        ``bytearray`` or a read-only view; one object loaded twice)
+        between request writes that partly overwrite adopted blocks,
+        reads across adopted, slot and never-written blocks, and
+        ``written_runs``: every answer is the flat ``bytearray``'s."""
+        disk = RamDisk(disk_size)
+        flat = bytearray(disk_size)
+        written = set()
+        loaded = None
+        for step, (kind, anchor, skew, size, buffer) in enumerate(steps):
+            offset, size = self._range(disk_size, anchor, skew, size)
+            if kind in ("load", "write"):
+                payload = self.PATTERN[3 * step : 3 * step + size]
+                if kind == "load":
+                    if buffer == "again" and loaded is not None:
+                        payload = loaded[: disk_size - offset]
+                    elif buffer == "bytearray":
+                        payload = bytearray(payload)
+                    elif buffer == "view":
+                        payload = memoryview(self.PATTERN)[step : step + size]
+                    loaded = payload
+                    disk.load(offset, payload)
+                else:
+                    disk.write(offset, payload[::-1])
+                    payload = payload[::-1]
+                size = len(payload)
+                flat[offset : offset + size] = payload
+                if size:
+                    written.update(range(
+                        offset // self.EXTENT,
+                        (offset + size - 1) // self.EXTENT + 1,
+                    ))
+            if kind == "runs":
+                assert disk.written_runs(offset, size) == self._reference_runs(
+                    written, offset, size
+                )
+            else:
+                got = disk.read(offset, size)
+                assert type(got) is bytes
+                assert got == flat[offset : offset + size]
+                # ... and to the extent after it from each block boundary
+                # of the extent before: across runs, slots and zeros.
+                low = max(0, offset - self.EXTENT)
+                stop = min(disk_size, offset + size + self.EXTENT)
+                for start in range(low - low % self.BLOCK, stop, self.BLOCK):
+                    assert disk.read(start, stop - start) == flat[start:stop]
+            self._check_run_table(disk)
+        assert disk.read(0, disk_size) == flat
+        assert disk.written_runs(0, disk_size) == self._reference_runs(
+            written, 0, disk_size
+        )
+
+    def test_an_adopted_load_costs_no_slot_and_a_dead_source_is_released(self):
+        disk = RamDisk(1 << 20)
+        image = (bytes(range(1, 252)) * 49)[: 12 * self.BLOCK]
+        disk.load(3 * self.BLOCK, image)
+        assert disk._slots == {}
+        ((start, stop, source, at),) = disk._adopted
+        assert (start, stop, at) == (3, 15, 0) and source is image
+        # A read inside the run is one slice of the source.
+        assert disk.read(3 * self.BLOCK, len(image)) is image
+        # Unaligned, the ragged head and tail are copied into slots.
+        disk.load(20 * self.BLOCK + 5, image)
+        assert len(disk._slots) == 2
+        assert [run[2] for run in disk._adopted] == [image, image]
+        # Copy-on-write: a partly overwritten block keeps its other bytes.
+        disk.write(4 * self.BLOCK + 10, b"w" * 20)
+        assert len(disk._slots) == 3
+        assert disk.read(4 * self.BLOCK, self.BLOCK) == (
+            image[self.BLOCK : self.BLOCK + 10]
+            + b"w" * 20
+            + image[self.BLOCK + 30 : 2 * self.BLOCK]
+        )
+        # Overwriting every adopted block drops the source from the table.
+        replacement = bytes(len(image))
+        disk.write(3 * self.BLOCK, replacement)
+        disk.write(20 * self.BLOCK + 5, replacement)
+        assert disk._adopted == [] and disk._adopted_starts == []
+        assert disk.read(3 * self.BLOCK, len(image)) == replacement
+        # A new load over older adopted blocks replaces their run.
+        disk.load(40 * self.BLOCK, image)
+        disk.load(40 * self.BLOCK, image[: 4 * self.BLOCK][::-1])
+        assert [run[:2] for run in disk._adopted] == [(40, 44), (44, 52)]
+        disk.load(40 * self.BLOCK, bytes(12 * self.BLOCK))
+        ((_start, _stop, source, _at),) = disk._adopted
+        assert source is not image
