@@ -3,21 +3,43 @@
 The paper's client "controls the request rate via parameters: the number
 of requests batched in a message, the number of outstanding messages,
 and the number of concurrent connections" but never shows their effect.
-These sweeps do:
-
-* batching amortizes per-message stack costs — the baseline's host CPU
-  per request falls steeply with batch size, while the offload path
-  (whose per-request costs are already tiny) barely moves;
-* the outstanding window trades latency for throughput along the
-  classic closed-loop curve.
+These sweeps do: batching amortizes per-message stack costs, and the
+outstanding window walks the closed-loop throughput/latency curve.
 """
 
-from _tables import cores, emit, kops, us
+from _tables import (
+    INCREASING, NONDECREASING, Claim, above, at_least, below, bench, cores, each, emit, kops,
+    ratio, us
+)
 
 from repro.bench import run_io_experiment
 
 BATCHES = (1, 2, 4, 8, 16)
 WINDOWS = (8, 32, 128, 512)
+
+
+def _per_request(batch):
+    return lambda r: r[("baseline", batch)].host_cores / r[("baseline", batch)].achieved_iops
+
+
+KNOB = "not plotted (Sec. 8.1 knob)"
+CLAIMS = (
+    # The per-request OS-filesystem cost cannot amortize: a partial saving.
+    Claim("ablation_batching", "baseline host cores per request, batch 16 / 1", KNOB,
+          ratio(_per_request(16), _per_request(1)), below(0.72)),
+    Claim("ablation_batching", "dds-offload host cores, batch 1 and 16", KNOB,
+          lambda r: [r[("dds-offload", b)].host_cores for b in (1, 16)], each(below(0.05))),
+    Claim("ablation_batching", "dds-offload p50, batch 16 / 1", KNOB,
+          lambda r: r[("dds-offload", 16)].p50 / r[("dds-offload", 1)].p50, below(3)),
+    Claim("ablation_window", "IOPS, window 8 and 32", KNOB,
+          lambda r: [r[w].achieved_iops for w in WINDOWS[:2]], INCREASING),
+    Claim("ablation_window", "p50 by window", KNOB,
+          lambda r: [r[w].p50 for w in WINDOWS], NONDECREASING),
+    Claim("ablation_window", "IOPS at the deepest window", KNOB,
+          lambda r: r[WINDOWS[-1]].achieved_iops, above(650e3)),
+    Claim("ablation_window", "p50 at the deepest window", KNOB,
+          lambda r: r[WINDOWS[-1]].p50, at_least(1e-3)),
+)
 
 
 def run_batch_sweep():
@@ -46,7 +68,7 @@ def run_batch_sweep():
         "ablation_batching",
         "requests per message: host CPU amortization at 300K IOPS",
         ("solution", "batch", "IOPS", "host cores", "p50"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
@@ -74,35 +96,10 @@ def run_window_sweep():
         "ablation_window",
         "outstanding messages: closed-loop throughput/latency trade",
         ("window", "IOPS", "p50", "p99"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
 
-def test_ablation_batching(benchmark):
-    results = benchmark.pedantic(run_batch_sweep, rounds=1, iterations=1)
-    base1 = results[("baseline", 1)]
-    base16 = results[("baseline", 16)]
-    # Batching slashes the baseline's per-request host cost...
-    per_request_1 = base1.host_cores / base1.achieved_iops
-    per_request_16 = base16.host_cores / base16.achieved_iops
-    # Per-message stack costs amortize; the per-request OS-filesystem
-    # cost (which batching cannot touch) remains, so ~35% saving.
-    assert per_request_16 < 0.72 * per_request_1
-    # ...but hardly moves the offload path (nothing to amortize).
-    off1 = results[("dds-offload", 1)]
-    off16 = results[("dds-offload", 16)]
-    assert off1.host_cores < 0.05 and off16.host_cores < 0.05
-    assert off16.p50 < 3 * off1.p50
-
-
-def test_ablation_window(benchmark):
-    results = benchmark.pedantic(run_window_sweep, rounds=1, iterations=1)
-    throughputs = [results[w].achieved_iops for w in WINDOWS]
-    latencies = [results[w].p50 for w in WINDOWS]
-    # Throughput grows with the window until saturation; latency grows
-    # monotonically (Little's law).
-    assert throughputs[1] > throughputs[0]
-    assert latencies == sorted(latencies)
-    # The deepest window saturates the device (~730K).
-    assert throughputs[-1] > 650e3
+test_ablation_batching = bench(run_batch_sweep)
+test_ablation_window = bench(run_window_sweep)

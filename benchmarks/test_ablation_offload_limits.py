@@ -1,14 +1,14 @@
 """Ablations on offload-engine sizing (§6.2) — beyond the paper's figures.
 
 * **Context-ring capacity** — Figure 13 lines 5-7: when the ring is
-  full, requests fall back to the host.  Sweeping the ring size shows
-  the capacity at which the DPU stops shedding load at a given depth.
+  full, requests fall back to the host.
 * **Cache-table chaining** — §6.1 chains items in a bucket so inserts
-  survive displacement failures.  With aggressive kick limits, chaining
-  absorbs what would otherwise be insert failures.
+  survive displacement failures, swept over the kick limit.
 """
 
-from _tables import cores, emit, kops
+from _tables import (
+    DECREASING, NONDECREASING, Claim, above, below, bench, cores, each, emit, equals, kops
+)
 
 from repro.core import ClientConfig, WorkloadClient
 from repro.hardware import NetworkLink
@@ -18,6 +18,29 @@ from repro.structures import CuckooCacheTable
 from repro.topology.sharding import ShardedOffloadServer
 
 SLOT_COUNTS = (32, 128, 1024)
+KICKS = (1, 4, 32)
+
+RING = "Figure 13 lines 5-7: a full ring falls back to the host"
+CHAINING = "Sec. 6.1: chaining absorbs displacement failures"
+CLAIMS = (
+    Claim("ablation_context_ring", "host fallback, 32 slots", RING,
+          lambda r: r[32]["fallback"], above(0.2)),
+    Claim("ablation_context_ring", "host fallback, 1024 slots", RING,
+          lambda r: r[1024]["fallback"], below(0.01)),
+    Claim("ablation_context_ring", "host fallback, 32 / 128 / 1024 slots (less 1e-9)", RING,
+          lambda r: [r[32]["fallback"], r[128]["fallback"], r[1024]["fallback"] - 1e-9],
+          DECREASING),
+    Claim("ablation_context_ring", "host cores, 32 / 1024 slots", RING,
+          lambda r: [r[32]["host cores"], r[1024]["host cores"]], DECREASING),
+    Claim("ablation_cache_chaining", "items, per kick budget", CHAINING,
+          lambda t: [len(t[k]) for k in KICKS], each(equals(4000))),
+    Claim("ablation_cache_chaining", "inserts rejected, per kick budget", CHAINING,
+          lambda t: [t[k].stats.rejected_full for k in KICKS], each(equals(0))),
+    Claim("ablation_cache_chaining", "chained inserts, kicks 1 and 32", CHAINING,
+          lambda t: [t[k].stats.chained_inserts for k in (1, 32)], DECREASING),
+    Claim("ablation_cache_chaining", "displacements, kicks 1 and 32", CHAINING,
+          lambda t: [t[k].stats.displacements for k in (1, 32)], NONDECREASING),
+)
 
 
 def measure_fallback(context_slots: int):
@@ -48,20 +71,21 @@ def run_context_ring():
     rows = []
     for slots in SLOT_COUNTS:
         result, server, fallback = measure_fallback(slots)
-        results[slots] = (result, server, fallback)
+        host_cores = server.host_cores(result.elapsed)
+        results[slots] = {"fallback": fallback, "host cores": host_cores}
         rows.append(
             (
                 slots,
                 kops(result.achieved_iops),
                 f"{fallback * 100:.1f}%",
-                cores(server.host_cores(result.elapsed)),
+                cores(host_cores),
             )
         )
     emit(
         "ablation_context_ring",
         "context-ring capacity vs host fallback at 700K offered",
         ("slots", "IOPS", "host fallback", "host cores"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
@@ -70,11 +94,12 @@ def run_chaining():
     rng = SeededRng(9)
     rows = []
     tables = {}
-    for max_kicks in (1, 4, 32):
+    for max_kicks in KICKS:
         table = CuckooCacheTable(4000, slots_per_bucket=2,
                                  max_kicks=max_kicks)
         for _ in range(4000):
-            assert table.insert(rng.randrange(1 << 40), "item")
+            inserted = table.insert(rng.randrange(1 << 40), "item")
+            assert inserted
         tables[max_kicks] = table
         rows.append(
             (
@@ -88,37 +113,10 @@ def run_chaining():
         "ablation_cache_chaining",
         "cuckoo kicks vs chaining at 100% load factor",
         ("max kicks", "displacements", "chained inserts", "items"),
-        rows,
+        rows, CLAIMS, tables,
     )
     return tables
 
 
-def test_ablation_context_ring(benchmark):
-    results = benchmark.pedantic(run_context_ring, rounds=1, iterations=1)
-    fallbacks = {slots: fb for slots, (_r, _s, fb) in results.items()}
-    # A small ring sheds a large fraction to the host; a big ring none.
-    assert fallbacks[32] > 0.2
-    assert fallbacks[1024] < 0.01
-    assert fallbacks[32] > fallbacks[128] > fallbacks[1024] - 1e-9
-    # Host CPU tracks the fallback rate.
-    host_cores = {
-        slots: s.host_cores(r.elapsed)
-        for slots, (r, s, _f) in results.items()
-    }
-    assert host_cores[32] > host_cores[1024]
-
-
-def test_ablation_cache_chaining(benchmark):
-    tables = benchmark.pedantic(run_chaining, rounds=1, iterations=1)
-    # Every insert succeeded at 100% load regardless of the kick budget —
-    # chaining absorbs displacement failures (§6.1).
-    for table in tables.values():
-        assert len(table) == 4000
-        assert table.stats.rejected_full == 0
-    # Tight kick budgets chain more; generous budgets displace more.
-    assert (
-        tables[1].stats.chained_inserts > tables[32].stats.chained_inserts
-    )
-    assert (
-        tables[32].stats.displacements >= tables[1].stats.displacements
-    )
+test_ablation_context_ring = bench(run_context_ring)
+test_ablation_cache_chaining = bench(run_chaining)

@@ -1,18 +1,15 @@
 """Ablations on the DDS ring design (§4.1) — beyond the paper's figures.
 
-Two design choices DESIGN.md calls out:
-
-* **Maximum allowable progress (M)** — the batching hyperparameter.
-  Small M bounds how long a message can sit in a batch (latency) but
-  costs amortization (throughput); large M is the reverse.  The paper
-  exposes M but never sweeps it.
+* **Maximum allowable progress (M)** — the batching hyperparameter:
+  small M bounds how long a message sits in a batch, large M buys
+  amortization.  The paper exposes M but never sweeps it.
 * **Pointer layout** — Figure 7 places the progress pointer immediately
   before the tail so the consumer's ``progress == tail`` check needs a
-  single DMA read.  The rejected layout (tail first) needs two
+  single DMA read; the rejected layout (tail first) needs two
   dependent DMA reads per poll cycle.
 """
 
-from _tables import emit, us
+from _tables import DECREASING, INCREASING, Claim, above, bench, each, emit, us
 
 from repro.core import RingTransferModel
 from repro.sim import Environment
@@ -20,6 +17,19 @@ from repro.structures import ProgressRing
 
 M_VALUES = (512, 1024, 4096)
 PRODUCERS = 16
+
+M = "not plotted (Sec. 4.1 exposes M)"
+LAYOUT = "Figure 7: progress before tail"
+CLAIMS = (
+    Claim("ablation_max_progress", "msg/s, smallest and largest M", M,
+          lambda r: [r[m].rate for m in (M_VALUES[0], M_VALUES[-1])], INCREASING),
+    Claim("ablation_max_progress", "median latency, smallest and largest M", M,
+          lambda r: [r[m].median_latency for m in (M_VALUES[0], M_VALUES[-1])], INCREASING),
+    Claim("ablation_pointer_layout", "msg/s, progress-first / tail-first, per batch", LAYOUT,
+          lambda r: [good / bad for good, bad in r.values()], each(above(1))),
+    Claim("ablation_pointer_layout", "cycle overhead of tail-first, 256 B, 4 KiB batch", LAYOUT,
+          lambda r: [r[b][0] / r[b][1] - 1 for b in (256, 4096)], DECREASING),
+)
 
 
 def run_max_progress():
@@ -37,7 +47,7 @@ def run_max_progress():
         "ablation_max_progress",
         "max allowable progress (M): batching throughput vs latency",
         ("M bytes", "msg/s", "median latency"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
@@ -65,7 +75,8 @@ def run_pointer_layout():
             message = bytes(8)
             count = max(1, batch_bytes // 12)
             for _ in range(count):
-                assert channel.try_insert(message)
+                inserted = channel.try_insert(message)
+                assert inserted
 
             def cycle():
                 batch = yield from channel.fetch_batch()
@@ -90,25 +101,10 @@ def run_pointer_layout():
         "ablation_pointer_layout",
         "fetch-cycle cost: progress-before-tail vs tail-before-progress",
         ("batch bytes", "P-before-T", "T-before-P", "cycle overhead"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
 
-def test_ablation_max_progress(benchmark):
-    results = benchmark.pedantic(run_max_progress, rounds=1, iterations=1)
-    small, large = results[M_VALUES[0]], results[M_VALUES[-1]]
-    # Larger M buys throughput at the cost of batching latency.
-    assert large.rate > small.rate
-    assert large.median_latency > small.median_latency
-
-
-def test_ablation_pointer_layout(benchmark):
-    results = benchmark.pedantic(run_pointer_layout, rounds=1, iterations=1)
-    for batch_bytes, (good_rate, bad_rate) in results.items():
-        assert good_rate > bad_rate, batch_bytes
-    # The extra DMA op hurts most when batches are small.
-    overhead = {
-        b: (good / bad - 1) for b, (good, bad) in results.items()
-    }
-    assert overhead[256] > overhead[4096]
+test_ablation_max_progress = bench(run_max_progress)
+test_ablation_pointer_layout = bench(run_pointer_layout)

@@ -2,20 +2,40 @@
 
 Not a paper figure — the paper's conclusion proposes using the DPU's
 hardware engines (compression, regex) "to execute compute-intensive
-components in cloud data system tasks"; these benchmarks quantify that
-proposal on the reproduced system.
-
-* Compressed page serving: the deflate engine decompresses offloaded
-  reads at line rate, so compression's SSD savings come for free; the
-  same work on Arm cores collapses throughput (the §2 argument).
-* String-operator pushdown: the RXP engine filters records where they
-  live, cutting network bytes by the query's selectivity at no Arm cost.
+components in cloud data system tasks": compressed page serving
+(decompression placement) and string-operator pushdown (scan
+placement) quantify that proposal on the reproduced system.
 """
 
-from _tables import emit, kops, us
+from _tables import (
+    ALL_EQUAL, Claim, above, below, bench, emit, equals, kops, of, ratio, us
+)
 
 from repro.apps.compressed_storage import run_compressed_read_experiment
 from repro.pushdown.scan import PLACEMENTS, run_pipeline_experiment
+
+FUTURE = "Sec. 11: offload compute to DPU engines"
+ARM = "Sec. 2: Arm cores too slow"
+
+
+CLAIMS = (
+    Claim("ext_compression", "pages/s, accel / none", FUTURE,
+          ratio(of("accel", "throughput"), of("none", "throughput")), above(0.85)),
+    Claim("ext_compression", "SSD bytes per page, accel / none", FUTURE,
+          ratio(of("accel", "ssd_bytes_per_page"), of("none", "ssd_bytes_per_page")), below(0.4)),
+    Claim("ext_compression", "pages/s, software / accel", ARM,
+          ratio(of("software", "throughput"), of("accel", "throughput")), below(0.4)),
+    Claim("ext_pushdown", "wire bytes, dpu-accel / ship-all", FUTURE,
+          ratio(of("dpu-accel", "wire_bytes"), of("ship-all", "wire_bytes")), below(0.2)),
+    Claim("ext_pushdown", "scan time, dpu-accel / ship-all", FUTURE,
+          ratio(of("dpu-accel", "scan_seconds"), of("ship-all", "scan_seconds")), below(1.3)),
+    Claim("ext_pushdown", "dpu-accel Arm core seconds", FUTURE,
+          of("dpu-accel", "dpu_core_seconds"), equals(0.0)),
+    Claim("ext_pushdown", "scan time, dpu-software / dpu-accel", ARM,
+          ratio(of("dpu-software", "scan_seconds"), of("dpu-accel", "scan_seconds")), above(2)),
+    Claim("ext_pushdown", "rows, per placement", "same answer everywhere",
+          lambda r: [result.rows for result in r.values()], ALL_EQUAL),
+)
 
 
 def run_compression():
@@ -37,7 +57,7 @@ def run_compression():
         "ext_compression",
         "compressed page serving: decompression placement",
         ("mode", "pages/s", "mean latency", "ratio", "SSD B/page"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
@@ -60,37 +80,10 @@ def run_pushdown():
         "ext_pushdown",
         "string-operator pushdown: scan placement (5% selectivity)",
         ("mode", "scan time", "wire bytes", "arm core time"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
 
-def test_ext_compressed_reads(benchmark):
-    results = benchmark.pedantic(run_compression, rounds=1, iterations=1)
-    accel, software, plain = (
-        results["accel"],
-        results["software"],
-        results["none"],
-    )
-    # Hardware decompression: ~plain throughput, big SSD savings.
-    assert accel.throughput > 0.85 * plain.throughput
-    assert accel.ssd_bytes_per_page < 0.4 * plain.ssd_bytes_per_page
-    # Software decompression on Arm cores is not viable (§2's lesson).
-    assert software.throughput < 0.4 * accel.throughput
-
-
-def test_ext_pushdown_scan(benchmark):
-    results = benchmark.pedantic(run_pushdown, rounds=1, iterations=1)
-    ship, software, regex = (
-        results["ship-all"],
-        results["dpu-software"],
-        results["dpu-accel"],
-    )
-    # The regex engine filters at ship-all speed with ~selectivity-
-    # proportional wire traffic and zero Arm involvement.
-    assert regex.wire_bytes < 0.2 * ship.wire_bytes
-    assert regex.scan_seconds < 1.3 * ship.scan_seconds
-    assert regex.dpu_core_seconds == 0.0
-    assert software.scan_seconds > 2 * regex.scan_seconds
-    # All placements return the same answer.
-    assert ship.rows == software.rows == regex.rows
+test_ext_compressed_reads = bench(run_compression)
+test_ext_pushdown_scan = bench(run_pushdown)

@@ -1,20 +1,37 @@
 """Extensions (§10 related work, implemented): DPU cache and isolation.
 
-* Xenic-style DPU-memory read caching in front of the offload engine:
-  a small on-board cache absorbs skewed read traffic, lifting
-  throughput past the SSD's ceiling.
+* Xenic-style DPU-memory read caching in front of the offload engine,
+  under Zipfian reads.
 * Gimbal-style multi-tenant fairness: the datapath's deficit-round-
-  robin dispatcher (:class:`~repro.topology.qos.TenantQosGate`) bounds
-  a light tenant's latency under a heavy tenant's burst, at no cost to
-  aggregate throughput.
+  robin dispatcher (:class:`~repro.topology.qos.TenantQosGate`) against
+  FIFO, for a light tenant under a heavy tenant's burst.
 """
 
-from _tables import emit, kops, us
+from _tables import NONDECREASING, Claim, above, below, bench, emit, kops, us
 
 from repro.apps.dpu_cache import run_dpu_cache_experiment
 from repro.bench.harness import run_tenant_isolation
 
 CACHE_SIZES = (0, 128 << 10, 512 << 10, 2 << 20)
+
+XENIC = "Sec. 10: Xenic-style DPU caching"
+GIMBAL = "Sec. 10: Gimbal-style fairness"
+CLAIMS = (
+    Claim("ext_dpu_cache", "hit rate by cache size", XENIC,
+          lambda r: [result.hit_rate for result in r.values()], NONDECREASING),
+    Claim("ext_dpu_cache", "hit rate, 2 MiB cache", XENIC,
+          lambda r: r[2 << 20].hit_rate, above(0.6)),
+    Claim("ext_dpu_cache", "reads/s, 2 MiB cache / off", XENIC,
+          lambda r: r[2 << 20].throughput / r[0].throughput, above(2)),
+    Claim("ext_dpu_cache", "SSD reads, 2 MiB cache / off", XENIC,
+          lambda r: r[2 << 20].ssd_reads / r[0].ssd_reads, below(0.5)),
+    Claim("ext_multitenancy", "fifo light-tenant max latency", "head-of-line blocking",
+          lambda r: r["fifo"].light_max_latency, above(10e-3)),
+    Claim("ext_multitenancy", "light max latency, drr / fifo", GIMBAL,
+          lambda r: r["drr"].light_max_latency / r["fifo"].light_max_latency, below(1 / 50)),
+    Claim("ext_multitenancy", "heavy throughput, drr / fifo", GIMBAL,
+          lambda r: r["drr"].heavy_throughput / r["fifo"].heavy_throughput, above(0.9)),
+)
 
 
 def run_cache():
@@ -36,7 +53,7 @@ def run_cache():
         "ext_dpu_cache",
         "DPU-memory read cache under Zipfian reads",
         ("cache", "hit rate", "reads/s", "mean latency", "SSD reads"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
@@ -59,26 +76,10 @@ def run_tenancy():
         "ext_multitenancy",
         "light tenant under a heavy burst: FIFO vs DRR",
         ("scheduler", "light max lat", "light mean", "heavy tput"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
 
-def test_ext_dpu_cache(benchmark):
-    results = benchmark.pedantic(run_cache, rounds=1, iterations=1)
-    stock = results[0]
-    big = results[2 << 20]
-    # Hit rate and throughput grow monotonically with cache size.
-    hit_rates = [results[s].hit_rate for s in CACHE_SIZES]
-    assert hit_rates == sorted(hit_rates)
-    assert big.hit_rate > 0.6
-    assert big.throughput > 2 * stock.throughput
-    assert big.ssd_reads < 0.5 * stock.ssd_reads
-
-
-def test_ext_multitenancy(benchmark):
-    results = benchmark.pedantic(run_tenancy, rounds=1, iterations=1)
-    fifo, drr = results["fifo"], results["drr"]
-    assert fifo.light_max_latency > 10e-3  # head-of-line blocking
-    assert drr.light_max_latency < fifo.light_max_latency / 50
-    assert drr.heavy_throughput > 0.9 * fifo.heavy_throughput
+test_ext_dpu_cache = bench(run_cache)
+test_ext_multitenancy = bench(run_tenancy)

@@ -1,16 +1,28 @@
 """Figure 2: CPU cost of the Hyperscale page server for reads.
 
-Paper: serving random 8 KiB page reads from a page server costs CPU that
-grows steeply with throughput — ~17 cores at 156 K pages/s — and the
-DBMS's internal network module is the largest component, ahead of the OS
-network stack, the filesystem, and everything else.
+Random 8 KiB page reads at rising throughput, with host cores split
+into the DBMS network module, the OS network stack, the filesystem and
+the rest of the DBMS.
 """
 
-from _tables import cores, emit, kops
+from _tables import (
+    Claim, above, below, bench, between, cores, emit, equals, kops
+)
 
 from repro.apps import run_pageserver_experiment
 
 TARGETS = (50e3, 100e3, 150e3)
+
+CLAIMS = (
+    Claim("fig02", "host cores, top / lowest load", "5 -> 17 cores",
+          lambda r: r[-1].host_cores / r[0].host_cores, above(2.5)),
+    Claim("fig02", "host cores at ~150K pages/s", "17 @ 156K pages/s",
+          lambda r: r[-1].host_cores, between(11, 22)),
+    Claim("fig02", "largest component", "DBMS network module",
+          lambda r: max(r[-1].breakdown, key=r[-1].breakdown.get), equals("dbms-network")),
+    Claim("fig02", "OS stack share of host cores", "a minority",
+          lambda r: r[-1].breakdown["os-network"] / r[-1].host_cores, below(0.5)),
+)
 
 
 def run_figure():
@@ -36,20 +48,9 @@ def run_figure():
         "fig02",
         "page server CPU vs read throughput (8 KiB pages)",
         ("pages/s", "dbms-net", "os-net", "filesystem", "dbms-other", "total"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
 
-def test_fig02_pageserver_cpu(benchmark):
-    results = benchmark.pedantic(run_figure, rounds=1, iterations=1)
-    top = results[-1]
-    # CPU grows significantly with throughput (paper: 5 -> 17 cores).
-    assert top.host_cores > 2.5 * results[0].host_cores
-    # ~15-17 cores at ~150K pages/s.
-    assert 11 < top.host_cores < 22
-    # The DBMS network module is the largest single component.
-    assert top.breakdown["dbms-network"] == max(top.breakdown.values())
-    # The OS stack alone is NOT the majority — kernel bypass would only
-    # partially help (the paper's argument for DPU offloading).
-    assert top.breakdown["os-network"] < 0.5 * top.host_cores
+test_fig02_pageserver_cpu = bench(run_figure)

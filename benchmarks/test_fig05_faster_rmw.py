@@ -1,15 +1,23 @@
-"""Figure 5: FASTER YCSB-RMW throughput on the host vs. on the DPU.
-
-Paper: FASTER runs up to 4.5x slower on the BF-2 than on the host and
-scales only to 8 threads (the Arm core count), while the host keeps
-scaling — the reason DDS executes update workloads on the host.
+"""Figure 5: FASTER YCSB-RMW throughput on the host vs. on the DPU, by
+thread count — the reason DDS executes update workloads on the host.
 """
 
-from _tables import emit
+from _tables import Claim, above, below, bench, between, each, emit
 
 from repro.bench import run_rmw_scaling
 
 THREADS = (1, 2, 4, 8, 16, 32, 64)
+
+CLAIMS = (
+    Claim("fig05", "host / DPU op/s, 1-8 threads", "up to 4.5x",
+          lambda r: [r["host", t] / r["dpu", t] for t in (1, 2, 4, 8)], each(between(3.0, 6.0))),
+    Claim("fig05", "DPU op/s, 16 / 8 threads", "scales only to 8 threads",
+          lambda r: r["dpu", 16] / r["dpu", 8], below(1.1)),
+    Claim("fig05", "DPU op/s, 64 / 8 threads", "scales only to 8 threads",
+          lambda r: r["dpu", 64] / r["dpu", 8], below(1.1)),
+    Claim("fig05", "host op/s, 32 / 8 threads", "host keeps scaling",
+          lambda r: r["host", 32] / r["host", 8], above(3.0)),
+)
 
 
 def run_figure():
@@ -19,6 +27,8 @@ def run_figure():
     dpu = {
         t: run_rmw_scaling("dpu", t, ops_per_thread=1200) for t in THREADS
     }
+    rates = {(side, t): runs[t].throughput
+             for side, runs in (("host", host), ("dpu", dpu)) for t in THREADS}
     rows = [
         (
             t,
@@ -32,19 +42,9 @@ def run_figure():
         "fig05",
         "FASTER RMW throughput: host vs DPU",
         ("threads", "host op/s", "DPU op/s", "host/DPU"),
-        rows,
+        rows, CLAIMS, rates,
     )
     return host, dpu
 
 
-def test_fig05_faster_rmw(benchmark):
-    host, dpu = benchmark.pedantic(run_figure, rounds=1, iterations=1)
-    # Up to ~4.5x slower on the DPU at matched thread counts (paper).
-    for threads in (1, 2, 4, 8):
-        ratio = host[threads].throughput / dpu[threads].throughput
-        assert 3.0 < ratio < 6.0, threads
-    # The DPU stops scaling at its 8 cores...
-    assert dpu[16].throughput < 1.1 * dpu[8].throughput
-    assert dpu[64].throughput < 1.1 * dpu[8].throughput
-    # ...while the host keeps scaling well past 8 threads.
-    assert host[32].throughput > 3.0 * host[8].throughput
+test_fig05_faster_rmw = bench(run_figure)

@@ -1,18 +1,48 @@
-"""Figure 14: achieved throughput vs. host CPU cores consumed.
-
-Paper (reads, 1 KiB random): the baseline needs 10.7 cores for 390 K
-IOPS; the DDS file library reaches 580 K IOPS at 6.5 cores; full DPU
-offloading drives 730 K IOPS with approximately zero host cores.
-Writes: DDS's offload API does not cover writes, but the library path
-still saves >5 cores versus the baseline above 200 K IOPS.
+"""Figure 14: achieved throughput vs. host CPU cores consumed, for
+random 1 KiB reads (a) and writes (b).  DDS's offload API does not
+cover writes, so (b) compares the baseline with the file library.
 """
 
-from _tables import cores, emit, kops
+from _tables import (
+    INCREASING, Claim, above, below, bench, between, cores, emit, kops, peak, peaks, ratio
+)
 
 from repro.bench import run_io_experiment
 
 READ_LOADS = (200e3, 400e3, 600e3, 800e3)
 WRITE_LOADS = (100e3, 200e3, 300e3, 400e3)
+
+
+def _cores_per_iop(kind):
+    return lambda r: r[kind][-1].host_cores / r[kind][-1].achieved_iops
+
+
+CLAIMS = (
+    Claim("fig14a", "peak IOPS: baseline, dds-files", "390K < 580K",
+          peaks("achieved_iops", "baseline", "dds-files"), INCREASING),
+    Claim("fig14a", "peak IOPS: dds-files, dds-offload", "580K < 730K",
+          peaks("achieved_iops", "dds-files", "dds-offload"), INCREASING),
+    Claim("fig14a", "baseline peak IOPS", "390K",
+          peak("baseline", "achieved_iops"), between(330e3, 460e3)),
+    Claim("fig14a", "dds-files peak IOPS", "580K",
+          peak("dds-files", "achieved_iops"), between(500e3, 660e3)),
+    Claim("fig14a", "dds-offload peak IOPS", "730K",
+          peak("dds-offload", "achieved_iops"), between(650e3, 820e3)),
+    Claim("fig14a", "baseline host cores at peak", "10.7",
+          peak("baseline", "host_cores"), between(8, 14)),
+    Claim("fig14a", "host cores per IOPS at peak, dds-files / baseline", "6.5/580K vs 10.7/390K",
+          ratio(_cores_per_iop("dds-files"), _cores_per_iop("baseline")), below(0.65)),
+    Claim("fig14a", "dds-offload host cores at peak", "~0",
+          peak("dds-offload", "host_cores"), below(0.05)),
+    Claim("fig14a", "dds-offload DPU cores at peak", "the BF-2's 3 Arm cores",
+          peak("dds-offload", "dpu_cores"), below(3.0)),
+    Claim("fig14b", "baseline peak write IOPS", "~210K",
+          peak("baseline", "achieved_iops"), between(170e3, 250e3)),
+    Claim("fig14b", "dds-files peak write IOPS", "~290K",
+          peak("dds-files", "achieved_iops"), between(250e3, 330e3)),
+    Claim("fig14b", "host cores saved at ~200K writes", "> 5 cores",
+          lambda r: r["baseline"][1].host_cores - r["dds-files"][1].host_cores, above(1.5)),
+)
 
 
 def run_reads():
@@ -37,7 +67,7 @@ def run_reads():
         "fig14a",
         "reads: throughput vs host CPU cores",
         ("solution", "IOPS", "host cores", "dpu cores"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
@@ -66,41 +96,10 @@ def run_writes():
         "fig14b",
         "writes: throughput vs host CPU cores",
         ("solution", "IOPS", "host cores", "dpu cores"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
 
-def test_fig14a_read_cpu_savings(benchmark):
-    results = benchmark.pedantic(run_reads, rounds=1, iterations=1)
-    baseline = results["baseline"][-1]
-    library = results["dds-files"][-1]
-    offload = results["dds-offload"][-1]
-    # Peak ordering: baseline ~390K < library ~580K < offload ~730K.
-    assert baseline.achieved_iops < library.achieved_iops
-    assert library.achieved_iops < offload.achieved_iops
-    assert 330e3 < baseline.achieved_iops < 460e3
-    assert 500e3 < library.achieved_iops < 660e3
-    assert 650e3 < offload.achieved_iops < 820e3
-    # Host CPU: baseline ~10 cores at peak; library clearly cheaper per
-    # IOPS; offloading eliminates host CPU.
-    assert 8 < baseline.host_cores < 14
-    per_iop_base = baseline.host_cores / baseline.achieved_iops
-    per_iop_lib = library.host_cores / library.achieved_iops
-    assert per_iop_lib < 0.65 * per_iop_base
-    assert offload.host_cores < 0.05
-    # The offload path runs within the BF-2's three dedicated Arm cores.
-    assert offload.dpu_cores < 3.0
-
-
-def test_fig14b_write_cpu_savings(benchmark):
-    results = benchmark.pedantic(run_writes, rounds=1, iterations=1)
-    baseline = results["baseline"][-1]
-    library = results["dds-files"][-1]
-    # Write peaks: baseline ~210K, DDS files ~290K.
-    assert 170e3 < baseline.achieved_iops < 250e3
-    assert 250e3 < library.achieved_iops < 330e3
-    # At ~200K write IOPS the library saves a meaningful number of cores.
-    base_200 = results["baseline"][1]
-    lib_200 = results["dds-files"][1]
-    assert base_200.host_cores - lib_200.host_cores > 1.5
+test_fig14a_read_cpu_savings = bench(run_reads)
+test_fig14b_write_cpu_savings = bench(run_writes)

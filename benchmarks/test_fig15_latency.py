@@ -1,17 +1,14 @@
-"""Figure 15: achieved throughput vs. p50/p99 latency.
-
-Paper (reads): at its 390 K peak the baseline's latency reaches ~11 ms;
-replacing the OS filesystem with DDS files cuts latency ~6x; full DPU
-offloading improves it by an order of magnitude (780 us at 730 K IOPS).
-Writes: the baseline's tail blows up to ~48 ms at 210 K, while DDS files
-holds ~3 ms at a *higher* 290 K IOPS.
+"""Figure 15: achieved throughput vs. p50/p99 latency, for random 1 KiB
+reads (a) and writes (b).
 
 Latency at saturation is queueing-dominated, so the client windows are
 sized like the paper's load generator (deep outstanding queues at the
 peak operating points).
 """
 
-from _tables import emit, kops, us
+from _tables import (
+    INCREASING, NONDECREASING, Claim, above, below, bench, each, emit, kops, peak, peaks, ratio, us
+)
 
 from repro.bench import run_io_experiment
 
@@ -30,6 +27,31 @@ WRITE_POINTS = {
     "baseline": [(120e3, 64, 6000), (180e3, 256, 6000), (280e3, 900, 16000)],
     "dds-files": [(150e3, 64, 6000), (250e3, 128, 6000), (310e3, 180, 9000)],
 }
+
+
+
+
+CLAIMS = (
+    Claim("fig15a", "baseline p50 at peak", "11 ms @ 390K", peak("baseline", "p50"), above(2e-3)),
+    Claim("fig15a", "peak IOPS: baseline, dds-files", "dds-files higher",
+          peaks("achieved_iops", "baseline", "dds-files"), INCREASING),
+    Claim("fig15a", "p50 at peak, dds-files / baseline", "~6x lower",
+          ratio(peak("dds-files", "p50"), peak("baseline", "p50")), below(1 / 3)),
+    Claim("fig15a", "dds-offload peak IOPS", "730K",
+          peak("dds-offload", "achieved_iops"), above(650e3)),
+    Claim("fig15a", "dds-offload p50 at peak", "780 us @ 730K",
+          peak("dds-offload", "p50"), below(1e-3)),
+    Claim("fig15a", "p50 at peak, baseline / dds-offload", "~10x",
+          ratio(peak("baseline", "p50"), peak("dds-offload", "p50")), above(6)),
+    Claim("fig15a", "p50 by load, per solution", "grows with load",
+          lambda r: [[point.p50 for point in s] for s in r.values()], each(NONDECREASING)),
+    Claim("fig15b", "baseline write p99 at peak", "48 ms @ 210K",
+          peak("baseline", "p99"), above(5e-3)),
+    Claim("fig15b", "peak write IOPS: baseline, dds-files", "210K < 290K",
+          peaks("achieved_iops", "baseline", "dds-files"), INCREASING),
+    Claim("fig15b", "write p99 at peak, dds-files / baseline", "3 ms vs 48 ms",
+          ratio(peak("dds-files", "p99"), peak("baseline", "p99")), below(1 / 3)),
+)
 
 
 def _run(points, read_fraction):
@@ -65,7 +87,7 @@ def run_reads():
         "fig15a",
         "reads: throughput vs latency",
         ("solution", "IOPS", "p50", "p99"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
@@ -76,38 +98,10 @@ def run_writes():
         "fig15b",
         "writes: throughput vs latency",
         ("solution", "IOPS", "p50", "p99"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
 
-def test_fig15a_read_latency(benchmark):
-    results = benchmark.pedantic(run_reads, rounds=1, iterations=1)
-    baseline = results["baseline"][-1]
-    library = results["dds-files"][-1]
-    offload = results["dds-offload"][-1]
-    # At saturation the baseline is in the milliseconds.
-    assert baseline.p50 > 2e-3
-    # DDS files: large latency cut at higher throughput (paper: ~6x).
-    assert library.achieved_iops > baseline.achieved_iops
-    assert library.p50 < baseline.p50 / 3
-    # Offloading: ~order-of-magnitude lower than the baseline, with sub-
-    # millisecond latency at >700K IOPS (paper: 780us at 730K).
-    assert offload.achieved_iops > 650e3
-    assert offload.p50 < 1e-3
-    assert baseline.p50 / offload.p50 > 6
-    # Within each solution, latency grows with load.
-    for series in results.values():
-        p50s = [r.p50 for r in series]
-        assert p50s == sorted(p50s)
-
-
-def test_fig15b_write_latency(benchmark):
-    results = benchmark.pedantic(run_writes, rounds=1, iterations=1)
-    baseline = results["baseline"][-1]
-    library = results["dds-files"][-1]
-    # The baseline write tail explodes at its ~210K peak...
-    assert baseline.p99 > 5e-3
-    # ...while DDS files achieves more IOPS at a far lower tail.
-    assert library.achieved_iops > baseline.achieved_iops
-    assert library.p99 < baseline.p99 / 3
+test_fig15a_read_latency = bench(run_reads)
+test_fig15b_write_latency = bench(run_writes)

@@ -1,19 +1,15 @@
 """Figure 16: detailed comparison of ten storage solutions (§8.4).
 
-Paper: for random 1 KiB reads, (a) peak throughput, (b) total client +
-server CPU at peak, and (c) p50/p99 latency at peak, across local
-storage (Windows files ①, DDS files ②), SMB ③ / SMB Direct ④,
-TCP + Windows files ⑤, TCP + DDS files ⑥, Redy + Windows files ⑦,
-Redy + DDS files ⑧, DDS offloading with TCP ⑨ and with RDMA ⑩.
-
-Headline shapes: disaggregation over the traditional stack degrades
-everything (⑤ vs ①); SMB variants trail application-controlled
-disaggregation badly (③④ vs ⑤-⑩); once OS overhead is gone the
-disaggregated peak matches local storage (⑥-⑩ vs ②); Redy's speed
-costs always-on polling cores; DDS(RDMA) approaches local DDS.
+For random 1 KiB reads: peak throughput, total client + server CPU at
+peak, and p50/p99 latency at peak, across local storage (Windows files
+(1), DDS files (2)), SMB (3) / SMB Direct (4), TCP + Windows files (5),
+TCP + DDS files (6), Redy + Windows files (7), Redy + DDS files (8), DDS
+offloading with TCP (9) and with RDMA (10).
 """
 
-from _tables import cores, emit, kops, us
+from _tables import (
+    INCREASING, Claim, above, at_least, below, bench, cores, each, emit, kops, of, ratio, us
+)
 
 from repro.bench import SOLUTIONS, find_peak
 
@@ -29,6 +25,38 @@ START = {
     "dds-offload": 400e3,
     "dds-offload-rdma": 400e3,
 }
+
+
+def _pair(field, first, second):
+    return lambda peaks: [getattr(peaks[first], field), getattr(peaks[second], field)]
+
+
+# Solutions are numbered as in the paper's Figure 16: (1) local-os ... (10) dds-offload-rdma.
+CLAIMS = (
+    Claim("fig16", "peak IOPS: baseline, local-os", "(5) below (1)",
+          _pair("achieved_iops", "baseline", "local-os"), INCREASING),
+    Claim("fig16", "p50 at peak: local-os, baseline", "(5) slower than (1)",
+          _pair("p50", "local-os", "baseline"), INCREASING),
+    Claim("fig16", "peak IOPS: smb, smb-direct", "(4) above (3): RDMA",
+          _pair("achieved_iops", "smb", "smb-direct"), INCREASING),
+    Claim("fig16", "peak IOPS, smb-direct / baseline", "(3)(4) far below (5)-(10)",
+          ratio(of("smb-direct", "achieved_iops"), of("baseline", "achieved_iops")), below(0.7)),
+    Claim("fig16", "peak IOPS / local-dds: dds-files, redy-dds, dds-offload(-rdma)",
+          "(6)-(10) match (2)",
+          lambda p: [p[k].achieved_iops / p["local-dds"].achieved_iops for k in
+                     ("dds-files", "redy-dds", "dds-offload", "dds-offload-rdma")],
+          each(above(0.75))),
+    Claim("fig16", "total cores at peak, redy-os - baseline", "(7) burns polling cores",
+          lambda p: p["redy-os"].total_cores - p["baseline"].total_cores, above(-2)),
+    Claim("fig16", "redy-dds client cores at peak", "(8) polls on the client",
+          of("redy-dds", "client_cores"), at_least(1.0)),
+    Claim("fig16", "dds-offload host cores at peak", "(9) erases host CPU",
+          of("dds-offload", "host_cores"), below(0.05)),
+    Claim("fig16", "total cores: dds-offload-rdma, dds-files", "(10) lowest CPU",
+          _pair("total_cores", "dds-offload-rdma", "dds-files"), INCREASING),
+    Claim("fig16", "p50 at peak, dds-offload-rdma / local-dds", "(10) near-local latency",
+          ratio(of("dds-offload-rdma", "p50"), of("local-dds", "p50")), below(2.5)),
+)
 
 
 def run_figure():
@@ -56,37 +84,9 @@ def run_figure():
         "fig16",
         "ten solutions: peak IOPS, total CPU, latency at peak",
         ("solution", "peak IOPS", "cpu (cl+srv)", "dpu", "p50", "p99"),
-        rows,
+        rows, CLAIMS, peaks,
     )
     return peaks
 
 
-def test_fig16_ten_solutions(benchmark):
-    peaks = benchmark.pedantic(run_figure, rounds=1, iterations=1)
-    # (1) Traditional-stack disaggregation degrades peak throughput and
-    # adds CPU + latency over local access (paper: 5 vs 1).
-    assert peaks["baseline"].achieved_iops < peaks["local-os"].achieved_iops
-    assert peaks["baseline"].p50 > peaks["local-os"].p50
-    # (2) SMB variants are far below application-controlled solutions;
-    # SMB Direct beats SMB thanks to RDMA.
-    assert peaks["smb"].achieved_iops < peaks["smb-direct"].achieved_iops
-    assert (
-        peaks["smb-direct"].achieved_iops
-        < 0.7 * peaks["baseline"].achieved_iops
-    )
-    # (3) With OS overhead gone, disaggregated peaks match local DDS
-    # (paper: 6-10 vs 2, within ~15%).
-    local = peaks["local-dds"].achieved_iops
-    for kind in ("dds-files", "redy-dds", "dds-offload", "dds-offload-rdma"):
-        assert peaks[kind].achieved_iops > 0.75 * local, kind
-    # (4) Redy gets latency by burning polling cores on both machines.
-    assert peaks["redy-os"].total_cores > peaks["baseline"].total_cores - 2
-    assert peaks["redy-dds"].client_cores >= 1.0
-    # (5) DDS offloading erases server host CPU; the RDMA port has the
-    # lowest CPU of the disaggregated solutions and near-local latency.
-    assert peaks["dds-offload"].host_cores < 0.05
-    assert (
-        peaks["dds-offload-rdma"].total_cores
-        < peaks["dds-files"].total_cores
-    )
-    assert peaks["dds-offload-rdma"].p50 < 2.5 * peaks["local-dds"].p50
+test_fig16_ten_solutions = bench(run_figure)

@@ -1,21 +1,46 @@
 """Figure 17: DMA-based ring buffer performance (§8.5).
 
-Paper: host threads push 8-byte messages to the DPU.  The FaRM-style
-flag ring peaks at only 64 K msg/s (no batching, PCIe polling overhead,
-an extra release write per message).  The lock-based ring batches well
-at one producer (~22 M/s) but collapses to 1.4 M/s at 64 producers.
-DDS's progress-pointer ring holds 6.5 M/s at 64 producers — ~10x the
-FaRM design and ~4.5x the lock design — with the lowest latency
-throughout.
+Host threads push 8-byte messages to the DPU through three designs:
+the FaRM-style flag ring (no batching, PCIe polling, a release write
+per message), a lock-based ring, and DDS's progress-pointer ring.
 """
 
-from _tables import emit, us
+from _tables import (
+    Claim, above, below, bench, between, each, emit, of, ratio, us
+)
 
 from repro.core import RingTransferModel
 from repro.sim import Environment
 
 PRODUCERS = (1, 4, 16, 64)
 DESIGNS = ("progress", "lock", "farm")
+
+
+def _latency_ratios(other):
+    return lambda r: [r[("progress", n)].median_latency / r[(other, n)].median_latency
+                      for n in PRODUCERS]
+
+
+CLAIMS = (
+    Claim("fig17", "farm msg/s, per producer count", "64K op/s",
+          lambda r: [r[("farm", n)].rate for n in PRODUCERS], each(below(150e3))),
+    Claim("fig17", "lock msg/s, 1 producer", "22M", of(("lock", 1), "rate"), above(10e6)),
+    Claim("fig17", "lock msg/s, 64 / 1 producers", "22M -> 1.4M",
+          ratio(of(("lock", 64), "rate"), of(("lock", 1), "rate")), below(0.2)),
+    Claim("fig17", "progress msg/s, 64 producers", "6.5M",
+          of(("progress", 64), "rate"), between(3e6, 12e6)),
+    Claim("fig17", "msg/s at 64 producers, progress / farm", "10x",
+          ratio(of(("progress", 64), "rate"), of(("farm", 64), "rate")), above(6)),
+    Claim("fig17", "msg/s at 64 producers, progress / lock", "4.5x",
+          ratio(of(("progress", 64), "rate"), of(("lock", 64), "rate")), above(2.5)),
+    Claim("fig17", "median latency at 64 producers, progress / lock", "DDS lowest",
+          ratio(of(("progress", 64), "median_latency"), of(("lock", 64), "median_latency")),
+          below(1)),
+    Claim("fig17", "median latency progress / lock, per producer count", "DDS lowest",
+          _latency_ratios("lock"), each(below(2.0))),
+    Claim("fig17", "median latency progress / farm, per producer count", "DDS lowest",
+          _latency_ratios("farm"), each(below(1))),
+)
 
 
 def run_figure():
@@ -43,35 +68,9 @@ def run_figure():
         "fig17",
         "ring buffers: message rate and median latency vs producers",
         ("design", "producers", "msg/s", "median latency"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
 
-def test_fig17_ring_buffer(benchmark):
-    results = benchmark.pedantic(run_figure, rounds=1, iterations=1)
-    progress64 = results[("progress", 64)]
-    lock64 = results[("lock", 64)]
-    farm64 = results[("farm", 64)]
-    # FaRM-style: ~64K msg/s regardless of producers (paper's floor).
-    for producers in PRODUCERS:
-        assert results[("farm", producers)].rate < 150e3
-    # Lock ring: fast at 1 producer, collapses under contention.
-    lock1 = results[("lock", 1)]
-    assert lock1.rate > 10e6
-    assert lock64.rate < 0.2 * lock1.rate
-    # DDS progress ring at 64 producers: ~6.5M, about 10x FaRM and
-    # several times the lock ring (paper: 10x and 4.5x).
-    assert 3e6 < progress64.rate < 12e6
-    assert progress64.rate > 6 * farm64.rate
-    assert progress64.rate > 2.5 * lock64.rate
-    # Latency: the progress ring wins under high contention and is never
-    # far off elsewhere (its deeper batches add a little ring residency
-    # at mid contention — see EXPERIMENTS.md); FaRM is worst throughout.
-    assert progress64.median_latency < lock64.median_latency
-    for producers in PRODUCERS:
-        p = results[("progress", producers)]
-        lock = results[("lock", producers)]
-        farm = results[("farm", producers)]
-        assert p.median_latency < 2.0 * lock.median_latency
-        assert p.median_latency < farm.median_latency
+test_fig17_ring_buffer = bench(run_figure)

@@ -1,12 +1,11 @@
 """Figure 18: DPU-backed file I/O throughput, zero-copy vs. copies (§8.5).
 
-Paper: the storage path's zero-copy discipline (requests used in place,
-responses pre-allocated, §4.3) increases host-issued file throughput by
-up to 93% over a design that pays memory copies to accommodate
-asynchronous I/O; the gap widens with request size.
+The storage path's zero-copy discipline (requests used in place,
+responses pre-allocated, §4.3) against a design that pays memory copies
+to accommodate asynchronous I/O, by request size.
 """
 
-from _tables import emit, kops
+from _tables import INCREASING, Claim, above, bench, between, each, emit, kops
 
 from repro.core import DdsFileLibrary, DpuFileService
 from repro.hardware import DPU_CPU, HOST_CPU, CpuPool, DmaEngine
@@ -16,6 +15,19 @@ from repro.storage import DdsFileSystem, RamDisk, SpdkBdev
 SIZES = (1024, 4096, 16384, 65536)
 OUTSTANDING = 96
 TOTAL_OPS = 2500
+
+
+def _gains(results):
+    return [zero / copies for zero, copies in results.values()]
+
+
+CLAIMS = (
+    Claim("fig18", "zero-copy / copy IOPS, per size", "zero-copy wins", _gains, each(above(1.25))),
+    Claim("fig18", "largest zero-copy gain", "up to +93%",
+          lambda r: max(_gains(r)), between(1.5, 2.8)),
+    Claim("fig18", "gain at 1 KiB, largest gain", "gap widens with request size",
+          lambda r: [_gains(r)[SIZES.index(1024)], max(_gains(r))], INCREASING),
+)
 
 
 def measure(size: int, copy_mode: bool) -> float:
@@ -39,14 +51,6 @@ def measure(size: int, copy_mode: bool) -> float:
     group = library.create_poll()
     library.poll_add(group, fid)
     slots = (64 << 20) // size
-
-    def issuer():
-        import random
-
-        rng = random.Random(7)
-        for i in range(TOTAL_OPS):
-            offset = rng.randrange(slots) * size
-            yield from library.read_file(fid, offset, size)
 
     def poller():
         for _ in range(TOTAL_OPS):
@@ -92,21 +96,9 @@ def run_figure():
         "fig18",
         "DPU-backed file reads: zero-copy vs copy throughput",
         ("request bytes", "zero-copy", "with copies", "gain"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
 
-def test_fig18_file_io(benchmark):
-    results = benchmark.pedantic(run_figure, rounds=1, iterations=1)
-    gains = {
-        size: zero / copies for size, (zero, copies) in results.items()
-    }
-    # Zero-copy always wins meaningfully...
-    for size in SIZES:
-        assert gains[size] > 1.25, size
-    # ...with the largest gain at a copy-dominated mid size (the paper's
-    # "up to 93%"); at 64 KiB both paths converge on device bandwidth.
-    peak = max(gains.values())
-    assert 1.5 < peak < 2.8
-    assert peak > gains[1024]
+test_fig18_file_io = bench(run_figure)

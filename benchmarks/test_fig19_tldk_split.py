@@ -1,17 +1,26 @@
 """Figure 19: TLDK vs. Linux for TCP splitting on the DPU (§8.5).
 
-Paper: echoing through the SoC's Linux kernel TCP is *slower* than not
-offloading at all (host answer), because the kernel path is exacerbated
-by wimpy Arm cores.  The optimized TLDK userspace stack is ~3x faster
-than Linux-on-DPU, making offloading a ~2.5x win over the host answer.
+Echo latency when the host answers, when the SoC's Linux kernel TCP
+answers on wimpy Arm cores, and when the TLDK userspace stack does.
 """
 
-from _tables import emit, us
+from _tables import INCREASING, Claim, bench, between, emit, us
 
 from repro.bench import EchoBench
 from repro.sim import Environment
 
 SIZE = 64  # the experiment echoes small control messages
+
+
+CLAIMS = (
+    Claim("fig19", "server latency: host-os, dpu-linux", "Linux on the DPU is slower",
+          lambda r: [r["host-os"].server_latency, r["dpu-linux"].server_latency], INCREASING),
+    Claim("fig19", "server latency, dpu-linux / dpu-tldk", "3x",
+          lambda r: r["dpu-linux"].server_latency / r["dpu-tldk"].server_latency,
+          between(2.2, 4.5)),
+    Claim("fig19", "server latency, host-os / dpu-tldk", "2.5x",
+          lambda r: r["host-os"].server_latency / r["dpu-tldk"].server_latency, between(1.5, 3.5)),
+)
 
 
 def run_figure():
@@ -27,19 +36,9 @@ def run_figure():
         "fig19",
         "TCP-splitting echo: server-side latency by stack",
         ("stack", "server latency", "RTT"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
 
-def test_fig19_tldk_split(benchmark):
-    results = benchmark.pedantic(run_figure, rounds=1, iterations=1)
-    host = results["host-os"].server_latency
-    linux = results["dpu-linux"].server_latency
-    tldk = results["dpu-tldk"].server_latency
-    # Linux TCP on the DPU is worse than answering from the host.
-    assert linux > host
-    # TLDK is ~3x lower than Linux-on-DPU (paper: 3x)...
-    assert 2.2 < linux / tldk < 4.5
-    # ...and ~2-2.5x lower than the host answer (paper: 2.5x).
-    assert 1.5 < host / tldk < 3.5
+test_fig19_tldk_split = bench(run_figure)

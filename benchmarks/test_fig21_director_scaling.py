@@ -1,11 +1,10 @@
 """Figure 21: traffic-director throughput vs. DPU cores (§8.5).
 
-Paper: one Arm core directs ~6.4 Gbps of traffic, and RSS scales the
-director linearly as cores are added (flows are hashed to cores, each
-core owning its flows' TCP-splitting state exclusively).
+RSS hashes flows to cores, each core owning its flows' TCP-splitting
+state exclusively.
 """
 
-from _tables import emit
+from _tables import Claim, above, bench, between, emit
 
 from repro.core import IoRequest, IoResponse, OpCode, TrafficDirector
 from repro.core.api import passthrough_callbacks
@@ -18,6 +17,13 @@ CORES = (1, 2, 4, 8)
 MESSAGE_BYTES = 1400
 MESSAGES = 3000
 FLOWS_PER_CORE = 8
+
+CLAIMS = (
+    Claim("fig21", "bandwidth, 1 core (bits/s)", "6.4 Gbps", lambda r: r[1], between(4.5e9, 8.5e9)),
+    Claim("fig21", "bandwidth, 2 cores / 1", "linear with RSS", lambda r: r[2] / r[1], above(1.7)),
+    Claim("fig21", "bandwidth, 4 cores / 1", "linear with RSS", lambda r: r[4] / r[1], above(3.2)),
+    Claim("fig21", "bandwidth, 8 cores / 1", "linear with RSS", lambda r: r[8] / r[1], above(5.8)),
+)
 
 
 def balanced_flows(cores: int) -> list:
@@ -94,16 +100,9 @@ def run_figure():
         "fig21",
         "traffic director: directed bandwidth vs DPU cores",
         ("cores", "total", "per core"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
 
-def test_fig21_director_scaling(benchmark):
-    results = benchmark.pedantic(run_figure, rounds=1, iterations=1)
-    # A single Arm core directs ~6.4 Gbps (paper's anchor).
-    assert 4.5e9 < results[1] < 8.5e9
-    # RSS scales near-linearly to 8 cores.
-    assert results[2] > 1.7 * results[1]
-    assert results[4] > 3.2 * results[1]
-    assert results[8] > 5.8 * results[1]
+test_fig21_director_scaling = bench(run_figure)

@@ -1,16 +1,14 @@
 """Figure 22: cache-table performance on the BF-2 (§8.5).
 
-Paper: the cuckoo cache table sustains ~1.2 M insertions/s with a single
-writer and ~15.7 M lookups/s with eight reader threads, across cache
-item sizes — satisfying Table 2's requirements (file service inserts at
-device rate; traffic director looks up at packet rate).
-
-The *structure* is the real :class:`CuckooCacheTable` (probe and
-displacement counts come from actual execution); per-operation Arm-core
-costs are charged on simulated DPU cores.
+Single-writer inserts and 1/8-reader lookups across cache item sizes,
+against Table 2's requirements (the file service inserts at device
+rate; the traffic director looks up at packet rate).  The *structure*
+is the real :class:`CuckooCacheTable` (probe and displacement counts
+come from actual execution); per-operation Arm-core costs are charged
+on simulated DPU cores.
 """
 
-from _tables import emit
+from _tables import Claim, bench, between, each, emit
 
 from repro.hardware import DPU_CPU, CpuPool, MICROSECOND
 from repro.sim import Environment, SeededRng
@@ -21,11 +19,18 @@ INSERTS = 5_000
 LOOKUPS_PER_READER = 3_000
 
 #: Host-core-seconds per operation on the Arm cores, calibrated to the
-#: paper's 1.2 M insert/s and 15.7 M lookup/s (8 readers) anchors.
+#: paper's insert and 8-reader lookup anchors (the ``fig22`` claim rows).
 INSERT_COST = 0.28 * MICROSECOND
 DISPLACE_COST = 0.05 * MICROSECOND
 LOOKUP_COST = 0.175 * MICROSECOND
 PER_BYTE_COST = 0.10e-9  # copying the cache item's value
+
+CLAIMS = (
+    Claim("fig22", "inserts/s, 1 writer, per item size", "~1.2M",
+          lambda r: list(r[0].values()), each(between(0.8e6, 2.0e6))),
+    Claim("fig22", "lookups/s, 8 readers, per item size", "~15.7M",
+          lambda r: list(r[1].values()), each(between(10e6, 22e6))),
+)
 
 
 def measure_inserts(item_bytes: int) -> float:
@@ -95,15 +100,9 @@ def run_figure():
         "fig22",
         "cache table: insert (1 writer) and lookup (1/8 readers) rates",
         ("item bytes", "insert/s", "lookup/s x1", "lookup/s x8"),
-        rows,
+        rows, CLAIMS, (inserts, lookups),
     )
     return inserts, lookups
 
 
-def test_fig22_cache_table(benchmark):
-    inserts, lookups = benchmark.pedantic(run_figure, rounds=1, iterations=1)
-    for item_bytes in ITEM_SIZES:
-        # ~1.2M inserts/s single-writer (Table 2: millions of op/s).
-        assert 0.8e6 < inserts[item_bytes] < 2.0e6, item_bytes
-        # ~15.7M lookups/s with 8 readers (Table 2: 10s of millions).
-        assert 10e6 < lookups[item_bytes] < 22e6, item_bytes
+test_fig22_cache_table = bench(run_figure)

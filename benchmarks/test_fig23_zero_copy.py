@@ -1,16 +1,26 @@
-"""Figure 23: impact of zero-copy on offloaded read performance (§8.5).
-
-Paper: without the offload engine's zero-copy discipline (pre-allocated
-DMA buffers shared between the file service and the packet path,
-Figure 12), peak read throughput falls from 730 K to 520 K IOPS and
-latency at peak rises from ~170 us to ~250 us.
+"""Figure 23: impact of zero-copy on offloaded read performance (§8.5):
+the offload engine with and without pre-allocated DMA buffers shared
+between the file service and the packet path (Figure 12).
 """
 
-from _tables import emit, kops, us
+from _tables import (
+    INCREASING, Claim, above, below, bench, emit, kops, peak, ratio, us
+)
 
 from repro.bench import run_io_experiment
 
 LOADS = (400e3, 600e3, 800e3)
+
+CLAIMS = (
+    Claim("fig23", "peak IOPS, zero-copy / with-copies", "730K vs 520K",
+          ratio(peak("zero-copy", "achieved_iops"), peak("with-copies", "achieved_iops")),
+          above(1.2)),
+    Claim("fig23", "zero-copy peak IOPS", "730K", peak("zero-copy", "achieved_iops"), above(650e3)),
+    Claim("fig23", "with-copies peak IOPS", "520K",
+          peak("with-copies", "achieved_iops"), below(650e3)),
+    Claim("fig23", "p50 at 600K offered: zero-copy, with-copies", "170 us vs 250 us",
+          lambda r: [r["zero-copy"][1].p50, r["with-copies"][1].p50], INCREASING),
+)
 
 
 def run_figure():
@@ -39,20 +49,9 @@ def run_figure():
         "fig23",
         "offload engine: zero-copy vs copies (reads)",
         ("variant", "IOPS", "p50", "p99"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
 
-def test_fig23_zero_copy(benchmark):
-    results = benchmark.pedantic(run_figure, rounds=1, iterations=1)
-    zero_peak = results["zero-copy"][-1]
-    copy_peak = results["with-copies"][-1]
-    # Peak throughput improves substantially (paper: 520K -> 730K, +40%).
-    assert zero_peak.achieved_iops > 1.2 * copy_peak.achieved_iops
-    assert zero_peak.achieved_iops > 650e3
-    assert copy_peak.achieved_iops < 650e3
-    # At a matched mid load, zero-copy also has lower latency.
-    zero_mid = results["zero-copy"][1]
-    copy_mid = results["with-copies"][1]
-    assert zero_mid.p50 < copy_mid.p50
+test_fig23_zero_copy = bench(run_figure)

@@ -1,12 +1,13 @@
 """Figure 24: throughput vs. latency of serving pages (§9.1).
 
-Paper: the Hyperscale-like page server incurs 4.4 ms p99 to reach 90 K
-GetPage@LSN IOPS through its host stack, while with DDS offloading
-160 K IOPS costs only 1.3 ms — more pages at several times lower tail
-latency, with the host CPU of Figure 2 eliminated.
+GetPage@LSN through the Hyperscale-like page server's host stack vs.
+through DDS offloading.  Queueing windows here are smaller than the
+paper's, so both tails scale down.
 """
 
-from _tables import cores, emit, kops, ms
+from _tables import (
+    Claim, above, below, bench, cores, emit, kops, ms, peak, ratio
+)
 
 from repro.apps import run_pageserver_experiment
 
@@ -14,6 +15,22 @@ POINTS = {
     "baseline": [(60e3, 64), (110e3, 128), (215e3, 800)],
     "dds": [(100e3, 64), (160e3, 128), (240e3, 256)],
 }
+
+CLAIMS = (
+    Claim("fig24", "baseline peak pages/s", "saturates below DDS",
+          peak("baseline", "achieved"), below(180e3)),
+    Claim("fig24", "baseline p99 at peak", "4.4 ms @ 90K", peak("baseline", "p99"), above(2e-3)),
+    Claim("fig24", "dds pages/s at 160K offered", "160K",
+          lambda r: r["dds"][1].achieved, above(150e3)),
+    Claim("fig24", "p99, dds @ 160K / baseline at peak", "1.3 ms vs 4.4 ms",
+          lambda r: r["dds"][1].p99 / r["baseline"][-1].p99, below(1 / 3)),
+    Claim("fig24", "peak pages/s, dds / baseline", "DDS keeps scaling",
+          ratio(peak("dds", "achieved"), peak("baseline", "achieved")), above(1.3)),
+    Claim("fig24", "dds host cores at peak", "host CPU eliminated",
+          peak("dds", "host_cores"), below(0.5)),
+    Claim("fig24", "dds offloaded fraction at peak", "served by the DPU",
+          peak("dds", "offloaded_fraction"), above(0.9)),
+)
 
 
 def run_figure():
@@ -44,24 +61,9 @@ def run_figure():
         "fig24",
         "page server: GetPage@LSN throughput vs latency",
         ("deployment", "pages/s", "p50", "p99", "host cores"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
 
-def test_fig24_pageserver(benchmark):
-    results = benchmark.pedantic(run_figure, rounds=1, iterations=1)
-    baseline_peak = results["baseline"][-1]
-    dds_160 = results["dds"][1]
-    dds_peak = results["dds"][-1]
-    # The baseline saturates around ~160K pages/s with a multi-ms tail.
-    assert baseline_peak.achieved < 180e3
-    assert baseline_peak.p99 > 2e-3
-    # DDS reaches 160K pages/s at far lower latency (paper: 1.3ms vs
-    # 4.4ms; here queueing windows are smaller so both scale down).
-    assert dds_160.achieved > 150e3
-    assert dds_160.p99 < baseline_peak.p99 / 3
-    # DDS keeps scaling past the baseline's peak with ~zero host CPU.
-    assert dds_peak.achieved > 1.3 * baseline_peak.achieved
-    assert dds_peak.host_cores < 0.5
-    assert dds_peak.offloaded_fraction > 0.9
+test_fig24_pageserver = bench(run_figure)

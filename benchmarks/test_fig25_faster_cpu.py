@@ -1,16 +1,30 @@
-"""Figure 25: disaggregated FASTER CPU cost under YCSB (§9.2).
-
-Paper: the baseline FASTER service (sockets + OS-file IDevice) burns 20
-server cores to reach 340 K uniform-read op/s; with DDS the same store
-serves 970 K op/s with effectively zero host CPU investment.
+"""Figure 25: disaggregated FASTER CPU cost under YCSB uniform reads
+(§9.2): the baseline service (sockets + OS-file IDevice) vs. DDS.
 """
 
-from _tables import cores, emit, kops
+from _tables import (
+    NONDECREASING, Claim, above, below, bench, cores, each, emit, kops, peak
+)
 
 from repro.apps import run_kv_experiment
 
 BASELINE_LOADS = (150e3, 300e3, 450e3)
 DDS_LOADS = (300e3, 600e3, 1000e3)
+
+
+CLAIMS = (
+    Claim("fig25", "baseline peak op/s", "340K", peak("baseline", "achieved"), below(500e3)),
+    Claim("fig25", "baseline host cores at peak", "20 cores",
+          peak("baseline", "host_cores"), above(12)),
+    Claim("fig25", "dds peak op/s", "970K", peak("dds", "achieved"), above(900e3)),
+    Claim("fig25", "dds host cores at peak", "~0", peak("dds", "host_cores"), below(1.0)),
+    Claim("fig25", "dds offloaded fraction at peak", "served by the DPU",
+          peak("dds", "offloaded_fraction"), above(0.9)),
+    Claim("fig25", "baseline host cores by load", "grows with load",
+          lambda r: [point.host_cores for point in r["baseline"]], NONDECREASING),
+    Claim("fig25", "dds host cores by load", "~0 at every load",
+          lambda r: [point.host_cores for point in r["dds"]], each(below(1.0))),
+)
 
 
 def run_figure():
@@ -44,23 +58,9 @@ def run_figure():
         "fig25",
         "disaggregated FASTER: host CPU vs YCSB read throughput",
         ("deployment", "op/s", "host cores", "dpu cores"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
 
-def test_fig25_faster_cpu(benchmark):
-    results = benchmark.pedantic(run_figure, rounds=1, iterations=1)
-    baseline_peak = results["baseline"][-1]
-    dds_peak = results["dds"][-1]
-    # Baseline: hundreds of K op/s for tens of cores (paper: 340K @ 20).
-    assert baseline_peak.achieved < 500e3
-    assert baseline_peak.host_cores > 12
-    # DDS: ~1M op/s (paper: 970K) at near-zero host CPU.
-    assert dds_peak.achieved > 900e3
-    assert dds_peak.host_cores < 1.0
-    assert dds_peak.offloaded_fraction > 0.9
-    # Host CPU grows with load for the baseline, stays flat for DDS.
-    baseline_cores = [r.host_cores for r in results["baseline"]]
-    assert baseline_cores == sorted(baseline_cores)
-    assert all(r.host_cores < 1.0 for r in results["dds"])
+test_fig25_faster_cpu = bench(run_figure)

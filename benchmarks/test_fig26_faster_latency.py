@@ -1,11 +1,11 @@
-"""Figure 26: disaggregated FASTER latency under YCSB (§9.2).
-
-Paper: at 340 K op/s the baseline's median (p99) latency is 13 ms
-(18 ms) — deep queueing in the host stack — while DDS keeps latency
-around 300 us even at ~1 M op/s.
+"""Figure 26: disaggregated FASTER latency under YCSB (§9.2): the
+baseline's host stack queues deeply at its peak; DDS serves from the
+DPU.
 """
 
-from _tables import emit, kops, us
+from _tables import (
+    INCREASING, Claim, above, below, bench, emit, kops, peak, ratio, us
+)
 
 from repro.apps import run_kv_experiment
 
@@ -13,6 +13,16 @@ POINTS = {
     "baseline": [(200e3, 64, 4000), (350e3, 256, 5000), (520e3, 2000, 20000)],
     "dds": [(400e3, 64, 5000), (800e3, 128, 6000), (1000e3, 160, 8000)],
 }
+
+CLAIMS = (
+    Claim("fig26", "baseline p50 at peak", "13 ms @ 340K", peak("baseline", "p50"), above(2e-3)),
+    Claim("fig26", "baseline p50, p99 at peak", "13 ms / 18 ms",
+          lambda r: [r["baseline"][-1].p50, r["baseline"][-1].p99], INCREASING),
+    Claim("fig26", "dds peak op/s", "~1M", peak("dds", "achieved"), above(900e3)),
+    Claim("fig26", "dds p50 at peak", "~300 us", peak("dds", "p50"), below(500e-6)),
+    Claim("fig26", "p50 at peak, baseline / dds", "order of magnitude",
+          ratio(peak("baseline", "p50"), peak("dds", "p50")), above(8)),
+)
 
 
 def run_figure():
@@ -43,21 +53,9 @@ def run_figure():
         "fig26",
         "disaggregated FASTER: YCSB read latency vs throughput",
         ("deployment", "op/s", "p50", "p99"),
-        rows,
+        rows, CLAIMS, results,
     )
     return results
 
 
-def test_fig26_faster_latency(benchmark):
-    results = benchmark.pedantic(run_figure, rounds=1, iterations=1)
-    baseline_peak = results["baseline"][-1]
-    dds_peak = results["dds"][-1]
-    # The saturated baseline is in the milliseconds (paper: 13/18 ms).
-    assert baseline_peak.p50 > 2e-3
-    assert baseline_peak.p99 > baseline_peak.p50
-    # DDS keeps latency in the hundreds of microseconds at ~1M op/s
-    # (paper: ~300 us).
-    assert dds_peak.achieved > 900e3
-    assert dds_peak.p50 < 500e-6
-    # Order-of-magnitude separation at the respective operating points.
-    assert baseline_peak.p50 / dds_peak.p50 > 8
+test_fig26_faster_latency = bench(run_figure)

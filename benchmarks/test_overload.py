@@ -7,28 +7,74 @@ emits the two tables the graceful-degradation claim rests on:
 * ``overload`` — goodput, p99, retry amplification, and shed rate at
   each offered-load multiple of capacity, for the stock configuration
   (OFF: 8-attempt retries, no dedup, no admission control) and the
-  defended one (ON: QoS gate + retry budget + dedup).  OFF collapses
-  past saturation; ON holds >= 80% of peak at 2x capacity.
-* the flash-crowd rows — goodput before / during / after a 5x spike.
-  OFF stays depressed after the crowd leaves (metastable failure); ON
-  recovers to >= 95% of pre-crowd demand.
-
-Run with ``pytest benchmarks/test_overload.py``.
+  defended one (ON: QoS gate + retry budget + dedup).
+* ``overload_flash_crowd`` — goodput before / during / after a 5x spike.
 """
 
-import pytest
-from _tables import emit, kops
+from _tables import (
+    NONDECREASING, Claim, above, at_least, at_most, below, bench, each, emit, equals, kops
+)
 
 from repro.bench.trajectory import run_workload
 
-
-@pytest.fixture(scope="module")
-def detail():
-    return run_workload("overload", "full")["detail"]
+DESIGN = "DESIGN 15: graceful degradation"
 
 
-@pytest.fixture(scope="module")
-def table(detail):
+def _points(key, field, at_least_x=0.0):
+    """``field`` of each curve point of config ``key`` at or past a load
+    multiple."""
+    return lambda d: [
+        point[field] for point in d["curve"][key]
+        if point["multiplier"] >= at_least_x
+    ]
+
+
+def _on_2x(detail):
+    return next(p for p in detail["curve"]["on"] if p["multiplier"] == 2.0)
+
+
+def _p99_at_2x(detail):
+    return detail["tenant_class_p99_ms_at_2x"]
+
+
+def _off_goodput_3x_of_peak(detail):
+    off = {p["multiplier"]: p["goodput_iops"] for p in detail["curve"]["off"]}
+    return off[3.0] / max(off.values())
+
+
+CLAIMS = (
+    Claim("overload", "defended goodput at 2x, % of peak", DESIGN,
+          lambda d: d["on_goodput_2x_pct_of_peak"], at_least(80.0)),
+    Claim("overload", "stock goodput at 3x / peak", "collapse, not saturation",
+          _off_goodput_3x_of_peak, below(0.65)),
+    Claim("overload", "stock collapse, % of peak", "collapse, not saturation",
+          lambda d: d["off_collapse_pct_of_peak"], below(65.0)),
+    Claim("overload", "stock amplification at >= 2x", "retries multiply demand",
+          _points("off", "amplification", 2.0), each(above(2.0))),
+    Claim("overload", "defended amplification, every load", DESIGN,
+          _points("on", "amplification"), each(at_most(1.15))),
+    Claim("overload", "defended shed rate at 2x", "sheds explicitly",
+          lambda d: _on_2x(d)["shed_rate"], above(0.4)),
+    Claim("overload", "stock shed rate, every load", "sheds nothing explicitly",
+          _points("off", "shed_rate"), each(equals(0.0))),
+    Claim("overload", "interactive p99 at 2x (ms)", "weighted tenants ride through",
+          lambda d: _p99_at_2x(d)["int"], below(5.0)),
+    Claim("overload", "p99 at 2x (ms): interactive, batch", "batch absorbs the queueing",
+          lambda d: [_p99_at_2x(d)[c] for c in ("int", "batch")], NONDECREASING),
+    Claim("overload_flash_crowd", "defended recovery", DESIGN,
+          lambda d: d["flash_crowd"]["on"]["recovery"], at_least(0.95)),
+    Claim("overload_flash_crowd", "stock recovery", "metastable failure",
+          lambda d: d["flash_crowd"]["off"]["recovery"], below(0.8)),
+    Claim("overload_flash_crowd", "retries, stock / defended",
+          "metastable failure",
+          lambda d: d["flash_crowd"]["off"]["retries"]
+          / d["flash_crowd"]["on"]["retries"],
+          above(10)),
+)
+
+
+def run_figure():
+    detail = run_workload("overload", "full")["detail"]
     rows = []
     for key, label in (("off", "stock"), ("on", "defended")):
         for point in detail["curve"][key]:
@@ -45,7 +91,7 @@ def table(detail):
         "overload",
         "open-loop overload: goodput vs offered load (1 shard, 64KiB reads)",
         ("config", "load", "offered", "goodput", "p99", "amplify", "shed"),
-        rows,
+        rows, CLAIMS, detail,
     )
     flash_rows = [
         (
@@ -63,56 +109,9 @@ def table(detail):
         "overload_flash_crowd",
         "flash crowd (5x for 6ms over 0.8x-capacity base): recovery",
         ("config", "pre", "during", "post", "recovery", "p99", "retries"),
-        flash_rows,
+        flash_rows, CLAIMS, detail,
     )
     return detail
 
 
-class TestGoodputCurve:
-    def test_defended_curve_holds_at_twice_capacity(self, table):
-        """The acceptance bar: ON goodput at 2x >= 80% of ON peak."""
-        assert table["on_goodput_2x_pct_of_peak"] >= 80.0
-
-    def test_stock_curve_collapses(self, table):
-        """OFF goodput falls as offered load rises past saturation —
-        the signature of congestion collapse, not graceful saturation."""
-        off = {p["multiplier"]: p["goodput_iops"] for p in table["curve"]["off"]}
-        assert off[3.0] < 0.65 * max(off.values())
-        assert table["off_collapse_pct_of_peak"] < 65.0
-
-    def test_stock_overload_amplifies_offered_load(self, table):
-        """Past saturation the stock retry policy multiplies demand;
-        the budgeted configuration stays within ~1.1x."""
-        for point in table["curve"]["off"]:
-            if point["multiplier"] >= 2.0:
-                assert point["amplification"] > 2.0
-        for point in table["curve"]["on"]:
-            assert point["amplification"] <= 1.15
-
-    def test_defenses_shed_explicitly_not_silently(self, table):
-        """ON converts excess into THROTTLED sheds; OFF sheds nothing
-        explicitly (its losses hide in queues and timeouts)."""
-        on_2x = next(
-            p for p in table["curve"]["on"] if p["multiplier"] == 2.0
-        )
-        assert on_2x["shed_rate"] > 0.4
-        for point in table["curve"]["off"]:
-            assert point["shed_rate"] == 0.0
-
-    def test_interactive_class_keeps_low_p99_under_overload(self, table):
-        """The 4x-weighted interactive tenants ride through 2x overload
-        with millisecond-class p99 while batch absorbs the queueing."""
-        classes = table["tenant_class_p99_ms_at_2x"]
-        assert classes["int"] < 5.0
-        assert classes["int"] <= classes["batch"]
-
-
-class TestFlashCrowd:
-    def test_defended_recovers_after_the_crowd(self, table):
-        assert table["flash_crowd"]["on"]["recovery"] >= 0.95
-
-    def test_stock_stays_collapsed_after_the_crowd(self, table):
-        """Metastability: the trigger is gone, the collapse persists."""
-        flash = table["flash_crowd"]["off"]
-        assert flash["recovery"] < 0.8
-        assert flash["retries"] > 10 * table["flash_crowd"]["on"]["retries"]
+test_overload = bench(run_figure)

@@ -1,4 +1,10 @@
-"""Tests for the experiment harness, echo bench, and RMW bench."""
+"""Tests for the experiment harness, echo bench, RMW bench, and the
+figure writer's claim rows."""
+
+import glob
+import importlib.util
+import os
+import sys
 
 import pytest
 
@@ -9,6 +15,7 @@ from repro.bench import (
     run_io_experiment,
     run_rmw_scaling,
 )
+from repro.bench.figures import _benchmarks_dir
 from repro.bench.harness import (
     ack_buckets,
     drain_until,
@@ -186,3 +193,96 @@ class TestRmwBench:
         eight = run_rmw_scaling("dpu", 8, ops_per_thread=400)
         sixteen = run_rmw_scaling("dpu", 16, ops_per_thread=400)
         assert sixteen.throughput < 1.15 * eight.throughput
+
+
+@pytest.fixture
+def tables(monkeypatch, tmp_path):
+    """``benchmarks/_tables.py``, persisting under ``tmp_path``."""
+    path = os.path.join(_benchmarks_dir(), "_tables.py")
+    spec = importlib.util.spec_from_file_location("_tables", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "_tables", module)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "RESULTS_DIR", str(tmp_path))
+    return module
+
+
+def _written(tables, figure):
+    with open(os.path.join(tables.RESULTS_DIR, f"{figure}.txt")) as handle:
+        return handle.read()
+
+
+class TestClaimRows:
+    """Each figure's claim rows are judged and written by the one writer,
+    ``emit``, under the figure's table."""
+
+    def _claims(self, tables):
+        return (
+            tables.Claim("figx", "doubled", "2x", lambda r: 2.0 * r,
+                         tables.above(1.5)),
+            tables.Claim("figx", "series", "rises",
+                         lambda r: [r, 2500.0, 3e-6], tables.INCREASING),
+            tables.Claim("figy", "another figure's row", "-", len,
+                         tables.equals(0)),
+        )
+
+    def test_the_section_format(self, tables):
+        tables.emit("figx", "a title", ("load",), [("1",)],
+                    self._claims(tables)[:1], 1.0)
+        assert _written(tables, "figx") == (
+            "=== figx: a title ===\n"
+            "load        \n"
+            "1           \n"
+            "\n"
+            "--- claims: 1 of 1 hold ---\n"
+            "claim   | paper | measured | bound | verdict\n"
+            "doubled | 2x    | 2        | > 1.5 | ok\n"
+        )
+
+    def test_a_failing_row_fails_the_writer_after_the_rows_are_written(
+        self, tables
+    ):
+        with pytest.raises(AssertionError) as failure:
+            tables.emit("figx", "a title", ("load",), [("1",)],
+                        self._claims(tables), 1.0)
+        written = _written(tables, "figx")
+        assert "--- claims: 1 of 2 hold ---" in written
+        assert "| [1, 2.5K, 3u] | increasing | FAIL" in written
+        assert "another figure's row" not in written
+        message = str(failure.value)
+        assert message.startswith("figx: 1 claim(s) failed")
+        assert "series: measured [1, 2.5K, 3u], bound increasing" in message
+        assert "doubled" not in message
+
+    def test_a_metric_that_raises_is_a_failing_row(self, tables):
+        broken = tables.Claim("figx", "missing key", "-", lambda r: r["key"],
+                              tables.above(0))
+        with pytest.raises(AssertionError, match="missing key: measured "
+                           "KeyError: 'key'"):
+            tables.emit("figx", "a title", ("load",), [], (broken,), {})
+        assert "KeyError: 'key' | > 0   | FAIL" in _written(tables, "figx")
+
+    def test_a_table_without_claims_has_no_section(self, tables):
+        table = tables.emit("figz", "a title", ("load",), [("1",)])
+        assert _written(tables, "figz") == table + "\n"
+        assert "claims" not in table
+
+    def test_every_declared_row_is_committed_and_holds(self, monkeypatch):
+        """A row whose ``figure`` names no emitted table is never judged;
+        each bench's rows must stand, passing, in its results file."""
+        bench_dir = _benchmarks_dir()
+        monkeypatch.syspath_prepend(bench_dir)
+        rows = 0
+        for path in sorted(glob.glob(os.path.join(bench_dir, "test_*.py"))):
+            name = os.path.basename(path)[:-3]
+            for claim in getattr(importlib.import_module(name), "CLAIMS", ()):
+                with open(os.path.join(bench_dir, "results",
+                                       claim.figure + ".txt")) as handle:
+                    lines = handle.read().splitlines()
+                row = [line for line in lines
+                       if line.split(" | ")[0].rstrip() == claim.claim]
+                assert len(row) == 1 and row[0].endswith("| ok"), (
+                    name, claim.claim)
+                rows += 1
+        assert rows > 100
+

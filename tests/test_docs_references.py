@@ -15,6 +15,11 @@ must exist too, under the repository root or one of :data:`PATH_BASES`;
 a bare file name may live anywhere in the tree, and a ``::name`` suffix
 must be a name the file defines or mentions.
 
+Every ``python -m X`` command in those docs, inline or in a fenced
+block, must name a module that imports and has an entry point: a
+package's ``__main__.py`` or a module's ``if __name__ == "__main__"``
+guard.
+
 No source file cites a ROADMAP item: the roadmap renumbers its items
 when it is re-anchored, so such a citation goes stale.
 """
@@ -23,6 +28,7 @@ import ast
 import fnmatch
 import glob
 import importlib
+import importlib.util
 import os
 import re
 
@@ -243,3 +249,52 @@ def test_every_path_exists(doc):
             ):
                 broken.append(f"{path}::{name}: not in {path}")
     assert not broken, f"{doc} names paths that do not exist:\n  " + "\n  ".join(broken)
+
+
+_PYTHON_M = re.compile(r"\bpython3?\s+-m\s+([A-Za-z_][\w.]*)")
+_MAIN_GUARD = re.compile(r"""^if __name__ == ["']__main__["']\s*:""", re.M)
+
+
+def module_commands(text):
+    """The module of every ``python -m`` command in ``text``."""
+    return sorted(set(_PYTHON_M.findall(text)))
+
+
+def entry_point_problem(module):
+    """Why ``python -m module`` cannot run, or None if it can."""
+    try:
+        importlib.import_module(module)
+    except ImportError as exc:
+        return f"does not import ({exc})"
+    spec = importlib.util.find_spec(module)
+    if spec.submodule_search_locations is not None:
+        if importlib.util.find_spec(module + ".__main__") is None:
+            return "a package without __main__.py"
+        return None
+    source = spec.loader.get_source(module)
+    if source is None or not _MAIN_GUARD.search(source):
+        return 'no `if __name__ == "__main__"` guard'
+    return None
+
+
+def test_module_commands_are_checked():
+    text = (
+        "Run `python -m repro.bench.figurez fig14`, then\n"
+        "```\npython3 -m\n  pytest -q\n```"
+    )
+    assert module_commands(text) == ["pytest", "repro.bench.figurez"]
+    assert "does not import" in entry_point_problem("repro.bench.figurez")
+    assert entry_point_problem("repro.bench") == "a package without __main__.py"
+    assert "guard" in entry_point_problem("repro.bench.harness")
+    assert entry_point_problem("repro.bench.figures") is None
+    assert entry_point_problem("repro.analysis") is None
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_python_m_command_runs(doc):
+    broken = []
+    for module in module_commands(_text(os.path.join(ROOT, doc))):
+        problem = entry_point_problem(module)
+        if problem:
+            broken.append(f"python -m {module}: {problem}")
+    assert not broken, f"{doc} runs modules that cannot run:\n  " + "\n  ".join(broken)
