@@ -37,6 +37,8 @@ CLAIMS = (
           _pair("achieved_iops", "baseline", "local-os"), INCREASING),
     Claim("fig16", "p50 at peak: local-os, baseline", "(5) slower than (1)",
           _pair("p50", "local-os", "baseline"), INCREASING),
+    Claim("fig16", "total cores at peak: local-os, baseline", "(5) costs CPU over (1)",
+          _pair("total_cores", "local-os", "baseline"), INCREASING),
     Claim("fig16", "peak IOPS: smb, smb-direct", "(4) above (3): RDMA",
           _pair("achieved_iops", "smb", "smb-direct"), INCREASING),
     Claim("fig16", "peak IOPS, smb-direct / baseline", "(3)(4) far below (5)-(10)",

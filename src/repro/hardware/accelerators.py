@@ -19,8 +19,10 @@ of pattern matching, and an Arm core manages a small fraction of either.
 
 from __future__ import annotations
 
+import re
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Generator, List, Optional, Pattern, Tuple
 
 from ..sim import Environment, Resource
@@ -131,6 +133,49 @@ def decompress_page(blob: bytes) -> bytes:
     return zlib.decompress(blob)
 
 
+@lru_cache(maxsize=64)
+def _page_searchable(source: bytes, flags: int) -> bool:
+    """Whether a search over a whole page finds every record's match.
+
+    True for the regular subset — literals, escapes that stand for one
+    byte or one class, ``[...]``, ``.``, plain ``(...)``/``(?:...)``/
+    ``(?P<name>...)`` groups, ``|`` and greedy or lazy quantifiers —
+    whose match is a property of the bytes it spans alone.  Anchors,
+    ``\\b``/``\\B``, lookaround, backreferences, possessive or atomic
+    constructs, inline flags, comments and ``re.VERBOSE`` are context:
+    those patterns (and anything this reading does not know) search
+    record by record.
+    """
+    if flags & re.VERBOSE:
+        return False
+    at, end = 0, len(source)
+    quantified = False  # the last token was a quantifier
+    while at < end:
+        char = source[at:at + 1]
+        if char == b"\\":
+            escaped = source[at + 1:at + 2]
+            if escaped.isalnum() and escaped not in b"dDsSwWafnrtvx":
+                return False  # \b \B \A \Z, backreferences, octal
+            at, quantified = at + 2, False
+            continue
+        if char in b"^$":
+            return False
+        if char == b"[":
+            at += 1
+            at += source[at:at + 1] == b"^"
+            at += source[at:at + 1] == b"]"
+            while at < end and source[at:at + 1] != b"]":
+                at += 2 if source[at:at + 1] == b"\\" else 1
+        elif source.startswith(b"(?", at):
+            if not source.startswith((b"(?:", b"(?P<"), at):
+                return False  # lookaround, atomic, flags, (?P=name), ...
+        elif char == b"+" and quantified:
+            return False  # possessive
+        quantified = char in b"*+?}"
+        at += 1
+    return True
+
+
 def regex_scan(
     data: bytes, pattern: Pattern, record_size: int
 ) -> List[Tuple[int, bytes]]:
@@ -139,16 +184,49 @@ def regex_scan(
     This is the string-operator pushdown §11 suggests for the RXP
     engine: evaluation happens where the data is, and only matching
     records travel.
+
+    The answer is per record — a record is selected when
+    ``pattern.search(record)`` matches — but a pattern in the regular
+    subset (:func:`_page_searchable`) is searched over the page, one
+    search per hit: a record holding a match of its own holds a page
+    match starting at or before it, so the records before the next page
+    match have none.  A page match inside one record selects it and the
+    search resumes at the next record; one across a record boundary
+    has every record it touches searched alone.  Any other pattern is
+    searched record by record.
     """
     if record_size <= 0:
         raise ValueError("record_size must be positive")
-    if len(data) % record_size:
+    size = len(data)
+    if size % record_size:
         raise ValueError(
-            f"{len(data)}B is not whole {record_size}B records"
+            f"{size}B is not whole {record_size}B records"
         )
     search = pattern.search
-    return [
-        (at // record_size, record)
-        for at in range(0, len(data), record_size)
-        if search(record := data[at:at + record_size])
-    ]
+    if not _page_searchable(pattern.pattern, pattern.flags):
+        return [
+            (at // record_size, record)
+            for at in range(0, size, record_size)
+            if search(record := data[at:at + record_size])
+        ]
+    selected: List[Tuple[int, bytes]] = []
+    pos = 0
+    while pos < size:
+        match = search(data, pos)
+        if match is None:
+            break
+        start, stop = match.span()
+        first = start - start % record_size
+        last = max(first, stop - 1 - (stop - 1) % record_size)
+        if first == last:
+            selected.append(
+                (first // record_size, data[first:first + record_size])
+            )
+        else:
+            selected.extend(
+                (at // record_size, record)
+                for at in range(first, last + record_size, record_size)
+                if search(record := data[at:at + record_size])
+            )
+        pos = last + record_size
+    return selected

@@ -16,10 +16,12 @@ exactly as everywhere else in the simulator (DPU cores run at 0.35x —
 :data:`~repro.hardware.specs.DPU_CPU`).
 
 When the pipeline's filter lowers to a single regex
-(``token.pattern``), every placement runs it as one search per record
-(:func:`~repro.hardware.accelerators.regex_scan`) and only the surviving
-records run the remaining stages through the interpreter.  The placement
-decides who pays for the filter.  An attached RXP :class:`~repro.
+(``token.pattern``), every placement selects rows with
+:func:`~repro.hardware.accelerators.regex_scan` — one search per hit
+over the page, or one per record for a pattern whose match depends on
+where a record starts or ends — and only the surviving records run the
+remaining stages through the interpreter.  The placement decides who
+pays for the filter.  An attached RXP :class:`~repro.
 hardware.accelerators.HardwareAccelerator` absorbs it at page
 granularity: that is the §11 string-operator story, the regex engine
 evaluates the operator where the data lives and the Arm cores stay
@@ -159,8 +161,9 @@ class PushdownEngine:
         fuel = token.verdict.fuel
 
         if token.pattern is not None:
-            # The filter is one regex: one search per record selects the
-            # rows, and only the survivors run the residual stages.
+            # The filter is one regex: regex_scan selects the rows a
+            # per-record search would (one page search per hit where the
+            # pattern allows), and only the survivors run the residual.
             matcher, residual = token.lowered
             if self.accelerator is not None:
                 yield from self.accelerator.process(len(page))

@@ -131,8 +131,7 @@ _OPS = (
     _NOT, _DUP, _POP, _SWAP, _LOADS, _STORE,
     _JMP, _JZ, _LOOP, _END, _EMITV, _PUSHCTR,
 ) = range(len(_OPS))
-#: Keyed by member name: an ``Op`` hashes in Python, its name in C.
-_NUMBER = {op._name_: number for number, op in enumerate(_OPS)}
+_NUMBER = {op: number for number, op in enumerate(_OPS)}
 assert len(_NUMBER) == len(Op), "every opcode needs an arm in _run"
 
 #: ``_GT`` .. ``_MUL`` as ``f(left, right)``.
@@ -160,7 +159,7 @@ def _decode(program: Program) -> _Stage:
         raise OperandTrap(f"invalid pattern: {exc}") from None
     if not 0 <= program.scratch <= SCRATCH_LIMIT:
         raise ScratchTrap(f"scratch size {program.scratch} out of range")
-    code = tuple([(_NUMBER[i.op._name_], i.a, i.b) for i in program.code])
+    code = tuple([(_NUMBER[i.op], i.a, i.b) for i in program.code])
     return (
         code, len(code), searches, len(searches),
         program.kind == "filter", program.scratch,

@@ -112,6 +112,11 @@ class Op(enum.Enum):
     ACNT = "acnt"        # a = register: acc[a] += 1
     RET = "ret"          # filter: pop selection flag; must be last
 
+    #: Members are singletons compared by identity, so they hash by it,
+    #: in C: ``Enum.__hash__`` is a Python frame per dict lookup, and
+    #: the cost model's tallies are dicts keyed by opcode.
+    __hash__ = object.__hash__
+
 
 #: Opcodes that read an operand from the stack (count popped) — what
 #: the verifier's loop-frame floor check subtracts.  What each opcode

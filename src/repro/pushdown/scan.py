@@ -141,16 +141,27 @@ def build_pipeline_table(
 ) -> PipelineTable:
     """Draw the next ``pages``-page pipeline table off ``rng``: per
     record a marker at 0, a u32 value at 16, a u32 weight at 20 and a
-    random tail."""
+    random tail.
+
+    The value and weight are ``rng.randrange(10_000)`` and
+    ``rng.randrange(100)`` drawn the way ``random.Random`` draws them,
+    without its two Python frames per draw: ``getrandbits`` of the
+    bound's bit length (14, 7), redone while out of range.
+    """
+    random, getrandbits = rng.random, rng.getrandbits
     table: List[bytes] = []
     hits = value_sum = max_weight = 0
     for first in range(0, pages * RECORDS_PER_PAGE, RECORDS_PER_PAGE):
         records = []
         for index in range(first, first + RECORDS_PER_PAGE):
-            hit = rng.random() < selectivity
+            hit = random() < selectivity
             marker = b"needle-%08d" % index if hit else b"chaff--%08d" % index
-            value = rng.randrange(10_000)
-            weight = rng.randrange(100)
+            value = getrandbits(14)
+            while value >= 10_000:
+                value = getrandbits(14)
+            weight = getrandbits(7)
+            while weight >= 100:
+                weight = getrandbits(7)
             records.append(
                 marker.ljust(VALUE_OFFSET, b".")
                 + value.to_bytes(4, "little")

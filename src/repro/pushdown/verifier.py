@@ -135,8 +135,9 @@ class VerifiedPipeline:
 
     @cached_property
     def lowered(self) -> Tuple[Pattern[bytes], Pipeline]:
-        """A lowering's two halves: ``pattern`` compiled for one search
-        per record, and the stages after the filter for the interpreter.
+        """A lowering's two halves: ``pattern`` compiled for
+        :func:`~repro.hardware.accelerators.regex_scan`, and the stages
+        after the filter for the interpreter.
 
         The search stands in for ``MATCH 0; RET`` on every placement,
         so the interpreter's per-step checks are settled here, once per

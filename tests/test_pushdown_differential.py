@@ -383,7 +383,8 @@ def test_rxp_split_matches_the_per_record_split():
 
 
 # ----------------------------------------------------------------------
-# a lowered filter is one search per record, billed by its placement
+# a lowered filter selects what a search per record would (one page
+# search per hit where the pattern allows), billed by its placement
 # ----------------------------------------------------------------------
 def _billed(page_bytes, cycles, accelerated):
     """``env.now`` once a placement has paid: the RXP job over the page
@@ -405,8 +406,8 @@ def _billed(page_bytes, cycles, accelerated):
 def _lowered_reference(token, page, accelerated):
     """What the engine returned before the core placements searched:
     the whole pipeline interpreted record by record on the core, or a
-    search per record and the residual stages over the survivors only
-    on the RXP."""
+    search per record (what ``regex_scan``'s page search must equal)
+    and the residual stages over the survivors only on the RXP."""
     acc = [0] * ACC_REGS
     size, fuel = token.geometry.record_bytes, token.verdict.fuel
     if accelerated:

@@ -86,9 +86,11 @@ def test_pipeline_table_is_the_per_byte_table(seed):
 def test_tables_drawn_off_one_stream_leave_it_where_the_reference_does():
     """``build_pipeline_table`` takes the rng so several tables can come
     off one stream: each must consume exactly what the per-byte loop
-    consumed, or the *next* table moves."""
+    consumed, or the *next* table moves.  The value and weight draws
+    inline ``randrange``'s rejection loops, so the edges are here too:
+    every record a hit, none, and small odd page counts."""
     shipped, reference = SeededRng(99), SeededRng(99)
-    for pages, selectivity in ((3, 0.2), (1, 1.0), (2, 0.0)):
+    for pages, selectivity in ((3, 0.2), (1, 1.0), (2, 0.0), (5, 0.05)):
         table = build_pipeline_table(shipped, pages, selectivity)
         data, truth = _reference_pipeline_table(
             reference, pages, selectivity
@@ -96,6 +98,8 @@ def test_tables_drawn_off_one_stream_leave_it_where_the_reference_does():
         assert b"".join(table.pages) == data
         assert (table.hits, table.value_sum, table.max_weight) == truth
         assert shipped.getstate() == reference.getstate()
+        if selectivity in (0.0, 1.0):
+            assert table.hits == selectivity * pages * RECORDS_PER_PAGE
 
 
 def test_scanners_of_one_memoised_table_share_no_disk_byte():
