@@ -83,14 +83,14 @@ class CompressedPageStore:
         )
         self.fs.create_directory("compressed")
         self.file_id = self.fs.create_file("compressed", "pages")
-        self.spdk_core = CpuPool(env, speed=DPU_CPU.speed, name="spdk")
+        self.spdk_core = CpuPool(env, speed=DPU_CPU.speed, name="spdk", side="dpu")
         if mode == "accel":
             self.engine = HardwareAccelerator(env, BF2_COMPRESSION)
         elif mode == "software":
             self.engine = HardwareAccelerator(
                 env,
                 ARM_SOFTWARE_COMPRESSION,
-                software_core=CpuPool(env, speed=DPU_CPU.speed, name="arm"),
+                software_core=CpuPool(env, speed=DPU_CPU.speed, name="arm", side="dpu"),
             )
         else:
             self.engine = None

@@ -127,8 +127,8 @@ def run_dpu_cache_experiment(
             page_id * page_bytes,
             page_id.to_bytes(8, "little") * (page_bytes // 8),
         )
-    core = CpuPool(env, speed=DPU_CPU.speed, name="engine")
-    spdk_core = CpuPool(env, speed=DPU_CPU.speed, name="spdk")
+    core = CpuPool(env, speed=DPU_CPU.speed, name="engine", side="dpu")
+    spdk_core = CpuPool(env, speed=DPU_CPU.speed, name="spdk", side="dpu")
     cache = (
         DpuReadCache(env, core, cache_bytes) if cache_bytes > 0 else None
     )

@@ -29,7 +29,8 @@ from ..core.api import OffloadCallbacks, ReadOp, WriteOp
 from ..core.client import ClientConfig
 from ..core.messages import IoRequest, IoResponse, OpCode
 from ..hardware.cpu import CpuPool
-from ..hardware.specs import HOST_APP_NET, MICROSECOND
+from ..hardware.specs import HOST_APP_NET, MICROSECOND, StackSpec
+from ..net.stack import StackLayer
 from ..sim import Environment, SeededRng
 from ..topology.registry import build_server
 
@@ -50,6 +51,14 @@ PAGE_BYTES = 8192
 PAGES = 16_384
 REPLAY_RATE = 2_000.0
 PAGE_HEADER = struct.Struct("<QQ")  # page_lsn, page_id
+#: Figure 2's split of the baseline's host cores: each column is the
+#: account's host rows of these names, and the four partition the side.
+FIGURE_2 = {
+    "dbms-network": ("host-app-net",),
+    "os-network": ("host-os-tcp",),
+    "filesystem": ("host-os-fs", "kernel-io-serial"),
+    "dbms-other": ("host-app-other", "sql-dispatch", "sql-page", "log-replay"),
+}
 
 
 def make_page(page_id: int, lsn: int) -> bytes:
@@ -130,9 +139,9 @@ class _PageServerApp:
     #: completion thread), which caps the baseline's page rate.
     SQL_DISPATCH_COST = 6.0 * MICROSECOND
     #: Parallel SQL-stack work per served page (buffer manager, checks).
-    SQL_PAGE_COST = 8.0 * MICROSECOND
+    SQL_PAGE = StackSpec("sql-page", 8.0 * MICROSECOND, 0.0, 0.0)
     #: CPU to apply one log record to a page.
-    REPLAY_APPLY_COST = 4.0 * MICROSECOND
+    REPLAY_APPLY = StackSpec("log-replay", 4.0 * MICROSECOND, 0.0, 0.0)
 
     def __init__(
         self,
@@ -153,6 +162,8 @@ class _PageServerApp:
         self.page_lsns: Dict[int, int] = {p: 0 for p in range(pages)}
         self.current_lsn = 0
         self.dispatch_core = CpuPool(env, speed=1.0, name="sql-dispatch")
+        self.page_work = StackLayer(env, self.SQL_PAGE, host_pool)
+        self.replay_work = StackLayer(env, self.REPLAY_APPLY, host_pool)
         self._lsn_waiters: List[tuple] = []
         self.pages_served = 0
         self.records_replayed = 0
@@ -178,7 +189,7 @@ class _PageServerApp:
         # Read the page (invalidate-on-read fires in the file service),
         # apply the record, write it back (cache-on-write re-caches it).
         yield from self.device.read(offset, PAGE_BYTES)
-        yield from self.host_pool.execute(self.REPLAY_APPLY_COST)
+        yield from self.replay_work.process(0)
         yield from self.device.write(offset, make_page(page_id, lsn))
         self.page_lsns[page_id] = lsn
         self.records_replayed += 1
@@ -198,7 +209,7 @@ class _PageServerApp:
         page_id = request.offset // PAGE_BYTES
         wanted_lsn = request.tag
         yield from self.dispatch_core.execute(self.SQL_DISPATCH_COST)
-        yield from self.host_pool.execute(self.SQL_PAGE_COST)
+        yield from self.page_work.process(0)
         if self.page_lsns.get(page_id, 0) < wanted_lsn:
             # The page is behind the requested LSN: wait for replay.
             gate = self.env.event()
@@ -306,18 +317,9 @@ def run_pageserver_experiment(
         factory,
     )
     if kind == "baseline":
-        # Figure 2's split of the host's cores; the SQL dispatch thread
-        # is a core of the app's own, outside the server's roll-up.
-        elapsed = point.elapsed
-        dispatch = app.dispatch_core.cores_consumed(elapsed)
-        _wire, os_tcp, app_net, execution, _egress = cluster.server.stages
+        account = cluster.env.account
         point.breakdown = {
-            "dbms-network": app_net.layer.cores_consumed(elapsed),
-            "os-network": os_tcp.layer.cores_consumed(elapsed),
-            "filesystem": execution.osfs.layer.cores_consumed(elapsed)
-            + execution.osfs.serializer.cores_consumed(elapsed),
-            "dbms-other": execution.app_other.cores_consumed(elapsed)
-            + dispatch,
+            column: sum(account.named("host", name, point.elapsed) for name in names)
+            for column, names in FIGURE_2.items()
         }
-        point.host_cores += dispatch
     return point

@@ -9,8 +9,8 @@ server").  The file backend is either the OS filesystem (Redy + Windows
 files) or the DDS library path (Redy + DDS files).
 
 The spin-polling cost lives in :class:`RedyTransport`, a transport stage
-whose utilization is constant: the pollers are busy whether or not
-messages flow, on both sides of the wire.
+that books two constant rows in ``env.account``: the pollers are busy
+whether or not messages flow, on both sides of the wire.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from ..hardware.cpu import CpuPool
 from ..hardware.specs import RDMA_VERBS
 from ..sim import Environment
+from ..sim.account import ConstantRow
 from ..topology.stages import TransportStage
 
 __all__ = ["RedyTransport"]
@@ -36,9 +37,6 @@ class RedyTransport(TransportStage):
 
     def __init__(self, env: Environment, cpu: CpuPool) -> None:
         super().__init__(env, RDMA_VERBS, cpu)
-
-    def host_cores(self, elapsed: float) -> float:
-        return float(self.POLLING_CORES_SERVER)
-
-    def client_cores(self) -> float:
-        return float(self.POLLING_CORES_CLIENT)
+        account = env.account
+        account.add(ConstantRow("host", "redy-pollers", self.POLLING_CORES_SERVER))
+        account.add(ConstantRow("client", "redy-pollers", self.POLLING_CORES_CLIENT))

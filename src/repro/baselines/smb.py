@@ -76,9 +76,6 @@ class SmbExchange(Stage):
         self.osfs = OsFileSystem(env, filesystem, host_pool)
         self.credits = Resource(env, capacity=self.CREDITS)
 
-    def host_cores(self, elapsed: float) -> float:
-        return self.osfs.serializer.cores_consumed(elapsed)
-
     def serve(self, request: IoRequest) -> Generator:
         grant = self.credits.request()
         yield grant

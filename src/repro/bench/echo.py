@@ -74,7 +74,7 @@ class EchoBench:
     def __init__(self, env: Environment = None) -> None:
         self.env = env if env is not None else Environment()
         self.link = NetworkLink(self.env)
-        self.dpu_core = CpuPool(self.env, speed=1.0, name="dpu-echo")
+        self.dpu_core = CpuPool(self.env, speed=1.0, name="dpu-echo", side="dpu")
         # Note: per-message constants above are expressed as *wall* time
         # on their own processor, so the core here only provides queueing
         # (speed 1.0 keeps the charge equal to the wall constant).

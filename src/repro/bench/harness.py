@@ -313,7 +313,7 @@ def run_io_experiment(
         mean_latency=result.mean_latency,
         host_cores=host_cores,
         dpu_cores=dpu_cores,
-        client_cores=result.client_cores + server.client_extra_cores(),
+        client_cores=cluster.env.account.cores("client", result.elapsed),
         latencies=result.latencies,
         events=cluster.env.scheduled_count,
     )

@@ -53,7 +53,7 @@ def run_rmw_scaling(
     else:
         # The DPU has only 8 cores: requesting more threads just queues.
         pool = CpuPool(
-            env, cores=DPU_CPU.cores, speed=DPU_CPU.speed, name="dpu"
+            env, cores=DPU_CPU.cores, speed=DPU_CPU.speed, name="dpu", side="dpu"
         )
         memory_scale = DPU_MEMORY_COST_SCALE
     kv = FasterKv(

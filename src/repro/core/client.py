@@ -128,7 +128,7 @@ class WorkloadClient:
         #: ``on_ack(request, response)``, ``on_give_up(request)``.
         self.observer = observer
         self.rng = SeededRng(self.config.seed)
-        self.client_pool = CpuPool(env, HOST_CPU, name="client")
+        self.client_pool = CpuPool(env, HOST_CPU, name="client", side="client")
         self._flows = [
             FiveTuple("10.0.0.2", 40_000 + i, "10.0.0.1", 5000)
             for i in range(self.config.connections)

@@ -203,7 +203,7 @@ class RingTransferModel:
         self.design = design
         self.producers = producers
         self.dma = DmaEngine(env)
-        self.dpu_core = CpuPool(env, speed=DPU_CPU.speed)
+        self.dpu_core = CpuPool(env, speed=DPU_CPU.speed, side="dpu")
         self.rng = SeededRng(17)
         if design == "progress":
             self.ring = ProgressRing(self.RING_BYTES)

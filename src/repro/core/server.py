@@ -5,7 +5,7 @@ in :mod:`repro.topology.stages`: the generic ingress walks the inbound
 stages, fans requests out to the execution stage (or hands the whole
 message to a steering stage), and walks the outbound stages back.  Every
 server exposes the same ``submit`` interface to the workload client and
-the same per-stage cores-consumed roll-up, so every benchmark swaps
+the same cores-consumed queries, so every benchmark swaps
 servers without touching the harness.
 
 A solution without an offload engine is *only* such a composition, so
@@ -42,8 +42,8 @@ class PipelineServer:
     stages (ingest + transport) forward, runs the execution stage per
     request (or yields the whole message to the steering stage, which
     owns its own egress), and walks transports in reverse plus the
-    completion stages on the way out.  Cores-consumed accounting is a
-    single roll-up over the stages — no per-server overrides.
+    completion stages on the way out.  Cores consumed are queries on
+    the environment's core-time account (:mod:`repro.sim.account`).
     """
 
     #: Transport stack the *client* machine pays per message (Figure 16
@@ -153,28 +153,15 @@ class PipelineServer:
         return list(self._stages)
 
     # ------------------------------------------------------------------
-    # accounting: one roll-up over the stages
+    # accounting: queries on the core-time account
     # ------------------------------------------------------------------
     def host_cores(self, elapsed: float) -> float:
         """Average host cores consumed over ``elapsed`` seconds."""
-        total = self.host_pool.cores_consumed(elapsed)
-        for stage in self._stages:
-            total += stage.host_cores(elapsed)
-        return total
+        return self.env.account.cores("host", elapsed)
 
     def dpu_cores(self, elapsed: float) -> float:
         """Average DPU cores consumed over ``elapsed`` seconds."""
-        total = 0.0
-        for stage in self._stages:
-            total += stage.dpu_cores(elapsed)
-        return total
-
-    def client_extra_cores(self) -> float:
-        """Constant client-side cores (Redy's spin pollers)."""
-        total = 0.0
-        for stage in self._stages:
-            total += stage.client_cores()
-        return total
+        return self.env.account.cores("dpu", elapsed)
 
     def offloaded_fraction(self) -> float:
         """Share of the requests its traffic directors dispatched that

@@ -3,7 +3,9 @@
 The evaluation's central cost metric is "CPU cores consumed" at a given
 throughput (Figures 2, 14, 16, 25).  We therefore model a CPU as a pool of
 cores that *charge* core-time for every piece of work executed on them and
-report ``busy_time / elapsed`` as the number of cores consumed.
+report ``busy_time / elapsed`` as the number of cores consumed.  Each
+pool is one row of its environment's core-time account
+(:mod:`repro.sim.account`), which every cores figure queries.
 
 Work is always expressed in *host-core seconds*; a core with ``speed < 1``
 (the BF-2 Arm cores) takes ``work / speed`` wall time to execute it.
@@ -25,8 +27,12 @@ class CpuPool:
     Host application threads share one pool; a component with a
     dedicated thread (the DPU's DMA thread, SPDK worker and
     traffic-director core, §7) owns a one-core pool.
-    ``cores_consumed(elapsed)`` is the paper's cost metric.
+    ``cores_consumed(elapsed)`` is the paper's cost metric; ``side``
+    (``"host"``, ``"dpu"`` or ``"client"``) and ``name`` place the pool
+    in ``env.account``.
     """
+
+    part_of = None
 
     def __init__(
         self,
@@ -35,6 +41,7 @@ class CpuPool:
         cores: int = 1,
         speed: float = 1.0,
         name: str = "",
+        side: str = "host",
     ) -> None:
         if spec is not None:
             cores, speed = spec.cores, spec.speed
@@ -47,8 +54,10 @@ class CpuPool:
         self.cores = cores
         self.speed = speed
         self.name = name
+        self.side = side
         self.busy_time = 0.0
         self._resource = Resource(env, capacity=cores)
+        env.account.add(self)
 
     def execute(self, core_time: float) -> Generator:
         """Run ``core_time`` host-core-seconds of work on any free core."""

@@ -176,7 +176,8 @@ class PushdownEngine:
                     record for _slot, record in outcome.selected
                 )
                 _all, emitted, stats = interpret_page(
-                    residual, survivors, geometry, fuel, self.acc
+                    residual, survivors, geometry, fuel, self.acc,
+                    decoded=token.residual_decoded,
                 )
                 outcome.emitted = [chunk for chunk in emitted if chunk]
             else:

@@ -55,6 +55,7 @@ __all__ = [
     "OperandTrap",
     "ExecStats",
     "StageResult",
+    "decode_pipeline",
     "interpret",
     "interpret_pipeline",
     "interpret_page",
@@ -164,6 +165,12 @@ def _decode(program: Program) -> _Stage:
         code, len(code), searches, len(searches),
         program.kind == "filter", program.scratch,
     )
+
+
+def decode_pipeline(pipeline: Pipeline) -> Tuple[_Stage, ...]:
+    """Every stage of ``pipeline`` decoded up front (a proof token's
+    residual, whose decoding verification has settled)."""
+    return tuple(_decode(program) for program in pipeline.stages)
 
 
 def _check_window(record: bytes, record_bytes: int) -> None:
@@ -403,21 +410,24 @@ def interpret_page(
     acc: List[int],
     *,
     stack_limit: int = STACK_LIMIT,
+    decoded: Optional[Tuple[_Stage, ...]] = None,
 ) -> Tuple[List[Tuple[int, bytes]], List[bytes], ExecStats]:
     """Run a whole pipeline over every record of ``page`` (raw entry).
 
     :func:`interpret_pipeline` folded over the records: the selected
     ``(slot, record)`` pairs, each one's projection output (``b""``
     without a project stage) and one :class:`ExecStats` for the lot;
-    ``acc`` folds in place.  A stage is decoded when a record first
-    reaches it, so one that no record reaches raises nothing.
+    ``acc`` folds in place.  ``decoded`` is the pipeline already
+    decoded (:func:`decode_pipeline`, kept on a proof token); without
+    it a stage is decoded when a record first reaches it, so one that
+    no record reaches raises nothing.
     """
     size = geometry.record_bytes
     whole = len(page) - len(page) % size
     # Per stage: [decoded once a record reaches it, program, is-a-project].
     plan: List[List[Any]] = [
-        [None, program, program.kind == "project"]
-        for program in pipeline.stages
+        [None if decoded is None else decoded[i], program, program.kind == "project"]
+        for i, program in enumerate(pipeline.stages)
     ]
     tally = [0] * len(_OPS)
     stack: List[int] = []

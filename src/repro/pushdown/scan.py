@@ -222,9 +222,9 @@ class PipelineScanner:
         )
         self.fs.create_directory("table")
         self.file_id = self.fs.create_file("table", "records")
-        self.spdk_core = CpuPool(env, speed=DPU_CPU.speed, name="spdk")
-        self.dpu_core = CpuPool(env, speed=DPU_CPU.speed, name="pushdown")
-        self.client_core = CpuPool(env, speed=HOST_CPU.speed, name="client")
+        self.spdk_core = CpuPool(env, speed=DPU_CPU.speed, name="spdk", side="dpu")
+        self.dpu_core = CpuPool(env, speed=DPU_CPU.speed, name="pushdown", side="dpu")
+        self.client_core = CpuPool(env, speed=HOST_CPU.speed, name="client", side="client")
         if placement == "ship-all":
             self.engine = PushdownEngine(env, self.client_core)
         elif placement == "dpu-software":
@@ -349,8 +349,8 @@ def run_pipeline_experiment(
         scan_seconds=env.now,
         rows=len(selected),
         wire_bytes=scanner.wire_bytes,
-        dpu_core_seconds=scanner.dpu_core.busy_time,
-        client_core_seconds=scanner.client_core.busy_time,
+        dpu_core_seconds=env.account.named("dpu", "pushdown", 1.0),
+        client_core_seconds=env.account.named("client", "client", 1.0),
         acc=scanner.acc,
         events=env.scheduled_count,
     )

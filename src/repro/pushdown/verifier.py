@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Pattern, Tuple, Union
 
+from .interp import decode_pipeline
 from .isa import (
     ACC_REGS,
     I64_MAX,
@@ -158,6 +159,12 @@ class VerifiedPipeline:
                 "run MATCH 0; RET (2 steps)"
             )
         return re.compile(self.pattern), Pipeline(self.pipeline.stages[1:])
+
+    @cached_property
+    def residual_decoded(self) -> tuple:
+        """:attr:`lowered`'s residual decoded for the interpreter, once
+        per token instead of once per page."""
+        return decode_pipeline(self.lowered[1])
 
 
 # ----------------------------------------------------------------------

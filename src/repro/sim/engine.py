@@ -62,6 +62,8 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Deque, Generator, Iterable, List, Optional
 
+from .account import CoreAccount
+
 __all__ = [
     "Environment",
     "Event",
@@ -479,6 +481,8 @@ class Environment:
         #: trajectory records pin exactly.
         self._eid = 0
         self.listeners: List[Callable[[Any], None]] = []
+        #: Every pool's and stack layer's core time (:mod:`.account`).
+        self.account = CoreAccount()
 
     @property
     def now(self) -> float:

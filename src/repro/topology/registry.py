@@ -219,6 +219,12 @@ def build_server(
         server.client_spec = execution.transport.spec
         server.set_pipeline([execution], execution=execution)
         return server
+    if transport is TransportKind.REDY:
+        from ..baselines.redy import RedyTransport
+
+        # Built before the execution stage: the account folds the host
+        # side's units in pipeline order (the pollers, then the backend).
+        redy = RedyTransport(env, pool)
     if spec.filesystem is FilesystemKind.DDS:
         execution = DdsBackend(env, pool, filesystem, spec.copy_mode)
     else:
@@ -233,14 +239,12 @@ def build_server(
         server.client_spec = NO_TRANSPORT
         stages = [execution]
     elif transport is TransportKind.REDY:
-        from ..baselines.redy import RedyTransport
-
         server.client_spec = RDMA_VERBS
         # RDMA writes land in user memory directly: no NIC->host kernel
         # forward hop on ingest.
         stages = [
             WireIngress(env, link, forward_latency=False),
-            RedyTransport(env, pool),
+            redy,
             execution,
             WireEgress(env, link),
         ]

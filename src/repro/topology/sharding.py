@@ -236,6 +236,9 @@ class ShardedSteering(Stage, ShardLifecycle):
         super().__init__("sharded-director")
         self.env = env
         self.shards = shards
+        # The director cores every shard built are this stage's unit,
+        # folded after the backends that were built with them.
+        env.account.claim("dpu", self.name)
         #: Shards currently accepting client flows.  ``shards`` is the
         #: server's live list (it grows on add_shard and keeps retired
         #: tombstones); the ingress set is maintained separately so the
@@ -285,13 +288,6 @@ class ShardedSteering(Stage, ShardLifecycle):
     def messages_steered(self) -> int:
         """Total steering decisions made (sum over shards)."""
         return sum(self.shard_loads)
-
-    def dpu_cores(self, elapsed: float) -> float:
-        total = 0.0
-        for shard in self.shards:
-            for core in shard.cores:
-                total += core.cores_consumed(elapsed)
-        return total
 
     def steer(
         self,
@@ -706,9 +702,9 @@ class ShardedOffloadServer(PipelineServer):
         """Give every live shard a verified-pushdown execution stage.
 
         Each shard gets its own Arm core + RXP accelerator over its own
-        filesystem, appended to the stage list so the cores-consumed
-        roll-up sees them.  Idempotent; a shard added after enabling
-        gets its stage the same way.
+        filesystem, appended to the stage list; its cores are the DPU
+        unit ``pushdown-<shard>`` of ``env.account``.  Idempotent; a
+        shard added after enabling gets its stage the same way.
         """
         if not self.pushdown_stages:
             self._wire_every_shard(self._install_pushdown)

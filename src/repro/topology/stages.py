@@ -23,10 +23,9 @@ every server flavour.  This module breaks the wiring into typed, reusable
   backend plus cache table, director cores, offload engine and traffic
   director), the one place those are constructed.
 
-Every stage also reports its own resource consumption
-(:meth:`Stage.host_cores` / :meth:`Stage.dpu_cores` /
-:meth:`Stage.client_cores`), so a server's cores-consumed accounting is a
-single roll-up over its stages instead of ad-hoc per-server overrides.
+A stage reports no resource consumption of its own: each pool it builds
+is named after the stage, so its cores are that unit's rows in
+``env.account`` (:mod:`repro.sim.account`).
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ class StageKind(enum.Enum):
 
 
 class Stage:
-    """Base class: datapath role plus per-stage utilization accounting.
+    """Base class: a datapath role.
 
     Subclasses implement the hooks matching their kind:
 
@@ -100,22 +99,6 @@ class Stage:
     def __init__(self, name: str) -> None:
         self.name = name
 
-    # -- accounting roll-up hooks --------------------------------------
-    def host_cores(self, elapsed: float) -> float:
-        """Host cores consumed by resources this stage owns exclusively
-        (anything charged to a shared :class:`CpuPool` is accounted by
-        the pool itself)."""
-        return 0.0
-
-    def dpu_cores(self, elapsed: float) -> float:
-        """DPU Arm cores consumed by cores this stage owns."""
-        return 0.0
-
-    def client_cores(self) -> float:
-        """Constant client-side cores this stage burns (Redy pollers)."""
-        return 0.0
-
-    # -- datapath hooks ------------------------------------------------
     def inbound(self, flow: FiveTuple, message_bytes: int) -> Generator:
         raise NotImplementedError(f"{self.name} has no inbound hook")
 
@@ -264,11 +247,6 @@ class OsFileExecution(Stage):
         self.app_handler = app_handler
         self.catch_errors = catch_errors
 
-    def host_cores(self, elapsed: float) -> float:
-        # The kernel's serialized I/O section is a dedicated core outside
-        # the host pool.
-        return self.osfs.serializer.cores_consumed(elapsed)
-
     def device(self, file_id: int) -> OsFileDevice:
         """The ``IDevice`` an application reaches ``file_id`` through."""
         return OsFileDevice(self.osfs, file_id)
@@ -366,8 +344,9 @@ class DdsHostSide:
         env: Environment,
         host_pool: CpuPool,
         library: DdsFileLibrary,
+        name: str,
     ) -> None:
-        self.dispatch_core = CpuPool(env, speed=1.0, name="app-dispatch")
+        self.dispatch_core = CpuPool(env, speed=1.0, name=name)
         self.app_other = StackLayer(env, HOST_APP_OTHER, host_pool)
         self.routers = [
             CompletionRouter(env, library) for _ in range(self.GROUPS)
@@ -424,26 +403,19 @@ class DdsBackend(Stage):
         self.env = env
         self.filesystem = filesystem
         self.dma = DmaEngine(env)
-        self.dma_core = CpuPool(env, speed=DPU_CPU.speed, name="dpu-dma")
-        self.spdk_core = CpuPool(env, speed=DPU_CPU.speed, name="dpu-spdk")
+        self.dma_core = CpuPool(env, speed=DPU_CPU.speed, name=name, side="dpu")
+        self.spdk_core = CpuPool(env, speed=DPU_CPU.speed, name=name, side="dpu")
         self.file_service = DpuFileService(
             env, filesystem, self.dma_core, self.spdk_core, copy_mode
         )
         self.library = DdsFileLibrary(
             env, host_pool, self.file_service, self.dma
         )
-        self.host_side = DdsHostSide(env, host_pool, self.library)
+        self.host_side = DdsHostSide(env, host_pool, self.library, name)
 
     def start(self) -> None:
         """Spawn the file service's DMA thread and SPDK worker."""
         self.file_service.start()
-
-    def host_cores(self, elapsed: float) -> float:
-        return self.host_side.dispatch_core.cores_consumed(elapsed)
-
-    def dpu_cores(self, elapsed: float) -> float:
-        dma, spdk = self.dma_core, self.spdk_core
-        return dma.cores_consumed(elapsed) + spdk.cores_consumed(elapsed)
 
     def device(self, file_id: int) -> DdsFileDevice:
         """The ``IDevice`` an application reaches ``file_id`` through,
@@ -497,11 +469,9 @@ class PushdownExecution(Stage):
         self.unit = unit
         self.link = link
         self.shard = shard
-        self.core = CpuPool(
-            env, speed=DPU_CPU.speed, name=f"dpu{shard}-pushdown"
-        )
+        self.core = CpuPool(env, speed=DPU_CPU.speed, name=self.name, side="dpu")
         self.spdk_core = CpuPool(
-            env, speed=DPU_CPU.speed, name=f"dpu{shard}-pushdown-spdk"
+            env, speed=DPU_CPU.speed, name=self.name, side="dpu"
         )
         self.accelerator = HardwareAccelerator(env, BF2_REGEX)
         #: Scans answered in full.
@@ -510,10 +480,6 @@ class PushdownExecution(Stage):
     @property
     def filesystem(self) -> DdsFileSystem:
         return self.unit.backend.filesystem
-
-    def dpu_cores(self, elapsed: float) -> float:
-        core, spdk = self.core, self.spdk_core
-        return core.cores_consumed(elapsed) + spdk.cores_consumed(elapsed)
 
     def scan(self, token, file_id: int, pages: int) -> Generator:
         """Run one admitted pipeline over ``pages`` pages of a file.
@@ -612,11 +578,13 @@ class OffloadShard:
         self.backend.file_service.set_offload_hooks(
             callbacks, self.cache_table
         )
+        # Every shard's director cores are one unit, the steering
+        # stage's (it claims the unit when it joins the pipeline).
         self.cores = [
             CpuPool(
-                env, speed=DPU_CPU.speed, name=f"dpu{index}-director-{core}"
+                env, speed=DPU_CPU.speed, name="sharded-director", side="dpu"
             )
-            for core in range(director_cores)
+            for _core in range(director_cores)
         ]
         self.engine = OffloadEngine(
             env,

@@ -177,7 +177,9 @@ class OpenLoopTrafficEngine:
         self.retry_budget = retry_budget
         self.observer = observer
         self.rng = SeededRng(seed)
-        self.client_pool = CpuPool(env, HOST_CPU, name="traffic-engine")
+        self.client_pool = CpuPool(
+            env, HOST_CPU, name="traffic-engine", side="client"
+        )
         self._file_ids = list(file_ids)
         self._slots = max(1, file_bytes // io_size)
         self._next_id = 1

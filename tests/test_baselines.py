@@ -110,7 +110,7 @@ class TestRedy:
         cluster = build_cluster("redy-os", db_bytes=4 << 20)
         # Even with zero traffic, the pollers burn their cores.
         assert cluster.server.host_cores(1.0) >= RedyTransport.POLLING_CORES_SERVER
-        assert cluster.server.client_extra_cores() == 1.0
+        assert cluster.env.account.cores("client", 1.0) == 1.0
 
     def test_dds_files_variant_uses_dpu(self):
         cluster = build_cluster("redy-dds", db_bytes=4 << 20)

@@ -29,9 +29,8 @@ from repro.bench.trajectory import (
 ENTRY_KEYS = {"events", "peak_iops", "detail"}
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_smoke_record_is_pinned_and_repeatable(name):
-    assert run_workload(name, mode="smoke") == load_bench(name)["smoke"]
+#: The workloads that run the shared cluster scenarios.
+CLUSTER_WORKLOADS = ["chaos", "overload", "replication", "resharding", "scaleout"]
 
 
 def _record(done):
@@ -39,24 +38,49 @@ def _record(done):
             done.outcomes, done.marks)
 
 
-@pytest.mark.parametrize(
-    "name", ["chaos", "overload", "replication", "resharding", "scaleout"]
-)
-def test_every_cluster_scenario_survives_pickling(name, monkeypatch):
+@pytest.fixture(scope="session")
+def pickling_flow():
+    """Workload name -> (smoke record, scenarios run) of one run in which
+    every Scenario is pickled, unpickled, and both copies run to equal
+    records.  Both tests of a cluster workload read the one run, and a
+    test run alone makes it."""
+    runs = {}
+
+    def run_once(name):
+        if name not in runs:
+            scenarios = []
+
+            def both_copies(scenario):
+                copy = pickle.loads(pickle.dumps(scenario))
+                assert copy == scenario and copy is not scenario
+                done = harness.run(scenario)
+                assert _record(harness.run(copy)) == _record(done)
+                scenarios.append(scenario)
+                return done
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(trajectory, "run", both_copies)
+                runs[name] = (run_workload(name, mode="smoke"), scenarios)
+        return runs[name]
+
+    return run_once
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_smoke_record_is_pinned_and_repeatable(name, pickling_flow):
+    if name in CLUSTER_WORKLOADS:
+        record, _scenarios = pickling_flow(name)
+    else:
+        record = run_workload(name, mode="smoke")
+    assert record == load_bench(name)["smoke"]
+
+
+@pytest.mark.parametrize("name", CLUSTER_WORKLOADS)
+def test_every_cluster_scenario_survives_pickling(name, pickling_flow):
     """Each smoke Scenario, pickled and unpickled, is an equal value that
     runs to an equal record, and the workload still matches its pin."""
-    scenarios = []
-
-    def both_copies(scenario):
-        copy = pickle.loads(pickle.dumps(scenario))
-        assert copy == scenario and copy is not scenario
-        done = harness.run(scenario)
-        assert _record(harness.run(copy)) == _record(done)
-        scenarios.append(scenario)
-        return done
-
-    monkeypatch.setattr(trajectory, "run", both_copies)
-    assert run_workload(name, mode="smoke") == load_bench(name)["smoke"]
+    record, scenarios = pickling_flow(name)
+    assert record == load_bench(name)["smoke"]
     assert scenarios
 
 

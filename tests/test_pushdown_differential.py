@@ -503,3 +503,25 @@ def test_a_lowered_filter_is_a_search_per_record(
     assert _lowered_engine(token, page, accelerated) == (
         _lowered_reference(token, page, accelerated)
     )
+
+
+def test_a_verified_residual_is_decoded_once_per_token(monkeypatch):
+    """A multi-page software scan runs the lowered filter's residual
+    (project, aggregate) on every page, and decodes each of its stages
+    once: the proof token keeps the decoded residual."""
+    from repro.pushdown import interp
+    from repro.pushdown.scan import run_pipeline_experiment
+
+    calls = []
+    decode = interp._decode
+
+    def counting(program):
+        calls.append(program.kind)
+        return decode(program)
+
+    monkeypatch.setattr(interp, "_decode", counting)
+    result = run_pipeline_experiment(
+        "dpu-software", "filter-project-agg", pages=6
+    )
+    assert result.rows > 0
+    assert calls == ["project", "aggregate"]

@@ -181,7 +181,7 @@ def test_pushdown_stage_appears_in_stage_rollup():
         env, server, file_id, canonical_pipeline("filter"), pages=2
     )
     stage = server.pushdown_stages[outcome.shard]
-    assert stage.dpu_cores(env.now) >= 0.0
+    assert env.account.named("dpu", stage.name, env.now) > 0.0
     assert stage.scans == 1
 
 

@@ -111,12 +111,6 @@ class TestStageProtocol:
         with pytest.raises(NotImplementedError):
             next(stage.serve(IoRequest(OpCode.READ, 1, 1, 0, 64)))
 
-    def test_default_accounting_is_zero(self):
-        stage = Stage("bare")
-        assert stage.host_cores(1.0) == 0.0
-        assert stage.dpu_cores(1.0) == 0.0
-        assert stage.client_cores() == 0.0
-
     def test_pipeline_needs_execution_xor_steering(self):
         cluster = build_cluster("baseline", db_bytes=4 << 20)
         with pytest.raises(ValueError, match="exactly one"):
@@ -129,6 +123,13 @@ class TestStageProtocol:
 
     @pytest.mark.parametrize("name", ["baseline", "dds-files", "redy-os"])
     def test_accounting_is_a_stage_rollup(self, name):
+        """Host cores fold the host pool, then each stage's own unit in
+        pipeline order, one row at a time (repro.sim.account)."""
+        units = {
+            "baseline": ["kernel-io-serial"],
+            "dds-files": ["dds-backend"],
+            "redy-os": ["redy-pollers", "kernel-io-serial"],
+        }[name]
         cluster = build_cluster(name, db_bytes=4 << 20)
         read = IoRequest(OpCode.READ, 1, cluster.file_id, 0, 1024)
         done = cluster.server.submit(FLOW, [read])
@@ -136,8 +137,8 @@ class TestStageProtocol:
         server = cluster.server
         elapsed = cluster.env.now
         expected = server.host_pool.cores_consumed(elapsed)
-        for stage in server.stages:
-            expected += stage.host_cores(elapsed)
+        for unit in units:
+            expected += cluster.env.account.named("host", unit, elapsed)
         assert server.host_cores(elapsed) == expected
 
 
