@@ -523,8 +523,10 @@ class Scenario:
     membership: Tuple[Tuple[float, str], ...] = ()
     #: Shard kills, armed on the sim clock (the plan's seed is ``seed``).
     faults: Tuple[ShardKill, ...] = ()
-    #: One :class:`InvariantChecker` watches the run; afterwards the run
-    #: settles (kills recovered, membership done) and is checked.
+    #: One :class:`InvariantChecker` watches the run: it must hear every
+    #: ack the driver counts, and it judges each tenant's declared SLO
+    #: (OL2).  Afterwards the run settles (kills recovered, membership
+    #: done) and is checked.
     audit: bool = False
 
 
@@ -556,9 +558,18 @@ def run(scenario: Scenario) -> ScenarioRun:
     )
     env, server = cluster.env, cluster.server
     dedup = server.enable_resilience() if s.resilience or s.defended else None
-    checker = InvariantChecker(env) if s.audit else None
-    if checker is not None:
+    tenants = [] if s.horizon is None else _tenants(s)
+    checker = None
+    if s.audit:
+        # OL2 judges each declared SLO; a request's tag is its tenant's
+        # index.
+        checker = InvariantChecker(
+            env, tenant_of=lambda request: tenants[request.tag].name
+        )
         checker.attach(server)  # OL4 and the RI rules read its server
+        for spec in tenants:
+            if spec.slo_p99 is not None:
+                checker.set_slo(spec.name, spec.slo_p99)
     if s.replicated:
         server.enable_replication(checker)
     injector = None
@@ -580,9 +591,15 @@ def run(scenario: Scenario) -> ScenarioRun:
             observer=timeline,
         )
     else:
-        result = _drive_tenants(cluster, s)
+        result = _drive_tenants(cluster, s, tenants, timeline)
     report = None
     if s.audit:
+        acked = result.acked if tenants else len(result.latencies)
+        if checker.acks_seen != acked:
+            raise RuntimeError(
+                f"the checker heard {checker.acks_seen} acks of the "
+                f"{acked} its driver counted: the observer is not wired"
+            )
         # Anti-entropy catch-up and the drain-side backfill are
         # device-timed and outlast the workload: the audit must read the
         # settled, caught-up filesystems.
@@ -618,10 +635,9 @@ def _reshape(env, server, steps, marks):
         marks.append((step, added))
 
 
-def _drive_tenants(cluster: Cluster, s: Scenario):
-    """Three interactive accounts (20% of the load, 4x DRR weight,
-    latency-sensitive) and one batch whale, 64 KiB reads, retrying up to
-    8 times on a 2 ms timeout (DESIGN §15)."""
+def _tenants(s: Scenario) -> List[TenantSpec]:
+    """Three interactive accounts (20% of the load, 4x DRR weight, a
+    5 ms p99 SLO) and one batch whale."""
     specs = [
         TenantSpec(
             f"int-{i}", i, rate=s.offered_iops * 0.2 / 3, weight=4.0,
@@ -630,6 +646,14 @@ def _drive_tenants(cluster: Cluster, s: Scenario):
         for i in range(3)
     ]
     specs.append(TenantSpec("batch-0", 3, rate=s.offered_iops * 0.8, weight=1.0))
+    return specs
+
+
+def _drive_tenants(
+    cluster: Cluster, s: Scenario, specs: List[TenantSpec], observer
+):
+    """The tenants offer 64 KiB reads open loop, retrying up to 8 times
+    on a 2 ms timeout (DESIGN §15)."""
     engine = OpenLoopTrafficEngine(
         cluster.env, cluster.server, specs, cluster.file_ids,
         horizon=s.horizon, io_size=64 << 10, file_bytes=cluster.file_bytes,
@@ -638,6 +662,7 @@ def _drive_tenants(cluster: Cluster, s: Scenario):
         retry_budget=(
             RetryBudget(capacity=32.0, refill_ratio=0.1) if s.defended else None
         ),
+        observer=observer,
     )
     if s.defended:
         cluster.server.enable_qos(QosConfig(

@@ -12,7 +12,6 @@ is accounted against a client-side pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Generator, List, Optional
 
 from ..hardware.cpu import CpuPool
@@ -20,7 +19,7 @@ from ..hardware.specs import HOST_CPU
 from ..net.packet import FiveTuple
 from ..sim import Environment, SeededRng
 from ..sim.stats import percentile
-from .messages import IoRequest, IoResponse, OpCode
+from .messages import IoRequest, OpCode
 from .retry import RetryLoop, RetryPolicy
 from .server import PipelineServer
 
@@ -67,7 +66,8 @@ class ClientResult:
     elapsed: float
     latencies: List[float] = field(repr=False, default_factory=list)
     client_cores: float = 0.0
-    #: Retry-path accounting (all zero for clients without a policy).
+    #: Retry-loop accounting (no retries or budget denials without a
+    #: policy: each request's first answer settles it).
     retries: int = 0
     failed_requests: int = 0
     duplicate_responses: int = 0
@@ -121,8 +121,8 @@ class WorkloadClient:
         self.request_factory = request_factory
         #: With a policy, unanswered requests are re-sent with the same
         #: request id after per-attempt timeouts (exponential backoff +
-        #: seeded jitter); without one the client trusts every message
-        #: to be answered — the loss-free fast path every benchmark uses.
+        #: seeded jitter); without one each message is sent once — the
+        #: loss-free client every benchmark uses.
         self.retry_policy = retry_policy
         #: Optional chaos observer: ``on_issue(request)``,
         #: ``on_ack(request, response)``, ``on_give_up(request)``.
@@ -134,9 +134,7 @@ class WorkloadClient:
             for i in range(self.config.connections)
         ]
         self._next_request_id = 1
-        self._issue_times: dict = {}
         self._latencies: List[float] = []
-        self._completed = 0
         self._finished = None
         self._loop: Optional[RetryLoop] = None
 
@@ -172,40 +170,25 @@ class WorkloadClient:
     def run(self) -> ClientResult:
         """Drive the workload to completion and return measurements.
 
-        One arrival process whatever the policy: Poisson gaps, the
-        outstanding-message window, one message per arrival.  Without a
-        retry policy a message is submitted once and trusted to be
-        answered (the loss-free path every pinned figure uses); with
-        one it is handed to the :class:`~repro.core.retry.RetryLoop`.
+        One arrival process and one send path whatever the policy:
+        Poisson gaps, the outstanding-message window, one message per
+        arrival, each handed to the :class:`~repro.core.retry.RetryLoop`
+        (with no policy it is sent once and its answers settle it).
         """
         config = self.config
         self._finished = self.env.event()
         loop = self._loop = RetryLoop(
             self.env, self.server, self.client_pool, self.retry_policy,
-            self.rng, self._on_retry_ack, None, self.observer,
+            self.rng, self._on_ack, None, self.observer,
         )
         outstanding = [0]
         waiters: List = []
 
-        def release(_done=None) -> None:
+        def settled() -> None:
+            self._check_finished()
             outstanding[0] -= 1
             if waiters:
                 waiters.pop(0).succeed()
-
-        def send_once(flow: FiveTuple, requests: List[IoRequest]) -> None:
-            now = self.env.now
-            for request in requests:
-                self._issue_times[request.request_id] = now
-            done = loop.transmit(flow, requests, self._on_response)
-            done.add_callback(release)
-
-        def settled() -> None:
-            self._check_finished()
-            release()
-
-        send = send_once
-        if self.retry_policy is not None:
-            send = partial(loop.send, on_done=settled)
 
         def generator() -> Generator:
             issued = 0
@@ -223,13 +206,13 @@ class WorkloadClient:
                 flow = self._flows[message_index % len(self._flows)]
                 message_index += 1
                 outstanding[0] += 1
-                send(flow, requests)
+                loop.send(flow, requests, settled)
 
         start = self.env.now
         self.env.process(generator())
         self.env.run(until=self._finished)
         elapsed = self.env.now - start
-        achieved = self._completed / elapsed if elapsed > 0 else 0.0
+        achieved = loop.acked / elapsed if elapsed > 0 else 0.0
         return ClientResult(
             achieved_iops=achieved,
             elapsed=elapsed,
@@ -244,21 +227,13 @@ class WorkloadClient:
             late_acks=loop.late_acks,
         )
 
-    def _on_response(self, response: IoResponse) -> None:
-        issued = self._issue_times.pop(response.request_id, None)
-        if issued is not None:
-            self._latencies.append(self.env.now - issued)
-        self._completed += 1
-        self._check_finished()
-
-    def _on_retry_ack(self, issued: float, sent: float) -> None:
+    def _on_ack(self, issued: float, sent: float) -> None:
         # Latency from the attempt that was answered, not the first try.
         self._latencies.append(self.env.now - sent)
-        self._completed += 1
         self._check_finished()
 
     def _check_finished(self) -> None:
-        settled = self._completed + self._loop.failed
+        settled = self._loop.acked + self._loop.failed
         if settled >= self.config.total_requests:
             if not self._finished.triggered:
                 self._finished.succeed()

@@ -14,7 +14,7 @@ on:
   8-attempt policy amplifies offered load up to 8× exactly when the
   server is saturated — the classic retry-storm collapse.
 * :class:`RetryLoop` — the one loop that sends, re-sends and settles
-  client messages under a policy and a budget, for the closed-loop
+  every client message, with or without a policy, for the closed-loop
   client and the open-loop traffic engine alike (DESIGN §10).
 * :class:`CircuitBreaker` — while a shard's offload engine is down,
   probing it on every request only adds director-core work before the
@@ -148,8 +148,8 @@ class RetryLoop:
     The closed-loop client and each open-loop tenant send through one of
     these: the only code that re-sends a message, spends a budget token,
     applies ``THROTTLE_BACKOFF_FACTOR``, classifies a response, and
-    calls the client observer (``on_issue``/``on_ack``/``on_give_up``)
-    on a retrying path.  Its rules (DESIGN §10):
+    calls the client observer (``on_issue``/``on_ack``/``on_give_up``),
+    with or without a policy.  Its rules (DESIGN §10):
 
     * an attempt ends when its message is answered (the event
       ``server.submit`` returned fires) or its timeout expires;
@@ -161,7 +161,8 @@ class RetryLoop:
     * latency is the caller's: ``on_ack(issued, sent)`` gets the first
       issue and the last attempt's send instant.
 
-    Without a policy a message is sent once and nothing waits.
+    Without a policy a message is sent once and nothing waits: a
+    request's first answer settles it, acked if ok, given up otherwise.
     """
 
     def __init__(
@@ -193,7 +194,7 @@ class RetryLoop:
         self.errors = 0
         self.late_acks = 0
 
-    def transmit(
+    def _transmit(
         self, flow: FiveTuple, requests: List[IoRequest], on_response
     ) -> Event:
         """Pay the client's transport CPU and put one message on the
@@ -207,9 +208,10 @@ class RetryLoop:
         requests: List[IoRequest],
         on_done: Optional[Callable[[], None]] = None,
     ) -> None:
-        """Issue one message.  With a policy it is delivered on a process
-        of its own, and ``on_done()`` runs once every request in it is
-        acked or given up."""
+        """Issue one message; ``on_done()`` runs once every request in
+        it is settled.  With a policy the message is delivered on a
+        process of its own; without one it is sent once, and
+        ``on_done()`` runs when ``submit``'s event fires."""
         now = self.env.now
         flights: Dict[int, _Flight] = {}
         for request in requests:
@@ -217,10 +219,12 @@ class RetryLoop:
             if self.observer is not None:
                 self.observer.on_issue(request)
         respond = partial(self._classify, flights)
-        if self.policy is None:
-            self.transmit(flow, requests, respond)
-        else:
+        if self.policy is not None:
             self.env.process(self._deliver(flow, flights, respond, on_done))
+            return
+        done = self._transmit(flow, requests, respond)
+        if on_done is not None:
+            done.add_callback(lambda _event: on_done())
 
     def _deliver(
         self, flow: FiveTuple, flights: Dict[int, _Flight], respond, on_done
@@ -238,7 +242,7 @@ class RetryLoop:
             for flight in pending:
                 flight.sent = now
                 flight.throttled = False
-            done = self.transmit(flow, [f.request for f in pending], respond)
+            done = self._transmit(flow, [f.request for f in pending], respond)
             yield env.any_of([done, env.timeout(policy.timeout)])
             pending = [f for f in pending if not f.acked]
             if not pending or attempt + 1 == policy.max_attempts:
@@ -299,6 +303,8 @@ class RetryLoop:
         else:
             # A transient failure (device error): re-sent like a loss.
             self.errors += 1
+        if self.policy is None and not (flight.acked or flight.gave_up):
+            self._give_up(flight)  # sent once: its first answer settles it
 
 
 class CircuitBreaker:

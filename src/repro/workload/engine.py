@@ -10,9 +10,10 @@ clients physically cannot produce that regime, which is why every
 pre-overload bench missed it.
 
 Each tenant sends through its own :class:`~repro.core.retry.RetryLoop`,
-the loop :class:`~repro.core.client.DdsClient` uses too — per-attempt
-timeout, exponential backoff with seeded jitter, harder backoff after
-an explicit THROTTLED shed — and an optional shared
+the loop every :class:`~repro.core.client.WorkloadClient` sends
+through too — per-attempt timeout, exponential backoff with seeded
+jitter, harder backoff after an explicit THROTTLED shed — and an
+optional shared
 :class:`~repro.core.retry.RetryBudget` caps the aggregate retry volume
 across the whole population.  The engine keeps only the arrival
 processes and its latency stamp: from a request's first issue.
@@ -132,6 +133,7 @@ class OpenLoopTrafficEngine:
     ``events`` modulate *every* tenant's base rate (the flash crowd
     hits the whole population, as real ones do).  With a
     ``retry_policy`` each request is retried like a chaos client's;
+    without one it is sent once, and its first answer acks or fails it.
     ``retry_budget`` (shared across all tenants) bounds the storm.
     ``observer`` speaks the client-observer protocol
     (``on_issue``/``on_ack``/``on_give_up``) — wire the

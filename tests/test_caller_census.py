@@ -46,9 +46,6 @@ _PEP = (
 ALLOWED = {
     "core.file_library:DdsFileLibrary.read_scatter": _GATHER,
     "core.file_library:DdsFileLibrary.write_gather": _GATHER,
-    "faults.invariants:InvariantChecker.set_slo": (
-        "invariant wiring: only the chaos tier declares tenant SLOs (OL2)"
-    ),
     "faults.invariants:InvariantChecker.begin_overload_window": _WINDOW,
     "faults.invariants:InvariantChecker.end_overload_window": _WINDOW,
     "net.pep:TcpSplittingPep.on_client_ack": _PEP,

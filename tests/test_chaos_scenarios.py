@@ -1,11 +1,14 @@
 """End-to-end chaos scenarios (``pytest -m chaos``).
 
-Two acceptance scenarios for the chaos layer:
+Three acceptance scenarios for the chaos layer:
 
 * kill one shard of a 4-shard :class:`ShardedOffloadServer` mid-workload
   and recover it from raw disk — every request settles, the durability
   audit passes, and the same seed replays the identical fault log and
   final disk state;
+* audit a run of the loss-free client — the checker hears every ack,
+  verifies the acked writes on disk, and a driver that leaves it deaf
+  is refused;
 * crash a single server's offload engine — clients ride through on
   retry/backoff plus the director's host-fallback circuit breaker, and
   the injector's fault log records the crash and the restart.
@@ -16,7 +19,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.bench.harness import SHARD_KILL, run
+from repro.bench import harness
+from repro.bench.harness import HOST_PATH, SHARD_KILL, run
 from repro.core.client import ClientConfig, DdsClient
 from repro.core.messages import IoRequest, OpCode
 from repro.faults import EngineCrash, FaultInjector, FaultPlan, ShardKill
@@ -92,6 +96,28 @@ class TestShardKillRecovery:
         assert sorted(first.result.latencies) == sorted(
             second.result.latencies
         )
+
+
+class TestLossFreeAudit:
+    """The loss-free client speaks the observer protocol too, so an
+    audited scenario on it checks what it acked."""
+
+    def test_acked_writes_are_verified(self):
+        done = run(replace(HOST_PATH, retrying=False, audit=True))
+        done.report.assert_ok()
+        assert done.report.verified_writes > 0
+        assert len(done.acks) == HOST_PATH.total_requests
+        assert done.report.acks_seen == HOST_PATH.total_requests
+
+    def test_a_driver_that_drops_the_observer_is_refused(self, monkeypatch):
+        drive = harness.drive_striped
+
+        def deaf(cluster, **knobs):
+            return drive(cluster, **{**knobs, "observer": None})
+
+        monkeypatch.setattr(harness, "drive_striped", deaf)
+        with pytest.raises(RuntimeError, match="not wired"):
+            run(replace(HOST_PATH, audit=True))
 
 
 def run_engine_down():

@@ -157,7 +157,18 @@ def test_an_audited_defended_scenario_judges_every_shed():
     done = run(replace(OVERLOAD, defended=True, audit=True))
     assert done.checker.server is done.server
     assert done.checker.seen[Shed] > 0
+    assert done.report.acks_seen == done.result.acked
     done.report.assert_ok()
+    # OL2 judged each declared SLO, under the tenant's own name.
+    assert sorted(done.report.tenant_p99) == ["int-0", "int-1", "int-2"]
+
+
+def test_an_audited_undefended_scenario_breaches_the_declared_slo():
+    """Negative control: without the gate, the flash crowd's queue
+    holds every interactive tenant's p99 far past its 5 ms SLO."""
+    done = run(replace(OVERLOAD, audit=True))
+    flagged = [(v.rule, v.detail.split()[1]) for v in done.report.violations]
+    assert flagged == [("OL2", "int-0"), ("OL2", "int-1"), ("OL2", "int-2")]
 
 
 class TestCheckerCatchesViolations:

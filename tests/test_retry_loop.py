@@ -4,7 +4,7 @@ A :class:`ScriptedServer` answers each send of a request as its script
 says — after a delay, ok, THROTTLED or error — and records the instant
 of every send, so each test pins exact send instants.  One test per
 response class, plus the budget denial and the no-policy path; the last
-two tests drive the rules through the closed-loop :class:`WorkloadClient`
+tests drive the rules through the closed-loop :class:`WorkloadClient`
 and the open-loop traffic engine.
 """
 
@@ -236,6 +236,22 @@ class TestBudgetAndPolicy:
         assert env.now == 0.0  # no timeout was ever scheduled
         assert done == [] and loop.failed == 0
 
+    @pytest.mark.parametrize("kind", ["error", "throttled"])
+    def test_no_policy_first_answer_settles_each_request(self, kind):
+        script = {1: [(30e-6, "ok")], 2: [(40e-6, kind), (50e-6, "ok")]}
+        server, loop, observer, acks, done = run_loop(
+            lambda rid, n: script[rid], requests=(1, 2), policy=None
+        )
+        assert server.sends == {1: [0.0], 2: [0.0]}
+        assert acks == [(30e-6, 0.0, 0.0)]
+        # The refused request is given up; its later ok is a late ack.
+        assert (loop.acked, loop.failed, loop.late_acks) == (1, 1, 1)
+        assert done == [40e-6]  # once, when submit's event fires
+        assert observer.calls == [
+            ("issue", 1, 0.0), ("issue", 2, 0.0),
+            ("ack", 1, 30e-6), ("give_up", 2, 40e-6),
+        ]
+
     def test_client_cost_is_one_stack_charge_per_send(self):
         env = Environment()
         pool = CpuPool(env, HOST_CPU)
@@ -272,6 +288,36 @@ class TestClients:
         assert t2 == t1 + TIMEOUT + B1
         assert result.failed_requests == 1
         assert result.throttled_responses == 1
+
+    @pytest.mark.parametrize("kind", ["error", "throttled"])
+    def test_closed_client_without_a_policy_fails_a_refused_request(
+        self, kind
+    ):
+        env = Environment()
+        server = ScriptedServer(env, by_attempt([(30e-6, kind)]))
+        config = ClientConfig(
+            offered_iops=1e5, total_requests=1, batch=1, connections=1,
+            file_size=1 << 20,
+        )
+        result = WorkloadClient(env, server, 1, config).run()
+        assert [len(sends) for sends in server.sends.values()] == [1]
+        assert result.failed_requests == 1
+        assert result.latencies == [] and result.achieved_iops == 0.0
+
+    def test_open_engine_without_a_policy_settles_every_answer(self):
+        env = Environment()
+        server = ScriptedServer(
+            env, lambda rid, n: [(30e-6, "throttled" if rid % 3 else "ok")]
+        )
+        engine = OpenLoopTrafficEngine(
+            env, server, [TenantSpec("t", 0, rate=2_000.0)], [1],
+            horizon=5e-3, seed=3,
+        )
+        result = engine.run()
+        assert result.acked > 0 and result.failed > 0
+        assert result.offered == result.acked + result.failed
+        assert result.throttled_responses == result.failed
+        assert all(len(sends) == 1 for sends in server.sends.values())
 
     def test_open_engine_resends_after_an_error_without_the_timeout(self):
         env = Environment()

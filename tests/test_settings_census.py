@@ -40,10 +40,6 @@ _FAULT = (
     "one fault a measured run injects is ShardKill"
 )
 _WIRE = "a field of a wire record that tests build by hand, not a setting"
-_OL2 = (
-    "tenant-SLO (OL2) wiring: only the chaos tier declares SLOs, and it "
-    "needs per-tenant values"
-)
 _SEAM = "a test seam: tests substitute a small or seeded instance"
 _INTERP = (
     "the interpreter's host-fallback API: the host runs refused programs "
@@ -64,8 +60,10 @@ ALLOWED = {
     ),
     "core.offload_engine:OffloadEngine(pool)": _SEAM,
     "hardware.ssd:NvmeDevice(rng)": _SEAM,
-    "faults.invariants:InvariantChecker(tenant_of)": _OL2,
-    "faults.invariants:InvariantChecker.set_slo(exempt)": _OL2,
+    "faults.invariants:InvariantChecker.set_slo(exempt)": (
+        "OL2's flooder exemption: only the chaos tier's flood tenant is "
+        "measured but not held to its SLO"
+    ),
     "faults.plan:NicFault(duration)": _FAULT,
     "faults.plan:NicFault(drop)": _FAULT,
     "faults.plan:NicFault(duplicate)": _FAULT,
